@@ -5,40 +5,35 @@ itself.  Composition laws, identity and inverses hold up to fuzzy-image
 equality only, so the group structure lives on skeleton classes: each class
 is the set of automorphisms sharing one skeleton permutation, and classes
 compose through honest map composition.
+
+Each law of section 3 has one checker here returning ``(verdict, witness)``.
+The checkers take maps that are already built and never revalidate their
+inputs; the raising constructors below and the law harness both call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import FuzzautError
-from .groups import FiniteGroup, class_index, make_group
-from .homs import is_fuzzy_homomorphism
-from .maps import (
-    FuzzyMap,
-    compose_maps,
-    identity_map,
-    inverse_map,
-    is_one_one,
-    is_onto,
-)
+from .groups import FiniteGroup, class_index, crisp_automorphisms, make_group
+from .homs import NotHomomorphism, is_fuzzy_homomorphism
+from .maps import FuzzyMap, compose_maps, identity_map, inverse_map, is_one_one
+
+
+# label -> matrix: a whole labeled family as a list, or a dict of the labels involved
+Family = Union[Sequence[FuzzyMap], Mapping[int, FuzzyMap]]
+# what every law checker returns: the verdict, and what failed when it is False
+Verdict = tuple[bool, Optional[str]]
 
 
 class AutomorphismError(FuzzautError):
     pass
 
 
-class NotHomomorphism(AutomorphismError):
-    pass
-
-
 class NotInjective(AutomorphismError):
-    pass
-
-
-class NotSurjective(AutomorphismError):
     pass
 
 
@@ -72,17 +67,27 @@ class FuzzyAutomorphism:
         return f"FuzzyAutomorphism({self.group.name}, skeleton={self.images})"
 
 
-def make_automorphism(f: FuzzyMap) -> FuzzyAutomorphism:
-    """Validate and wrap, naming the failing predicate on rejection."""
+def check_automorphism(f: FuzzyMap) -> tuple[bool, Optional[FuzzautError]]:
+    """Lemmas 3.1 and 3.6: f is a bijective fuzzy homomorphism of one group.
+
+    One-one implies onto for a map of a finite group to itself.  The witness
+    is the error ``make_automorphism`` raises for f.
+    """
     if f.domain != f.codomain:
-        raise AutomorphismError("domain and codomain must be the same group")
+        return False, AutomorphismError("domain and codomain must be the same group")
     report = is_fuzzy_homomorphism(f)
     if not report:
-        raise NotHomomorphism(str(report.witness))
+        return False, NotHomomorphism(str(report.witness))
     if not is_one_one(f):
-        raise NotInjective(f"fuzzy images {f.images} repeat a value")
-    if not is_onto(f):
-        raise NotSurjective(f"fuzzy images {f.images} miss some element")
+        return False, NotInjective(f"fuzzy images {f.images} repeat a value")
+    return True, None
+
+
+def make_automorphism(f: FuzzyMap) -> FuzzyAutomorphism:
+    """Validate and wrap, naming the failing predicate on rejection."""
+    ok, error = check_automorphism(f)
+    if not ok:
+        raise error
     return FuzzyAutomorphism(f)
 
 
@@ -91,12 +96,12 @@ def compose_aut(f: FuzzyAutomorphism, g: FuzzyAutomorphism) -> FuzzyAutomorphism
     if f.group != g.group:
         raise AutomorphismError("automorphisms of different groups cannot compose")
     composed = compose_maps(f.fmap, g.fmap)
-    try:
-        return make_automorphism(composed)
-    except AutomorphismError as exc:
+    ok, error = check_automorphism(composed)
+    if not ok:
         raise ClosureViolation(
-            f"composition of valid automorphisms failed validation: {exc}"
-        ) from exc
+            f"composition of valid automorphisms failed validation: {error}"
+        ) from error
+    return FuzzyAutomorphism(composed)
 
 
 def identity_aut(group: FiniteGroup) -> FuzzyAutomorphism:
@@ -106,10 +111,50 @@ def identity_aut(group: FiniteGroup) -> FuzzyAutomorphism:
 
 def inverse_aut(f: FuzzyAutomorphism) -> FuzzyAutomorphism:
     """Transpose matrix, revalidated as an automorphism."""
-    try:
-        return make_automorphism(inverse_map(f.fmap))
-    except AutomorphismError as exc:
-        raise ClosureViolation(f"transpose of a valid automorphism failed: {exc}") from exc
+    transpose = inverse_map(f.fmap)
+    ok, error = check_automorphism(transpose)
+    if not ok:
+        raise ClosureViolation(f"transpose of a valid automorphism failed: {error}") from error
+    return FuzzyAutomorphism(transpose)
+
+
+def check_associativity(named: Mapping[str, FuzzyMap]) -> Verdict:
+    """Lemma 3.2: (f.g).h and f.(g.h) share a skeleton for every triple of named maps.
+
+    Each pairwise composite is built once and reused on both sides.
+    """
+    tags, maps = list(named), list(named.values())
+    k = len(maps)
+    pair = {(i, j): compose_maps(maps[i], maps[j]) for i in range(k) for j in range(k)}
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                left = compose_maps(pair[i, j], maps[l])
+                right = compose_maps(maps[i], pair[j, l])
+                if left.images != right.images:
+                    return False, f"associativity fails at ({tags[i]}, {tags[j]}, {tags[l]})"
+    return True, None
+
+
+def check_identity_law(f: FuzzyMap) -> Verdict:
+    """Lemma 3.3: the crisp identity I gives f . I and I . f equivalent to f."""
+    ident = identity_map(f.domain)
+    if compose_maps(f, ident).images != f.images:
+        return False, "f . I differs from f"
+    if compose_maps(ident, f).images != f.images:
+        return False, "I . f differs from f"
+    return True, None
+
+
+def check_inverse_law(f: FuzzyMap) -> Verdict:
+    """Lemma 3.4: the transpose g of f is a map with g . f and f . g on the identity skeleton."""
+    g = inverse_map(f)
+    ident = tuple(f.domain.elements)
+    if compose_maps(g, f).images != ident:
+        return False, "g . f is not the identity skeleton"
+    if compose_maps(f, g).images != ident:
+        return False, "f . g is not the identity skeleton"
+    return True, None
 
 
 def is_class_preserving(f: FuzzyAutomorphism) -> bool:
@@ -128,16 +173,45 @@ def is_inner(f: FuzzyAutomorphism) -> Optional[int]:
     return None
 
 
+def check_inner_products(group: FiniteGroup, family: Family, labels: Iterable[int]) -> Verdict:
+    """Lemma 3.7: f_g1 . f_g2 is equivalent to f_(g2 g1) for all labels g1, g2."""
+    labels = tuple(labels)
+    t = group.table
+    for g1 in labels:
+        for g2 in labels:
+            label = t[g2][g1]
+            if compose_maps(family[g1], family[g2]).images != family[label].images:
+                return False, f"labels ({g1}, {g2}): composite not equivalent to label {label}"
+    return True, None
+
+
+def check_inner_inverses(group: FiniteGroup, family: Family, labels: Iterable[int]) -> Verdict:
+    """Lemma 3.8: the transpose of f_g is equivalent to f_(g^-1) for every label g."""
+    inv = group.inverses
+    for g in labels:
+        if inverse_map(family[g]).images != family[inv[g]].images:
+            return False, f"label {g}: transpose not equivalent to label {inv[g]}"
+    return True, None
+
+
+def check_inner_conjugate(conj: FuzzyMap) -> tuple[bool, object]:
+    """Lemma 3.9: a conjugate f^-1 . f_g . f is again an inner fuzzy automorphism."""
+    if is_inner(FuzzyAutomorphism(conj)) is None:
+        return False, f"skeleton {conj.images} is not inner"
+    return check_automorphism(conj)
+
+
 def conjugate_aut(f: FuzzyAutomorphism, f_g: FuzzyAutomorphism) -> FuzzyAutomorphism:
     """inverse(f) . f_g . f; the result must be inner again."""
+    if f.group != f_g.group:
+        raise AutomorphismError("automorphisms of different groups cannot compose")
     if is_inner(f_g) is None:
         raise NotInner("conjugation requires an inner automorphism")
-    result = compose_aut(inverse_aut(f), compose_aut(f_g, f))
-    if is_inner(result) is None:
-        raise ClosureViolation(
-            f"conjugate of an inner automorphism lost innerness: skeleton {result.images}"
-        )
-    return result
+    conj = compose_maps(inverse_map(f.fmap), compose_maps(f_g.fmap, f.fmap))
+    ok, witness = check_inner_conjugate(conj)
+    if not ok:
+        raise ClosureViolation(f"conjugate of an inner automorphism failed: {witness}")
+    return FuzzyAutomorphism(conj)
 
 
 @dataclass(frozen=True, repr=False)
@@ -186,3 +260,20 @@ def build_aut_class_group(
         table.append(row)
     group_name = classes[0].representative.group.name
     return classes, make_group(table, name=f"AutF({group_name})")
+
+
+def check_class_group(maps: Iterable[FuzzyMap]) -> Verdict:
+    """Theorem 3.1: the skeleton classes of the automorphisms form a group whose
+    skeletons are exactly the crisp automorphisms of the group."""
+    try:
+        classes, _ = build_aut_class_group(FuzzyAutomorphism(f) for f in maps)
+    except FuzzautError as exc:
+        return False, f"class group construction failed: {exc}"
+    skeletons = {c.skeleton for c in classes}
+    crisp = set(crisp_automorphisms(classes[0].representative.group))
+    if skeletons != crisp:
+        return False, (
+            f"sample skeletons ({len(skeletons)}) differ from the crisp automorphism "
+            f"group ({len(crisp)})"
+        )
+    return True, None

@@ -6,52 +6,67 @@ result row per (law, instance).  Identical configurations produce identical
 result lists, and the serialized report is byte-stable so runs can be diffed.
 
 The law catalog below is the traceability table: every suite the runner can
-emit appears here with a one-line statement of what it checks.
+emit appears here with a one-line statement of what it checks.  A suite holds
+no law of its own: it calls the one checker of its statement, which lives
+with the object it checks (``homs`` for section 2, ``automorphisms`` for
+section 3, ``induced`` for section 4) and which the raising constructors
+there call too.  The suite only picks the instance's samples and prefixes
+the failing sample's tag to the witness.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from itertools import product
+from typing import Callable, Iterable, Optional
 
+from .automorphisms import (
+    check_associativity,
+    check_automorphism,
+    check_class_group,
+    check_identity_law,
+    check_inner_conjugate,
+    check_inner_inverses,
+    check_inner_products,
+    check_inverse_law,
+)
 from .errors import FuzzautError
 from .groups import (
-    FiniteGroup,
-    builtin_group,
-    center,
-    crisp_automorphisms,
-    all_subgroups,
-    is_normal_subgroup,
     ElementSubset,
+    FiniteGroup,
+    all_subgroups,
+    builtin_group,
+    crisp_automorphisms,
+    is_normal_subgroup,
     normal_subgroups,
     quotient_group,
 )
 from .homs import check_theorem_2_1, check_theorem_2_2, is_fuzzy_homomorphism, lift_hom
-from .maps import (
-    FuzzyMap,
-    MultipleUnitEntries,
-    compose_maps,
-    identity_map,
-    inverse_map,
-    is_one_one,
-    is_onto,
-    make_fuzzy_map,
-    pointwise_equal,
+from .induced import (
+    build_inn_group,
+    check_identity_label,
+    check_induced_bijective,
+    check_induced_homomorphism,
+    check_inverse_labels,
+    check_label_products,
+    check_triple_products,
+    induced_family_raw,
+    induced_grades,
+    theta,
+    zeta,
 )
+from .maps import FuzzyMap, MultipleUnitEntries, compose_maps, inverse_map, make_fuzzy_map
 from .subsets import (
     FuzzySubset,
     class_strategy,
     flat_mu,
     gen_mu_chain,
     is_normal_fuzzy_subgroup,
-    is_pointed,
     mu_from_strategy,
+    require_valid_mu,
 )
-from .induced import induced_family_raw, induced_grades, build_inn_group, theta, zeta
-from .groups import class_index
 
 
 class ConfigInvalid(FuzzautError):
@@ -151,6 +166,13 @@ def resolve_mu(token: str, group: FiniteGroup) -> FuzzySubset:
     return mu_from_strategy(group, token)
 
 
+def _campaign_group(token: str) -> FiniteGroup:
+    try:
+        return resolve_group(token)
+    except FuzzautError as exc:
+        raise ConfigInvalid(f"cannot resolve group {token!r}: {exc}") from exc
+
+
 # -- per-instance context -----------------------------------------------------
 
 
@@ -158,105 +180,81 @@ class _Instance:
     """One (group, mu) cell of the campaign matrix, with cached sample sets."""
 
     def __init__(self, group_token: str, group: FiniteGroup, mu_token: str):
-        self.group_token = group_token
         self.group = group
-        self.mu_token = mu_token
         self.descriptor = f"{group.name}|mu={mu_token}"
         self.mu: Optional[FuzzySubset] = None
         self.mu_error: Optional[str] = None
         try:
             mu = resolve_mu(mu_token, group)
-            ok, witness = is_normal_fuzzy_subgroup(mu)
-            if not ok:
-                self.mu_error = f"MuNotNormal: {witness}"
-            elif not is_pointed(mu):
-                self.mu_error = "MuNotPointed: grade 1 must be attained exactly at the identity"
-            else:
-                self.mu = mu
+            require_valid_mu(mu)
+            self.mu = mu
         except FuzzautError as exc:
             self.mu_error = f"{type(exc).__name__}: {exc}"
-        self._cache: dict[str, object] = {}
 
-    def _cached(self, key: str, build: Callable):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def induced_raw(self) -> list[FuzzyMap]:
-        return self._cached("induced_raw", lambda: induced_family_raw(self.group, self.mu))
+        return induced_family_raw(self.group, self.mu)
 
-    @property
+    @cached_property
     def induced_reps(self) -> list[int]:
         """Least label per distinct matrix; labels in one center coset coincide."""
+        seen: dict[tuple[int, ...], int] = {}
+        for g, fmap in enumerate(self.induced_raw):
+            seen.setdefault(fmap.images, g)
+        return sorted(seen.values())
 
-        def build():
-            seen: dict[tuple[int, ...], int] = {}
-            for g, fmap in enumerate(self.induced_raw):
-                seen.setdefault(fmap.images, g)
-            return sorted(seen.values())
-
-        return self._cached("induced_reps", build)
-
-    @property
+    @cached_property
     def lift_samples(self) -> list[tuple[str, FuzzyMap]]:
         """Every crisp automorphism lifted through mu, in automorphism order."""
+        return [
+            (f"lift:aut{i}", lift_hom(sigma, self.mu, self.group))
+            for i, sigma in enumerate(crisp_automorphisms(self.group))
+        ]
 
-        def build():
-            out = []
-            for i, sigma in enumerate(crisp_automorphisms(self.group)):
-                out.append((f"lift:aut{i}", lift_hom(sigma, self.mu, self.group)))
-            return out
-
-        return self._cached("lift_samples", build)
-
-    @property
+    @cached_property
     def quotient_lifts(self) -> list[tuple[str, FuzzyMap]]:
         """Coset maps onto every proper quotient, graded canonically there."""
+        out = []
+        for n_set in normal_subgroups(self.group):
+            if len(n_set) == 1:
+                continue
+            subset = ElementSubset.from_indices(self.group, sorted(n_set))
+            quotient, coset_map = quotient_group(self.group, subset)
+            mu_q = class_strategy(quotient)
+            out.append((f"lift:quot|N|={len(n_set)}", lift_hom(coset_map, mu_q, self.group)))
+        return out
 
-        def build():
-            out = []
-            for n_set in normal_subgroups(self.group):
-                if len(n_set) == 1:
-                    continue
-                subset = ElementSubset.from_indices(self.group, sorted(n_set))
-                quotient, coset_map = quotient_group(self.group, subset)
-                mu_q = class_strategy(quotient)
-                out.append(
-                    (f"lift:quot|N|={len(n_set)}", lift_hom(coset_map, mu_q, self.group))
-                )
-            return out
-
-        return self._cached("quotient_lifts", build)
-
-    @property
+    @cached_property
     def hom_samples(self) -> list[tuple[str, FuzzyMap]]:
-        def build():
-            out = list(self.lift_samples) + list(self.quotient_lifts)
-            out.extend((f"induced:g={g}", self.induced_raw[g]) for g in self.induced_reps)
-            return out
+        return (
+            self.lift_samples
+            + self.quotient_lifts
+            + [(f"induced:g={g}", self.induced_raw[g]) for g in self.induced_reps]
+        )
 
-        return self._cached("hom_samples", build)
-
-    @property
+    @cached_property
     def aut_samples(self) -> list[tuple[str, FuzzyMap]]:
         """Deduplicated sample set: all lifted automorphisms plus the labeled family."""
-
-        def build():
-            seen: dict[tuple, str] = {}
-            out = []
-            for tag, fmap in self.lift_samples + [
-                (f"induced:g={g}", self.induced_raw[g]) for g in self.group.elements
-            ]:
-                if fmap.grades not in seen:
-                    seen[fmap.grades] = tag
-                    out.append((tag, fmap))
-            return out
-
-        return self._cached("aut_samples", build)
+        seen: set[tuple] = set()
+        out = []
+        for tag, fmap in self.lift_samples + [
+            (f"induced:g={g}", self.induced_raw[g]) for g in self.group.elements
+        ]:
+            if fmap.grades not in seen:
+                seen.add(fmap.grades)
+                out.append((tag, fmap))
+        return out
 
 
 # -- law suites ---------------------------------------------------------------
+
+
+def _first_failure(checks: Iterable[tuple[str, Iterable]]) -> tuple[bool, Optional[str]]:
+    """Consume (tag, (verdict, witness)) pairs; the first failure, its witness tagged."""
+    for tag, (verdict, witness) in checks:
+        if not verdict:
+            return False, f"{tag}: {witness}"
+    return True, None
 
 
 def _suite_thm_2_1(ctx: _Instance):
@@ -283,298 +281,74 @@ def _suite_thm_2_2(ctx: _Instance):
 
 def _suite_lemma_3_1(ctx: _Instance):
     samples = ctx.aut_samples
-    for tag_f, f in samples:
-        for tag_g, g in samples:
-            composed = compose_maps(f, g)
-            report = is_fuzzy_homomorphism(composed)
-            if not report:
-                return False, f"({tag_f}) . ({tag_g}): not a homomorphism: {report.witness}"
-            if not (is_one_one(composed) and is_onto(composed)):
-                return False, f"({tag_f}) . ({tag_g}): not bijective"
-    return True, None
-
-
-def _suite_lemma_3_2(ctx: _Instance):
-    samples = [fmap for _, fmap in ctx.aut_samples]
-    tags = [tag for tag, _ in ctx.aut_samples]
-    k = len(samples)
-    pair: dict[tuple[int, int], FuzzyMap] = {}
-    for i in range(k):
-        for j in range(k):
-            pair[i, j] = compose_maps(samples[i], samples[j])
-    for i in range(k):
-        for j in range(k):
-            left_base = pair[i, j]
-            for l in range(k):
-                left = compose_maps(left_base, samples[l])
-                right = compose_maps(samples[i], pair[j, l])
-                if left.images != right.images:
-                    return False, f"associativity fails at ({tags[i]}, {tags[j]}, {tags[l]})"
-    return True, None
-
-
-def _suite_lemma_3_3(ctx: _Instance):
-    ident = identity_map(ctx.group)
-    for tag, f in ctx.aut_samples:
-        if compose_maps(f, ident).images != f.images:
-            return False, f"{tag}: f . I differs from f"
-        if compose_maps(ident, f).images != f.images:
-            return False, f"{tag}: I . f differs from f"
-    return True, None
-
-
-def _suite_lemma_3_4(ctx: _Instance):
-    ident = identity_map(ctx.group)
-    for tag, f in ctx.aut_samples:
-        g = inverse_map(f)
-        if compose_maps(g, f).images != ident.images:
-            return False, f"{tag}: g . f is not the identity skeleton"
-        if compose_maps(f, g).images != ident.images:
-            return False, f"{tag}: f . g is not the identity skeleton"
-    return True, None
-
-
-def _suite_lemma_3_5(ctx: _Instance):
-    for tag, f in ctx.aut_samples:
-        report = is_fuzzy_homomorphism(compose_maps(inverse_map(f), f))
-        if not report:
-            return False, f"{tag}: g . f not a homomorphism: {report.witness}"
-    return True, None
-
-
-def _suite_lemma_3_6(ctx: _Instance):
-    for tag, f in ctx.aut_samples:
-        g = inverse_map(f)
-        report = is_fuzzy_homomorphism(g)
-        if not report:
-            return False, f"{tag}: transpose not a homomorphism: {report.witness}"
-        if not (is_one_one(g) and is_onto(g)):
-            return False, f"{tag}: transpose not bijective"
-    return True, None
-
-
-def _suite_lemma_3_7(ctx: _Instance):
-    t = ctx.group.table
-    family = ctx.induced_raw
-    for g1 in ctx.induced_reps:
-        for g2 in ctx.induced_reps:
-            composed = compose_maps(family[g1], family[g2])
-            if composed.images != family[t[g2][g1]].images:
-                return False, f"labels ({g1}, {g2}): composite not equivalent to label {t[g2][g1]}"
-    return True, None
-
-
-def _suite_lemma_3_8(ctx: _Instance):
-    inv = ctx.group.inverses
-    family = ctx.induced_raw
-    for g in ctx.induced_reps:
-        if inverse_map(family[g]).images != family[inv[g]].images:
-            return False, f"label {g}: transpose not equivalent to label {inv[g]}"
-    return True, None
+    return _first_failure(
+        (f"({tag_f}) . ({tag_g})", check_automorphism(compose_maps(f, g)))
+        for tag_f, f in samples
+        for tag_g, g in samples
+    )
 
 
 def _suite_lemma_3_9(ctx: _Instance):
-    group = ctx.group
-    family = ctx.induced_raw
-    for tag, f in ctx.aut_samples:
-        f_inv = inverse_map(f)
-        for g in ctx.induced_reps:
-            conj = compose_maps(f_inv, compose_maps(family[g], f))
-            images = conj.images
-            if not any(
-                all(images[x] == group.conjugate(x, a) for x in group.elements)
-                for a in group.elements
-            ):
-                return False, f"conjugate of label {g} by {tag} is not inner"
-            report = is_fuzzy_homomorphism(conj)
-            if not report:
-                return False, f"conjugate of label {g} by {tag}: {report.witness}"
-    return True, None
+    def conjugates():
+        for tag, f in ctx.aut_samples:
+            f_inv = inverse_map(f)
+            for g in ctx.induced_reps:
+                conj = compose_maps(f_inv, compose_maps(ctx.induced_raw[g], f))
+                yield f"conjugate of label {g} by {tag}", check_inner_conjugate(conj)
 
-
-def _suite_thm_3_1(ctx: _Instance):
-    from .automorphisms import FuzzyAutomorphism, build_aut_class_group
-
-    autos = [FuzzyAutomorphism(f) for _, f in ctx.aut_samples]
-    try:
-        classes, table = build_aut_class_group(autos)
-    except FuzzautError as exc:
-        return False, f"class group construction failed: {exc}"
-    skeletons = {c.skeleton for c in classes}
-    crisp = set(crisp_automorphisms(ctx.group))
-    if skeletons != crisp:
-        return False, (
-            f"sample skeletons ({len(skeletons)}) differ from the crisp automorphism "
-            f"group ({len(crisp)})"
-        )
-    ident = tuple(ctx.group.elements)
-    if ident not in skeletons:
-        return False, "identity skeleton missing"
-    return True, None
-
-
-def _suite_lemma_4_1(ctx: _Instance):
-    group = ctx.group
-    for g, fmap in enumerate(ctx.induced_raw):
-        conj = tuple(group.conjugate(x, g) for x in group.elements)
-        if fmap.images != conj:
-            return False, f"label {g}: skeleton is not conjugation"
-        report = is_fuzzy_homomorphism(fmap)
-        if not report:
-            return False, f"label {g}: {report.witness}"
-    return True, None
-
-
-def _suite_lemma_4_2(ctx: _Instance):
-    idx = class_index(ctx.group)
-    for g, fmap in enumerate(ctx.induced_raw):
-        if not is_one_one(fmap):
-            return False, f"label {g}: not one-one"
-        if not is_onto(fmap):
-            return False, f"label {g}: not onto"
-        if any(idx[fmap.images[x]] != idx[x] for x in ctx.group.elements):
-            return False, f"label {g}: not class preserving"
-    return True, None
-
-
-def _find_4_3_counterexample(group: FiniteGroup, family: list[FuzzyMap]):
-    """First (g1, g2, x, y) where label composition misses sup composition."""
-    t = group.table
-    for g1 in group.elements:
-        for g2 in group.elements:
-            expected = family[t[g2][g1]]
-            composed = compose_maps(family[g1], family[g2])
-            if composed.grades != expected.grades:
-                for x in group.elements:
-                    for y in group.elements:
-                        if composed.grades[x][y] != expected.grades[x][y]:
-                            return (
-                                f"labels ({g1}, {g2}) at cell ({x}, {y}): "
-                                f"composite={composed.grades[x][y]} "
-                                f"label-{t[g2][g1]}={expected.grades[x][y]}"
-                            )
-    return None
-
-
-def _suite_lemma_4_3(ctx: _Instance):
-    witness = _find_4_3_counterexample(ctx.group, ctx.induced_raw)
-    return (witness is None), witness
-
-
-def _suite_lemma_4_4(ctx: _Instance):
-    t = ctx.group.table
-    family = ctx.induced_raw
-    reps = ctx.induced_reps
-    for g1 in reps:
-        for g2 in reps:
-            first = compose_maps(family[g1], family[g2])
-            for g3 in reps:
-                label = t[t[g3][g2]][g1]
-                left = compose_maps(first, family[g3])
-                right = compose_maps(family[g1], compose_maps(family[g2], family[g3]))
-                if not (left.images == right.images == family[label].images):
-                    return False, f"triple ({g1}, {g2}, {g3}) misses label {label}"
-    return True, None
-
-
-def _suite_lemma_4_5(ctx: _Instance):
-    family = ctx.induced_raw
-    ident = family[ctx.group.identity]
-    mu = ctx.mu
-    t, inv = ctx.group.table, ctx.group.inverses
-    if any(
-        ident.grades[x][y] != mu.grades[t[inv[x]][y]]
-        for x in ctx.group.elements
-        for y in ctx.group.elements
-    ):
-        return False, "identity-labeled matrix is not mu(x^-1 y)"
-    for g in ctx.group.elements:
-        if not pointwise_equal(compose_maps(family[g], ident), family[g]):
-            return False, f"label {g}: f . I differs pointwise"
-        if not pointwise_equal(compose_maps(ident, family[g]), family[g]):
-            return False, f"label {g}: I . f differs pointwise"
-    return True, None
-
-
-def _suite_lemma_4_6(ctx: _Instance):
-    group = ctx.group
-    t, inv = group.table, group.inverses
-    family = ctx.induced_raw
-    ident = family[group.identity]
-    for g in ctx.induced_reps:
-        gi = inv[g]
-        if not pointwise_equal(compose_maps(family[g], family[gi]), ident):
-            return False, f"label {g}: f_g . f_g^-1 is not the identity matrix"
-        if not pointwise_equal(compose_maps(family[gi], family[g]), ident):
-            return False, f"label {g}: f_g^-1 . f_g is not the identity matrix"
-        if inverse_map(family[g]).images != family[gi].images:
-            return False, f"label {g}: transpose not equivalent to label {gi}"
-    return True, None
+    return _first_failure(conjugates())
 
 
 def _suite_thm_4_1(ctx: _Instance):
-    try:
-        inn = build_inn_group(ctx.group, ctx.mu)
-    except (FuzzautError, RuntimeError) as exc:
-        return False, f"class table construction failed: {exc}"
-    if len(inn.classes) * len(center(ctx.group)) != ctx.group.order:
-        return False, f"{len(inn.classes)} classes do not index the center quotient"
+    # build_inn_group raises LawViolation unless the classes index the center quotient
+    build_inn_group(ctx.group, ctx.mu)
     return True, None
 
 
 def _suite_thm_4_2(ctx: _Instance):
     check = zeta(ctx.group, ctx.mu)
-    if check.ok:
-        return True, None
-    parts = []
-    if not check.multiplicative:
-        parts.append("not multiplicative")
-    if not check.surjective:
-        parts.append("not surjective")
-    if not check.kernel_is_center:
-        parts.append(f"kernel {check.kernel.indices} is not the center")
-    if not check.isomorphism:
-        parts.append("induced map on center cosets is not an isomorphism")
-    return False, "; ".join(parts)
+    return check.ok, check.witness
 
 
 def _suite_thm_4_3(ctx: _Instance):
     check = theta(ctx.group, ctx.mu)
-    if check.ok:
-        return True, None
-    parts = []
-    if not check.hom_report.verdict:
-        parts.append(f"sup condition fails: {check.hom_report.witness}")
-    if not check.images_are_inverses:
-        parts.append("fuzzy image of a is not the label of a^-1")
-    if not check.kernel_trivial:
-        parts.append(f"kernel {check.kernel.indices} is not trivial")
-    if not check.one_one:
-        parts.append("not one-one")
-    if not check.onto:
-        parts.append("not onto")
-    return False, "; ".join(parts)
+    return check.ok, check.witness
 
 
 _SUITES: dict[str, Callable[[_Instance], tuple[bool, Optional[str]]]] = {
     "Theorem 2.1": _suite_thm_2_1,
     "Theorem 2.2": _suite_thm_2_2,
     "Lemma 3.1": _suite_lemma_3_1,
-    "Lemma 3.2": _suite_lemma_3_2,
-    "Lemma 3.3": _suite_lemma_3_3,
-    "Lemma 3.4": _suite_lemma_3_4,
-    "Lemma 3.5": _suite_lemma_3_5,
-    "Lemma 3.6": _suite_lemma_3_6,
-    "Lemma 3.7": _suite_lemma_3_7,
-    "Lemma 3.8": _suite_lemma_3_8,
+    "Lemma 3.2": lambda ctx: check_associativity(dict(ctx.aut_samples)),
+    "Lemma 3.3": lambda ctx: _first_failure(
+        (tag, check_identity_law(f)) for tag, f in ctx.aut_samples
+    ),
+    "Lemma 3.4": lambda ctx: _first_failure(
+        (tag, check_inverse_law(f)) for tag, f in ctx.aut_samples
+    ),
+    "Lemma 3.5": lambda ctx: _first_failure(
+        (tag, is_fuzzy_homomorphism(compose_maps(inverse_map(f), f)))
+        for tag, f in ctx.aut_samples
+    ),
+    "Lemma 3.6": lambda ctx: _first_failure(
+        (tag, check_automorphism(inverse_map(f))) for tag, f in ctx.aut_samples
+    ),
+    "Lemma 3.7": lambda ctx: check_inner_products(ctx.group, ctx.induced_raw, ctx.induced_reps),
+    "Lemma 3.8": lambda ctx: check_inner_inverses(ctx.group, ctx.induced_raw, ctx.induced_reps),
     "Lemma 3.9": _suite_lemma_3_9,
-    "Theorem 3.1": _suite_thm_3_1,
-    "Lemma 4.1": _suite_lemma_4_1,
-    "Lemma 4.2": _suite_lemma_4_2,
-    "Lemma 4.3": _suite_lemma_4_3,
-    "Lemma 4.4": _suite_lemma_4_4,
-    "Lemma 4.5": _suite_lemma_4_5,
-    "Lemma 4.6": _suite_lemma_4_6,
+    "Theorem 3.1": lambda ctx: check_class_group(f for _, f in ctx.aut_samples),
+    "Lemma 4.1": lambda ctx: check_induced_homomorphism(
+        ctx.group, ctx.induced_raw, ctx.group.elements
+    ),
+    "Lemma 4.2": lambda ctx: check_induced_bijective(
+        ctx.group, ctx.induced_raw, ctx.group.elements
+    ),
+    "Lemma 4.3": lambda ctx: check_label_products(
+        ctx.group, ctx.induced_raw, product(ctx.group.elements, repeat=2)
+    ),
+    "Lemma 4.4": lambda ctx: check_triple_products(ctx.group, ctx.induced_raw, ctx.induced_reps),
+    "Lemma 4.5": lambda ctx: check_identity_label(ctx.mu, ctx.induced_raw, ctx.group.elements),
+    "Lemma 4.6": lambda ctx: check_inverse_labels(ctx.group, ctx.induced_raw, ctx.induced_reps),
     "Theorem 4.1": _suite_thm_4_1,
     "Theorem 4.2": _suite_thm_4_2,
     "Theorem 4.3": _suite_thm_4_3,
@@ -594,14 +368,6 @@ def _run_one(statement: str, ctx: _Instance) -> SuiteResult:
     return SuiteResult(statement, ctx.descriptor, verdict, witness, ms)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FUZZAUT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_campaign(campaign: Campaign) -> list[SuiteResult]:
     """Run every selected law suite over the campaign's instance matrix.
 
@@ -614,24 +380,14 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
         raise ConfigInvalid(f"unknown statement ids: {unknown}")
     contexts: list[_Instance] = []
     for token in campaign.groups:
-        try:
-            group = resolve_group(token)
-        except FuzzautError as exc:
-            raise ConfigInvalid(f"cannot resolve group {token!r}: {exc}") from exc
-        for mu_token in campaign.mu_sources:
-            contexts.append(_Instance(token, group, mu_token))
-    jobs = [
-        (statement, ctx)
+        group = _campaign_group(token)
+        contexts.extend(_Instance(token, group, mu_token) for mu_token in campaign.mu_sources)
+    results = [
+        _run_one(statement, ctx)
         for statement in campaign.suites
         for ctx in contexts
         if ctx.mu_error is None or statement in SECTION_4_STATEMENTS
     ]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: _run_one(*job), jobs))
-    else:
-        results = [_run_one(statement, ctx) for statement, ctx in jobs]
     results.sort(key=lambda r: (r.statement, r.instance))
     return results
 
@@ -676,7 +432,7 @@ def _ablate_normality(group: FiniteGroup) -> Optional[SuiteResult]:
     mu = gen_mu_chain(group, chain, ("1", "1/2", "1/4"))
     ok, _ = is_normal_fuzzy_subgroup(mu)
     family = induced_family_raw(group, mu)
-    counterexample = _find_4_3_counterexample(group, family)
+    _, counterexample = check_label_products(group, family, product(group.elements, repeat=2))
     verdict = (not ok) and counterexample is not None
     witness = (
         f"mu graded over the non-normal subgroup {tuple(sorted(non_normal))}; "
@@ -709,10 +465,7 @@ def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
         raise UnknownToken(f"unknown ablation token {drop!r}; expected one of {ABLATION_TOKENS}")
     results = []
     for token in campaign.groups:
-        try:
-            group = resolve_group(token)
-        except FuzzautError as exc:
-            raise ConfigInvalid(f"cannot resolve group {token!r}: {exc}") from exc
+        group = _campaign_group(token)
         if drop == "pointed":
             results.append(_ablate_pointed(group))
         else:

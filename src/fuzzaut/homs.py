@@ -53,6 +53,10 @@ class HomCheckReport:
     def __bool__(self) -> bool:
         return self.verdict
 
+    def __iter__(self):
+        """Unpacks as ``(verdict, witness)``, the shape of every law checker."""
+        return iter((self.verdict, self.witness))
+
 
 def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
     """Exhaustive check of the sup-over-factorizations condition.

@@ -6,14 +6,27 @@ family composes by reversed label product with exact matrix equality, and the
 identity-labeled member acts as a two-sided identity.  Two structures sit on
 top: the skeleton-class group (isomorphic to the quotient by the center) and
 the label-indexed family targeted by the graded evaluation map.
+
+Each law of section 4 has one checker here returning ``(verdict, witness)``.
+A checker takes a labeled family that is already built (the whole family as
+a list, or a dict of the labels involved) plus the labels to check, and
+names the failing labels in its witness.  The certifying constructors below
+and the law harness both call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
+from .automorphisms import (
+    FuzzyAutomorphism,
+    Family,
+    Verdict,
+    check_inner_inverses,
+    is_class_preserving,
+)
 from .errors import FuzzautError
 from .groups import (
     ElementSubset,
@@ -81,6 +94,33 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     ]
 
 
+def check_induced_homomorphism(
+    group: FiniteGroup, family: Family, labels: Iterable[int]
+) -> Verdict:
+    """Lemma 4.1: each f_g has conjugation by g as its skeleton and is a fuzzy homomorphism."""
+    for g in labels:
+        fmap = family[g]
+        if fmap.images != tuple(group.conjugate(x, g) for x in group.elements):
+            return False, f"label {g}: skeleton is not conjugation"
+        report = is_fuzzy_homomorphism(fmap)
+        if not report:
+            return False, f"label {g}: {report.witness}"
+    return True, None
+
+
+def check_induced_bijective(group: FiniteGroup, family: Family, labels: Iterable[int]) -> Verdict:
+    """Lemma 4.2: each f_g is one-one, onto and class preserving."""
+    for g in labels:
+        fmap = family[g]
+        if not is_one_one(fmap):
+            return False, f"label {g}: not one-one"
+        if not is_onto(fmap):
+            return False, f"label {g}: not onto"
+        if not is_class_preserving(FuzzyAutomorphism(fmap)):
+            return False, f"label {g}: not class preserving"
+    return True, None
+
+
 @lru_cache(maxsize=None)
 def make_induced(g: int, mu: FuzzySubset) -> InducedInner:
     """Construct and certify one induced inner automorphism.
@@ -94,16 +134,35 @@ def make_induced(g: int, mu: FuzzySubset) -> InducedInner:
     group = mu.group
     if not 0 <= g < group.order:
         raise FuzzautError(f"label {g} outside 0..{group.order - 1}")
-    fmap = make_fuzzy_map(group, group, induced_grades(mu, g))
-    conj = tuple(group.conjugate(x, g) for x in group.elements)
-    if fmap.images != conj:
-        raise LawViolation(f"skeleton {fmap.images} is not conjugation by {g}")
-    report = is_fuzzy_homomorphism(fmap)
-    if not report:
-        raise LawViolation(f"induced map for label {g} is not a homomorphism: {report.witness}")
-    if not (is_one_one(fmap) and is_onto(fmap)):
-        raise LawViolation(f"induced map for label {g} is not bijective")
-    return InducedInner(g, mu, fmap)
+    family = {g: make_fuzzy_map(group, group, induced_grades(mu, g))}
+    for check in (check_induced_homomorphism, check_induced_bijective):
+        ok, witness = check(group, family, (g,))
+        if not ok:
+            raise LawViolation(witness)
+    return InducedInner(g, mu, family[g])
+
+
+def check_label_products(
+    group: FiniteGroup, family: Family, pairs: Iterable[tuple[int, int]]
+) -> Verdict:
+    """Lemma 4.3: f_g1 . f_g2 equals f_(g2 g1) cell by cell for each pair (g1, g2).
+
+    The witness names the first pair and cell where sup composition and the
+    label product disagree.
+    """
+    t = group.table
+    for g1, g2 in pairs:
+        label = t[g2][g1]
+        composed = compose_maps(family[g1], family[g2]).grades
+        expected = family[label].grades
+        if composed != expected:
+            x = next(x for x in group.elements if composed[x] != expected[x])
+            y = next(y for y in group.elements if composed[x][y] != expected[x][y])
+            return False, (
+                f"labels ({g1}, {g2}) at cell ({x}, {y}): "
+                f"composite={composed[x][y]} label-{label}={expected[x][y]}"
+            )
+    return True, None
 
 
 def compose_induced(a: InducedInner, b: InducedInner) -> InducedInner:
@@ -114,14 +173,47 @@ def compose_induced(a: InducedInner, b: InducedInner) -> InducedInner:
     """
     if a.mu != b.mu:
         raise MuMismatch("operands carry different membership functions")
-    group = a.group
-    result = make_induced(group.table[b.label][a.label], a.mu)
-    honest = compose_maps(a.fmap, b.fmap)
-    if not pointwise_equal(result.fmap, honest):
-        raise LawViolation(
-            f"label composition of ({a.label}, {b.label}) disagrees with sup composition"
-        )
+    result = make_induced(a.group.table[b.label][a.label], a.mu)
+    family = {a.label: a.fmap, b.label: b.fmap, result.label: result.fmap}
+    ok, witness = check_label_products(a.group, family, [(a.label, b.label)])
+    if not ok:
+        raise LawViolation(witness)
     return result
+
+
+def check_triple_products(group: FiniteGroup, family: Family, labels: Iterable[int]) -> Verdict:
+    """Lemma 4.4: both bracketings of f_g1 . f_g2 . f_g3 are equivalent to f_(g3 g2 g1)."""
+    labels = tuple(labels)
+    t = group.table
+    for g1 in labels:
+        for g2 in labels:
+            first = compose_maps(family[g1], family[g2])
+            for g3 in labels:
+                label = t[t[g3][g2]][g1]
+                left = compose_maps(first, family[g3])
+                right = compose_maps(family[g1], compose_maps(family[g2], family[g3]))
+                if not (left.images == right.images == family[label].images):
+                    return False, f"triple ({g1}, {g2}, {g3}) misses label {label}"
+    return True, None
+
+
+def check_identity_label(mu: FuzzySubset, family: Family, labels: Iterable[int]) -> Verdict:
+    """Lemma 4.5: f_e is mu(x^-1 y) and a two-sided identity for each f_g, exactly."""
+    group = mu.group
+    t, inv = group.table, group.inverses
+    ident = family[group.identity]
+    if any(
+        ident.grades[x][y] != mu.grades[t[inv[x]][y]]
+        for x in group.elements
+        for y in group.elements
+    ):
+        return False, "identity-labeled matrix is not mu(x^-1 y)"
+    for g in labels:
+        if not pointwise_equal(compose_maps(family[g], ident), family[g]):
+            return False, f"label {g}: f . I differs pointwise"
+        if not pointwise_equal(compose_maps(ident, family[g]), family[g]):
+            return False, f"label {g}: I . f differs pointwise"
+    return True, None
 
 
 @lru_cache(maxsize=None)
@@ -132,24 +224,39 @@ def identity_induced(mu: FuzzySubset) -> InducedInner:
     labeled family.
     """
     group = mu.group
-    ident = make_induced(group.identity, mu)
-    for g in group.elements:
-        other = make_induced(g, mu)
-        left = compose_maps(other.fmap, ident.fmap)
-        right = compose_maps(ident.fmap, other.fmap)
-        if not (pointwise_equal(left, other.fmap) and pointwise_equal(right, other.fmap)):
-            raise LawViolation(f"identity law failed against label {g}")
-    return ident
+    family = [make_induced(g, mu).fmap for g in group.elements]
+    ok, witness = check_identity_label(mu, family, group.elements)
+    if not ok:
+        raise LawViolation(witness)
+    return make_induced(group.identity, mu)
+
+
+def check_inverse_labels(group: FiniteGroup, family: Family, labels: Iterable[int]) -> Verdict:
+    """Lemma 4.6: f_g and f_(g^-1) compose to the identity matrix both ways, and
+    the transpose of f_g is equivalent to f_(g^-1) (the Lemma 3.8 check)."""
+    inv = group.inverses
+    ident = family[group.identity]
+    for g in labels:
+        gi = inv[g]
+        if not pointwise_equal(compose_maps(family[g], family[gi]), ident):
+            return False, f"label {g}: f_g . f_g^-1 is not the identity matrix"
+        if not pointwise_equal(compose_maps(family[gi], family[g]), ident):
+            return False, f"label {g}: f_g^-1 . f_g is not the identity matrix"
+        ok, witness = check_inner_inverses(group, family, (g,))
+        if not ok:
+            return False, witness
+    return True, None
 
 
 def inverse_induced(a: InducedInner) -> InducedInner:
     """The map labeled by the group inverse; both compositions give the identity."""
-    result = make_induced(a.group.inverses[a.label], a.mu)
-    ident = make_induced(a.group.identity, a.mu)
-    if not pointwise_equal(compose_induced(a, result).fmap, ident.fmap):
-        raise LawViolation(f"label {a.label}: a . a^-1 is not the identity matrix")
-    if not pointwise_equal(compose_induced(result, a).fmap, ident.fmap):
-        raise LawViolation(f"label {a.label}: a^-1 . a is not the identity matrix")
+    group = a.group
+    result = make_induced(group.inverses[a.label], a.mu)
+    ident = make_induced(group.identity, a.mu)
+    family = {a.label: a.fmap, result.label: result.fmap, ident.label: ident.fmap}
+    ok, witness = check_inverse_labels(group, family, (a.label,))
+    if not ok:
+        raise LawViolation(witness)
     return result
 
 
@@ -219,6 +326,17 @@ class ZetaCheck:
             and self.kernel_is_center
             and self.isomorphism
         )
+
+    @property
+    def witness(self) -> Optional[str]:
+        """The facts that fail, joined; None when all hold."""
+        failed = [text for holds, text in (
+            (self.multiplicative, "not multiplicative"),
+            (self.surjective, "not surjective"),
+            (self.kernel_is_center, f"kernel {self.kernel.indices} is not the center"),
+            (self.isomorphism, "induced map on center cosets is not an isomorphism"),
+        ) if not holds]
+        return "; ".join(failed) or None
 
 
 def zeta(group: FiniteGroup, mu: FuzzySubset) -> ZetaCheck:
@@ -294,6 +412,18 @@ class ThetaCheck:
             and self.one_one
             and self.onto
         )
+
+    @property
+    def witness(self) -> Optional[str]:
+        """The facts that fail, joined; None when all hold."""
+        failed = [text for holds, text in (
+            (self.hom_report.verdict, f"sup condition fails: {self.hom_report.witness}"),
+            (self.images_are_inverses, "fuzzy image of a is not the label of a^-1"),
+            (self.kernel_trivial, f"kernel {self.kernel.indices} is not trivial"),
+            (self.one_one, "not one-one"),
+            (self.onto, "not onto"),
+        ) if not holds]
+        return "; ".join(failed) or None
 
 
 def theta(group: FiniteGroup, mu: FuzzySubset) -> ThetaCheck:

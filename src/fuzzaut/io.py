@@ -22,11 +22,16 @@ class FileFormatError(FuzzautError):
     pass
 
 
+def _is(value, kind: type) -> bool:
+    """JSON type test: true and false are not integers."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
 def _require(obj: dict, key: str, kind: type):
     if not isinstance(obj, dict) or key not in obj:
         raise FileFormatError(f"missing key {key!r}")
     value = obj[key]
-    if not isinstance(value, kind):
+    if not _is(value, kind):
         raise FileFormatError(f"key {key!r} must be {kind.__name__}")
     return value
 
@@ -47,6 +52,14 @@ def group_from_json(obj: dict) -> FiniteGroup:
     name = _require(obj, "name", str)
     order = _require(obj, "order", int)
     table = _require(obj, "table", list)
+    for r, row in enumerate(table):
+        if not _is(row, list):
+            raise FileFormatError(f"table row {r} must be a list")
+        for c, v in enumerate(row):
+            if not _is(v, int):
+                raise FileFormatError(
+                    f"entry at row {r}, column {c} is {json.dumps(v)}, not an integer"
+                )
     group = make_group(table, name=name)
     if group.order != order:
         raise FileFormatError(f"declared order {order} but the table has {group.order} rows")

@@ -1,11 +1,14 @@
 """Fuzzy automorphisms, innerness, conjugation, and the skeleton-class group."""
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from fuzzaut.automorphisms import (
     AutomorphismError,
+    ClosureViolation,
+    FuzzyAutomorphism,
     NotInjective,
     NotInner,
     aut_classes,
@@ -19,14 +22,18 @@ from fuzzaut.automorphisms import (
     make_automorphism,
 )
 from fuzzaut.groups import builtin_group, center, crisp_automorphisms, is_group_isomorphism
-from fuzzaut.homs import is_fuzzy_homomorphism, lift_hom
-from fuzzaut.maps import crisp_map, equiv
+from fuzzaut.homs import NotHomomorphism, is_fuzzy_homomorphism, lift_hom
+from fuzzaut.maps import crisp_map, equiv, make_fuzzy_map
 from fuzzaut.subsets import chain_strategy, class_strategy
 from fuzzaut.induced import induced_family_raw
 
 S3 = builtin_group("S3")
+Z2 = builtin_group("Z2")
 Z4 = builtin_group("Z4")
 V4 = builtin_group("V4")
+
+# identity skeleton, but f(1, 0) = 0 misses the sup min(f(0, 1), f(1, 1)) = 1/2
+BIJECTIVE_NON_HOM = make_fuzzy_map(Z2, Z2, [[1, Fraction(1, 2)], [0, 1]])
 
 
 def sample_automorphisms(group, mu):
@@ -55,6 +62,11 @@ class TestMakeAutomorphism:
         with pytest.raises(NotInjective):
             make_automorphism(f)
 
+    def test_bijective_non_homomorphism_rejected(self):
+        assert not is_fuzzy_homomorphism(BIJECTIVE_NON_HOM)
+        with pytest.raises(NotHomomorphism):
+            make_automorphism(BIJECTIVE_NON_HOM)
+
     def test_mismatched_groups_rejected(self):
         f = crisp_map(S3, builtin_group("Z2"), (0, 1, 1, 0, 0, 1))
         with pytest.raises(AutomorphismError):
@@ -76,6 +88,11 @@ class TestComposition:
             inv = inverse_aut(aut)
             assert compose_aut(aut, inv).images == ident.images
             assert compose_aut(inv, aut).images == ident.images
+
+    def test_invalid_composite_is_a_closure_violation(self):
+        unchecked = FuzzyAutomorphism(BIJECTIVE_NON_HOM)
+        with pytest.raises(ClosureViolation):
+            compose_aut(unchecked, identity_aut(Z2))
 
     def test_induced_composition_reverses_labels(self):
         mu = class_strategy(S3)

@@ -41,6 +41,14 @@ class TestExitCodes:
         assert "MuNotNormal" in err
         assert out == ""
 
+    def test_non_integer_group_cell_is_two(self, capsys, tmp_path):
+        path = tmp_path / "z2.json"
+        save(path, {"name": "Z2", "order": 2, "table": [[0, 1], [1.9, 0]]})
+        code, out, err = run_cli(capsys, "verify", "--group", f"file:{path}", "--suite", "hom")
+        assert code == EXIT_CONFIG
+        assert "FileFormatError" in err
+        assert out == ""
+
     def test_unknown_group_is_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--group", "builtin:Z99")
         assert code == EXIT_CONFIG

@@ -70,12 +70,6 @@ class TestRunCampaign:
         with pytest.raises(ConfigInvalid):
             run_campaign(Campaign(groups=("Z99",)))
 
-    def test_threads_do_not_change_the_report(self, monkeypatch):
-        base = dumps(campaign_report(SMALL, run_campaign(SMALL)))
-        monkeypatch.setenv("FUZZAUT_THREADS", "4")
-        threaded = dumps(campaign_report(SMALL, run_campaign(SMALL)))
-        assert base == threaded
-
 
 class TestPreconditionRouting:
     @pytest.fixture

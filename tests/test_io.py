@@ -38,6 +38,27 @@ class TestGroupFiles:
         with pytest.raises(FileFormatError):
             group_from_json({"name": "X", "order": 1})
 
+    @pytest.mark.parametrize(
+        "order, table",
+        [
+            (2, [[0, 1], [1.9, 0]]),  # int() would truncate the cell to 1
+            (2, [[0, 1], [1, 0.0]]),
+            (2, [[False, True], [True, False]]),  # JSON booleans are not integers
+            (1, [[True]]),
+            (True, [[0]]),
+            (1.0, [[0]]),
+            (2, [[0, 1], "10"]),
+        ],
+    )
+    def test_non_integer_cells_and_order_rejected(self, order, table):
+        with pytest.raises(FileFormatError):
+            group_from_json({"name": "X", "order": order, "table": table})
+
+    def test_non_integer_cell_named_before_table_checks(self):
+        with pytest.raises(FileFormatError) as err:
+            group_from_json({"name": "X", "order": 2, "table": [[0, 1], [1.9, 0]]})
+        assert "row 1, column 0" in str(err.value)
+
     def test_invalid_table_reports_indices(self):
         obj = {"name": "X", "order": 2, "table": [[0, 1], [1, 2]]}
         with pytest.raises(Exception) as err:

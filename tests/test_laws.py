@@ -1,0 +1,169 @@
+"""One implementation per law: the raising API and the harness share each checker.
+
+Each case seeds a defect in one shared checker, at every module that binds
+it, and expects both the public function built on it to raise and the
+harness row of its statement to fail.  A law with a second, private copy in
+either place would let one of the two pass.
+"""
+
+import sys
+
+import pytest
+
+from fuzzaut import automorphisms, induced
+from fuzzaut.automorphisms import (
+    ClosureViolation,
+    NotInner,
+    compose_aut,
+    conjugate_aut,
+    inverse_aut,
+    make_automorphism,
+)
+from fuzzaut.groups import builtin_group
+from fuzzaut.harness import Campaign, ablation, run_campaign
+from fuzzaut.induced import (
+    LawViolation,
+    compose_induced,
+    identity_induced,
+    induced_family_raw,
+    inverse_induced,
+    make_induced,
+)
+from fuzzaut.subsets import class_strategy
+
+S3 = builtin_group("S3")
+
+
+def seed_defect(monkeypatch, module, name, fake):
+    """Replace ``module.name`` by ``fake`` wherever fuzzaut binds it."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "fuzzaut" or mod_name.startswith("fuzzaut."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, fake)
+
+
+def rejects(*args):
+    return False, "seeded defect"
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Certified results cached before the defect was seeded would hide it."""
+    caches = (induced.make_induced, induced.identity_induced, induced.build_inn_group)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def row_of(statement):
+    campaign = Campaign(groups=("S3",), mu_sources=("class",), suites=(statement,))
+    (row,) = run_campaign(campaign)
+    return row
+
+
+def inner(g):
+    return make_automorphism(induced_family_raw(S3, class_strategy(S3))[g])
+
+
+def induced_map(g):
+    return make_induced(g, class_strategy(S3))
+
+
+def test_rows_pass_without_a_defect():
+    for statement in ("Lemma 3.1", "Lemma 3.9", "Lemma 4.3", "Lemma 4.5", "Lemma 4.6"):
+        assert row_of(statement).verdict
+
+
+def test_is_inner_serves_lemma_3_9_and_conjugate_aut(monkeypatch):
+    f, f_g = inner(1), inner(3)
+    seed_defect(monkeypatch, automorphisms, "is_inner", lambda f: None)
+    with pytest.raises(NotInner):
+        conjugate_aut(f, f_g)
+    row = row_of("Lemma 3.9")
+    assert not row.verdict and "is not inner" in row.witness
+
+
+def test_label_product_checker_serves_lemma_4_3_compose_induced_and_ablation(monkeypatch):
+    a, b = induced_map(1), induced_map(3)
+    seed_defect(monkeypatch, induced, "check_label_products", rejects)
+    with pytest.raises(LawViolation, match="seeded defect"):
+        compose_induced(a, b)
+    row = row_of("Lemma 4.3")
+    assert not row.verdict and row.witness == "seeded defect"
+    seed_defect(monkeypatch, induced, "check_label_products", lambda *args: (True, None))
+    (probe,) = ablation(Campaign(groups=("S3",)), "normal-mu")
+    assert not probe.verdict  # the ablation reads its counterexample from the same checker
+
+
+def test_identity_label_checker_serves_lemma_4_5_and_identity_induced(monkeypatch):
+    seed_defect(monkeypatch, induced, "check_identity_label", rejects)
+    with pytest.raises(LawViolation, match="seeded defect"):
+        identity_induced(class_strategy(S3))
+    row = row_of("Lemma 4.5")
+    assert not row.verdict and row.witness == "seeded defect"
+
+
+def test_inverse_label_checker_serves_lemma_4_6_and_inverse_induced(monkeypatch):
+    a = induced_map(1)
+    seed_defect(monkeypatch, induced, "check_inverse_labels", rejects)
+    with pytest.raises(LawViolation, match="seeded defect"):
+        inverse_induced(a)
+    assert not row_of("Lemma 4.6").verdict
+
+
+def test_transpose_checker_serves_lemmas_3_8_and_4_6(monkeypatch):
+    a = induced_map(1)
+    seed_defect(monkeypatch, automorphisms, "check_inner_inverses", rejects)
+    with pytest.raises(LawViolation, match="seeded defect"):
+        inverse_induced(a)
+    assert not row_of("Lemma 3.8").verdict
+    assert not row_of("Lemma 4.6").verdict
+
+
+def test_automorphism_checker_serves_lemmas_3_1_3_6_and_the_constructors(monkeypatch):
+    f = inner(1)
+    # this checker's witness is the error make_automorphism raises
+    defect = (False, automorphisms.AutomorphismError("seeded defect"))
+    seed_defect(monkeypatch, automorphisms, "check_automorphism", lambda f: defect)
+    with pytest.raises(ClosureViolation):
+        compose_aut(f, f)
+    with pytest.raises(ClosureViolation):
+        inverse_aut(f)
+    with pytest.raises(automorphisms.AutomorphismError, match="seeded defect"):
+        make_automorphism(f.fmap)
+    for statement in ("Lemma 3.1", "Lemma 3.6", "Lemma 3.9"):
+        assert not row_of(statement).verdict
+
+
+@pytest.mark.parametrize(
+    "name, statement",
+    [("check_induced_homomorphism", "Lemma 4.1"), ("check_induced_bijective", "Lemma 4.2")],
+)
+def test_induced_map_checkers_serve_make_induced(monkeypatch, name, statement):
+    seed_defect(monkeypatch, induced, name, rejects)
+    with pytest.raises(LawViolation, match="seeded defect"):
+        induced_map(1)
+    assert not row_of(statement).verdict
+
+
+def test_class_preservation_serves_lemma_4_2_and_make_induced(monkeypatch):
+    seed_defect(monkeypatch, automorphisms, "is_class_preserving", lambda f: False)
+    with pytest.raises(LawViolation, match="not class preserving"):
+        induced_map(1)
+    row = row_of("Lemma 4.2")
+    assert not row.verdict and "not class preserving" in row.witness
+
+
+def test_label_product_witness_names_the_pair_and_cell():
+    family = list(induced_family_raw(S3, class_strategy(S3)))
+    label = S3.table[3][1]
+    assert label != S3.identity
+    family[label] = family[S3.identity]  # the product label now carries the wrong matrix
+    ok, witness = induced.check_label_products(S3, family, [(1, 3)])
+    assert not ok
+    assert witness.startswith("labels (1, 3) at cell (") and f" label-{label}=" in witness
+    assert induced.check_label_products(S3, family, [(0, 0)]) == (True, None)
