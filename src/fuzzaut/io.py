@@ -98,6 +98,9 @@ def map_from_json(
     codomain: Optional[FiniteGroup] = None,
 ) -> FuzzyMap:
     rows = _require(obj, "grades", list)
+    for r, row in enumerate(rows):
+        if not _is(row, list):
+            raise FileFormatError(f"grades row {r} is {json.dumps(row)}, not a list")
     domain = domain or builtin_group(_require(obj, "domain", str))
     codomain = codomain or builtin_group(_require(obj, "codomain", str))
     return make_fuzzy_map(domain, codomain, [[parse_grade(v) for v in row] for row in rows])

@@ -5,6 +5,12 @@ element has exactly one grade-1 entry; the position of that entry is the
 element's fuzzy image and the vector of fuzzy images is the map's skeleton.
 Two maps are equivalent (``equiv``) when their skeletons agree; grades below
 1 are never compared by the equivalence.
+
+``compose`` is the general sup composition of relations and the oracle for
+maps.  When g is a map, row z of g has its only grade-1 entry at
+``g.images[z]``, so row z of f.g is row ``g.images[z]`` of f and the composite's
+skeleton is ``f.images[g.images[z]]``.  ``compose_maps`` builds the composite
+of two maps from this identity, skeleton first, without scanning a cell.
 """
 
 from __future__ import annotations
@@ -89,13 +95,6 @@ def make_fuzzy_map(domain: FiniteGroup, codomain: FiniteGroup, rows) -> FuzzyMap
     return FuzzyMap(domain, codomain, grades, images)
 
 
-def promote(rel: FuzzyRelation) -> FuzzyMap:
-    """View a relation as a map, validating the unit-entry rule."""
-    if isinstance(rel, FuzzyMap):
-        return rel
-    return FuzzyMap(rel.domain, rel.codomain, rel.grades, relation_images(rel))
-
-
 def fuzzy_image(f: FuzzyMap, x: int) -> int:
     return f.images[x]
 
@@ -104,16 +103,20 @@ def skeleton(f: FuzzyMap) -> tuple[int, ...]:
     return f.images
 
 
+def _check_composable(f: FuzzyRelation, g: FuzzyRelation) -> None:
+    if g.codomain != f.domain:
+        raise ShapeMismatch(
+            f"cannot compose {f.domain.name}->{f.codomain.name} after {g.domain.name}->{g.codomain.name}"
+        )
+
+
 def compose(f: FuzzyRelation, g: FuzzyRelation) -> FuzzyRelation:
     """Sup composition f.g: feed g's output into f (g acts first).
 
     (f.g)(z, y) is the sup of f(a, y) over the a with g(z, a) = 1, and 0 when
     no such a exists.
     """
-    if g.codomain != f.domain:
-        raise ShapeMismatch(
-            f"cannot compose {f.domain.name}->{f.codomain.name} after {g.domain.name}->{g.codomain.name}"
-        )
+    _check_composable(f, g)
     m = f.codomain.order
     fg = f.grades
     out = []
@@ -129,7 +132,14 @@ def compose(f: FuzzyRelation, g: FuzzyRelation) -> FuzzyRelation:
 
 
 def compose_maps(f: FuzzyMap, g: FuzzyMap) -> FuzzyMap:
-    return promote(compose(f, g))
+    """``compose`` for two maps: reindex f's rows through g's skeleton."""
+    _check_composable(f, g)
+    return FuzzyMap(
+        g.domain,
+        f.codomain,
+        tuple(f.grades[a] for a in g.images),
+        tuple(f.images[a] for a in g.images),
+    )
 
 
 def is_one_one(f: FuzzyMap) -> bool:

@@ -107,3 +107,14 @@ class TestMapFiles:
         assert obj["grades"][0][s3.conjugate(0, 1)] == "1"
         loaded = map_from_json(obj, s3, s3)
         assert loaded.grades == f.grades
+
+    def test_string_rows_rejected(self):
+        # a string row used to be parsed one character at a time
+        obj = {"domain": "Z2", "codomain": "Z2", "grades": ["10", "01"]}
+        with pytest.raises(FileFormatError, match="grades row 0"):
+            map_from_json(obj)
+
+    def test_number_row_rejected(self):
+        obj = {"domain": "Z2", "codomain": "Z2", "grades": [["1", "0"], 5]}
+        with pytest.raises(FileFormatError, match="grades row 1 is 5"):
+            map_from_json(obj)

@@ -4,13 +4,16 @@ Each case seeds a defect in one shared checker, at every module that binds
 it, and expects both the public function built on it to raise and the
 harness row of its statement to fail.  A law with a second, private copy in
 either place would let one of the two pass.
+
+The last cases seed a defect in map composition, below every checker, and
+record which statements of the campaign catch it.
 """
 
 import sys
 
 import pytest
 
-from fuzzaut import automorphisms, induced
+from fuzzaut import automorphisms, induced, maps
 from fuzzaut.automorphisms import (
     ClosureViolation,
     NotInner,
@@ -29,6 +32,7 @@ from fuzzaut.induced import (
     inverse_induced,
     make_induced,
 )
+from fuzzaut.maps import FuzzyMap
 from fuzzaut.subsets import class_strategy
 
 S3 = builtin_group("S3")
@@ -167,3 +171,29 @@ def test_label_product_witness_names_the_pair_and_cell():
     assert not ok
     assert witness.startswith("labels (1, 3) at cell (") and f" label-{label}=" in witness
     assert induced.check_label_products(S3, family, [(0, 0)]) == (True, None)
+
+
+def skeleton_in_wrong_order(f, g):
+    """f.g with the right rows but the skeleton of g.f."""
+    rows = tuple(f.grades[a] for a in g.images)
+    return FuzzyMap(g.domain, f.codomain, rows, tuple(g.images[a] for a in f.images))
+
+
+def rows_not_reindexed(f, g):
+    """f.g with the right skeleton but f's rows left in place."""
+    return FuzzyMap(g.domain, f.codomain, f.grades, tuple(f.images[a] for a in g.images))
+
+
+@pytest.mark.parametrize(
+    "fake, caught_by",
+    [
+        # the skeleton laws see a wrong skeleton
+        (skeleton_in_wrong_order, {"Lemma 3.7", "Lemma 4.4"}),
+        # only the pointwise laws of the induced family compare rows
+        (rows_not_reindexed, {"Lemma 4.3", "Lemma 4.5", "Lemma 4.6"}),
+    ],
+)
+def test_campaign_catches_a_broken_map_composition(monkeypatch, fake, caught_by):
+    seed_defect(monkeypatch, maps, "compose_maps", fake)
+    rows = run_campaign(Campaign(groups=("S3",), mu_sources=("class",)))
+    assert {r.statement for r in rows if not r.verdict} == caught_by

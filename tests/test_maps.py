@@ -23,6 +23,7 @@ from fuzzaut.maps import (
     is_onto,
     make_fuzzy_map,
     pointwise_equal,
+    relation_images,
     skeleton,
 )
 from fuzzaut.subsets import chain_strategy
@@ -116,18 +117,29 @@ class TestCompose:
                 assert compose(f, g).grades == compose_oracle(f, g)
 
     @given(
-        units=st.lists(st.integers(0, 3), min_size=4, max_size=4),
-        extra=st.lists(st.sampled_from([F(0), F(1, 4), F(1, 2)]), min_size=16, max_size=16),
+        units=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+        cross=st.lists(st.integers(0, 5), min_size=4, max_size=4),
+        extra=st.lists(st.sampled_from([F(0), F(1, 4), F(1, 2)]), min_size=24, max_size=24),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_definition_oracle_on_random_maps(self, units, extra):
-        rows = [
-            [F(1) if y == units[x] else extra[4 * x + y] for y in range(4)]
-            for x in range(4)
-        ]
-        f = make_fuzzy_map(Z4, Z4, rows)
-        g = make_fuzzy_map(Z4, Z4, rows[::-1])
+    def test_matches_definition_oracle_on_random_maps(self, units, cross, extra):
+        # units and cross may repeat, so the maps need not be bijective
+        def random_map(domain, codomain, images):
+            m = codomain.order
+            rows = [
+                [F(1) if y == images[x] else extra[m * x + y] for y in range(m)]
+                for x in domain.elements
+            ]
+            return make_fuzzy_map(domain, codomain, rows)
+
+        f = random_map(Z4, Z4, units)
+        g = make_fuzzy_map(Z4, Z4, f.grades[::-1])
         assert compose(f, g).grades == compose_oracle(f, g)
+        into_s3, out_of_s3 = random_map(Z4, S3, cross), random_map(S3, Z4, units)
+        for a, b in ((f, g), (out_of_s3, into_s3), (into_s3, out_of_s3)):
+            fast, oracle = compose_maps(a, b), compose_oracle(a, b)
+            assert fast.grades == oracle
+            assert fast.images == relation_images(fuzzy_relation(b.domain, a.codomain, oracle))
 
     def test_row_lookup_identity(self):
         # composing after a map just reindexes rows through its skeleton
@@ -142,6 +154,8 @@ class TestCompose:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             compose(identity_map(Z4), identity_map(S3))
+        with pytest.raises(ShapeMismatch):
+            compose_maps(identity_map(Z4), identity_map(S3))
 
     def test_skeletons_compose(self):
         mu = chain_strategy(S3)
