@@ -70,11 +70,17 @@ class FuzzyAutomorphism:
 def check_automorphism(f: FuzzyMap) -> tuple[bool, Optional[FuzzautError]]:
     """Lemmas 3.1 and 3.6: f is a bijective fuzzy homomorphism of one group.
 
-    One-one implies onto for a map of a finite group to itself.  The witness
-    is the error ``make_automorphism`` raises for f.
+    One-one implies onto for a map of a finite group to itself.  The checks
+    that follow read the skeleton, so it must mark a grade-1 entry in every
+    row.  The witness is the error ``make_automorphism`` raises for f.
     """
     if f.domain != f.codomain:
         return False, AutomorphismError("domain and codomain must be the same group")
+    for x, y in enumerate(f.images):
+        if f.grades[x][y] != 1:
+            return False, AutomorphismError(
+                f"skeleton sends {x} to {y}, but row {x} grades {y} as {f.grades[x][y]}"
+            )
     report = is_fuzzy_homomorphism(f)
     if not report:
         return False, NotHomomorphism(str(report.witness))

@@ -395,6 +395,26 @@ def closure(group: FiniteGroup, generators: Iterable[int]) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
+def generating_sequence(group: FiniteGroup) -> tuple[int, ...]:
+    """A short generating set, built greedily.
+
+    Each step adds the element whose closure with the elements chosen so far
+    is largest, the smaller index on a tie.  S4 and Q8 get two generators.
+    The trivial group gets ``(identity,)``, so the sequence is never empty.
+    """
+    gens: tuple[int, ...] = ()
+    span = closure(group, gens)
+    while len(span) < group.order:
+        best = max(
+            (x for x in group.elements if x not in span),
+            key=lambda x: len(closure(group, gens + (x,))),
+        )
+        gens += (best,)
+        span = closure(group, gens)
+    return gens or (group.identity,)
+
+
+@lru_cache(maxsize=None)
 def all_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     """Every subgroup, found by closing generator extensions to a fixpoint."""
     found = {closure(group, ())}
@@ -471,16 +491,6 @@ def opposite_group(group: FiniteGroup) -> FiniteGroup:
 _AUT_ORDER_BOUND = 24
 
 
-def _generating_sequence(group: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    span = closure(group, ())
-    while len(span) < group.order:
-        g = min(x for x in group.elements if x not in span)
-        gens.append(g)
-        span = closure(group, gens)
-    return gens
-
-
 def _close_hom(group: FiniteGroup, partial: list[int], x: int, y: int) -> Optional[list[int]]:
     """Extend a partial automorphism with image(x) = y and propagate products."""
     t = group.table
@@ -517,7 +527,7 @@ def crisp_automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All bijections with f(ab) = f(a)f(b), by generator-image backtracking."""
     if group.order > _AUT_ORDER_BOUND:
         raise GroupTooLarge(f"order {group.order} exceeds the exhaustive bound {_AUT_ORDER_BOUND}")
-    gens = _generating_sequence(group)
+    gens = generating_sequence(group)
     orders = [group.element_order(x) for x in group.elements]
     found: list[tuple[int, ...]] = []
 

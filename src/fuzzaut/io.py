@@ -52,6 +52,8 @@ def group_from_json(obj: dict) -> FiniteGroup:
     name = _require(obj, "name", str)
     order = _require(obj, "order", int)
     table = _require(obj, "table", list)
+    if len(table) != order:
+        raise FileFormatError(f"declared order {order} but the table has {len(table)} rows")
     for r, row in enumerate(table):
         if not _is(row, list):
             raise FileFormatError(f"table row {r} must be a list")
@@ -60,10 +62,7 @@ def group_from_json(obj: dict) -> FiniteGroup:
                 raise FileFormatError(
                     f"entry at row {r}, column {c} is {json.dumps(v)}, not an integer"
                 )
-    group = make_group(table, name=name)
-    if group.order != order:
-        raise FileFormatError(f"declared order {order} but the table has {group.order} rows")
-    return group
+    return make_group(table, name=name)
 
 
 def mu_to_json(mu: FuzzySubset) -> dict:

@@ -13,6 +13,7 @@ from fuzzaut.automorphisms import (
     NotInner,
     aut_classes,
     build_aut_class_group,
+    check_automorphism,
     compose_aut,
     conjugate_aut,
     identity_aut,
@@ -23,7 +24,7 @@ from fuzzaut.automorphisms import (
 )
 from fuzzaut.groups import builtin_group, center, crisp_automorphisms, is_group_isomorphism
 from fuzzaut.homs import NotHomomorphism, is_fuzzy_homomorphism, lift_hom
-from fuzzaut.maps import crisp_map, equiv, make_fuzzy_map
+from fuzzaut.maps import FuzzyMap, crisp_map, equiv, make_fuzzy_map
 from fuzzaut.subsets import chain_strategy, class_strategy
 from fuzzaut.induced import induced_family_raw
 
@@ -66,6 +67,13 @@ class TestMakeAutomorphism:
         assert not is_fuzzy_homomorphism(BIJECTIVE_NON_HOM)
         with pytest.raises(NotHomomorphism):
             make_automorphism(BIJECTIVE_NON_HOM)
+
+    def test_skeleton_off_the_unit_entries_rejected(self):
+        rows = induced_family_raw(S3, class_strategy(S3))[S3.identity].grades
+        sigma = crisp_automorphisms(S3)[2]  # bijective, and not the rows' own skeleton
+        ok, error = check_automorphism(FuzzyMap(S3, S3, rows, sigma))
+        assert not ok and isinstance(error, AutomorphismError)
+        assert str(error).startswith(f"skeleton sends 1 to {sigma[1]}, but row 1 grades")
 
     def test_mismatched_groups_rejected(self):
         f = crisp_map(S3, builtin_group("Z2"), (0, 1, 1, 0, 0, 1))

@@ -1,5 +1,6 @@
 """Group core: table validation, builtins, structure, crisp automorphisms."""
 
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -16,9 +17,11 @@ from fuzzaut.groups import (
     all_subgroups,
     builtin_group,
     center,
+    closure,
     conjugacy_classes,
     crisp_automorphisms,
     derived_series,
+    generating_sequence,
     is_group_isomorphism,
     is_normal_subgroup,
     make_group,
@@ -32,6 +35,55 @@ BUILTIN_TOKENS = [
     "D3", "D4", "S3", "S4", "Q8", "V4",
     "direct_product(cyclic(2),cyclic(3))",
 ]
+
+
+# (count, sha256 prefix of the repr) of crisp_automorphisms for every builtin
+# family member of order <= 24 and some direct products, recorded while the
+# search still started from the smallest-missing-index generators.
+RECORDED_AUTOMORPHISMS = {
+    "Z1": (1, "efd70b49446e8be6"),
+    "Z2": (1, "9a96df51dc791004"),
+    "Z3": (2, "c72d5cd44e2dd5c7"),
+    "Z4": (2, "1a3506a95e2b3940"),
+    "Z5": (4, "91c39c3b5962f35a"),
+    "Z6": (2, "297d2f6e47181412"),
+    "Z7": (6, "c7e064233e8039d5"),
+    "Z8": (4, "ef291faa675cf51c"),
+    "Z9": (6, "213e01f4c372b71c"),
+    "Z10": (4, "7670c06c8eed3cf8"),
+    "Z11": (10, "175606f0fb64d542"),
+    "Z12": (4, "84e53a310aedd8c9"),
+    "Z13": (12, "b2d1abb1667202fb"),
+    "Z14": (6, "304a547873c96bf7"),
+    "Z15": (8, "e09c99cc81df5374"),
+    "Z16": (8, "8e27b0075fd2af4c"),
+    "D1": (1, "9a96df51dc791004"),
+    "D2": (6, "0ae4ca143d572991"),
+    "D3": (6, "0c6ea4657bc01333"),
+    "D4": (8, "6c56662b22dfc808"),
+    "D5": (20, "fb3010d24d6886c9"),
+    "D6": (12, "2e93b15f216f5e2b"),
+    "D7": (42, "93fd89cc2a612521"),
+    "D8": (32, "87a25df7b612c128"),
+    "S1": (1, "efd70b49446e8be6"),
+    "S2": (1, "9a96df51dc791004"),
+    "S3": (6, "fb9b29ade4a77b54"),
+    "S4": (24, "57aece2636145f06"),
+    "Q8": (24, "c31fe29eedbe6257"),
+    "V4": (6, "0ae4ca143d572991"),
+    "direct_product(Z2,Z2)": (6, "0ae4ca143d572991"),
+    "direct_product(Z2,Z4)": (8, "b32519ff13a43306"),
+    "direct_product(Z3,Z3)": (48, "4c3de6455a64e521"),
+    "direct_product(Z2,S3)": (12, "f5a1192d54a41ded"),
+    "direct_product(Z2,Q8)": (192, "5504aeca60032de9"),
+    "direct_product(Z2,D4)": (64, "303db97c597de321"),
+    "direct_product(Z4,Z4)": (96, "f5aaad6813636981"),
+    "direct_product(Z2,direct_product(Z2,Z2))": (168, "fd6a60f80274d562"),
+    "direct_product(Z3,S3)": (12, "98aad51760418976"),
+    "direct_product(Z2,Z12)": (16, "9eea38551c180060"),
+    "direct_product(Z2,D6)": (144, "763d31c5dfd55be7"),
+    "direct_product(Z3,Q8)": (48, "5c5864b549114ba6"),
+}
 
 
 def brute_force_automorphisms(group):
@@ -230,6 +282,34 @@ class TestCrispAutomorphisms:
     def test_too_large(self):
         with pytest.raises(GroupTooLarge):
             crisp_automorphisms(builtin_group("direct_product(cyclic(16),cyclic(2))"))
+
+    @pytest.mark.parametrize("token", sorted(RECORDED_AUTOMORPHISMS))
+    def test_matches_recorded_tuple(self, token):
+        """The sorted tuple does not depend on the generators the search starts from."""
+        auts = crisp_automorphisms(builtin_group(token))
+        digest = hashlib.sha256(repr(auts).encode()).hexdigest()[:16]
+        assert (len(auts), digest) == RECORDED_AUTOMORPHISMS[token]
+
+
+class TestGeneratingSequence:
+    @pytest.mark.parametrize("token", sorted(RECORDED_AUTOMORPHISMS))
+    def test_generates_the_group(self, token):
+        g = builtin_group(token)
+        gens = generating_sequence(g)
+        assert closure(g, gens) == frozenset(g.elements)
+        assert len(set(gens)) == len(gens)
+
+    @pytest.mark.parametrize("token", ["S4", "Q8"])
+    def test_two_generators(self, token):
+        assert len(generating_sequence(builtin_group(token))) == 2
+
+    def test_trivial_group(self):
+        assert generating_sequence(builtin_group("Z1")) == (0,)
+
+    def test_ties_go_to_the_smaller_index(self):
+        # every non-identity element of Z5 generates it; 2-cycles tie in S3
+        assert generating_sequence(builtin_group("Z5")) == (1,)
+        assert generating_sequence(builtin_group("S3")) == (3, 1)
 
 
 class TestIsomorphismPredicate:

@@ -4,8 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from fuzzaut.groups import builtin_group, crisp_automorphisms
+from hypothesis import given, settings, strategies as st
+
+from fuzzaut.groups import all_subgroups, builtin_group, crisp_automorphisms, generating_sequence
 from fuzzaut.homs import (
+    HomWitness,
     NotHomomorphism,
     check_theorem_2_1,
     check_theorem_2_2,
@@ -71,6 +74,102 @@ class TestHomPredicate:
             assert is_fuzzy_homomorphism(fmap).verdict == sup_condition_oracle(fmap)
         bad = crisp_map(S3, Z2, (0, 1, 1, 1, 0, 1))
         assert is_fuzzy_homomorphism(bad).verdict == sup_condition_oracle(bad)
+
+
+def full_scan_witness(f):
+    """First (x1, x2, y) off the sup condition in lexicographic order, or None."""
+    g, h = f.domain, f.codomain
+    for x1 in g.elements:
+        for x2 in g.elements:
+            for y in h.elements:
+                best = max(
+                    min(f.grades[x1][y1], f.grades[x2][h.table[h.inverses[y1]][y]])
+                    for y1 in h.elements
+                )
+                lhs = f.grades[g.table[x1][x2]][y]
+                if lhs != best:
+                    return HomWitness(x1, x2, y, lhs, best)
+    return None
+
+
+def assert_matches_oracles(f):
+    report = is_fuzzy_homomorphism(f)
+    witness = full_scan_witness(f)
+    assert report.verdict == sup_condition_oracle(f) == (witness is None)
+    assert report.witness == witness
+
+
+Q8 = builtin_group("Q8")
+D4 = builtin_group("D4")
+ORACLE_PAIRS = [(S3, S3), (D4, D4), (Q8, Q8), (S3, Z2)]
+LOW_GRADES = [F(0), F(1, 3), F(1, 2), F(2, 3)]
+
+
+def lifted_homs(domain, codomain):
+    """Graded lifts of every crisp homomorphism the oracle pairs use."""
+    if codomain == Z2:
+        mus = (class_strategy(Z2), fuzzy_subset(Z2, ["1", "1/2"]))
+        return [lift_hom(SIGN, mu, S3) for mu in mus]
+    return [
+        lift_hom(sigma, mu, domain)
+        for sigma in crisp_automorphisms(domain)
+        for mu in (chain_strategy(domain), class_strategy(domain))
+    ]
+
+
+class TestGeneratorCheckMatchesFullScan:
+    """The generator pass decides; the full scan is the oracle for verdict and witness."""
+
+    @given(data=st.data(), pair=st.sampled_from(ORACLE_PAIRS))
+    @settings(max_examples=60, deadline=None)
+    def test_random_maps(self, data, pair):
+        domain, codomain = pair
+        n = domain.order
+        units = data.draw(st.lists(st.sampled_from(codomain.elements), min_size=n, max_size=n))
+        low = st.sampled_from(LOW_GRADES)
+        rows = [
+            [F(1) if y == units[x] else data.draw(low) for y in codomain.elements]
+            for x in domain.elements
+        ]
+        assert_matches_oracles(make_fuzzy_map(domain, codomain, rows))
+
+    @given(data=st.data(), pair=st.sampled_from(ORACLE_PAIRS))
+    @settings(max_examples=60, deadline=None)
+    def test_lifts_with_one_grade_changed_off_the_generators(self, data, pair):
+        domain, codomain = pair
+        f = data.draw(st.sampled_from(lifted_homs(domain, codomain)))
+        gens = generating_sequence(domain)
+        x = data.draw(st.sampled_from([x for x in domain.elements if x not in gens]))
+        y = data.draw(st.sampled_from([y for y in codomain.elements if y != f.images[x]]))
+        new = data.draw(st.sampled_from([v for v in LOW_GRADES if v != f.grades[x][y]]))
+        rows = [list(row) for row in f.grades]
+        rows[x][y] = new
+        assert_matches_oracles(make_fuzzy_map(domain, codomain, rows))
+
+    @pytest.mark.parametrize("domain", [S3, D4, Q8], ids=lambda g: g.name)
+    def test_maps_that_respect_only_a_subgroup(self, domain):
+        """Row h*c is row h of a lifted automorphism, for c the least of its coset Hc.
+
+        The condition then holds at every (g, x) with g in H, so a check that
+        tested a proper subset of the generators would accept the map.
+        """
+        f = lift_hom(crisp_automorphisms(domain)[-1], chain_strategy(domain), domain)
+        t, inv = domain.table, domain.inverses
+        for sub in all_subgroups(domain)[1:-1]:
+            rows = []
+            for x in domain.elements:
+                c = min(t[h][x] for h in sub)
+                rows.append(f.grades[t[x][inv[c]]])
+            assert_matches_oracles(make_fuzzy_map(domain, domain, rows))
+
+    def test_first_witness_can_lie_outside_the_generators(self):
+        f = lift_hom(tuple(Q8.elements), chain_strategy(Q8), Q8)
+        rows = [list(row) for row in f.grades]
+        rows[6][0] = F(1, 3)  # row of k, not a generator
+        report = is_fuzzy_homomorphism(make_fuzzy_map(Q8, Q8, rows))
+        gens = generating_sequence(Q8)
+        assert 6 not in gens
+        assert report.witness.x1 not in gens and report.witness.x2 not in gens
 
 
 class TestKernel:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fuzzaut.groups import builtin_group
+from fuzzaut.groups import NotAssociative, builtin_group, make_group
 from fuzzaut.io import (
     FileFormatError,
     dumps,
@@ -33,6 +33,13 @@ class TestGroupFiles:
         obj["order"] = 5
         with pytest.raises(FileFormatError):
             group_from_json(obj)
+
+    def test_declared_order_checked_before_the_table_scan(self):
+        table = [[0, 1, 2], [1, 2, 0], [2, 0, 0]]
+        with pytest.raises(NotAssociative):
+            make_group(table)
+        with pytest.raises(FileFormatError, match="declared order 2 but the table has 3 rows"):
+            group_from_json({"name": "X", "order": 2, "table": table})
 
     def test_missing_key(self):
         with pytest.raises(FileFormatError):

@@ -187,10 +187,12 @@ def rows_not_reindexed(f, g):
 @pytest.mark.parametrize(
     "fake, caught_by",
     [
-        # the skeleton laws see a wrong skeleton
-        (skeleton_in_wrong_order, {"Lemma 3.7", "Lemma 4.4"}),
-        # only the pointwise laws of the induced family compare rows
-        (rows_not_reindexed, {"Lemma 4.3", "Lemma 4.5", "Lemma 4.6"}),
+        # the skeleton laws see a wrong skeleton, and the automorphism check
+        # of composites (3.1, 3.9) sees a skeleton off the rows' unit entries
+        (skeleton_in_wrong_order, {"Lemma 3.1", "Lemma 3.7", "Lemma 3.9", "Lemma 4.4"}),
+        # the same automorphism check, and the pointwise laws of the induced
+        # family, which compare rows
+        (rows_not_reindexed, {"Lemma 3.1", "Lemma 3.9", "Lemma 4.3", "Lemma 4.5", "Lemma 4.6"}),
     ],
 )
 def test_campaign_catches_a_broken_map_composition(monkeypatch, fake, caught_by):
