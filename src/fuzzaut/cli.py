@@ -114,13 +114,11 @@ def _resolve_single_mu(source: str, group: FiniteGroup) -> FuzzySubset:
 
 def cmd_gen_mu(args) -> int:
     group = resolve_group(_strip_prefix(args.group, "builtin:"))
-    mu = mu_from_strategy(group, args.strategy)
-    payload = fio.dumps(fio.mu_to_json(mu))
+    payload = fio.mu_to_json(mu_from_strategy(group, args.strategy))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        fio.save(args.out, payload)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(fio.dumps(payload))
     return EXIT_OK
 
 

@@ -414,17 +414,22 @@ def generating_sequence(group: FiniteGroup) -> tuple[int, ...]:
     return gens or (group.identity,)
 
 
-@lru_cache(maxsize=None)
-def all_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
-    """Every subgroup, found by closing generator extensions to a fixpoint."""
+def _closed_extensions(
+    group: FiniteGroup, steps: Sequence[tuple[int, ...]]
+) -> tuple[frozenset[int], ...]:
+    """Subgroups reached from {e} by closing ``sub`` with one step at a time.
+
+    Every found subgroup is closed together with every step not inside it,
+    to a fixpoint; the result is sorted by size, then by sorted members.
+    """
     found = {closure(group, ())}
     frontier = list(found)
     while frontier:
         sub = frontier.pop()
-        for g in group.elements:
-            if g in sub:
+        for step in steps:
+            if sub.issuperset(step):
                 continue
-            ext = closure(group, tuple(sorted(sub)) + (g,))
+            ext = closure(group, tuple(sorted(sub)) + step)
             if ext not in found:
                 found.add(ext)
                 frontier.append(ext)
@@ -432,33 +437,20 @@ def all_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
 
 
 @lru_cache(maxsize=None)
-def normal_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
-    """Normal subgroups, enumerated as class-union candidates.
+def all_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
+    """Every subgroup: each is generated by adding its elements one at a time."""
+    return _closed_extensions(group, [(g,) for g in group.elements])
 
-    A normal subgroup is a union of conjugacy classes containing the
-    identity, so candidates are class subsets filtered by Lagrange and
-    product closure.
+
+@lru_cache(maxsize=None)
+def normal_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
+    """Normal subgroups, generated by adding conjugacy classes one at a time.
+
+    The subgroup generated by a union of classes is normal, and a normal
+    subgroup is the union of its classes, so closing with whole classes
+    reaches every normal subgroup and nothing else.
     """
-    classes = conjugacy_classes(group)
-    others = [c for c in classes if group.identity not in c]
-    base = next(c for c in classes if group.identity in c)
-    n = group.order
-    result = []
-    for bits in range(1 << len(others)):
-        members = set(base)
-        b = bits
-        i = 0
-        while b:
-            if b & 1:
-                members.update(others[i])
-            b >>= 1
-            i += 1
-        if n % len(members):
-            continue
-        if is_subgroup(group, members):
-            result.append(frozenset(members))
-    result.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(result)
+    return _closed_extensions(group, conjugacy_classes(group))
 
 
 @lru_cache(maxsize=None)
@@ -491,63 +483,36 @@ def opposite_group(group: FiniteGroup) -> FiniteGroup:
 _AUT_ORDER_BOUND = 24
 
 
-def _close_hom(group: FiniteGroup, partial: list[int], x: int, y: int) -> Optional[list[int]]:
-    """Extend a partial automorphism with image(x) = y and propagate products."""
-    t = group.table
-    new = list(partial)
-    used = {v for v in new if v != -1}
-    if new[x] != -1:
-        return new if new[x] == y else None
-    if y in used:
-        return None
-    new[x] = y
-    used.add(y)
-    known = [a for a in range(group.order) if new[a] != -1]
-    queue = [x]
-    while queue:
-        a = queue.pop()
-        for b in list(known):
-            for u, v in ((a, b), (b, a)):
-                p = t[u][v]
-                img = t[new[u]][new[v]]
-                if new[p] == -1:
-                    if img in used:
-                        return None
-                    new[p] = img
-                    used.add(img)
-                    known.append(p)
-                    queue.append(p)
-                elif new[p] != img:
-                    return None
-    return new
-
-
 @lru_cache(maxsize=None)
 def crisp_automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """All bijections with f(ab) = f(a)f(b), by generator-image backtracking."""
+    """All bijections with f(ab) = f(a)f(b), one candidate per generator-image choice.
+
+    An automorphism is fixed by the images of ``generating_sequence(group)``,
+    and each image has its generator's order.  Every choice of such images is
+    extended along a spanning tree of the Cayley graph, f(a.g_i) = f(a).h_i,
+    and kept when the extension is an isomorphism.
+    """
     if group.order > _AUT_ORDER_BOUND:
         raise GroupTooLarge(f"order {group.order} exceeds the exhaustive bound {_AUT_ORDER_BOUND}")
+    t = group.table
     gens = generating_sequence(group)
+    tree: list[tuple[int, int, int]] = []  # (a, i, a.g_i), parents first
+    reached = [group.identity]
+    for a in reached:  # breadth first; the loop visits what it appends
+        for i, g in enumerate(gens):
+            b = t[a][g]
+            if b not in reached:
+                reached.append(b)
+                tree.append((a, i, b))
     orders = [group.element_order(x) for x in group.elements]
-    found: list[tuple[int, ...]] = []
-
-    def search(partial: list[int], idx: int) -> None:
-        if idx == len(gens):
-            mapping = tuple(partial)
-            if -1 not in mapping and is_group_isomorphism(group, group, mapping):
-                found.append(mapping)
-            return
-        g = gens[idx]
-        for h in group.elements:
-            if orders[h] != orders[g]:
-                continue
-            ext = _close_hom(group, partial, g, h)
-            if ext is not None:
-                search(ext, idx + 1)
-
-    start = [-1] * group.order
-    start[group.identity] = group.identity
-    search(start, 0)
+    choices = [[h for h in group.elements if orders[h] == orders[g]] for g in gens]
+    found = []
+    for images in itertools.product(*choices):
+        mapping = [group.identity] * group.order
+        for a, i, b in tree:
+            mapping[b] = t[mapping[a]][images[i]]
+        if is_group_isomorphism(group, group, mapping):
+            found.append(tuple(mapping))
     return tuple(sorted(found))
 
 

@@ -129,4 +129,7 @@ def load_map(path, domain=None, codomain=None) -> FuzzyMap:
 
 
 def save(path, obj: dict) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    try:
+        Path(path).write_text(dumps(obj), encoding="utf-8")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc

@@ -168,12 +168,19 @@ def pointwise_equal(f: FuzzyRelation, g: FuzzyRelation) -> bool:
 
 
 def inverse_map(f: FuzzyMap) -> FuzzyMap:
-    """Transpose of a bijective map, validated as a map itself."""
+    """Transpose of a bijective map.
+
+    Column y of f has its only grade-1 entry in row f^-1(y), so the
+    transpose is a map whose skeleton is the inverse permutation of f's.
+    """
     if not (is_one_one(f) and is_onto(f)):
         raise NotBijective(f"{f!r} is not one-one and onto")
     n = f.domain.order
     transposed = tuple(tuple(f.grades[x][y] for x in range(n)) for y in range(f.codomain.order))
-    return make_fuzzy_map(f.codomain, f.domain, transposed)
+    images = [0] * n
+    for x, y in enumerate(f.images):
+        images[y] = x
+    return FuzzyMap(f.codomain, f.domain, transposed, tuple(images))
 
 
 def crisp_map(domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]) -> FuzzyMap:

@@ -136,6 +136,15 @@ class TestGenMu:
         _, out, _ = run_cli(capsys, "gen-mu", "--group", "builtin:Z4", "--strategy", "chain")
         assert path.read_text(encoding="utf-8") == out
 
+    def test_unwritable_out_is_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "mu.json"
+        code, out, err = run_cli(
+            capsys, "gen-mu", "--group", "builtin:Z4", "--strategy", "chain", "--out", str(path)
+        )
+        assert code == EXIT_CONFIG
+        assert "FileFormatError" in err and "cannot write" in err
+        assert out == ""
+
 
 class TestInn:
     def test_q8_json_payload(self, capsys):

@@ -86,6 +86,17 @@ RECORDED_AUTOMORPHISMS = {
 }
 
 
+def brute_force_subgroups(group):
+    """Oracle: every nonempty product-closed subset of a finite group is a subgroup."""
+    t = group.table
+    out = []
+    for mask in range(1, 1 << group.order):
+        s = frozenset(x for x in group.elements if mask >> x & 1)
+        if all(t[a][b] in s for a in s for b in s):
+            out.append(s)
+    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+
+
 def brute_force_automorphisms(group):
     """Oracle: scan every bijection for multiplicativity (small orders only)."""
     out = []
@@ -265,7 +276,7 @@ class TestCrispAutomorphisms:
     def test_counts(self, token, count):
         assert len(crisp_automorphisms(builtin_group(token))) == count
 
-    @pytest.mark.parametrize("token", ["Z6", "S3", "V4", "Q8"])
+    @pytest.mark.parametrize("token", ["Z6", "S3", "V4", "Q8", "D4"])
     def test_matches_brute_force(self, token):
         g = builtin_group(token)
         assert list(crisp_automorphisms(g)) == brute_force_automorphisms(g)
@@ -340,6 +351,26 @@ class TestEnumerations:
             (0, 3, 4),
             (0, 1, 2, 3, 4, 5),
         ]
+
+    @pytest.mark.parametrize(
+        "token",
+        sorted(RECORDED_AUTOMORPHISMS) + ["direct_product(D4,Z4)", "direct_product(Z4,Z8)"],
+    )
+    def test_normal_subgroups_are_the_normal_members_of_the_lattice(self, token):
+        g = builtin_group(token)
+        expected = tuple(
+            s
+            for s in all_subgroups(g)
+            if is_normal_subgroup(g, ElementSubset.from_indices(g, sorted(s)))
+        )
+        assert normal_subgroups(g) == expected
+
+    @pytest.mark.parametrize(
+        "token", [t for t in sorted(RECORDED_AUTOMORPHISMS) if builtin_group(t).order <= 8]
+    )
+    def test_all_subgroups_match_brute_force(self, token):
+        g = builtin_group(token)
+        assert list(all_subgroups(g)) == brute_force_subgroups(g)
 
     def test_all_subgroups_of_s3(self):
         s3 = builtin_group("S3")

@@ -218,6 +218,25 @@ class TestInverse:
         with pytest.raises(NotBijective):
             inverse_map(make_fuzzy_map(Z4, Z4, rows))
 
+    @pytest.mark.parametrize("pair", [("Z4", "Z4"), ("S3", "S3"), ("Q8", "Q8"), ("Z4", "V4")])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_validated_transpose(self, pair, data):
+        domain, codomain = builtin_group(pair[0]), builtin_group(pair[1])
+        n = domain.order
+        images = data.draw(st.permutations(range(n)))
+        extra = data.draw(
+            st.lists(st.sampled_from([F(0), F(1, 4), F(1, 2)]), min_size=n * n, max_size=n * n)
+        )
+        rows = [[F(1) if y == images[x] else extra[n * x + y] for y in range(n)] for x in range(n)]
+        f = make_fuzzy_map(domain, codomain, rows)
+        transpose = [[f.grades[x][y] for x in range(n)] for y in range(n)]
+        oracle = make_fuzzy_map(codomain, domain, transpose)
+        inverse = inverse_map(f)
+        assert (inverse.domain, inverse.codomain) == (codomain, domain)
+        assert inverse.grades == oracle.grades
+        assert inverse.images == oracle.images
+
     def test_two_sided_inverse_up_to_equiv(self):
         mu = chain_strategy(S3)
         family = induced_family_raw(S3, mu)
