@@ -22,14 +22,32 @@ class GradeError(FuzzautError):
 
 
 def grade(value, denominator=None) -> Fraction:
-    """Coerce ``value`` (int, string "p/q", or Fraction) to a valid grade."""
-    try:
-        g = Fraction(value) if denominator is None else Fraction(value, denominator)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise GradeError(f"cannot interpret {value!r} as a rational grade") from exc
+    """Coerce ``value`` (int, string "p/q", or Fraction) to a valid grade.
+
+    A ``Fraction`` in range is returned as it is, not copied.
+    """
+    if denominator is None and type(value) is Fraction:
+        g = value
+    else:
+        try:
+            g = Fraction(value) if denominator is None else Fraction(value, denominator)
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise GradeError(f"cannot interpret {value!r} as a rational grade") from exc
     if not GRADE_ZERO <= g <= GRADE_ONE:
         raise GradeError(f"grade {g} outside [0, 1]")
     return g
+
+
+def rank_grades(vec) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """The distinct grades of ``vec`` in increasing order, and each entry's rank.
+
+    ``values[ranks[i]] == vec[i]``.  The rank map is strictly monotone, so
+    min, max and every comparison give the same answer on ranks as on the
+    grades, and the inside of a scan can work on small integers.
+    """
+    values = tuple(sorted(set(vec)))
+    index = {v: i for i, v in enumerate(values)}
+    return values, tuple([index[v] for v in vec])
 
 
 def parse_grade(text: str) -> Fraction:

@@ -52,11 +52,11 @@ from .induced import (
     check_label_products,
     check_triple_products,
     induced_family_raw,
-    induced_grades,
+    induced_map,
     theta,
     zeta,
 )
-from .maps import FuzzyMap, MultipleUnitEntries, compose_maps, inverse_map, make_fuzzy_map
+from .maps import FuzzyMap, MultipleUnitEntries, compose_maps, inverse_map
 from .subsets import (
     FuzzySubset,
     class_strategy,
@@ -402,7 +402,7 @@ def _ablate_pointed(group: FiniteGroup) -> SuiteResult:
     verdict = False
     try:
         for g in group.elements:
-            make_fuzzy_map(group, group, induced_grades(mu, g))
+            induced_map(mu, g)
         witness = "construction stayed a fuzzy map; uniqueness cannot fail here"
     except MultipleUnitEntries as exc:
         verdict = True

@@ -11,19 +11,33 @@ R_{g*x} = R_g * R_x holds for every g in a generating set S of the domain and
 every x, it holds for every pair, by induction on the length of a positive
 word in S; in a finite group positive words reach every element.  The check
 tests |S|*n pairs instead of n*n and stays exact: nothing is sampled.
+
+The check reads the rows as the integer rank rows that every ``FuzzyMap``
+carries (``maps`` derives them once per map, never per check).  The rank map
+is strictly monotone, so min, sup and equality give the same verdicts on
+ranks as on grades, and the product of two rank rows depends only on the two
+integer tuples and the codomain's table.  Samples built from one membership
+function share a few rows, so each codomain keeps a memo of row products
+keyed by the pair of rank rows, next to its cofactor table.  It holds at
+most ``ROW_PRODUCT_MEMO_BOUND`` products, dropping the oldest first, and
+``_row_tables`` keeps the tables of the last ``_CODOMAINS_KEPT`` codomains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
 from .errors import FuzzautError
 from .groups import ElementSubset, FiniteGroup, generating_sequence, is_normal_subgroup
-from .maps import FuzzyMap, is_one_one, make_fuzzy_map
+from .maps import FuzzyMap, indexed_map, is_one_one
 from .subsets import FuzzySubset, require_valid_mu
+
+ROW_PRODUCT_MEMO_BOUND = 4096  # row products kept per codomain
+_CODOMAINS_KEPT = 16
 
 
 class HomError(FuzzautError):
@@ -71,29 +85,45 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
 
     The verdict comes from the pairs (g, x) with g in
     ``generating_sequence(f.domain)``, which suffice (see the module
-    docstring).  A rejected map is scanned again over every (x1, x2, y) in
-    lexicographic order, so its witness is the first violation of the
-    exhaustive scan.
-
-    Grades carry only order information inside the scan, so they are
-    compressed to dense integer ranks first; the rank map is strictly
-    monotone, which preserves every min/sup/equality verdict exactly.
+    docstring): R_{g*x} is compared with the product R_g * R_x of f's rank
+    rows, looked up in the codomain's memo or computed and stored there.
+    A rejected map is scanned again over every (x1, x2, y) in lexicographic
+    order, so its witness is the first violation of the exhaustive scan; its
+    grades come back from the encoding's value list.
     """
-    domain, codomain = f.domain, f.codomain
-    n, m = domain.order, codomain.order
-    values = sorted({v for row in f.grades for v in row})
-    rank = {v: i for i, v in enumerate(values)}
-    rows = [[rank[v] for v in row] for row in f.grades]
-    ct = codomain.table
-    cinv = codomain.inverses
-    # cofactor[y1][y] = the y2 with y1*y2 = y
-    cofactor = [ct[cinv[y1]] for y1 in range(m)]
-    gens = generating_sequence(domain)
-    if _first_violation(rows, domain.table, cofactor, product(gens, range(n))) is None:
-        return HomCheckReport(True)
-    everything = product(range(n), repeat=2)
-    x1, x2, y, lhs, rhs = _first_violation(rows, domain.table, cofactor, everything)
-    return HomCheckReport(False, HomWitness(x1, x2, y, values[lhs], values[rhs]))
+    values, rows = f.encoding
+    dt = f.domain.table
+    cofactor, columns, memo = _row_tables(f.codomain)
+    for g in generating_sequence(f.domain):
+        rg = rows[g]
+        dg = dt[g]
+        for x, rx in enumerate(rows):
+            key = (rg, rx)
+            prod = memo.get(key)
+            if prod is None:
+                if len(memo) >= ROW_PRODUCT_MEMO_BOUND:
+                    del memo[next(iter(memo))]
+                # (R_g * R_x)(y) = max over y1 of min(R_g(y1), R_x(y1^-1 y))
+                prod = memo[key] = tuple(
+                    max(map(min, rg, map(rx.__getitem__, col))) for col in columns
+                )
+            if prod != rows[dg[x]]:
+                everything = product(range(len(rows)), repeat=2)
+                x1, x2, y, lhs, rhs = _first_violation(rows, dt, cofactor, everything)
+                return HomCheckReport(False, HomWitness(x1, x2, y, values[lhs], values[rhs]))
+    return HomCheckReport(True)
+
+
+@lru_cache(maxsize=_CODOMAINS_KEPT)
+def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, dict]:
+    """The codomain's cofactor table, its columns, and its memo of row products.
+
+    ``cofactor[y1][y]`` is the y2 with y1*y2 = y, and ``columns[y][y1]`` is
+    the same y2.
+    """
+    ct, cinv = codomain.table, codomain.inverses
+    cofactor = tuple(ct[cinv[y1]] for y1 in codomain.elements)
+    return cofactor, tuple(zip(*cofactor)), {}
 
 
 def _first_violation(rows, dt, cofactor, pairs):
@@ -194,11 +224,8 @@ def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> 
     require_valid_mu(mu_prime)
     ct = codomain.table
     cinv = codomain.inverses
-    rows = tuple(
-        tuple(mu_prime.grades[ct[cinv[phi[x]]][y]] for y in codomain.elements)
-        for x in domain.elements
-    )
-    f = make_fuzzy_map(domain, codomain, rows)
+    rows = (ct[cinv[phi[x]]] for x in domain.elements)
+    f = indexed_map(domain, codomain, mu_prime.grades, rows)
     report = is_fuzzy_homomorphism(f)
     if not report:
         raise OracleRejected(str(report.witness))

@@ -41,9 +41,9 @@ from .homs import HomCheckReport, is_fuzzy_homomorphism
 from .maps import (
     FuzzyMap,
     compose_maps,
+    indexed_map,
     is_one_one,
     is_onto,
-    make_fuzzy_map,
     pointwise_equal,
 )
 from .subsets import FuzzySubset, require_valid_mu
@@ -73,25 +73,26 @@ class InducedInner:
         return f"InducedInner(g={self.label}, group={self.group.name})"
 
 
-def induced_grades(mu: FuzzySubset, g: int) -> tuple[tuple, ...]:
-    """Raw grade matrix mu(x^-1 g y g^-1); no validity assumptions on mu."""
-    group = mu.group
+def induced_indices(group: FiniteGroup, g: int) -> tuple[tuple[int, ...], ...]:
+    """Element x^-1 g y g^-1 at (x, y): the argument of mu in each cell of f_g."""
     t = group.table
     inv = group.inverses
-    vec = mu.grades
     g_inv = inv[g]
-    rows = []
-    for x in group.elements:
-        xi = inv[x]
-        rows.append(tuple(vec[t[xi][t[t[g][y]][g_inv]]] for y in group.elements))
-    return tuple(rows)
+    conj = [t[t[g][y]][g_inv] for y in group.elements]
+    return tuple(tuple(map(t[inv[x]].__getitem__, conj)) for x in group.elements)
+
+
+def induced_map(mu: FuzzySubset, g: int) -> FuzzyMap:
+    """f_g, graded mu(x^-1 g y g^-1), as a validated fuzzy map.
+
+    No validity assumptions on mu and no law assertions.
+    """
+    return indexed_map(mu.group, mu.group, mu.grades, induced_indices(mu.group, g))
 
 
 def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     """All labeled maps as validated fuzzy maps, with no law assertions."""
-    return [
-        make_fuzzy_map(group, group, induced_grades(mu, g)) for g in group.elements
-    ]
+    return [induced_map(mu, g) for g in group.elements]
 
 
 def check_induced_homomorphism(
@@ -134,7 +135,7 @@ def make_induced(g: int, mu: FuzzySubset) -> InducedInner:
     group = mu.group
     if not 0 <= g < group.order:
         raise FuzzautError(f"label {g} outside 0..{group.order - 1}")
-    family = {g: make_fuzzy_map(group, group, induced_grades(mu, g))}
+    family = {g: induced_map(mu, g)}
     for check in (check_induced_homomorphism, check_induced_bijective):
         ok, witness = check(group, family, (g,))
         if not ok:
@@ -432,10 +433,8 @@ def theta(group: FiniteGroup, mu: FuzzySubset) -> ThetaCheck:
     labels = opposite_group(group)
     t = group.table
     inv = group.inverses
-    rows = tuple(
-        tuple(mu.grades[t[inv[a]][inv[b]]] for b in group.elements) for a in group.elements
-    )
-    fmap = make_fuzzy_map(group, labels, rows)
+    rows = (tuple(map(t[inv[a]].__getitem__, inv)) for a in group.elements)
+    fmap = indexed_map(group, labels, mu.grades, rows)
     images_ok = all(fmap.images[a] == inv[a] for a in group.elements)
     report = is_fuzzy_homomorphism(fmap)
     kernel = ElementSubset.from_indices(

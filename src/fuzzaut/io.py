@@ -124,10 +124,6 @@ def load_mu(path, group: Optional[FiniteGroup] = None) -> FuzzySubset:
     return mu_from_json(_read_json(path), group)
 
 
-def load_map(path, domain=None, codomain=None) -> FuzzyMap:
-    return map_from_json(_read_json(path), domain, codomain)
-
-
 def save(path, obj: dict) -> None:
     try:
         Path(path).write_text(dumps(obj), encoding="utf-8")

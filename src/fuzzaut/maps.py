@@ -11,16 +11,30 @@ maps.  When g is a map, row z of g has its only grade-1 entry at
 ``g.images[z]``, so row z of f.g is row ``g.images[z]`` of f and the composite's
 skeleton is ``f.images[g.images[z]]``.  ``compose_maps`` builds the composite
 of two maps from this identity, skeleton first, without scanning a cell.
+
+Every map also carries its grades as integers, ``encoding = (values,
+rank_rows)``: ``values`` is the increasing tuple of distinct grades and
+``values[rank_rows[x][y]] == grades[x][y]`` (``grades.rank_grades``).  Each
+constructor derives it once, so no check has to rank a matrix again:
+
+* ``make_fuzzy_map`` and ``crisp_map`` rank their cells, as does a
+  ``FuzzyMap`` built directly without an encoding;
+* ``indexed_map`` builds a map whose cells are entries of one grade vector,
+  such as a membership function, and ranks the vector's m entries;
+* ``compose_maps`` reindexes f's rank rows through g's skeleton, as it does
+  the grades, and ``inverse_map`` transposes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from .errors import FuzzautError
-from .grades import GRADE_ONE, GRADE_ZERO, grade
+from .grades import GRADE_ONE, GRADE_ZERO, grade, rank_grades
 from .groups import FiniteGroup
 
 
@@ -56,19 +70,42 @@ class FuzzyRelation:
         return f"{type(self).__name__}({self.domain.name} -> {self.codomain.name})"
 
 
+Encoding = tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]
+
+
+def _rank_cells(grades) -> Encoding:
+    values, flat = rank_grades([v for row in grades for v in row])
+    ranks = iter(flat)
+    return values, tuple(tuple(islice(ranks, len(row))) for row in grades)
+
+
 @dataclass(frozen=True, repr=False)
 class FuzzyMap(FuzzyRelation):
-    """Relation with a unique unit entry per row; ``images`` is the skeleton."""
+    """Relation with a unique unit entry per row; ``images`` is the skeleton.
+
+    ``encoding`` is ``(values, rank_rows)``, the grades as integer ranks (see
+    the module docstring); it is derived from ``grades`` when not given and
+    takes no part in equality.
+    """
 
     images: tuple[int, ...]
+    encoding: Optional[Encoding] = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.encoding is None:
+            object.__setattr__(self, "encoding", _rank_cells(self.grades))
+
+
+def _check_shape(domain, codomain, rows) -> None:
+    if len(rows) != domain.order or any(len(row) != codomain.order for row in rows):
+        raise ShapeMismatch(
+            f"need a {domain.order}x{codomain.order} matrix for {domain.name} -> {codomain.name}"
+        )
 
 
 def _normalize_grades(domain, codomain, rows) -> tuple[tuple[Fraction, ...], ...]:
     out = tuple(tuple(grade(v) for v in row) for row in rows)
-    if len(out) != domain.order or any(len(row) != codomain.order for row in out):
-        raise ShapeMismatch(
-            f"need a {domain.order}x{codomain.order} matrix for {domain.name} -> {codomain.name}"
-        )
+    _check_shape(domain, codomain, out)
     return out
 
 
@@ -93,6 +130,34 @@ def make_fuzzy_map(domain: FiniteGroup, codomain: FiniteGroup, rows) -> FuzzyMap
     grades = _normalize_grades(domain, codomain, rows)
     images = relation_images(FuzzyRelation(domain, codomain, grades))
     return FuzzyMap(domain, codomain, grades, images)
+
+
+def indexed_map(domain: FiniteGroup, codomain: FiniteGroup, vec, index_rows) -> FuzzyMap:
+    """``make_fuzzy_map`` of the matrix whose cell (x, y) is ``vec[index_rows[x][y]]``.
+
+    Every cell is an entry of the grade vector ``vec``, so its entries are
+    validated and ranked once, the unit entries are found on the ranks, and
+    the cells are ``vec``'s own grade objects.  Raises ``make_fuzzy_map``'s
+    ``ShapeMismatch``, ``NoUnitEntry`` and ``MultipleUnitEntries`` for the
+    same matrix.
+    """
+    vec = tuple(grade(v) for v in vec)
+    index_rows = tuple(index_rows)
+    _check_shape(domain, codomain, index_rows)
+    values, ranks = rank_grades(vec)
+    top = len(values) - 1 if values[-1] == GRADE_ONE else -1
+    rank_rows = tuple(tuple(map(ranks.__getitem__, row)) for row in index_rows)
+    images = []
+    for x, row in enumerate(rank_rows):
+        units = row.count(top)
+        if not units:
+            raise NoUnitEntry(f"row {x} has no grade-1 entry")
+        if units > 1:
+            at = [y for y, r in enumerate(row) if r == top]
+            raise MultipleUnitEntries(f"row {x} has grade-1 entries at {at}")
+        images.append(row.index(top))
+    grades = tuple(tuple(map(vec.__getitem__, row)) for row in index_rows)
+    return FuzzyMap(domain, codomain, grades, tuple(images), (values, rank_rows))
 
 
 def fuzzy_image(f: FuzzyMap, x: int) -> int:
@@ -132,14 +197,21 @@ def compose(f: FuzzyRelation, g: FuzzyRelation) -> FuzzyRelation:
 
 
 def compose_maps(f: FuzzyMap, g: FuzzyMap) -> FuzzyMap:
-    """``compose`` for two maps: reindex f's rows through g's skeleton."""
+    """``compose`` for two maps: reindex f's rows and rank rows through g's skeleton."""
     _check_composable(f, g)
+    values, rank_rows = f.encoding
+    pick = _picker(g.images)
     return FuzzyMap(
-        g.domain,
-        f.codomain,
-        tuple(f.grades[a] for a in g.images),
-        tuple(f.images[a] for a in g.images),
+        g.domain, f.codomain, pick(f.grades), pick(f.images), (values, pick(rank_rows))
     )
+
+
+def _picker(images: tuple[int, ...]):
+    """``seq -> tuple(seq[a] for a in images)``, as one C-level call."""
+    if len(images) == 1:
+        (a,) = images
+        return lambda seq: (seq[a],)
+    return itemgetter(*images)
 
 
 def is_one_one(f: FuzzyMap) -> bool:
@@ -172,15 +244,21 @@ def inverse_map(f: FuzzyMap) -> FuzzyMap:
 
     Column y of f has its only grade-1 entry in row f^-1(y), so the
     transpose is a map whose skeleton is the inverse permutation of f's.
+    Its rank rows are f's, transposed.
     """
     if not (is_one_one(f) and is_onto(f)):
         raise NotBijective(f"{f!r} is not one-one and onto")
-    n = f.domain.order
-    transposed = tuple(tuple(f.grades[x][y] for x in range(n)) for y in range(f.codomain.order))
-    images = [0] * n
+    images = [0] * f.domain.order
     for x, y in enumerate(f.images):
         images[y] = x
-    return FuzzyMap(f.codomain, f.domain, transposed, tuple(images))
+    values, rank_rows = f.encoding
+    return FuzzyMap(
+        f.codomain,
+        f.domain,
+        tuple(zip(*f.grades)),
+        tuple(images),
+        (values, tuple(zip(*rank_rows))),
+    )
 
 
 def crisp_map(domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]) -> FuzzyMap:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import FuzzautError
-from .grades import GRADE_ONE, grade
+from .grades import GRADE_ONE, grade, rank_grades
 from .groups import (
     ElementSubset,
     FiniteGroup,
@@ -94,20 +94,24 @@ class SubgroupViolation:
 
 
 def is_fuzzy_subgroup(mu: FuzzySubset) -> tuple[bool, Optional[SubgroupViolation]]:
-    """mu(xy) >= mu(x) ^ mu(y) and mu(x^-1) >= mu(x); first witness on failure."""
+    """mu(xy) >= mu(x) ^ mu(y) and mu(x^-1) >= mu(x); first witness on failure.
+
+    The scan compares mu's integer ranks (``grades.rank_grades``); the
+    witness carries mu's grades.
+    """
     g = mu.group
     t = g.table
     vec = mu.grades
+    _, rank = rank_grades(vec)
     for x in g.elements:
-        gx = vec[x]
+        rx = rank[x]
         row = t[x]
         for y in g.elements:
-            gy = vec[y]
-            bound = gx if gx < gy else gy
-            if vec[row[y]] < bound:
-                return False, SubgroupViolation("product", x, y, vec[row[y]], bound)
+            lower = x if rx < rank[y] else y
+            if rank[row[y]] < rank[lower]:
+                return False, SubgroupViolation("product", x, y, vec[row[y]], vec[lower])
     for x in g.elements:
-        if vec[g.inverses[x]] < vec[x]:
+        if rank[g.inverses[x]] < rank[x]:
             return False, SubgroupViolation("inverse", x, None, vec[g.inverses[x]], vec[x])
     return True, None
 
@@ -116,7 +120,8 @@ def is_normal_fuzzy_subgroup(mu: FuzzySubset) -> tuple[bool, Optional[SubgroupVi
     """Fuzzy subgroup with mu(xy) = mu(yx) everywhere.
 
     Normality presupposes the subgroup inequalities, so those are checked
-    first and their witness is forwarded on failure.
+    first and their witness is forwarded on failure.  Both scans compare
+    integer ranks.
     """
     ok, witness = is_fuzzy_subgroup(mu)
     if not ok:
@@ -124,9 +129,10 @@ def is_normal_fuzzy_subgroup(mu: FuzzySubset) -> tuple[bool, Optional[SubgroupVi
     g = mu.group
     t = g.table
     vec = mu.grades
+    _, rank = rank_grades(vec)
     for x in g.elements:
         for y in g.elements:
-            if vec[t[x][y]] != vec[t[y][x]]:
+            if rank[t[x][y]] != rank[t[y][x]]:
                 return False, SubgroupViolation("symmetry", x, y, vec[t[x][y]], vec[t[y][x]])
     return True, None
 

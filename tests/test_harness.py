@@ -1,6 +1,7 @@
 """Campaign runner: determinism, coverage, precondition routing, ablations."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from fuzzaut.io import dumps, save
 
 
 SMALL = Campaign(groups=("Z4", "S3"))
+RECORDED = Path(__file__).resolve().parent.parent / "bench" / "expected"
 
 
 class TestCatalog:
@@ -157,3 +159,20 @@ class TestReport:
         text = dumps(campaign_report(campaign, run_campaign(campaign)))
         parsed = json.loads(text)
         assert dumps(parsed) == text  # sorted keys make dumping idempotent
+
+
+class TestRecordedReports:
+    """The reports recorded in bench/expected/ are reproduced byte for byte."""
+
+    @pytest.mark.parametrize("name", ["default-matrix.json", "s4-hom.json"])
+    def test_campaign_report_is_byte_identical(self, name):
+        expected = (RECORDED / name).read_text(encoding="utf-8")
+        block = json.loads(expected)["campaign"]
+        assert block["ablate"] is None
+        campaign = Campaign(
+            groups=tuple(block["groups"]),
+            mu_sources=tuple(block["mu"]),
+            suites=tuple(block["suites"]),
+            seed=block["seed"],
+        )
+        assert dumps(campaign_report(campaign, run_campaign(campaign))) == expected

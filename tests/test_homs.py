@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzaut.groups import all_subgroups, builtin_group, crisp_automorphisms, generating_sequence
+from fuzzaut import homs
 from fuzzaut.homs import (
     HomWitness,
     NotHomomorphism,
@@ -170,6 +171,54 @@ class TestGeneratorCheckMatchesFullScan:
         gens = generating_sequence(Q8)
         assert 6 not in gens
         assert report.witness.x1 not in gens and report.witness.x2 not in gens
+
+
+V4 = builtin_group("V4")
+
+
+class TestRowProductMemo:
+    """The memo of row products is exact and kept per codomain."""
+
+    @pytest.mark.parametrize("z4_first", [True, False])
+    @pytest.mark.parametrize("mu", [None, chain_strategy(Z4)], ids=["crisp", "graded"])
+    def test_same_rank_rows_over_two_codomains(self, z4_first, mu):
+        over_z4 = crisp_map(Z4, Z4, Z4.elements) if mu is None else lift_hom(Z4.elements, mu, Z4)
+        over_v4 = make_fuzzy_map(Z4, V4, over_z4.grades)
+        assert over_z4.encoding == over_v4.encoding
+        homs._row_tables.cache_clear()
+        order = [over_z4, over_v4] if z4_first else [over_v4, over_z4]
+        verdicts = {f.codomain.name: is_fuzzy_homomorphism(f).verdict for f in order}
+        assert verdicts == {"Z4": True, "V4": False}
+        for f in order:
+            assert_matches_oracles(f)
+
+    @given(data=st.data(), pair=st.sampled_from(ORACLE_PAIRS))
+    @settings(max_examples=20, deadline=None)
+    def test_warm_memo_gives_the_cold_answers(self, data, pair):
+        domain, codomain = pair
+        lifts = lifted_homs(domain, codomain)
+        batch = []
+        for _ in range(data.draw(st.integers(2, 6))):
+            f = data.draw(st.sampled_from(lifts))
+            rows = [list(row) for row in f.grades]
+            if data.draw(st.booleans()):
+                x = data.draw(st.sampled_from(domain.elements))
+                y = data.draw(st.sampled_from([y for y in codomain.elements if y != f.images[x]]))
+                rows[x][y] = data.draw(st.sampled_from(LOW_GRADES))
+            batch.append(make_fuzzy_map(domain, codomain, rows))
+        homs._row_tables.cache_clear()
+        cold = [tuple(is_fuzzy_homomorphism(f)) for f in batch]
+        warm = [tuple(is_fuzzy_homomorphism(f)) for f in reversed(batch)]
+        assert warm == cold[::-1]
+        for f in reversed(batch):
+            assert_matches_oracles(f)
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 3)
+        homs._row_tables.cache_clear()
+        for f in lifted_homs(D4, D4):
+            assert_matches_oracles(f)
+        assert len(homs._row_tables(D4)[2]) <= 3
 
 
 class TestKernel:

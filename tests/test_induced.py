@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from fuzzaut.groups import builtin_group, center, is_group_isomorphism
-from fuzzaut.maps import compose_maps, equiv, inverse_map, pointwise_equal
+from fuzzaut.maps import MultipleUnitEntries, compose_maps, equiv, inverse_map, pointwise_equal
 from fuzzaut.subsets import (
     MuNotNormal,
     MuNotPointed,
@@ -20,7 +20,7 @@ from fuzzaut.induced import (
     compose_induced,
     identity_induced,
     induced_family_raw,
-    induced_grades,
+    induced_map,
     inverse_induced,
     make_induced,
     theta,
@@ -219,7 +219,8 @@ class TestRawFamily:
         for g in S3.elements:
             assert family[g].grades == make_induced(g, mu).fmap.grades
 
-    def test_raw_grades_need_no_valid_mu(self):
-        # the raw matrix builder is the ablation entry point
-        grades = induced_grades(flat_mu(builtin_group("Z2")), 0)
-        assert grades == ((F(1), F(1)), (F(1), F(1)))
+    def test_raw_builder_needs_no_valid_mu(self):
+        # the raw map builder is the ablation entry point: a flat mu gets as
+        # far as the unit-entry rule of the matrix
+        with pytest.raises(MultipleUnitEntries, match=r"row 0 has grade-1 entries at \[0, 1\]"):
+            induced_map(flat_mu(builtin_group("Z2")), 0)

@@ -1,12 +1,15 @@
 """Fuzzy maps: validation, sup composition, equivalence, inverses."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzaut.groups import builtin_group
+from fuzzaut.groups import builtin_group, crisp_automorphisms
+from fuzzaut.homs import lift_hom
 from fuzzaut.maps import (
+    FuzzyMap,
     MultipleUnitEntries,
     NoUnitEntry,
     NotBijective,
@@ -18,6 +21,7 @@ from fuzzaut.maps import (
     fuzzy_image,
     fuzzy_relation,
     identity_map,
+    indexed_map,
     inverse_map,
     is_one_one,
     is_onto,
@@ -26,8 +30,8 @@ from fuzzaut.maps import (
     relation_images,
     skeleton,
 )
-from fuzzaut.subsets import chain_strategy
-from fuzzaut.induced import induced_family_raw
+from fuzzaut.subsets import chain_strategy, class_strategy, fuzzy_subset
+from fuzzaut.induced import induced_family_raw, theta
 
 Z4 = builtin_group("Z4")
 S3 = builtin_group("S3")
@@ -260,3 +264,105 @@ class TestAssociativity:
                     left = compose_maps(fg, h)
                     right = compose_maps(f, compose_maps(g, h))
                     assert left.images == right.images
+
+
+def assert_encoding_decodes(f):
+    values, rank_rows = f.encoding
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert tuple(tuple(values[r] for r in row) for row in rank_rows) == f.grades
+
+
+ENCODING_GROUPS = [builtin_group(t) for t in ("Z4", "V4", "S3", "Q8")]
+ENCODING_PAIRS = [(a, b) for a in ENCODING_GROUPS for b in ENCODING_GROUPS]
+GRADES = [F(0), F(1, 4), F(1, 3), F(1, 2), F(1)]
+
+
+@st.composite
+def graded_maps(draw, domain, codomain, bijective=False):
+    """Random fuzzy maps domain -> codomain, bijective ones on request."""
+    n, m = domain.order, codomain.order
+    if bijective:
+        images = draw(st.permutations(range(m)))
+    else:
+        images = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    low = st.sampled_from(GRADES[:-1])
+    rows = [[F(1) if y == images[x] else draw(low) for y in range(m)] for x in range(n)]
+    return make_fuzzy_map(domain, codomain, rows)
+
+
+class TestEncoding:
+    """Every constructor's integer encoding decodes to the map's grades."""
+
+    @given(data=st.data(), pair=st.sampled_from(ENCODING_PAIRS))
+    @settings(max_examples=60, deadline=None)
+    def test_built_maps(self, data, pair):
+        domain, codomain = pair
+        f = data.draw(graded_maps(domain, codomain))
+        g = data.draw(graded_maps(codomain, domain))
+        assert_encoding_decodes(f)
+        assert_encoding_decodes(compose_maps(f, g))
+        assert_encoding_decodes(compose_maps(g, f))
+        n = domain.order
+        mapping = data.draw(st.lists(st.sampled_from(codomain.elements), min_size=n, max_size=n))
+        assert_encoding_decodes(crisp_map(domain, codomain, mapping))
+        assert_encoding_decodes(FuzzyMap(domain, codomain, f.grades, f.images))
+        if n == codomain.order:
+            b = data.draw(graded_maps(domain, codomain, bijective=True))
+            assert_encoding_decodes(inverse_map(b))
+            assert_encoding_decodes(compose_maps(inverse_map(b), f))
+
+    @given(
+        data=st.data(),
+        token=st.sampled_from(["Z4", "S3", "D4", "Q8"]),
+        strategy=st.sampled_from([chain_strategy, class_strategy]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_maps_built_from_mu(self, data, token, strategy):
+        group = builtin_group(token)
+        mu = strategy(group)
+        sigma = data.draw(st.sampled_from(crisp_automorphisms(group)))
+        lift = lift_hom(sigma, mu, group)
+        family = induced_family_raw(group, mu)
+        for f in [lift, theta(group, mu).fmap, inverse_map(lift)] + family:
+            assert_encoding_decodes(f)
+        g = data.draw(st.sampled_from(family))
+        assert_encoding_decodes(compose_maps(lift, g))
+        # the encoding is mu's: every sample from one mu shares its value list
+        assert lift.encoding[0] == g.encoding[0] == tuple(sorted(set(mu.grades)))
+
+
+class TestIndexedMap:
+    """``indexed_map`` builds what ``make_fuzzy_map`` builds from the same matrix."""
+
+    @given(data=st.data(), pair=st.sampled_from([(Z4, Z4), (Z4, S3), (S3, Z4)]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_make_fuzzy_map(self, data, pair):
+        domain, codomain = pair
+        vec = data.draw(st.lists(st.sampled_from(GRADES), min_size=1, max_size=6))
+        index = st.integers(0, len(vec) - 1)
+        index_rows = [
+            [data.draw(index) for _ in codomain.elements] for _ in domain.elements
+        ]
+        matrix = [[vec[i] for i in row] for row in index_rows]
+        try:
+            oracle = make_fuzzy_map(domain, codomain, matrix)
+        except (NoUnitEntry, MultipleUnitEntries) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                indexed_map(domain, codomain, vec, index_rows)
+            return
+        f = indexed_map(domain, codomain, vec, index_rows)
+        assert (f.grades, f.images) == (oracle.grades, oracle.images)
+        assert_encoding_decodes(f)
+
+    def test_keeps_the_vector_grades(self):
+        mu = chain_strategy(S3)
+        f = induced_family_raw(S3, mu)[1]
+        assert {id(v) for row in f.grades for v in row} <= {id(v) for v in mu.grades}
+
+    def test_errors(self):
+        with pytest.raises(ShapeMismatch):
+            indexed_map(Z4, Z4, [F(1), F(0)], [[0, 1, 1, 1]] * 3)
+        with pytest.raises(NoUnitEntry):
+            indexed_map(Z4, Z4, [F(1, 2), F(0)], [[0, 1, 1, 1]] * 4)
+        with pytest.raises(MultipleUnitEntries):
+            indexed_map(Z4, Z4, fuzzy_subset(Z4, [1, 1, 0, 0]).grades, Z4.table)
