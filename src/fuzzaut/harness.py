@@ -233,14 +233,20 @@ class _Instance:
 
     @cached_property
     def aut_samples(self) -> list[tuple[str, FuzzyMap]]:
-        """Deduplicated sample set: all lifted automorphisms plus the labeled family."""
+        """Deduplicated sample set: all lifted automorphisms plus the labeled family.
+
+        Samples are keyed on their integer encoding, not on their ``Fraction``
+        grades.  Every sample is built by ``maps.indexed_map`` from the one
+        vector ``mu.grades``, so all share ``values``, and equal rank rows
+        mean equal grades.
+        """
         seen: set[tuple] = set()
         out = []
         for tag, fmap in self.lift_samples + [
             (f"induced:g={g}", self.induced_raw[g]) for g in self.group.elements
         ]:
-            if fmap.grades not in seen:
-                seen.add(fmap.grades)
+            if fmap.encoding not in seen:
+                seen.add(fmap.encoding)
                 out.append((tag, fmap))
         return out
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from typing import Optional, Sequence
 
 from .errors import FuzzautError
@@ -163,22 +163,25 @@ def check_theorem_2_1(f: FuzzyMap) -> tuple[bool, bool, bool, bool]:
 
     1. fuzzy images multiply; 2. the identity maps to the identity with grade
     1; 3. the image of an inverse is the inverse of the image; 4. unit
-    entries are closed under simultaneous inversion.
+    entries are closed under simultaneous inversion.  Facts 2 and 4 read
+    the rank rows: a cell has grade 1 exactly when its rank is ``top``, the
+    rank of ``values[-1]`` if that is 1 (no rank otherwise).
     """
     g, h = f.domain, f.codomain
     images = f.images
+    values, ranks = f.encoding
+    top = len(values) - 1 if values[-1] == 1 else -1
     p1 = all(
         images[g.table[x1][x2]] == h.table[images[x1]][images[x2]]
         for x1 in g.elements
         for x2 in g.elements
     )
-    p2 = f.grades[g.identity][h.identity] == 1
+    p2 = ranks[g.identity][h.identity] == top
     p3 = all(h.inverses[images[x]] == images[g.inverses[x]] for x in g.elements)
     p4 = all(
-        f.grades[g.inverses[x]][h.inverses[y]] == 1
-        for x in g.elements
-        for y in h.elements
-        if f.grades[x][y] == 1
+        ranks[g.inverses[x]][h.inverses[y]] == top
+        for x, row in enumerate(ranks)
+        for y in compress(h.elements, map(top.__eq__, row))
     )
     return p1, p2, p3, p4
 

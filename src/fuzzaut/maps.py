@@ -30,12 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import FuzzautError
 from .grades import GRADE_ONE, GRADE_ZERO, grade, rank_grades
-from .groups import FiniteGroup
+from .groups import FiniteGroup, picker
 
 
 class MapError(FuzzautError):
@@ -200,18 +199,10 @@ def compose_maps(f: FuzzyMap, g: FuzzyMap) -> FuzzyMap:
     """``compose`` for two maps: reindex f's rows and rank rows through g's skeleton."""
     _check_composable(f, g)
     values, rank_rows = f.encoding
-    pick = _picker(g.images)
+    pick = picker(g.images)
     return FuzzyMap(
         g.domain, f.codomain, pick(f.grades), pick(f.images), (values, pick(rank_rows))
     )
-
-
-def _picker(images: tuple[int, ...]):
-    """``seq -> tuple(seq[a] for a in images)``, as one C-level call."""
-    if len(images) == 1:
-        (a,) = images
-        return lambda seq: (seq[a],)
-    return itemgetter(*images)
 
 
 def is_one_one(f: FuzzyMap) -> bool:

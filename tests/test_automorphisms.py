@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from fuzzaut import automorphisms
 from fuzzaut.automorphisms import (
     AutomorphismError,
     ClosureViolation,
@@ -13,6 +14,7 @@ from fuzzaut.automorphisms import (
     NotInner,
     aut_classes,
     build_aut_class_group,
+    check_associativity,
     check_automorphism,
     compose_aut,
     conjugate_aut,
@@ -21,10 +23,18 @@ from fuzzaut.automorphisms import (
     is_class_preserving,
     is_inner,
     make_automorphism,
+    skeleton_class_table,
 )
-from fuzzaut.groups import builtin_group, center, crisp_automorphisms, is_group_isomorphism
+from fuzzaut.groups import (
+    builtin_group,
+    center,
+    crisp_automorphisms,
+    first_non_associative,
+    is_group_isomorphism,
+)
+from fuzzaut.harness import DEFAULT_GROUPS, _Instance
 from fuzzaut.homs import NotHomomorphism, is_fuzzy_homomorphism, lift_hom
-from fuzzaut.maps import FuzzyMap, crisp_map, equiv, make_fuzzy_map
+from fuzzaut.maps import FuzzyMap, compose_maps, crisp_map, equiv, make_fuzzy_map
 from fuzzaut.subsets import chain_strategy, class_strategy
 from fuzzaut.induced import induced_family_raw
 
@@ -233,3 +243,83 @@ class TestClassGroup:
         assert table.order == 6
         assert not table.is_abelian()
         assert any(is_group_isomorphism(table, s3, p) for p in permutations(range(6)))
+
+
+def associativity_oracle(named, compose=compose_maps):
+    """Literal Lemma 3.2: both sides of every triple, in lexicographic order."""
+    for a in named:
+        for b in named:
+            for c in named:
+                f, g, h = named[a], named[b], named[c]
+                if compose(compose(f, g), h).images != compose(f, compose(g, h)).images:
+                    return False, f"associativity fails at ({a}, {b}, {c})"
+    return True, None
+
+
+def s3_samples():
+    return {tag: f for tag, f in _Instance("S3", S3, "class").aut_samples}
+
+
+def reversed_after(first):
+    """compose_maps, except that a composite whose left operand is ``first``
+    is built in the opposite order: a function of the skeleton classes that
+    is not associative on S3."""
+
+    def compose(f, g):
+        return compose_maps(g, f) if f.images == first.images else compose_maps(f, g)
+
+    return compose
+
+
+def reversed_for_one_object(first, second):
+    """compose_maps, except for the one pair of objects (first, second):
+    composites no longer depend on skeleton classes alone."""
+
+    def compose(f, g):
+        return compose_maps(g, f) if f is first and g is second else compose_maps(f, g)
+
+    return compose
+
+
+class TestAssociativityCheck:
+    """The class-table path decides; the literal triple scan is the oracle."""
+
+    @pytest.mark.parametrize("token", DEFAULT_GROUPS)
+    @pytest.mark.parametrize("mu", ["chain", "class"])
+    def test_default_instances(self, token, mu):
+        named = dict(_Instance(token, builtin_group(token), mu).aut_samples)
+        assert check_associativity(named) == associativity_oracle(named) == (True, None)
+
+    def test_non_associative_composition_on_a_closed_sample_set(self, monkeypatch):
+        named = s3_samples()
+        fake = reversed_after(named["lift:aut1"])
+        monkeypatch.setattr(automorphisms, "compose_maps", fake)
+        table = skeleton_class_table(list(named.values()))
+        assert first_non_associative(table) is not None  # the kernel sees it
+        expected = associativity_oracle(named, fake)
+        assert not expected[0]
+        assert check_associativity(named) == expected
+
+    def test_composites_of_one_class_pair_that_disagree(self, monkeypatch):
+        named = s3_samples()
+        first, second = named["lift:aut1"], named["lift:aut3"]
+        named["copy of lift:aut1"] = FuzzyMap(S3, S3, first.grades, first.images)
+        fake = reversed_for_one_object(first, second)
+        monkeypatch.setattr(automorphisms, "compose_maps", fake)
+        with pytest.raises(AutomorphismError, match="compose to classes"):
+            skeleton_class_table(list(named.values()))
+        expected = associativity_oracle(named, fake)
+        assert not expected[0]
+        assert check_associativity(named) == expected
+
+    def test_composites_that_leave_the_sample_set(self, monkeypatch):
+        full = s3_samples()
+        named = {tag: full[tag] for tag in ("lift:aut1", "lift:aut3")}
+        with pytest.raises(AutomorphismError, match="not closed"):
+            skeleton_class_table(list(named.values()))
+        assert check_associativity(named) == associativity_oracle(named) == (True, None)
+        fake = reversed_after(named["lift:aut1"])
+        monkeypatch.setattr(automorphisms, "compose_maps", fake)
+        expected = associativity_oracle(named, fake)
+        assert not expected[0]
+        assert check_associativity(named) == expected

@@ -1,9 +1,12 @@
 """Group core: table validation, builtins, structure, crisp automorphisms."""
 
 import hashlib
+import re
 from itertools import permutations
 
 import pytest
+
+from hypothesis import given, settings, strategies as st
 
 from fuzzaut.groups import (
     ElementSubset,
@@ -21,9 +24,11 @@ from fuzzaut.groups import (
     conjugacy_classes,
     crisp_automorphisms,
     derived_series,
+    first_non_associative,
     generating_sequence,
     is_group_isomorphism,
     is_normal_subgroup,
+    magma_generators,
     make_group,
     normal_subgroups,
     opposite_group,
@@ -110,6 +115,91 @@ def brute_force_automorphisms(group):
     return sorted(out)
 
 
+def lexicographic_triple(table):
+    """Oracle: the first (a, b, c) with (ab)c != a(bc), scanning every triple."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
+def product_closure(table, members):
+    """Oracle: the least set containing ``members`` closed under the table's product."""
+    span = set(members)
+    while True:
+        grown = span | {table[a][b] for a in span for b in span}
+        if grown == span:
+            return span
+        span = grown
+
+
+SMALL_BUILTINS = sorted(t for t in RECORDED_AUTOMORPHISMS if builtin_group(t).order <= 24)
+
+
+@st.composite
+def square_tables(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    cell = st.integers(0, n - 1)
+    return [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@st.composite
+def corrupted_builtins(draw):
+    """A builtin table of order <= 24 with one to three cells overwritten."""
+    table = [list(row) for row in builtin_group(draw(st.sampled_from(SMALL_BUILTINS))).table]
+    n = len(table)
+    for _ in range(draw(st.integers(1, 3))):
+        table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            st.integers(0, n - 1)
+        )
+    return table
+
+
+class TestAssociativityKernel:
+    """Light's test over the generators decides; the full scan is the oracle."""
+
+    @given(table=square_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_random_tables_match_the_full_scan(self, table):
+        assert first_non_associative(table) == lexicographic_triple(table)
+
+    @given(table=corrupted_builtins())
+    @settings(max_examples=150, deadline=None)
+    def test_corrupted_builtins_match_the_full_scan(self, table):
+        assert first_non_associative(table) == lexicographic_triple(table)
+
+    def test_one_by_one_table(self):
+        assert magma_generators([[0]]) == (0,)
+        assert first_non_associative([[0]]) is None
+
+    def test_the_witness_can_lie_off_the_generators(self):
+        # 0 generates this table (0*0 = 2, 0*2 = 1); the first failure has b = 1
+        table = [[2, 2, 1], [0, 1, 0], [1, 1, 2]]
+        assert magma_generators(table) == (0,)
+        assert first_non_associative(table) == (0, 1, 0) == lexicographic_triple(table)
+
+
+class TestMagmaGenerators:
+    @given(table=square_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_each_generator_is_the_least_element_outside_the_earlier_closure(self, table):
+        gens = magma_generators(table)
+        for i, g in enumerate(gens):
+            span = product_closure(table, gens[:i])
+            assert g == min(x for x in range(len(table)) if x not in span)
+        assert product_closure(table, gens) == set(range(len(table)))
+
+    @pytest.mark.parametrize("token", sorted(RECORDED_AUTOMORPHISMS))
+    def test_closure_is_the_whole_table(self, token):
+        g = builtin_group(token)
+        gens = magma_generators(g.table)
+        assert product_closure(g.table, gens) == set(g.elements)
+        assert closure(g, gens) == frozenset(g.elements)
+
+
 class TestMakeGroup:
     def test_trivial(self):
         g = make_group([[0]])
@@ -126,6 +216,19 @@ class TestMakeGroup:
         with pytest.raises(NotAssociative) as err:
             make_group(table)
         assert "(1, 1, 2)" in str(err.value)
+
+    @given(table=corrupted_builtins())
+    @settings(max_examples=100, deadline=None)
+    def test_corrupted_builtins_name_the_first_triple(self, table):
+        triple = lexicographic_triple(table)
+        if triple is None:
+            try:  # NotAssociative propagates and fails the test
+                make_group(table)
+            except (NoIdentity, NoInverse, NotLatinSquare):
+                pass
+        else:
+            with pytest.raises(NotAssociative, match=re.escape(f"(a, b, c) = {triple}")):
+                make_group(table)
 
     def test_out_of_range_entry(self):
         with pytest.raises(NotLatinSquare):

@@ -14,11 +14,13 @@ from fuzzaut.harness import (
     Campaign,
     ConfigInvalid,
     UnknownToken,
+    _Instance,
     ablation,
     campaign_report,
     run_campaign,
     statements_covered,
 )
+from fuzzaut.groups import builtin_group
 from fuzzaut.io import dumps, save
 
 
@@ -176,3 +178,19 @@ class TestRecordedReports:
             seed=block["seed"],
         )
         assert dumps(campaign_report(campaign, run_campaign(campaign))) == expected
+
+
+class TestSampleDeduplication:
+    """Samples keyed on their rank encoding are the samples keyed on their grades."""
+
+    @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "D8"))
+    @pytest.mark.parametrize("mu", ["chain", "class"])
+    def test_same_samples_as_keying_on_grades(self, token, mu):
+        ctx = _Instance(token, builtin_group(token), mu)
+        candidates = ctx.lift_samples + [
+            (f"induced:g={g}", ctx.induced_raw[g]) for g in ctx.group.elements
+        ]
+        by_grades: dict = {}
+        for tag, fmap in candidates:
+            by_grades.setdefault(fmap.grades, (tag, fmap))
+        assert ctx.aut_samples == list(by_grades.values())

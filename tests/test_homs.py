@@ -17,7 +17,7 @@ from fuzzaut.homs import (
     kernel,
     lift_hom,
 )
-from fuzzaut.maps import compose_maps, crisp_map, inverse_map, make_fuzzy_map
+from fuzzaut.maps import FuzzyMap, compose_maps, crisp_map, inverse_map, make_fuzzy_map
 from fuzzaut.subsets import MuNotNormal, MuNotPointed, chain_strategy, class_strategy, flat_mu, fuzzy_subset
 from fuzzaut.induced import induced_family_raw
 
@@ -260,6 +260,60 @@ class TestTheorem21:
         props = check_theorem_2_1(f)
         assert props == (True, True, True, True)
         assert f.grades[Z4.identity][Z4.identity] == 1
+
+
+def theorem_2_1_oracle(f):
+    """The four facts of Theorem 2.1, read from the Fraction grades."""
+    g, h = f.domain, f.codomain
+    images = f.images
+    return (
+        all(
+            images[g.table[x1][x2]] == h.table[images[x1]][images[x2]]
+            for x1 in g.elements
+            for x2 in g.elements
+        ),
+        f.grades[g.identity][h.identity] == 1,
+        all(h.inverses[images[x]] == images[g.inverses[x]] for x in g.elements),
+        all(
+            f.grades[g.inverses[x]][h.inverses[y]] == 1
+            for x in g.elements
+            for y in h.elements
+            if f.grades[x][y] == 1
+        ),
+    )
+
+
+class TestTheorem21MatchesGrades:
+    """Facts 2 and 4 read the rank rows; the grades are the oracle."""
+
+    @given(data=st.data(), pair=st.sampled_from(ORACLE_PAIRS))
+    @settings(max_examples=40, deadline=None)
+    def test_valid_maps(self, data, pair):
+        f = data.draw(st.sampled_from(lifted_homs(*pair)))
+        assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (True, True, True, True)
+
+    @given(data=st.data(), pair=st.sampled_from(ORACLE_PAIRS))
+    @settings(max_examples=150, deadline=None)
+    def test_perturbed_maps(self, data, pair):
+        """Grades and skeleton drawn freely: rows may hold several grade-1
+        entries or none, and the skeleton need not mark them."""
+        domain, codomain = pair
+        f = data.draw(st.sampled_from(lifted_homs(domain, codomain)))
+        rows = [list(row) for row in f.grades]
+        cells = st.tuples(st.sampled_from(domain.elements), st.sampled_from(codomain.elements))
+        for x, y in data.draw(st.lists(cells, min_size=1, max_size=6)):
+            rows[x][y] = data.draw(st.sampled_from(LOW_GRADES + [F(1)]))
+        images = list(f.images)
+        if data.draw(st.booleans()):
+            images[data.draw(st.sampled_from(domain.elements))] = data.draw(
+                st.sampled_from(codomain.elements)
+            )
+        perturbed = FuzzyMap(domain, codomain, tuple(map(tuple, rows)), tuple(images))
+        assert check_theorem_2_1(perturbed) == theorem_2_1_oracle(perturbed)
+
+    def test_no_grade_one_anywhere(self):
+        f = FuzzyMap(S3, Z2, ((F(1, 2), F(0)),) * 6, SIGN)
+        assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (True, False, True, True)
 
 
 class TestTheorem22:

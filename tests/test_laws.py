@@ -5,15 +5,17 @@ it, and expects both the public function built on it to raise and the
 harness row of its statement to fail.  A law with a second, private copy in
 either place would let one of the two pass.
 
-The last cases seed a defect in map composition, below every checker, and
-record which statements of the campaign catch it.
+Two cases seed a defect in the associativity kernel, which ``make_group``
+(and so Theorems 3.1 and 4.1) and Lemma 3.2 share.  The last cases seed a
+defect in map composition, below every checker, and record which statements
+of the campaign catch it.
 """
 
 import sys
 
 import pytest
 
-from fuzzaut import automorphisms, induced, maps
+from fuzzaut import automorphisms, groups, induced, maps
 from fuzzaut.automorphisms import (
     ClosureViolation,
     NotInner,
@@ -22,7 +24,7 @@ from fuzzaut.automorphisms import (
     inverse_aut,
     make_automorphism,
 )
-from fuzzaut.groups import builtin_group
+from fuzzaut.groups import NotAssociative, builtin_group, crisp_automorphisms, make_group
 from fuzzaut.harness import Campaign, ablation, run_campaign
 from fuzzaut.induced import (
     LawViolation,
@@ -160,6 +162,31 @@ def test_class_preservation_serves_lemma_4_2_and_make_induced(monkeypatch):
         induced_map(1)
     row = row_of("Lemma 4.2")
     assert not row.verdict and "not class preserving" in row.witness
+
+
+def test_associativity_kernel_serves_make_group_theorems_3_1_and_4_1(monkeypatch):
+    seed_defect(monkeypatch, groups, "first_non_associative", lambda table: (0, 0, 0))
+    with pytest.raises(NotAssociative, match=r"\(0, 0, 0\)"):
+        make_group(S3.table)
+    for statement in ("Theorem 3.1", "Theorem 4.1"):
+        row = row_of(statement)
+        assert not row.verdict and "(a, b, c) = (0, 0, 0)" in row.witness
+    # Lemma 3.2 reads the same kernel, but a table it rejects is rescanned
+    # triple by triple, so a kernel that rejects everything cannot fail it
+    assert row_of("Lemma 3.2").verdict
+
+
+def test_lemma_3_2_decides_with_the_associativity_kernel(monkeypatch):
+    honest, first = maps.compose_maps, crisp_automorphisms(S3)[1]
+
+    def reversed_after_first(f, g):
+        """Not associative on S3, yet a function of the skeleton classes."""
+        return honest(g, f) if f.images == first else honest(f, g)
+
+    seed_defect(monkeypatch, maps, "compose_maps", reversed_after_first)
+    assert not row_of("Lemma 3.2").verdict
+    seed_defect(monkeypatch, groups, "first_non_associative", lambda table: None)
+    assert row_of("Lemma 3.2").verdict
 
 
 def test_label_product_witness_names_the_pair_and_cell():
