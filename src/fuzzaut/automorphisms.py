@@ -26,7 +26,7 @@ from .groups import (
     make_group,
 )
 from .homs import NotHomomorphism, is_fuzzy_homomorphism
-from .maps import FuzzyMap, compose_maps, identity_map, inverse_map, is_one_one
+from .maps import FuzzyMap, compose_maps, identity_map, inverse_map, is_one_one, unit_rank
 
 
 # label -> matrix: a whole labeled family as a list, or a dict of the labels involved
@@ -78,12 +78,15 @@ def check_automorphism(f: FuzzyMap) -> tuple[bool, Optional[FuzzautError]]:
 
     One-one implies onto for a map of a finite group to itself.  The checks
     that follow read the skeleton, so it must mark a grade-1 entry in every
-    row.  The witness is the error ``make_automorphism`` raises for f.
+    row; that is read off the rank rows (``maps.unit_rank``).  The witness
+    is the error ``make_automorphism`` raises for f.
     """
     if f.domain != f.codomain:
         return False, AutomorphismError("domain and codomain must be the same group")
+    values, rows = f.encoding
+    top = unit_rank(values)
     for x, y in enumerate(f.images):
-        if f.grades[x][y] != 1:
+        if rows[x][y] != top:
             return False, AutomorphismError(
                 f"skeleton sends {x} to {y}, but row {x} grades {y} as {f.grades[x][y]}"
             )
@@ -189,15 +192,15 @@ def check_inverse_law(f: FuzzyMap) -> Verdict:
     return True, None
 
 
-def is_class_preserving(f: FuzzyAutomorphism) -> bool:
-    """Every fuzzy image stays inside its argument's conjugacy class."""
-    idx = class_index(f.group)
-    return all(idx[f.images[x]] == idx[x] for x in f.group.elements)
+def is_class_preserving(f: FuzzyMap) -> bool:
+    """Every fuzzy image of a map of a group to itself stays inside its argument's class."""
+    idx = class_index(f.domain)
+    return all(idx[f.images[x]] == idx[x] for x in f.domain.elements)
 
 
-def is_inner(f: FuzzyAutomorphism) -> Optional[int]:
+def is_inner(f: FuzzyMap) -> Optional[int]:
     """Least g whose conjugation permutation equals the skeleton, if any."""
-    group = f.group
+    group = f.domain
     images = f.images
     for g in group.elements:
         if all(images[x] == group.conjugate(x, g) for x in group.elements):
@@ -228,7 +231,7 @@ def check_inner_inverses(group: FiniteGroup, family: Family, labels: Iterable[in
 
 def check_inner_conjugate(conj: FuzzyMap) -> tuple[bool, object]:
     """Lemma 3.9: a conjugate f^-1 . f_g . f is again an inner fuzzy automorphism."""
-    if is_inner(FuzzyAutomorphism(conj)) is None:
+    if is_inner(conj) is None:
         return False, f"skeleton {conj.images} is not inner"
     return check_automorphism(conj)
 
@@ -237,7 +240,7 @@ def conjugate_aut(f: FuzzyAutomorphism, f_g: FuzzyAutomorphism) -> FuzzyAutomorp
     """inverse(f) . f_g . f; the result must be inner again."""
     if f.group != f_g.group:
         raise AutomorphismError("automorphisms of different groups cannot compose")
-    if is_inner(f_g) is None:
+    if is_inner(f_g.fmap) is None:
         raise NotInner("conjugation requires an inner automorphism")
     conj = compose_maps(inverse_map(f.fmap), compose_maps(f_g.fmap, f.fmap))
     ok, witness = check_inner_conjugate(conj)

@@ -596,6 +596,26 @@ def crisp_automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
+def first_non_multiplicative(
+    g: FiniteGroup, h: FiniteGroup, mapping: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """The first (a, b) in lexicographic order with mapping[a*b] != mapping[a]*mapping[b].
+
+    The verdict comes from the pairs (s, b) with s in
+    ``generating_sequence(g)``, which is exact: for a = s1...sk, a positive
+    word in them, mapping[a*b] = mapping[s1]...mapping[sk]*mapping[b] =
+    mapping[a]*mapping[b].  A failing mapping is rescanned to name its pair.
+    """
+    tg, th = g.table, h.table
+
+    def fails(a: int, b: int) -> bool:
+        return mapping[tg[a][b]] != th[mapping[a]][mapping[b]]
+
+    if not any(fails(s, b) for s in generating_sequence(g) for b in g.elements):
+        return None
+    return next((a, b) for a in g.elements for b in g.elements if fails(a, b))
+
+
 def is_group_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: Sequence[int]) -> bool:
     """True iff ``mapping`` is a bijective, multiplicative map from g to h."""
     m = tuple(mapping)

@@ -32,8 +32,14 @@ from itertools import compress, product
 from typing import Optional, Sequence
 
 from .errors import FuzzautError
-from .groups import ElementSubset, FiniteGroup, generating_sequence, is_normal_subgroup
-from .maps import FuzzyMap, indexed_map, is_one_one
+from .groups import (
+    ElementSubset,
+    FiniteGroup,
+    first_non_multiplicative,
+    generating_sequence,
+    is_normal_subgroup,
+)
+from .maps import FuzzyMap, indexed_map, is_one_one, unit_rank
 from .subsets import FuzzySubset, require_valid_mu
 
 ROW_PRODUCT_MEMO_BOUND = 4096  # row products kept per codomain
@@ -163,19 +169,16 @@ def check_theorem_2_1(f: FuzzyMap) -> tuple[bool, bool, bool, bool]:
 
     1. fuzzy images multiply; 2. the identity maps to the identity with grade
     1; 3. the image of an inverse is the inverse of the image; 4. unit
-    entries are closed under simultaneous inversion.  Facts 2 and 4 read
-    the rank rows: a cell has grade 1 exactly when its rank is ``top``, the
-    rank of ``values[-1]`` if that is 1 (no rank otherwise).
+    entries are closed under simultaneous inversion.  Fact 1 is tested over
+    a generating set of the domain (``groups.first_non_multiplicative``).
+    Facts 2 and 4 read the rank rows: a cell has grade 1 exactly when its
+    rank is ``maps.unit_rank`` of the values.
     """
     g, h = f.domain, f.codomain
     images = f.images
     values, ranks = f.encoding
-    top = len(values) - 1 if values[-1] == 1 else -1
-    p1 = all(
-        images[g.table[x1][x2]] == h.table[images[x1]][images[x2]]
-        for x1 in g.elements
-        for x2 in g.elements
-    )
+    top = unit_rank(values)
+    p1 = first_non_multiplicative(g, h, images) is None
     p2 = ranks[g.identity][h.identity] == top
     p3 = all(h.inverses[images[x]] == images[g.inverses[x]] for x in g.elements)
     p4 = all(
@@ -213,22 +216,23 @@ def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> 
     """Grade a crisp homomorphism phi through a membership function.
 
     The lifted map is f(x, y) = mu'(phi(x)^-1 * y) over the codomain carrying
-    mu'.  Validity is established per instance by the homomorphism oracle;
-    a rejection is surfaced, never silently dropped.
+    mu', built from the ranks of mu'.  phi is checked over a generating set
+    of the domain (``groups.first_non_multiplicative``), and the error names
+    the first failing pair.  Validity is established per instance by the
+    homomorphism oracle; a rejection is surfaced, never silently dropped.
     """
     codomain = mu_prime.group
     phi = tuple(phi)
     if len(phi) != domain.order or any(not 0 <= v < codomain.order for v in phi):
         raise HomError(f"phi must map {domain.name} into {codomain.name}")
-    for a in domain.elements:
-        for b in domain.elements:
-            if phi[domain.table[a][b]] != codomain.table[phi[a]][phi[b]]:
-                raise NotHomomorphism(f"phi is not multiplicative at (a, b) = ({a}, {b})")
+    pair = first_non_multiplicative(domain, codomain, phi)
+    if pair is not None:
+        raise NotHomomorphism(f"phi is not multiplicative at (a, b) = {pair}")
     require_valid_mu(mu_prime)
     ct = codomain.table
     cinv = codomain.inverses
     rows = (ct[cinv[phi[x]]] for x in domain.elements)
-    f = indexed_map(domain, codomain, mu_prime.grades, rows)
+    f = indexed_map(domain, codomain, mu_prime.encoding, rows)
     report = is_fuzzy_homomorphism(f)
     if not report:
         raise OracleRejected(str(report.witness))

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .automorphisms import (
-    FuzzyAutomorphism,
     Family,
     Verdict,
     check_inner_inverses,
@@ -87,7 +86,7 @@ def induced_map(mu: FuzzySubset, g: int) -> FuzzyMap:
 
     No validity assumptions on mu and no law assertions.
     """
-    return indexed_map(mu.group, mu.group, mu.grades, induced_indices(mu.group, g))
+    return indexed_map(mu.group, mu.group, mu.encoding, induced_indices(mu.group, g))
 
 
 def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
@@ -117,7 +116,7 @@ def check_induced_bijective(group: FiniteGroup, family: Family, labels: Iterable
             return False, f"label {g}: not one-one"
         if not is_onto(fmap):
             return False, f"label {g}: not onto"
-        if not is_class_preserving(FuzzyAutomorphism(fmap)):
+        if not is_class_preserving(fmap):
             return False, f"label {g}: not class preserving"
     return True, None
 
@@ -148,15 +147,16 @@ def check_label_products(
 ) -> Verdict:
     """Lemma 4.3: f_g1 . f_g2 equals f_(g2 g1) cell by cell for each pair (g1, g2).
 
-    The witness names the first pair and cell where sup composition and the
-    label product disagree.
+    Cells are compared by ``pointwise_equal``, so on rank rows when the maps
+    share a value list.  The witness names the first pair and cell where
+    sup composition and the label product disagree.
     """
     t = group.table
     for g1, g2 in pairs:
         label = t[g2][g1]
-        composed = compose_maps(family[g1], family[g2]).grades
-        expected = family[label].grades
-        if composed != expected:
+        composite = compose_maps(family[g1], family[g2])
+        if not pointwise_equal(composite, family[label]):
+            composed, expected = composite.grades, family[label].grades
             x = next(x for x in group.elements if composed[x] != expected[x])
             y = next(y for y in group.elements if composed[x][y] != expected[x][y])
             return False, (
@@ -199,15 +199,20 @@ def check_triple_products(group: FiniteGroup, family: Family, labels: Iterable[i
 
 
 def check_identity_label(mu: FuzzySubset, family: Family, labels: Iterable[int]) -> Verdict:
-    """Lemma 4.5: f_e is mu(x^-1 y) and a two-sided identity for each f_g, exactly."""
+    """Lemma 4.5: f_e is mu(x^-1 y) and a two-sided identity for each f_g, exactly.
+
+    f_e is compared with mu on ranks when their value lists are equal, and
+    on grades otherwise; the identity laws go through ``pointwise_equal``.
+    """
     group = mu.group
     t, inv = group.table, group.inverses
     ident = family[group.identity]
-    if any(
-        ident.grades[x][y] != mu.grades[t[inv[x]][y]]
-        for x in group.elements
-        for y in group.elements
-    ):
+    values, ranks = mu.encoding
+    if ident.encoding[0] == values:
+        rows, vec = ident.encoding[1], ranks
+    else:
+        rows, vec = ident.grades, mu.grades
+    if any(rows[x][y] != vec[t[inv[x]][y]] for x in group.elements for y in group.elements):
         return False, "identity-labeled matrix is not mu(x^-1 y)"
     for g in labels:
         if not pointwise_equal(compose_maps(family[g], ident), family[g]):
@@ -434,7 +439,7 @@ def theta(group: FiniteGroup, mu: FuzzySubset) -> ThetaCheck:
     t = group.table
     inv = group.inverses
     rows = (tuple(map(t[inv[a]].__getitem__, inv)) for a in group.elements)
-    fmap = indexed_map(group, labels, mu.grades, rows)
+    fmap = indexed_map(group, labels, mu.encoding, rows)
     images_ok = all(fmap.images[a] == inv[a] for a in group.elements)
     report = is_fuzzy_homomorphism(fmap)
     kernel = ElementSubset.from_indices(

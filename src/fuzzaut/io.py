@@ -8,6 +8,7 @@ loader.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -16,6 +17,9 @@ from .grades import format_grade, parse_grade
 from .groups import FiniteGroup, builtin_group, make_group
 from .maps import FuzzyMap, make_fuzzy_map
 from .subsets import FuzzySubset, fuzzy_subset
+
+
+_TEXTS_KEPT = 16  # file texts whose loaded group or mu is kept, per loader
 
 
 class FileFormatError(FuzzautError):
@@ -105,11 +109,14 @@ def map_from_json(
     return make_fuzzy_map(domain, codomain, [[parse_grade(v) for v in row] for row in rows])
 
 
-def _read_json(path) -> dict:
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_json(path, text: str) -> dict:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -117,11 +124,23 @@ def _read_json(path) -> dict:
 
 
 def load_group(path) -> FiniteGroup:
-    return group_from_json(_read_json(path))
+    """The group in a JSON file; the group built from one file text is kept."""
+    return _group_from_text(path, _read_text(path))
 
 
 def load_mu(path, group: Optional[FiniteGroup] = None) -> FuzzySubset:
-    return mu_from_json(_read_json(path), group)
+    """The mu in a JSON file, kept per file text and group as ``load_group`` keeps groups."""
+    return _mu_from_text(path, _read_text(path), group)
+
+
+@lru_cache(maxsize=_TEXTS_KEPT)
+def _group_from_text(path, text: str) -> FiniteGroup:
+    return group_from_json(_parse_json(path, text))
+
+
+@lru_cache(maxsize=_TEXTS_KEPT)
+def _mu_from_text(path, text: str, group: Optional[FiniteGroup]) -> FuzzySubset:
+    return mu_from_json(_parse_json(path, text), group)
 
 
 def save(path, obj: dict) -> None:

@@ -17,12 +17,16 @@ rank_rows)``: ``values`` is the increasing tuple of distinct grades and
 ``values[rank_rows[x][y]] == grades[x][y]`` (``grades.rank_grades``).  Each
 constructor derives it once, so no check has to rank a matrix again:
 
-* ``make_fuzzy_map`` and ``crisp_map`` rank their cells, as does a
-  ``FuzzyMap`` built directly without an encoding;
-* ``indexed_map`` builds a map whose cells are entries of one grade vector,
-  such as a membership function, and ranks the vector's m entries;
+* ``make_fuzzy_map`` ranks its cells, as does a ``FuzzyMap`` built
+  directly without an encoding; ``crisp_map`` writes its 0/1 encoding down;
+* ``indexed_map`` reads each cell's rank from one ranked grade vector, such
+  as ``FuzzySubset.encoding``, so the maps built from one membership
+  function share its value list and grade objects;
 * ``compose_maps`` reindexes f's rank rows through g's skeleton, as it does
   the grades, and ``inverse_map`` transposes them.
+
+Between maps with equal value lists, cells are equal exactly when their
+ranks are, because ``values`` is strictly increasing.
 """
 
 from __future__ import annotations
@@ -131,20 +135,24 @@ def make_fuzzy_map(domain: FiniteGroup, codomain: FiniteGroup, rows) -> FuzzyMap
     return FuzzyMap(domain, codomain, grades, images)
 
 
-def indexed_map(domain: FiniteGroup, codomain: FiniteGroup, vec, index_rows) -> FuzzyMap:
-    """``make_fuzzy_map`` of the matrix whose cell (x, y) is ``vec[index_rows[x][y]]``.
+def unit_rank(values: Sequence[Fraction]) -> int:
+    """The rank of grade 1 in an encoding's ``values``, or -1 when 1 is not among them."""
+    return len(values) - 1 if values[-1] == GRADE_ONE else -1
 
-    Every cell is an entry of the grade vector ``vec``, so its entries are
-    validated and ranked once, the unit entries are found on the ranks, and
-    the cells are ``vec``'s own grade objects.  Raises ``make_fuzzy_map``'s
-    ``ShapeMismatch``, ``NoUnitEntry`` and ``MultipleUnitEntries`` for the
-    same matrix.
+
+def indexed_map(domain: FiniteGroup, codomain: FiniteGroup, encoding, index_rows) -> FuzzyMap:
+    """``make_fuzzy_map`` of the matrix whose cell (x, y) is entry ``index_rows[x][y]``
+    of a ranked grade vector ``encoding = (values, ranks)``, such as ``FuzzySubset.encoding``.
+
+    Nothing is validated or ranked again: the unit entries are found on the
+    ranks, and the cells are the objects in ``values``.  Raises
+    ``make_fuzzy_map``'s ``ShapeMismatch``, ``NoUnitEntry`` and
+    ``MultipleUnitEntries`` for the same matrix.
     """
-    vec = tuple(grade(v) for v in vec)
+    values, ranks = encoding
     index_rows = tuple(index_rows)
     _check_shape(domain, codomain, index_rows)
-    values, ranks = rank_grades(vec)
-    top = len(values) - 1 if values[-1] == GRADE_ONE else -1
+    top = unit_rank(values)
     rank_rows = tuple(tuple(map(ranks.__getitem__, row)) for row in index_rows)
     images = []
     for x, row in enumerate(rank_rows):
@@ -155,7 +163,7 @@ def indexed_map(domain: FiniteGroup, codomain: FiniteGroup, vec, index_rows) -> 
             at = [y for y, r in enumerate(row) if r == top]
             raise MultipleUnitEntries(f"row {x} has grade-1 entries at {at}")
         images.append(row.index(top))
-    grades = tuple(tuple(map(vec.__getitem__, row)) for row in index_rows)
+    grades = tuple(tuple(map(values.__getitem__, row)) for row in rank_rows)
     return FuzzyMap(domain, codomain, grades, tuple(images), (values, rank_rows))
 
 
@@ -225,8 +233,11 @@ def equiv(f: FuzzyMap, g: FuzzyMap) -> bool:
 
 
 def pointwise_equal(f: FuzzyRelation, g: FuzzyRelation) -> bool:
-    """Exact matrix equality, strictly stronger than ``equiv``."""
+    """Exact matrix equality, strictly stronger than ``equiv``; on rank rows
+    between maps with equal value lists (see the module docstring)."""
     _check_same_shape(f, g)
+    if isinstance(f, FuzzyMap) and isinstance(g, FuzzyMap) and f.encoding[0] == g.encoding[0]:
+        return f.encoding[1] == g.encoding[1]
     return f.grades == g.grades
 
 
@@ -253,16 +264,27 @@ def inverse_map(f: FuzzyMap) -> FuzzyMap:
 
 
 def crisp_map(domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]) -> FuzzyMap:
-    """Indicator matrix of a crisp function: grade 1 at (x, mapping[x]), else 0."""
+    """Indicator matrix of a crisp function: grade 1 at (x, mapping[x]), else 0.
+
+    The encoding is written down: values (0, 1), or (1,) over one element.
+    """
     if len(mapping) != domain.order:
         raise ShapeMismatch(f"mapping length {len(mapping)} != order {domain.order}")
-    rows = []
-    for x in domain.elements:
-        y = mapping[x]
-        if not 0 <= y < codomain.order:
+    m = codomain.order
+    for y in mapping:
+        if not 0 <= y < m:
             raise ShapeMismatch(f"image {y} outside the codomain")
-        rows.append(tuple(GRADE_ONE if c == y else GRADE_ZERO for c in codomain.elements))
-    return FuzzyMap(domain, codomain, tuple(rows), tuple(mapping))
+    values = (GRADE_ZERO, GRADE_ONE) if m > 1 else (GRADE_ONE,)
+    top = len(values) - 1
+    rank_row = {y: (0,) * y + (top,) + (0,) * (m - 1 - y) for y in set(mapping)}
+    grade_row = {y: tuple(map(values.__getitem__, row)) for y, row in rank_row.items()}
+    return FuzzyMap(
+        domain,
+        codomain,
+        tuple(grade_row[y] for y in mapping),
+        tuple(mapping),
+        (values, tuple(rank_row[y] for y in mapping)),
+    )
 
 
 def identity_map(group: FiniteGroup) -> FuzzyMap:

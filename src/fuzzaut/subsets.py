@@ -7,9 +7,9 @@ construction and always re-certify through the predicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import FuzzautError
@@ -58,13 +58,36 @@ class StrategyInapplicable(SubsetError):
 
 @dataclass(frozen=True)
 class FuzzySubset:
-    """Grade vector over a group's elements, callable as mu(x)."""
+    """Grade vector over a group's elements, callable as mu(x).
+
+    ``encoding = (values, ranks)`` holds the grades as integer ranks
+    (``grades.rank_grades``), derived once and kept out of equality, as
+    ``FuzzyMap.encoding`` is.  The predicates scan the ranks, and every map
+    built from mu (``maps.indexed_map``) reuses them.
+    """
 
     group: FiniteGroup
     grades: tuple[Fraction, ...]
+    encoding: Optional[tuple[tuple[Fraction, ...], tuple[int, ...]]] = field(
+        default=None, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.encoding is None:
+            object.__setattr__(self, "encoding", rank_grades(self.grades))
 
     def __call__(self, x: int) -> Fraction:
         return self.grades[x]
+
+    @cached_property
+    def _fault(self) -> Optional[tuple[type, str]]:
+        """Why ``require_valid_mu`` rejects mu (error class and message), or None."""
+        ok, witness = is_normal_fuzzy_subgroup(self)
+        if not ok:
+            return MuNotNormal, str(witness)
+        if not is_pointed(self):
+            return MuNotPointed, "grade 1 must be attained exactly at the identity"
+        return None
 
 
 def fuzzy_subset(group: FiniteGroup, grades: Iterable) -> FuzzySubset:
@@ -96,13 +119,13 @@ class SubgroupViolation:
 def is_fuzzy_subgroup(mu: FuzzySubset) -> tuple[bool, Optional[SubgroupViolation]]:
     """mu(xy) >= mu(x) ^ mu(y) and mu(x^-1) >= mu(x); first witness on failure.
 
-    The scan compares mu's integer ranks (``grades.rank_grades``); the
-    witness carries mu's grades.
+    The scan compares mu's integer ranks (``mu.encoding``); the witness
+    carries mu's grades.
     """
     g = mu.group
     t = g.table
     vec = mu.grades
-    _, rank = rank_grades(vec)
+    _, rank = mu.encoding
     for x in g.elements:
         rx = rank[x]
         row = t[x]
@@ -129,7 +152,7 @@ def is_normal_fuzzy_subgroup(mu: FuzzySubset) -> tuple[bool, Optional[SubgroupVi
     g = mu.group
     t = g.table
     vec = mu.grades
-    _, rank = rank_grades(vec)
+    _, rank = mu.encoding
     for x in g.elements:
         for y in g.elements:
             if rank[t[x][y]] != rank[t[y][x]]:
@@ -168,12 +191,16 @@ def level_set(mu: FuzzySubset, threshold) -> ElementSubset:
 
 
 def require_valid_mu(mu: FuzzySubset) -> None:
-    """Entry gate for the graded-conjugation constructions."""
-    ok, witness = is_normal_fuzzy_subgroup(mu)
-    if not ok:
-        raise MuNotNormal(str(witness))
-    if not is_pointed(mu):
-        raise MuNotPointed("grade 1 must be attained exactly at the identity")
+    """Entry gate for the graded-conjugation constructions.
+
+    Raises ``MuNotNormal`` or ``MuNotPointed`` unless ``is_normal_fuzzy_subgroup``
+    and ``is_pointed`` hold.  The verdict is computed once per ``FuzzySubset``
+    object and kept on it; each rejection raises a fresh error.
+    """
+    fault = mu._fault
+    if fault is not None:
+        kind, message = fault
+        raise kind(message)
 
 
 # -- generators --------------------------------------------------------------

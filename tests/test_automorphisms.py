@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzaut import automorphisms
 from fuzzaut.automorphisms import (
@@ -91,6 +92,46 @@ class TestMakeAutomorphism:
             make_automorphism(f)
 
 
+def automorphism_oracle(f):
+    """check_automorphism read from the Fraction grades: (verdict, error class, message)."""
+    if f.domain != f.codomain:
+        return False, AutomorphismError, "domain and codomain must be the same group"
+    for x, y in enumerate(f.images):
+        if f.grades[x][y] != 1:
+            message = f"skeleton sends {x} to {y}, but row {x} grades {y} as {f.grades[x][y]}"
+            return False, AutomorphismError, message
+    report = is_fuzzy_homomorphism(f)
+    if not report:
+        return False, NotHomomorphism, str(report.witness)
+    if len(set(f.images)) != len(f.images):
+        return False, NotInjective, f"fuzzy images {f.images} repeat a value"
+    return True, None, None
+
+
+class TestCheckAutomorphismMatchesGrades:
+    """The grade-1 test reads the rank rows; the Fraction grades are the oracle."""
+
+    @given(data=st.data(), token=st.sampled_from(["Z2", "Z4", "V4", "S3", "Q8"]))
+    @settings(max_examples=150, deadline=None)
+    def test_perturbed_maps(self, data, token):
+        group = builtin_group(token)
+        mu = data.draw(st.sampled_from([chain_strategy(group), class_strategy(group)]))
+        base = data.draw(st.sampled_from(sample_automorphisms(group, mu)))
+        rows = [list(row) for row in base.grades]
+        cells = st.tuples(st.sampled_from(group.elements), st.sampled_from(group.elements))
+        for x, y in data.draw(st.lists(cells, max_size=4)):
+            rows[x][y] = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1)]))
+        images = list(base.images)
+        if data.draw(st.booleans()):
+            images[data.draw(st.sampled_from(group.elements))] = data.draw(
+                st.sampled_from(group.elements)
+            )
+        f = FuzzyMap(group, group, tuple(map(tuple, rows)), tuple(images))
+        ok, error = check_automorphism(f)
+        expected = automorphism_oracle(f)
+        assert (ok, type(error) if error else None, str(error) if error else None) == expected
+
+
 class TestComposition:
     def test_identity_laws(self):
         mu = class_strategy(S3)
@@ -136,30 +177,30 @@ class TestIdentity:
 
 class TestClassPreserving:
     def test_identity_is_class_preserving(self):
-        assert is_class_preserving(identity_aut(S3))
+        assert is_class_preserving(identity_aut(S3).fmap)
 
     def test_induced_maps_are_class_preserving(self):
         mu = class_strategy(S3)
         for fmap in induced_family_raw(S3, mu):
-            assert is_class_preserving(make_automorphism(fmap))
+            assert is_class_preserving(fmap)
 
     def test_klein4_swap_is_not(self):
         mu = class_strategy(V4)
         swap = lift_hom((0, 2, 1, 3), mu, V4)
-        assert not is_class_preserving(make_automorphism(swap))
+        assert not is_class_preserving(swap)
 
 
 class TestInner:
     def test_identity_witness_is_least_index(self):
-        assert is_inner(identity_aut(S3)) == 0
-        assert is_inner(identity_aut(Z4)) == 0
+        assert is_inner(identity_aut(S3).fmap) == 0
+        assert is_inner(identity_aut(Z4).fmap) == 0
 
     def test_induced_witness_conjugates_like_the_label(self):
         mu = class_strategy(S3)
         family = induced_family_raw(S3, mu)
         for g in S3.elements:
             aut = make_automorphism(family[g])
-            w = is_inner(aut)
+            w = is_inner(aut.fmap)
             assert w is not None
             assert all(aut.images[x] == S3.conjugate(x, w) for x in S3.elements)
 
@@ -169,13 +210,13 @@ class TestInner:
         family = induced_family_raw(q8, mu)
         z = set(center(q8).indices)
         for g in q8.elements:
-            w = is_inner(make_automorphism(family[g]))
+            w = is_inner(family[g])
             assert q8.table[w][q8.inverses[g]] in z or q8.table[q8.inverses[g]][w] in z
 
     def test_klein4_swap_is_outer(self):
         mu = class_strategy(V4)
         swap = make_automorphism(lift_hom((0, 2, 1, 3), mu, V4))
-        assert is_inner(swap) is None
+        assert is_inner(swap.fmap) is None
 
 
 class TestConjugation:
@@ -194,7 +235,7 @@ class TestConjugation:
         for aut in samples:
             for g in (1, 3):
                 result = conjugate_aut(aut, make_automorphism(family[g]))
-                assert is_inner(result) is not None
+                assert is_inner(result.fmap) is not None
 
     def test_trivial_inner_group_on_klein4(self):
         mu = class_strategy(V4)

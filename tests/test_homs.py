@@ -1,5 +1,7 @@
 """Fuzzy homomorphisms: the sup condition, kernels, structural facts, lifts."""
 
+import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -314,6 +316,67 @@ class TestTheorem21MatchesGrades:
     def test_no_grade_one_anywhere(self):
         f = FuzzyMap(S3, Z2, ((F(1, 2), F(0)),) * 6, SIGN)
         assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (True, False, True, True)
+
+
+def all_mappings(domain, codomain):
+    return itertools.product(codomain.elements, repeat=domain.order)
+
+
+def first_pair_oracle(domain, codomain, phi):
+    """The first (a, b) of the n^2 scan at which phi is not multiplicative."""
+    return next(
+        (
+            (a, b)
+            for a in domain.elements
+            for b in domain.elements
+            if phi[domain.table[a][b]] != codomain.table[phi[a]][phi[b]]
+        ),
+        None,
+    )
+
+
+# every mapping between these is checked; each domain needs two or more generators
+EXHAUSTIVE_PAIRS = [
+    ("V4", "Z2"), ("V4", "V4"), ("S3", "Z2"), ("D4", "Z2"), ("Q8", "Z2"), ("S3", "S3"),
+]
+
+
+class TestImagesMultiplyOverGenerators:
+    """Fact 1 of Theorem 2.1 and lift_hom test phi over a generating set.
+
+    The n^2 scan is the oracle."""
+
+    @pytest.mark.parametrize("tokens", EXHAUSTIVE_PAIRS)
+    def test_every_crisp_mapping(self, tokens):
+        domain, codomain = map(builtin_group, tokens)
+        assert len(generating_sequence(domain)) > 1
+        rejected = 0
+        for phi in all_mappings(domain, codomain):
+            first = first_pair_oracle(domain, codomain, phi)
+            f = crisp_map(domain, codomain, phi)
+            assert check_theorem_2_1(f)[0] == (first is None)
+            assert check_theorem_2_1(f) == theorem_2_1_oracle(f)
+            rejected += first is not None
+        assert rejected
+
+    @pytest.mark.parametrize("tokens", EXHAUSTIVE_PAIRS)
+    def test_lift_names_the_first_pair(self, tokens):
+        domain, codomain = map(builtin_group, tokens)
+        mu = class_strategy(codomain)
+        for phi in all_mappings(domain, codomain):
+            first = first_pair_oracle(domain, codomain, phi)
+            if first is None:
+                assert lift_hom(phi, mu, domain).images == phi
+            else:
+                with pytest.raises(NotHomomorphism, match=re.escape(f"(a, b) = {first}") + "$"):
+                    lift_hom(phi, mu, domain)
+
+    def test_first_pair_can_lie_off_the_generators(self):
+        phi = (0, 1, 1, 1, 0, 1)  # not multiplicative on S3 -> Z2
+        first = first_pair_oracle(S3, Z2, phi)
+        assert first is not None
+        with pytest.raises(NotHomomorphism, match=re.escape(str(first))):
+            lift_hom(phi, class_strategy(Z2), S3)
 
 
 class TestTheorem22:

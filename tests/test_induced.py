@@ -4,8 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from fuzzaut.grades import rank_grades
 from fuzzaut.groups import builtin_group, center, is_group_isomorphism
-from fuzzaut.maps import MultipleUnitEntries, compose_maps, equiv, inverse_map, pointwise_equal
+from fuzzaut.maps import (
+    FuzzyMap,
+    MultipleUnitEntries,
+    compose_maps,
+    equiv,
+    indexed_map,
+    inverse_map,
+    pointwise_equal,
+)
 from fuzzaut.subsets import (
     MuNotNormal,
     MuNotPointed,
@@ -17,9 +26,13 @@ from fuzzaut.subsets import (
 from fuzzaut.induced import (
     MuMismatch,
     build_inn_group,
+    check_identity_label,
+    check_inverse_labels,
+    check_label_products,
     compose_induced,
     identity_induced,
     induced_family_raw,
+    induced_indices,
     induced_map,
     inverse_induced,
     make_induced,
@@ -224,3 +237,50 @@ class TestRawFamily:
         # far as the unit-entry rule of the matrix
         with pytest.raises(MultipleUnitEntries, match=r"row 0 has grade-1 entries at \[0, 1\]"):
             induced_map(flat_mu(builtin_group("Z2")), 0)
+
+
+def regraded(fmap, scale):
+    """The same rank rows over another value list: each grade below 1 times ``scale``."""
+    rows = tuple(tuple(v if v == 1 else v * scale for v in row) for row in fmap.grades)
+    return FuzzyMap(fmap.domain, fmap.codomain, rows, fmap.images)
+
+
+def widened(mu, g):
+    """f_g with the same grades over a longer value list, so with other ranks."""
+    vec = mu.grades + (F(1, 3),)
+    return indexed_map(mu.group, mu.group, rank_grades(vec), induced_indices(mu.group, g))
+
+
+class TestExactLawsOnRanks:
+    """Lemmas 4.3, 4.5 and 4.6 compare rank rows only between equal value lists."""
+
+    def setup_method(self):
+        self.mu = chain_strategy(S3)
+        self.family = list(induced_family_raw(S3, self.mu))
+        self.label = S3.table[3][1]
+        assert self.label != S3.identity and F(1, 3) not in self.mu.grades
+
+    def test_identity_label_sees_other_values(self):
+        e = S3.identity
+        self.family[e] = regraded(self.family[e], F(1, 2))
+        assert self.family[e].encoding[1] == induced_family_raw(S3, self.mu)[e].encoding[1]
+        ok, witness = check_identity_label(self.mu, self.family, S3.elements)
+        assert (ok, witness) == (False, "identity-labeled matrix is not mu(x^-1 y)")
+        ok, witness = check_inverse_labels(S3, self.family, (1,))
+        assert not ok and "is not the identity matrix" in witness
+
+    def test_identity_label_over_a_wider_value_list(self):
+        e = S3.identity
+        self.family[e] = widened(self.mu, e)
+        assert self.family[e].encoding[0] != self.mu.encoding[0]
+        assert check_identity_label(self.mu, self.family, S3.elements) == (True, None)
+        assert check_inverse_labels(S3, self.family, S3.elements) == (True, None)
+
+    def test_label_products_see_other_values(self):
+        self.family[self.label] = regraded(self.family[self.label], F(1, 2))
+        ok, witness = check_label_products(S3, self.family, [(1, 3)])
+        assert not ok and witness.startswith("labels (1, 3) at cell (")
+
+    def test_label_products_over_a_wider_value_list(self):
+        self.family[self.label] = widened(self.mu, self.label)
+        assert check_label_products(S3, self.family, [(1, 3)]) == (True, None)

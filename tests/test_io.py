@@ -2,7 +2,7 @@
 
 import pytest
 
-from fuzzaut.groups import NotAssociative, builtin_group, make_group
+from fuzzaut.groups import GroupError, NotAssociative, builtin_group, make_group
 from fuzzaut.io import (
     FileFormatError,
     dumps,
@@ -71,6 +71,34 @@ class TestGroupFiles:
         with pytest.raises(Exception) as err:
             group_from_json(obj)
         assert "row 1" in str(err.value)
+
+
+class TestLoadedObjectsKept:
+    """A file's text is read on every load; the object built from it is kept per text."""
+
+    def test_same_text_gives_the_same_objects(self, tmp_path):
+        path, mu_path = tmp_path / "s3.json", tmp_path / "mu.json"
+        save(path, group_to_json(builtin_group("S3")))
+        group = load_group(path)
+        save(mu_path, mu_to_json(chain_strategy(group)))
+        assert load_group(path) is group
+        assert load_mu(mu_path, group) is load_mu(mu_path, group)
+
+    def test_rewritten_file_is_loaded_anew(self, tmp_path):
+        path, mu_path = tmp_path / "g.json", tmp_path / "mu.json"
+        save(path, group_to_json(builtin_group("S3")))
+        first = load_group(path)
+        save(mu_path, mu_to_json(chain_strategy(first)))
+        mu = load_mu(mu_path, first)
+        save(path, group_to_json(builtin_group("Z6")) | {"name": "S3"})
+        assert load_group(path).table == builtin_group("Z6").table
+        save(mu_path, {"group": "S3", "grades": ["1", "1/2", "1/2", "1/4", "1/4", "1/2"]})
+        assert load_mu(mu_path, first).grades != mu.grades
+        table = group_to_json(builtin_group("S3"))
+        table["table"][2][2] += 1
+        save(path, table)
+        with pytest.raises(GroupError):
+            load_group(path)
 
 
 class TestMuFiles:

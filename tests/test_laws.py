@@ -6,16 +6,17 @@ harness row of its statement to fail.  A law with a second, private copy in
 either place would let one of the two pass.
 
 Two cases seed a defect in the associativity kernel, which ``make_group``
-(and so Theorems 3.1 and 4.1) and Lemma 3.2 share.  The last cases seed a
-defect in map composition, below every checker, and record which statements
-of the campaign catch it.
+(and so Theorems 3.1 and 4.1) and Lemma 3.2 share, and two in the
+predicates behind ``require_valid_mu``, whose verdict each mu keeps.  The
+last cases seed a defect in map composition, below every checker, and
+record which statements of the campaign catch it.
 """
 
 import sys
 
 import pytest
 
-from fuzzaut import automorphisms, groups, induced, maps
+from fuzzaut import automorphisms, groups, induced, maps, subsets
 from fuzzaut.automorphisms import (
     ClosureViolation,
     NotInner,
@@ -35,34 +36,48 @@ from fuzzaut.induced import (
     make_induced,
 )
 from fuzzaut.maps import FuzzyMap
-from fuzzaut.subsets import class_strategy
+from fuzzaut.subsets import MuNotNormal, MuNotPointed, class_strategy, require_valid_mu
 
 S3 = builtin_group("S3")
 
 
 def seed_defect(monkeypatch, module, name, fake):
-    """Replace ``module.name`` by ``fake`` wherever fuzzaut binds it."""
+    """Replace ``module.name`` by ``fake`` wherever fuzzaut binds it.
+
+    Results certified before the defect was seeded would hide it, so the
+    cached constructions are dropped too, among them the strategy mus,
+    which keep their ``require_valid_mu`` verdict.
+    """
     original = getattr(module, name)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "fuzzaut" or mod_name.startswith("fuzzaut."):
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, fake)
+    drop_certified_results()
 
 
 def rejects(*args):
     return False, "seeded defect"
 
 
+def drop_certified_results():
+    for cached in (
+        induced.make_induced,
+        induced.identity_induced,
+        induced.build_inn_group,
+        subsets.chain_strategy,
+        subsets.class_strategy,
+    ):
+        cached.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Certified results cached before the defect was seeded would hide it."""
-    caches = (induced.make_induced, induced.identity_induced, induced.build_inn_group)
-    for cached in caches:
-        cached.cache_clear()
+    """Certified results cached before the test would hide a seeded defect."""
+    drop_certified_results()
     yield
-    for cached in caches:
-        cached.cache_clear()
+    drop_certified_results()
 
 
 def row_of(statement):
@@ -162,6 +177,25 @@ def test_class_preservation_serves_lemma_4_2_and_make_induced(monkeypatch):
         induced_map(1)
     row = row_of("Lemma 4.2")
     assert not row.verdict and "not class preserving" in row.witness
+
+
+@pytest.mark.parametrize(
+    "name, fake, error",
+    [
+        ("is_pointed", lambda mu: False, MuNotPointed),
+        ("is_normal_fuzzy_subgroup", lambda mu: (False, "seeded defect"), MuNotNormal),
+    ],
+)
+def test_validity_predicates_serve_require_valid_mu(monkeypatch, name, fake, error):
+    require_valid_mu(class_strategy(S3))  # this mu now keeps a passing verdict
+    seed_defect(monkeypatch, subsets, name, fake)
+    with pytest.raises(error):
+        require_valid_mu(class_strategy(S3))
+    with pytest.raises(error):
+        make_induced(1, class_strategy(S3))
+    for statement in ("Lemma 4.1", "Theorem 4.3"):
+        row = row_of(statement)
+        assert not row.verdict and row.witness.startswith(error.__name__)
 
 
 def test_associativity_kernel_serves_make_group_theorems_3_1_and_4_1(monkeypatch):

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzaut import maps
+from fuzzaut.grades import grade, rank_grades
 from fuzzaut.groups import builtin_group, crisp_automorphisms
 from fuzzaut.homs import lift_hom
 from fuzzaut.maps import (
@@ -31,7 +33,7 @@ from fuzzaut.maps import (
     skeleton,
 )
 from fuzzaut.subsets import chain_strategy, class_strategy, fuzzy_subset
-from fuzzaut.induced import induced_family_raw, theta
+from fuzzaut.induced import induced_family_raw, induced_indices, theta
 
 Z4 = builtin_group("Z4")
 S3 = builtin_group("S3")
@@ -331,6 +333,11 @@ class TestEncoding:
         assert lift.encoding[0] == g.encoding[0] == tuple(sorted(set(mu.grades)))
 
 
+def ranked(vec):
+    """A raw grade vector, validated and ranked: what ``indexed_map`` takes."""
+    return rank_grades([grade(v) for v in vec])
+
+
 class TestIndexedMap:
     """``indexed_map`` builds what ``make_fuzzy_map`` builds from the same matrix."""
 
@@ -344,15 +351,19 @@ class TestIndexedMap:
             [data.draw(index) for _ in codomain.elements] for _ in domain.elements
         ]
         matrix = [[vec[i] for i in row] for row in index_rows]
+        encoding = ranked(vec)
         try:
             oracle = make_fuzzy_map(domain, codomain, matrix)
         except (NoUnitEntry, MultipleUnitEntries) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                indexed_map(domain, codomain, vec, index_rows)
+                indexed_map(domain, codomain, encoding, index_rows)
             return
-        f = indexed_map(domain, codomain, vec, index_rows)
+        f = indexed_map(domain, codomain, encoding, index_rows)
         assert (f.grades, f.images) == (oracle.grades, oracle.images)
         assert_encoding_decodes(f)
+        # the vector's value list is kept, even where some entry is never indexed
+        assert f.encoding[0] is encoding[0]
+        assert pointwise_equal(f, oracle)
 
     def test_keeps_the_vector_grades(self):
         mu = chain_strategy(S3)
@@ -361,8 +372,70 @@ class TestIndexedMap:
 
     def test_errors(self):
         with pytest.raises(ShapeMismatch):
-            indexed_map(Z4, Z4, [F(1), F(0)], [[0, 1, 1, 1]] * 3)
+            indexed_map(Z4, Z4, ranked([F(1), F(0)]), [[0, 1, 1, 1]] * 3)
         with pytest.raises(NoUnitEntry):
-            indexed_map(Z4, Z4, [F(1, 2), F(0)], [[0, 1, 1, 1]] * 4)
+            indexed_map(Z4, Z4, ranked([F(1, 2), F(0)]), [[0, 1, 1, 1]] * 4)
         with pytest.raises(MultipleUnitEntries):
-            indexed_map(Z4, Z4, fuzzy_subset(Z4, [1, 1, 0, 0]).grades, Z4.table)
+            indexed_map(Z4, Z4, fuzzy_subset(Z4, [1, 1, 0, 0]).encoding, Z4.table)
+
+
+class TestCrispEncoding:
+    """``crisp_map`` writes its 0/1 encoding down; ranking its cells is the oracle."""
+
+    @given(
+        data=st.data(),
+        pair=st.sampled_from(
+            ENCODING_PAIRS + [(builtin_group("Z1"), g) for g in ENCODING_GROUPS]
+            + [(g, builtin_group("Z1")) for g in ENCODING_GROUPS]
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_ranked_cells(self, data, pair):
+        domain, codomain = pair
+        n = domain.order
+        mapping = data.draw(st.lists(st.sampled_from(codomain.elements), min_size=n, max_size=n))
+        f = crisp_map(domain, codomain, mapping)
+        assert f.encoding == maps._rank_cells(f.grades)
+        indicator = [[int(y == c) for y in codomain.elements] for c in mapping]
+        assert f == make_fuzzy_map(domain, codomain, indicator)
+
+    @pytest.mark.parametrize("token", ["Z1", "Z2", "S3", "Q8"])
+    def test_identity_map(self, token):
+        group = builtin_group(token)
+        f = identity_map(group)
+        assert f.encoding == maps._rank_cells(f.grades)
+        assert f.images == tuple(group.elements)
+
+
+class TestPointwiseEqualOnRanks:
+    """``pointwise_equal`` compares rank rows between equal value lists; grades are the oracle."""
+
+    @given(data=st.data(), pair=st.sampled_from(ENCODING_PAIRS))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_grade_equality(self, data, pair):
+        domain, codomain = pair
+        f = data.draw(graded_maps(domain, codomain))
+        if data.draw(st.booleans()):
+            g = f  # the same matrix, ranked against its own values
+        else:
+            g = data.draw(graded_maps(domain, codomain))
+        assert pointwise_equal(f, g) == (f.grades == g.grades)
+        assert pointwise_equal(g, f) == (f.grades == g.grades)
+
+    def test_maps_with_different_value_lists(self):
+        mu = chain_strategy(S3)
+        f = induced_family_raw(S3, mu)[S3.identity]
+        # the same matrix over a longer value list: ranks differ, grades agree
+        widened = indexed_map(S3, S3, ranked(mu.grades + (F(1, 3),)), induced_indices(S3, 0))
+        assert widened.encoding[0] != f.encoding[0] and widened.encoding[1] != f.encoding[1]
+        assert pointwise_equal(f, widened) and pointwise_equal(widened, f)
+        # equal rank rows over different values are different matrices
+        halved = tuple(tuple(v / 2 if v < 1 else v for v in row) for row in f.grades)
+        shifted = FuzzyMap(S3, S3, halved, f.images)
+        assert shifted.encoding[1] == f.encoding[1] and shifted.encoding[0] != f.encoding[0]
+        assert not pointwise_equal(f, shifted) and not pointwise_equal(shifted, f)
+
+    def test_relations_compare_grades(self):
+        f = identity_map(Z4)
+        rel = fuzzy_relation(Z4, Z4, f.grades)
+        assert pointwise_equal(f, rel) and pointwise_equal(rel, f)

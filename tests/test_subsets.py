@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzaut.grades import GradeError, format_grade, parse_grade
+from fuzzaut.grades import GradeError, format_grade, parse_grade, rank_grades
 from fuzzaut.groups import builtin_group, is_subgroup
 from fuzzaut.subsets import (
+    FuzzySubset,
     GradesNotDecreasing,
     MuNotNormal,
     MuNotPointed,
@@ -235,3 +236,90 @@ class TestStrategies:
     def test_strategies_always_produce_valid_mu(self, token, strategy):
         mu = strategy(builtin_group(token))
         require_valid_mu(mu)
+
+
+ORACLE_GROUPS = [builtin_group(t) for t in ("Z1", "Z4", "V4", "S3", "D4", "Q8", "Z12", "S4")]
+
+
+def fresh_verdict(mu):
+    """require_valid_mu's verdict from the predicates, computed now: (error class, message)."""
+    ok, witness = is_normal_fuzzy_subgroup(mu)
+    if not ok:
+        return MuNotNormal, str(witness)
+    if not is_pointed(mu):
+        return MuNotPointed, "grade 1 must be attained exactly at the identity"
+    return None
+
+
+def kept_verdict(mu):
+    try:
+        require_valid_mu(mu)
+    except (MuNotNormal, MuNotPointed) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def membership_functions(draw):
+    """Valid, non-normal, non-pointed and flat mus, and perturbed strategy mus."""
+    group = draw(st.sampled_from(ORACLE_GROUPS))
+    kind = draw(st.sampled_from(["chain", "class", "perturbed", "random", "flat"]))
+    if kind == "flat":
+        return flat_mu(group, draw(st.sampled_from(["1", "1/2"])))
+    if kind == "random":
+        n = group.order
+        grades = draw(st.lists(st.sampled_from(GRADE_POOL), min_size=n, max_size=n))
+        return fuzzy_subset(group, grades)
+    base = (chain_strategy if kind == "chain" else class_strategy)(group)
+    if kind != "perturbed":
+        return base
+    grades = list(base.grades)
+    for x in draw(st.lists(st.sampled_from(group.elements), max_size=3)):
+        grades[x] = draw(st.sampled_from(GRADE_POOL))
+    return fuzzy_subset(group, grades)
+
+
+class TestEncoding:
+    @given(mu=membership_functions())
+    @settings(max_examples=120, deadline=None)
+    def test_encoding_is_the_ranked_grades(self, mu):
+        assert mu.encoding == rank_grades(mu.grades)
+        values, ranks = mu.encoding
+        assert tuple(values[r] for r in ranks) == mu.grades
+
+    def test_encoding_takes_no_part_in_equality(self):
+        mu = chain_strategy(builtin_group("S3"))
+        twin = FuzzySubset(mu.group, mu.grades, ((F(0),), (0,) * 6))
+        assert twin == mu and hash(twin) == hash(mu)
+
+
+class TestKeptVerdict:
+    """require_valid_mu keeps its verdict per mu; the predicates, asked afresh, are the oracle."""
+
+    @given(mu=membership_functions())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_fresh_verdict_twice(self, mu):
+        expected = fresh_verdict(mu)
+        assert kept_verdict(mu) == expected
+        assert kept_verdict(mu) == expected
+
+    def test_rejection_raises_a_fresh_error_each_time(self):
+        bad = flat_mu(builtin_group("Z2"))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(MuNotPointed) as info:
+                require_valid_mu(bad)
+            errors.append(info.value)
+        assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
+
+    def test_kept_per_mu_not_per_group(self):
+        s3 = builtin_group("S3")
+        good, flat = class_strategy(s3), flat_mu(s3)
+        not_normal = fuzzy_subset(s3, ["1", "1/4", "1/2", "1/2", "1/2", "1/2"])
+        for _ in range(2):
+            require_valid_mu(good)
+            with pytest.raises(MuNotPointed):
+                require_valid_mu(flat)
+            with pytest.raises(MuNotNormal):
+                require_valid_mu(not_normal)
+            require_valid_mu(gen_mu_class(s3, ["1", "1/4", "1/2"]))
