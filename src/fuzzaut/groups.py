@@ -602,9 +602,12 @@ def first_non_multiplicative(
     """The first (a, b) in lexicographic order with mapping[a*b] != mapping[a]*mapping[b].
 
     The verdict comes from the pairs (s, b) with s in
-    ``generating_sequence(g)``, which is exact: for a = s1...sk, a positive
-    word in them, mapping[a*b] = mapping[s1]...mapping[sk]*mapping[b] =
-    mapping[a]*mapping[b].  A failing mapping is rescanned to name its pair.
+    ``generating_sequence(g)``, which is exact.  The pairs (s, e) force
+    mapping[e] = e, since h cancels.  For a = s1...sk, a positive word in the
+    generators, mapping[a*b] = mapping[s1]...mapping[sk]*mapping[b], and with
+    b = e this gives mapping[a] = mapping[s1]...mapping[sk], so
+    mapping[a*b] = mapping[a]*mapping[b].  A failing mapping is rescanned to
+    name its pair.
     """
     tg, th = g.table, h.table
 
@@ -623,5 +626,4 @@ def is_group_isomorphism(g: FiniteGroup, h: FiniteGroup, mapping: Sequence[int])
         return False
     if sorted(m) != list(range(h.order)):
         return False
-    th, tg = h.table, g.table
-    return all(th[m[a]][m[b]] == m[tg[a][b]] for a in g.elements for b in g.elements)
+    return first_non_multiplicative(g, h, m) is None

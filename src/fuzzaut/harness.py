@@ -236,9 +236,9 @@ class _Instance:
         """Deduplicated sample set: all lifted automorphisms plus the labeled family.
 
         Samples are keyed on their integer encoding, not on their ``Fraction``
-        grades.  Every sample is built by ``maps.indexed_map`` from the one
-        vector ``mu.grades``, so all share ``values``, and equal rank rows
-        mean equal grades.
+        grades.  Every sample is built by ``maps.indexed_map`` from
+        ``mu.encoding``, so all share mu's ``values`` tuple, and equal rank
+        rows mean equal grades.
         """
         seen: set[tuple] = set()
         out = []

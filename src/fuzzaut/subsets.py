@@ -68,13 +68,12 @@ class FuzzySubset:
 
     group: FiniteGroup
     grades: tuple[Fraction, ...]
-    encoding: Optional[tuple[tuple[Fraction, ...], tuple[int, ...]]] = field(
-        default=None, compare=False
+    encoding: tuple[tuple[Fraction, ...], tuple[int, ...]] = field(
+        init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
-        if self.encoding is None:
-            object.__setattr__(self, "encoding", rank_grades(self.grades))
+        object.__setattr__(self, "encoding", rank_grades(self.grades))
 
     def __call__(self, x: int) -> Fraction:
         return self.grades[x]

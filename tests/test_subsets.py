@@ -1,5 +1,6 @@
 """Membership functions: predicates, level sets, generators, strategies."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -289,8 +290,19 @@ class TestEncoding:
 
     def test_encoding_takes_no_part_in_equality(self):
         mu = chain_strategy(builtin_group("S3"))
-        twin = FuzzySubset(mu.group, mu.grades, ((F(0),), (0,) * 6))
+        twin = FuzzySubset(mu.group, tuple(F(g) for g in mu.grades))
         assert twin == mu and hash(twin) == hash(mu)
+        assert twin.encoding == mu.encoding and twin.encoding is not mu.encoding
+
+    def test_encoding_is_not_a_constructor_argument(self):
+        mu = chain_strategy(builtin_group("S3"))
+        with pytest.raises(TypeError):
+            FuzzySubset(mu.group, mu.grades, ((F(0),), (0,) * 6))
+        require_valid_mu(mu)
+        flat = dataclasses.replace(mu, grades=(F(1),) * 6)
+        assert flat.encoding == rank_grades(flat.grades)
+        with pytest.raises(MuNotPointed):
+            require_valid_mu(flat)
 
 
 class TestKeptVerdict:
