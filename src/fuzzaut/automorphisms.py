@@ -13,11 +13,10 @@ inputs; the raising constructors below and the law harness both call them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import FuzzautError
+from .errors import FuzzautError, Record
 from .groups import (
     FiniteGroup,
     class_index,
@@ -51,11 +50,15 @@ class ClosureViolation(RuntimeError):
     """A law-guaranteed closure failed; this is a library defect."""
 
 
-@dataclass(frozen=True, repr=False)
-class FuzzyAutomorphism:
+class FuzzyAutomorphism(Record):
     """Validated bijective fuzzy homomorphism with equal domain and codomain."""
 
+    _compared = ("fmap",)
+
     fmap: FuzzyMap
+
+    def __init__(self, fmap) -> None:
+        self.__dict__.update(fmap=fmap)
 
     @property
     def group(self) -> FiniteGroup:
@@ -249,12 +252,16 @@ def conjugate_aut(f: FuzzyAutomorphism, f_g: FuzzyAutomorphism) -> FuzzyAutomorp
     return FuzzyAutomorphism(conj)
 
 
-@dataclass(frozen=True, repr=False)
-class AutClass:
+class AutClass(Record):
     """Skeleton class: canonical permutation plus one representative."""
+
+    _compared = ("skeleton", "representative")
 
     skeleton: tuple[int, ...]
     representative: FuzzyAutomorphism
+
+    def __init__(self, skeleton, representative) -> None:
+        self.__dict__.update(skeleton=skeleton, representative=representative)
 
     def __repr__(self) -> str:
         return f"AutClass{self.skeleton}"

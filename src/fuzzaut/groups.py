@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import FuzzautError
+from .errors import FuzzautError, Record
 
 
 class GroupError(FuzzautError):
@@ -50,15 +49,21 @@ class NotNormal(GroupError):
     pass
 
 
-@dataclass(frozen=True, repr=False)
-class FiniteGroup:
+class FiniteGroup(Record):
     """Validated group: order, Cayley table, identity and inverse table."""
+
+    _compared = ("name", "order", "table", "identity", "inverses")
 
     name: str
     order: int
     table: tuple[tuple[int, ...], ...]
     identity: int
     inverses: tuple[int, ...]
+
+    def __init__(self, name, order, table, identity, inverses) -> None:
+        self.__dict__.update(
+            name=name, order=order, table=table, identity=identity, inverses=inverses
+        )
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -90,12 +95,16 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-@dataclass(frozen=True, repr=False)
-class ElementSubset:
+class ElementSubset(Record):
     """Subset of a group's elements, stored as a bitmask."""
+
+    _compared = ("group", "mask")
 
     group: FiniteGroup
     mask: int
+
+    def __init__(self, group, mask) -> None:
+        self.__dict__.update(group=group, mask=mask)
 
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "ElementSubset":

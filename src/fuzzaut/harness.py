@@ -17,7 +17,6 @@ the failing sample's tag to the witness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Optional
@@ -32,7 +31,7 @@ from .automorphisms import (
     check_inner_products,
     check_inverse_law,
 )
-from .errors import FuzzautError
+from .errors import FuzzautError, Record
 from .groups import (
     ElementSubset,
     FiniteGroup,
@@ -121,28 +120,49 @@ DEFAULT_GROUPS: tuple[str, ...] = (
 ABLATION_TOKENS = ("pointed", "normal-mu")
 
 
-@dataclass(frozen=True)
-class Campaign:
+class Campaign(Record):
     """Deterministic run configuration.
 
     ``seed`` is carried for reproducibility bookkeeping; the default suites
     are fully exhaustive and draw no random samples.
     """
 
-    groups: tuple[str, ...] = DEFAULT_GROUPS
-    mu_sources: tuple[str, ...] = ("chain", "class")
-    suites: tuple[str, ...] = STATEMENT_IDS
-    seed: int = 0
+    _compared = ("groups", "mu_sources", "suites", "seed")
+
+    groups: tuple[str, ...]
+    mu_sources: tuple[str, ...]
+    suites: tuple[str, ...]
+    seed: int
+
+    def __init__(
+        self,
+        groups: tuple[str, ...] = DEFAULT_GROUPS,
+        mu_sources: tuple[str, ...] = ("chain", "class"),
+        suites: tuple[str, ...] = STATEMENT_IDS,
+        seed: int = 0,
+    ) -> None:
+        self.__dict__.update(groups=groups, mu_sources=mu_sources, suites=suites, seed=seed)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
+    """One report row; ``ms``, the row's time, takes no part in equality."""
+
+    _compared = ("statement", "instance", "verdict", "witness", "expected_failure")
+
     statement: str
     instance: str
     verdict: bool
     witness: Optional[str]
-    ms: int = field(compare=False, default=0)
-    expected_failure: bool = False
+    ms: int
+    expected_failure: bool
+
+    def __init__(
+        self, statement, instance, verdict, witness, ms: int = 0, expected_failure: bool = False
+    ) -> None:
+        self.__dict__.update(
+            statement=statement, instance=instance, verdict=verdict, witness=witness,
+            ms=ms, expected_failure=expected_failure,
+        )
 
 
 def default_campaign() -> Campaign:

@@ -25,13 +25,12 @@ most ``ROW_PRODUCT_MEMO_BOUND`` products, dropping the oldest first, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
 from typing import Optional, Sequence
 
-from .errors import FuzzautError
+from .errors import FuzzautError, Record
 from .groups import (
     ElementSubset,
     FiniteGroup,
@@ -58,13 +57,17 @@ class OracleRejected(HomError):
     """A lifted construction failed the homomorphism oracle; never dropped."""
 
 
-@dataclass(frozen=True)
-class HomWitness:
+class HomWitness(Record):
+    _compared = ("x1", "x2", "y", "lhs", "rhs")
+
     x1: int
     x2: int
     y: int
     lhs: Fraction
     rhs: Fraction
+
+    def __init__(self, x1, x2, y, lhs, rhs) -> None:
+        self.__dict__.update(x1=x1, x2=x2, y=y, lhs=lhs, rhs=rhs)
 
     def __str__(self) -> str:
         return (
@@ -73,10 +76,14 @@ class HomWitness:
         )
 
 
-@dataclass(frozen=True)
-class HomCheckReport:
+class HomCheckReport(Record):
+    _compared = ("verdict", "witness")
+
     verdict: bool
-    witness: Optional[HomWitness] = None
+    witness: Optional[HomWitness]
+
+    def __init__(self, verdict, witness: Optional[HomWitness] = None) -> None:
+        self.__dict__.update(verdict=verdict, witness=witness)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -189,12 +196,19 @@ def check_theorem_2_1(f: FuzzyMap) -> tuple[bool, bool, bool, bool]:
     return p1, p2, p3, p4
 
 
-@dataclass(frozen=True)
-class Theorem22Report:
+class Theorem22Report(Record):
+    _compared = ("kernel", "kernel_is_normal", "one_one", "kernel_trivial")
+
     kernel: ElementSubset
     kernel_is_normal: bool
     one_one: bool
     kernel_trivial: bool
+
+    def __init__(self, kernel, kernel_is_normal, one_one, kernel_trivial) -> None:
+        self.__dict__.update(
+            kernel=kernel, kernel_is_normal=kernel_is_normal,
+            one_one=one_one, kernel_trivial=kernel_trivial,
+        )
 
     @property
     def verdict(self) -> bool:

@@ -16,7 +16,6 @@ and the law harness both call them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -26,7 +25,7 @@ from .automorphisms import (
     check_inner_inverses,
     is_class_preserving,
 )
-from .errors import FuzzautError
+from .errors import FuzzautError, Record
 from .groups import (
     ElementSubset,
     FiniteGroup,
@@ -34,6 +33,7 @@ from .groups import (
     is_group_isomorphism,
     make_group,
     opposite_group,
+    picker,
     quotient_group,
 )
 from .homs import HomCheckReport, is_fuzzy_homomorphism
@@ -44,6 +44,7 @@ from .maps import (
     is_one_one,
     is_onto,
     pointwise_equal,
+    ranked_map,
 )
 from .subsets import FuzzySubset, require_valid_mu
 
@@ -56,13 +57,17 @@ class LawViolation(RuntimeError):
     """An exact matrix law failed for validated inputs; a library defect."""
 
 
-@dataclass(frozen=True, repr=False)
-class InducedInner:
+class InducedInner(Record):
     """Labeled induced map: the label g, the membership function, the matrix."""
+
+    _compared = ("label", "mu", "fmap")
 
     label: int
     mu: FuzzySubset
     fmap: FuzzyMap
+
+    def __init__(self, label, mu, fmap) -> None:
+        self.__dict__.update(label=label, mu=mu, fmap=fmap)
 
     @property
     def group(self) -> FiniteGroup:
@@ -90,8 +95,29 @@ def induced_map(mu: FuzzySubset, g: int) -> FuzzyMap:
 
 
 def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
-    """All labeled maps as validated fuzzy maps, with no law assertions."""
-    return [induced_map(mu, g) for g in group.elements]
+    """All labeled maps as validated fuzzy maps, with no law assertions.
+
+    Every f_g is f_e with its columns permuted by conjugation:
+    f_g(x, y) = mu(x^-1 * (g y g^-1)) = f_e(x, g y g^-1).  This is an identity
+    of the cell arguments alone, so it holds for every mu, valid or not.  So
+    f_e's rank rows and grade rows are built once, each f_g picks its rows'
+    cells from them, and ``maps.ranked_map`` finds each map's unit entries,
+    raising what ``induced_map`` raises for the first failing label.
+    """
+    t, inv = group.table, group.inverses
+    values, ranks = mu.encoding
+    rank_rows = [tuple(map(ranks.__getitem__, t[inv[x]])) for x in group.elements]
+    grade_rows = [tuple(map(values.__getitem__, row)) for row in rank_rows]
+    family = []
+    for g in group.elements:
+        tg, g_inv = t[g], inv[g]
+        pick = picker([t[tg[y]][g_inv] for y in group.elements])
+        family.append(
+            ranked_map(
+                group, group, values, tuple(map(pick, rank_rows)), tuple(map(pick, grade_rows))
+            )
+        )
+    return family
 
 
 def check_induced_homomorphism(
@@ -266,8 +292,7 @@ def inverse_induced(a: InducedInner) -> InducedInner:
     return result
 
 
-@dataclass(frozen=True, repr=False)
-class InnGroup:
+class InnGroup(Record):
     """Skeleton classes of the labeled family with their Cayley table.
 
     ``classes`` partitions the labels (two labels agree exactly when they lie
@@ -275,11 +300,16 @@ class InnGroup:
     label product and is validated as a group.
     """
 
+    _compared = ("group", "mu", "classes", "class_of", "table")
+
     group: FiniteGroup
     mu: FuzzySubset
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     table: FiniteGroup
+
+    def __init__(self, group, mu, classes, class_of, table) -> None:
+        self.__dict__.update(group=group, mu=mu, classes=classes, class_of=class_of, table=table)
 
     def __repr__(self) -> str:
         return f"InnGroup({self.group.name}, classes={len(self.classes)})"
@@ -309,9 +339,13 @@ def build_inn_group(group: FiniteGroup, mu: FuzzySubset) -> InnGroup:
     return InnGroup(group, mu, classes, tuple(class_of), inn_table)
 
 
-@dataclass(frozen=True)
-class ZetaCheck:
+class ZetaCheck(Record):
     """The label-to-class map g -> class(g^-1) with its verification facts."""
+
+    _compared = (
+        "inn", "images", "multiplicative", "surjective", "kernel",
+        "kernel_is_center", "quotient", "coset_map", "induced_iso", "isomorphism",
+    )
 
     inn: InnGroup
     images: tuple[int, ...]
@@ -323,6 +357,16 @@ class ZetaCheck:
     coset_map: tuple[int, ...]
     induced_iso: Optional[tuple[int, ...]]
     isomorphism: bool
+
+    def __init__(
+        self, inn, images, multiplicative, surjective, kernel,
+        kernel_is_center, quotient, coset_map, induced_iso, isomorphism,
+    ) -> None:
+        self.__dict__.update(
+            inn=inn, images=images, multiplicative=multiplicative, surjective=surjective,
+            kernel=kernel, kernel_is_center=kernel_is_center, quotient=quotient,
+            coset_map=coset_map, induced_iso=induced_iso, isomorphism=isomorphism,
+        )
 
     @property
     def ok(self) -> bool:
@@ -392,13 +436,17 @@ def zeta(group: FiniteGroup, mu: FuzzySubset) -> ZetaCheck:
     )
 
 
-@dataclass(frozen=True)
-class ThetaCheck:
+class ThetaCheck(Record):
     """The graded evaluation map onto the label-indexed family.
 
     Labels compose by reversed product, so the codomain is the opposite
     group on the same indices; theta(a, label b) = mu(a^-1 * b^-1).
     """
+
+    _compared = (
+        "fmap", "label_group", "hom_report", "images_are_inverses",
+        "kernel", "kernel_trivial", "one_one", "onto",
+    )
 
     fmap: FuzzyMap
     label_group: FiniteGroup
@@ -408,6 +456,16 @@ class ThetaCheck:
     kernel_trivial: bool
     one_one: bool
     onto: bool
+
+    def __init__(
+        self, fmap, label_group, hom_report, images_are_inverses,
+        kernel, kernel_trivial, one_one, onto,
+    ) -> None:
+        self.__dict__.update(
+            fmap=fmap, label_group=label_group, hom_report=hom_report,
+            images_are_inverses=images_are_inverses, kernel=kernel,
+            kernel_trivial=kernel_trivial, one_one=one_one, onto=onto,
+        )
 
     @property
     def ok(self) -> bool:

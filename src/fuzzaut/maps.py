@@ -22,6 +22,9 @@ constructor derives it once, so no check has to rank a matrix again:
 * ``indexed_map`` reads each cell's rank from one ranked grade vector, such
   as ``FuzzySubset.encoding``, so the maps built from one membership
   function share its value list and grade objects;
+* ``ranked_map`` takes rank rows and grade rows that are already built,
+  as ``indexed_map`` and ``induced.induced_family_raw`` do, and finds the
+  unit entries on the ranks;
 * ``compose_maps`` reindexes f's rank rows through g's skeleton, as it does
   the grades, and ``inverse_map`` transposes them.
 
@@ -31,12 +34,11 @@ ranks are, because ``values`` is strictly increasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Optional, Sequence
 
-from .errors import FuzzautError
+from .errors import FuzzautError, Record
 from .grades import GRADE_ONE, GRADE_ZERO, grade, rank_grades
 from .groups import FiniteGroup, picker
 
@@ -61,13 +63,17 @@ class NotBijective(MapError):
     pass
 
 
-@dataclass(frozen=True, repr=False)
-class FuzzyRelation:
+class FuzzyRelation(Record):
     """Grade matrix over domain x codomain; shape is the only invariant."""
+
+    _compared = ("domain", "codomain", "grades")
 
     domain: FiniteGroup
     codomain: FiniteGroup
     grades: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(self, domain, codomain, grades) -> None:
+        self.__dict__.update(domain=domain, codomain=codomain, grades=grades)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.domain.name} -> {self.codomain.name})"
@@ -82,7 +88,6 @@ def _rank_cells(grades) -> Encoding:
     return values, tuple(tuple(islice(ranks, len(row))) for row in grades)
 
 
-@dataclass(frozen=True, repr=False)
 class FuzzyMap(FuzzyRelation):
     """Relation with a unique unit entry per row; ``images`` is the skeleton.
 
@@ -91,12 +96,16 @@ class FuzzyMap(FuzzyRelation):
     takes no part in equality.
     """
 
-    images: tuple[int, ...]
-    encoding: Optional[Encoding] = field(default=None, compare=False)
+    _compared = FuzzyRelation._compared + ("images",)
 
-    def __post_init__(self) -> None:
-        if self.encoding is None:
-            object.__setattr__(self, "encoding", _rank_cells(self.grades))
+    images: tuple[int, ...]
+    encoding: Encoding
+
+    def __init__(self, domain, codomain, grades, images, encoding: Optional[Encoding] = None) -> None:
+        self.__dict__.update(
+            domain=domain, codomain=codomain, grades=grades, images=images,
+            encoding=_rank_cells(grades) if encoding is None else encoding,
+        )
 
 
 def _check_shape(domain, codomain, rows) -> None:
@@ -144,16 +153,25 @@ def indexed_map(domain: FiniteGroup, codomain: FiniteGroup, encoding, index_rows
     """``make_fuzzy_map`` of the matrix whose cell (x, y) is entry ``index_rows[x][y]``
     of a ranked grade vector ``encoding = (values, ranks)``, such as ``FuzzySubset.encoding``.
 
-    Nothing is validated or ranked again: the unit entries are found on the
-    ranks, and the cells are the objects in ``values``.  Raises
-    ``make_fuzzy_map``'s ``ShapeMismatch``, ``NoUnitEntry`` and
-    ``MultipleUnitEntries`` for the same matrix.
+    Nothing is validated or ranked again: ``ranked_map`` finds the unit
+    entries on the ranks, and the cells are the objects in ``values``.
     """
     values, ranks = encoding
-    index_rows = tuple(index_rows)
-    _check_shape(domain, codomain, index_rows)
-    top = unit_rank(values)
     rank_rows = tuple(tuple(map(ranks.__getitem__, row)) for row in index_rows)
+    grade_rows = tuple(tuple(map(values.__getitem__, row)) for row in rank_rows)
+    return ranked_map(domain, codomain, values, rank_rows, grade_rows)
+
+
+def ranked_map(domain: FiniteGroup, codomain: FiniteGroup, values, rank_rows, grade_rows) -> FuzzyMap:
+    """The map with cells ``grade_rows``, given with their ranks over ``values``
+    (``values[rank_rows[x][y]] == grade_rows[x][y]``, which the caller keeps).
+
+    The unit entries are found on the ranks.  Raises ``make_fuzzy_map``'s
+    ``ShapeMismatch``, ``NoUnitEntry`` and ``MultipleUnitEntries`` for the
+    same matrix.
+    """
+    _check_shape(domain, codomain, rank_rows)
+    top = unit_rank(values)
     images = []
     for x, row in enumerate(rank_rows):
         units = row.count(top)
@@ -163,8 +181,7 @@ def indexed_map(domain: FiniteGroup, codomain: FiniteGroup, encoding, index_rows
             at = [y for y, r in enumerate(row) if r == top]
             raise MultipleUnitEntries(f"row {x} has grade-1 entries at {at}")
         images.append(row.index(top))
-    grades = tuple(tuple(map(values.__getitem__, row)) for row in rank_rows)
-    return FuzzyMap(domain, codomain, grades, tuple(images), (values, rank_rows))
+    return FuzzyMap(domain, codomain, grade_rows, tuple(images), (values, rank_rows))
 
 
 def fuzzy_image(f: FuzzyMap, x: int) -> int:

@@ -7,12 +7,11 @@ construction and always re-certify through the predicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .errors import FuzzautError
+from .errors import FuzzautError, Record
 from .grades import GRADE_ONE, grade, rank_grades
 from .groups import (
     ElementSubset,
@@ -56,24 +55,24 @@ class StrategyInapplicable(SubsetError):
     pass
 
 
-@dataclass(frozen=True)
-class FuzzySubset:
+class FuzzySubset(Record):
     """Grade vector over a group's elements, callable as mu(x).
 
     ``encoding = (values, ranks)`` holds the grades as integer ranks
-    (``grades.rank_grades``), derived once and kept out of equality, as
-    ``FuzzyMap.encoding`` is.  The predicates scan the ranks, and every map
-    built from mu (``maps.indexed_map``) reuses them.
+    (``grades.rank_grades``), derived once by the constructor (it is not an
+    argument) and kept out of equality, as ``FuzzyMap.encoding`` is.  The
+    predicates scan the ranks, and every map built from mu
+    (``maps.indexed_map``) reuses them.
     """
+
+    _compared = ("group", "grades")
 
     group: FiniteGroup
     grades: tuple[Fraction, ...]
-    encoding: tuple[tuple[Fraction, ...], tuple[int, ...]] = field(
-        init=False, compare=False, repr=False
-    )
+    encoding: tuple[tuple[Fraction, ...], tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "encoding", rank_grades(self.grades))
+    def __init__(self, group, grades) -> None:
+        self.__dict__.update(group=group, grades=grades, encoding=rank_grades(grades))
 
     def __call__(self, x: int) -> Fraction:
         return self.grades[x]
@@ -97,15 +96,19 @@ def fuzzy_subset(group: FiniteGroup, grades: Iterable) -> FuzzySubset:
     return FuzzySubset(group, vec)
 
 
-@dataclass(frozen=True)
-class SubgroupViolation:
+class SubgroupViolation(Record):
     """First counterexample found by a membership predicate."""
+
+    _compared = ("kind", "x", "y", "lhs", "rhs")
 
     kind: str  # "product" | "inverse" | "symmetry"
     x: int
     y: Optional[int]
     lhs: Fraction
     rhs: Fraction
+
+    def __init__(self, kind, x, y, lhs, rhs) -> None:
+        self.__dict__.update(kind=kind, x=x, y=y, lhs=lhs, rhs=rhs)
 
     def __str__(self) -> str:
         if self.kind == "product":

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fuzzaut.errors import FuzzautError
 from fuzzaut.grades import rank_grades
 from fuzzaut.groups import builtin_group, center, is_group_isomorphism
 from fuzzaut.maps import (
@@ -237,6 +238,66 @@ class TestRawFamily:
         # far as the unit-entry rule of the matrix
         with pytest.raises(MultipleUnitEntries, match=r"row 0 has grade-1 entries at \[0, 1\]"):
             induced_map(flat_mu(builtin_group("Z2")), 0)
+
+
+FAMILY_GROUPS = (
+    "Z1", "Z2", "Z3", "Z4", "Z6", "Z8", "V4", "S3", "D4", "Q8", "D6", "S4",
+    "direct_product(Z2,Q8)", "direct_product(D4,Z4)",
+)
+
+
+def unnormal_mu(group):
+    """Pointed, but graded 1/(x+1) off the identity, so normal only by accident."""
+    return fuzzy_subset(group, (1 if x == group.identity else F(1, x + 1) for x in group.elements))
+
+
+class TestFamilyMatchesInducedMap:
+    """induced_family_raw permutes f_e's columns; induced_map builds each f_g on its own."""
+
+    def assert_family_is_oracle(self, group, mu):
+        family = induced_family_raw(group, mu)
+        assert len(family) == group.order
+        for g in group.elements:
+            oracle = induced_map(mu, g)
+            assert family[g].grades == oracle.grades, g
+            assert family[g].images == oracle.images, g
+            assert family[g].encoding == oracle.encoding, g
+            assert family[g] == oracle
+
+    @pytest.mark.parametrize("name", FAMILY_GROUPS)
+    @pytest.mark.parametrize("strategy", [chain_strategy, class_strategy])
+    def test_valid_mu(self, name, strategy):
+        group = builtin_group(name)
+        self.assert_family_is_oracle(group, strategy(group))
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "S4"])
+    def test_any_pointed_mu(self, name):
+        group = builtin_group(name)
+        self.assert_family_is_oracle(group, unnormal_mu(group))
+
+    def test_mu_with_its_unit_off_the_identity(self):
+        # grade 1 only at -1: every f_g is still a map, with a shifted skeleton
+        self.assert_family_is_oracle(Q8, fuzzy_subset(Q8, (F(1, 2), 1, 0, 0, 0, 0, 0, 0)))
+
+    @pytest.mark.parametrize(
+        "name, grades",
+        [
+            ("Z2", (1, 1)),
+            ("Z4", (1, F(1, 2), 1, F(1, 2))),
+            ("S3", (1, F(1, 2), F(1, 2), 1, 1, F(1, 2))),
+            ("S3", (F(1, 2),) * 6),
+            ("Q8", (0, 1, 1, 0, 0, 0, 0, 0)),
+        ],
+    )
+    def test_non_pointed_mu_raises_as_induced_map(self, name, grades):
+        group = builtin_group(name)
+        mu = fuzzy_subset(group, grades)
+        with pytest.raises(FuzzautError) as oracle:
+            induced_map(mu, 0)
+        with pytest.raises(FuzzautError) as raised:
+            induced_family_raw(group, mu)
+        assert type(raised.value) is type(oracle.value)
+        assert str(raised.value) == str(oracle.value)
 
 
 def regraded(fmap, scale):

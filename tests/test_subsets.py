@@ -1,6 +1,5 @@
 """Membership functions: predicates, level sets, generators, strategies."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -299,7 +298,7 @@ class TestEncoding:
         with pytest.raises(TypeError):
             FuzzySubset(mu.group, mu.grades, ((F(0),), (0,) * 6))
         require_valid_mu(mu)
-        flat = dataclasses.replace(mu, grades=(F(1),) * 6)
+        flat = FuzzySubset(mu.group, (F(1),) * 6)
         assert flat.encoding == rank_grades(flat.grades)
         with pytest.raises(MuNotPointed):
             require_valid_mu(flat)
