@@ -91,7 +91,7 @@ def check_automorphism(f: FuzzyMap) -> tuple[bool, Optional[FuzzautError]]:
     for x, y in enumerate(f.images):
         if rows[x][y] != top:
             return False, AutomorphismError(
-                f"skeleton sends {x} to {y}, but row {x} grades {y} as {f.grades[x][y]}"
+                f"skeleton sends {x} to {y}, but row {x} grades {y} as {values[rows[x][y]]}"
             )
     report = is_fuzzy_homomorphism(f)
     if not report:

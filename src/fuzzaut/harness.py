@@ -198,7 +198,7 @@ def _campaign_group(token: str) -> FiniteGroup:
 class _Instance:
     """One (group, mu) cell of the campaign matrix, with cached sample sets."""
 
-    def __init__(self, group_token: str, group: FiniteGroup, mu_token: str):
+    def __init__(self, group: FiniteGroup, mu_token: str):
         self.group = group
         self.descriptor = f"{group.name}|mu={mu_token}"
         self.mu: Optional[FuzzySubset] = None
@@ -256,9 +256,9 @@ class _Instance:
         """Deduplicated sample set: all lifted automorphisms plus the labeled family.
 
         Samples are keyed on their integer encoding, not on their ``Fraction``
-        grades.  Every sample is built by ``maps.indexed_map`` from
-        ``mu.encoding``, so all share mu's ``values`` tuple, and equal rank
-        rows mean equal grades.
+        grades.  Every sample is ranked over mu's ``values`` tuple (lifts by
+        ``maps.indexed_map``, the family by ``maps.ranked_map``), so equal
+        rank rows mean equal grades.
         """
         seen: set[tuple] = set()
         out = []
@@ -406,7 +406,7 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
     contexts: list[_Instance] = []
     for token in campaign.groups:
         group = _campaign_group(token)
-        contexts.extend(_Instance(token, group, mu_token) for mu_token in campaign.mu_sources)
+        contexts.extend(_Instance(group, mu_token) for mu_token in campaign.mu_sources)
     results = [
         _run_one(statement, ctx)
         for statement in campaign.suites

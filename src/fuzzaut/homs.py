@@ -13,7 +13,7 @@ word in S; in a finite group positive words reach every element.  The check
 tests |S|*n pairs instead of n*n and stays exact: nothing is sampled.
 
 The check reads the rows as the integer rank rows that every ``FuzzyMap``
-carries (``maps`` derives them once per map, never per check).  The rank map
+stores as its cells (``maps`` derives them once per map, never per check).  The rank map
 is strictly monotone, so min, sup and equality give the same verdicts on
 ranks as on grades, and the product of two rank rows depends only on the two
 integer tuples and the codomain's table.  Samples built from one membership

@@ -30,6 +30,7 @@ from .groups import (
     ElementSubset,
     FiniteGroup,
     center,
+    first_non_multiplicative,
     is_group_isomorphism,
     make_group,
     opposite_group,
@@ -100,23 +101,19 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     Every f_g is f_e with its columns permuted by conjugation:
     f_g(x, y) = mu(x^-1 * (g y g^-1)) = f_e(x, g y g^-1).  This is an identity
     of the cell arguments alone, so it holds for every mu, valid or not.  So
-    f_e's rank rows and grade rows are built once, each f_g picks its rows'
-    cells from them, and ``maps.ranked_map`` finds each map's unit entries,
-    raising what ``induced_map`` raises for the first failing label.
+    f_e's rank rows over mu's value list are built once, each f_g picks its
+    rows' cells from them, and ``maps.ranked_map`` finds each map's unit
+    entries, raising what ``induced_map`` raises for the first failing label.
+    No grade is read; each map derives its grades when they are asked for.
     """
     t, inv = group.table, group.inverses
     values, ranks = mu.encoding
     rank_rows = [tuple(map(ranks.__getitem__, t[inv[x]])) for x in group.elements]
-    grade_rows = [tuple(map(values.__getitem__, row)) for row in rank_rows]
     family = []
     for g in group.elements:
         tg, g_inv = t[g], inv[g]
         pick = picker([t[tg[y]][g_inv] for y in group.elements])
-        family.append(
-            ranked_map(
-                group, group, values, tuple(map(pick, rank_rows)), tuple(map(pick, grade_rows))
-            )
-        )
+        family.append(ranked_map(group, group, values, tuple(map(pick, rank_rows))))
     return family
 
 
@@ -398,12 +395,7 @@ def zeta(group: FiniteGroup, mu: FuzzySubset) -> ZetaCheck:
     """
     inn = build_inn_group(group, mu)
     images = tuple(inn.class_of[group.inverses[g]] for g in group.elements)
-    tz = inn.table.table
-    multiplicative = all(
-        images[group.table[a][b]] == tz[images[a]][images[b]]
-        for a in group.elements
-        for b in group.elements
-    )
+    multiplicative = first_non_multiplicative(group, inn.table, images) is None
     surjective = set(images) == set(range(inn.table.order))
     kernel = ElementSubset.from_indices(
         group,

@@ -76,14 +76,21 @@ def mu_to_json(mu: FuzzySubset) -> dict:
     }
 
 
+def _file_group(token: str, group: Optional[FiniteGroup]) -> FiniteGroup:
+    """The group a file names by ``token``: ``group`` when given, which must
+    carry that name, else the builtin group of that token."""
+    if group is None:
+        return builtin_group(token)
+    if token != group.name:
+        raise FileFormatError(f"grades are for {token!r}, not {group.name!r}")
+    return group
+
+
 def mu_from_json(obj: dict, group: Optional[FiniteGroup] = None) -> FuzzySubset:
     """Load a grade vector; the group comes from the caller or a builtin token."""
     token = _require(obj, "group", str)
     grades = _require(obj, "grades", list)
-    if group is None:
-        group = builtin_group(token)
-    elif token != group.name:
-        raise FileFormatError(f"grades are for {token!r}, not {group.name!r}")
+    group = _file_group(token, group)
     return fuzzy_subset(group, [parse_grade(s) for s in grades])
 
 
@@ -100,12 +107,13 @@ def map_from_json(
     domain: Optional[FiniteGroup] = None,
     codomain: Optional[FiniteGroup] = None,
 ) -> FuzzyMap:
+    """Load a grade matrix; each group comes from the caller or a builtin token."""
+    tokens = _require(obj, "domain", str), _require(obj, "codomain", str)
     rows = _require(obj, "grades", list)
     for r, row in enumerate(rows):
         if not _is(row, list):
             raise FileFormatError(f"grades row {r} is {json.dumps(row)}, not a list")
-    domain = domain or builtin_group(_require(obj, "domain", str))
-    codomain = codomain or builtin_group(_require(obj, "codomain", str))
+    domain, codomain = _file_group(tokens[0], domain), _file_group(tokens[1], codomain)
     return make_fuzzy_map(domain, codomain, [[parse_grade(v) for v in row] for row in rows])
 
 

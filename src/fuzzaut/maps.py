@@ -12,21 +12,22 @@ maps.  When g is a map, row z of g has its only grade-1 entry at
 skeleton is ``f.images[g.images[z]]``.  ``compose_maps`` builds the composite
 of two maps from this identity, skeleton first, without scanning a cell.
 
-Every map also carries its grades as integers, ``encoding = (values,
-rank_rows)``: ``values`` is the increasing tuple of distinct grades and
-``values[rank_rows[x][y]] == grades[x][y]`` (``grades.rank_grades``).  Each
-constructor derives it once, so no check has to rank a matrix again:
+A map stores its cells once, as integers: ``encoding = (values, rank_rows)``,
+where ``values`` is an increasing tuple of grades and cell (x, y) is
+``values[rank_rows[x][y]]`` (``grades.rank_grades``).  ``grades``, the
+``Fraction`` matrix, is a view derived from the encoding on first read, for
+the edges: files, witnesses and the ``compose`` oracle.  The constructors:
 
-* ``make_fuzzy_map`` ranks its cells, as does a ``FuzzyMap`` built
-  directly without an encoding; ``crisp_map`` writes its 0/1 encoding down;
+* ``make_fuzzy_map`` ranks its cells, as does a ``FuzzyMap`` built directly
+  from grades; ``crisp_map`` writes its 0/1 encoding down;
 * ``indexed_map`` reads each cell's rank from one ranked grade vector, such
   as ``FuzzySubset.encoding``, so the maps built from one membership
   function share its value list and grade objects;
-* ``ranked_map`` takes rank rows and grade rows that are already built,
-  as ``indexed_map`` and ``induced.induced_family_raw`` do, and finds the
-  unit entries on the ranks;
-* ``compose_maps`` reindexes f's rank rows through g's skeleton, as it does
-  the grades, and ``inverse_map`` transposes them.
+* ``ranked_map`` takes rank rows that are already built, as
+  ``make_fuzzy_map``, ``indexed_map`` and ``induced.induced_family_raw`` do,
+  and finds the unit entries on the ranks;
+* ``compose_maps`` reindexes f's rank rows through g's skeleton, and
+  ``inverse_map`` transposes them.
 
 Between maps with equal value lists, cells are equal exactly when their
 ranks are, because ``values`` is strictly increasing.
@@ -35,6 +36,7 @@ ranks are, because ``values`` is strictly increasing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -91,9 +93,11 @@ def _rank_cells(grades) -> Encoding:
 class FuzzyMap(FuzzyRelation):
     """Relation with a unique unit entry per row; ``images`` is the skeleton.
 
-    ``encoding`` is ``(values, rank_rows)``, the grades as integer ranks (see
-    the module docstring); it is derived from ``grades`` when not given and
-    takes no part in equality.
+    The cells are stored once, as ``encoding = (values, rank_rows)`` (see the
+    module docstring).  A constructor passes either ``grades``, which are
+    ranked, or an ``encoding``; both or neither raise ``TypeError``.
+    ``grades`` is derived on first read; equality and hashing compare it, so
+    maps are equal when their grade matrices are, whatever their value lists.
     """
 
     _compared = FuzzyRelation._compared + ("images",)
@@ -102,10 +106,17 @@ class FuzzyMap(FuzzyRelation):
     encoding: Encoding
 
     def __init__(self, domain, codomain, grades, images, encoding: Optional[Encoding] = None) -> None:
+        if (grades is None) == (encoding is None):
+            raise TypeError("FuzzyMap takes either grades or an encoding")
         self.__dict__.update(
-            domain=domain, codomain=codomain, grades=grades, images=images,
+            domain=domain, codomain=codomain, images=images,
             encoding=_rank_cells(grades) if encoding is None else encoding,
         )
+
+    @cached_property
+    def grades(self) -> tuple[tuple[Fraction, ...], ...]:
+        values, rank_rows = self.encoding
+        return tuple(tuple(map(values.__getitem__, row)) for row in rank_rows)
 
 
 def _check_shape(domain, codomain, rows) -> None:
@@ -139,9 +150,9 @@ def relation_images(rel: FuzzyRelation) -> tuple[int, ...]:
 
 
 def make_fuzzy_map(domain: FiniteGroup, codomain: FiniteGroup, rows) -> FuzzyMap:
-    grades = _normalize_grades(domain, codomain, rows)
-    images = relation_images(FuzzyRelation(domain, codomain, grades))
-    return FuzzyMap(domain, codomain, grades, images)
+    """The map with cells ``rows``; raises what ``relation_images`` raises for them."""
+    values, rank_rows = _rank_cells(_normalize_grades(domain, codomain, rows))
+    return ranked_map(domain, codomain, values, rank_rows)
 
 
 def unit_rank(values: Sequence[Fraction]) -> int:
@@ -158,17 +169,15 @@ def indexed_map(domain: FiniteGroup, codomain: FiniteGroup, encoding, index_rows
     """
     values, ranks = encoding
     rank_rows = tuple(tuple(map(ranks.__getitem__, row)) for row in index_rows)
-    grade_rows = tuple(tuple(map(values.__getitem__, row)) for row in rank_rows)
-    return ranked_map(domain, codomain, values, rank_rows, grade_rows)
+    return ranked_map(domain, codomain, values, rank_rows)
 
 
-def ranked_map(domain: FiniteGroup, codomain: FiniteGroup, values, rank_rows, grade_rows) -> FuzzyMap:
-    """The map with cells ``grade_rows``, given with their ranks over ``values``
-    (``values[rank_rows[x][y]] == grade_rows[x][y]``, which the caller keeps).
+def ranked_map(domain: FiniteGroup, codomain: FiniteGroup, values, rank_rows) -> FuzzyMap:
+    """The map whose cell (x, y) is ``values[rank_rows[x][y]]``, stored as given.
 
-    The unit entries are found on the ranks.  Raises ``make_fuzzy_map``'s
-    ``ShapeMismatch``, ``NoUnitEntry`` and ``MultipleUnitEntries`` for the
-    same matrix.
+    This is the unit-entry scan behind every validated constructor; it reads
+    the ranks only.  Raises ``ShapeMismatch``, ``NoUnitEntry`` and
+    ``MultipleUnitEntries`` as ``relation_images`` does for the same matrix.
     """
     _check_shape(domain, codomain, rank_rows)
     top = unit_rank(values)
@@ -181,7 +190,7 @@ def ranked_map(domain: FiniteGroup, codomain: FiniteGroup, values, rank_rows, gr
             at = [y for y, r in enumerate(row) if r == top]
             raise MultipleUnitEntries(f"row {x} has grade-1 entries at {at}")
         images.append(row.index(top))
-    return FuzzyMap(domain, codomain, grade_rows, tuple(images), (values, rank_rows))
+    return FuzzyMap(domain, codomain, None, tuple(images), (values, rank_rows))
 
 
 def fuzzy_image(f: FuzzyMap, x: int) -> int:
@@ -221,13 +230,11 @@ def compose(f: FuzzyRelation, g: FuzzyRelation) -> FuzzyRelation:
 
 
 def compose_maps(f: FuzzyMap, g: FuzzyMap) -> FuzzyMap:
-    """``compose`` for two maps: reindex f's rows and rank rows through g's skeleton."""
+    """``compose`` for two maps: reindex f's rank rows through g's skeleton."""
     _check_composable(f, g)
     values, rank_rows = f.encoding
     pick = picker(g.images)
-    return FuzzyMap(
-        g.domain, f.codomain, pick(f.grades), pick(f.images), (values, pick(rank_rows))
-    )
+    return FuzzyMap(g.domain, f.codomain, None, pick(f.images), (values, pick(rank_rows)))
 
 
 def is_one_one(f: FuzzyMap) -> bool:
@@ -271,13 +278,7 @@ def inverse_map(f: FuzzyMap) -> FuzzyMap:
     for x, y in enumerate(f.images):
         images[y] = x
     values, rank_rows = f.encoding
-    return FuzzyMap(
-        f.codomain,
-        f.domain,
-        tuple(zip(*f.grades)),
-        tuple(images),
-        (values, tuple(zip(*rank_rows))),
-    )
+    return FuzzyMap(f.codomain, f.domain, None, tuple(images), (values, tuple(zip(*rank_rows))))
 
 
 def crisp_map(domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]) -> FuzzyMap:
@@ -294,13 +295,8 @@ def crisp_map(domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]
     values = (GRADE_ZERO, GRADE_ONE) if m > 1 else (GRADE_ONE,)
     top = len(values) - 1
     rank_row = {y: (0,) * y + (top,) + (0,) * (m - 1 - y) for y in set(mapping)}
-    grade_row = {y: tuple(map(values.__getitem__, row)) for y, row in rank_row.items()}
     return FuzzyMap(
-        domain,
-        codomain,
-        tuple(grade_row[y] for y in mapping),
-        tuple(mapping),
-        (values, tuple(rank_row[y] for y in mapping)),
+        domain, codomain, None, tuple(mapping), (values, tuple(rank_row[y] for y in mapping))
     )
 
 

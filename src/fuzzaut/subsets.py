@@ -60,9 +60,8 @@ class FuzzySubset(Record):
 
     ``encoding = (values, ranks)`` holds the grades as integer ranks
     (``grades.rank_grades``), derived once by the constructor (it is not an
-    argument) and kept out of equality, as ``FuzzyMap.encoding`` is.  The
-    predicates scan the ranks, and every map built from mu
-    (``maps.indexed_map``) reuses them.
+    argument) and kept out of equality.  The predicates scan the ranks, and
+    every map built from mu (``maps.indexed_map``) reuses them.
     """
 
     _compared = ("group", "grades")

@@ -43,7 +43,7 @@ def test_criterion_1_homomorphism_theorems():
     s3 = builtin_group("S3")
     from fuzzaut.harness import _Instance
 
-    ctx = _Instance("S3", s3, "chain")
+    ctx = _Instance(s3, "chain")
     sign_tags = [tag for tag, _ in ctx.quotient_lifts if "|N|=3" in tag]
     report_criterion(
         1,

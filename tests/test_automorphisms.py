@@ -298,7 +298,7 @@ def associativity_oracle(named, compose=compose_maps):
 
 
 def s3_samples():
-    return {tag: f for tag, f in _Instance("S3", S3, "class").aut_samples}
+    return {tag: f for tag, f in _Instance(S3, "class").aut_samples}
 
 
 def reversed_after(first):
@@ -328,7 +328,7 @@ class TestAssociativityCheck:
     @pytest.mark.parametrize("token", DEFAULT_GROUPS)
     @pytest.mark.parametrize("mu", ["chain", "class"])
     def test_default_instances(self, token, mu):
-        named = dict(_Instance(token, builtin_group(token), mu).aut_samples)
+        named = dict(_Instance(builtin_group(token), mu).aut_samples)
         assert check_associativity(named) == associativity_oracle(named) == (True, None)
 
     def test_non_associative_composition_on_a_closed_sample_set(self, monkeypatch):

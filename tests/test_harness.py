@@ -186,7 +186,7 @@ class TestSampleDeduplication:
     @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "D8"))
     @pytest.mark.parametrize("mu", ["chain", "class"])
     def test_same_samples_as_keying_on_grades(self, token, mu):
-        ctx = _Instance(token, builtin_group(token), mu)
+        ctx = _Instance(builtin_group(token), mu)
         candidates = ctx.lift_samples + [
             (f"induced:g={g}", ctx.induced_raw[g]) for g in ctx.group.elements
         ]

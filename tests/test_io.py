@@ -153,3 +153,18 @@ class TestMapFiles:
         obj = {"domain": "Z2", "codomain": "Z2", "grades": [["1", "0"], 5]}
         with pytest.raises(FileFormatError, match="grades row 1 is 5"):
             map_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["domain", "codomain"])
+    def test_group_name_checked_against_given_group(self, key):
+        z2 = builtin_group("Z2")
+        obj = {"domain": "Z2", "codomain": "Z2", "grades": [["1", "0"], ["0", "1"]], key: "S3"}
+        with pytest.raises(FileFormatError, match="'S3', not 'Z2'"):
+            map_from_json(obj, z2, z2)
+
+    @pytest.mark.parametrize("key", ["domain", "codomain"])
+    def test_group_names_required_with_given_groups(self, key):
+        z2 = builtin_group("Z2")
+        obj = {"domain": "Z2", "codomain": "Z2", "grades": [["1", "0"], ["0", "1"]]}
+        del obj[key]
+        with pytest.raises(FileFormatError, match=f"missing key '{key}'"):
+            map_from_json(obj, z2, z2)

@@ -12,6 +12,7 @@ from fuzzaut.groups import builtin_group, crisp_automorphisms
 from fuzzaut.homs import lift_hom
 from fuzzaut.maps import (
     FuzzyMap,
+    MapError,
     MultipleUnitEntries,
     NoUnitEntry,
     NotBijective,
@@ -29,6 +30,7 @@ from fuzzaut.maps import (
     is_onto,
     make_fuzzy_map,
     pointwise_equal,
+    ranked_map,
     relation_images,
     skeleton,
 )
@@ -439,3 +441,100 @@ class TestPointwiseEqualOnRanks:
         f = identity_map(Z4)
         rel = fuzzy_relation(Z4, Z4, f.grades)
         assert pointwise_equal(f, rel) and pointwise_equal(rel, f)
+
+
+Z1 = builtin_group("Z1")
+
+
+class TestMakeFuzzyMapOracle:
+    """``make_fuzzy_map`` finds the unit entries on ranks; ``relation_images``
+    over the ``Fraction`` cells is the oracle, for its images and its errors."""
+
+    @given(
+        data=st.data(),
+        pair=st.sampled_from(ENCODING_PAIRS + [(Z1, Z4), (S3, Z1), (Z1, Z1)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_relation_images(self, data, pair):
+        domain, codomain = pair
+        below_one = st.fractions(0, 1, max_denominator=8).filter(lambda v: v < 1)
+        rows = []
+        for _ in domain.elements:
+            row = [data.draw(below_one) for _ in codomain.elements]
+            units = data.draw(st.sampled_from((1, 1, 1, 1, 0, 2)))
+            for y in data.draw(st.permutations(codomain.elements))[:units]:
+                row[y] = F(1)
+            rows.append(row)
+        if data.draw(st.integers(0, 9)) == 0:
+            rows[-1] = rows[-1][:-1]
+        try:
+            expected = relation_images(fuzzy_relation(domain, codomain, rows))
+        except MapError as exc:
+            with pytest.raises(MapError) as raised:
+                make_fuzzy_map(domain, codomain, rows)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            return
+        f = make_fuzzy_map(domain, codomain, rows)
+        assert f.images == expected
+        assert f.grades == tuple(map(tuple, rows))
+        assert_encoding_decodes(f)
+
+
+CONSTRUCTORS = (
+    "make_fuzzy_map", "indexed_map", "ranked_map", "compose_maps",
+    "inverse_map", "crisp_map", "induced_family_raw",
+)
+
+
+def one_map_per_constructor():
+    """A fresh map from each constructor, by name; none has had its grades read."""
+    mu = chain_strategy(S3)
+    values, ranks = mu.encoding
+    f = lift_hom(crisp_automorphisms(S3)[1], mu, S3)
+    g = induced_family_raw(S3, mu)[1]
+    identity_rows = induced_indices(S3, S3.identity)
+    return {
+        "make_fuzzy_map": make_fuzzy_map(S3, S3, identity_grades_for(mu)),
+        "indexed_map": indexed_map(S3, S3, mu.encoding, induced_indices(S3, 2)),
+        "ranked_map": ranked_map(
+            S3, S3, values, tuple(tuple(map(ranks.__getitem__, row)) for row in identity_rows)
+        ),
+        "compose_maps": compose_maps(f, g),
+        "inverse_map": inverse_map(g),
+        "crisp_map": crisp_map(S3, Z4, (0, 2, 2, 1, 3, 0)),
+        "induced_family_raw": induced_family_raw(S3, mu)[2],
+    }
+
+
+class TestStoredCells:
+    """A map stores its cells once, as rank rows; ``grades`` is derived on first read.
+
+    ``TestCompose`` and ``TestInverse`` compare the derived grades of
+    ``compose_maps`` and ``inverse_map`` with sup composition and the transpose.
+    """
+
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_grades_derived_on_first_read(self, name):
+        f = one_map_per_constructor()[name]
+        assert "grades" not in vars(f)
+        assert_encoding_decodes(f)
+        assert vars(f)["grades"] is f.grades
+
+    def test_grades_or_encoding_not_both_nor_neither(self):
+        f = identity_map(Z4)
+        with pytest.raises(TypeError):
+            FuzzyMap(Z4, Z4, f.grades, f.images, f.encoding)
+        with pytest.raises(TypeError):
+            FuzzyMap(Z4, Z4, None, f.images)
+
+    def test_equality_is_grade_equality(self):
+        mu = chain_strategy(S3)
+        f = induced_family_raw(S3, mu)[S3.identity]
+        # the same matrix over a longer value list
+        widened = indexed_map(S3, S3, ranked(mu.grades + (F(1, 3),)), induced_indices(S3, 0))
+        assert widened.encoding != f.encoding
+        assert widened == f and hash(widened) == hash(f)
+        assert FuzzyMap(S3, S3, f.grades, f.images) == f
+        halved = tuple(tuple(v / 2 if v < 1 else v for v in row) for row in f.grades)
+        assert FuzzyMap(S3, S3, halved, f.images) != f

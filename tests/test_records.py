@@ -25,10 +25,7 @@ RECORDS = {
     FuzzySubset: (("group", "grades"),) * 2,
     SubgroupViolation: (("kind", "x", "y", "lhs", "rhs"),) * 2,
     FuzzyRelation: (("domain", "codomain", "grades"),) * 2,
-    FuzzyMap: (
-        ("domain", "codomain", "grades", "images", "encoding"),
-        ("domain", "codomain", "grades", "images"),
-    ),
+    FuzzyMap: (("domain", "codomain", "grades", "images"),) * 2,
     HomWitness: (("x1", "x2", "y", "lhs", "rhs"),) * 2,
     HomCheckReport: (("verdict", "witness"),) * 2,
     Theorem22Report: (("kernel", "kernel_is_normal", "one_one", "kernel_trivial"),) * 2,
