@@ -57,7 +57,6 @@ from .homs import (
     lift_hom,
 )
 from .automorphisms import (
-    AutClass,
     FuzzyAutomorphism,
     build_aut_class_group,
     compose_aut,

@@ -9,6 +9,9 @@ compose through honest map composition.
 Each law of section 3 has one checker here returning ``(verdict, witness)``.
 The checkers take maps that are already built and never revalidate their
 inputs; the raising constructors below and the law harness both call them.
+Lemmas 3.1 and 3.2 and Theorem 3.1 read the pairwise composites of one
+sample list from ``composite_table``, which composes each ordered pair once
+and keeps each distinct composite once.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from .maps import FuzzyMap, compose_maps, identity_map, inverse_map, is_one_one,
 Family = Union[Sequence[FuzzyMap], Mapping[int, FuzzyMap]]
 # what every law checker returns: the verdict, and what failed when it is False
 Verdict = tuple[bool, Optional[str]]
+Table = tuple[tuple[int, ...], ...]
+# composite_table: the distinct composites, and the k x k table of their indices
+Products = tuple[list[FuzzyMap], Table]
 
 
 class AutomorphismError(FuzzautError):
@@ -109,17 +115,20 @@ def make_automorphism(f: FuzzyMap) -> FuzzyAutomorphism:
     return FuzzyAutomorphism(f)
 
 
+def _revalidated(f: FuzzyMap, what: str) -> FuzzyAutomorphism:
+    """Wrap a map built from valid automorphisms; a failed check is a library defect."""
+    ok, error = check_automorphism(f)
+    if not ok:
+        raise ClosureViolation(f"{what}: {error}") from error
+    return FuzzyAutomorphism(f)
+
+
 def compose_aut(f: FuzzyAutomorphism, g: FuzzyAutomorphism) -> FuzzyAutomorphism:
     """f.g (g acts first), revalidated; closure failure aborts loudly."""
     if f.group != g.group:
         raise AutomorphismError("automorphisms of different groups cannot compose")
     composed = compose_maps(f.fmap, g.fmap)
-    ok, error = check_automorphism(composed)
-    if not ok:
-        raise ClosureViolation(
-            f"composition of valid automorphisms failed validation: {error}"
-        ) from error
-    return FuzzyAutomorphism(composed)
+    return _revalidated(composed, "composition of valid automorphisms failed validation")
 
 
 def identity_aut(group: FiniteGroup) -> FuzzyAutomorphism:
@@ -129,29 +138,25 @@ def identity_aut(group: FiniteGroup) -> FuzzyAutomorphism:
 
 def inverse_aut(f: FuzzyAutomorphism) -> FuzzyAutomorphism:
     """Transpose matrix, revalidated as an automorphism."""
-    transpose = inverse_map(f.fmap)
-    ok, error = check_automorphism(transpose)
-    if not ok:
-        raise ClosureViolation(f"transpose of a valid automorphism failed: {error}") from error
-    return FuzzyAutomorphism(transpose)
+    return _revalidated(inverse_map(f.fmap), "transpose of a valid automorphism failed")
 
 
-def check_associativity(named: Mapping[str, FuzzyMap]) -> Verdict:
+def check_associativity(named: Mapping[str, FuzzyMap], products: Optional[Products] = None) -> Verdict:
     """Lemma 3.2: (f.g).h and f.(g.h) share a skeleton for every triple of named maps.
 
     ``compose_maps`` builds a composite's skeleton as ``f.images[g.images[z]]``,
     so a composite's skeleton class depends only on its operands' classes,
-    and so does each triple's verdict.  The check therefore builds the
-    table of skeleton classes once, from the k^2 honest pairwise composites
-    (``skeleton_class_table``), and runs ``first_non_associative`` on it:
-    O(k^2) compositions instead of 2*k^3.  If a composite's skeleton is not
-    a sample's, if two pairs of the same classes compose to different
+    and so does each triple's verdict.  The check therefore reads the class
+    table off the k^2 honest pairwise composites in ``products`` (the maps'
+    ``composite_table``, built when not given) and runs ``first_non_associative``
+    on it: O(k^2) compositions instead of 2*k^3.  If a composite's skeleton
+    is not a sample's, if two pairs of the same classes compose to different
     skeletons, or if the table is not associative, the triples are checked
     one by one (``_first_failing_triple``), which gives the verdict and the
     witness of the exhaustive scan.
     """
     try:
-        table = skeleton_class_table(list(named.values()))
+        table = skeleton_class_table(list(named.values()), products)
     except AutomorphismError:
         table = None
     if table is not None and first_non_associative(table) is None:
@@ -252,49 +257,48 @@ def conjugate_aut(f: FuzzyAutomorphism, f_g: FuzzyAutomorphism) -> FuzzyAutomorp
     return FuzzyAutomorphism(conj)
 
 
-class AutClass(Record):
-    """Skeleton class: canonical permutation plus one representative."""
-
-    _compared = ("skeleton", "representative")
-
-    skeleton: tuple[int, ...]
-    representative: FuzzyAutomorphism
-
-    def __init__(self, skeleton, representative) -> None:
-        self.__dict__.update(skeleton=skeleton, representative=representative)
-
-    def __repr__(self) -> str:
-        return f"AutClass{self.skeleton}"
-
-
-def aut_classes(samples: Iterable[FuzzyAutomorphism]) -> tuple[AutClass, ...]:
-    """Group samples by skeleton; classes sorted by their permutation."""
-    by_skeleton: dict[tuple[int, ...], FuzzyAutomorphism] = {}
-    for f in samples:
-        by_skeleton.setdefault(f.images, f)
-    return tuple(
-        AutClass(sk, by_skeleton[sk]) for sk in sorted(by_skeleton)
-    )
+def composite_table(maps: Sequence[FuzzyMap]) -> Products:
+    """Every ordered pair of ``maps`` composed once, through ``compose_maps``: the
+    distinct composites, keyed on ``(images, encoding)`` in row-major order of
+    first appearance, and the k x k table whose cell (i, j) indexes
+    maps[i] . maps[j].  A key numbers its value list, so the ``Fraction``s of
+    a list are hashed once per list object, not once per pair."""
+    seen: dict[tuple, tuple[int, FuzzyMap]] = {}  # key -> (index, first composite)
+    value_ids: dict[tuple, int] = {}
+    last = v = None
+    cells = []
+    for f in maps:
+        row = []
+        for g in maps:
+            h = compose_maps(f, g)
+            values, rank_rows = h.encoding
+            if values is not last:  # a composite shares its left operand's value list
+                last, v = values, value_ids.setdefault(values, len(value_ids))
+            c, _ = seen.setdefault((v, h.images, rank_rows), (len(seen), h))
+            row.append(c)
+        cells.append(tuple(row))
+    return [h for _, h in seen.values()], tuple(cells)
 
 
-def skeleton_class_table(maps: Sequence[FuzzyMap]) -> tuple[tuple[int, ...], ...]:
+def skeleton_class_table(maps: Sequence[FuzzyMap], products: Optional[Products] = None) -> Table:
     """The table of the skeleton classes of ``maps`` under ``compose_maps``.
 
     Classes are numbered in sorted order of their skeletons.  Cell (a, b) is
-    the class of f.g for maps f in class a and g in class b; every ordered
-    pair of maps is composed once, in order.  Raises
-    ``AutomorphismError`` if a composite's skeleton is not among the
+    the class of f.g for maps f in class a and g in class b, read from
+    ``products``, the ``composite_table`` of ``maps`` (built when not given).
+    Raises ``AutomorphismError`` if a composite's skeleton is not among the
     classes, or if two pairs of the same classes give different skeletons.
     """
+    composites, cells = composite_table(maps) if products is None else products
     skeletons = sorted({f.images for f in maps})
     index = {sk: i for i, sk in enumerate(skeletons)}
     table: list[list[Optional[int]]] = [[None] * len(skeletons) for _ in skeletons]
-    for f in maps:
+    for f, cell_row in zip(maps, cells):
         a = index[f.images]
         row = table[a]
-        for g in maps:
+        for g, cell in zip(maps, cell_row):
             b = index[g.images]
-            sk = compose_maps(f, g).images
+            sk = composites[cell].images
             c = index.get(sk)
             if c is None:
                 raise AutomorphismError(f"samples not closed under composition: {sk}")
@@ -306,33 +310,37 @@ def skeleton_class_table(maps: Sequence[FuzzyMap]) -> tuple[tuple[int, ...], ...
 
 
 def build_aut_class_group(
-    samples: Iterable[FuzzyAutomorphism],
-) -> tuple[tuple[AutClass, ...], FiniteGroup]:
-    """Cayley table on skeleton classes via honest composition of representatives.
+    maps: Sequence[FuzzyMap], products: Optional[Products] = None
+) -> tuple[tuple[tuple[int, ...], ...], FiniteGroup]:
+    """The sorted class skeletons, and their Cayley table under honest composition.
 
-    Representatives are taken as already certified; closure of the validity
-    predicates under composition is the composition law's own check.  Raises
-    if the sample set is not closed under composition; the table is validated
-    as a group (``make_group``) before returning.
+    The table is ``skeleton_class_table`` of each class's first map, read
+    from ``products`` (the ``composite_table`` of ``maps``) when it is given.
+    The maps are taken as certified; Lemma 3.1 checks their composites.
+    Raises if the sample set is not closed under composition; the table is
+    validated as a group (``make_group``) before returning.
     """
-    classes = aut_classes(samples)
-    if not classes:
+    first = {f.images: i for i, f in reversed(list(enumerate(maps)))}  # earliest index wins
+    if not first:
         raise AutomorphismError("cannot build a group from zero samples")
-    table = skeleton_class_table([c.representative.fmap for c in classes])
-    group_name = classes[0].representative.group.name
-    return classes, make_group(table, name=f"AutF({group_name})")
+    skeletons = tuple(sorted(first))
+    picked = [first[sk] for sk in skeletons]
+    if products is not None:
+        composites, cells = products
+        products = composites, tuple(tuple(cells[i][j] for j in picked) for i in picked)
+    table = skeleton_class_table([maps[i] for i in picked], products)
+    return skeletons, make_group(table, name=f"AutF({maps[0].domain.name})")
 
 
-def check_class_group(maps: Iterable[FuzzyMap]) -> Verdict:
-    """Theorem 3.1: the skeleton classes of the automorphisms form a group whose
-    skeletons are exactly the crisp automorphisms of the group."""
+def check_class_group(maps: Sequence[FuzzyMap], products: Optional[Products] = None) -> Verdict:
+    """Theorem 3.1: the skeleton classes of the automorphisms form a group whose skeletons
+    are exactly the crisp automorphisms of the group; ``products`` as for ``build_aut_class_group``."""
     try:
-        classes, _ = build_aut_class_group(FuzzyAutomorphism(f) for f in maps)
+        skeletons, _ = build_aut_class_group(maps, products)
     except FuzzautError as exc:
         return False, f"class group construction failed: {exc}"
-    skeletons = {c.skeleton for c in classes}
-    crisp = set(crisp_automorphisms(classes[0].representative.group))
-    if skeletons != crisp:
+    crisp = set(crisp_automorphisms(maps[0].domain))
+    if set(skeletons) != crisp:
         return False, (
             f"sample skeletons ({len(skeletons)}) differ from the crisp automorphism "
             f"group ({len(crisp)})"

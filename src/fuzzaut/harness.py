@@ -30,6 +30,7 @@ from .automorphisms import (
     check_inner_inverses,
     check_inner_products,
     check_inverse_law,
+    composite_table,
 )
 from .errors import FuzzautError, Record
 from .groups import (
@@ -196,7 +197,7 @@ def _campaign_group(token: str) -> FiniteGroup:
 
 
 class _Instance:
-    """One (group, mu) cell of the campaign matrix, with cached sample sets."""
+    """One (group, mu) cell of the campaign matrix, with cached samples and composites."""
 
     def __init__(self, group: FiniteGroup, mu_token: str):
         self.group = group
@@ -270,6 +271,11 @@ class _Instance:
                 out.append((tag, fmap))
         return out
 
+    @cached_property
+    def aut_products(self) -> tuple[list[FuzzyMap], tuple[tuple[int, ...], ...]]:
+        """``composite_table`` of ``aut_samples``, for Lemmas 3.1 and 3.2 and Theorem 3.1."""
+        return composite_table([f for _, f in self.aut_samples])
+
 
 # -- law suites ---------------------------------------------------------------
 
@@ -305,21 +311,23 @@ def _suite_thm_2_2(ctx: _Instance):
 
 
 def _suite_lemma_3_1(ctx: _Instance):
-    samples = ctx.aut_samples
-    return _first_failure(
-        (f"({tag_f}) . ({tag_g})", check_automorphism(compose_maps(f, g)))
-        for tag_f, f in samples
-        for tag_g, g in samples
-    )
+    composites, cells = ctx.aut_products
+    verdicts = [check_automorphism(h) for h in composites]  # a function of the map alone
+    tags = [tag for tag, _ in ctx.aut_samples]
+    pairs = ((i, j, c) for i, row in enumerate(cells) for j, c in enumerate(row))
+    return _first_failure((f"({tags[i]}) . ({tags[j]})", verdicts[c]) for i, j, c in pairs)
 
 
 def _suite_lemma_3_9(ctx: _Instance):
     def conjugates():
+        verdicts: dict[tuple, tuple] = {}
         for tag, f in ctx.aut_samples:
             f_inv = inverse_map(f)
             for g in ctx.induced_reps:
                 conj = compose_maps(f_inv, compose_maps(ctx.induced_raw[g], f))
-                yield f"conjugate of label {g} by {tag}", check_inner_conjugate(conj)
+                key = (conj.images, conj.encoding)  # the verdict is a function of these
+                verdicts[key] = verdicts.get(key) or check_inner_conjugate(conj)
+                yield f"conjugate of label {g} by {tag}", verdicts[key]
 
     return _first_failure(conjugates())
 
@@ -344,7 +352,7 @@ _SUITES: dict[str, Callable[[_Instance], tuple[bool, Optional[str]]]] = {
     "Theorem 2.1": _suite_thm_2_1,
     "Theorem 2.2": _suite_thm_2_2,
     "Lemma 3.1": _suite_lemma_3_1,
-    "Lemma 3.2": lambda ctx: check_associativity(dict(ctx.aut_samples)),
+    "Lemma 3.2": lambda ctx: check_associativity(dict(ctx.aut_samples), ctx.aut_products),
     "Lemma 3.3": lambda ctx: _first_failure(
         (tag, check_identity_law(f)) for tag, f in ctx.aut_samples
     ),
@@ -361,7 +369,7 @@ _SUITES: dict[str, Callable[[_Instance], tuple[bool, Optional[str]]]] = {
     "Lemma 3.7": lambda ctx: check_inner_products(ctx.group, ctx.induced_raw, ctx.induced_reps),
     "Lemma 3.8": lambda ctx: check_inner_inverses(ctx.group, ctx.induced_raw, ctx.induced_reps),
     "Lemma 3.9": _suite_lemma_3_9,
-    "Theorem 3.1": lambda ctx: check_class_group(f for _, f in ctx.aut_samples),
+    "Theorem 3.1": lambda ctx: check_class_group([f for _, f in ctx.aut_samples], ctx.aut_products),
     "Lemma 4.1": lambda ctx: check_induced_homomorphism(
         ctx.group, ctx.induced_raw, ctx.group.elements
     ),

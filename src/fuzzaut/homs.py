@@ -18,9 +18,9 @@ is strictly monotone, so min, sup and equality give the same verdicts on
 ranks as on grades, and the product of two rank rows depends only on the two
 integer tuples and the codomain's table.  Samples built from one membership
 function share a few rows, so each codomain keeps a memo of row products
-keyed by the pair of rank rows, next to its cofactor table.  It holds at
-most ``ROW_PRODUCT_MEMO_BOUND`` products, dropping the oldest first, and
-``_row_tables`` keeps the tables of the last ``_CODOMAINS_KEPT`` codomains.
+keyed by a pair of ids from its table of rank rows.  Both are cleared before
+a check that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries in all,
+and ``_row_tables`` keeps the tables of the last ``_CODOMAINS_KEPT`` codomains.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .groups import (
 from .maps import FuzzyMap, indexed_map, is_one_one, unit_rank
 from .subsets import FuzzySubset, require_valid_mu
 
-ROW_PRODUCT_MEMO_BOUND = 4096  # row products kept per codomain
+ROW_PRODUCT_MEMO_BOUND = 4096  # row products and row ids kept per codomain
 _CODOMAINS_KEPT = 16
 
 
@@ -99,25 +99,26 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
     The verdict comes from the pairs (g, x) with g in
     ``generating_sequence(f.domain)``, which suffice (see the module
     docstring): R_{g*x} is compared with the product R_g * R_x of f's rank
-    rows, looked up in the codomain's memo or computed and stored there.
+    rows, looked up in the codomain's memo by row ids or stored there.
     A rejected map is scanned again over every (x1, x2, y) in lexicographic
     order, so its witness is the first violation of the exhaustive scan; its
     grades come back from the encoding's value list.
     """
     values, rows = f.encoding
     dt = f.domain.table
-    cofactor, columns, memo = _row_tables(f.codomain)
-    for g in generating_sequence(f.domain):
-        rg = rows[g]
-        dg = dt[g]
-        for x, rx in enumerate(rows):
-            key = (rg, rx)
-            prod = memo.get(key)
+    gens = generating_sequence(f.domain)
+    cofactor, columns, memo, row_ids = _row_tables(f.codomain)
+    if len(memo) + len(row_ids) + (len(gens) + 1) * len(rows) > ROW_PRODUCT_MEMO_BOUND:
+        memo.clear()
+        row_ids.clear()
+    ids = [row_ids.setdefault(r, len(row_ids)) for r in rows]
+    for g in gens:
+        rg, ig, dg = rows[g], ids[g], dt[g]
+        for x, (rx, ix) in enumerate(zip(rows, ids)):
+            prod = memo.get((ig, ix))
             if prod is None:
-                if len(memo) >= ROW_PRODUCT_MEMO_BOUND:
-                    del memo[next(iter(memo))]
                 # (R_g * R_x)(y) = max over y1 of min(R_g(y1), R_x(y1^-1 y))
-                prod = memo[key] = tuple(
+                prod = memo[ig, ix] = tuple(
                     max(map(min, rg, map(rx.__getitem__, col))) for col in columns
                 )
             if prod != rows[dg[x]]:
@@ -128,15 +129,15 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
 
 
 @lru_cache(maxsize=_CODOMAINS_KEPT)
-def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, dict]:
-    """The codomain's cofactor table, its columns, and its memo of row products.
+def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, dict, dict]:
+    """The codomain's cofactor table and columns, its row-product memo and row ids.
 
     ``cofactor[y1][y]`` is the y2 with y1*y2 = y, and ``columns[y][y1]`` is
     the same y2.
     """
     ct, cinv = codomain.table, codomain.inverses
     cofactor = tuple(ct[cinv[y1]] for y1 in codomain.elements)
-    return cofactor, tuple(zip(*cofactor)), {}
+    return cofactor, tuple(zip(*cofactor)), {}, {}
 
 
 def _first_violation(rows, dt, cofactor, pairs):

@@ -367,12 +367,7 @@ class ZetaCheck(Record):
 
     @property
     def ok(self) -> bool:
-        return (
-            self.multiplicative
-            and self.surjective
-            and self.kernel_is_center
-            and self.isomorphism
-        )
+        return self.witness is None
 
     @property
     def witness(self) -> Optional[str]:
@@ -404,15 +399,9 @@ def zeta(group: FiniteGroup, mu: FuzzySubset) -> ZetaCheck:
     z = center(group)
     kernel_is_center = kernel.mask == z.mask
     quotient, coset_map = quotient_group(group, z)
-    induced: Optional[list[int]] = [None] * quotient.order  # type: ignore[list-item]
-    for x in group.elements:
-        c = coset_map[x]
-        if induced[c] is None:
-            induced[c] = images[x]
-        elif induced[c] != images[x]:
-            induced = None
-            break
-    iso = tuple(induced) if induced is not None and None not in induced else None
+    # coset c -> image; well defined exactly when every coset has one image
+    induced = sorted({(coset_map[x], images[x]) for x in group.elements})
+    iso = tuple(image for _, image in induced) if len(induced) == quotient.order else None
     isomorphism = iso is not None and is_group_isomorphism(quotient, inn.table, iso)
     return ZetaCheck(
         inn=inn,
@@ -461,13 +450,7 @@ class ThetaCheck(Record):
 
     @property
     def ok(self) -> bool:
-        return (
-            self.hom_report.verdict
-            and self.images_are_inverses
-            and self.kernel_trivial
-            and self.one_one
-            and self.onto
-        )
+        return self.witness is None
 
     @property
     def witness(self) -> Optional[str]:

@@ -1,6 +1,7 @@
 """Fuzzy automorphisms, innerness, conjugation, and the skeleton-class group."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -13,11 +14,12 @@ from fuzzaut.automorphisms import (
     FuzzyAutomorphism,
     NotInjective,
     NotInner,
-    aut_classes,
     build_aut_class_group,
     check_associativity,
     check_automorphism,
+    check_inner_conjugate,
     compose_aut,
+    composite_table,
     conjugate_aut,
     identity_aut,
     inverse_aut,
@@ -33,9 +35,10 @@ from fuzzaut.groups import (
     first_non_associative,
     is_group_isomorphism,
 )
-from fuzzaut.harness import DEFAULT_GROUPS, _Instance
+from fuzzaut import harness
+from fuzzaut.harness import _SUITES, DEFAULT_GROUPS, _Instance
 from fuzzaut.homs import NotHomomorphism, is_fuzzy_homomorphism, lift_hom
-from fuzzaut.maps import FuzzyMap, compose_maps, crisp_map, equiv, make_fuzzy_map
+from fuzzaut.maps import FuzzyMap, compose_maps, crisp_map, equiv, inverse_map, make_fuzzy_map
 from fuzzaut.subsets import chain_strategy, class_strategy
 from fuzzaut.induced import induced_family_raw
 
@@ -55,6 +58,10 @@ def sample_automorphisms(group, mu):
     for fmap in lifts + family:
         seen.setdefault(fmap.grades, fmap)
     return [make_automorphism(f) for f in seen.values()]
+
+
+def sample_maps(group, mu):
+    return [aut.fmap for aut in sample_automorphisms(group, mu)]
 
 
 class TestMakeAutomorphism:
@@ -256,34 +263,44 @@ class TestClassGroup:
     def test_matches_crisp_automorphism_group(self, token):
         group = builtin_group(token)
         mu = class_strategy(group)
-        classes, table = build_aut_class_group(sample_automorphisms(group, mu))
+        skeletons, table = build_aut_class_group(sample_maps(group, mu))
         crisp = crisp_automorphisms(group)
-        assert {c.skeleton for c in classes} == set(crisp)
+        assert set(skeletons) == set(crisp)
         assert table.order == len(crisp)
 
     def test_classes_are_sorted_and_deduplicated(self):
         mu = class_strategy(S3)
-        samples = sample_automorphisms(S3, mu) * 2
-        classes = aut_classes(samples)
-        skeletons = [c.skeleton for c in classes]
-        assert skeletons == sorted(set(skeletons))
+        skeletons, _ = build_aut_class_group(sample_maps(S3, mu) * 2)
+        assert list(skeletons) == sorted(set(skeletons))
 
     def test_class_to_skeleton_is_injective_homomorphism(self):
         mu = class_strategy(S3)
-        classes, table = build_aut_class_group(sample_automorphisms(S3, mu))
-        index = {c.skeleton: i for i, c in enumerate(classes)}
-        for a in classes:
-            for b in classes:
-                composed = tuple(a.skeleton[b.skeleton[x]] for x in S3.elements)
-                assert table.table[index[a.skeleton]][index[b.skeleton]] == index[composed]
+        skeletons, table = build_aut_class_group(sample_maps(S3, mu))
+        index = {sk: i for i, sk in enumerate(skeletons)}
+        for a in skeletons:
+            for b in skeletons:
+                composed = tuple(a[b[x]] for x in S3.elements)
+                assert table.table[index[a]][index[b]] == index[composed]
 
     def test_klein4_class_group_is_symmetric_3(self):
         mu = class_strategy(V4)
-        classes, table = build_aut_class_group(sample_automorphisms(V4, mu))
+        _, table = build_aut_class_group(sample_maps(V4, mu))
         s3 = builtin_group("S3")  # the automorphisms of V4 permute its three involutions
         assert table.order == 6
         assert not table.is_abelian()
         assert any(is_group_isomorphism(table, s3, p) for p in permutations(range(6)))
+
+    @pytest.mark.parametrize("token", ["V4", "S3", "Q8"])
+    def test_composite_table_gives_the_composed_table(self, token):
+        maps = [f for _, f in _Instance(builtin_group(token), "chain").aut_samples]
+        assert build_aut_class_group(maps, composite_table(maps)) == build_aut_class_group(maps)
+
+    def test_composites_that_leave_the_sample_set(self):
+        full = s3_samples()
+        maps = [full["lift:aut1"], full["lift:aut3"]]
+        for products in (None, composite_table(maps)):
+            with pytest.raises(AutomorphismError, match="not closed"):
+                build_aut_class_group(maps, products)
 
 
 def associativity_oracle(named, compose=compose_maps):
@@ -364,3 +381,132 @@ class TestAssociativityCheck:
         expected = associativity_oracle(named, fake)
         assert not expected[0]
         assert check_associativity(named) == expected
+
+
+@lru_cache(maxsize=None)
+def instance(token, mu):
+    """A shared instance, for tests that patch nothing its cached tables read."""
+    return _Instance(builtin_group(token), mu)
+
+
+def lemma_3_1_oracle(ctx):
+    """Literal Lemma 3.1: every ordered pair composed and checked, row-major."""
+    for tag_f, f in ctx.aut_samples:
+        for tag_g, g in ctx.aut_samples:
+            ok, error = check_automorphism(automorphisms.compose_maps(f, g))
+            if not ok:
+                return False, f"({tag_f}) . ({tag_g}): {error}"
+    return True, None
+
+
+def lemma_3_9_oracle(ctx):
+    """Literal Lemma 3.9: every conjugate of every label rep by every sample, checked."""
+    for tag, f in ctx.aut_samples:
+        for g in ctx.induced_reps:
+            conj = compose_maps(inverse_map(f), compose_maps(ctx.induced_raw[g], f))
+            ok, witness = check_inner_conjugate(conj)
+            if not ok:
+                return False, f"conjugate of label {g} by {tag}: {witness}"
+    return True, None
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call adds one to the returned list's only item."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("token", DEFAULT_GROUPS)
+@pytest.mark.parametrize("mu", ["chain", "class"])
+class TestCompositeTable:
+    """The table-based Lemma 3.1 and Lemma 3.9 against their literal scans."""
+
+    def test_every_cell_is_the_composite(self, token, mu):
+        ctx = instance(token, mu)
+        maps = [f for _, f in ctx.aut_samples]
+        composites, cells = ctx.aut_products
+        for f, row in zip(maps, cells):
+            for g, c in zip(maps, row):
+                h = compose_maps(f, g)
+                assert (composites[c].images, composites[c].encoding) == (h.images, h.encoding)
+        keys = {(h.images, h.encoding) for h in composites}
+        assert len(keys) == len(composites) == len({c for row in cells for c in row})
+
+    def test_lemma_3_1_matches_the_literal_scan(self, token, mu):
+        ctx = instance(token, mu)
+        assert _SUITES["Lemma 3.1"](ctx) == lemma_3_1_oracle(ctx) == (True, None)
+
+    def test_lemma_3_9_matches_the_literal_scan(self, token, mu):
+        ctx = instance(token, mu)
+        assert _SUITES["Lemma 3.9"](ctx) == lemma_3_9_oracle(ctx) == (True, None)
+
+
+class TestCompositeTableDefects:
+    def test_lemma_3_1_names_the_first_of_two_failing_pairs(self, monkeypatch):
+        """Pairs (0, 5) and (3, 1) give two different failing composites; the
+        row-major first is the column-major second."""
+        group = builtin_group("Q8")
+        ctx = _Instance(group, "class")
+        maps = [f for _, f in ctx.aut_samples]
+
+        def fake(f, g):
+            h = compose_maps(f, g)
+            if f is maps[0] and g is maps[5]:  # the skeleton leaves the unit entries
+                images = (h.images[1], h.images[0]) + h.images[2:]
+                return FuzzyMap(group, group, None, images, h.encoding)
+            if f is maps[3] and g is maps[1]:  # a homomorphism, but not one-one
+                return crisp_map(group, group, (group.identity,) * group.order)
+            return h
+
+        monkeypatch.setattr(automorphisms, "compose_maps", fake)
+        expected = lemma_3_1_oracle(ctx)
+        assert not expected[0]
+        assert expected[1].startswith(f"({ctx.aut_samples[0][0]}) . ({ctx.aut_samples[5][0]})")
+        assert _SUITES["Lemma 3.1"](ctx) == expected
+
+    def test_composites_with_one_skeleton_and_value_list_stay_apart(self):
+        f = lift_hom(Z4.elements, chain_strategy(Z4), Z4)
+        rows = [list(row) for row in f.grades]
+        rows[0][1], rows[0][2] = rows[0][2], rows[0][1]  # two grades below 1 trade places
+        g = make_fuzzy_map(Z4, Z4, rows)
+        assert (g.images, g.encoding[0]) == (f.images, f.encoding[0]) and g.encoding != f.encoding
+        composites, cells = composite_table([f, g])
+        assert len(composites) == 2
+        for a, row in zip([f, g], cells):
+            for b, c in zip([f, g], row):
+                h = compose_maps(a, b)
+                assert (composites[c].images, composites[c].encoding) == (h.images, h.encoding)
+
+    def test_lemma_3_9_names_the_first_failing_conjugate(self, monkeypatch):
+        ctx = _Instance(builtin_group("S3"), "class")
+        identity = tuple(ctx.group.elements)
+        monkeypatch.setattr(
+            automorphisms, "is_inner", lambda f: 0 if f.images == identity else None
+        )
+        expected = lemma_3_9_oracle(ctx)
+        assert not expected[0]
+        assert _SUITES["Lemma 3.9"](ctx) == expected
+
+
+class TestWorkCounts:
+    """The law checkers run once per distinct map; counted, not timed."""
+
+    @pytest.mark.parametrize("token, distinct", [("Q8", 24), ("direct_product(Z2,Q8)", 192)])
+    @pytest.mark.parametrize("mu", ["chain", "class"])
+    def test_lemma_3_1_checks_each_distinct_composite(self, monkeypatch, token, distinct, mu):
+        calls = count_calls(monkeypatch, harness, "check_automorphism")
+        assert _SUITES["Lemma 3.1"](instance(token, mu)) == (True, None)
+        assert calls == [distinct]
+
+    @pytest.mark.parametrize("token, distinct", [("Q8", 12), ("direct_product(Z2,Q8)", 48)])
+    def test_lemma_3_9_checks_each_distinct_conjugate(self, monkeypatch, token, distinct):
+        calls = count_calls(monkeypatch, harness, "check_inner_conjugate")
+        assert _SUITES["Lemma 3.9"](instance(token, "chain")) == (True, None)
+        assert calls == [distinct]

@@ -1,6 +1,9 @@
 """Command-line contract: exit codes, report formats, file round trips."""
 
+import hashlib
 import json
+
+import pytest
 
 from fuzzaut.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE_FAILED, main
 from fuzzaut.io import save
@@ -101,6 +104,27 @@ class TestVerify:
             "--format", "json", "--seed", "42",
         )
         assert json.loads(out)["campaign"]["seed"] == 42
+
+
+# sha256 prefix of `verify --group builtin:G --mu auto:all --suite all --format json`
+RECORDED_REPORTS = {
+    "S4": "d677b342ed6d23ea",
+    "D8": "9e8b64fc530d1669",
+    "direct_product(Z2,Q8)": "aa10fc31ea6290a6",
+}
+
+
+class TestRecordedReports:
+    """The full reports on the three largest targets stay byte for byte the same."""
+
+    @pytest.mark.parametrize("token", sorted(RECORDED_REPORTS))
+    def test_report_digest(self, capsys, token):
+        code, out, _ = run_cli(
+            capsys, "verify", "--group", f"builtin:{token}", "--mu", "auto:all",
+            "--suite", "all", "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == RECORDED_REPORTS[token]
 
 
 class TestGenMu:

@@ -216,11 +216,36 @@ class TestRowProductMemo:
             assert_matches_oracles(f)
 
     def test_memo_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 3)
+        # one check over D4 adds at most 8 row ids and 2 generators * 8 rows = 16 products
+        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 24)
         homs._row_tables.cache_clear()
         for f in lifted_homs(D4, D4):
             assert_matches_oracles(f)
-        assert len(homs._row_tables(D4)[2]) <= 3
+            _, _, memo, row_ids = homs._row_tables(D4)
+            assert len(memo) + len(row_ids) <= 24
+
+    def test_checks_straddling_a_reset_give_the_cold_answers(self, monkeypatch):
+        batch = []
+        for i, f in enumerate(lifted_homs(D4, D4)):
+            batch.append(f)
+            rows = [list(row) for row in f.grades]
+            x = i % D4.order
+            y = next(y for y in D4.elements if y != f.images[x])
+            rows[x][y] = LOW_GRADES[1 + i % 3] if rows[x][y] == 0 else F(0)
+            batch.append(make_fuzzy_map(D4, D4, rows))
+        cold = []
+        for f in batch:
+            homs._row_tables.cache_clear()
+            cold.append(tuple(is_fuzzy_homomorphism(f)))
+        assert {verdict for verdict, _ in cold} == {True, False}
+        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 40)
+        homs._row_tables.cache_clear()
+        warm, sizes = [], []
+        for f in batch:
+            warm.append(tuple(is_fuzzy_homomorphism(f)))
+            sizes.append(len(homs._row_tables(D4)[3]))
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the tables were reset
+        assert warm == cold
 
 
 class TestKernel:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzaut.automorphisms import AutClass, FuzzyAutomorphism
+from fuzzaut.automorphisms import FuzzyAutomorphism
 from fuzzaut.groups import ElementSubset, FiniteGroup, builtin_group, make_group
 from fuzzaut.harness import DEFAULT_GROUPS, STATEMENT_IDS, Campaign, SuiteResult
 from fuzzaut.homs import HomCheckReport, HomWitness, Theorem22Report
@@ -30,7 +30,6 @@ RECORDS = {
     HomCheckReport: (("verdict", "witness"),) * 2,
     Theorem22Report: (("kernel", "kernel_is_normal", "one_one", "kernel_trivial"),) * 2,
     FuzzyAutomorphism: (("fmap",),) * 2,
-    AutClass: (("skeleton", "representative"),) * 2,
     InducedInner: (("label", "mu", "fmap"),) * 2,
     InnGroup: (("group", "mu", "classes", "class_of", "table"),) * 2,
     ZetaCheck: ((
