@@ -59,12 +59,7 @@ class ClosureViolation(RuntimeError):
 class FuzzyAutomorphism(Record):
     """Validated bijective fuzzy homomorphism with equal domain and codomain."""
 
-    _compared = ("fmap",)
-
     fmap: FuzzyMap
-
-    def __init__(self, fmap) -> None:
-        self.__dict__.update(fmap=fmap)
 
     @property
     def group(self) -> FiniteGroup:
@@ -152,28 +147,31 @@ def check_associativity(named: Mapping[str, FuzzyMap], products: Optional[Produc
     on it: O(k^2) compositions instead of 2*k^3.  If a composite's skeleton
     is not a sample's, if two pairs of the same classes compose to different
     skeletons, or if the table is not associative, the triples are checked
-    one by one (``_first_failing_triple``), which gives the verdict and the
-    witness of the exhaustive scan.
+    one by one (``_first_failing_triple``, reading its pairs from the same
+    table), which gives the verdict and the witness of the exhaustive scan.
     """
+    maps = list(named.values())
+    products = composite_table(maps) if products is None else products
     try:
-        table = skeleton_class_table(list(named.values()), products)
+        table = skeleton_class_table(maps, products)
     except AutomorphismError:
         table = None
     if table is not None and first_non_associative(table) is None:
         return True, None
-    return _first_failing_triple(named)
+    return _first_failing_triple(named, products)
 
 
-def _first_failing_triple(named: Mapping[str, FuzzyMap]) -> Verdict:
-    """Lemma 3.2 over every triple in lexicographic order, two compositions each."""
+def _first_failing_triple(named: Mapping[str, FuzzyMap], products: Products) -> Verdict:
+    """Lemma 3.2 over every triple in lexicographic order, two compositions each;
+    the pair composites are read from ``products``, the maps' ``composite_table``."""
     tags, maps = list(named), list(named.values())
+    composites, cells = products
     k = len(maps)
-    pair = {(i, j): compose_maps(maps[i], maps[j]) for i in range(k) for j in range(k)}
     for i in range(k):
         for j in range(k):
             for l in range(k):
-                left = compose_maps(pair[i, j], maps[l])
-                right = compose_maps(maps[i], pair[j, l])
+                left = compose_maps(composites[cells[i][j]], maps[l])
+                right = compose_maps(maps[i], composites[cells[j][l]])
                 if left.images != right.images:
                     return False, f"associativity fails at ({tags[i]}, {tags[j]}, {tags[l]})"
     return True, None
@@ -314,21 +312,17 @@ def build_aut_class_group(
 ) -> tuple[tuple[tuple[int, ...], ...], FiniteGroup]:
     """The sorted class skeletons, and their Cayley table under honest composition.
 
-    The table is ``skeleton_class_table`` of each class's first map, read
-    from ``products`` (the ``composite_table`` of ``maps``) when it is given.
-    The maps are taken as certified; Lemma 3.1 checks their composites.
-    Raises if the sample set is not closed under composition; the table is
-    validated as a group (``make_group``) before returning.
+    The table is ``skeleton_class_table`` of all the maps, read from
+    ``products`` (their ``composite_table``, built when not given).  The maps
+    are taken as certified; Lemma 3.1 checks their composites.  Raises if the
+    sample set is not closed under composition or two pairs of the same
+    classes compose to different classes; the table is validated as a group
+    (``make_group``) before returning.
     """
-    first = {f.images: i for i, f in reversed(list(enumerate(maps)))}  # earliest index wins
-    if not first:
+    if not maps:
         raise AutomorphismError("cannot build a group from zero samples")
-    skeletons = tuple(sorted(first))
-    picked = [first[sk] for sk in skeletons]
-    if products is not None:
-        composites, cells = products
-        products = composites, tuple(tuple(cells[i][j] for j in picked) for i in picked)
-    table = skeleton_class_table([maps[i] for i in picked], products)
+    table = skeleton_class_table(maps, products)
+    skeletons = tuple(sorted({f.images for f in maps}))
     return skeletons, make_group(table, name=f"AutF({maps[0].domain.name})")
 
 

@@ -97,8 +97,6 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         sys.stdout.write(fio.dumps(report))
     else:
-        for row, result in zip(report["results"], results):
-            row["ms"] = result.ms
         _emit_text(report, sys.stdout)
     return EXIT_OK if report["summary"]["fail"] == 0 else EXIT_SUITE_FAILED
 

@@ -52,18 +52,11 @@ class NotNormal(GroupError):
 class FiniteGroup(Record):
     """Validated group: order, Cayley table, identity and inverse table."""
 
-    _compared = ("name", "order", "table", "identity", "inverses")
-
     name: str
     order: int
     table: tuple[tuple[int, ...], ...]
     identity: int
     inverses: tuple[int, ...]
-
-    def __init__(self, name, order, table, identity, inverses) -> None:
-        self.__dict__.update(
-            name=name, order=order, table=table, identity=identity, inverses=inverses
-        )
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -98,13 +91,8 @@ class FiniteGroup(Record):
 class ElementSubset(Record):
     """Subset of a group's elements, stored as a bitmask."""
 
-    _compared = ("group", "mask")
-
     group: FiniteGroup
     mask: int
-
-    def __init__(self, group, mask) -> None:
-        self.__dict__.update(group=group, mask=mask)
 
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "ElementSubset":

@@ -128,21 +128,10 @@ class Campaign(Record):
     are fully exhaustive and draw no random samples.
     """
 
-    _compared = ("groups", "mu_sources", "suites", "seed")
-
-    groups: tuple[str, ...]
-    mu_sources: tuple[str, ...]
-    suites: tuple[str, ...]
-    seed: int
-
-    def __init__(
-        self,
-        groups: tuple[str, ...] = DEFAULT_GROUPS,
-        mu_sources: tuple[str, ...] = ("chain", "class"),
-        suites: tuple[str, ...] = STATEMENT_IDS,
-        seed: int = 0,
-    ) -> None:
-        self.__dict__.update(groups=groups, mu_sources=mu_sources, suites=suites, seed=seed)
+    groups: tuple[str, ...] = DEFAULT_GROUPS
+    mu_sources: tuple[str, ...] = ("chain", "class")
+    suites: tuple[str, ...] = STATEMENT_IDS
+    seed: int = 0
 
 
 class SuiteResult(Record):
@@ -154,16 +143,8 @@ class SuiteResult(Record):
     instance: str
     verdict: bool
     witness: Optional[str]
-    ms: int
-    expected_failure: bool
-
-    def __init__(
-        self, statement, instance, verdict, witness, ms: int = 0, expected_failure: bool = False
-    ) -> None:
-        self.__dict__.update(
-            statement=statement, instance=instance, verdict=verdict, witness=witness,
-            ms=ms, expected_failure=expected_failure,
-        )
+    ms: int = 0
+    expected_failure: bool = False
 
 
 def default_campaign() -> Campaign:
@@ -506,12 +487,9 @@ def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
 
 
 def campaign_report(
-    campaign: Campaign,
-    results: list[SuiteResult],
-    ablate: Optional[str] = None,
-    stable_timings: bool = True,
+    campaign: Campaign, results: list[SuiteResult], ablate: Optional[str] = None
 ) -> dict:
-    """JSON-ready report; timings are zeroed by default so reports diff cleanly."""
+    """JSON-ready report; timings are zeroed so reports diff cleanly."""
     return {
         "campaign": {
             "groups": list(campaign.groups),
@@ -526,7 +504,7 @@ def campaign_report(
                 "instance": r.instance,
                 "verdict": r.verdict,
                 "witness": r.witness,
-                "ms": 0 if stable_timings else r.ms,
+                "ms": 0,
                 "expected": r.expected_failure,
             }
             for r in results

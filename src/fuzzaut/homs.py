@@ -58,16 +58,11 @@ class OracleRejected(HomError):
 
 
 class HomWitness(Record):
-    _compared = ("x1", "x2", "y", "lhs", "rhs")
-
     x1: int
     x2: int
     y: int
     lhs: Fraction
     rhs: Fraction
-
-    def __init__(self, x1, x2, y, lhs, rhs) -> None:
-        self.__dict__.update(x1=x1, x2=x2, y=y, lhs=lhs, rhs=rhs)
 
     def __str__(self) -> str:
         return (
@@ -77,13 +72,8 @@ class HomWitness(Record):
 
 
 class HomCheckReport(Record):
-    _compared = ("verdict", "witness")
-
     verdict: bool
-    witness: Optional[HomWitness]
-
-    def __init__(self, verdict, witness: Optional[HomWitness] = None) -> None:
-        self.__dict__.update(verdict=verdict, witness=witness)
+    witness: Optional[HomWitness] = None
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -91,6 +81,9 @@ class HomCheckReport(Record):
     def __iter__(self):
         """Unpacks as ``(verdict, witness)``, the shape of every law checker."""
         return iter((self.verdict, self.witness))
+
+
+_HOLDS = HomCheckReport(True)  # records are immutable, so every passing check shares one
 
 
 def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
@@ -125,7 +118,7 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
                 everything = product(range(len(rows)), repeat=2)
                 x1, x2, y, lhs, rhs = _first_violation(rows, dt, cofactor, everything)
                 return HomCheckReport(False, HomWitness(x1, x2, y, values[lhs], values[rhs]))
-    return HomCheckReport(True)
+    return _HOLDS
 
 
 @lru_cache(maxsize=_CODOMAINS_KEPT)
@@ -198,18 +191,10 @@ def check_theorem_2_1(f: FuzzyMap) -> tuple[bool, bool, bool, bool]:
 
 
 class Theorem22Report(Record):
-    _compared = ("kernel", "kernel_is_normal", "one_one", "kernel_trivial")
-
     kernel: ElementSubset
     kernel_is_normal: bool
     one_one: bool
     kernel_trivial: bool
-
-    def __init__(self, kernel, kernel_is_normal, one_one, kernel_trivial) -> None:
-        self.__dict__.update(
-            kernel=kernel, kernel_is_normal=kernel_is_normal,
-            one_one=one_one, kernel_trivial=kernel_trivial,
-        )
 
     @property
     def verdict(self) -> bool:
@@ -219,12 +204,8 @@ class Theorem22Report(Record):
 def check_theorem_2_2(f: FuzzyMap) -> Theorem22Report:
     """Kernel normality plus the injectivity criterion."""
     k = kernel(f)
-    return Theorem22Report(
-        kernel=k,
-        kernel_is_normal=is_normal_subgroup(f.domain, k),
-        one_one=is_one_one(f),
-        kernel_trivial=k.indices == (f.domain.identity,),
-    )
+    trivial = k.indices == (f.domain.identity,)
+    return Theorem22Report(k, is_normal_subgroup(f.domain, k), is_one_one(f), trivial)
 
 
 def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> FuzzyMap:

@@ -61,14 +61,9 @@ class LawViolation(RuntimeError):
 class InducedInner(Record):
     """Labeled induced map: the label g, the membership function, the matrix."""
 
-    _compared = ("label", "mu", "fmap")
-
     label: int
     mu: FuzzySubset
     fmap: FuzzyMap
-
-    def __init__(self, label, mu, fmap) -> None:
-        self.__dict__.update(label=label, mu=mu, fmap=fmap)
 
     @property
     def group(self) -> FiniteGroup:
@@ -297,16 +292,11 @@ class InnGroup(Record):
     label product and is validated as a group.
     """
 
-    _compared = ("group", "mu", "classes", "class_of", "table")
-
     group: FiniteGroup
     mu: FuzzySubset
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     table: FiniteGroup
-
-    def __init__(self, group, mu, classes, class_of, table) -> None:
-        self.__dict__.update(group=group, mu=mu, classes=classes, class_of=class_of, table=table)
 
     def __repr__(self) -> str:
         return f"InnGroup({self.group.name}, classes={len(self.classes)})"
@@ -339,11 +329,6 @@ def build_inn_group(group: FiniteGroup, mu: FuzzySubset) -> InnGroup:
 class ZetaCheck(Record):
     """The label-to-class map g -> class(g^-1) with its verification facts."""
 
-    _compared = (
-        "inn", "images", "multiplicative", "surjective", "kernel",
-        "kernel_is_center", "quotient", "coset_map", "induced_iso", "isomorphism",
-    )
-
     inn: InnGroup
     images: tuple[int, ...]
     multiplicative: bool
@@ -354,16 +339,6 @@ class ZetaCheck(Record):
     coset_map: tuple[int, ...]
     induced_iso: Optional[tuple[int, ...]]
     isomorphism: bool
-
-    def __init__(
-        self, inn, images, multiplicative, surjective, kernel,
-        kernel_is_center, quotient, coset_map, induced_iso, isomorphism,
-    ) -> None:
-        self.__dict__.update(
-            inn=inn, images=images, multiplicative=multiplicative, surjective=surjective,
-            kernel=kernel, kernel_is_center=kernel_is_center, quotient=quotient,
-            coset_map=coset_map, induced_iso=induced_iso, isomorphism=isomorphism,
-        )
 
     @property
     def ok(self) -> bool:
@@ -401,19 +376,11 @@ def zeta(group: FiniteGroup, mu: FuzzySubset) -> ZetaCheck:
     quotient, coset_map = quotient_group(group, z)
     # coset c -> image; well defined exactly when every coset has one image
     induced = sorted({(coset_map[x], images[x]) for x in group.elements})
-    iso = tuple(image for _, image in induced) if len(induced) == quotient.order else None
-    isomorphism = iso is not None and is_group_isomorphism(quotient, inn.table, iso)
+    induced_iso = tuple(image for _, image in induced) if len(induced) == quotient.order else None
+    isomorphism = induced_iso is not None and is_group_isomorphism(quotient, inn.table, induced_iso)
     return ZetaCheck(
-        inn=inn,
-        images=images,
-        multiplicative=multiplicative,
-        surjective=surjective,
-        kernel=kernel,
-        kernel_is_center=kernel_is_center,
-        quotient=quotient,
-        coset_map=coset_map,
-        induced_iso=iso,
-        isomorphism=isomorphism,
+        inn, images, multiplicative, surjective, kernel,
+        kernel_is_center, quotient, coset_map, induced_iso, isomorphism,
     )
 
 
@@ -424,11 +391,6 @@ class ThetaCheck(Record):
     group on the same indices; theta(a, label b) = mu(a^-1 * b^-1).
     """
 
-    _compared = (
-        "fmap", "label_group", "hom_report", "images_are_inverses",
-        "kernel", "kernel_trivial", "one_one", "onto",
-    )
-
     fmap: FuzzyMap
     label_group: FiniteGroup
     hom_report: HomCheckReport
@@ -437,16 +399,6 @@ class ThetaCheck(Record):
     kernel_trivial: bool
     one_one: bool
     onto: bool
-
-    def __init__(
-        self, fmap, label_group, hom_report, images_are_inverses,
-        kernel, kernel_trivial, one_one, onto,
-    ) -> None:
-        self.__dict__.update(
-            fmap=fmap, label_group=label_group, hom_report=hom_report,
-            images_are_inverses=images_are_inverses, kernel=kernel,
-            kernel_trivial=kernel_trivial, one_one=one_one, onto=onto,
-        )
 
     @property
     def ok(self) -> bool:

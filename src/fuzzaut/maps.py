@@ -68,14 +68,9 @@ class NotBijective(MapError):
 class FuzzyRelation(Record):
     """Grade matrix over domain x codomain; shape is the only invariant."""
 
-    _compared = ("domain", "codomain", "grades")
-
     domain: FiniteGroup
     codomain: FiniteGroup
     grades: tuple[tuple[Fraction, ...], ...]
-
-    def __init__(self, domain, codomain, grades) -> None:
-        self.__dict__.update(domain=domain, codomain=codomain, grades=grades)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.domain.name} -> {self.codomain.name})"
@@ -93,17 +88,15 @@ def _rank_cells(grades) -> Encoding:
 class FuzzyMap(FuzzyRelation):
     """Relation with a unique unit entry per row; ``images`` is the skeleton.
 
-    The cells are stored once, as ``encoding = (values, rank_rows)`` (see the
-    module docstring).  A constructor passes either ``grades``, which are
-    ranked, or an ``encoding``; both or neither raise ``TypeError``.
+    The cells are stored once, in the attribute (not a field) ``encoding =
+    (values, rank_rows)``; see the module docstring.  A constructor passes
+    either ``grades``, which are ranked, or an ``encoding``; both or neither
+    raise ``TypeError``.
     ``grades`` is derived on first read; equality and hashing compare it, so
     maps are equal when their grade matrices are, whatever their value lists.
     """
 
-    _compared = FuzzyRelation._compared + ("images",)
-
     images: tuple[int, ...]
-    encoding: Encoding
 
     def __init__(self, domain, codomain, grades, images, encoding: Optional[Encoding] = None) -> None:
         if (grades is None) == (encoding is None):

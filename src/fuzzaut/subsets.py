@@ -17,6 +17,7 @@ from .groups import (
     ElementSubset,
     FiniteGroup,
     class_index,
+    conjugacy_classes,
     derived_series,
     is_subgroup,
     normal_subgroups,
@@ -59,16 +60,14 @@ class FuzzySubset(Record):
     """Grade vector over a group's elements, callable as mu(x).
 
     ``encoding = (values, ranks)`` holds the grades as integer ranks
-    (``grades.rank_grades``), derived once by the constructor (it is not an
-    argument) and kept out of equality.  The predicates scan the ranks, and
-    every map built from mu (``maps.indexed_map``) reuses them.
+    (``grades.rank_grades``), derived once by the constructor.  It is an
+    attribute, not a field: not an argument, and kept out of equality.  The
+    predicates scan the ranks, and every map built from mu
+    (``maps.indexed_map``) reuses them.
     """
-
-    _compared = ("group", "grades")
 
     group: FiniteGroup
     grades: tuple[Fraction, ...]
-    encoding: tuple[tuple[Fraction, ...], tuple[int, ...]]
 
     def __init__(self, group, grades) -> None:
         self.__dict__.update(group=group, grades=grades, encoding=rank_grades(grades))
@@ -98,16 +97,11 @@ def fuzzy_subset(group: FiniteGroup, grades: Iterable) -> FuzzySubset:
 class SubgroupViolation(Record):
     """First counterexample found by a membership predicate."""
 
-    _compared = ("kind", "x", "y", "lhs", "rhs")
-
     kind: str  # "product" | "inverse" | "symmetry"
     x: int
     y: Optional[int]
     lhs: Fraction
     rhs: Fraction
-
-    def __init__(self, kind, x, y, lhs, rhs) -> None:
-        self.__dict__.update(kind=kind, x=x, y=y, lhs=lhs, rhs=rhs)
 
     def __str__(self) -> str:
         if self.kind == "product":
@@ -254,8 +248,6 @@ def gen_mu_class(group: FiniteGroup, class_grades: Sequence) -> FuzzySubset:
     order.  Symmetry holds by construction; the subgroup inequalities do not,
     so the oracle runs and rejects bad assignments with its witness.
     """
-    from .groups import conjugacy_classes
-
     classes = conjugacy_classes(group)
     vals = [grade(g) for g in class_grades]
     if len(vals) != len(classes):
@@ -318,8 +310,6 @@ def class_strategy(group: FiniteGroup) -> FuzzySubset:
         raise StrategyInapplicable(
             f"derived series of {group.name} does not reach the trivial subgroup"
         )
-    from .groups import conjugacy_classes
-
     classes = conjugacy_classes(group)
     depth = len(series) - 1
 

@@ -52,6 +52,19 @@ class TestExitCodes:
         assert "FileFormatError" in err
         assert out == ""
 
+    def test_oversized_group_file_is_two_before_make_group(self, capsys, tmp_path, monkeypatch):
+        import fuzzaut.io
+
+        built = []
+        monkeypatch.setattr(fuzzaut.io, "make_group", lambda *a, **k: built.append(a))
+        path = tmp_path / "z257.json"
+        table = [[(a + b) % 257 for b in range(257)] for a in range(257)]
+        save(path, {"name": "Z257", "order": 257, "table": table})
+        code, out, err = run_cli(capsys, "verify", "--group", f"file:{path}", "--suite", "hom")
+        assert code == EXIT_CONFIG
+        assert "FileFormatError" in err and "declared order 257 exceeds the bound 256" in err
+        assert out == "" and built == []
+
     def test_unknown_group_is_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--group", "builtin:Z99")
         assert code == EXIT_CONFIG
@@ -114,6 +127,10 @@ RECORDED_REPORTS = {
 }
 
 
+# sha256 prefix of the text output of `verify --group builtin:S3`, which shows no timings
+RECORDED_S3_TEXT = "85ffc62b4204f57d"
+
+
 class TestRecordedReports:
     """The full reports on the three largest targets stay byte for byte the same."""
 
@@ -125,6 +142,11 @@ class TestRecordedReports:
         )
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == RECORDED_REPORTS[token]
+
+    def test_text_report_digest(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--group", "builtin:S3")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == RECORDED_S3_TEXT
 
 
 class TestGenMu:

@@ -41,6 +41,12 @@ class TestGroupFiles:
         with pytest.raises(FileFormatError, match="declared order 2 but the table has 3 rows"):
             group_from_json({"name": "X", "order": 2, "table": table})
 
+    def test_declared_order_bounded_before_the_table_is_read(self):
+        with pytest.raises(FileFormatError, match="declared order 257 exceeds the bound 256"):
+            group_from_json({"name": "X", "order": 257, "table": "not read"})
+        z16z16 = builtin_group("direct_product(Z16,Z16)")
+        assert group_from_json(group_to_json(z16z16)) == z16z16
+
     def test_missing_key(self):
         with pytest.raises(FileFormatError):
             group_from_json({"name": "X", "order": 1})

@@ -12,6 +12,7 @@ last cases seed a defect in map composition, below every checker, and
 record which statements of the campaign catch it.
 """
 
+import re
 import sys
 
 import pytest
@@ -26,7 +27,7 @@ from fuzzaut.automorphisms import (
     make_automorphism,
 )
 from fuzzaut.groups import NotAssociative, builtin_group, crisp_automorphisms, make_group
-from fuzzaut.harness import Campaign, ablation, run_campaign
+from fuzzaut.harness import Campaign, _Instance, ablation, run_campaign
 from fuzzaut.induced import (
     LawViolation,
     compose_induced,
@@ -210,17 +211,46 @@ def test_associativity_kernel_serves_make_group_theorems_3_1_and_4_1(monkeypatch
     assert row_of("Lemma 3.2").verdict
 
 
-def test_lemma_3_2_decides_with_the_associativity_kernel(monkeypatch):
-    honest, first = maps.compose_maps, crisp_automorphisms(S3)[1]
+def reversed_after_first(honest):
+    """``honest`` composition, except that a composite whose left operand has
+    the skeleton of S3's second crisp automorphism is built the other way
+    round: not associative on S3, yet a function of the skeleton classes."""
+    first = crisp_automorphisms(S3)[1]
 
-    def reversed_after_first(f, g):
-        """Not associative on S3, yet a function of the skeleton classes."""
+    def compose(f, g):
         return honest(g, f) if f.images == first else honest(f, g)
 
-    seed_defect(monkeypatch, maps, "compose_maps", reversed_after_first)
+    return compose
+
+
+def test_lemma_3_2_decides_with_the_associativity_kernel(monkeypatch):
+    seed_defect(monkeypatch, maps, "compose_maps", reversed_after_first(maps.compose_maps))
     assert not row_of("Lemma 3.2").verdict
     seed_defect(monkeypatch, groups, "first_non_associative", lambda table: None)
     assert row_of("Lemma 3.2").verdict
+
+
+def test_lemma_3_2_failure_path_composes_each_pair_once(monkeypatch):
+    """The triple scan reads its pair composites from the composite table:
+    k^2 compositions build the table, then two per triple visited."""
+    defect = reversed_after_first(maps.compose_maps)
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return defect(f, g)
+
+    seed_defect(monkeypatch, maps, "compose_maps", counted)
+    named = dict(_Instance(S3, "class").aut_samples)
+    calls.clear()
+    ok, witness = automorphisms.check_associativity(named)
+    assert not ok
+    tags, k = list(named), len(named)
+    triple = re.fullmatch(r"associativity fails at \((.+), (.+), (.+)\)", witness).groups()
+    i, j, l = map(tags.index, triple)
+    visited = (i * k + j) * k + l + 1
+    assert visited > 1
+    assert len(calls) == k * k + 2 * visited
 
 
 def test_label_product_witness_names_the_pair_and_cell():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fuzzaut.automorphisms import FuzzyAutomorphism
+from fuzzaut.errors import Record
 from fuzzaut.groups import ElementSubset, FiniteGroup, builtin_group, make_group
 from fuzzaut.harness import DEFAULT_GROUPS, STATEMENT_IDS, Campaign, SuiteResult
 from fuzzaut.homs import HomCheckReport, HomWitness, Theorem22Report
@@ -110,6 +111,73 @@ class TestRecordContract:
         for other in RECORDS:
             if other is not cls:
                 assert a.__eq__(build(other)) is NotImplemented
+
+
+def library_records(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("fuzzaut."):
+            yield sub
+        yield from library_records(sub)
+
+
+OWN_CONSTRUCTORS = {FuzzyMap, FuzzySubset}  # they rank their grades
+SHARED = [cls for cls in RECORDS if cls not in OWN_CONSTRUCTORS]
+
+
+class TestDeclaredFields:
+    def test_records_lists_every_record_class(self):
+        assert set(library_records()) == set(RECORDS)
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=ids(RECORDS))
+    def test_declared_order_is_the_constructor_order(self, cls):
+        assert cls._fields == RECORDS[cls][0]
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=ids(RECORDS))
+    def test_only_the_ranking_records_define_a_constructor(self, cls):
+        assert ("__init__" in vars(cls)) == (cls in OWN_CONSTRUCTORS)
+        if cls not in OWN_CONSTRUCTORS:
+            assert cls.__init__ is Record.__init__
+
+    @pytest.mark.parametrize("cls", SHARED, ids=ids(SHARED))
+    def test_bad_calls_raise_type_error_naming_the_class(self, cls):
+        names, _ = RECORDS[cls]
+        args = [value(name, 1) for name in names]
+        required = len(names) - len(cls._defaults)
+        calls = [
+            (args, {"unknown": 1}),  # an unknown keyword
+            (args + [1], {}),  # too many positional arguments
+            (args, {names[0]: args[0]}),  # a field given twice
+        ]
+        if required:
+            calls.append((args[:required - 1], {}))  # a field missing
+        for call_args, kwargs in calls:
+            with pytest.raises(TypeError, match=cls.__name__):
+                cls(*call_args, **kwargs)
+
+    def test_keyword_calls_fill_in_defaults(self):
+        row = SuiteResult(statement="Lemma 3.1", instance="S3|mu=chain", verdict=True,
+                          witness=None, expected_failure=True)
+        assert row == SuiteResult("Lemma 3.1", "S3|mu=chain", True, None, 0, True)
+        assert row.ms == 0
+        assert Campaign(seed=3) == Campaign(DEFAULT_GROUPS, ("chain", "class"), STATEMENT_IDS, 3)
+
+    def test_a_required_field_after_a_default_is_refused(self):
+        with pytest.raises(TypeError, match="'b' follows a field with a default"):
+            class Broken(Record):
+                a: int = 0
+                b: int
+
+    def test_a_subclass_adds_its_fields_after_its_base(self):
+        class Base(Record):
+            a: int
+            b: int = 2
+
+        class Derived(Base):
+            c: int = 3
+
+        assert Derived._fields == ("a", "b", "c")
+        assert Derived(1).__dict__ == {"a": 1, "b": 2, "c": 3}
+        assert Derived(1, c=4) == Derived(1, 2, 4) != Base(1, 2)
 
 
 class TestSpecificRecords:
