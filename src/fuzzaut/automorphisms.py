@@ -10,8 +10,8 @@ Each law of section 3 has one checker here returning ``(verdict, witness)``.
 The checkers take maps that are already built and never revalidate their
 inputs; the raising constructors below and the law harness both call them.
 Lemmas 3.1 and 3.2 and Theorem 3.1 read the pairwise composites of one
-sample list from ``composite_table``, which composes each ordered pair once
-and keeps each distinct composite once.
+sample list from the ``composite_table`` their caller passes in, which
+composes each ordered pair once and keeps each distinct composite once.
 """
 
 from __future__ import annotations
@@ -136,24 +136,22 @@ def inverse_aut(f: FuzzyAutomorphism) -> FuzzyAutomorphism:
     return _revalidated(inverse_map(f.fmap), "transpose of a valid automorphism failed")
 
 
-def check_associativity(named: Mapping[str, FuzzyMap], products: Optional[Products] = None) -> Verdict:
+def check_associativity(named: Mapping[str, FuzzyMap], products: Products) -> Verdict:
     """Lemma 3.2: (f.g).h and f.(g.h) share a skeleton for every triple of named maps.
 
     ``compose_maps`` builds a composite's skeleton as ``f.images[g.images[z]]``,
     so a composite's skeleton class depends only on its operands' classes,
     and so does each triple's verdict.  The check therefore reads the class
     table off the k^2 honest pairwise composites in ``products`` (the maps'
-    ``composite_table``, built when not given) and runs ``first_non_associative``
-    on it: O(k^2) compositions instead of 2*k^3.  If a composite's skeleton
-    is not a sample's, if two pairs of the same classes compose to different
-    skeletons, or if the table is not associative, the triples are checked
-    one by one (``_first_failing_triple``, reading its pairs from the same
-    table), which gives the verdict and the witness of the exhaustive scan.
+    ``composite_table``) and runs ``first_non_associative`` on it: O(k^2)
+    compositions instead of 2*k^3.  If a composite's skeleton is not a
+    sample's, if two pairs of the same classes compose to different skeletons,
+    or if the table is not associative, the triples are checked one by one
+    (``_first_failing_triple``, reading its pairs from the same table), which
+    gives the verdict and the witness of the exhaustive scan.
     """
-    maps = list(named.values())
-    products = composite_table(maps) if products is None else products
     try:
-        table = skeleton_class_table(maps, products)
+        table = skeleton_class_table(list(named.values()), products)
     except AutomorphismError:
         table = None
     if table is not None and first_non_associative(table) is None:
@@ -278,16 +276,16 @@ def composite_table(maps: Sequence[FuzzyMap]) -> Products:
     return [h for _, h in seen.values()], tuple(cells)
 
 
-def skeleton_class_table(maps: Sequence[FuzzyMap], products: Optional[Products] = None) -> Table:
+def skeleton_class_table(maps: Sequence[FuzzyMap], products: Products) -> Table:
     """The table of the skeleton classes of ``maps`` under ``compose_maps``.
 
     Classes are numbered in sorted order of their skeletons.  Cell (a, b) is
     the class of f.g for maps f in class a and g in class b, read from
-    ``products``, the ``composite_table`` of ``maps`` (built when not given).
+    ``products``, the ``composite_table`` of ``maps``.
     Raises ``AutomorphismError`` if a composite's skeleton is not among the
     classes, or if two pairs of the same classes give different skeletons.
     """
-    composites, cells = composite_table(maps) if products is None else products
+    composites, cells = products
     skeletons = sorted({f.images for f in maps})
     index = {sk: i for i, sk in enumerate(skeletons)}
     table: list[list[Optional[int]]] = [[None] * len(skeletons) for _ in skeletons]
@@ -321,14 +319,15 @@ def build_aut_class_group(
     """
     if not maps:
         raise AutomorphismError("cannot build a group from zero samples")
-    table = skeleton_class_table(maps, products)
+    table = skeleton_class_table(maps, composite_table(maps) if products is None else products)
     skeletons = tuple(sorted({f.images for f in maps}))
     return skeletons, make_group(table, name=f"AutF({maps[0].domain.name})")
 
 
-def check_class_group(maps: Sequence[FuzzyMap], products: Optional[Products] = None) -> Verdict:
+def check_class_group(maps: Sequence[FuzzyMap], products: Products) -> Verdict:
     """Theorem 3.1: the skeleton classes of the automorphisms form a group whose skeletons
-    are exactly the crisp automorphisms of the group; ``products`` as for ``build_aut_class_group``."""
+    are exactly the crisp automorphisms of the group; ``products`` is the maps'
+    ``composite_table``, read as in ``build_aut_class_group``."""
     try:
         skeletons, _ = build_aut_class_group(maps, products)
     except FuzzautError as exc:

@@ -26,7 +26,6 @@ from .harness import (
     campaign_report,
     resolve_group,
     resolve_mu,
-    run_campaign,
 )
 from .induced import build_inn_group, zeta
 from .subsets import FuzzySubset, mu_from_strategy, require_valid_mu
@@ -92,7 +91,7 @@ def cmd_verify(args) -> int:
     suites = _suite_selection(args.suite)
     _validate_sources(groups, mus)
     campaign = Campaign(groups=groups, mu_sources=mus, suites=suites, seed=args.seed)
-    results = ablation(campaign, args.ablate) if args.ablate else run_campaign(campaign)
+    results = ablation(campaign, args.ablate)
     report = campaign_report(campaign, results, ablate=args.ablate)
     if args.format == "json":
         sys.stdout.write(fio.dumps(report))

@@ -252,6 +252,9 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Fi
 _CYCLIC_MAX = 16
 _DIHEDRAL_MAX = 8
 _SYMMETRIC_MAX = 4
+# the largest order of a built or loaded group, that of Z16 x Z16; it keeps
+# make_group's O(n^3) rescan of a table off larger groups
+MAX_ORDER = 256
 
 _ALIAS_RE = re.compile(r"^([ZzDdSs])(\d+)$")
 _CALL_RE = re.compile(r"^(cyclic|dihedral|symmetric)\((\d+)\)$")
@@ -335,7 +338,7 @@ def builtin_group(token: str) -> FiniteGroup:
       lexicographic order, product (p*q)(x) = p(q(x)).
     * ``quaternion8`` / ``Q8`` -- 1, -1, i, -i, j, -j, k, -k.
     * ``klein4`` / ``V4`` -- pairs (0,0), (0,1), (1,0), (1,1) over Z2 x Z2.
-    * ``direct_product(a,b)`` -- row-major pairs over the two factors.
+    * ``direct_product(a,b)`` -- row-major pairs over the two factors, order <= 256.
     """
     tok = token.strip()
     m = _ALIAS_RE.match(tok)
@@ -369,6 +372,11 @@ def builtin_group(token: str) -> FiniteGroup:
     if tok.startswith("direct_product(") and tok.endswith(")"):
         left, right = _split_product_args(tok[len("direct_product(") : -1])
         g1, g2 = builtin_group(left), builtin_group(right)
+        if g1.order * g2.order > MAX_ORDER:
+            raise GroupTooLarge(
+                f"direct_product({g1.name},{g2.name}) has order {g1.order * g2.order}, "
+                f"above the bound {MAX_ORDER}"
+            )
         return make_group(_direct_table(g1, g2), name=f"{g1.name}x{g2.name}")
     raise UnknownGroup(f"unrecognized group token {token!r}")
 

@@ -178,7 +178,12 @@ def _campaign_group(token: str) -> FiniteGroup:
 
 
 class _Instance:
-    """One (group, mu) cell of the campaign matrix, with cached samples and composites."""
+    """One (group, mu) cell of the campaign matrix, with cached samples and composites.
+
+    The section 3 samples are the crisp automorphisms lifted through mu.  The
+    labeled family adds none: for a normal mu, f_g is the lift of x -> g^-1 x g.
+    Section 4 and Lemmas 3.7 to 3.9 read the family itself (``induced_raw``).
+    """
 
     def __init__(self, group: FiniteGroup, mu_token: str):
         self.group = group
@@ -205,7 +210,7 @@ class _Instance:
         return sorted(seen.values())
 
     @cached_property
-    def lift_samples(self) -> list[tuple[str, FuzzyMap]]:
+    def aut_samples(self) -> list[tuple[str, FuzzyMap]]:
         """Every crisp automorphism lifted through mu, in automorphism order."""
         return [
             (f"lift:aut{i}", lift_hom(sigma, self.mu, self.group))
@@ -227,30 +232,7 @@ class _Instance:
 
     @cached_property
     def hom_samples(self) -> list[tuple[str, FuzzyMap]]:
-        return (
-            self.lift_samples
-            + self.quotient_lifts
-            + [(f"induced:g={g}", self.induced_raw[g]) for g in self.induced_reps]
-        )
-
-    @cached_property
-    def aut_samples(self) -> list[tuple[str, FuzzyMap]]:
-        """Deduplicated sample set: all lifted automorphisms plus the labeled family.
-
-        Samples are keyed on their integer encoding, not on their ``Fraction``
-        grades.  Every sample is ranked over mu's ``values`` tuple (lifts by
-        ``maps.indexed_map``, the family by ``maps.ranked_map``), so equal
-        rank rows mean equal grades.
-        """
-        seen: set[tuple] = set()
-        out = []
-        for tag, fmap in self.lift_samples + [
-            (f"induced:g={g}", self.induced_raw[g]) for g in self.group.elements
-        ]:
-            if fmap.encoding not in seen:
-                seen.add(fmap.encoding)
-                out.append((tag, fmap))
-        return out
+        return self.aut_samples + self.quotient_lifts
 
     @cached_property
     def aut_products(self) -> tuple[list[FuzzyMap], tuple[tuple[int, ...], ...]]:

@@ -219,18 +219,12 @@ def check_triple_products(group: FiniteGroup, family: Family, labels: Iterable[i
 def check_identity_label(mu: FuzzySubset, family: Family, labels: Iterable[int]) -> Verdict:
     """Lemma 4.5: f_e is mu(x^-1 y) and a two-sided identity for each f_g, exactly.
 
-    f_e is compared with mu on ranks when their value lists are equal, and
-    on grades otherwise; the identity laws go through ``pointwise_equal``.
+    f_e is compared with ``induced_map(mu, e)``, which is built on its own,
+    and the identity laws are checked; all three go through ``pointwise_equal``.
     """
     group = mu.group
-    t, inv = group.table, group.inverses
     ident = family[group.identity]
-    values, ranks = mu.encoding
-    if ident.encoding[0] == values:
-        rows, vec = ident.encoding[1], ranks
-    else:
-        rows, vec = ident.grades, mu.grades
-    if any(rows[x][y] != vec[t[inv[x]][y]] for x in group.elements for y in group.elements):
+    if not pointwise_equal(ident, induced_map(mu, group.identity)):
         return False, "identity-labeled matrix is not mu(x^-1 y)"
     for g in labels:
         if not pointwise_equal(compose_maps(family[g], ident), family[g]):

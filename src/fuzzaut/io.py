@@ -14,15 +14,12 @@ from typing import Optional
 
 from .errors import FuzzautError
 from .grades import format_grade, parse_grade
-from .groups import FiniteGroup, builtin_group, make_group
+from .groups import MAX_ORDER, FiniteGroup, builtin_group, make_group
 from .maps import FuzzyMap, make_fuzzy_map
 from .subsets import FuzzySubset, fuzzy_subset
 
 
 _TEXTS_KEPT = 16  # file texts whose loaded group or mu is kept, per loader
-# the largest order a group file may declare, that of Z16 x Z16; it keeps
-# make_group's O(n^3) rescan of a non-associative table off larger files
-_MAX_FILE_ORDER = 256
 
 
 class FileFormatError(FuzzautError):
@@ -58,8 +55,8 @@ def group_to_json(group: FiniteGroup) -> dict:
 def group_from_json(obj: dict) -> FiniteGroup:
     name = _require(obj, "name", str)
     order = _require(obj, "order", int)
-    if order > _MAX_FILE_ORDER:
-        raise FileFormatError(f"declared order {order} exceeds the bound {_MAX_FILE_ORDER}")
+    if order > MAX_ORDER:
+        raise FileFormatError(f"declared order {order} exceeds the bound {MAX_ORDER}")
     table = _require(obj, "table", list)
     if len(table) != order:
         raise FileFormatError(f"declared order {order} but the table has {len(table)} rows")

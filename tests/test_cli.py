@@ -65,6 +65,17 @@ class TestExitCodes:
         assert "FileFormatError" in err and "declared order 257 exceeds the bound 256" in err
         assert out == "" and built == []
 
+    def test_oversized_direct_product_is_two_before_its_table(self, capsys, monkeypatch):
+        import fuzzaut.groups
+
+        built = []
+        monkeypatch.setattr(fuzzaut.groups, "_direct_table", lambda *a: built.append(a))
+        token = "builtin:direct_product(direct_product(S4,S4),Z2)"
+        code, out, err = run_cli(capsys, "verify", "--group", token, "--suite", "thm:2.1")
+        assert code == EXIT_CONFIG
+        assert "GroupTooLarge" in err and "has order 576, above the bound 256" in err
+        assert out == "" and built == []
+
     def test_unknown_group_is_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--group", "builtin:Z99")
         assert code == EXIT_CONFIG

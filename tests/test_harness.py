@@ -20,7 +20,8 @@ from fuzzaut.harness import (
     run_campaign,
     statements_covered,
 )
-from fuzzaut.groups import builtin_group
+from fuzzaut.groups import builtin_group, crisp_automorphisms, normal_subgroups
+from fuzzaut.homs import lift_hom
 from fuzzaut.io import dumps, save
 
 
@@ -180,17 +181,28 @@ class TestRecordedReports:
         assert dumps(campaign_report(campaign, run_campaign(campaign))) == expected
 
 
+@pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "D8"))
+@pytest.mark.parametrize("mu", ["chain", "class"])
 class TestSampleDeduplication:
-    """Samples keyed on their rank encoding are the samples keyed on their grades."""
+    """The section 3 samples are the lifts of the crisp automorphisms: merging
+    the labeled family in and deduplicating by grades adds none of its maps."""
 
-    @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "D8"))
-    @pytest.mark.parametrize("mu", ["chain", "class"])
     def test_same_samples_as_keying_on_grades(self, token, mu):
         ctx = _Instance(builtin_group(token), mu)
-        candidates = ctx.lift_samples + [
-            (f"induced:g={g}", ctx.induced_raw[g]) for g in ctx.group.elements
-        ]
+        candidates = [
+            (f"lift:aut{i}", lift_hom(sigma, ctx.mu, ctx.group))
+            for i, sigma in enumerate(crisp_automorphisms(ctx.group))
+        ] + [(f"induced:g={g}", ctx.induced_raw[g]) for g in ctx.group.elements]
         by_grades: dict = {}
         for tag, fmap in candidates:
             by_grades.setdefault(fmap.grades, (tag, fmap))
         assert ctx.aut_samples == list(by_grades.values())
+
+    def test_hom_samples_are_the_lifts_then_the_quotient_maps(self, token, mu):
+        ctx = _Instance(builtin_group(token), mu)
+        aut_tags = [tag for tag, _ in ctx.aut_samples]
+        quotient_tags = [
+            f"lift:quot|N|={len(n)}" for n in normal_subgroups(ctx.group) if len(n) > 1
+        ]
+        assert [tag for tag, _ in ctx.hom_samples] == aut_tags + quotient_tags
+        assert len({f.images for _, f in ctx.aut_samples}) == len(aut_tags)

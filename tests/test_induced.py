@@ -7,6 +7,8 @@ import pytest
 from fuzzaut.errors import FuzzautError
 from fuzzaut.grades import rank_grades
 from fuzzaut.groups import builtin_group, center, is_group_isomorphism
+from fuzzaut.harness import DEFAULT_GROUPS
+from fuzzaut.homs import lift_hom
 from fuzzaut.maps import (
     FuzzyMap,
     MultipleUnitEntries,
@@ -298,6 +300,18 @@ class TestFamilyMatchesInducedMap:
             induced_family_raw(group, mu)
         assert type(raised.value) is type(oracle.value)
         assert str(raised.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("name", DEFAULT_GROUPS + ("S4", "D8", "D6", "direct_product(Z2,Q8)"))
+@pytest.mark.parametrize("strategy", [chain_strategy, class_strategy])
+def test_family_is_the_lift_of_conjugation(name, strategy):
+    """For a normal mu, mu(x^-1 g y g^-1) = mu((g^-1 x g)^-1 y): f_g is the lift of
+    x -> g^-1 x g, so the harness takes its section 3 samples from the lifts alone."""
+    group = builtin_group(name)
+    mu = strategy(group)
+    for g, fmap in enumerate(induced_family_raw(group, mu)):
+        lift = lift_hom([group.conjugate(x, g) for x in group.elements], mu, group)
+        assert (fmap.images, fmap.encoding) == (lift.images, lift.encoding), g
 
 
 def regraded(fmap, scale):

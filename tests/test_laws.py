@@ -243,7 +243,8 @@ def test_lemma_3_2_failure_path_composes_each_pair_once(monkeypatch):
     seed_defect(monkeypatch, maps, "compose_maps", counted)
     named = dict(_Instance(S3, "class").aut_samples)
     calls.clear()
-    ok, witness = automorphisms.check_associativity(named)
+    products = automorphisms.composite_table(list(named.values()))
+    ok, witness = automorphisms.check_associativity(named, products)
     assert not ok
     tags, k = list(named), len(named)
     triple = re.fullmatch(r"associativity fails at \((.+), (.+), (.+)\)", witness).groups()
