@@ -26,6 +26,7 @@ from .groups import (
     crisp_automorphisms,
     first_non_associative,
     make_group,
+    picker,
 )
 from .homs import NotHomomorphism, is_fuzzy_homomorphism
 from .maps import FuzzyMap, compose_maps, identity_map, inverse_map, is_one_one, unit_rank
@@ -257,20 +258,32 @@ def composite_table(maps: Sequence[FuzzyMap]) -> Products:
     """Every ordered pair of ``maps`` composed once, through ``compose_maps``: the
     distinct composites, keyed on ``(images, encoding)`` in row-major order of
     first appearance, and the k x k table whose cell (i, j) indexes
-    maps[i] . maps[j].  A key numbers its value list, so the ``Fraction``s of
-    a list are hashed once per list object, not once per pair."""
+    maps[i] . maps[j].  A key numbers the composite's value list and rank
+    rows, so the ``Fraction``s of a list are hashed once per list object and
+    each sample's rows once: the rows of f . g are f's rows picked through
+    g's skeleton, whose numbers are f's numbers picked the same way.  A
+    composite that holds other rows has them numbered one by one, so the key
+    stays exact whatever ``compose_maps`` returns."""
+    row_ids: dict[tuple, int] = {}
+    sample_ids = [tuple(row_ids.setdefault(r, len(row_ids)) for r in f.encoding[1]) for f in maps]
+    pickers = [picker(g.images) for g in maps]
     seen: dict[tuple, tuple[int, FuzzyMap]] = {}  # key -> (index, first composite)
     value_ids: dict[tuple, int] = {}
     last = v = None
     cells = []
-    for f in maps:
+    for f, f_ids in zip(maps, sample_ids):
+        f_rows = f.encoding[1]
         row = []
-        for g in maps:
+        for g, pick in zip(maps, pickers):
             h = compose_maps(f, g)
             values, rank_rows = h.encoding
             if values is not last:  # a composite shares its left operand's value list
                 last, v = values, value_ids.setdefault(values, len(value_ids))
-            c, _ = seen.setdefault((v, h.images, rank_rows), (len(seen), h))
+            if rank_rows == pick(f_rows):  # compares row objects by identity first
+                ids = pick(f_ids)
+            else:
+                ids = tuple(row_ids.setdefault(r, len(row_ids)) for r in rank_rows)
+            c, _ = seen.setdefault((v, h.images, ids), (len(seen), h))
             row.append(c)
         cells.append(tuple(row))
     return [h for _, h in seen.values()], tuple(cells)

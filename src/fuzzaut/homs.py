@@ -21,6 +21,19 @@ function share a few rows, so each codomain keeps a memo of row products
 keyed by a pair of ids from its table of rank rows.  Both are cleared before
 a check that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries in all,
 and ``_row_tables`` keeps the tables of the last ``_CODOMAINS_KEPT`` codomains.
+
+A product missing from the memo is computed by ``_row_product`` one bit
+plane at a time, in byte and big-integer operations.  Plane p holds the
+levels 8p+1 to 8p+8: a rank r becomes the thermometer byte with
+clamp(r - 8p, 0, 8) low bits set.  Clamping is monotone, so it commutes with
+min and max, and the clamps of r over all planes add up to r.  On
+thermometer bytes max is OR and min with a constant c is AND with 2^c - 1,
+so each plane of the product is the OR, over y1, of R_x's bytes gathered
+through the cofactor row of y1 and masked to R_g(y1)'s clamp; the popcount
+of each byte gives that plane's levels back.  This is Zadeh's representation
+of a fuzzy set by its level sets: the level set of a sup-min product is the
+product of the level sets.  ``_first_violation`` stays the literal scan, and
+it names the witness of a rejected map.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import FuzzautError, Record
@@ -43,6 +57,8 @@ from .subsets import FuzzySubset, require_valid_mu
 
 ROW_PRODUCT_MEMO_BOUND = 4096  # row products and row ids kept per codomain
 _CODOMAINS_KEPT = 16
+_POPCOUNT = bytes(map(int.bit_count, range(256)))  # byte -> its number of set bits
+_THERMOMETER = (0, 1, 3, 7, 15, 31, 63, 127, 255)  # level count c -> c low bits set
 
 
 class HomError(FuzzautError):
@@ -55,6 +71,10 @@ class NotHomomorphism(HomError):
 
 class OracleRejected(HomError):
     """A lifted construction failed the homomorphism oracle; never dropped."""
+
+
+class PassesDisagree(RuntimeError):
+    """The generator pass rejected a map that the full scan passes; a library defect."""
 
 
 class HomWitness(Record):
@@ -92,15 +112,17 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
     The verdict comes from the pairs (g, x) with g in
     ``generating_sequence(f.domain)``, which suffice (see the module
     docstring): R_{g*x} is compared with the product R_g * R_x of f's rank
-    rows, looked up in the codomain's memo by row ids or stored there.
-    A rejected map is scanned again over every (x1, x2, y) in lexicographic
-    order, so its witness is the first violation of the exhaustive scan; its
-    grades come back from the encoding's value list.
+    rows, looked up in the codomain's memo by row ids or computed by
+    ``_row_product`` and stored there.  A rejected map is scanned again over
+    every (x1, x2, y) in lexicographic order, so its witness is the first
+    violation of the exhaustive scan; its grades come back from the
+    encoding's value list.  A scan that finds no violation contradicts the
+    generator pass, a library defect, and raises ``PassesDisagree``.
     """
     values, rows = f.encoding
     dt = f.domain.table
     gens = generating_sequence(f.domain)
-    cofactor, columns, memo, row_ids = _row_tables(f.codomain)
+    cofactor, planes, memo, row_ids = _row_tables(f.codomain)
     if len(memo) + len(row_ids) + (len(gens) + 1) * len(rows) > ROW_PRODUCT_MEMO_BOUND:
         memo.clear()
         row_ids.clear()
@@ -110,27 +132,65 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
         for x, (rx, ix) in enumerate(zip(rows, ids)):
             prod = memo.get((ig, ix))
             if prod is None:
-                # (R_g * R_x)(y) = max over y1 of min(R_g(y1), R_x(y1^-1 y))
-                prod = memo[ig, ix] = tuple(
-                    max(map(min, rg, map(rx.__getitem__, col))) for col in columns
-                )
+                prod = memo[ig, ix] = _row_product(rg, rx, planes)
             if prod != rows[dg[x]]:
                 everything = product(range(len(rows)), repeat=2)
-                x1, x2, y, lhs, rhs = _first_violation(rows, dt, cofactor, everything)
+                found = _first_violation(rows, dt, cofactor, everything)
+                if found is None:
+                    raise PassesDisagree(
+                        f"generator {g}, row {x}: R_g * R_x differs from row {dg[x]}, "
+                        "but the full scan finds no violation"
+                    )
+                x1, x2, y, lhs, rhs = found
                 return HomCheckReport(False, HomWitness(x1, x2, y, values[lhs], values[rhs]))
     return _HOLDS
 
 
 @lru_cache(maxsize=_CODOMAINS_KEPT)
 def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, dict, dict]:
-    """The codomain's cofactor table and columns, its row-product memo and row ids.
+    """The codomain's cofactor table, what ``_row_product`` reads of it, its
+    row-product memo and its row ids.
 
-    ``cofactor[y1][y]`` is the y2 with y1*y2 = y, and ``columns[y][y1]`` is
-    the same y2.
+    ``cofactor[y1][y]`` is the y2 with y1*y2 = y.  Slot 1 holds the cofactor
+    rows in the form the gather reads, the gather, the padding that makes a
+    plane's table 256 bytes long, and ``masks[c]``, with c low bits set in
+    each of m bytes.  Up to order 256 the gather is ``bytes.translate`` on
+    rows stored as ``bytes``; above it an element does not fit a byte, so the
+    gather maps the row's ints through the table.
     """
     ct, cinv = codomain.table, codomain.inverses
+    m = codomain.order
     cofactor = tuple(ct[cinv[y1]] for y1 in codomain.elements)
-    return cofactor, tuple(zip(*cofactor)), {}, {}
+    if m <= 256:
+        shift, gather, pad = tuple(map(bytes, cofactor)), bytes.translate, bytes(256 - m)
+    else:
+        shift, gather, pad = cofactor, _gather_ints, b""
+    masks = tuple(int.from_bytes(bytes((t,)) * m, "big") for t in _THERMOMETER)
+    return cofactor, (shift, gather, pad, masks), {}, {}
+
+
+def _gather_ints(row: Sequence[int], table: bytes) -> bytes:
+    return bytes(map(table.__getitem__, row))
+
+
+def _row_product(rg: Sequence[int], rx: Sequence[int], planes: tuple) -> tuple[int, ...]:
+    """(R_g * R_x)(y) = max over y1 of min(R_g(y1), R_x(y1^-1 y)), for every y,
+    one bit plane of 8 levels at a time (see the module docstring); ``planes``
+    is slot 1 of the codomain's ``_row_tables``."""
+    shift, gather, pad, masks = planes
+    m, top = len(rx), max(rx)
+    row = bytes(m)  # rank 0 everywhere, when one of the rows is
+    for low in range(0, min(max(rg), top), 8):
+        levels = (0,) * low + _THERMOMETER + (255,) * (top - low - 8)  # rank -> byte
+        table = bytes(map(levels.__getitem__, rx)) + pad
+        acc = 0
+        for y1_row, level in zip(shift, rg):
+            level -= low
+            if level > 0:
+                acc |= int.from_bytes(gather(y1_row, table), "big") & masks[min(level, 8)]
+        counts = acc.to_bytes(m, "big").translate(_POPCOUNT)
+        row = counts if low == 0 else tuple(map(add, row, counts))
+    return tuple(row)
 
 
 def _first_violation(rows, dt, cofactor, pairs):

@@ -491,6 +491,22 @@ class TestCompositeTableDefects:
                 h = compose_maps(a, b)
                 assert (composites[c].images, composites[c].encoding) == (h.images, h.encoding)
 
+    def test_composites_that_are_not_picked_rows_stay_apart(self, monkeypatch):
+        """A composition that leaves f's rows in place: pairs with one honest
+        composite get different rows, and the table keeps each of them."""
+        maps = [f for _, f in _Instance(builtin_group("S3"), "class").aut_samples]
+
+        def rows_in_place(f, g):
+            h = compose_maps(f, g)
+            return FuzzyMap(g.domain, f.codomain, None, h.images, f.encoding)
+
+        monkeypatch.setattr(automorphisms, "compose_maps", rows_in_place)
+        composites, cells = composite_table(maps)
+        for f, row in zip(maps, cells):
+            for g, c in zip(maps, row):
+                h = rows_in_place(f, g)
+                assert (composites[c].images, composites[c].encoding) == (h.images, h.encoding)
+
     def test_lemma_3_9_names_the_first_failing_conjugate(self, monkeypatch):
         ctx = _Instance(builtin_group("S3"), "class")
         identity = tuple(ctx.group.elements)

@@ -1,6 +1,7 @@
 """Fuzzy homomorphisms: the sup condition, kernels, structural facts, lifts."""
 
 import itertools
+import random
 import re
 from fractions import Fraction as F
 
@@ -8,8 +9,15 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from fuzzaut.groups import all_subgroups, builtin_group, crisp_automorphisms, generating_sequence
+from fuzzaut.groups import (
+    all_subgroups,
+    builtin_group,
+    crisp_automorphisms,
+    generating_sequence,
+    make_group,
+)
 from fuzzaut import homs
+from fuzzaut.harness import DEFAULT_GROUPS, Campaign, run_campaign
 from fuzzaut.homs import (
     HomWitness,
     NotHomomorphism,
@@ -246,6 +254,93 @@ class TestRowProductMemo:
             sizes.append(len(homs._row_tables(D4)[3]))
         assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the tables were reset
         assert warm == cold
+
+
+def literal_row_product(rg, rx, group):
+    """(R_g * R_x)(y) = max over y1 of min(R_g(y1), R_x(y1^-1 y)), read off the table."""
+    t, inv = group.table, group.inverses
+    return tuple(
+        max(min(rg[y1], rx[t[inv[y1]][y]]) for y1 in group.elements) for y in group.elements
+    )
+
+
+def cyclic(n):
+    """Z_n through ``make_group``, which takes orders above ``groups.MAX_ORDER``."""
+    return make_group([[(a + b) % n for b in range(n)] for a in range(n)], name=f"Z{n}")
+
+
+Z258 = cyclic(258)
+ROW_PRODUCT_GROUPS = [builtin_group(t) for t in DEFAULT_GROUPS] + [
+    builtin_group("S4"),
+    builtin_group("direct_product(Z2,Q8)"),
+    builtin_group("direct_product(Z16,Z16)"),  # element 255, the last byte index
+    Z258,  # no element index above 255 fits a byte
+]
+
+
+class TestBitPlaneRowProduct:
+    """``_row_product`` against the literal sup-min product of two rank rows."""
+
+    # 8 and 9 ranks end a plane and start the next; 300 ranks exceed a byte
+    @pytest.mark.parametrize("group", ROW_PRODUCT_GROUPS, ids=lambda g: g.name)
+    def test_random_rank_rows(self, group):
+        planes = homs._row_tables(group)[1]
+        rng = random.Random(group.name)
+        for count in (1, 2, 8, 9, 16, 17, 300):
+            for _ in range(3):
+                rg = [rng.randrange(count) for _ in group.elements]
+                rx = [rng.randrange(count) for _ in group.elements]
+                rg[rng.randrange(group.order)] = rx[rng.randrange(group.order)] = count - 1
+                expected = literal_row_product(rg, rx, group)
+                assert homs._row_product(tuple(rg), tuple(rx), planes) == expected
+
+    def test_ranks_above_255(self):
+        """Z17 -> Z17 with a distinct grade in every cell off the skeleton."""
+        z17 = cyclic(17)
+        rows = [
+            [F(1) if y == x else F(17 * x + y + 1, 300) for y in z17.elements]
+            for x in z17.elements
+        ]
+        f = make_fuzzy_map(z17, z17, rows)
+        assert max(map(max, f.encoding[1])) > 255
+        assert_matches_oracles(f)
+        assert not is_fuzzy_homomorphism(f).verdict
+
+    def test_codomain_above_order_256(self):
+        """The full scan is the oracle here: ``sup_condition_oracle`` would visit
+        m^2 factor pairs per cell."""
+        grades = ["1" if y == 0 else "1/2" if y == 129 else "0" for y in Z258.elements]
+        f = lift_hom((0, 129), fuzzy_subset(Z258, grades), Z2)
+        rows = [list(row) for row in f.grades]
+        rows[1][5] = F(1, 2)
+        bad = make_fuzzy_map(Z2, Z258, rows)
+        for fmap, verdict in ((f, True), (bad, False)):
+            report = is_fuzzy_homomorphism(fmap)
+            assert report.verdict == verdict
+            assert report.witness == full_scan_witness(fmap)
+
+
+class TestPassesDisagree:
+    """A generator pass that rejects what the full scan passes is a named defect."""
+
+    @pytest.fixture
+    def wrong_products(self, monkeypatch):
+        monkeypatch.setattr(homs, "_row_product", lambda rg, rx, planes: (0,) * len(rx))
+        homs._row_tables.cache_clear()
+        yield
+        homs._row_tables.cache_clear()
+
+    def test_is_named_with_the_generator_and_row(self, wrong_products):
+        f = induced_family_raw(S3, class_strategy(S3))[1]
+        g = generating_sequence(S3)[0]
+        with pytest.raises(homs.PassesDisagree, match=rf"^generator {g}, row 0: "):
+            is_fuzzy_homomorphism(f)
+
+    def test_harness_prints_a_fail_row(self, wrong_products):
+        campaign = Campaign(groups=("S3",), mu_sources=("class",), suites=("Theorem 2.1",))
+        (row,) = run_campaign(campaign)
+        assert not row.verdict
+        assert row.witness.startswith("PassesDisagree: generator ")
 
 
 class TestKernel:
