@@ -89,7 +89,7 @@ def cmd_verify(args) -> int:
     groups = _group_tokens(args.group)
     mus = _mu_tokens(args.mu)
     suites = _suite_selection(args.suite)
-    _validate_sources(groups, mus)
+    _validate_sources(groups, () if args.ablate else mus)  # an ablation reads no mu
     campaign = Campaign(groups=groups, mu_sources=mus, suites=suites, seed=args.seed)
     results = ablation(campaign, args.ablate)
     report = campaign_report(campaign, results, ablate=args.ablate)

@@ -24,7 +24,8 @@ class Record:
     writes the instance dictionary directly.  Two records are equal when they
     are of the same class and the fields named in ``_compared`` (all fields,
     unless a class names fewer) are equal; against another class, ``__eq__``
-    returns ``NotImplemented``.  The hash covers the same fields.
+    returns ``NotImplemented``.  The hash covers the same fields; it is
+    computed once and kept in the instance dictionary under ``_hash``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -94,7 +95,11 @@ class Record:
         return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        # kept, as cached_property keeps its value: a group's hash covers its table
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._key(self))
+        return h
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)

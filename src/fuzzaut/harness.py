@@ -1,9 +1,11 @@
 """Campaign runner: every law in the catalog against every (group, mu) instance.
 
-A campaign names groups and membership-function sources; the runner builds
-each instance once, feeds it to every selected law suite, and returns one
-result row per (law, instance).  Identical configurations produce identical
-result lists, and the serialized report is byte-stable so runs can be diffed.
+A campaign names groups and membership-function sources; the runner
+resolves every group first, builds each instance once, runs every selected
+law suite on one instance before the next, and returns one result row per
+(law, instance), all sorted once.  ``_row`` builds the rows of law suites and
+ablations alike.  Identical configurations produce identical result lists,
+and the serialized report is byte-stable so runs can be diffed.
 
 The law catalog below is the traceability table: every suite the runner can
 emit appears here with a one-line statement of what it checks.  A suite holds
@@ -17,11 +19,12 @@ the failing sample's tag to the witness.
 from __future__ import annotations
 
 import time
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .automorphisms import (
+    Verdict,
     check_associativity,
     check_automorphism,
     check_class_group,
@@ -284,11 +287,16 @@ def _suite_lemma_3_1(ctx: _Instance):
 def _suite_lemma_3_9(ctx: _Instance):
     def conjugates():
         verdicts: dict[tuple, tuple] = {}
+        value_ids: dict[tuple, int] = {}
+        last = v = None
         for tag, f in ctx.aut_samples:
             f_inv = inverse_map(f)
             for g in ctx.induced_reps:
                 conj = compose_maps(f_inv, compose_maps(ctx.induced_raw[g], f))
-                key = (conj.images, conj.encoding)  # the verdict is a function of these
+                values, rank_rows = conj.encoding  # with images, all the verdict reads
+                if values is not last:  # a conjugate shares f_inv's value list: hash it once
+                    last, v = values, value_ids.setdefault(values, len(value_ids))
+                key = (v, conj.images, rank_rows)
                 verdicts[key] = verdicts.get(key) or check_inner_conjugate(conj)
                 yield f"conjugate of label {g} by {tag}", verdicts[key]
 
@@ -311,7 +319,7 @@ def _suite_thm_4_3(ctx: _Instance):
     return check.ok, check.witness
 
 
-_SUITES: dict[str, Callable[[_Instance], tuple[bool, Optional[str]]]] = {
+_SUITES: dict[str, Callable[[_Instance], Verdict]] = {
     "Theorem 2.1": _suite_thm_2_1,
     "Theorem 2.2": _suite_thm_2_2,
     "Lemma 3.1": _suite_lemma_3_1,
@@ -351,39 +359,40 @@ _SUITES: dict[str, Callable[[_Instance], tuple[bool, Optional[str]]]] = {
 }
 
 
-def _run_one(statement: str, ctx: _Instance) -> SuiteResult:
+def _row(statement: str, instance: str, check: Callable[[], Verdict],
+         expected_failure: bool = False) -> SuiteResult:
+    """Time ``check()`` into a row; a library error fails the row as its witness."""
     start = time.perf_counter()
-    if ctx.mu_error is not None:
-        # only reachable for the graded-conjugation suites; see run_campaign
-        return SuiteResult(statement, ctx.descriptor, False, ctx.mu_error, 0)
     try:
-        verdict, witness = _SUITES[statement](ctx)
+        verdict, witness = check()
     except (FuzzautError, RuntimeError) as exc:
         verdict, witness = False, f"{type(exc).__name__}: {exc}"
     ms = int((time.perf_counter() - start) * 1000)
-    return SuiteResult(statement, ctx.descriptor, verdict, witness, ms)
+    return SuiteResult(statement, instance, verdict, witness, ms, expected_failure)
 
 
 def run_campaign(campaign: Campaign) -> list[SuiteResult]:
     """Run every selected law suite over the campaign's instance matrix.
 
-    Instances whose membership function fails validation produce failing rows
-    for the graded-conjugation suites (which require it as a precondition)
-    and are skipped by the other suites, whose sample sets cannot be built.
+    Every group is resolved first; then all selected statements of one
+    instance run before the next, while its samples and its codomains'
+    row-product memos are warm, and the rows are sorted once.  Instances
+    whose membership function fails validation produce failing rows for the
+    graded-conjugation suites (which require it as a precondition) and are
+    skipped by the other suites, whose sample sets cannot be built.
     """
     unknown = [s for s in campaign.suites if s not in _SUITES]
     if unknown:
         raise ConfigInvalid(f"unknown statement ids: {unknown}")
-    contexts: list[_Instance] = []
-    for token in campaign.groups:
-        group = _campaign_group(token)
-        contexts.extend(_Instance(group, mu_token) for mu_token in campaign.mu_sources)
-    results = [
-        _run_one(statement, ctx)
-        for statement in campaign.suites
-        for ctx in contexts
-        if ctx.mu_error is None or statement in SECTION_4_STATEMENTS
-    ]
+    groups = [_campaign_group(token) for token in campaign.groups]
+    contexts = [_Instance(group, mu_token) for group in groups for mu_token in campaign.mu_sources]
+    results = []
+    for ctx in contexts:  # all kept alive until the sort: freeing them early measured slower
+        for statement in campaign.suites:
+            if ctx.mu_error is None:
+                results.append(_row(statement, ctx.descriptor, partial(_SUITES[statement], ctx)))
+            elif statement in SECTION_4_STATEMENTS:
+                results.append(_row(statement, ctx.descriptor, lambda: (False, ctx.mu_error)))
     results.sort(key=lambda r: (r.statement, r.instance))
     return results
 
@@ -391,53 +400,29 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
 # -- hypothesis ablation ------------------------------------------------------
 
 
-def _ablate_pointed(group: FiniteGroup) -> SuiteResult:
+def _ablate_pointed(group: FiniteGroup) -> tuple[bool, str]:
     """Grade everything 1 and watch the unit-entry rule of the construction."""
-    start = time.perf_counter()
     mu = flat_mu(group)
-    witness = None
-    verdict = False
     try:
         for g in group.elements:
             induced_map(mu, g)
-        witness = "construction stayed a fuzzy map; uniqueness cannot fail here"
     except MultipleUnitEntries as exc:
-        verdict = True
-        witness = f"MultipleUnitEntries: {exc} (expected failure)"
-    ms = int((time.perf_counter() - start) * 1000)
-    return SuiteResult(
-        "Ablation(pointed)", f"{group.name}|mu=flat", verdict, witness, ms, expected_failure=True
-    )
+        return True, f"MultipleUnitEntries: {exc} (expected failure)"
+    return False, "construction stayed a fuzzy map; uniqueness cannot fail here"
 
 
-def _ablate_normality(group: FiniteGroup) -> Optional[SuiteResult]:
+def _ablate_normality(group: FiniteGroup, non_normal: frozenset) -> tuple[bool, str]:
     """Chain mu over the least non-normal subgroup; expect the exact law 4.3 to break."""
-    start = time.perf_counter()
-    normal = set(normal_subgroups(group))
-    non_normal = next((s for s in all_subgroups(group) if s not in normal), None)
-    if non_normal is None:
-        return None
     chain = [frozenset({group.identity}), non_normal, frozenset(group.elements)]
     mu = gen_mu_chain(group, chain, ("1", "1/2", "1/4"))
     ok, _ = is_normal_fuzzy_subgroup(mu)
     family = induced_family_raw(group, mu)
     _, counterexample = check_label_products(group, family, product(group.elements, repeat=2))
-    verdict = (not ok) and counterexample is not None
-    witness = (
-        f"mu graded over the non-normal subgroup {tuple(sorted(non_normal))}; "
-        + (f"Lemma 4.3 counterexample: {counterexample} (expected failure)"
-           if counterexample
-           else "no counterexample found")
-    )
-    ms = int((time.perf_counter() - start) * 1000)
-    return SuiteResult(
-        "Ablation(normal-mu)",
-        f"{group.name}|mu=chain-non-normal",
-        verdict,
-        witness,
-        ms,
-        expected_failure=True,
-    )
+    found = (f"Lemma 4.3 counterexample: {counterexample} (expected failure)" if counterexample
+             else "no counterexample found")
+    subgroup = tuple(sorted(non_normal))
+    return (not ok and counterexample is not None,
+            f"mu graded over the non-normal subgroup {subgroup}; {found}")
 
 
 def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
@@ -446,21 +431,24 @@ def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
     A row's verdict is True when the predicted violation actually occurred;
     rows carry ``expected_failure`` so recorded violations stay separate from
     defect failures.  Groups on which the hypothesis cannot be ablated at all
-    (no non-normal subgroup exists) are skipped.
+    (no non-normal subgroup exists) are skipped.  No membership function is
+    read: each probe builds its own.
     """
     if drop is None:
         return run_campaign(campaign)
     if drop not in ABLATION_TOKENS:
         raise UnknownToken(f"unknown ablation token {drop!r}; expected one of {ABLATION_TOKENS}")
     results = []
-    for token in campaign.groups:
-        group = _campaign_group(token)
+    for group in map(_campaign_group, campaign.groups):
         if drop == "pointed":
-            results.append(_ablate_pointed(group))
-        else:
-            row = _ablate_normality(group)
-            if row is not None:
-                results.append(row)
+            results.append(_row("Ablation(pointed)", f"{group.name}|mu=flat",
+                                partial(_ablate_pointed, group), True))
+            continue
+        normal = set(normal_subgroups(group))
+        non_normal = next((s for s in all_subgroups(group) if s not in normal), None)
+        if non_normal is not None:  # the least non-normal subgroup, decided before the row
+            results.append(_row("Ablation(normal-mu)", f"{group.name}|mu=chain-non-normal",
+                                partial(_ablate_normality, group, non_normal), True))
     results.sort(key=lambda r: (r.statement, r.instance))
     return results
 

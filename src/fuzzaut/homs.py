@@ -56,6 +56,7 @@ from .maps import FuzzyMap, indexed_map, is_one_one, unit_rank
 from .subsets import FuzzySubset, require_valid_mu
 
 ROW_PRODUCT_MEMO_BOUND = 4096  # row products and row ids kept per codomain
+# one instance's checks touch at most 5 codomains on the default matrix and S4, 7 on Z2xQ8
 _CODOMAINS_KEPT = 16
 _POPCOUNT = bytes(map(int.bit_count, range(256)))  # byte -> its number of set bits
 _THERMOMETER = (0, 1, 3, 7, 15, 31, 63, 127, 255)  # level count c -> c low bits set

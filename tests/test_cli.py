@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import permutations
 
 import pytest
 
@@ -141,6 +142,12 @@ RECORDED_REPORTS = {
 # sha256 prefix of the text output of `verify --group builtin:S3`, which shows no timings
 RECORDED_S3_TEXT = "85ffc62b4204f57d"
 
+# sha256 prefix of `verify --group builtin:S4 --ablate TOKEN --format json`
+RECORDED_S4_ABLATIONS = {
+    "pointed": "308579f57af39b88",
+    "normal-mu": "1c2e2aa1cf1f9e88",
+}
+
 
 class TestRecordedReports:
     """The full reports on the three largest targets stay byte for byte the same."""
@@ -158,6 +165,50 @@ class TestRecordedReports:
         code, out, _ = run_cli(capsys, "verify", "--group", "builtin:S3")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == RECORDED_S3_TEXT
+
+    @pytest.mark.parametrize("token", sorted(RECORDED_S4_ABLATIONS))
+    def test_ablation_report_digest(self, capsys, token):
+        code, out, _ = run_cli(
+            capsys, "verify", "--group", "builtin:S4", "--ablate", token, "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == RECORDED_S4_ABLATIONS[token]
+
+
+def alternating_group_a5():
+    """A5 as the even permutations of five points, composed right to left."""
+    perms = [
+        p for p in permutations(range(5))
+        if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0
+    ]
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(5))] for q in perms] for p in perms]
+    return {"name": "A5", "order": 60, "table": table}
+
+
+class TestAblationReadsNoMu:
+    """The default ``--mu auto:all`` includes the class strategy, which needs a
+    solvable group; an ablation builds its own mu, so A5 is good input."""
+
+    @pytest.mark.parametrize("token", ["pointed", "normal-mu"])
+    def test_a5_ablation_is_one_expected_failure_row(self, capsys, tmp_path, token):
+        path = tmp_path / "a5.json"
+        save(path, alternating_group_a5())
+        code, out, err = run_cli(
+            capsys, "verify", "--group", f"file:{path}", "--ablate", token, "--format", "json"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        rows = json.loads(out)["results"]
+        assert len(rows) == 1
+        assert rows[0]["verdict"] and rows[0]["expected"]
+        assert rows[0]["instance"].startswith("A5|")
+
+    def test_a5_campaign_still_refuses_the_class_mu(self, capsys, tmp_path):
+        path = tmp_path / "a5.json"
+        save(path, alternating_group_a5())
+        code, out, err = run_cli(capsys, "verify", "--group", f"file:{path}", "--suite", "hom")
+        assert code == EXIT_CONFIG
+        assert "StrategyInapplicable" in err and out == ""
 
 
 class TestGenMu:

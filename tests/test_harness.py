@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from fuzzaut import harness, homs
+from fuzzaut.errors import FuzzautError
 from fuzzaut.harness import (
     ABLATION_TOKENS,
     DEFAULT_GROUPS,
@@ -17,6 +19,7 @@ from fuzzaut.harness import (
     _Instance,
     ablation,
     campaign_report,
+    default_campaign,
     run_campaign,
     statements_covered,
 )
@@ -74,6 +77,24 @@ class TestRunCampaign:
     def test_unknown_group_rejected(self):
         with pytest.raises(ConfigInvalid):
             run_campaign(Campaign(groups=("Z99",)))
+
+
+class TestWorkCounts:
+    def test_default_campaign_reuses_each_codomains_row_products(self, monkeypatch):
+        """Rows run one instance at a time, so an instance's codomains keep
+        their row-product memos from statement to statement (1,593 products
+        when each statement ran over every instance in turn)."""
+        calls = []
+        row_product = homs._row_product
+
+        def counted(*args):
+            calls.append(None)
+            return row_product(*args)
+
+        homs._row_tables.cache_clear()
+        monkeypatch.setattr(homs, "_row_product", counted)
+        run_campaign(default_campaign())
+        assert 0 < len(calls) <= 791
 
 
 class TestPreconditionRouting:
@@ -134,6 +155,16 @@ class TestAblation:
     def test_normality_ablation_skips_groups_without_non_normal_subgroups(self):
         # every subgroup of Q8 and of abelian groups is normal
         assert ablation(Campaign(groups=("Z6", "Q8")), "normal-mu") == []
+
+    def test_a_library_error_in_a_probe_fails_its_row(self, monkeypatch):
+        def broken(mu, g):
+            raise FuzzautError("seeded")
+
+        monkeypatch.setattr(harness, "induced_map", broken)
+        (row,) = ablation(Campaign(groups=("Z2",)), "pointed")
+        assert (row.verdict, row.witness, row.expected_failure) == (
+            False, "FuzzautError: seeded", True
+        )
 
     def test_ablation_is_deterministic(self):
         campaign = Campaign(groups=("Z2", "S3", "D4"))

@@ -14,6 +14,7 @@ record which statements of the campaign catch it.
 
 import re
 import sys
+from itertools import product
 
 import pytest
 
@@ -27,7 +28,7 @@ from fuzzaut.automorphisms import (
     make_automorphism,
 )
 from fuzzaut.groups import NotAssociative, builtin_group, crisp_automorphisms, make_group
-from fuzzaut.harness import Campaign, _Instance, ablation, run_campaign
+from fuzzaut.harness import DEFAULT_GROUPS, Campaign, _Instance, ablation, run_campaign
 from fuzzaut.induced import (
     LawViolation,
     compose_induced,
@@ -263,6 +264,72 @@ def test_label_product_witness_names_the_pair_and_cell():
     assert not ok
     assert witness.startswith("labels (1, 3) at cell (") and f" label-{label}=" in witness
     assert induced.check_label_products(S3, family, [(0, 0)]) == (True, None)
+
+
+def sup_skeleton(*fs):
+    """The skeleton of the sup composition, left to right, of the maps' cells:
+    the literal scan, independent of ``compose_maps``."""
+    rel = fs[-1]
+    for f in reversed(fs[:-1]):
+        rel = maps.compose(f, rel)
+    return maps.relation_images(rel)
+
+
+def inner_products_scan(group, family, labels):
+    t = group.table
+    for g1, g2 in product(labels, repeat=2):
+        label = t[g2][g1]
+        if sup_skeleton(family[g1], family[g2]) != family[label].images:
+            return False, f"labels ({g1}, {g2}): composite not equivalent to label {label}"
+    return True, None
+
+
+def triple_products_scan(group, family, labels):
+    t = group.table
+    for g1, g2, g3 in product(labels, repeat=3):
+        label = t[t[g3][g2]][g1]
+        f1, f2, f3 = family[g1], family[g2], family[g3]
+        left = maps.relation_images(maps.compose(maps.compose(f1, f2), f3))
+        if not (left == sup_skeleton(f1, f2, f3) == family[label].images):
+            return False, f"triple ({g1}, {g2}, {g3}) misses label {label}"
+    return True, None
+
+
+PRODUCT_CHECKERS = pytest.mark.parametrize(
+    "checker, scan",
+    [
+        (automorphisms.check_inner_products, inner_products_scan),
+        (induced.check_triple_products, triple_products_scan),
+    ],
+    ids=["Lemma 3.7", "Lemma 4.4"],
+)
+
+
+@PRODUCT_CHECKERS
+@pytest.mark.parametrize("token", DEFAULT_GROUPS)
+@pytest.mark.parametrize("mu", ["chain", "class"])
+def test_product_checkers_agree_with_a_literal_scan(checker, scan, token, mu):
+    ctx = _Instance(builtin_group(token), mu)
+    expected = scan(ctx.group, ctx.induced_raw, ctx.induced_reps)
+    assert expected == (True, None)
+    assert checker(ctx.group, ctx.induced_raw, ctx.induced_reps) == expected
+
+
+@PRODUCT_CHECKERS
+@pytest.mark.parametrize("token", ["S3", "D4", "Q8"])
+def test_product_witness_names_the_first_failing_labels(checker, scan, token):
+    ctx = _Instance(builtin_group(token), "class")
+    group, reps, family = ctx.group, ctx.induced_reps, list(ctx.induced_raw)
+    identity = family[group.identity]
+    label = next(
+        label
+        for label in (group.table[g2][g1] for g1, g2 in product(reps, repeat=2))
+        if family[label].images != identity.images
+    )
+    family[label] = identity  # the product label now carries f_e's matrix
+    expected = scan(group, family, reps)
+    assert not expected[0]
+    assert checker(group, family, reps) == expected
 
 
 def skeleton_in_wrong_order(f, g):

@@ -104,6 +104,14 @@ class TestRecordContract:
         assert cls(*args) == build(cls)
         assert all(getattr(cls(*args), name) == arg for name, arg in zip(names, args))
 
+    def test_equal_records_hash_equal_before_and_after_the_first_hash(self, cls):
+        a, b, c = build(cls), build(cls), build(cls)
+        first = hash(a)
+        assert "_hash" in vars(a) and "_hash" not in vars(b)
+        assert hash(b) == first  # b hashed for the first time, a from its dict
+        assert hash(a) == hash(b) == first
+        assert a == b == c and hash(c) == first
+
     def test_unequal_to_other_classes_and_tuples(self, cls):
         a = build(cls)
         fields = tuple(getattr(a, name) for name in RECORDS[cls][1])
@@ -203,6 +211,21 @@ class TestSpecificRecords:
         assert repr(HomWitness(1, 2, 3, F(1), F(1, 2))) == (
             "HomWitness(x1=1, x2=2, y=3, lhs=Fraction(1, 1), rhs=Fraction(1, 2))"
         )
+
+    def test_the_hash_is_kept_in_the_instance_dict_beside_the_fields(self):
+        class Pair(Record):
+            a: int
+            b: int = 2
+
+        pair = Pair(1)
+        assert pair.__dict__ == {"a": 1, "b": 2}
+        h = hash(pair)
+        assert pair.__dict__ == {"a": 1, "b": 2, "_hash": h}
+        pair.__dict__["_hash"] = h + 1  # read back, not recomputed
+        assert hash(pair) == h + 1
+        assert pair == Pair(1, 2) and repr(pair) == "Pair(a=1, b=2)"
+        with pytest.raises(AttributeError):
+            pair._hash = 0
 
     def test_group_equality_sees_the_table(self):
         # Z5 relabeled by the swap 1<->2, 3<->4 keeps its name, order,
