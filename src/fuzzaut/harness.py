@@ -1,11 +1,11 @@
 """Campaign runner: every law in the catalog against every (group, mu) instance.
 
 A campaign names groups and membership-function sources; the runner
-resolves every group first, builds each instance once, runs every selected
-law suite on one instance before the next, and returns one result row per
-(law, instance), all sorted once.  ``_row`` builds the rows of law suites and
-ablations alike.  Identical configurations produce identical result lists,
-and the serialized report is byte-stable so runs can be diffed.
+resolves each group once into a ``_Group`` its instances share, builds each
+(group, mu) ``_Instance`` once, runs every selected law suite on one instance
+before the next, and returns one result row per (law, instance), all sorted
+once.  ``_row`` builds the rows of law suites and ablations alike.  Identical
+configurations give identical rows, and reports are byte-stable for diffing.
 
 The law catalog below is the traceability table: every suite the runner can
 emit appears here with a one-line statement of what it checks.  A suite holds
@@ -170,55 +170,14 @@ def resolve_mu(token: str, group: FiniteGroup) -> FuzzySubset:
     return mu_from_strategy(group, token)
 
 
-def _campaign_group(token: str) -> FiniteGroup:
-    try:
-        return resolve_group(token)
-    except FuzzautError as exc:
-        raise ConfigInvalid(f"cannot resolve group {token!r}: {exc}") from exc
+class _Group:
+    """One campaign group, resolved once, with the mu-free quotient lifts its instances share."""
 
-
-# -- per-instance context -----------------------------------------------------
-
-
-class _Instance:
-    """One (group, mu) cell of the campaign matrix, with cached samples and composites.
-
-    The section 3 samples are the crisp automorphisms lifted through mu.  The
-    labeled family adds none: for a normal mu, f_g is the lift of x -> g^-1 x g.
-    Section 4 and Lemmas 3.7 to 3.9 read the family itself (``induced_raw``).
-    """
-
-    def __init__(self, group: FiniteGroup, mu_token: str):
-        self.group = group
-        self.descriptor = f"{group.name}|mu={mu_token}"
-        self.mu: Optional[FuzzySubset] = None
-        self.mu_error: Optional[str] = None
+    def __init__(self, token: str):
         try:
-            mu = resolve_mu(mu_token, group)
-            require_valid_mu(mu)
-            self.mu = mu
+            self.group = resolve_group(token)
         except FuzzautError as exc:
-            self.mu_error = f"{type(exc).__name__}: {exc}"
-
-    @cached_property
-    def induced_raw(self) -> list[FuzzyMap]:
-        return induced_family_raw(self.group, self.mu)
-
-    @cached_property
-    def induced_reps(self) -> list[int]:
-        """Least label per distinct matrix; labels in one center coset coincide."""
-        seen: dict[tuple[int, ...], int] = {}
-        for g, fmap in enumerate(self.induced_raw):
-            seen.setdefault(fmap.images, g)
-        return sorted(seen.values())
-
-    @cached_property
-    def aut_samples(self) -> list[tuple[str, FuzzyMap]]:
-        """Every crisp automorphism lifted through mu, in automorphism order."""
-        return [
-            (f"lift:aut{i}", lift_hom(sigma, self.mu, self.group))
-            for i, sigma in enumerate(crisp_automorphisms(self.group))
-        ]
+            raise ConfigInvalid(f"cannot resolve group {token!r}: {exc}") from exc
 
     @cached_property
     def quotient_lifts(self) -> list[tuple[str, FuzzyMap]]:
@@ -233,9 +192,53 @@ class _Instance:
             out.append((f"lift:quot|N|={len(n_set)}", lift_hom(coset_map, mu_q, self.group)))
         return out
 
+
+# -- per-instance context -----------------------------------------------------
+
+
+class _Instance:
+    """One (group, mu) cell of the campaign matrix: whatever reads mu, cached.
+
+    The section 3 samples are the crisp automorphisms lifted through mu.  The
+    labeled family adds none: for a normal mu, f_g is the lift of x -> g^-1 x g.
+    Section 4 and Lemmas 3.7 to 3.9 read the family itself (``induced_raw``).
+    """
+
+    def __init__(self, shared: _Group, mu_token: str):
+        self.shared, self.group = shared, shared.group
+        self.descriptor = f"{self.group.name}|mu={mu_token}"
+        self.mu: Optional[FuzzySubset] = None
+        self.mu_error: Optional[str] = None
+        try:
+            mu = resolve_mu(mu_token, self.group)
+            require_valid_mu(mu)
+            self.mu = mu
+        except FuzzautError as exc:
+            self.mu_error = f"{type(exc).__name__}: {exc}"
+
+    @cached_property
+    def induced_raw(self) -> list[FuzzyMap]:
+        return induced_family_raw(self.group, self.mu)
+
+    @cached_property
+    def induced_reps(self) -> list[int]:
+        """Least label per distinct skeleton; labels in one center coset share both."""
+        seen: dict[tuple[int, ...], int] = {}
+        for g, fmap in enumerate(self.induced_raw):
+            seen.setdefault(fmap.images, g)
+        return sorted(seen.values())
+
+    @cached_property
+    def aut_samples(self) -> list[tuple[str, FuzzyMap]]:
+        """Every crisp automorphism lifted through mu, in automorphism order."""
+        return [
+            (f"lift:aut{i}", lift_hom(sigma, self.mu, self.group))
+            for i, sigma in enumerate(crisp_automorphisms(self.group))
+        ]
+
     @cached_property
     def hom_samples(self) -> list[tuple[str, FuzzyMap]]:
-        return self.aut_samples + self.quotient_lifts
+        return self.aut_samples + self.shared.quotient_lifts
 
     @cached_property
     def aut_products(self) -> tuple[list[FuzzyMap], tuple[tuple[int, ...], ...]]:
@@ -374,18 +377,19 @@ def _row(statement: str, instance: str, check: Callable[[], Verdict],
 def run_campaign(campaign: Campaign) -> list[SuiteResult]:
     """Run every selected law suite over the campaign's instance matrix.
 
-    Every group is resolved first; then all selected statements of one
+    Every group is resolved first into one ``_Group``, whose quotient lifts
+    its instances share; it lives one campaign, as a certified lift kept
+    longer would hide a seeded defect.  All selected statements of one
     instance run before the next, while its samples and its codomains'
-    row-product memos are warm, and the rows are sorted once.  Instances
-    whose membership function fails validation produce failing rows for the
-    graded-conjugation suites (which require it as a precondition) and are
-    skipped by the other suites, whose sample sets cannot be built.
+    row-product memos are warm, and the rows are sorted once.  An instance
+    whose mu fails validation fails the graded-conjugation suites (which
+    need it) and is skipped by the others, whose samples cannot be built.
     """
     unknown = [s for s in campaign.suites if s not in _SUITES]
     if unknown:
         raise ConfigInvalid(f"unknown statement ids: {unknown}")
-    groups = [_campaign_group(token) for token in campaign.groups]
-    contexts = [_Instance(group, mu_token) for group in groups for mu_token in campaign.mu_sources]
+    groups = [_Group(token) for token in campaign.groups]
+    contexts = [_Instance(shared, mu) for shared in groups for mu in campaign.mu_sources]
     results = []
     for ctx in contexts:  # all kept alive until the sort: freeing them early measured slower
         for statement in campaign.suites:
@@ -431,15 +435,15 @@ def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
     A row's verdict is True when the predicted violation actually occurred;
     rows carry ``expected_failure`` so recorded violations stay separate from
     defect failures.  Groups on which the hypothesis cannot be ablated at all
-    (no non-normal subgroup exists) are skipped.  No membership function is
-    read: each probe builds its own.
+    (no non-normal subgroup exists) are skipped.  Groups resolve through
+    ``_Group``, and no mu is read, since each probe builds its own.
     """
     if drop is None:
         return run_campaign(campaign)
     if drop not in ABLATION_TOKENS:
         raise UnknownToken(f"unknown ablation token {drop!r}; expected one of {ABLATION_TOKENS}")
     results = []
-    for group in map(_campaign_group, campaign.groups):
+    for group in (_Group(token).group for token in campaign.groups):
         if drop == "pointed":
             results.append(_row("Ablation(pointed)", f"{group.name}|mu=flat",
                                 partial(_ablate_pointed, group), True))

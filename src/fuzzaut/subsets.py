@@ -236,8 +236,8 @@ def gen_mu_chain(group: FiniteGroup, chain: Sequence, grades: Sequence) -> Fuzzy
         vec.append(vals[next(i for i, s in enumerate(sets) if x in s)])
     mu = FuzzySubset(group, tuple(vec))
     ok, witness = is_fuzzy_subgroup(mu)
-    assert ok, f"chain construction produced an invalid membership function: {witness}"
-    assert is_pointed(mu)
+    if not (ok and is_pointed(mu)):  # raised, not asserted, so that python -O keeps it
+        raise RuntimeError(f"chain construction produced an invalid {mu}: {witness or 'not pointed'}")
     return mu
 
 
@@ -266,7 +266,8 @@ def gen_mu_class(group: FiniteGroup, class_grades: Sequence) -> FuzzySubset:
     ok, witness = is_fuzzy_subgroup(mu)
     if not ok:
         raise NotFuzzySubgroup(str(witness))
-    assert is_class_constant(mu)
+    if not is_class_constant(mu):  # raised, not asserted, so that python -O keeps it
+        raise RuntimeError(f"class construction produced an invalid {mu}: not class constant")
     return mu
 
 

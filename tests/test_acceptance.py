@@ -40,11 +40,10 @@ def test_criterion_1_homomorphism_theorems():
     elapsed = time.perf_counter() - start
     failures = [r for r in results if not r.verdict]
     # the S3 instances must include the parity quotient onto a 2-element group
-    s3 = builtin_group("S3")
-    from fuzzaut.harness import _Instance
+    from fuzzaut.harness import _Group, _Instance
 
-    ctx = _Instance(s3, "chain")
-    sign_tags = [tag for tag, _ in ctx.quotient_lifts if "|N|=3" in tag]
+    ctx = _Instance(_Group("S3"), "chain")
+    sign_tags = [tag for tag, _ in ctx.shared.quotient_lifts if "|N|=3" in tag]
     report_criterion(
         1,
         not failures and elapsed < 5.0 and bool(sign_tags),

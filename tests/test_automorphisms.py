@@ -36,7 +36,7 @@ from fuzzaut.groups import (
     is_group_isomorphism,
 )
 from fuzzaut import harness
-from fuzzaut.harness import _SUITES, DEFAULT_GROUPS, _Instance
+from fuzzaut.harness import _SUITES, DEFAULT_GROUPS, _Group, _Instance
 from fuzzaut.homs import NotHomomorphism, is_fuzzy_homomorphism, lift_hom
 from fuzzaut.maps import FuzzyMap, compose_maps, crisp_map, equiv, inverse_map, make_fuzzy_map
 from fuzzaut.subsets import chain_strategy, class_strategy
@@ -292,7 +292,7 @@ class TestClassGroup:
 
     @pytest.mark.parametrize("token", ["V4", "S3", "Q8"])
     def test_composite_table_gives_the_composed_table(self, token):
-        maps = [f for _, f in _Instance(builtin_group(token), "chain").aut_samples]
+        maps = [f for _, f in _Instance(_Group(token), "chain").aut_samples]
         assert build_aut_class_group(maps, composite_table(maps)) == build_aut_class_group(maps)
 
     def test_composites_that_leave_the_sample_set(self):
@@ -315,7 +315,7 @@ def associativity_oracle(named, compose=compose_maps):
 
 
 def s3_samples():
-    return {tag: f for tag, f in _Instance(S3, "class").aut_samples}
+    return {tag: f for tag, f in _Instance(_Group("S3"), "class").aut_samples}
 
 
 def table_of(named):
@@ -350,7 +350,7 @@ class TestAssociativityCheck:
     @pytest.mark.parametrize("token", DEFAULT_GROUPS)
     @pytest.mark.parametrize("mu", ["chain", "class"])
     def test_default_instances(self, token, mu):
-        named = dict(_Instance(builtin_group(token), mu).aut_samples)
+        named = dict(_Instance(_Group(token), mu).aut_samples)
         expected = associativity_oracle(named)
         assert check_associativity(named, table_of(named)) == expected == (True, None)
 
@@ -393,7 +393,7 @@ class TestAssociativityCheck:
 @lru_cache(maxsize=None)
 def instance(token, mu):
     """A shared instance, for tests that patch nothing its cached tables read."""
-    return _Instance(builtin_group(token), mu)
+    return _Instance(_Group(token), mu)
 
 
 def lemma_3_1_oracle(ctx):
@@ -460,7 +460,7 @@ class TestCompositeTableDefects:
         """Pairs (0, 5) and (3, 1) give two different failing composites; the
         row-major first is the column-major second."""
         group = builtin_group("Q8")
-        ctx = _Instance(group, "class")
+        ctx = _Instance(_Group("Q8"), "class")
         maps = [f for _, f in ctx.aut_samples]
 
         def fake(f, g):
@@ -494,7 +494,7 @@ class TestCompositeTableDefects:
     def test_composites_that_are_not_picked_rows_stay_apart(self, monkeypatch):
         """A composition that leaves f's rows in place: pairs with one honest
         composite get different rows, and the table keeps each of them."""
-        maps = [f for _, f in _Instance(builtin_group("S3"), "class").aut_samples]
+        maps = [f for _, f in _Instance(_Group("S3"), "class").aut_samples]
 
         def rows_in_place(f, g):
             h = compose_maps(f, g)
@@ -508,7 +508,7 @@ class TestCompositeTableDefects:
                 assert (composites[c].images, composites[c].encoding) == (h.images, h.encoding)
 
     def test_lemma_3_9_names_the_first_failing_conjugate(self, monkeypatch):
-        ctx = _Instance(builtin_group("S3"), "class")
+        ctx = _Instance(_Group("S3"), "class")
         identity = tuple(ctx.group.elements)
         monkeypatch.setattr(
             automorphisms, "is_inner", lambda f: 0 if f.images == identity else None

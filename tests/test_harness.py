@@ -1,11 +1,15 @@
 """Campaign runner: determinism, coverage, precondition routing, ablations."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from fuzzaut import harness, homs
+from fuzzaut import groups, harness, homs, induced, subsets
 from fuzzaut.errors import FuzzautError
 from fuzzaut.harness import (
     ABLATION_TOKENS,
@@ -13,9 +17,11 @@ from fuzzaut.harness import (
     SECTION_4_STATEMENTS,
     STATEMENT_IDS,
     STATEMENTS,
+    SUITE_GROUPS,
     Campaign,
     ConfigInvalid,
     UnknownToken,
+    _Group,
     _Instance,
     ablation,
     campaign_report,
@@ -25,11 +31,12 @@ from fuzzaut.harness import (
 )
 from fuzzaut.groups import builtin_group, crisp_automorphisms, normal_subgroups
 from fuzzaut.homs import lift_hom
-from fuzzaut.io import dumps, save
+from fuzzaut.io import dumps, load_group, save
 
 
 SMALL = Campaign(groups=("Z4", "S3"))
-RECORDED = Path(__file__).resolve().parent.parent / "bench" / "expected"
+ROOT = Path(__file__).resolve().parent.parent
+RECORDED = ROOT / "bench" / "expected"
 
 
 class TestCatalog:
@@ -95,6 +102,41 @@ class TestWorkCounts:
         monkeypatch.setattr(homs, "_row_product", counted)
         run_campaign(default_campaign())
         assert 0 < len(calls) <= 791
+
+    @staticmethod
+    def calls_to(monkeypatch, module, name):
+        """Count the calls of ``module.name`` at every fuzzaut site that binds it."""
+        original, calls = getattr(module, name), []
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "fuzzaut" or mod_name.startswith("fuzzaut."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+        for cached in (induced.build_inn_group, subsets.chain_strategy, subsets.class_strategy):
+            cached.cache_clear()
+        return calls
+
+    def test_default_campaign_builds_each_groups_quotient_lifts_once(self, monkeypatch):
+        """The quotient lifts read no mu, so each group builds its 28 lifts
+        once for both mu sources; zeta adds one center quotient per instance
+        (24) and the lifted automorphisms 132 lifts (80 and 188 when each
+        instance built its own)."""
+        quotients = self.calls_to(monkeypatch, groups, "quotient_group")
+        lifts = self.calls_to(monkeypatch, homs, "lift_hom")
+        run_campaign(default_campaign())
+        assert (len(quotients), len(lifts)) == (52, 160)
+
+    def test_s4_hom_campaign_builds_its_quotients_once(self, monkeypatch):
+        """S4's three non-trivial normal subgroups, once for chain and class mu
+        (6 when each instance built its own)."""
+        quotients = self.calls_to(monkeypatch, groups, "quotient_group")
+        run_campaign(Campaign(groups=("S4",), suites=SUITE_GROUPS["hom"]))
+        assert len(quotients) == 3
 
 
 class TestPreconditionRouting:
@@ -166,6 +208,13 @@ class TestAblation:
             False, "FuzzautError: seeded", True
         )
 
+    def test_a_failing_generator_self_check_fails_its_row(self, monkeypatch):
+        """gen_mu_chain certifies its mu by raising, so the probe's row fails."""
+        monkeypatch.setattr(subsets, "is_pointed", lambda mu: False)
+        (row,) = ablation(Campaign(groups=("S3",)), "normal-mu")
+        assert not row.verdict and row.expected_failure
+        assert row.witness.startswith("RuntimeError: chain construction produced an invalid ")
+
     def test_ablation_is_deterministic(self):
         campaign = Campaign(groups=("Z2", "S3", "D4"))
         for token in ABLATION_TOKENS:
@@ -211,6 +260,49 @@ class TestRecordedReports:
         )
         assert dumps(campaign_report(campaign, run_campaign(campaign))) == expected
 
+    def test_benchmark_worker_writes_the_recorded_report(self, tmp_path):
+        """The benchmark's untraced pass calls the harness by name; a rename
+        there must fail here, not only as a failed benchmark run."""
+        report = tmp_path / "report.json"
+        done = subprocess.run(
+            [sys.executable, "bench/worker.py", "--workload", "s4-hom", "--mode", "run",
+             "--out", str(tmp_path / "pass.json"), "--report", str(report)],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert report.read_bytes() == (RECORDED / "s4-hom.json").read_bytes()
+
+
+def relabeled(group):
+    """The group's table under a seeded relabeling that moves the identity off 0."""
+    labels = list(group.elements)
+    random.Random(1).shuffle(labels)
+    if labels[group.identity] == 0:
+        labels = labels[1:] + labels[:1]
+    table = [[0] * group.order for _ in group.elements]
+    for a in group.elements:
+        for b in group.elements:
+            table[labels[a]][labels[b]] = labels[group.table[a][b]]
+    return {"name": f"{group.name}~", "order": group.order, "table": table}
+
+
+@pytest.mark.parametrize("token", ["S3", "D4", "Q8", "Z6", "S4"])
+def test_relabeled_groups_get_the_builtins_verdicts(token, tmp_path):
+    """Every builtin puts its identity at 0; a file group need not, and no
+    law's verdict may depend on where the identity sits."""
+    path = tmp_path / f"{token}.json"
+    save(path, relabeled(builtin_group(token)))
+    assert load_group(path).identity != 0
+
+    def verdicts(group_token):
+        rows = run_campaign(Campaign(groups=(group_token,)))
+        return {(r.statement, r.instance.split("|")[1]): r.verdict for r in rows}
+
+    expected = verdicts(token)
+    assert len(expected) == 2 * len(STATEMENT_IDS)
+    assert verdicts(f"file:{path}") == expected
+
 
 @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "D8"))
 @pytest.mark.parametrize("mu", ["chain", "class"])
@@ -219,7 +311,7 @@ class TestSampleDeduplication:
     the labeled family in and deduplicating by grades adds none of its maps."""
 
     def test_same_samples_as_keying_on_grades(self, token, mu):
-        ctx = _Instance(builtin_group(token), mu)
+        ctx = _Instance(_Group(token), mu)
         candidates = [
             (f"lift:aut{i}", lift_hom(sigma, ctx.mu, ctx.group))
             for i, sigma in enumerate(crisp_automorphisms(ctx.group))
@@ -230,7 +322,7 @@ class TestSampleDeduplication:
         assert ctx.aut_samples == list(by_grades.values())
 
     def test_hom_samples_are_the_lifts_then_the_quotient_maps(self, token, mu):
-        ctx = _Instance(builtin_group(token), mu)
+        ctx = _Instance(_Group(token), mu)
         aut_tags = [tag for tag, _ in ctx.aut_samples]
         quotient_tags = [
             f"lift:quot|N|={len(n)}" for n in normal_subgroups(ctx.group) if len(n) > 1

@@ -28,7 +28,7 @@ from fuzzaut.automorphisms import (
     make_automorphism,
 )
 from fuzzaut.groups import NotAssociative, builtin_group, crisp_automorphisms, make_group
-from fuzzaut.harness import DEFAULT_GROUPS, Campaign, _Instance, ablation, run_campaign
+from fuzzaut.harness import DEFAULT_GROUPS, Campaign, _Group, _Instance, ablation, run_campaign
 from fuzzaut.induced import (
     LawViolation,
     compose_induced,
@@ -242,7 +242,7 @@ def test_lemma_3_2_failure_path_composes_each_pair_once(monkeypatch):
         return defect(f, g)
 
     seed_defect(monkeypatch, maps, "compose_maps", counted)
-    named = dict(_Instance(S3, "class").aut_samples)
+    named = dict(_Instance(_Group("S3"), "class").aut_samples)
     calls.clear()
     products = automorphisms.composite_table(list(named.values()))
     ok, witness = automorphisms.check_associativity(named, products)
@@ -309,7 +309,7 @@ PRODUCT_CHECKERS = pytest.mark.parametrize(
 @pytest.mark.parametrize("token", DEFAULT_GROUPS)
 @pytest.mark.parametrize("mu", ["chain", "class"])
 def test_product_checkers_agree_with_a_literal_scan(checker, scan, token, mu):
-    ctx = _Instance(builtin_group(token), mu)
+    ctx = _Instance(_Group(token), mu)
     expected = scan(ctx.group, ctx.induced_raw, ctx.induced_reps)
     assert expected == (True, None)
     assert checker(ctx.group, ctx.induced_raw, ctx.induced_reps) == expected
@@ -318,7 +318,7 @@ def test_product_checkers_agree_with_a_literal_scan(checker, scan, token, mu):
 @PRODUCT_CHECKERS
 @pytest.mark.parametrize("token", ["S3", "D4", "Q8"])
 def test_product_witness_names_the_first_failing_labels(checker, scan, token):
-    ctx = _Instance(builtin_group(token), "class")
+    ctx = _Instance(_Group(token), "class")
     group, reps, family = ctx.group, ctx.induced_reps, list(ctx.induced_raw)
     identity = family[group.identity]
     label = next(

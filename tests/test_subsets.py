@@ -1,6 +1,10 @@
 """Membership functions: predicates, level sets, generators, strategies."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,6 +211,31 @@ class TestClassGenerator:
     def test_identity_class_must_be_one(self):
         with pytest.raises(Exception):
             gen_mu_class(builtin_group("S3"), ["1/2", "1/4", "1/4"])
+
+
+@pytest.mark.parametrize(
+    "check, strategy, construction",
+    [("is_pointed", "chain_strategy", "chain"), ("is_class_constant", "class_strategy", "class")],
+)
+def test_a_failing_self_check_raises_under_python_O(check, strategy, construction):
+    """The generators certify their output by raising, so ``python -O`` keeps the checks."""
+    code = (
+        "import sys\n"
+        "from fuzzaut import subsets\n"
+        "from fuzzaut.groups import builtin_group\n"
+        "assert sys.flags.optimize\n"
+        f"subsets.{check} = lambda mu: False\n"
+        f"subsets.{strategy}(builtin_group('S3'))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1].startswith(
+        f"RuntimeError: {construction} construction produced an invalid FuzzySubset("
+    )
 
 
 class TestStrategies:
