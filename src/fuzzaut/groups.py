@@ -460,6 +460,12 @@ def quotient_group(
     return q, tuple(coset_map)
 
 
+@lru_cache(maxsize=None)
+def center_quotient(group: FiniteGroup) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """``quotient_group`` by the center: G/Z(G) and the element -> coset map."""
+    return quotient_group(group, center(group))
+
+
 # -- subgroup enumeration and series ----------------------------------------
 
 
@@ -556,6 +562,7 @@ def derived_series(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     return tuple(series)
 
 
+@lru_cache(maxsize=None)
 def opposite_group(group: FiniteGroup) -> FiniteGroup:
     """Same carrier with reversed multiplication a*b := b.a."""
     n = group.order

@@ -18,9 +18,10 @@ is strictly monotone, so min, sup and equality give the same verdicts on
 ranks as on grades, and the product of two rank rows depends only on the two
 integer tuples and the codomain's table.  Samples built from one membership
 function share a few rows, so each codomain keeps a memo of row products
-keyed by a pair of ids from its table of rank rows.  Both are cleared before
-a check that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries in all,
-and ``_row_tables`` keeps the tables of the last ``_CODOMAINS_KEPT`` codomains.
+keyed by a pair of ids from its table of rank rows, and the (domain, row ids)
+of each map that passed, which holds again at once.  All three are cleared
+before a check that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries,
+one per check, and ``_row_tables`` keeps the last ``_CODOMAINS_KEPT`` codomains.
 
 A product missing from the memo is computed by ``_row_product`` one bit
 plane at a time, in byte and big-integer operations.  Plane p holds the
@@ -51,11 +52,12 @@ from .groups import (
     first_non_multiplicative,
     generating_sequence,
     is_normal_subgroup,
+    picker,
 )
-from .maps import FuzzyMap, indexed_map, is_one_one, unit_rank
+from .maps import FuzzyMap, is_one_one, ranked_map, unit_rank
 from .subsets import FuzzySubset, require_valid_mu
 
-ROW_PRODUCT_MEMO_BOUND = 4096  # row products and row ids kept per codomain
+ROW_PRODUCT_MEMO_BOUND = 4096  # row products, row ids and passing keys kept per codomain
 # one instance's checks touch at most 5 codomains on the default matrix and S4, 7 on Z2xQ8
 _CODOMAINS_KEPT = 16
 _POPCOUNT = bytes(map(int.bit_count, range(256)))  # byte -> its number of set bits
@@ -114,20 +116,25 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
     ``generating_sequence(f.domain)``, which suffice (see the module
     docstring): R_{g*x} is compared with the product R_g * R_x of f's rank
     rows, looked up in the codomain's memo by row ids or computed by
-    ``_row_product`` and stored there.  A rejected map is scanned again over
-    every (x1, x2, y) in lexicographic order, so its witness is the first
-    violation of the exhaustive scan; its grades come back from the
-    encoding's value list.  A scan that finds no violation contradicts the
-    generator pass, a library defect, and raises ``PassesDisagree``.
+    ``_row_product`` and stored there.  A passing map's (domain, row ids) is
+    kept, so the same check again holds without a pass.  A rejected map is
+    scanned again over every (x1, x2, y) in lexicographic order, so its
+    witness is the first violation of the exhaustive scan; its grades come
+    back from the encoding's value list.  A scan that finds no violation
+    contradicts the generator pass, a library defect, and raises
+    ``PassesDisagree``.
     """
     values, rows = f.encoding
+    cofactor, planes, *stores = _row_tables(f.codomain)
+    memo, row_ids, passed = stores
+    if (f.domain, tuple(map(row_ids.get, rows))) in passed:
+        return _HOLDS
     dt = f.domain.table
     gens = generating_sequence(f.domain)
-    cofactor, planes, memo, row_ids = _row_tables(f.codomain)
-    if len(memo) + len(row_ids) + (len(gens) + 1) * len(rows) > ROW_PRODUCT_MEMO_BOUND:
-        memo.clear()
-        row_ids.clear()
-    ids = [row_ids.setdefault(r, len(row_ids)) for r in rows]
+    if sum(map(len, stores)) + (len(gens) + 1) * len(rows) >= ROW_PRODUCT_MEMO_BOUND:
+        for store in stores:
+            store.clear()
+    ids = tuple([row_ids.setdefault(r, len(row_ids)) for r in rows])
     for g in gens:
         rg, ig, dg = rows[g], ids[g], dt[g]
         for x, (rx, ix) in enumerate(zip(rows, ids)):
@@ -144,20 +151,22 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
                     )
                 x1, x2, y, lhs, rhs = found
                 return HomCheckReport(False, HomWitness(x1, x2, y, values[lhs], values[rhs]))
+    passed.add((f.domain, ids))
     return _HOLDS
 
 
 @lru_cache(maxsize=_CODOMAINS_KEPT)
-def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, dict, dict]:
+def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, dict, dict, set]:
     """The codomain's cofactor table, what ``_row_product`` reads of it, its
-    row-product memo and its row ids.
+    row-product memo, its row ids and the keys of the maps that passed.
 
     ``cofactor[y1][y]`` is the y2 with y1*y2 = y.  Slot 1 holds the cofactor
     rows in the form the gather reads, the gather, the padding that makes a
     plane's table 256 bytes long, and ``masks[c]``, with c low bits set in
     each of m bytes.  Up to order 256 the gather is ``bytes.translate`` on
     rows stored as ``bytes``; above it an element does not fit a byte, so the
-    gather maps the row's ints through the table.
+    gather maps the row's ints through the table.  A passing key is exact as
+    the memo is: a row id names a row's content in this codomain.
     """
     ct, cinv = codomain.table, codomain.inverses
     m = codomain.order
@@ -167,7 +176,7 @@ def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, dict, dict]:
     else:
         shift, gather, pad = cofactor, _gather_ints, b""
     masks = tuple(int.from_bytes(bytes((t,)) * m, "big") for t in _THERMOMETER)
-    return cofactor, (shift, gather, pad, masks), {}, {}
+    return cofactor, (shift, gather, pad, masks), {}, {}, set()
 
 
 def _gather_ints(row: Sequence[int], table: bytes) -> bytes:
@@ -273,9 +282,10 @@ def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> 
     """Grade a crisp homomorphism phi through a membership function.
 
     The lifted map is f(x, y) = mu'(phi(x)^-1 * y) over the codomain carrying
-    mu', built from the ranks of mu'.  phi is checked over a generating set
-    of the domain (``groups.first_non_multiplicative``), and the error names
-    the first failing pair.  Validity is established per instance by the
+    mu', that is f = f_e . phi: row x is row phi(x) of mu'.translate_rows, so
+    every lift through mu' shares those row objects.  phi is checked over a
+    generating set of the domain (``groups.first_non_multiplicative``), and
+    the error names the first failing pair.  Validity is established per instance by the
     homomorphism oracle; a rejection is surfaced, never silently dropped.
     """
     codomain = mu_prime.group
@@ -286,10 +296,7 @@ def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> 
     if pair is not None:
         raise NotHomomorphism(f"phi is not multiplicative at (a, b) = {pair}")
     require_valid_mu(mu_prime)
-    ct = codomain.table
-    cinv = codomain.inverses
-    rows = (ct[cinv[phi[x]]] for x in domain.elements)
-    f = indexed_map(domain, codomain, mu_prime.encoding, rows)
+    f = ranked_map(domain, codomain, mu_prime.encoding[0], picker(phi)(mu_prime.translate_rows))
     report = is_fuzzy_homomorphism(f)
     if not report:
         raise OracleRejected(str(report.witness))

@@ -30,12 +30,12 @@ from .groups import (
     ElementSubset,
     FiniteGroup,
     center,
+    center_quotient,
     first_non_multiplicative,
     is_group_isomorphism,
     make_group,
     opposite_group,
     picker,
-    quotient_group,
 )
 from .homs import HomCheckReport, is_fuzzy_homomorphism
 from .maps import (
@@ -96,14 +96,14 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     Every f_g is f_e with its columns permuted by conjugation:
     f_g(x, y) = mu(x^-1 * (g y g^-1)) = f_e(x, g y g^-1).  This is an identity
     of the cell arguments alone, so it holds for every mu, valid or not.  So
-    f_e's rank rows over mu's value list are built once, each f_g picks its
-    rows' cells from them, and ``maps.ranked_map`` finds each map's unit
-    entries, raising what ``induced_map`` raises for the first failing label.
-    No grade is read; each map derives its grades when they are asked for.
+    each f_g picks its rows' cells from f_e's rank rows, mu's
+    ``translate_rows``, which the lifts through mu share, and
+    ``maps.ranked_map`` finds each map's unit entries, raising what
+    ``induced_map`` raises for the first failing label.  No grade is read;
+    each map derives its grades when they are asked for.
     """
     t, inv = group.table, group.inverses
-    values, ranks = mu.encoding
-    rank_rows = [tuple(map(ranks.__getitem__, t[inv[x]])) for x in group.elements]
+    values, rank_rows = mu.encoding[0], mu.translate_rows
     family = []
     for g in group.elements:
         tg, g_inv = t[g], inv[g]
@@ -365,9 +365,8 @@ def zeta(group: FiniteGroup, mu: FuzzySubset) -> ZetaCheck:
         group,
         (g for g in group.elements if images[g] == images[group.identity]),
     )
-    z = center(group)
-    kernel_is_center = kernel.mask == z.mask
-    quotient, coset_map = quotient_group(group, z)
+    kernel_is_center = kernel.mask == center(group).mask
+    quotient, coset_map = center_quotient(group)
     # coset c -> image; well defined exactly when every coset has one image
     induced = sorted({(coset_map[x], images[x]) for x in group.elements})
     induced_iso = tuple(image for _, image in induced) if len(induced) == quotient.order else None

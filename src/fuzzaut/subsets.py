@@ -63,7 +63,8 @@ class FuzzySubset(Record):
     (``grades.rank_grades``), derived once by the constructor.  It is an
     attribute, not a field: not an argument, and kept out of equality.  The
     predicates scan the ranks, and every map built from mu
-    (``maps.indexed_map``) reuses them.
+    (``maps.indexed_map``) reuses them; every lift through mu and the
+    induced family pick their rows from ``translate_rows``, built once.
     """
 
     group: FiniteGroup
@@ -74,6 +75,12 @@ class FuzzySubset(Record):
 
     def __call__(self, x: int) -> Fraction:
         return self.grades[x]
+
+    @cached_property
+    def translate_rows(self) -> tuple[tuple[int, ...], ...]:
+        """f_e's rank rows: row a holds the ranks of y -> mu(a^-1 y)."""
+        t, inv, ranks = self.group.table, self.group.inverses, self.encoding[1]
+        return tuple(tuple(map(ranks.__getitem__, t[inv[a]])) for a in self.group.elements)
 
     @cached_property
     def _fault(self) -> Optional[tuple[type, str]]:

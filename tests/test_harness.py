@@ -117,19 +117,52 @@ class TestWorkCounts:
                 for key, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, key, counted)
-        for cached in (induced.build_inn_group, subsets.chain_strategy, subsets.class_strategy):
+        for cached in (
+            induced.build_inn_group,
+            subsets.chain_strategy,
+            subsets.class_strategy,
+            groups.center_quotient,
+            groups.opposite_group,
+        ):
             cached.cache_clear()
         return calls
 
     def test_default_campaign_builds_each_groups_quotient_lifts_once(self, monkeypatch):
         """The quotient lifts read no mu, so each group builds its 28 lifts
-        once for both mu sources; zeta adds one center quotient per instance
-        (24) and the lifted automorphisms 132 lifts (80 and 188 when each
-        instance built its own)."""
+        once for both mu sources; zeta adds one center quotient per group
+        (12) and the lifted automorphisms 132 lifts (80 and 188 when each
+        instance built its own, 52 when zeta built a center quotient per
+        instance)."""
         quotients = self.calls_to(monkeypatch, groups, "quotient_group")
         lifts = self.calls_to(monkeypatch, homs, "lift_hom")
         run_campaign(default_campaign())
-        assert (len(quotients), len(lifts)) == (52, 160)
+        assert (len(quotients), len(lifts)) == (40, 160)
+
+    @pytest.mark.parametrize("name, passes, checks, products", [
+        ("s4-hom.json", 28, 251, range(351, 352)),
+        ("default-matrix.json", 196, 952, range(1, 792)),
+    ])
+    def test_each_distinct_map_takes_one_generator_pass(
+        self, monkeypatch, name, passes, checks, products
+    ):
+        """A passing map's key is kept on its codomain, so only a map not seen
+        before takes a generator pass (each of the 251 and 952 checks took one
+        when nothing was kept).  ``homs.generating_sequence`` is read once per
+        pass and not on a held check, which makes it the pass counter; the row
+        products stay at 351 and at most 791."""
+        passes_run, generating_sequence = [], homs.generating_sequence
+
+        def counted(group):
+            passes_run.append(None)
+            return generating_sequence(group)
+
+        monkeypatch.setattr(homs, "generating_sequence", counted)
+        hom_checks = self.calls_to(monkeypatch, homs, "is_fuzzy_homomorphism")
+        row_products = self.calls_to(monkeypatch, homs, "_row_product")
+        homs._row_tables.cache_clear()
+        run_campaign(recorded_campaign(name))
+        assert (len(passes_run), len(hom_checks)) == (passes, checks)
+        assert len(row_products) in products
 
     def test_s4_hom_campaign_builds_its_quotients_once(self, monkeypatch):
         """S4's three non-trivial normal subgroups, once for chain and class mu
@@ -244,6 +277,17 @@ class TestReport:
         assert dumps(parsed) == text  # sorted keys make dumping idempotent
 
 
+def recorded_campaign(name):
+    """The campaign of a report recorded in bench/expected/."""
+    block = json.loads((RECORDED / name).read_text(encoding="utf-8"))["campaign"]
+    return Campaign(
+        groups=tuple(block["groups"]),
+        mu_sources=tuple(block["mu"]),
+        suites=tuple(block["suites"]),
+        seed=block["seed"],
+    )
+
+
 class TestRecordedReports:
     """The reports recorded in bench/expected/ are reproduced byte for byte."""
 
@@ -272,6 +316,22 @@ class TestRecordedReports:
         )
         assert done.returncode == 0, done.stderr
         assert report.read_bytes() == (RECORDED / "s4-hom.json").read_bytes()
+
+    def test_traced_benchmark_worker_writes_the_recorded_report(self, tmp_path):
+        """The traced pass wraps every span target; its report must not change,
+        and its hom-check and lift counts stay comparable across changes."""
+        report, out = tmp_path / "report.json", tmp_path / "pass.json"
+        done = subprocess.run(
+            [sys.executable, "bench/worker.py", "--workload", "s4-hom", "--mode", "run",
+             "--trace", "--out", str(out), "--report", str(report)],
+            cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert report.read_bytes() == (RECORDED / "s4-hom.json").read_bytes()
+        layers = json.loads(out.read_text(encoding="utf-8"))["layers"]
+        assert layers["homs.is_fuzzy_homomorphism.calls"] == 251
+        assert layers["homs.lift_hom.calls"] == 51
 
 
 def relabeled(group):

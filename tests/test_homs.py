@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzaut.groups import (
+    ElementSubset,
     all_subgroups,
     builtin_group,
     crisp_automorphisms,
     generating_sequence,
     make_group,
+    normal_subgroups,
+    quotient_group,
 )
 from fuzzaut import homs
 from fuzzaut.harness import DEFAULT_GROUPS, Campaign, run_campaign
@@ -27,7 +30,9 @@ from fuzzaut.homs import (
     kernel,
     lift_hom,
 )
-from fuzzaut.maps import FuzzyMap, compose_maps, crisp_map, inverse_map, make_fuzzy_map
+from fuzzaut.maps import (
+    FuzzyMap, compose_maps, crisp_map, indexed_map, inverse_map, make_fuzzy_map,
+)
 from fuzzaut.subsets import MuNotNormal, MuNotPointed, chain_strategy, class_strategy, flat_mu, fuzzy_subset
 from fuzzaut.induced import induced_family_raw
 
@@ -202,6 +207,20 @@ class TestRowProductMemo:
         for f in order:
             assert_matches_oracles(f)
 
+    @pytest.mark.parametrize("z4_first", [True, False])
+    @pytest.mark.parametrize("mu", [None, chain_strategy(Z4)], ids=["crisp", "graded"])
+    def test_same_rank_rows_over_two_domains(self, z4_first, mu):
+        """A passing key names its domain: V4 must not inherit Z4's verdict."""
+        over_z4 = crisp_map(Z4, Z4, Z4.elements) if mu is None else lift_hom(Z4.elements, mu, Z4)
+        over_v4 = make_fuzzy_map(V4, Z4, over_z4.grades)
+        assert over_z4.encoding == over_v4.encoding
+        homs._row_tables.cache_clear()
+        order = [over_z4, over_v4] if z4_first else [over_v4, over_z4]
+        verdicts = {f.domain.name: is_fuzzy_homomorphism(f).verdict for f in order}
+        assert verdicts == {"Z4": True, "V4": False}
+        for f in order:
+            assert_matches_oracles(f)
+
     @given(data=st.data(), pair=st.sampled_from(ORACLE_PAIRS))
     @settings(max_examples=20, deadline=None)
     def test_warm_memo_gives_the_cold_answers(self, data, pair):
@@ -224,13 +243,14 @@ class TestRowProductMemo:
             assert_matches_oracles(f)
 
     def test_memo_stays_bounded(self, monkeypatch):
-        # one check over D4 adds at most 8 row ids and 2 generators * 8 rows = 16 products
-        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 24)
+        # one check over D4 adds at most 8 row ids, 2 generators * 8 rows = 16 products
+        # and 1 passing key
+        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 25)
         homs._row_tables.cache_clear()
         for f in lifted_homs(D4, D4):
             assert_matches_oracles(f)
-            _, _, memo, row_ids = homs._row_tables(D4)
-            assert len(memo) + len(row_ids) <= 24
+            _, _, memo, row_ids, passed = homs._row_tables(D4)
+            assert len(memo) + len(row_ids) + len(passed) <= 25
 
     def test_checks_straddling_a_reset_give_the_cold_answers(self, monkeypatch):
         batch = []
@@ -254,6 +274,23 @@ class TestRowProductMemo:
             sizes.append(len(homs._row_tables(D4)[3]))
         assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the tables were reset
         assert warm == cold
+
+
+    def test_a_reset_forgets_the_passing_keys(self, monkeypatch):
+        """After a reset, row ids are handed out again from 0, so a key kept
+        from before it could name another map: here a failing one whose rows
+        get the ids the passing map's rows had."""
+        good = lift_hom(D4.elements, chain_strategy(D4), D4)
+        rows = [list(row) for row in good.grades]
+        rows[0][1] = LOW_GRADES[2] if rows[0][1] == 0 else F(0)
+        bad = make_fuzzy_map(D4, D4, rows)
+        homs._row_tables.cache_clear()
+        assert not is_fuzzy_homomorphism(bad).verdict
+        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 40)  # the first check of bad resets
+        homs._row_tables.cache_clear()
+        verdicts = [is_fuzzy_homomorphism(f).verdict for f in (good, bad, bad)]
+        assert verdicts == [True, False, False]
+        assert_matches_oracles(bad)
 
 
 def literal_row_product(rg, rx, group):
@@ -543,6 +580,25 @@ class TestLift:
         for g in S3.elements:
             conj = tuple(S3.conjugate(x, g) for x in S3.elements)
             assert lift_hom(conj, mu, S3).grades == family[g].grades
+
+    @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "direct_product(Z2,Q8)"))
+    @pytest.mark.parametrize("strategy", [chain_strategy, class_strategy], ids=["chain", "class"])
+    def test_lifts_match_the_cell_by_cell_construction(self, token, strategy):
+        """Every lifted automorphism and quotient lift picks the rows that
+        ``indexed_map`` builds from mu'(phi(x)^-1 y) cell by cell."""
+        group = builtin_group(token)
+        cases = [(sigma, strategy(group)) for sigma in crisp_automorphisms(group)]
+        for members in normal_subgroups(group):
+            if len(members) > 1:
+                subset = ElementSubset.from_indices(group, members)
+                quotient, coset_map = quotient_group(group, subset)
+                cases.append((coset_map, strategy(quotient)))
+        for phi, mu in cases:
+            ct, cinv = mu.group.table, mu.group.inverses
+            rows = [ct[cinv[phi[x]]] for x in group.elements]
+            old = indexed_map(group, mu.group, mu.encoding, rows)
+            new = lift_hom(phi, mu, group)
+            assert (new.images, new.encoding) == (old.images, old.encoding)
 
     def test_rejects_non_multiplicative_phi(self):
         with pytest.raises(NotHomomorphism):

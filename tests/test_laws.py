@@ -18,7 +18,7 @@ from itertools import product
 
 import pytest
 
-from fuzzaut import automorphisms, groups, induced, maps, subsets
+from fuzzaut import automorphisms, groups, homs, induced, maps, subsets
 from fuzzaut.automorphisms import (
     ClosureViolation,
     NotInner,
@@ -70,6 +70,7 @@ def drop_certified_results():
         induced.build_inn_group,
         subsets.chain_strategy,
         subsets.class_strategy,
+        homs._row_tables,
     ):
         cached.cache_clear()
 
