@@ -14,6 +14,7 @@ from .groups import (
     builtin_group,
     center,
     conjugacy_classes,
+    conjugations,
     crisp_automorphisms,
     is_group_isomorphism,
     is_normal_subgroup,

@@ -23,6 +23,7 @@ from .errors import FuzzautError, Record
 from .groups import (
     FiniteGroup,
     class_index,
+    conjugations,
     crisp_automorphisms,
     first_non_associative,
     make_group,
@@ -204,13 +205,9 @@ def is_class_preserving(f: FuzzyMap) -> bool:
 
 
 def is_inner(f: FuzzyMap) -> Optional[int]:
-    """Least g whose conjugation permutation equals the skeleton, if any."""
-    group = f.domain
-    images = f.images
-    for g in group.elements:
-        if all(images[x] == group.conjugate(x, g) for x in group.elements):
-            return g
-    return None
+    """Least g whose conjugation x -> g^-1 x g is the skeleton, if any: the index
+    of the first row of ``groups.conjugations`` equal to it."""
+    return next((g for g, row in enumerate(conjugations(f.domain)) if row == f.images), None)
 
 
 def check_inner_products(group: FiniteGroup, family: Family, labels: Iterable[int]) -> Verdict:

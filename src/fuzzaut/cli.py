@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from typing import Optional, Sequence
 
 from . import io as fio
@@ -70,8 +71,8 @@ def _validate_sources(groups: tuple[str, ...], mus: tuple[str, ...]) -> None:
     for token in groups:
         group = resolve_group(token)
         for mu_token in mus:
-            mu = resolve_mu(mu_token, group)
-            require_valid_mu(mu)
+            with suppress(RuntimeError):  # a library defect: the campaign fails its rows
+                require_valid_mu(resolve_mu(mu_token, group))
 
 
 def _emit_text(report: dict, out) -> None:

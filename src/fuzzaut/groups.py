@@ -206,45 +206,34 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Fi
     """Validate a Cayley table and return the finished group.
 
     Validation order is part of the error contract: shape and range first,
-    then associativity, before the identity, the inverses and the
-    Latin-square structure, so a corrupted product cell surfaces as the
-    algebraic violation it causes.  ``NotAssociative`` names the first
-    (a, b, c) in lexicographic order; ``first_non_associative`` decides over
-    a generating set and rescans only a failing table.
+    then associativity, the identity and the inverses, so a corrupted product
+    cell surfaces as the algebraic violation it causes.  ``NotAssociative``
+    names the first (a, b, c) in lexicographic order; ``first_non_associative``
+    decides over a generating set and rescans only a failing table.  In a
+    finite monoid a right inverse is two-sided, and in a group every row and
+    column is a bijection, so no Latin-square pass follows: it could not fail.
     """
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    rows = tuple(tuple(map(int, row)) for row in table)
     n = len(rows)
     if n == 0:
         raise NotLatinSquare("empty table")
     for r, row in enumerate(rows):
         if len(row) != n:
             raise NotLatinSquare(f"row {r} has length {len(row)}, expected {n}")
-        for c, v in enumerate(row):
-            if not 0 <= v < n:
-                raise NotLatinSquare(f"entry at row {r}, column {c} is {v}, outside 0..{n - 1}")
+        if min(row) < 0 or max(row) >= n:
+            c, v = next((c, v) for c, v in enumerate(row) if not 0 <= v < n)
+            raise NotLatinSquare(f"entry at row {r}, column {c} is {v}, outside 0..{n - 1}")
     triple = first_non_associative(rows)
     if triple is not None:
         raise NotAssociative(f"(a*b)*c != a*(b*c) for (a, b, c) = {triple}")
-    identity = None
-    for e in range(n):
-        if all(rows[e][a] == a and rows[a][e] == a for a in range(n)):
-            identity = e
-            break
+    full = tuple(range(n))
+    identity = next((e for e in full if rows[e] == full and all(rows[a][e] == a for a in full)), None)
     if identity is None:
         raise NoIdentity("no two-sided identity element")
-    inverses = []
-    for a in range(n):
-        b = next((b for b in range(n) if rows[a][b] == identity and rows[b][a] == identity), None)
-        if b is None:
+    for a, row in enumerate(rows):
+        if identity not in row:
             raise NoInverse(f"element {a} has no two-sided inverse")
-        inverses.append(b)
-    full = list(range(n))
-    for r in range(n):
-        if sorted(rows[r]) != full:
-            raise NotLatinSquare(f"row {r} is not a permutation of 0..{n - 1}")
-        if sorted(rows[a][r] for a in range(n)) != full:
-            raise NotLatinSquare(f"column {r} is not a permutation of 0..{n - 1}")
-    return FiniteGroup(name or f"G{n}", n, rows, identity, tuple(inverses))
+    return FiniteGroup(name or f"G{n}", n, rows, identity, tuple(row.index(identity) for row in rows))
 
 
 # -- builtin families -------------------------------------------------------
@@ -393,14 +382,23 @@ def center(group: FiniteGroup) -> ElementSubset:
 
 
 @lru_cache(maxsize=None)
+def conjugations(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Row g is the permutation x -> g^-1 x g, ``group.conjugate(x, g)`` at x: the one
+    conjugation table that ``is_inner``, Lemma 4.1, the classes and normality read."""
+    t = group.table
+    return tuple(tuple(t[y][g] for y in t[group.inverses[g]]) for g in group.elements)
+
+
+@lru_cache(maxsize=None)
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Partition of the elements into conjugation orbits, sorted by least member."""
+    rows = conjugations(group)
     seen = set()
     classes = []
     for x in group.elements:
         if x in seen:
             continue
-        orbit = {group.conjugate(x, a) for a in group.elements}
+        orbit = {row[x] for row in rows}
         seen |= orbit
         classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda c: c[0])
@@ -430,7 +428,7 @@ def is_normal_subgroup(group: FiniteGroup, subset: ElementSubset) -> bool:
     members = frozenset(subset.indices)
     if not is_subgroup(group, members):
         return False
-    return all(group.conjugate(a, g) in members for a in members for g in group.elements)
+    return all(row[a] in members for row in conjugations(group) for a in members)
 
 
 def quotient_group(

@@ -13,7 +13,7 @@ no law of its own: it calls the one checker of its statement, which lives
 with the object it checks (``homs`` for section 2, ``automorphisms`` for
 section 3, ``induced`` for section 4) and which the raising constructors
 there call too.  The suite only picks the instance's samples and prefixes
-the failing sample's tag to the witness.
+the failing sample's tag to the witness; it keeps no verdicts of its own.
 """
 
 from __future__ import annotations
@@ -209,12 +209,14 @@ class _Instance:
         self.descriptor = f"{self.group.name}|mu={mu_token}"
         self.mu: Optional[FuzzySubset] = None
         self.mu_error: Optional[str] = None
+        self.failing: tuple[str, ...] = ()  # rows failed for want of mu: section 4, or all
         try:
             mu = resolve_mu(mu_token, self.group)
             require_valid_mu(mu)
             self.mu = mu
-        except FuzzautError as exc:
+        except (FuzzautError, RuntimeError) as exc:
             self.mu_error = f"{type(exc).__name__}: {exc}"
+            self.failing = SECTION_4_STATEMENTS if isinstance(exc, FuzzautError) else STATEMENT_IDS
 
     @cached_property
     def induced_raw(self) -> list[FuzzyMap]:
@@ -287,25 +289,6 @@ def _suite_lemma_3_1(ctx: _Instance):
     return _first_failure((f"({tags[i]}) . ({tags[j]})", verdicts[c]) for i, j, c in pairs)
 
 
-def _suite_lemma_3_9(ctx: _Instance):
-    def conjugates():
-        verdicts: dict[tuple, tuple] = {}
-        value_ids: dict[tuple, int] = {}
-        last = v = None
-        for tag, f in ctx.aut_samples:
-            f_inv = inverse_map(f)
-            for g in ctx.induced_reps:
-                conj = compose_maps(f_inv, compose_maps(ctx.induced_raw[g], f))
-                values, rank_rows = conj.encoding  # with images, all the verdict reads
-                if values is not last:  # a conjugate shares f_inv's value list: hash it once
-                    last, v = values, value_ids.setdefault(values, len(value_ids))
-                key = (v, conj.images, rank_rows)
-                verdicts[key] = verdicts.get(key) or check_inner_conjugate(conj)
-                yield f"conjugate of label {g} by {tag}", verdicts[key]
-
-    return _first_failure(conjugates())
-
-
 def _suite_thm_4_1(ctx: _Instance):
     # build_inn_group raises LawViolation unless the classes index the center quotient
     build_inn_group(ctx.group, ctx.mu)
@@ -342,7 +325,11 @@ _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
     ),
     "Lemma 3.7": lambda ctx: check_inner_products(ctx.group, ctx.induced_raw, ctx.induced_reps),
     "Lemma 3.8": lambda ctx: check_inner_inverses(ctx.group, ctx.induced_raw, ctx.induced_reps),
-    "Lemma 3.9": _suite_lemma_3_9,
+    "Lemma 3.9": lambda ctx: _first_failure(
+        (f"conjugate of label {g} by {tag}",
+         check_inner_conjugate(compose_maps(f_inv, compose_maps(ctx.induced_raw[g], f))))
+        for tag, f in ctx.aut_samples for f_inv in (inverse_map(f),) for g in ctx.induced_reps
+    ),
     "Theorem 3.1": lambda ctx: check_class_group([f for _, f in ctx.aut_samples], ctx.aut_products),
     "Lemma 4.1": lambda ctx: check_induced_homomorphism(
         ctx.group, ctx.induced_raw, ctx.group.elements
@@ -383,7 +370,8 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
     instance run before the next, while its samples and its codomains'
     row-product memos are warm, and the rows are sorted once.  An instance
     whose mu fails validation fails the graded-conjugation suites (which
-    need it) and is skipped by the others, whose samples cannot be built.
+    need it) and is skipped by the others, whose samples cannot be built; a
+    ``RuntimeError`` while mu is built is a library defect and fails them all.
     """
     unknown = [s for s in campaign.suites if s not in _SUITES]
     if unknown:
@@ -395,7 +383,7 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
         for statement in campaign.suites:
             if ctx.mu_error is None:
                 results.append(_row(statement, ctx.descriptor, partial(_SUITES[statement], ctx)))
-            elif statement in SECTION_4_STATEMENTS:
+            elif statement in ctx.failing:
                 results.append(_row(statement, ctx.descriptor, lambda: (False, ctx.mu_error)))
     results.sort(key=lambda r: (r.statement, r.instance))
     return results

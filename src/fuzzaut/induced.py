@@ -31,6 +31,7 @@ from .groups import (
     FiniteGroup,
     center,
     center_quotient,
+    conjugations,
     first_non_multiplicative,
     is_group_isomorphism,
     make_group,
@@ -116,9 +117,10 @@ def check_induced_homomorphism(
     group: FiniteGroup, family: Family, labels: Iterable[int]
 ) -> Verdict:
     """Lemma 4.1: each f_g has conjugation by g as its skeleton and is a fuzzy homomorphism."""
+    rows = conjugations(group)
     for g in labels:
         fmap = family[g]
-        if fmap.images != tuple(group.conjugate(x, g) for x in group.elements):
+        if fmap.images != rows[g]:
             return False, f"label {g}: skeleton is not conjugation"
         report = is_fuzzy_homomorphism(fmap)
         if not report:

@@ -16,7 +16,6 @@ from .grades import GRADE_ONE, grade, rank_grades
 from .groups import (
     ElementSubset,
     FiniteGroup,
-    class_index,
     conjugacy_classes,
     derived_series,
     is_subgroup,
@@ -163,25 +162,17 @@ def is_normal_fuzzy_subgroup(mu: FuzzySubset) -> tuple[bool, Optional[SubgroupVi
 
 
 def is_class_constant(mu: FuzzySubset) -> bool:
-    """Independent route to the symmetry condition: constant on conjugacy classes."""
-    idx = class_index(mu.group)
-    seen: dict[int, Fraction] = {}
-    for x in mu.group.elements:
-        c = idx[x]
-        if c in seen:
-            if seen[c] != mu.grades[x]:
-                return False
-        else:
-            seen[c] = mu.grades[x]
-    return True
+    """Independent route to the symmetry condition: one rank on each conjugacy class."""
+    _, ranks = mu.encoding
+    return all(len({ranks[x] for x in cls}) == 1 for cls in conjugacy_classes(mu.group))
 
 
 def is_pointed(mu: FuzzySubset) -> bool:
-    """Grade 1 is attained exactly at the identity."""
-    e = mu.group.identity
-    if mu.grades[e] != GRADE_ONE:
-        return False
-    return all(mu.grades[x] != GRADE_ONE for x in mu.group.elements if x != e)
+    """Grade 1 is attained exactly at the identity: 1 is mu's top value, and
+    the identity alone has its rank."""
+    values, ranks = mu.encoding
+    top = len(values) - 1
+    return values[-1] == GRADE_ONE and ranks[mu.group.identity] == top and ranks.count(top) == 1
 
 
 def level_set(mu: FuzzySubset, threshold) -> ElementSubset:

@@ -1,5 +1,6 @@
 """Fuzzy automorphisms, innerness, conjugation, and the skeleton-class group."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -31,9 +32,11 @@ from fuzzaut.automorphisms import (
 from fuzzaut.groups import (
     builtin_group,
     center,
+    conjugations,
     crisp_automorphisms,
     first_non_associative,
     is_group_isomorphism,
+    make_group,
 )
 from fuzzaut import harness
 from fuzzaut.harness import _SUITES, DEFAULT_GROUPS, _Group, _Instance
@@ -390,6 +393,59 @@ class TestAssociativityCheck:
         assert check_associativity(named, table_of(named)) == expected
 
 
+def relabeled(group):
+    """``group`` under a seeded relabeling that moves its identity off index 0."""
+    labels = list(group.elements)
+    random.Random(1).shuffle(labels)
+    if labels[group.identity] == 0:
+        labels = labels[1:] + labels[:1]
+    table = [[0] * group.order for _ in group.elements]
+    for a in group.elements:
+        for b in group.elements:
+            table[labels[a]][labels[b]] = labels[group.table[a][b]]
+    return make_group(table, name=f"{group.name}~")
+
+
+def literal_is_inner(f):
+    """``is_inner`` as a scan: the least g with f's skeleton equal to x -> g^-1 x g at every x."""
+    group = f.domain
+    for g in group.elements:
+        if all(f.images[x] == group.conjugate(x, g) for x in group.elements):
+            return g
+    return None
+
+
+CONJUGATION_GROUPS = [
+    builtin_group(token) for token in DEFAULT_GROUPS + ("S4", "D8", "direct_product(Z2,Q8)")
+] + [relabeled(builtin_group("S4"))]
+
+
+@pytest.mark.parametrize("group", CONJUGATION_GROUPS, ids=lambda group: group.name)
+class TestConjugationTable:
+    """``groups.conjugations`` and the readers that replaced their element-by-element scans."""
+
+    def test_rows_are_the_conjugates(self, group):
+        rows = conjugations(group)
+        assert len(rows) == group.order
+        for g, row in enumerate(rows):
+            assert row == tuple(group.conjugate(x, g) for x in group.elements)
+
+    @pytest.mark.parametrize("strategy", [chain_strategy, class_strategy])
+    def test_is_inner_matches_the_literal_scan(self, group, strategy):
+        """On every lifted sample, every family map and every conjugate of a
+        family map by a sample, including the samples that are not inner."""
+        mu = strategy(group)
+        samples = [lift_hom(sigma, mu, group) for sigma in crisp_automorphisms(group)]
+        family = induced_family_raw(group, mu)
+        conjugates = [
+            compose_maps(inverse_map(f), compose_maps(f_g, f)) for f in samples for f_g in family
+        ]
+        for fmap in samples + family + conjugates:
+            assert is_inner(fmap) == literal_is_inner(fmap)
+        outer = sum(literal_is_inner(f) is None for f in samples)
+        assert outer == len(samples) - len(set(conjugations(group)))
+
+
 @lru_cache(maxsize=None)
 def instance(token, mu):
     """A shared instance, for tests that patch nothing its cached tables read."""
@@ -519,7 +575,8 @@ class TestCompositeTableDefects:
 
 
 class TestWorkCounts:
-    """The law checkers run once per distinct map; counted, not timed."""
+    """The law checkers' runs, counted, not timed: Lemma 3.1 checks each distinct
+    composite once, and Lemma 3.9 each (sample, label) pair."""
 
     @pytest.mark.parametrize("token, distinct", [("Q8", 24), ("direct_product(Z2,Q8)", 192)])
     @pytest.mark.parametrize("mu", ["chain", "class"])
@@ -528,8 +585,11 @@ class TestWorkCounts:
         assert _SUITES["Lemma 3.1"](instance(token, mu)) == (True, None)
         assert calls == [distinct]
 
-    @pytest.mark.parametrize("token, distinct", [("Q8", 12), ("direct_product(Z2,Q8)", 48)])
-    def test_lemma_3_9_checks_each_distinct_conjugate(self, monkeypatch, token, distinct):
+    @pytest.mark.parametrize("token, pairs", [("Q8", 96), ("direct_product(Z2,Q8)", 768)])
+    def test_lemma_3_9_checks_each_sample_and_label(self, monkeypatch, token, pairs):
+        """24 samples by 4 label representatives on Q8, 192 by 4 on Z2xQ8 (12
+        and 48 when the suite kept a verdict per distinct conjugate): the
+        homomorphism half of a repeated conjugate is a held key in ``homs``."""
         calls = count_calls(monkeypatch, harness, "check_inner_conjugate")
         assert _SUITES["Lemma 3.9"](instance(token, "chain")) == (True, None)
-        assert calls == [distinct]
+        assert calls == [pairs]

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from fuzzaut import subsets
 from fuzzaut.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE_FAILED, main
 from fuzzaut.io import save
 
@@ -31,6 +32,24 @@ class TestExitCodes:
         )
         assert code == EXIT_SUITE_FAILED
         assert "FAIL" in out
+
+    def test_a_defect_building_mu_is_one_with_failing_rows(self, capsys, monkeypatch):
+        """A ``RuntimeError`` is left to the campaign: FAIL rows and exit 1, no traceback."""
+        def raiser(group):
+            raise RuntimeError("seeded defect")
+
+        monkeypatch.setitem(subsets._STRATEGIES, "chain", raiser)
+        code, out, err = run_cli(
+            capsys, "verify", "--group", "builtin:Z4", "--mu", "auto:all", "--suite", "hom"
+        )
+        assert code == EXIT_SUITE_FAILED and err == ""
+        assert out.splitlines() == [
+            "FAIL Theorem 2.1 [Z4|mu=chain] :: RuntimeError: seeded defect",
+            "PASS Theorem 2.1 [Z4|mu=class]",
+            "FAIL Theorem 2.2 [Z4|mu=chain] :: RuntimeError: seeded defect",
+            "PASS Theorem 2.2 [Z4|mu=class]",
+            "passed 2, failed 2",
+        ]
 
     def test_invalid_mu_file_is_two(self, capsys, tmp_path):
         path = tmp_path / "bad_mu.json"

@@ -2,7 +2,7 @@
 
 import hashlib
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzaut.groups import (
     ElementSubset,
+    FiniteGroup,
+    GroupError,
     GroupTooLarge,
     NoIdentity,
     NoInverse,
@@ -22,6 +24,7 @@ from fuzzaut.groups import (
     center,
     closure,
     conjugacy_classes,
+    conjugations,
     crisp_automorphisms,
     derived_series,
     first_non_associative,
@@ -198,6 +201,111 @@ class TestMagmaGenerators:
         gens = magma_generators(g.table)
         assert product_closure(g.table, gens) == set(g.elements)
         assert closure(g, gens) == frozenset(g.elements)
+
+
+def reference_make_group(table, name=None):
+    """``make_group`` as it was, Latin-square pass included, kept verbatim as the oracle."""
+    rows = tuple(tuple(int(v) for v in row) for row in table)
+    n = len(rows)
+    if n == 0:
+        raise NotLatinSquare("empty table")
+    for r, row in enumerate(rows):
+        if len(row) != n:
+            raise NotLatinSquare(f"row {r} has length {len(row)}, expected {n}")
+        for c, v in enumerate(row):
+            if not 0 <= v < n:
+                raise NotLatinSquare(f"entry at row {r}, column {c} is {v}, outside 0..{n - 1}")
+    triple = first_non_associative(rows)
+    if triple is not None:
+        raise NotAssociative(f"(a*b)*c != a*(b*c) for (a, b, c) = {triple}")
+    identity = None
+    for e in range(n):
+        if all(rows[e][a] == a and rows[a][e] == a for a in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentity("no two-sided identity element")
+    inverses = []
+    for a in range(n):
+        b = next((b for b in range(n) if rows[a][b] == identity and rows[b][a] == identity), None)
+        if b is None:
+            raise NoInverse(f"element {a} has no two-sided inverse")
+        inverses.append(b)
+    full = list(range(n))
+    for r in range(n):
+        if sorted(rows[r]) != full:
+            raise NotLatinSquare(f"row {r} is not a permutation of 0..{n - 1}")
+        if sorted(rows[a][r] for a in range(n)) != full:
+            raise NotLatinSquare(f"column {r} is not a permutation of 0..{n - 1}")
+    return FiniteGroup(name or f"G{n}", n, rows, identity, tuple(inverses))
+
+
+def outcome(build, table):
+    """The group ``build`` returns for ``table``, or the class and message of its error."""
+    try:
+        return build(table)
+    except GroupError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def relabeled_builtins(draw):
+    """A builtin table of order <= 24 under a drawn relabeling, sometimes with a cell overwritten."""
+    group = builtin_group(draw(st.sampled_from(SMALL_BUILTINS)))
+    labels = draw(st.permutations(list(group.elements)))
+    table = [[0] * group.order for _ in group.elements]
+    for a in group.elements:
+        for b in group.elements:
+            table[labels[a]][labels[b]] = labels[group.table[a][b]]
+    if draw(st.booleans()):
+        n = group.order
+        table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return table
+
+
+@st.composite
+def raw_tables(draw, max_n=5):
+    """Tables of order <= 5 that may be ragged or hold entries out of range."""
+    n = draw(st.integers(1, max_n))
+    cell = st.integers(-1, n) if draw(st.booleans()) else st.integers(0, n - 1)
+    return [draw(st.lists(cell, min_size=n - 1, max_size=n + 1)) if draw(st.integers(0, 9)) == 0
+            else draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+
+
+class TestMakeGroupAgainstTheReference:
+    """The same group, or the same error class and message, as the reference
+    with its Latin-square pass, on every table."""
+
+    def test_every_table_of_order_at_most_3(self):
+        """Every magma on at most 3 elements: each semigroup, monoid and group among them."""
+        seen = set()
+        for n in (1, 2, 3):
+            for cells in product(range(n), repeat=n * n):
+                table = [cells[i * n:(i + 1) * n] for i in range(n)]
+                expected = outcome(reference_make_group, table)
+                assert outcome(make_group, table) == expected
+                seen.add(expected[0] if isinstance(expected, tuple) else FiniteGroup)
+        assert seen == {FiniteGroup, NotAssociative, NoIdentity, NoInverse}
+
+    @given(table=corrupted_builtins())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_builtins(self, table):
+        assert outcome(make_group, table) == outcome(reference_make_group, table)
+
+    @given(table=relabeled_builtins())
+    @settings(max_examples=200, deadline=None)
+    def test_relabeled_builtins(self, table):
+        assert outcome(make_group, table) == outcome(reference_make_group, table)
+
+    @given(table=st.one_of(raw_tables(), square_tables(max_n=5)))
+    @settings(max_examples=500, deadline=None)
+    def test_random_tables_of_order_at_most_5(self, table):
+        assert outcome(make_group, table) == outcome(reference_make_group, table)
+
+    @pytest.mark.parametrize("token", BUILTIN_TOKENS)
+    def test_builtins(self, token):
+        table = builtin_group(token).table
+        assert make_group(table) == reference_make_group(table)
 
 
 class TestMakeGroup:

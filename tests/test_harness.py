@@ -29,7 +29,13 @@ from fuzzaut.harness import (
     run_campaign,
     statements_covered,
 )
-from fuzzaut.groups import builtin_group, crisp_automorphisms, normal_subgroups
+from fuzzaut.groups import (
+    builtin_group,
+    center,
+    conjugations,
+    crisp_automorphisms,
+    normal_subgroups,
+)
 from fuzzaut.homs import lift_hom
 from fuzzaut.io import dumps, load_group, save
 
@@ -140,7 +146,7 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("name, passes, checks, products", [
         ("s4-hom.json", 28, 251, range(351, 352)),
-        ("default-matrix.json", 196, 952, range(1, 792)),
+        ("default-matrix.json", 196, 1276, range(1, 792)),
     ])
     def test_each_distinct_map_takes_one_generator_pass(
         self, monkeypatch, name, passes, checks, products
@@ -149,7 +155,10 @@ class TestWorkCounts:
         before takes a generator pass (each of the 251 and 952 checks took one
         when nothing was kept).  ``homs.generating_sequence`` is read once per
         pass and not on a held check, which makes it the pass counter; the row
-        products stay at 351 and at most 791."""
+        products stay at 351 and at most 791.  The default matrix makes 1,276
+        checks: Lemma 3.9 checks every (sample, label) conjugate, 324 more
+        than the 952 when it kept one verdict per distinct conjugate, and
+        each of them is a held key."""
         passes_run, generating_sequence = [], homs.generating_sequence
 
         def counted(group):
@@ -196,6 +205,27 @@ class TestPreconditionRouting:
         assert {r.statement for r in bad} == set(SECTION_4_STATEMENTS)
         assert good and all(r.verdict for r in good)
         assert statements_covered(good) == tuple(sorted(STATEMENT_IDS))
+
+    def test_a_defect_building_mu_fails_every_row_of_its_instance(self, monkeypatch):
+        """A ``RuntimeError`` while mu is built is a library defect, not bad
+        input: it fails all 21 rows of the instance, none skipped, and the
+        other instances run as before."""
+        clean = run_campaign(SMALL)
+
+        def raiser(group):
+            raise RuntimeError(f"seeded defect on {group.name}")
+
+        monkeypatch.setitem(subsets._STRATEGIES, "chain", raiser)
+        rows = run_campaign(SMALL)
+        for name in ("Z4", "S3"):
+            chain = [r for r in rows if r.instance == f"{name}|mu=chain"]
+            assert [r.statement for r in chain] == sorted(STATEMENT_IDS)
+            assert {(r.verdict, r.witness) for r in chain} == {
+                (False, f"RuntimeError: seeded defect on {name}")
+            }
+        class_rows = [r for r in rows if r.instance.endswith("|mu=class")]
+        assert class_rows == [r for r in clean if r.instance.endswith("|mu=class")]
+        assert len(class_rows) == 2 * len(STATEMENT_IDS)
 
 
 class TestAblation:
@@ -362,6 +392,30 @@ def test_relabeled_groups_get_the_builtins_verdicts(token, tmp_path):
     expected = verdicts(token)
     assert len(expected) == 2 * len(STATEMENT_IDS)
     assert verdicts(f"file:{path}") == expected
+
+
+@pytest.mark.parametrize("token, twin", [
+    ("Z6", "direct_product(Z2,Z3)"),
+    ("S3", "D3"),
+    ("D6", "direct_product(S3,Z2)"),
+    ("Z10", "direct_product(Z2,Z5)"),
+])
+def test_isomorphic_presentations_get_the_same_verdicts(token, twin):
+    """Two labelings of one group: every verdict of every statement with chain
+    and class mu agrees, and so do |Aut|, |Inn| and the number of normal
+    subgroups.  (V4 and direct_product(Z2,Z2) build the same table.)"""
+    def facts(group_token):
+        group = builtin_group(group_token)
+        rows = run_campaign(Campaign(groups=(group_token,)))
+        verdicts = {(r.statement, r.instance.split("|")[1]): r.verdict for r in rows}
+        inner = len(set(conjugations(group)))
+        assert inner * len(center(group)) == group.order
+        return verdicts, len(crisp_automorphisms(group)), inner, len(normal_subgroups(group))
+
+    assert builtin_group(token).table != builtin_group(twin).table
+    expected = facts(token)
+    assert len(expected[0]) == 2 * len(STATEMENT_IDS)
+    assert facts(twin) == expected
 
 
 @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "D8"))
