@@ -19,11 +19,24 @@ ranks as on grades, and the product of two rank rows depends only on the two
 integer tuples and the codomain's table.  Samples built from one membership
 function share a few rows, so each codomain keeps a memo of row products
 keyed by a pair of ids from its table of rank rows, and the (domain, row ids)
-of each map that passed, which holds again at once.  All three are cleared
-before a check that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries,
-one per check, and ``_row_tables`` keeps the last ``_CODOMAINS_KEPT`` codomains.
+of each map that passed, which holds again at once.
 
-A product missing from the memo is computed by ``_row_product`` one bit
+Products are equivariant under translation.  Write (tau_c A)(y) = A(c^-1 y)
+and (rho_d B)(y) = B(y d^-1); substituting y1 -> c^-1 y1 in the sup gives
+(tau_c A) * (rho_d B) = tau_c rho_d (A * B) for any rows A, B and any c, d.
+So a product R_g * R_x missing from the memo is read off the core A * B of
+the centred rows A(y) = R_g(c y) and B(y) = R_x(y d), with c and d the fuzzy
+images of g and x: (R_g * R_x)(y) = (A * B)(c^-1 y d^-1), two gathers.  The
+identity holds for every c and d, so the verdict does not rest on the
+images being right.  Every lift through a normal mu has translates of mu as
+its rows, and every one of them centres to mu itself, so each mu costs one
+core.  The centred rows get row ids like any other, kept per (row id,
+shift), so the core is memoized as a product of rows.  The memo, row ids,
+centred-row ids and passing keys are cleared before a check that could take
+them past ``ROW_PRODUCT_MEMO_BOUND`` entries, and ``_row_tables`` keeps the
+last ``_CODOMAINS_KEPT`` codomains.
+
+A core missing from the memo is computed by ``_row_product`` one bit
 plane at a time, in byte and big-integer operations.  Plane p holds the
 levels 8p+1 to 8p+8: a rank r becomes the thermometer byte with
 clamp(r - 8p, 0, 8) low bits set.  Clamping is monotone, so it commutes with
@@ -42,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
-from operator import add
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .errors import FuzzautError, Record
@@ -57,7 +70,7 @@ from .groups import (
 from .maps import FuzzyMap, is_one_one, ranked_map, unit_rank
 from .subsets import FuzzySubset, require_valid_mu
 
-ROW_PRODUCT_MEMO_BOUND = 4096  # row products, row ids and passing keys kept per codomain
+ROW_PRODUCT_MEMO_BOUND = 4096  # entries kept in a codomain's five stores (see _row_tables)
 # one instance's checks touch at most 5 codomains on the default matrix and S4, 7 on Z2xQ8
 _CODOMAINS_KEPT = 16
 _POPCOUNT = bytes(map(int.bit_count, range(256)))  # byte -> its number of set bits
@@ -115,32 +128,47 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
     The verdict comes from the pairs (g, x) with g in
     ``generating_sequence(f.domain)``, which suffice (see the module
     docstring): R_{g*x} is compared with the product R_g * R_x of f's rank
-    rows, looked up in the codomain's memo by row ids or computed by
-    ``_row_product`` and stored there.  A passing map's (domain, row ids) is
-    kept, so the same check again holds without a pass.  A rejected map is
-    scanned again over every (x1, x2, y) in lexicographic order, so its
+    rows, looked up in the codomain's memo by row ids.  A product missing
+    from it is translated: with c = f.images[g] and d = f.images[x], the
+    centred rows A(y) = R_g(c y) and B(y) = R_x(y d) get row ids, their core
+    A * B is looked up under those ids and computed by ``_row_product`` only
+    when it is new, and (R_g * R_x)(y) = (A * B)(c^-1 y d^-1) is stored
+    under R_g's and R_x's ids.  This is exact for any c and d, so a map whose
+    ``images`` are wrong still gets the verdict of its cells; images that are
+    not codomain elements, which only a hand-built map can have, are
+    replaced by the identity.  A passing
+    map's (domain, row ids) is kept, so the same check again holds without a
+    pass.  A pass over |S| generators and n rows adds at most 2|S|n products
+    and cores, 2n + |S| row ids, n + |S| centred-row ids and one passing key,
+    fewer than (2|S| + 3)(n + 1) entries; the stores are cleared before a
+    pass that could take them to ``ROW_PRODUCT_MEMO_BOUND``.  A rejected map
+    is scanned again over every (x1, x2, y) in lexicographic order, so its
     witness is the first violation of the exhaustive scan; its grades come
     back from the encoding's value list.  A scan that finds no violation
     contradicts the generator pass, a library defect, and raises
     ``PassesDisagree``.
     """
     values, rows = f.encoding
-    cofactor, planes, *stores = _row_tables(f.codomain)
-    memo, row_ids, passed = stores
+    tables = _row_tables(f.codomain)
+    cofactor, _, _, *stores = tables
+    memo, row_ids, _, _, passed = stores
     if (f.domain, tuple(map(row_ids.get, rows))) in passed:
         return _HOLDS
     dt = f.domain.table
     gens = generating_sequence(f.domain)
-    if sum(map(len, stores)) + (len(gens) + 1) * len(rows) >= ROW_PRODUCT_MEMO_BOUND:
+    if sum(map(len, stores)) + (2 * len(gens) + 3) * (len(rows) + 1) >= ROW_PRODUCT_MEMO_BOUND:
         for store in stores:
             store.clear()
     ids = tuple([row_ids.setdefault(r, len(row_ids)) for r in rows])
+    images, elements = f.images, f.codomain.elements
+    if len(images) != len(rows) or not all(map(elements.__contains__, images)):
+        images = (f.codomain.identity,) * len(rows)  # a hand-built map's; any shift is exact
     for g in gens:
-        rg, ig, dg = rows[g], ids[g], dt[g]
+        rg, ig, dg, c = rows[g], ids[g], dt[g], images[g]
         for x, (rx, ix) in enumerate(zip(rows, ids)):
             prod = memo.get((ig, ix))
             if prod is None:
-                prod = memo[ig, ix] = _row_product(rg, rx, planes)
+                prod = memo[ig, ix] = _translated_product(rg, ig, c, rx, ix, images[x], tables)
             if prod != rows[dg[x]]:
                 everything = product(range(len(rows)), repeat=2)
                 found = _first_violation(rows, dt, cofactor, everything)
@@ -156,17 +184,26 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
 
 
 @lru_cache(maxsize=_CODOMAINS_KEPT)
-def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, dict, dict, set]:
+def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, tuple, dict, dict, dict, dict, set]:
     """The codomain's cofactor table, what ``_row_product`` reads of it, its
-    row-product memo, its row ids and the keys of the maps that passed.
+    translations, and the stores of ``is_fuzzy_homomorphism``: the
+    row-product memo, the row ids, the ids of left- and right-centred rows
+    and the keys of the maps that passed.
 
     ``cofactor[y1][y]`` is the y2 with y1*y2 = y.  Slot 1 holds the cofactor
     rows in the form the gather reads, the gather, the padding that makes a
     plane's table 256 bytes long, and ``masks[c]``, with c low bits set in
     each of m bytes.  Up to order 256 the gather is ``bytes.translate`` on
     rows stored as ``bytes``; above it an element does not fit a byte, so the
-    gather maps the row's ints through the table.  A passing key is exact as
-    the memo is: a row id names a row's content in this codomain.
+    gather maps the row's ints through the table.  Slot 2 holds ``left[c]``,
+    which takes a row R to y -> R(c y) through row c of the table,
+    ``right[d]``, which takes it to y -> R(y d) through column d (the
+    transposed table), and the inverses; a translation by (c, d) is two of
+    these, so nothing is kept per pair.  A left-centred row is kept under
+    (row id of R, c) and a right-centred one under (row id of R, d), each as
+    (its row id, its content).  A passing key is exact as the memo is: a row
+    id names a row's content in this codomain.  The five stores count
+    together toward ``ROW_PRODUCT_MEMO_BOUND`` and are cleared together.
     """
     ct, cinv = codomain.table, codomain.inverses
     m = codomain.order
@@ -176,7 +213,31 @@ def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, dict, dict, set]:
     else:
         shift, gather, pad = cofactor, _gather_ints, b""
     masks = tuple(int.from_bytes(bytes((t,)) * m, "big") for t in _THERMOMETER)
-    return cofactor, (shift, gather, pad, masks), {}, {}, set()
+    # itemgetter of one index returns the item; over one element every move is the identity
+    move = (lambda index: itemgetter(*index)) if m > 1 else (lambda index: tuple)
+    translations = tuple(map(move, ct)), tuple(map(move, zip(*ct))), cinv
+    return cofactor, (shift, gather, pad, masks), translations, {}, {}, {}, {}, set()
+
+
+def _translated_product(rg, ig, c, rx, ix, d, tables) -> tuple[int, ...]:
+    """R_g * R_x = tau_c rho_d (A * B) for the centred rows A(y) = R_g(c y) and
+    B(y) = R_x(y d), whose core A * B comes from the memo or ``_row_product``."""
+    _, planes, (left, right, inverse), memo, row_ids, lefts, rights, _ = tables
+    ia, a = _centred(lefts, (ig, c), left[c], rg, row_ids)
+    ib, b = _centred(rights, (ix, d), right[d], rx, row_ids)
+    core = memo.get((ia, ib))
+    if core is None:
+        core = memo[ia, ib] = _row_product(a, b, planes)
+    return left[inverse[c]](right[inverse[d]](core))  # y -> core(c^-1 y d^-1)
+
+
+def _centred(store: dict, key: tuple, move, row, row_ids: dict) -> tuple[int, tuple[int, ...]]:
+    """The row id and content of ``move(row)``, kept in ``store`` under ``key``."""
+    hit = store.get(key)
+    if hit is None:
+        moved = move(row)
+        hit = store[key] = row_ids.setdefault(moved, len(row_ids)), moved
+    return hit
 
 
 def _gather_ints(row: Sequence[int], table: bytes) -> bytes:

@@ -3,8 +3,10 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,8 @@ from fuzzaut.groups import (
     normal_subgroups,
 )
 from fuzzaut.homs import lift_hom
-from fuzzaut.io import dumps, load_group, save
+from fuzzaut.io import dumps, load_group, mu_to_json, save
+from fuzzaut.subsets import fuzzy_subset, mu_from_strategy
 
 
 SMALL = Campaign(groups=("Z4", "S3"))
@@ -96,7 +99,9 @@ class TestWorkCounts:
     def test_default_campaign_reuses_each_codomains_row_products(self, monkeypatch):
         """Rows run one instance at a time, so an instance's codomains keep
         their row-product memos from statement to statement (1,593 products
-        when each statement ran over every instance in turn)."""
+        when each statement ran over every instance in turn, 791 when each
+        product missing from the memo was computed rather than translated
+        from a core)."""
         calls = []
         row_product = homs._row_product
 
@@ -107,7 +112,7 @@ class TestWorkCounts:
         homs._row_tables.cache_clear()
         monkeypatch.setattr(homs, "_row_product", counted)
         run_campaign(default_campaign())
-        assert 0 < len(calls) <= 791
+        assert 0 < len(calls) <= 63
 
     @staticmethod
     def calls_to(monkeypatch, module, name):
@@ -145,8 +150,8 @@ class TestWorkCounts:
         assert (len(quotients), len(lifts)) == (40, 160)
 
     @pytest.mark.parametrize("name, passes, checks, products", [
-        ("s4-hom.json", 28, 251, range(351, 352)),
-        ("default-matrix.json", 196, 1276, range(1, 792)),
+        ("s4-hom.json", 28, 251, range(5, 6)),
+        ("default-matrix.json", 196, 1276, range(63, 64)),
     ])
     def test_each_distinct_map_takes_one_generator_pass(
         self, monkeypatch, name, passes, checks, products
@@ -154,11 +159,13 @@ class TestWorkCounts:
         """A passing map's key is kept on its codomain, so only a map not seen
         before takes a generator pass (each of the 251 and 952 checks took one
         when nothing was kept).  ``homs.generating_sequence`` is read once per
-        pass and not on a held check, which makes it the pass counter; the row
-        products stay at 351 and at most 791.  The default matrix makes 1,276
-        checks: Lemma 3.9 checks every (sample, label) conjugate, 324 more
-        than the 952 when it kept one verdict per distinct conjugate, and
-        each of them is a held key."""
+        pass and not on a held check, which makes it the pass counter.  A
+        product missing from the memo is translated from the core of its
+        centred rows, and only a new core is computed: 5 and 63 products
+        (351 and 791 when every missing product was computed).  The default
+        matrix makes 1,276 checks: Lemma 3.9 checks every (sample, label)
+        conjugate, 324 more than the 952 when it kept one verdict per
+        distinct conjugate, and each of them is a held key."""
         passes_run, generating_sequence = [], homs.generating_sequence
 
         def counted(group):
@@ -334,18 +341,19 @@ class TestRecordedReports:
         )
         assert dumps(campaign_report(campaign, run_campaign(campaign))) == expected
 
-    def test_benchmark_worker_writes_the_recorded_report(self, tmp_path):
+    @pytest.mark.parametrize("workload", ["default-matrix", "s4-hom"])
+    def test_benchmark_worker_writes_the_recorded_report(self, tmp_path, workload):
         """The benchmark's untraced pass calls the harness by name; a rename
         there must fail here, not only as a failed benchmark run."""
         report = tmp_path / "report.json"
         done = subprocess.run(
-            [sys.executable, "bench/worker.py", "--workload", "s4-hom", "--mode", "run",
+            [sys.executable, "bench/worker.py", "--workload", workload, "--mode", "run",
              "--out", str(tmp_path / "pass.json"), "--report", str(report)],
             cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert report.read_bytes() == (RECORDED / "s4-hom.json").read_bytes()
+        assert report.read_bytes() == (RECORDED / f"{workload}.json").read_bytes()
 
     def test_traced_benchmark_worker_writes_the_recorded_report(self, tmp_path):
         """The traced pass wraps every span target; its report must not change,
@@ -392,6 +400,53 @@ def test_relabeled_groups_get_the_builtins_verdicts(token, tmp_path):
     expected = verdicts(token)
     assert len(expected) == 2 * len(STATEMENT_IDS)
     assert verdicts(f"file:{path}") == expected
+
+
+PROPER_FRACTION = re.compile(r"\b(\d+)/(\d+)\b")
+
+
+def squared_grades(witness):
+    """The witness with every grade in it squared: 0 and 1 print as integers
+    and stay fixed, the other grades print as a/b."""
+    if witness is None:
+        return None
+    return PROPER_FRACTION.sub(lambda m: str(Fraction(int(m[1]), int(m[2])) ** 2), witness)
+
+
+def campaign_rows(token, mu, path):
+    """{statement: (verdict, witness)} of the campaign of ``token`` with ``mu``
+    read from a file at ``path``."""
+    save(path, mu_to_json(mu))
+    results = run_campaign(Campaign(groups=(token,), mu_sources=(f"file:{path}",)))
+    return {r.statement: (r.verdict, r.witness) for r in results}
+
+
+def regraded(mu):
+    return fuzzy_subset(mu.group, [v * v for v in mu.grades])
+
+
+@pytest.mark.parametrize("token", ["S3", "D4", "Q8", "Z6", "S4"])
+@pytest.mark.parametrize("strategy", ["chain", "class"])
+def test_regraded_mu_gets_the_same_rows(token, strategy, tmp_path):
+    """v -> v^2 is strictly increasing on [0, 1] and fixes 0 and 1, so no law
+    can tell mu from its regrading: every statement keeps its verdict, and a
+    witness keeps its elements and has its grades squared."""
+    mu = mu_from_strategy(builtin_group(token), strategy)
+    assert any(0 < v < 1 for v in mu.grades)
+    plain = campaign_rows(token, mu, tmp_path / "mu.json")
+    squared = campaign_rows(token, regraded(mu), tmp_path / "squared.json")
+    assert len(plain) == len(STATEMENT_IDS) and all(v for v, _ in plain.values())
+    assert squared == {s: (v, squared_grades(w)) for s, (v, w) in plain.items()}
+
+
+def test_regraded_invalid_mu_gets_the_squared_witnesses(tmp_path):
+    """A mu that is no fuzzy subgroup fails its rows with a witness in grades."""
+    mu = fuzzy_subset(builtin_group("S3"), ["1", "1/2", "1/3", "1/2", "1/3", "1/4"])
+    plain = campaign_rows("S3", mu, tmp_path / "mu.json")
+    squared = campaign_rows("S3", regraded(mu), tmp_path / "squared.json")
+    assert not any(v for v, _ in plain.values())
+    assert any(PROPER_FRACTION.search(w) for _, w in plain.values())
+    assert squared == {s: (v, squared_grades(w)) for s, (v, w) in plain.items()}
 
 
 @pytest.mark.parametrize("token, twin", [

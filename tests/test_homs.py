@@ -243,14 +243,15 @@ class TestRowProductMemo:
             assert_matches_oracles(f)
 
     def test_memo_stays_bounded(self, monkeypatch):
-        # one check over D4 adds at most 8 row ids, 2 generators * 8 rows = 16 products
-        # and 1 passing key
-        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 25)
+        # one check over D4 adds at most 2 generators * 8 rows * 2 = 32 products and
+        # cores, 8 + 2 + 8 row ids, 2 + 8 centred-row ids and 1 passing key; it
+        # reserves (2 * 2 + 3) * (8 + 1) = 63 entries
+        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 63)
         homs._row_tables.cache_clear()
         for f in lifted_homs(D4, D4):
             assert_matches_oracles(f)
-            _, _, memo, row_ids, passed = homs._row_tables(D4)
-            assert len(memo) + len(row_ids) + len(passed) <= 25
+            _, _, _, *stores = homs._row_tables(D4)
+            assert 0 < sum(map(len, stores)) <= 63
 
     def test_checks_straddling_a_reset_give_the_cold_answers(self, monkeypatch):
         batch = []
@@ -266,13 +267,16 @@ class TestRowProductMemo:
             homs._row_tables.cache_clear()
             cold.append(tuple(is_fuzzy_homomorphism(f)))
         assert {verdict for verdict, _ in cold} == {True, False}
-        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 40)
+        # a check over D4 reserves 63 entries, so some checks run warm and some reset
+        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 128)
         homs._row_tables.cache_clear()
         warm, sizes = [], []
         for f in batch:
             warm.append(tuple(is_fuzzy_homomorphism(f)))
-            sizes.append(len(homs._row_tables(D4)[3]))
-        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the tables were reset
+            sizes.append(len(homs._row_tables(D4)[4]))
+        steps = list(zip(sizes, sizes[1:]))
+        assert any(b < a for a, b in steps)  # the tables were reset
+        assert any(b > a for a, b in steps)  # and grew between resets
         assert warm == cold
 
 
@@ -355,6 +359,112 @@ class TestBitPlaneRowProduct:
             report = is_fuzzy_homomorphism(fmap)
             assert report.verdict == verdict
             assert report.witness == full_scan_witness(fmap)
+
+
+def translate(row, c, d, group):
+    """tau_c rho_d of a row: y -> row(c^-1 y d^-1)."""
+    t, inv = group.table, group.inverses
+    return tuple(row[t[t[inv[c]][y]][inv[d]]] for y in group.elements)
+
+
+class TestTranslatedProduct:
+    """R_g * R_x read off the core of the centred rows, against the literal product."""
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        """The calls of ``_row_product`` on cold row tables."""
+        calls, row_product = [], homs._row_product
+
+        def counted(*args):
+            calls.append(args)
+            return row_product(*args)
+
+        monkeypatch.setattr(homs, "_row_product", counted)
+        homs._row_tables.cache_clear()
+        return calls
+
+    @staticmethod
+    def translated(rg, rx, c, d, tables):
+        row_ids = tables[4]
+        ig, ix = (row_ids.setdefault(r, len(row_ids)) for r in (rg, rx))
+        return homs._translated_product(rg, ig, c, rx, ix, d, tables)
+
+    @pytest.mark.parametrize("group", ROW_PRODUCT_GROUPS, ids=lambda g: g.name)
+    def test_random_rows_at_any_shifts(self, group):
+        """The product of two rows does not depend on the shifts it is
+        translated by: every (c, d) up to order 24; above it, pairs of random
+        shifts, element 255 (the last byte index) and the last element."""
+        homs._row_tables.cache_clear()
+        tables = homs._row_tables(group)
+        rng = random.Random(group.name)
+        if group.order <= 24:
+            shifts = list(itertools.product(group.elements, repeat=2))
+        else:
+            edge = min(255, group.order - 1)
+            shifts = [(0, 0), (edge, 1), (1, edge), (edge, group.order - 1)]
+            shifts += [(rng.randrange(group.order), rng.randrange(group.order)) for _ in range(4)]
+        for count in (1, 2, 9, 300):
+            rg = tuple(rng.randrange(count) for _ in group.elements)
+            rx = tuple(rng.randrange(count) for _ in group.elements)
+            expected = literal_row_product(rg, rx, group)
+            for c, d in shifts:
+                assert self.translated(rg, rx, c, d, tables) == expected, (count, c, d)
+
+    @pytest.mark.parametrize("group", ROW_PRODUCT_GROUPS, ids=lambda g: g.name)
+    def test_translates_of_two_rows_share_one_core(self, group, cores):
+        tables = homs._row_tables(group)
+        rng = random.Random(group.name)
+        a = tuple(rng.randrange(9) for _ in group.elements)
+        b = tuple(rng.randrange(9) for _ in group.elements)
+        for _ in range(6):
+            c, d = rng.randrange(group.order), rng.randrange(group.order)
+            rg, rx = translate(a, c, 0, group), translate(b, 0, d, group)
+            assert self.translated(rg, rx, c, d, tables) == literal_row_product(rg, rx, group)
+        assert len(cores) == 1
+
+    def test_lifts_through_a_normal_mu_take_one_core(self, cores):
+        s4 = builtin_group("S4")
+        mu = class_strategy(s4)
+        for sigma in crisp_automorphisms(s4):
+            lift_hom(sigma, mu, s4)
+        assert len(cores) == 1
+
+    @given(data=st.data(), pair=st.sampled_from(ORACLE_PAIRS))
+    @settings(max_examples=40, deadline=None)
+    def test_maps_whose_images_lie(self, data, pair):
+        """``images`` is read for the shifts only, so a map built with wrong
+        ones gets the verdict and witness of its cells."""
+        domain, codomain = pair
+        f = data.draw(st.sampled_from(lifted_homs(domain, codomain)))
+        values, rows = f.encoding
+        if data.draw(st.booleans()):
+            x = data.draw(st.sampled_from(domain.elements))
+            y = data.draw(st.sampled_from([y for y in codomain.elements if y != f.images[x]]))
+            low = data.draw(st.sampled_from(range(len(values) - 1)))
+            rows = rows[:x] + (rows[x][:y] + (low,) + rows[x][y + 1:],) + rows[x + 1:]
+        n = domain.order
+        images = data.draw(st.lists(st.sampled_from(codomain.elements), min_size=n, max_size=n))
+        liar = FuzzyMap(domain, codomain, None, tuple(images), (values, rows))
+        homs._row_tables.cache_clear()
+        assert_matches_oracles(liar)
+
+
+    @pytest.mark.parametrize(
+        "images", [(8,) * 8, (-1,) * 8, (0,) * 7], ids=["past-the-end", "negative", "short"]
+    )
+    def test_maps_whose_images_are_no_elements(self, images):
+        """Only a hand-built map can have them; they must not index the tables."""
+        good = lift_hom(crisp_automorphisms(D4)[-1], chain_strategy(D4), D4)
+        rows = [list(row) for row in good.encoding[1]]
+        rows[3][0] = 1 if rows[3][0] == 0 else 0
+        bad = make_fuzzy_map(D4, D4, [[good.encoding[0][r] for r in row] for row in rows])
+        verdicts = []
+        for f in (good, bad):
+            homs._row_tables.cache_clear()
+            liar = FuzzyMap(D4, D4, None, images, f.encoding)
+            assert_matches_oracles(liar)
+            verdicts.append(is_fuzzy_homomorphism(liar).verdict)
+        assert verdicts == [True, False]
 
 
 class TestPassesDisagree:
