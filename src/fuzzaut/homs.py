@@ -36,18 +36,11 @@ centred-row ids and passing keys are cleared before a check that could take
 them past ``ROW_PRODUCT_MEMO_BOUND`` entries, and ``_row_tables`` keeps the
 last ``_CODOMAINS_KEPT`` codomains.
 
-A core missing from the memo is computed by ``_row_product`` one bit
-plane at a time, in byte and big-integer operations.  Plane p holds the
-levels 8p+1 to 8p+8: a rank r becomes the thermometer byte with
-clamp(r - 8p, 0, 8) low bits set.  Clamping is monotone, so it commutes with
-min and max, and the clamps of r over all planes add up to r.  On
-thermometer bytes max is OR and min with a constant c is AND with 2^c - 1,
-so each plane of the product is the OR, over y1, of R_x's bytes gathered
-through the cofactor row of y1 and masked to R_g(y1)'s clamp; the popcount
-of each byte gives that plane's levels back.  This is Zadeh's representation
-of a fuzzy set by its level sets: the level set of a sup-min product is the
-product of the level sets.  ``_first_violation`` stays the literal scan, and
-it names the witness of a rejected map.
+A core missing from the memo is computed by ``_row_product`` as the literal
+sup, one cell at a time by ``_sup``, reading the cofactors y1^-1 y of each y
+as a column of the codomain's table.  ``_first_violation``, the literal
+scan that names the witness of a rejected map, reads its cells through the
+same ``_sup``, so ``homs`` has one implementation of the sup.
 """
 
 from __future__ import annotations
@@ -55,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, product
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import FuzzautError, Record
@@ -70,11 +63,9 @@ from .groups import (
 from .maps import FuzzyMap, is_one_one, ranked_map, unit_rank
 from .subsets import FuzzySubset, require_valid_mu
 
-ROW_PRODUCT_MEMO_BOUND = 4096  # entries kept in a codomain's five stores (see _row_tables)
+ROW_PRODUCT_MEMO_BOUND = 4096  # entries kept in a codomain's stores together (see _RowTables.size)
 # one instance's checks touch at most 5 codomains on the default matrix and S4, 7 on Z2xQ8
 _CODOMAINS_KEPT = 16
-_POPCOUNT = bytes(map(int.bit_count, range(256)))  # byte -> its number of set bits
-_THERMOMETER = (0, 1, 3, 7, 15, 31, 63, 127, 255)  # level count c -> c low bits set
 
 
 class HomError(FuzzautError):
@@ -128,20 +119,21 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
     The verdict comes from the pairs (g, x) with g in
     ``generating_sequence(f.domain)``, which suffice (see the module
     docstring): R_{g*x} is compared with the product R_g * R_x of f's rank
-    rows, looked up in the codomain's memo by row ids.  A product missing
-    from it is translated: with c = f.images[g] and d = f.images[x], the
-    centred rows A(y) = R_g(c y) and B(y) = R_x(y d) get row ids, their core
-    A * B is looked up under those ids and computed by ``_row_product`` only
-    when it is new, and (R_g * R_x)(y) = (A * B)(c^-1 y d^-1) is stored
+    rows, looked up in the codomain's ``memo`` under their ``row_ids`` (see
+    ``_RowTables``).  A product missing from it is translated: with
+    c = f.images[g] and d = f.images[x], the centred rows A(y) = R_g(c y)
+    and B(y) = R_x(y d), kept in ``lefts`` and ``rights``, get row ids, their
+    core A * B is looked up under those ids and computed by ``_row_product``
+    only when it is new, and (R_g * R_x)(y) = (A * B)(c^-1 y d^-1) is stored
     under R_g's and R_x's ids.  This is exact for any c and d, so a map whose
     ``images`` are wrong still gets the verdict of its cells; images that are
     not codomain elements, which only a hand-built map can have, are
-    replaced by the identity.  A passing
-    map's (domain, row ids) is kept, so the same check again holds without a
-    pass.  A pass over |S| generators and n rows adds at most 2|S|n products
-    and cores, 2n + |S| row ids, n + |S| centred-row ids and one passing key,
-    fewer than (2|S| + 3)(n + 1) entries; the stores are cleared before a
-    pass that could take them to ``ROW_PRODUCT_MEMO_BOUND``.  A rejected map
+    replaced by the identity.  A passing map's (domain, row ids) is kept in
+    ``passed``, so the same check again holds without a pass.  A pass over
+    |S| generators and n rows adds at most 2|S|n products and cores, 2n + |S|
+    row ids, n + |S| centred rows and one passing key, fewer than
+    (2|S| + 3)(n + 1) entries; the stores are cleared before a pass that
+    could take their ``size`` to ``ROW_PRODUCT_MEMO_BOUND``.  A rejected map
     is scanned again over every (x1, x2, y) in lexicographic order, so its
     witness is the first violation of the exhaustive scan; its grades come
     back from the encoding's value list.  A scan that finds no violation
@@ -150,15 +142,13 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
     """
     values, rows = f.encoding
     tables = _row_tables(f.codomain)
-    cofactor, _, _, *stores = tables
-    memo, row_ids, _, _, passed = stores
-    if (f.domain, tuple(map(row_ids.get, rows))) in passed:
+    memo, row_ids = tables.memo, tables.row_ids
+    if (f.domain, tuple(map(row_ids.get, rows))) in tables.passed:
         return _HOLDS
     dt = f.domain.table
     gens = generating_sequence(f.domain)
-    if sum(map(len, stores)) + (2 * len(gens) + 3) * (len(rows) + 1) >= ROW_PRODUCT_MEMO_BOUND:
-        for store in stores:
-            store.clear()
+    if tables.size() + (2 * len(gens) + 3) * (len(rows) + 1) >= ROW_PRODUCT_MEMO_BOUND:
+        tables.clear()
     ids = tuple([row_ids.setdefault(r, len(row_ids)) for r in rows])
     images, elements = f.images, f.codomain.elements
     if len(images) != len(rows) or not all(map(elements.__contains__, images)):
@@ -171,7 +161,7 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
                 prod = memo[ig, ix] = _translated_product(rg, ig, c, rx, ix, images[x], tables)
             if prod != rows[dg[x]]:
                 everything = product(range(len(rows)), repeat=2)
-                found = _first_violation(rows, dt, cofactor, everything)
+                found = _first_violation(rows, dt, tables.columns, everything)
                 if found is None:
                     raise PassesDisagree(
                         f"generator {g}, row {x}: R_g * R_x differs from row {dg[x]}, "
@@ -179,55 +169,57 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
                     )
                 x1, x2, y, lhs, rhs = found
                 return HomCheckReport(False, HomWitness(x1, x2, y, values[lhs], values[rhs]))
-    passed.add((f.domain, ids))
+    tables.passed.add((f.domain, ids))
     return _HOLDS
 
 
-@lru_cache(maxsize=_CODOMAINS_KEPT)
-def _row_tables(codomain: FiniteGroup) -> tuple[tuple, tuple, tuple, dict, dict, dict, dict, set]:
-    """The codomain's cofactor table, what ``_row_product`` reads of it, its
-    translations, and the stores of ``is_fuzzy_homomorphism``: the
-    row-product memo, the row ids, the ids of left- and right-centred rows
-    and the keys of the maps that passed.
+class _RowTables:
+    """One codomain's tables and the stores of ``is_fuzzy_homomorphism``.
 
-    ``cofactor[y1][y]`` is the y2 with y1*y2 = y.  Slot 1 holds the cofactor
-    rows in the form the gather reads, the gather, the padding that makes a
-    plane's table 256 bytes long, and ``masks[c]``, with c low bits set in
-    each of m bytes.  Up to order 256 the gather is ``bytes.translate`` on
-    rows stored as ``bytes``; above it an element does not fit a byte, so the
-    gather maps the row's ints through the table.  Slot 2 holds ``left[c]``,
-    which takes a row R to y -> R(c y) through row c of the table,
-    ``right[d]``, which takes it to y -> R(y d) through column d (the
-    transposed table), and the inverses; a translation by (c, d) is two of
-    these, so nothing is kept per pair.  A left-centred row is kept under
-    (row id of R, c) and a right-centred one under (row id of R, d), each as
-    (its row id, its content).  A passing key is exact as the memo is: a row
-    id names a row's content in this codomain.  The five stores count
-    together toward ``ROW_PRODUCT_MEMO_BOUND`` and are cleared together.
+    ``columns[y][y1]`` is y1^-1 y, the y2 with y1*y2 = y, so column y is what
+    ``_sup`` reads for the cell y of a product.  ``left[c]`` takes a row R to
+    y -> R(c y) through row c of the table, ``right[d]`` takes it to
+    y -> R(y d) through column d, and ``inverse[c]`` is c^-1; a translation
+    by (c, d) is two of these moves, so nothing is kept per pair.
+
+    The stores: ``memo`` maps a pair of row ids to their product, a core when
+    both rows are centred; ``row_ids`` maps a rank row to its id, which names
+    its content in this codomain; ``lefts`` keeps the left-centred row
+    y -> R(c y) under (row id of R, c) and ``rights`` the right-centred row
+    y -> R(y d) under (row id of R, d), each as (its row id, its content);
+    ``passed`` holds the (domain, row ids) of each map that passed.  The five
+    count together toward ``ROW_PRODUCT_MEMO_BOUND`` (``size``) and are
+    cleared together (``clear``).
     """
-    ct, cinv = codomain.table, codomain.inverses
-    m = codomain.order
-    cofactor = tuple(ct[cinv[y1]] for y1 in codomain.elements)
-    if m <= 256:
-        shift, gather, pad = tuple(map(bytes, cofactor)), bytes.translate, bytes(256 - m)
-    else:
-        shift, gather, pad = cofactor, _gather_ints, b""
-    masks = tuple(int.from_bytes(bytes((t,)) * m, "big") for t in _THERMOMETER)
-    # itemgetter of one index returns the item; over one element every move is the identity
-    move = (lambda index: itemgetter(*index)) if m > 1 else (lambda index: tuple)
-    translations = tuple(map(move, ct)), tuple(map(move, zip(*ct))), cinv
-    return cofactor, (shift, gather, pad, masks), translations, {}, {}, {}, {}, set()
+
+    def __init__(self, codomain: FiniteGroup) -> None:
+        ct, cinv = codomain.table, codomain.inverses
+        self.columns = tuple(zip(*(ct[cinv[y1]] for y1 in codomain.elements)))
+        # itemgetter of one index returns the item; over one element every move is the identity
+        move = (lambda index: itemgetter(*index)) if codomain.order > 1 else (lambda index: tuple)
+        self.left, self.right, self.inverse = tuple(map(move, ct)), tuple(map(move, zip(*ct))), cinv
+        self.memo, self.row_ids, self.lefts, self.rights, self.passed = {}, {}, {}, {}, set()
+
+    def size(self) -> int:
+        return sum(map(len, (self.memo, self.row_ids, self.lefts, self.rights, self.passed)))
+
+    def clear(self) -> None:
+        for store in (self.memo, self.row_ids, self.lefts, self.rights, self.passed):
+            store.clear()
 
 
-def _translated_product(rg, ig, c, rx, ix, d, tables) -> tuple[int, ...]:
+_row_tables = lru_cache(maxsize=_CODOMAINS_KEPT)(_RowTables)  # the last codomains' tables
+
+
+def _translated_product(rg, ig, c, rx, ix, d, tables: _RowTables) -> tuple[int, ...]:
     """R_g * R_x = tau_c rho_d (A * B) for the centred rows A(y) = R_g(c y) and
     B(y) = R_x(y d), whose core A * B comes from the memo or ``_row_product``."""
-    _, planes, (left, right, inverse), memo, row_ids, lefts, rights, _ = tables
-    ia, a = _centred(lefts, (ig, c), left[c], rg, row_ids)
-    ib, b = _centred(rights, (ix, d), right[d], rx, row_ids)
+    left, right, inverse, memo = tables.left, tables.right, tables.inverse, tables.memo
+    ia, a = _centred(tables.lefts, (ig, c), left[c], rg, tables.row_ids)
+    ib, b = _centred(tables.rights, (ix, d), right[d], rx, tables.row_ids)
     core = memo.get((ia, ib))
     if core is None:
-        core = memo[ia, ib] = _row_product(a, b, planes)
+        core = memo[ia, ib] = _row_product(a, b, tables.columns)
     return left[inverse[c]](right[inverse[d]](core))  # y -> core(c^-1 y d^-1)
 
 
@@ -240,46 +232,33 @@ def _centred(store: dict, key: tuple, move, row, row_ids: dict) -> tuple[int, tu
     return hit
 
 
-def _gather_ints(row: Sequence[int], table: bytes) -> bytes:
-    return bytes(map(table.__getitem__, row))
+def _sup(a: Sequence[int], b: Sequence[int], column: Sequence[int]) -> int:
+    """max over y1 of min(a(y1), b(column[y1])): the cell y of the product
+    a * b when ``column`` is the column of y in ``_RowTables.columns``."""
+    best = -1
+    for v, y2 in zip(a, column):
+        w = b[y2]
+        if w < v:
+            v = w
+        if v > best:
+            best = v
+    return best
 
 
-def _row_product(rg: Sequence[int], rx: Sequence[int], planes: tuple) -> tuple[int, ...]:
-    """(R_g * R_x)(y) = max over y1 of min(R_g(y1), R_x(y1^-1 y)), for every y,
-    one bit plane of 8 levels at a time (see the module docstring); ``planes``
-    is slot 1 of the codomain's ``_row_tables``."""
-    shift, gather, pad, masks = planes
-    m, top = len(rx), max(rx)
-    row = bytes(m)  # rank 0 everywhere, when one of the rows is
-    for low in range(0, min(max(rg), top), 8):
-        levels = (0,) * low + _THERMOMETER + (255,) * (top - low - 8)  # rank -> byte
-        table = bytes(map(levels.__getitem__, rx)) + pad
-        acc = 0
-        for y1_row, level in zip(shift, rg):
-            level -= low
-            if level > 0:
-                acc |= int.from_bytes(gather(y1_row, table), "big") & masks[min(level, 8)]
-        counts = acc.to_bytes(m, "big").translate(_POPCOUNT)
-        row = counts if low == 0 else tuple(map(add, row, counts))
-    return tuple(row)
+def _row_product(rg: Sequence[int], rx: Sequence[int], columns: tuple) -> tuple[int, ...]:
+    """(R_g * R_x)(y) = max over y1 of min(R_g(y1), R_x(y1^-1 y)), for every y;
+    ``columns`` is ``_RowTables.columns`` of the codomain."""
+    return tuple([_sup(rg, rx, column) for column in columns])
 
 
-def _first_violation(rows, dt, cofactor, pairs):
+def _first_violation(rows, dt, columns, pairs):
     """First (x1, x2, y, rank of f(x1*x2, y), rank of the sup) off the condition."""
-    m = len(cofactor)
     for x1, x2 in pairs:
         r1 = rows[x1]
         r2 = rows[x2]
         rp = rows[dt[x1][x2]]
-        for y in range(m):
-            best = -1
-            for y1 in range(m):
-                v = r1[y1]
-                w = r2[cofactor[y1][y]]
-                if w < v:
-                    v = w
-                if v > best:
-                    best = v
+        for y, column in enumerate(columns):
+            best = _sup(r1, r2, column)
             if rp[y] != best:
                 return x1, x2, y, rp[y], best
     return None

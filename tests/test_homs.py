@@ -250,8 +250,8 @@ class TestRowProductMemo:
         homs._row_tables.cache_clear()
         for f in lifted_homs(D4, D4):
             assert_matches_oracles(f)
-            _, _, _, *stores = homs._row_tables(D4)
-            assert 0 < sum(map(len, stores)) <= 63
+            t = homs._row_tables(D4)
+            assert 0 < sum(map(len, (t.memo, t.row_ids, t.lefts, t.rights, t.passed))) <= 63
 
     def test_checks_straddling_a_reset_give_the_cold_answers(self, monkeypatch):
         batch = []
@@ -273,7 +273,7 @@ class TestRowProductMemo:
         warm, sizes = [], []
         for f in batch:
             warm.append(tuple(is_fuzzy_homomorphism(f)))
-            sizes.append(len(homs._row_tables(D4)[4]))
+            sizes.append(len(homs._row_tables(D4).row_ids))
         steps = list(zip(sizes, sizes[1:]))
         assert any(b < a for a, b in steps)  # the tables were reset
         assert any(b > a for a, b in steps)  # and grew between resets
@@ -319,13 +319,12 @@ ROW_PRODUCT_GROUPS = [builtin_group(t) for t in DEFAULT_GROUPS] + [
 ]
 
 
-class TestBitPlaneRowProduct:
+class TestRowProduct:
     """``_row_product`` against the literal sup-min product of two rank rows."""
 
-    # 8 and 9 ranks end a plane and start the next; 300 ranks exceed a byte
     @pytest.mark.parametrize("group", ROW_PRODUCT_GROUPS, ids=lambda g: g.name)
     def test_random_rank_rows(self, group):
-        planes = homs._row_tables(group)[1]
+        columns = homs._row_tables(group).columns
         rng = random.Random(group.name)
         for count in (1, 2, 8, 9, 16, 17, 300):
             for _ in range(3):
@@ -333,7 +332,7 @@ class TestBitPlaneRowProduct:
                 rx = [rng.randrange(count) for _ in group.elements]
                 rg[rng.randrange(group.order)] = rx[rng.randrange(group.order)] = count - 1
                 expected = literal_row_product(rg, rx, group)
-                assert homs._row_product(tuple(rg), tuple(rx), planes) == expected
+                assert homs._row_product(tuple(rg), tuple(rx), columns) == expected
 
     def test_ranks_above_255(self):
         """Z17 -> Z17 with a distinct grade in every cell off the skeleton."""
@@ -385,7 +384,7 @@ class TestTranslatedProduct:
 
     @staticmethod
     def translated(rg, rx, c, d, tables):
-        row_ids = tables[4]
+        row_ids = tables.row_ids
         ig, ix = (row_ids.setdefault(r, len(row_ids)) for r in (rg, rx))
         return homs._translated_product(rg, ig, c, rx, ix, d, tables)
 
