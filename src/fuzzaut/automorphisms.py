@@ -12,6 +12,10 @@ inputs; the raising constructors below and the law harness both call them.
 Lemmas 3.1 and 3.2 and Theorem 3.1 read the pairwise composites of one
 sample list from the ``composite_table`` their caller passes in, which
 composes each ordered pair once and keeps each distinct composite once.
+Lemmas 3.7 and 4.4 (``induced.check_triple_products``) read the pairwise
+composites of the checked labels' maps from one ``pair_composites`` table,
+which the harness builds once per instance and both checkers build for
+themselves when none is passed in.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ Verdict = tuple[bool, Optional[str]]
 Table = tuple[tuple[int, ...], ...]
 # composite_table: the distinct composites, and the k x k table of their indices
 Products = tuple[list[FuzzyMap], Table]
+# pair_composites: maps[i] . maps[j] at (i, j)
+Pairs = Sequence[Sequence[FuzzyMap]]
 
 
 class AutomorphismError(FuzzautError):
@@ -210,14 +216,22 @@ def is_inner(f: FuzzyMap) -> Optional[int]:
     return next((g for g, row in enumerate(conjugations(f.domain)) if row == f.images), None)
 
 
-def check_inner_products(group: FiniteGroup, family: Family, labels: Iterable[int]) -> Verdict:
-    """Lemma 3.7: f_g1 . f_g2 is equivalent to f_(g2 g1) for all labels g1, g2."""
+def check_inner_products(
+    group: FiniteGroup, family: Family, labels: Iterable[int], pairs: Optional[Pairs] = None
+) -> Verdict:
+    """Lemma 3.7: f_g1 . f_g2 is equivalent to f_(g2 g1) for all labels g1, g2.
+
+    Each composite is read from ``pairs``, the ``pair_composites`` of the
+    labels' maps, which is built here when not given.
+    """
     labels = tuple(labels)
+    if pairs is None:
+        pairs = pair_composites([family[g] for g in labels])
     t = group.table
-    for g1 in labels:
-        for g2 in labels:
+    for g1, row in zip(labels, pairs):
+        for g2, composite in zip(labels, row):
             label = t[g2][g1]
-            if compose_maps(family[g1], family[g2]).images != family[label].images:
+            if composite.images != family[label].images:
                 return False, f"labels ({g1}, {g2}): composite not equivalent to label {label}"
     return True, None
 
@@ -284,6 +298,12 @@ def composite_table(maps: Sequence[FuzzyMap]) -> Products:
             row.append(c)
         cells.append(tuple(row))
     return [h for _, h in seen.values()], tuple(cells)
+
+
+def pair_composites(maps: Sequence[FuzzyMap]) -> list[list[FuzzyMap]]:
+    """Every ordered pair of ``maps`` composed once, through ``compose_maps``:
+    maps[i] . maps[j] at (i, j), kept as built, for Lemmas 3.7 and 4.4."""
+    return [[compose_maps(f, g) for g in maps] for f in maps]
 
 
 def skeleton_class_table(maps: Sequence[FuzzyMap], products: Products) -> Table:

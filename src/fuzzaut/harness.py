@@ -34,6 +34,7 @@ from .automorphisms import (
     check_inner_products,
     check_inverse_law,
     composite_table,
+    pair_composites,
 )
 from .errors import FuzzautError, Record
 from .groups import (
@@ -201,7 +202,9 @@ class _Instance:
 
     The section 3 samples are the crisp automorphisms lifted through mu.  The
     labeled family adds none: for a normal mu, f_g is the lift of x -> g^-1 x g.
-    Section 4 and Lemmas 3.7 to 3.9 read the family itself (``induced_raw``).
+    Section 4 and Lemmas 3.7 to 3.9 read the family itself (``induced_raw``);
+    Lemmas 3.7 and 4.4 read its representatives' pair composites, each
+    composed once (``inner_pairs``).
     """
 
     def __init__(self, shared: _Group, mu_token: str):
@@ -229,6 +232,11 @@ class _Instance:
         for g, fmap in enumerate(self.induced_raw):
             seen.setdefault(fmap.images, g)
         return sorted(seen.values())
+
+    @cached_property
+    def inner_pairs(self) -> list[list[FuzzyMap]]:
+        """``pair_composites`` of the representatives' maps, for Lemmas 3.7 and 4.4."""
+        return pair_composites([self.induced_raw[g] for g in self.induced_reps])
 
     @cached_property
     def aut_samples(self) -> list[tuple[str, FuzzyMap]]:
@@ -323,7 +331,9 @@ _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
     "Lemma 3.6": lambda ctx: _first_failure(
         (tag, check_automorphism(inverse_map(f))) for tag, f in ctx.aut_samples
     ),
-    "Lemma 3.7": lambda ctx: check_inner_products(ctx.group, ctx.induced_raw, ctx.induced_reps),
+    "Lemma 3.7": lambda ctx: check_inner_products(
+        ctx.group, ctx.induced_raw, ctx.induced_reps, ctx.inner_pairs
+    ),
     "Lemma 3.8": lambda ctx: check_inner_inverses(ctx.group, ctx.induced_raw, ctx.induced_reps),
     "Lemma 3.9": lambda ctx: _first_failure(
         (f"conjugate of label {g} by {tag}",
@@ -340,7 +350,9 @@ _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
     "Lemma 4.3": lambda ctx: check_label_products(
         ctx.group, ctx.induced_raw, product(ctx.group.elements, repeat=2)
     ),
-    "Lemma 4.4": lambda ctx: check_triple_products(ctx.group, ctx.induced_raw, ctx.induced_reps),
+    "Lemma 4.4": lambda ctx: check_triple_products(
+        ctx.group, ctx.induced_raw, ctx.induced_reps, ctx.inner_pairs
+    ),
     "Lemma 4.5": lambda ctx: check_identity_label(ctx.mu, ctx.induced_raw, ctx.group.elements),
     "Lemma 4.6": lambda ctx: check_inverse_labels(ctx.group, ctx.induced_raw, ctx.induced_reps),
     "Theorem 4.1": _suite_thm_4_1,

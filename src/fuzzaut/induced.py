@@ -17,13 +17,16 @@ and the law harness both call them.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Optional
 
 from .automorphisms import (
     Family,
+    Pairs,
     Verdict,
     check_inner_inverses,
     is_class_preserving,
+    pair_composites,
 )
 from .errors import FuzzautError, Record
 from .groups import (
@@ -202,20 +205,65 @@ def compose_induced(a: InducedInner, b: InducedInner) -> InducedInner:
     return result
 
 
-def check_triple_products(group: FiniteGroup, family: Family, labels: Iterable[int]) -> Verdict:
-    """Lemma 4.4: both bracketings of f_g1 . f_g2 . f_g3 are equivalent to f_(g3 g2 g1)."""
+def check_triple_products(
+    group: FiniteGroup, family: Family, labels: Iterable[int], pairs: Optional[Pairs] = None
+) -> Verdict:
+    """Lemma 4.4: both bracketings of f_g1 . f_g2 . f_g3 are equivalent to f_(g3 g2 g1).
+
+    ``pairs`` is the ``pair_composites`` of the labels' maps, built here when
+    not given.  Each pair composite is first identified with the first of
+    those maps that has its skeleton, and only if it is that map exactly:
+    the same domain, codomain, skeleton and encoding (``_members``).
+    ``compose_maps`` is a function of its operands' contents, so a composite
+    identified with f_c composes with every map as f_c does.  With f_g1 . f_g2
+    identified with f_c and f_g2 . f_g3 with f_c', the bracketings
+    (f_g1 . f_g2) . f_g3 and f_g1 . (f_g2 . f_g3) are the table's f_c . f_g3
+    and f_g1 . f_c', two lookups per triple, and the check makes r^2
+    compositions for r labels instead of r^2 + 3r^3.  This rests on that
+    purity alone, not on ``compose_maps`` being right.  If some pair
+    composite is none of the maps exactly (a mu that is not normal, or a
+    defect), each triple composes both bracketings, their inner pairs read
+    from the table.  Either way the triples are visited in lexicographic
+    order, so the witness is the first failing triple.
+    """
     labels = tuple(labels)
+    maps = [family[g] for g in labels]
+    if pairs is None:
+        pairs = pair_composites(maps)
+    members = _members(maps, pairs)
     t = group.table
-    for g1 in labels:
-        for g2 in labels:
-            first = compose_maps(family[g1], family[g2])
-            for g3 in labels:
-                label = t[t[g3][g2]][g1]
-                left = compose_maps(first, family[g3])
-                right = compose_maps(family[g1], compose_maps(family[g2], family[g3]))
-                if not (left.images == right.images == family[label].images):
-                    return False, f"triple ({g1}, {g2}, {g3}) misses label {label}"
+    for (i, g1), (j, g2), (l, g3) in product(enumerate(labels), repeat=3):
+        if members is None:
+            left = compose_maps(pairs[i][j], maps[l]).images
+            right = compose_maps(maps[i], pairs[j][l]).images
+        else:
+            left, right = pairs[members[i][j]][l].images, pairs[i][members[j][l]].images
+        label = t[t[g3][g2]][g1]
+        if not (left == right == family[label].images):
+            return False, f"triple ({g1}, {g2}, {g3}) misses label {label}"
     return True, None
+
+
+def _members(maps: list[FuzzyMap], pairs: Pairs) -> Optional[list[list[int]]]:
+    """At (i, j), the index c of the map that ``pairs[i][j]`` is exactly: the first
+    of ``maps`` with its skeleton, holding the same encoding, domain and codomain.
+    None if some pair composite is no such map."""
+    first: dict[tuple[int, ...], int] = {}
+    for c, f in enumerate(maps):
+        first.setdefault(f.images, c)
+    table = []
+    for row in pairs:
+        cells = []
+        for h in row:
+            c = first.get(h.images)
+            if c is None:
+                return None
+            f = maps[c]
+            if not (h.encoding == f.encoding and h.domain == f.domain and h.codomain == f.codomain):
+                return None
+            cells.append(c)
+        table.append(cells)
+    return table
 
 
 def check_identity_label(mu: FuzzySubset, family: Family, labels: Iterable[int]) -> Verdict:

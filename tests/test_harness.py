@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzaut import groups, harness, homs, induced, subsets
+from fuzzaut import groups, harness, homs, induced, maps, subsets
 from fuzzaut.errors import FuzzautError
 from fuzzaut.harness import (
     ABLATION_TOKENS,
@@ -179,6 +179,20 @@ class TestWorkCounts:
         run_campaign(recorded_campaign(name))
         assert (len(passes_run), len(hom_checks)) == (passes, checks)
         assert len(row_products) in products
+
+    @pytest.mark.parametrize("suites", [("Lemma 3.7", "Lemma 4.4"), ("Lemma 3.7",)])
+    @pytest.mark.parametrize("tokens, composites", [(DEFAULT_GROUPS, 154), (("S4",), 1152)])
+    def test_lemmas_3_7_and_4_4_compose_each_pair_of_representatives_once(
+        self, monkeypatch, suites, tokens, composites
+    ):
+        """Both lemmas read one table of the r^2 pair composites of an
+        instance's representatives: sum r^2 = 154 over the default groups and
+        1,152 on S4, with Lemma 4.4 or without it (2,426 and 85,248 when
+        Lemma 4.4 made r^2 + 3r^3 compositions of its own)."""
+        composed = self.calls_to(monkeypatch, maps, "compose_maps")
+        rows = run_campaign(Campaign(groups=tokens, suites=suites))
+        assert rows and all(r.verdict for r in rows)
+        assert len(composed) == composites
 
     def test_s4_hom_campaign_builds_its_quotients_once(self, monkeypatch):
         """S4's three non-trivial normal subgroups, once for chain and class mu

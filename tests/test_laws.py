@@ -9,7 +9,11 @@ Two cases seed a defect in the associativity kernel, which ``make_group``
 (and so Theorems 3.1 and 4.1) and Lemma 3.2 share, and two in the
 predicates behind ``require_valid_mu``, whose verdict each mu keeps.  The
 last cases seed a defect in map composition, below every checker, and
-record which statements of the campaign catch it.
+record which statements of the campaign catch it.  Before them, the
+product checkers of Lemmas 3.7 and 4.4, which read one table of pair
+composites, are compared with scans that compose every product: on the
+table lookups and on the fallback, with wrong family members, and under a
+composition defect that sends one pair to the wrong member.
 """
 
 import re
@@ -331,6 +335,164 @@ def test_product_witness_names_the_first_failing_labels(checker, scan, token):
     expected = scan(group, family, reps)
     assert not expected[0]
     assert checker(group, family, reps) == expected
+
+
+def composed_pairs_scan(group, family, labels):
+    """Lemma 3.7 pair by pair, through the ``compose_maps`` bound now."""
+    t = group.table
+    for g1, g2 in product(labels, repeat=2):
+        label = t[g2][g1]
+        if maps.compose_maps(family[g1], family[g2]).images != family[label].images:
+            return False, f"labels ({g1}, {g2}): composite not equivalent to label {label}"
+    return True, None
+
+
+def composed_triples_scan(group, family, labels):
+    """Lemma 4.4 triple by triple, all three products of each bracketing
+    composed through the ``compose_maps`` bound now."""
+    compose, t = maps.compose_maps, group.table
+    for g1, g2, g3 in product(labels, repeat=3):
+        label = t[t[g3][g2]][g1]
+        f1, f2, f3 = family[g1], family[g2], family[g3]
+        left, right = compose(compose(f1, f2), f3), compose(f1, compose(f2, f3))
+        if not (left.images == right.images == family[label].images):
+            return False, f"triple ({g1}, {g2}, {g3}) misses label {label}"
+    return True, None
+
+
+def counting(monkeypatch, compose):
+    """Seed ``compose`` as ``compose_maps`` and return the list its calls append to."""
+    calls = []
+
+    def counted(f, g):
+        calls.append(None)
+        return compose(f, g)
+
+    seed_defect(monkeypatch, maps, "compose_maps", counted)
+    return calls
+
+
+@pytest.mark.parametrize("token", ["D4", "Q8"])
+def test_lemma_4_4_table_lookups_find_a_wrong_non_representative(monkeypatch, token):
+    """The centre has order 2, so half the labels are no representative.  A
+    wrong matrix at one of them leaves every pair composite a representative
+    exactly: the check takes the table lookups, r^2 compositions in all, and
+    must still fail at the scan's first triple."""
+    ctx = _Instance(_Group(token), "class")
+    group, reps, family = ctx.group, ctx.induced_reps, list(ctx.induced_raw)
+    assert 2 * len(reps) == group.order
+    identity, t = family[group.identity], group.table
+    label = next(
+        label
+        for label in (t[t[g3][g2]][g1] for g1, g2, g3 in product(reps, repeat=3))
+        if label not in reps and family[label].images != identity.images
+    )
+    family[label] = identity
+    expected = triple_products_scan(group, family, reps)
+    assert not expected[0]
+    calls = counting(monkeypatch, maps.compose_maps)
+    assert induced.check_triple_products(group, family, reps) == expected
+    assert len(calls) == len(reps) ** 2
+
+
+def one_pair_gives(a, b, c):
+    """Honest ``compose_maps``, except that the pair with exactly the contents
+    of maps a and b composes to c: a defect of the operands' contents alone."""
+    honest = maps.compose_maps
+
+    def same(f, g):
+        return (f.domain, f.codomain, f.images, f.encoding) == (
+            g.domain, g.codomain, g.images, g.encoding
+        )
+
+    def compose(f, g):
+        return c if same(f, a) and same(g, b) else honest(f, g)
+
+    return compose
+
+
+@pytest.mark.parametrize("token", ["S3", "D4", "Q8"])
+def test_a_pair_composed_to_another_representative_fails_as_the_scans(monkeypatch, token):
+    """One pair of representatives composes to a third representative's exact
+    map.  Lemma 4.4 then identifies that composite with the wrong member, and
+    by the purity of composition it must still give the verdict and witness
+    of the triple scan composed under the same defect, as Lemma 3.7 gives
+    those of the pair scan; so must the campaign rows."""
+    ctx = _Instance(_Group(token), "class")
+    group, family, reps = ctx.group, ctx.induced_raw, ctx.induced_reps
+    a, b = reps[1], reps[-1]
+    right = family[group.table[b][a]].images
+    c = next(g for g in reps if family[g].images != right)
+    calls = counting(monkeypatch, one_pair_gives(family[a], family[b], family[c]))
+    for checker, scan in ((automorphisms.check_inner_products, composed_pairs_scan),
+                          (induced.check_triple_products, composed_triples_scan)):
+        expected = scan(group, family, reps)
+        assert not expected[0]
+        calls.clear()
+        assert checker(group, family, reps) == expected
+        assert len(calls) == len(reps) ** 2  # both checkers read the table alone
+    campaign = Campaign(groups=(token,), mu_sources=("class",), suites=("Lemma 3.7", "Lemma 4.4"))
+    rows = {r.statement: (r.verdict, r.witness) for r in run_campaign(campaign)}
+    assert rows["Lemma 3.7"] == composed_pairs_scan(group, family, reps)
+    assert rows["Lemma 4.4"] == composed_triples_scan(group, family, reps)
+
+
+def least_non_normal_chain(group):
+    """The chain mu over the least non-normal subgroup, as the normality ablation builds it."""
+    normal = set(groups.normal_subgroups(group))
+    non_normal = next(s for s in groups.all_subgroups(group) if s not in normal)
+    chain = [frozenset({group.identity}), non_normal, frozenset(group.elements)]
+    return subsets.gen_mu_chain(group, chain, ("1", "1/2", "1/4"))
+
+
+def representatives(family):
+    """The least label per distinct skeleton, as ``_Instance.induced_reps`` picks them."""
+    seen = {}
+    for g, fmap in enumerate(family):
+        seen.setdefault(fmap.images, g)
+    return sorted(seen.values())
+
+
+@PRODUCT_CHECKERS
+@pytest.mark.parametrize("token", ["S3", "D4"])
+@pytest.mark.parametrize("wrong", [False, True], ids=["as built", "one wrong label"])
+def test_product_checkers_over_a_non_normal_mu_agree_with_a_literal_scan(
+    monkeypatch, checker, scan, token, wrong
+):
+    """A non-normal mu leaves some pair composite off every family member, so
+    Lemma 4.4 composes each triple visited."""
+    group = builtin_group(token)
+    family = induced_family_raw(group, least_non_normal_chain(group))
+    reps = representatives(family)
+    if wrong:
+        t, identity = group.table, family[group.identity]
+        label = next(
+            label
+            for label in (t[g2][g1] for g1, g2 in product(reps, repeat=2))
+            if family[label].images != identity.images
+        )
+        family[label] = identity
+    expected = scan(group, family, reps)
+    assert expected[0] is not wrong
+    calls = counting(monkeypatch, maps.compose_maps)
+    assert checker(group, family, reps) == expected
+    if checker is induced.check_triple_products:
+        assert len(calls) > len(reps) ** 2
+
+
+@PRODUCT_CHECKERS
+@pytest.mark.parametrize("mu", ["chain", "class"])
+def test_product_checkers_over_every_label_and_a_dict_family(checker, scan, mu):
+    """Every label of D4, so skeletons repeat among the checked maps, from the
+    family as a list and as a dict."""
+    ctx = _Instance(_Group("D4"), mu)
+    group, family = ctx.group, ctx.induced_raw
+    expected = scan(group, family, group.elements)
+    assert expected == (True, None)
+    assert checker(group, family, group.elements) == expected
+    assert checker(group, dict(enumerate(family)), group.elements) == expected
+    reps = ctx.induced_reps
+    assert checker(group, dict(enumerate(family)), reps) == scan(group, family, reps)
 
 
 def skeleton_in_wrong_order(f, g):
