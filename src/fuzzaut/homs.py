@@ -61,7 +61,7 @@ from .groups import (
     picker,
 )
 from .maps import FuzzyMap, is_one_one, ranked_map, unit_rank
-from .subsets import FuzzySubset, require_valid_mu
+from .subsets import FuzzySubset, SubsetError, require_valid_mu
 
 ROW_PRODUCT_MEMO_BOUND = 4096  # entries kept in a codomain's stores together (see _RowTables.size)
 # one instance's checks touch at most 5 codomains on the default matrix and S4, 7 on Z2xQ8
@@ -282,21 +282,29 @@ def check_theorem_2_1(f: FuzzyMap) -> tuple[bool, bool, bool, bool]:
     1; 3. the image of an inverse is the inverse of the image; 4. unit
     entries are closed under simultaneous inversion.  Fact 1 is tested over
     a generating set of the domain (``groups.first_non_multiplicative``).
-    Facts 2 and 4 read the rank rows: a cell has grade 1 exactly when its
-    rank is ``maps.unit_rank`` of the values.
+    On a lift through a valid mu, fact 1 is exactly the sup condition (see
+    ``lift_hom``).  Facts 2 and 4 read the rank rows: a cell has grade 1
+    exactly when its rank is ``maps.unit_rank`` of the values.  When every
+    row holds one such cell, as every validated map's does, fact 4 reads it
+    by ``row.index`` and tests its inverse cell, n row calls; otherwise
+    every cell of every row is scanned.  Neither path reads ``f.images``.
     """
     g, h = f.domain, f.codomain
     images = f.images
     values, ranks = f.encoding
     top = unit_rank(values)
+    ginv, hinv = g.inverses, h.inverses
     p1 = first_non_multiplicative(g, h, images) is None
     p2 = ranks[g.identity][h.identity] == top
-    p3 = all(h.inverses[images[x]] == images[g.inverses[x]] for x in g.elements)
-    p4 = all(
-        ranks[g.inverses[x]][h.inverses[y]] == top
-        for x, row in enumerate(ranks)
-        for y in compress(h.elements, map(top.__eq__, row))
-    )
+    p3 = all(hinv[images[x]] == images[ginv[x]] for x in g.elements)
+    if all(row.count(top) == 1 for row in ranks):
+        p4 = all(ranks[ginv[x]][hinv[row.index(top)]] == top for x, row in enumerate(ranks))
+    else:
+        p4 = all(
+            ranks[ginv[x]][hinv[y]] == top
+            for x, row in enumerate(ranks)
+            for y in compress(h.elements, map(top.__eq__, row))
+        )
     return p1, p2, p3, p4
 
 
@@ -322,22 +330,46 @@ def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> 
     """Grade a crisp homomorphism phi through a membership function.
 
     The lifted map is f(x, y) = mu'(phi(x)^-1 * y) over the codomain carrying
-    mu', that is f = f_e . phi: row x is row phi(x) of mu'.translate_rows, so
-    every lift through mu' shares those row objects.  phi is checked over a
-    generating set of the domain (``groups.first_non_multiplicative``), and
-    the error names the first failing pair.  Validity is established per instance by the
-    homomorphism oracle; a rejection is surfaced, never silently dropped.
+    mu', that is f = f_e . phi, built as ``maps.compose_maps`` reindexes a
+    map: row x is row phi(x) of mu'.translate_rows, so every lift through mu'
+    shares those row objects, and its fuzzy image is entry phi(x) of
+    mu'.translate_images, the unit positions one scan found in those rows.
+
+    phi is decided through the homomorphism oracle.  Write T_c for the row
+    y -> mu'(c^-1 y), so that row x of f is T_phi(x).  For a valid mu',
+    T_c * T_d = T_cd, because mu' * mu' = mu' and mu' is normal, and T_c = T_d
+    forces c = d, because mu' is pointed.  So the sup condition
+    T_phi(x1*x2) = T_phi(x1) * T_phi(x2) holds exactly when phi is
+    multiplicative, and ``groups.first_non_multiplicative`` runs only after
+    the oracle rejects the lift, to name the first failing pair.  A phi it
+    finds no pair for leaves the rejection standing: ``OracleRejected`` is
+    surfaced, never silently dropped.  Through an invalid mu' a phi that is
+    not multiplicative raises ``NotHomomorphism`` before mu' is rejected.
     """
     codomain = mu_prime.group
     phi = tuple(phi)
     if len(phi) != domain.order or any(not 0 <= v < codomain.order for v in phi):
         raise HomError(f"phi must map {domain.name} into {codomain.name}")
+    try:
+        require_valid_mu(mu_prime)
+    except SubsetError:
+        _require_multiplicative(domain, codomain, phi)
+        raise
+    pick = picker(phi)
+    values, rows = mu_prime.encoding[0], pick(mu_prime.translate_rows)
+    images = mu_prime.translate_images
+    if images is None:
+        f = ranked_map(domain, codomain, values, rows)
+    else:
+        f = FuzzyMap(domain, codomain, None, pick(images), (values, rows))
+    report = is_fuzzy_homomorphism(f)
+    if not report:
+        _require_multiplicative(domain, codomain, phi)
+        raise OracleRejected(str(report.witness))
+    return f
+
+
+def _require_multiplicative(domain: FiniteGroup, codomain: FiniteGroup, phi) -> None:
     pair = first_non_multiplicative(domain, codomain, phi)
     if pair is not None:
         raise NotHomomorphism(f"phi is not multiplicative at (a, b) = {pair}")
-    require_valid_mu(mu_prime)
-    f = ranked_map(domain, codomain, mu_prime.encoding[0], picker(phi)(mu_prime.translate_rows))
-    report = is_fuzzy_homomorphism(f)
-    if not report:
-        raise OracleRejected(str(report.witness))
-    return f

@@ -101,18 +101,34 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     f_g(x, y) = mu(x^-1 * (g y g^-1)) = f_e(x, g y g^-1).  This is an identity
     of the cell arguments alone, so it holds for every mu, valid or not.  So
     each f_g picks its rows' cells from f_e's rank rows, mu's
-    ``translate_rows``, which the lifts through mu share, and
-    ``maps.ranked_map`` finds each map's unit entries, raising what
+    ``translate_rows``, which the lifts through mu share.  Its unit entries
+    are f_e's moved by the inverse of the column pick y -> g y g^-1: row x of
+    f_g has its unit at the y with g y g^-1 = u_x, where u_x is f_e's unit
+    position for x (``mu.translate_images``).  The inverse is built by a
+    scatter, which also proves the pick a bijection, so f_g has one unit per
+    row exactly when f_e does.  If f_e's scan failed or a pick is not a
+    bijection, ``maps.ranked_map`` scans that label's rows, raising what
     ``induced_map`` raises for the first failing label.  No grade is read;
     each map derives its grades when they are asked for.
+
+    For a valid mu, f_g is the lift of conjugation x -> g^-1 x g through mu,
+    so it is a fuzzy homomorphism by the argument of ``homs.lift_hom``;
+    Lemma 4.1 still checks each one through the oracle.
     """
-    t, inv = group.table, group.inverses
-    values, rank_rows = mu.encoding[0], mu.translate_rows
+    t, inv, n = group.table, group.inverses, group.order
+    values, rank_rows, units = mu.encoding[0], mu.translate_rows, mu.translate_images
     family = []
     for g in group.elements:
         tg, g_inv = t[g], inv[g]
-        pick = picker([t[tg[y]][g_inv] for y in group.elements])
-        family.append(ranked_map(group, group, values, tuple(map(pick, rank_rows))))
+        columns = [t[tg[y]][g_inv] for y in group.elements]
+        rows = tuple(map(picker(columns), rank_rows))
+        inverse = [-1] * n
+        for y, c in enumerate(columns):
+            inverse[c] = y
+        if units is None or -1 in inverse:
+            family.append(ranked_map(group, group, values, rows))
+        else:
+            family.append(FuzzyMap(group, group, None, picker(units)(inverse), (values, rows)))
     return family
 
 

@@ -21,6 +21,7 @@ from .groups import (
     is_subgroup,
     normal_subgroups,
 )
+from .maps import MapError, ranked_map
 
 
 class SubsetError(FuzzautError):
@@ -63,7 +64,8 @@ class FuzzySubset(Record):
     attribute, not a field: not an argument, and kept out of equality.  The
     predicates scan the ranks, and every map built from mu
     (``maps.indexed_map``) reuses them; every lift through mu and the
-    induced family pick their rows from ``translate_rows``, built once.
+    induced family pick their rows from ``translate_rows``, built once, and
+    read their unit entries off ``translate_images``, found once.
     """
 
     group: FiniteGroup
@@ -80,6 +82,16 @@ class FuzzySubset(Record):
         """f_e's rank rows: row a holds the ranks of y -> mu(a^-1 y)."""
         t, inv, ranks = self.group.table, self.group.inverses, self.encoding[1]
         return tuple(tuple(map(ranks.__getitem__, t[inv[a]])) for a in self.group.elements)
+
+    @cached_property
+    def translate_images(self) -> Optional[tuple[int, ...]]:
+        """f_e's skeleton: the unit position of each row of ``translate_rows``,
+        found by one ``maps.ranked_map`` scan, or None if some row has no
+        grade-1 entry or several.  It is computed, not assumed from pointedness."""
+        try:
+            return ranked_map(self.group, self.group, self.encoding[0], self.translate_rows).images
+        except MapError:
+            return None
 
     @cached_property
     def _fault(self) -> Optional[tuple[type, str]]:

@@ -194,6 +194,23 @@ class TestWorkCounts:
         assert rows and all(r.verdict for r in rows)
         assert len(composed) == composites
 
+    @pytest.mark.parametrize("name, scans, pairs", [
+        ("s4-hom.json", 7, 78),
+        ("default-matrix.json", 94, 302),
+    ])
+    def test_unit_entries_are_found_once_per_mu(self, monkeypatch, name, scans, pairs):
+        """Lifts and the induced family read their unit entries off mu's one
+        ``translate_images`` scan, and ``lift_hom`` names a pair of phi only
+        after the oracle rejects: 101 and 432 ``ranked_map`` scans, and 129 and
+        462 ``first_non_multiplicative`` calls, when every lift and every
+        family map scanned its rows and every lift checked phi first."""
+        scanned = self.calls_to(monkeypatch, maps, "ranked_map")
+        multiplied = self.calls_to(monkeypatch, groups, "first_non_multiplicative")
+        rows = run_campaign(recorded_campaign(name))
+        assert rows and all(r.verdict for r in rows)
+        assert 0 < len(scanned) <= scans
+        assert 0 < len(multiplied) <= pairs
+
     def test_s4_hom_campaign_builds_its_quotients_once(self, monkeypatch):
         """S4's three non-trivial normal subgroups, once for chain and class mu
         (6 when each instance built its own)."""
@@ -485,6 +502,32 @@ def test_isomorphic_presentations_get_the_same_verdicts(token, twin):
     expected = facts(token)
     assert len(expected[0]) == 2 * len(STATEMENT_IDS)
     assert facts(twin) == expected
+
+
+@pytest.mark.parametrize("mu", ["chain", "class"])
+class TestUnitEntriesOfLiftsAndFamily:
+    """Lifts and the induced family reindex f_e's rank rows and unit positions;
+    a ``ranked_map`` scan of the same rows is the oracle."""
+
+    @staticmethod
+    def assert_scanned(ctx):
+        assert ctx.mu_error is None and ctx.hom_samples
+        for f in [f for _, f in ctx.hom_samples] + ctx.induced_raw:
+            scanned = maps.ranked_map(f.domain, f.codomain, *f.encoding)
+            assert (f.images, f.encoding, f.domain, f.codomain) == (
+                scanned.images, scanned.encoding, scanned.domain, scanned.codomain
+            )
+
+    @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4",))
+    def test_builtin_groups(self, token, mu):
+        self.assert_scanned(_Instance(_Group(token), mu))
+
+    def test_file_group_with_its_identity_off_0(self, mu, tmp_path):
+        path = tmp_path / "S4.json"
+        save(path, relabeled(builtin_group("S4")))
+        ctx = _Instance(_Group(f"file:{path}"), mu)
+        assert ctx.group.identity != 0
+        self.assert_scanned(ctx)
 
 
 @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "D8"))

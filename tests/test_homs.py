@@ -20,10 +20,12 @@ from fuzzaut.groups import (
     quotient_group,
 )
 from fuzzaut import homs
-from fuzzaut.harness import DEFAULT_GROUPS, Campaign, run_campaign
+from fuzzaut.harness import DEFAULT_GROUPS, Campaign, _Group, _Instance, run_campaign
 from fuzzaut.homs import (
+    HomCheckReport,
     HomWitness,
     NotHomomorphism,
+    OracleRejected,
     check_theorem_2_1,
     check_theorem_2_2,
     is_fuzzy_homomorphism,
@@ -33,7 +35,9 @@ from fuzzaut.homs import (
 from fuzzaut.maps import (
     FuzzyMap, compose_maps, crisp_map, indexed_map, inverse_map, make_fuzzy_map,
 )
-from fuzzaut.subsets import MuNotNormal, MuNotPointed, chain_strategy, class_strategy, flat_mu, fuzzy_subset
+from fuzzaut.subsets import (
+    FuzzySubset, MuNotNormal, MuNotPointed, chain_strategy, class_strategy, flat_mu, fuzzy_subset,
+)
 from fuzzaut.induced import induced_family_raw
 
 S3 = builtin_group("S3")
@@ -584,6 +588,47 @@ class TestTheorem21MatchesGrades:
         assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (True, False, True, True)
 
 
+class TestTheorem21OneUnitPerRow:
+    """Fact 4 reads a row's only grade-1 cell by ``row.index`` and scans every
+    cell of a row with several or none; the grades are the oracle."""
+
+    @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4",))
+    @pytest.mark.parametrize("mu", ["chain", "class"])
+    def test_every_hom_sample(self, token, mu):
+        ctx = _Instance(_Group(token), mu)
+        assert ctx.mu_error is None and ctx.hom_samples
+        for tag, f in ctx.hom_samples:
+            assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (True,) * 4, tag
+
+    def test_units_away_from_the_images(self):
+        """One grade-1 cell per row, never at the fuzzy image: read from the
+        images, fact 4 would hold on Z4 and fail on S3 -> Z2."""
+        half = F(1, 2)
+        z4_rows = tuple(
+            tuple(F(1) if y == (x + 1) % 4 else half for y in Z4.elements) for x in Z4.elements
+        )
+        on_z4 = FuzzyMap(Z4, Z4, z4_rows, tuple((x - 1) % 4 for x in Z4.elements))
+        s3_rows = tuple((half, F(1)) if s == 0 else (F(1), half) for s in SIGN)
+        on_s3 = FuzzyMap(S3, Z2, s3_rows, SIGN)
+        assert check_theorem_2_1(on_z4) == theorem_2_1_oracle(on_z4)
+        assert check_theorem_2_1(on_s3) == theorem_2_1_oracle(on_s3)
+        assert (check_theorem_2_1(on_z4)[3], check_theorem_2_1(on_s3)[3]) == (False, True)
+
+    @pytest.mark.parametrize("twice, inverse_row, holds", [
+        (1, (F(1), F(1)), True), (3, (F(1), F(1, 2)), False),
+    ])
+    def test_a_row_with_two_units_and_a_row_with_none(self, twice, inverse_row, holds):
+        """Row ``twice`` has two grade-1 cells and row 2 none; fact 4 holds
+        exactly when row ``twice``'s inverse has both (1 and 3 invert to 1 and 4)."""
+        rows = [list(row) for row in lift_hom(SIGN, fuzzy_subset(Z2, ["1", "1/2"]), S3).grades]
+        rows[twice] = [F(1), F(1)]
+        rows[S3.inverses[twice]] = list(inverse_row)
+        rows[2] = [F(1, 2), F(1, 2)]
+        f = FuzzyMap(S3, Z2, tuple(map(tuple, rows)), SIGN)
+        assert check_theorem_2_1(f) == theorem_2_1_oracle(f)
+        assert check_theorem_2_1(f)[3] is holds
+
+
 def all_mappings(domain, codomain):
     return itertools.product(codomain.elements, repeat=domain.order)
 
@@ -719,6 +764,48 @@ class TestLift:
         bad = fuzzy_subset(S3, ["1", "1/4", "1/2", "1/2", "1/2", "1/2"])
         with pytest.raises(MuNotNormal):
             lift_hom(tuple(S3.elements), bad, S3)
+
+    @pytest.mark.parametrize("grades, fault", [
+        (["1", "1"], MuNotPointed), (["1/2", "1"], MuNotNormal), (["1/2", "1/4"], MuNotPointed),
+    ], ids=["flat", "unit-off-the-identity", "no-unit"])
+    def test_bad_phi_through_an_invalid_mu_names_the_first_pair(self, grades, fault):
+        """phi is checked before mu is rejected, as when phi was checked first."""
+        mu = fuzzy_subset(Z2, grades)
+        phi = (0, 1, 1, 1, 0, 1)
+        first = first_pair_oracle(S3, Z2, phi)
+        with pytest.raises(NotHomomorphism, match=re.escape(f"(a, b) = {first}") + "$"):
+            lift_hom(phi, mu, S3)
+        with pytest.raises(fault):
+            lift_hom(SIGN, mu, S3)
+
+    def test_every_lift_goes_through_the_oracle(self, monkeypatch):
+        """A seeded rejection surfaces for a multiplicative phi and names the
+        first pair for any other."""
+        witness = HomWitness(0, 0, 0, F(1), F(1, 2))
+        monkeypatch.setattr(homs, "is_fuzzy_homomorphism", lambda f: HomCheckReport(False, witness))
+        mu, phi = class_strategy(Z2), (0, 1, 1, 1, 0, 1)
+        with pytest.raises(OracleRejected, match=re.escape(str(witness))):
+            lift_hom(SIGN, mu, S3)
+        first = first_pair_oracle(S3, Z2, phi)
+        with pytest.raises(NotHomomorphism, match=re.escape(f"(a, b) = {first}") + "$"):
+            lift_hom(phi, mu, S3)
+
+    @pytest.mark.parametrize("token", ["Z4", "S3", "Q8"])
+    def test_a_translate_row_with_its_top_moved_is_rejected(self, token):
+        """f_e's unit positions are found on ``translate_rows``, not assumed
+        from pointedness: a row whose grade-1 cell moved gives lifts with that
+        unit, and the oracle rejects them."""
+        group = builtin_group(token)
+        mu = FuzzySubset(group, class_strategy(group).grades)
+        rows = [list(row) for row in mu.translate_rows]
+        a, b = 1, group.order - 1
+        rows[a][a], rows[a][b] = rows[a][b], rows[a][a]
+        mu.__dict__["translate_rows"] = tuple(map(tuple, rows))
+        assert mu.translate_images[a] == b
+        identity = tuple(group.elements)
+        with pytest.raises(OracleRejected):
+            lift_hom(identity, mu, group)
+        assert induced_family_raw(group, mu)[group.identity].images[a] == b
 
 
 class TestClosureFacts:

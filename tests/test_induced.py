@@ -302,6 +302,38 @@ class TestFamilyMatchesInducedMap:
         assert str(raised.value) == str(oracle.value)
 
 
+    @pytest.mark.parametrize("name", ["Z2", "Z4", "S3", "Q8", "S4"])
+    @pytest.mark.parametrize("make_mu", [
+        flat_mu,
+        lambda group: flat_mu(group, F(1, 2)),
+        lambda group: fuzzy_subset(
+            group, (1 if x == group.order - 1 else F(1, 2) for x in group.elements)
+        ),
+        lambda group: fuzzy_subset(
+            group, (1 if x in (group.identity, group.order - 1) else 0 for x in group.elements)
+        ),
+    ], ids=["flat", "flat-half", "unit-off-the-identity", "two-units"])
+    def test_invalid_mu_raises_as_induced_map_on_the_first_failing_label(self, name, make_mu):
+        """f_e's scan fails or finds one unit per row; either way the family
+        fails on the first label whose ``induced_map`` fails, with its error,
+        or on none."""
+        group = builtin_group(name)
+        mu = make_mu(group)
+        expected = None
+        for g in group.elements:
+            try:
+                induced_map(mu, g)
+            except FuzzautError as exc:
+                expected = exc
+                break
+        if expected is None:
+            self.assert_family_is_oracle(group, mu)
+            return
+        with pytest.raises(FuzzautError) as raised:
+            induced_family_raw(group, mu)
+        assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
+
+
 @pytest.mark.parametrize("name", DEFAULT_GROUPS + ("S4", "D8", "D6", "direct_product(Z2,Q8)"))
 @pytest.mark.parametrize("strategy", [chain_strategy, class_strategy])
 def test_family_is_the_lift_of_conjugation(name, strategy):
