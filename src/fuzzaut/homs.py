@@ -60,7 +60,7 @@ from .groups import (
     is_normal_subgroup,
     picker,
 )
-from .maps import FuzzyMap, is_one_one, ranked_map, unit_rank
+from .maps import FuzzyMap, is_one_one, unit_rank
 from .subsets import FuzzySubset, SubsetError, require_valid_mu
 
 ROW_PRODUCT_MEMO_BOUND = 4096  # entries kept in a codomain's stores together (see _RowTables.size)
@@ -116,35 +116,58 @@ _HOLDS = HomCheckReport(True)  # records are immutable, so every passing check s
 def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
     """Exact check of the sup-over-factorizations condition.
 
-    The verdict comes from the pairs (g, x) with g in
-    ``generating_sequence(f.domain)``, which suffice (see the module
-    docstring): R_{g*x} is compared with the product R_g * R_x of f's rank
-    rows, looked up in the codomain's ``memo`` under their ``row_ids`` (see
-    ``_RowTables``).  A product missing from it is translated: with
-    c = f.images[g] and d = f.images[x], the centred rows A(y) = R_g(c y)
-    and B(y) = R_x(y d), kept in ``lefts`` and ``rights``, get row ids, their
-    core A * B is looked up under those ids and computed by ``_row_product``
-    only when it is new, and (R_g * R_x)(y) = (A * B)(c^-1 y d^-1) is stored
-    under R_g's and R_x's ids.  This is exact for any c and d, so a map whose
-    ``images`` are wrong still gets the verdict of its cells; images that are
-    not codomain elements, which only a hand-built map can have, are
-    replaced by the identity.  A passing map's (domain, row ids) is kept in
-    ``passed``, so the same check again holds without a pass.  A pass over
-    |S| generators and n rows adds at most 2|S|n products and cores, 2n + |S|
-    row ids, n + |S| centred rows and one passing key, fewer than
-    (2|S| + 3)(n + 1) entries; the stores are cleared before a pass that
-    could take their ``size`` to ``ROW_PRODUCT_MEMO_BOUND``.  A rejected map
-    is scanned again over every (x1, x2, y) in lexicographic order, so its
-    witness is the first violation of the exhaustive scan; its grades come
-    back from the encoding's value list.  A scan that finds no violation
-    contradicts the generator pass, a library defect, and raises
+    The verdict is ``_failing_generator_pair``'s generator pass.  A rejected
+    map is scanned again over every (x1, x2, y) in lexicographic order, so
+    its witness is the first violation of the exhaustive scan; its grades
+    come back from the encoding's value list.  A scan that finds no
+    violation contradicts the generator pass, a library defect, and raises
     ``PassesDisagree``.
     """
+    failing = _failing_generator_pair(f)
+    if failing is None:
+        return _HOLDS
     values, rows = f.encoding
+    dt = f.domain.table
+    everything = product(range(len(rows)), repeat=2)
+    found = _first_violation(rows, dt, _row_tables(f.codomain).columns, everything)
+    if found is None:
+        g, x = failing
+        raise PassesDisagree(
+            f"generator {g}, row {x}: R_g * R_x differs from row {dt[g][x]}, "
+            "but the full scan finds no violation"
+        )
+    x1, x2, y, lhs, rhs = found
+    return HomCheckReport(False, HomWitness(x1, x2, y, values[lhs], values[rhs]))
+
+
+def _failing_generator_pair(f: FuzzyMap) -> Optional[tuple[int, int]]:
+    """The first pair (g, x) with R_{g*x} != R_g * R_x, or None if f is a
+    fuzzy homomorphism: the verdict alone, with no witness scan.
+
+    The pairs are (g, x) with g in ``generating_sequence(f.domain)``, which
+    suffice (see the module docstring): R_{g*x} is compared with the product
+    R_g * R_x of f's rank rows, looked up in the codomain's ``memo`` under
+    their ``row_ids`` (see ``_RowTables``).  A product missing from it is
+    translated: with c = f.images[g] and d = f.images[x], the centred rows
+    A(y) = R_g(c y) and B(y) = R_x(y d), kept in ``lefts`` and ``rights``,
+    get row ids, their core A * B is looked up under those ids and computed
+    by ``_row_product`` only when it is new, and
+    (R_g * R_x)(y) = (A * B)(c^-1 y d^-1) is stored under R_g's and R_x's
+    ids.  This is exact for any c and d, so a map whose ``images`` are wrong
+    still gets the verdict of its cells; images that are not codomain
+    elements, which only a hand-built map can have, are replaced by the
+    identity.  A passing map's (domain, row ids) is kept in ``passed``, so
+    the same check again holds without a pass.  A pass over |S| generators
+    and n rows adds at most 2|S|n products and cores, 2n + |S| row ids,
+    n + |S| centred rows and one passing key, fewer than (2|S| + 3)(n + 1)
+    entries; the stores are cleared before a pass that could take their
+    ``size`` to ``ROW_PRODUCT_MEMO_BOUND``.
+    """
+    rows = f.encoding[1]
     tables = _row_tables(f.codomain)
     memo, row_ids = tables.memo, tables.row_ids
     if (f.domain, tuple(map(row_ids.get, rows))) in tables.passed:
-        return _HOLDS
+        return None
     dt = f.domain.table
     gens = generating_sequence(f.domain)
     if tables.size() + (2 * len(gens) + 3) * (len(rows) + 1) >= ROW_PRODUCT_MEMO_BOUND:
@@ -160,17 +183,9 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
             if prod is None:
                 prod = memo[ig, ix] = _translated_product(rg, ig, c, rx, ix, images[x], tables)
             if prod != rows[dg[x]]:
-                everything = product(range(len(rows)), repeat=2)
-                found = _first_violation(rows, dt, tables.columns, everything)
-                if found is None:
-                    raise PassesDisagree(
-                        f"generator {g}, row {x}: R_g * R_x differs from row {dg[x]}, "
-                        "but the full scan finds no violation"
-                    )
-                x1, x2, y, lhs, rhs = found
-                return HomCheckReport(False, HomWitness(x1, x2, y, values[lhs], values[rhs]))
+                return g, x
     tables.passed.add((f.domain, ids))
-    return _HOLDS
+    return None
 
 
 class _RowTables:
@@ -334,17 +349,21 @@ def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> 
     map: row x is row phi(x) of mu'.translate_rows, so every lift through mu'
     shares those row objects, and its fuzzy image is entry phi(x) of
     mu'.translate_images, the unit positions one scan found in those rows.
+    A valid mu' is pointed, so each of those rows has exactly one.
 
-    phi is decided through the homomorphism oracle.  Write T_c for the row
-    y -> mu'(c^-1 y), so that row x of f is T_phi(x).  For a valid mu',
-    T_c * T_d = T_cd, because mu' * mu' = mu' and mu' is normal, and T_c = T_d
-    forces c = d, because mu' is pointed.  So the sup condition
-    T_phi(x1*x2) = T_phi(x1) * T_phi(x2) holds exactly when phi is
-    multiplicative, and ``groups.first_non_multiplicative`` runs only after
-    the oracle rejects the lift, to name the first failing pair.  A phi it
-    finds no pair for leaves the rejection standing: ``OracleRejected`` is
-    surfaced, never silently dropped.  Through an invalid mu' a phi that is
-    not multiplicative raises ``NotHomomorphism`` before mu' is rejected.
+    phi is decided through the homomorphism oracle's verdict
+    (``_failing_generator_pair``, the generator pass of
+    ``is_fuzzy_homomorphism``).  Write T_c for the row y -> mu'(c^-1 y), so
+    that row x of f is T_phi(x).  For a valid mu', T_c * T_d = T_cd, because
+    mu' * mu' = mu' and mu' is normal, and T_c = T_d forces c = d, because
+    mu' is pointed.  So the sup condition T_phi(x1*x2) = T_phi(x1) * T_phi(x2)
+    holds exactly when phi is multiplicative, and
+    ``groups.first_non_multiplicative`` runs only after the oracle rejects
+    the lift, to name the first failing pair.  A phi it finds no pair for
+    leaves the rejection standing: the witness scan names it in
+    ``OracleRejected``, never silently dropped.  Through an invalid mu' a phi
+    that is not multiplicative raises ``NotHomomorphism`` before mu' is
+    rejected.
     """
     codomain = mu_prime.group
     phi = tuple(phi)
@@ -356,16 +375,11 @@ def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> 
         _require_multiplicative(domain, codomain, phi)
         raise
     pick = picker(phi)
-    values, rows = mu_prime.encoding[0], pick(mu_prime.translate_rows)
-    images = mu_prime.translate_images
-    if images is None:
-        f = ranked_map(domain, codomain, values, rows)
-    else:
-        f = FuzzyMap(domain, codomain, None, pick(images), (values, rows))
-    report = is_fuzzy_homomorphism(f)
-    if not report:
+    encoding = mu_prime.encoding[0], pick(mu_prime.translate_rows)
+    f = FuzzyMap(domain, codomain, None, pick(mu_prime.translate_images), encoding)
+    if _failing_generator_pair(f) is not None:
         _require_multiplicative(domain, codomain, phi)
-        raise OracleRejected(str(report.witness))
+        raise OracleRejected(str(is_fuzzy_homomorphism(f).witness))
     return f
 
 

@@ -103,11 +103,10 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     each f_g picks its rows' cells from f_e's rank rows, mu's
     ``translate_rows``, which the lifts through mu share.  Its unit entries
     are f_e's moved by the inverse of the column pick y -> g y g^-1: row x of
-    f_g has its unit at the y with g y g^-1 = u_x, where u_x is f_e's unit
-    position for x (``mu.translate_images``).  The inverse is built by a
-    scatter, which also proves the pick a bijection, so f_g has one unit per
-    row exactly when f_e does.  If f_e's scan failed or a pick is not a
-    bijection, ``maps.ranked_map`` scans that label's rows, raising what
+    f_g has its unit at g^-1 u_x g, where u_x is f_e's unit position for x
+    (``mu.translate_images``).  Both the pick and its inverse are rows of
+    ``groups.conjugations``, cached per group.  If f_e's scan failed,
+    ``maps.ranked_map`` scans each label's rows, raising what
     ``induced_map`` raises for the first failing label.  No grade is read;
     each map derives its grades when they are asked for.
 
@@ -115,20 +114,15 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     so it is a fuzzy homomorphism by the argument of ``homs.lift_hom``;
     Lemma 4.1 still checks each one through the oracle.
     """
-    t, inv, n = group.table, group.inverses, group.order
+    conj, inv = conjugations(group), group.inverses
     values, rank_rows, units = mu.encoding[0], mu.translate_rows, mu.translate_images
     family = []
     for g in group.elements:
-        tg, g_inv = t[g], inv[g]
-        columns = [t[tg[y]][g_inv] for y in group.elements]
-        rows = tuple(map(picker(columns), rank_rows))
-        inverse = [-1] * n
-        for y, c in enumerate(columns):
-            inverse[c] = y
-        if units is None or -1 in inverse:
+        rows = tuple(map(picker(conj[inv[g]]), rank_rows))  # y -> g y g^-1 is row g^-1
+        if units is None:
             family.append(ranked_map(group, group, values, rows))
         else:
-            family.append(FuzzyMap(group, group, None, picker(units)(inverse), (values, rows)))
+            family.append(FuzzyMap(group, group, None, picker(units)(conj[g]), (values, rows)))
     return family
 
 

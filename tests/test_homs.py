@@ -782,6 +782,7 @@ class TestLift:
         """A seeded rejection surfaces for a multiplicative phi and names the
         first pair for any other."""
         witness = HomWitness(0, 0, 0, F(1), F(1, 2))
+        monkeypatch.setattr(homs, "_failing_generator_pair", lambda f: (0, 0))
         monkeypatch.setattr(homs, "is_fuzzy_homomorphism", lambda f: HomCheckReport(False, witness))
         mu, phi = class_strategy(Z2), (0, 1, 1, 1, 0, 1)
         with pytest.raises(OracleRejected, match=re.escape(str(witness))):
