@@ -1,14 +1,31 @@
 """Shared roots: ``FuzzautError``, so callers can catch all library errors at
-once, and ``Record``, the base of the immutable value objects (groups, fuzzy
-subsets and maps, check reports, campaign rows).  ``Record`` is plain source,
-unlike a generated dataclass, so importing the library compiles nothing.
+once; ``derived_cache``, whose caches ``clear_derived`` empties; and
+``Record``, the base of the immutable values (groups, fuzzy subsets and maps,
+check reports, campaign rows), plain source, unlike a generated dataclass,
+so importing the library compiles nothing.
 """
 
+from functools import lru_cache
 from operator import attrgetter
 
 
 class FuzzautError(ValueError):
     """Base class for every validation or configuration error raised here."""
+
+
+DERIVED_CACHES: list = []  # every derived_cache; no other cache holds a derived fact
+
+
+def derived_cache(fn, maxsize=None):
+    """``lru_cache(maxsize)(fn)`` of a fact derived from a group or a (group, mu) pair."""
+    DERIVED_CACHES.append(lru_cache(maxsize=maxsize)(fn))
+    return DERIVED_CACHES[-1]
+
+
+def clear_derived() -> None:
+    """Empty every derived cache, as each campaign does when it returns."""
+    for cached in DERIVED_CACHES:
+        cached.cache_clear()
 
 
 class Record:

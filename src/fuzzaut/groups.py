@@ -14,7 +14,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import FuzzautError, Record
+from .errors import FuzzautError, Record, derived_cache
 
 
 class GroupError(FuzzautError):
@@ -373,7 +373,7 @@ def builtin_group(token: str) -> FiniteGroup:
 # -- structural subsets -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def center(group: FiniteGroup) -> ElementSubset:
     """Elements commuting with everything."""
     t = group.table
@@ -381,7 +381,7 @@ def center(group: FiniteGroup) -> ElementSubset:
     return ElementSubset.from_indices(group, members)
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def conjugations(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Row g is the permutation x -> g^-1 x g, ``group.conjugate(x, g)`` at x: the one
     conjugation table that ``is_inner``, Lemma 4.1, the classes and normality read."""
@@ -389,7 +389,7 @@ def conjugations(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(t[y][g] for y in t[group.inverses[g]]) for g in group.elements)
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Partition of the elements into conjugation orbits, sorted by least member."""
     rows = conjugations(group)
@@ -405,7 +405,7 @@ def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def class_index(group: FiniteGroup) -> tuple[int, ...]:
     """For each element, the index of its conjugacy class."""
     out = [0] * group.order
@@ -458,7 +458,7 @@ def quotient_group(
     return q, tuple(coset_map)
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def center_quotient(group: FiniteGroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     """``quotient_group`` by the center: G/Z(G) and the element -> coset map."""
     return quotient_group(group, center(group))
@@ -483,7 +483,7 @@ def closure(group: FiniteGroup, generators: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def generating_sequence(group: FiniteGroup) -> tuple[int, ...]:
     """A short generating set, built greedily.
 
@@ -525,13 +525,13 @@ def _closed_extensions(
     return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def all_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     """Every subgroup: each is generated by adding its elements one at a time."""
     return _closed_extensions(group, [(g,) for g in group.elements])
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def normal_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     """Normal subgroups, generated by adding conjugacy classes one at a time.
 
@@ -542,7 +542,7 @@ def normal_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     return _closed_extensions(group, conjugacy_classes(group))
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def derived_series(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     """Iterated commutator subgroups, ending at the last repeated term."""
     t = group.table
@@ -560,7 +560,7 @@ def derived_series(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     return tuple(series)
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def opposite_group(group: FiniteGroup) -> FiniteGroup:
     """Same carrier with reversed multiplication a*b := b.a."""
     n = group.order
@@ -573,7 +573,7 @@ def opposite_group(group: FiniteGroup) -> FiniteGroup:
 _AUT_ORDER_BOUND = 24
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def crisp_automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All bijections with f(ab) = f(a)f(b), one candidate per generator-image choice.
 

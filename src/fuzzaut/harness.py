@@ -36,7 +36,7 @@ from .automorphisms import (
     composite_table,
     pair_composites,
 )
-from .errors import FuzzautError, Record
+from .errors import FuzzautError, Record, clear_derived
 from .groups import (
     ElementSubset,
     FiniteGroup,
@@ -172,7 +172,8 @@ def resolve_mu(token: str, group: FiniteGroup) -> FuzzySubset:
 
 
 class _Group:
-    """One campaign group, resolved once, with the mu-free quotient lifts its instances share."""
+    """One campaign group, resolved once, with the mu-free quotient lifts its instances
+    share; it lives one campaign, as every derived cache does, while the group is kept."""
 
     def __init__(self, token: str):
         try:
@@ -377,28 +378,33 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
     """Run every selected law suite over the campaign's instance matrix.
 
     Every group is resolved first into one ``_Group``, whose quotient lifts
-    its instances share; it lives one campaign, as a certified lift kept
-    longer would hide a seeded defect.  All selected statements of one
-    instance run before the next, while its samples and its codomains'
-    row-product memos are warm, and the rows are sorted once.  An instance
-    whose mu fails validation fails the graded-conjugation suites (which
-    need it) and is skipped by the others, whose samples cannot be built; a
-    ``RuntimeError`` while mu is built is a library defect and fails them all.
+    its instances share.  Nothing certified outlives the campaign, as it
+    would hide a seeded defect: every ``derived_cache`` is emptied when it
+    returns or raises (not on entry, so what a caller warmed serves it).
+    All selected statements of one instance run before the next, while its
+    samples and its codomains' row-product memos are warm, and the rows are
+    sorted once.  An instance whose mu fails validation fails the
+    graded-conjugation suites (which need it) and is skipped by the others,
+    whose samples cannot be built; a ``RuntimeError`` while mu is built is a
+    library defect and fails them all.
     """
-    unknown = [s for s in campaign.suites if s not in _SUITES]
-    if unknown:
-        raise ConfigInvalid(f"unknown statement ids: {unknown}")
-    groups = [_Group(token) for token in campaign.groups]
-    contexts = [_Instance(shared, mu) for shared in groups for mu in campaign.mu_sources]
-    results = []
-    for ctx in contexts:  # all kept alive until the sort: freeing them early measured slower
-        for statement in campaign.suites:
-            if ctx.mu_error is None:
-                results.append(_row(statement, ctx.descriptor, partial(_SUITES[statement], ctx)))
-            elif statement in ctx.failing:
-                results.append(_row(statement, ctx.descriptor, lambda: (False, ctx.mu_error)))
-    results.sort(key=lambda r: (r.statement, r.instance))
-    return results
+    try:
+        unknown = [s for s in campaign.suites if s not in _SUITES]
+        if unknown:
+            raise ConfigInvalid(f"unknown statement ids: {unknown}")
+        groups = [_Group(token) for token in campaign.groups]
+        contexts = [_Instance(shared, mu) for shared in groups for mu in campaign.mu_sources]
+        results = []
+        for ctx in contexts:  # all kept alive until the sort: freeing them early measured slower
+            for statement in campaign.suites:
+                if ctx.mu_error is None:
+                    results.append(_row(statement, ctx.descriptor, partial(_SUITES[statement], ctx)))
+                elif statement in ctx.failing:
+                    results.append(_row(statement, ctx.descriptor, lambda: (False, ctx.mu_error)))
+        results.sort(key=lambda r: (r.statement, r.instance))
+        return results
+    finally:
+        clear_derived()
 
 
 # -- hypothesis ablation ------------------------------------------------------
@@ -436,25 +442,29 @@ def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
     rows carry ``expected_failure`` so recorded violations stay separate from
     defect failures.  Groups on which the hypothesis cannot be ablated at all
     (no non-normal subgroup exists) are skipped.  Groups resolve through
-    ``_Group``, and no mu is read, since each probe builds its own.
+    ``_Group``, and no mu is read, since each probe builds its own.  Every
+    derived cache is emptied when it returns or raises, as by ``run_campaign``.
     """
     if drop is None:
         return run_campaign(campaign)
     if drop not in ABLATION_TOKENS:
         raise UnknownToken(f"unknown ablation token {drop!r}; expected one of {ABLATION_TOKENS}")
-    results = []
-    for group in (_Group(token).group for token in campaign.groups):
-        if drop == "pointed":
-            results.append(_row("Ablation(pointed)", f"{group.name}|mu=flat",
-                                partial(_ablate_pointed, group), True))
-            continue
-        normal = set(normal_subgroups(group))
-        non_normal = next((s for s in all_subgroups(group) if s not in normal), None)
-        if non_normal is not None:  # the least non-normal subgroup, decided before the row
-            results.append(_row("Ablation(normal-mu)", f"{group.name}|mu=chain-non-normal",
-                                partial(_ablate_normality, group, non_normal), True))
-    results.sort(key=lambda r: (r.statement, r.instance))
-    return results
+    try:
+        results = []
+        for group in (_Group(token).group for token in campaign.groups):
+            if drop == "pointed":
+                results.append(_row("Ablation(pointed)", f"{group.name}|mu=flat",
+                                    partial(_ablate_pointed, group), True))
+                continue
+            normal = set(normal_subgroups(group))
+            non_normal = next((s for s in all_subgroups(group) if s not in normal), None)
+            if non_normal is not None:  # the least non-normal subgroup, decided before the row
+                results.append(_row("Ablation(normal-mu)", f"{group.name}|mu=chain-non-normal",
+                                    partial(_ablate_normality, group, non_normal), True))
+        results.sort(key=lambda r: (r.statement, r.instance))
+        return results
+    finally:
+        clear_derived()
 
 
 # -- reports ------------------------------------------------------------------

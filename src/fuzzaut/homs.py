@@ -46,12 +46,11 @@ same ``_sup``, so ``homs`` has one implementation of the sup.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress, product
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .errors import FuzzautError, Record
+from .errors import FuzzautError, Record, derived_cache
 from .groups import (
     ElementSubset,
     FiniteGroup,
@@ -223,7 +222,7 @@ class _RowTables:
             store.clear()
 
 
-_row_tables = lru_cache(maxsize=_CODOMAINS_KEPT)(_RowTables)  # the last codomains' tables
+_row_tables = derived_cache(_RowTables, _CODOMAINS_KEPT)  # the last codomains' tables
 
 
 def _translated_product(rg, ig, c, rx, ix, d, tables: _RowTables) -> tuple[int, ...]:

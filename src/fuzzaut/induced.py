@@ -16,7 +16,6 @@ and the law harness both call them.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Optional
 
@@ -28,7 +27,7 @@ from .automorphisms import (
     is_class_preserving,
     pair_composites,
 )
-from .errors import FuzzautError, Record
+from .errors import FuzzautError, Record, derived_cache
 from .groups import (
     ElementSubset,
     FiniteGroup,
@@ -154,7 +153,7 @@ def check_induced_bijective(group: FiniteGroup, family: Family, labels: Iterable
     return True, None
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def make_induced(g: int, mu: FuzzySubset) -> InducedInner:
     """Construct and certify one induced inner automorphism.
 
@@ -294,7 +293,7 @@ def check_identity_label(mu: FuzzySubset, family: Family, labels: Iterable[int])
     return True, None
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def identity_induced(mu: FuzzySubset) -> InducedInner:
     """The identity-labeled member, mu(x^-1 y); a two-sided identity.
 
@@ -356,9 +355,11 @@ class InnGroup(Record):
         return f"InnGroup({self.group.name}, classes={len(self.classes)})"
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def build_inn_group(group: FiniteGroup, mu: FuzzySubset) -> InnGroup:
     """Quotient the labeled family by skeleton equality and build its table."""
+    if mu.group != group:
+        raise MuMismatch(f"mu is over {mu.group.name}, not {group.name}")
     require_valid_mu(mu)
     family = induced_family_raw(group, mu)
     by_skeleton: dict[tuple[int, ...], list[int]] = {}
@@ -472,6 +473,8 @@ class ThetaCheck(Record):
 
 def theta(group: FiniteGroup, mu: FuzzySubset) -> ThetaCheck:
     """Build and verify the graded evaluation map a -> label a^-1."""
+    if mu.group != group:
+        raise MuMismatch(f"mu is over {mu.group.name}, not {group.name}")
     require_valid_mu(mu)
     labels = opposite_group(group)
     t = group.table

@@ -8,10 +8,10 @@ construction and always re-certify through the predicates.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import FuzzautError, Record
+from .errors import FuzzautError, Record, derived_cache
 from .grades import GRADE_ONE, grade, rank_grades
 from .groups import (
     ElementSubset,
@@ -288,7 +288,7 @@ def _halving(k: int) -> list[Fraction]:
     return [Fraction(1, 2**i) for i in range(k)]
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def chain_strategy(group: FiniteGroup) -> FuzzySubset:
     """Canonical mu from a maximal chain of normal subgroups, grades 1, 1/2, ...
 
@@ -308,7 +308,7 @@ def chain_strategy(group: FiniteGroup) -> FuzzySubset:
     return gen_mu_chain(group, chain, _halving(len(chain)))
 
 
-@lru_cache(maxsize=None)
+@derived_cache
 def class_strategy(group: FiniteGroup) -> FuzzySubset:
     """Canonical class-constant mu graded by depth in the derived series.
 

@@ -6,13 +6,14 @@ import random
 import re
 import subprocess
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fuzzaut import groups, harness, homs, induced, maps, subsets
-from fuzzaut.errors import FuzzautError
+from fuzzaut import groups, harness, homs, io, maps, subsets
+from fuzzaut.errors import DERIVED_CACHES, FuzzautError, clear_derived
 from fuzzaut.harness import (
     ABLATION_TOKENS,
     DEFAULT_GROUPS,
@@ -86,13 +87,25 @@ class TestRunCampaign:
         b = dumps(campaign_report(SMALL, run_campaign(SMALL)))
         assert a == b
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            run_campaign(Campaign(groups=("Z4",), suites=("Lemma 9.9",)))
+    @pytest.mark.parametrize("campaign, drop, error", [
+        (SMALL, None, None),
+        (Campaign(groups=("S3", "D4")), "normal-mu", None),
+        (Campaign(groups=("Z4",), suites=("Lemma 9.9",)), None, ConfigInvalid),
+        (Campaign(groups=("Z4", "Z99")), None, ConfigInvalid),
+    ], ids=["campaign", "ablation", "unknown statement", "unknown group"])
+    def test_no_derived_cache_outlives_a_campaign(self, campaign, drop, error):
+        """Every derived cache is empty when a campaign or an ablation returns
+        or raises, what the caller warmed before it included."""
+        subsets.chain_strategy(builtin_group("D4"))
+        with pytest.raises(error) if error else nullcontext():
+            run_campaign(campaign) if drop is None else ablation(campaign, drop)
+        assert {cached.cache_info().currsize for cached in DERIVED_CACHES} == {0}
 
-    def test_unknown_group_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            run_campaign(Campaign(groups=("Z99",)))
+    def test_every_library_cache_but_the_inputs_is_derived(self):
+        found = {value for name, module in list(sys.modules.items()) if name.startswith("fuzzaut.")
+                 for value in vars(module).values() if hasattr(value, "cache_clear")}
+        inputs = {groups.builtin_group, io._group_from_text, io._mu_from_text}
+        assert found - set(DERIVED_CACHES) == inputs
 
 
 class TestWorkCounts:
@@ -102,21 +115,14 @@ class TestWorkCounts:
         when each statement ran over every instance in turn, 791 when each
         product missing from the memo was computed rather than translated
         from a core)."""
-        calls = []
-        row_product = homs._row_product
-
-        def counted(*args):
-            calls.append(None)
-            return row_product(*args)
-
-        homs._row_tables.cache_clear()
-        monkeypatch.setattr(homs, "_row_product", counted)
+        calls = self.calls_to(monkeypatch, homs, "_row_product")
         run_campaign(default_campaign())
         assert 0 < len(calls) <= 63
 
     @staticmethod
     def calls_to(monkeypatch, module, name):
-        """Count the calls of ``module.name`` at every fuzzaut site that binds it."""
+        """Count the calls of ``module.name`` at every fuzzaut site that binds it,
+        from empty derived caches."""
         original, calls = getattr(module, name), []
 
         def counted(*args):
@@ -128,14 +134,7 @@ class TestWorkCounts:
                 for key, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, key, counted)
-        for cached in (
-            induced.build_inn_group,
-            subsets.chain_strategy,
-            subsets.class_strategy,
-            groups.center_quotient,
-            groups.opposite_group,
-        ):
-            cached.cache_clear()
+        clear_derived()
         return calls
 
     def test_default_campaign_builds_each_groups_quotient_lifts_once(self, monkeypatch):
@@ -177,7 +176,6 @@ class TestWorkCounts:
         monkeypatch.setattr(homs, "generating_sequence", counted)
         hom_checks = self.calls_to(monkeypatch, homs, "_failing_generator_pair")
         row_products = self.calls_to(monkeypatch, homs, "_row_product")
-        homs._row_tables.cache_clear()
         run_campaign(recorded_campaign(name))
         assert (len(passes_run), len(hom_checks)) == (passes, checks)
         assert len(row_products) in products
@@ -210,8 +208,7 @@ class TestWorkCounts:
         multiplied = self.calls_to(monkeypatch, groups, "first_non_multiplicative")
         rows = run_campaign(recorded_campaign(name))
         assert rows and all(r.verdict for r in rows)
-        assert 0 < len(scanned) <= scans
-        assert 0 < len(multiplied) <= pairs
+        assert (len(scanned), len(multiplied)) == (scans, pairs)
 
     def test_s4_hom_campaign_builds_its_quotients_once(self, monkeypatch):
         """S4's three non-trivial normal subgroups, once for chain and class mu

@@ -108,6 +108,13 @@ class TestComposeInduced:
         with pytest.raises(MuMismatch):
             compose_induced(make_induced(2, chain_strategy(Q8)), make_induced(2, class_strategy(Q8)))
 
+    @pytest.mark.parametrize("token, other", [("S3", "Z6"), ("Z6", "S3"), ("S3", "Z4")])
+    def test_mu_over_another_group(self, token, other):
+        group, mu = builtin_group(token), class_strategy(builtin_group(other))
+        for check in (build_inn_group, zeta, theta):
+            with pytest.raises(MuMismatch):
+                check(group, mu)
+
 
 class TestIdentityInduced:
     def test_diagonal_units(self):

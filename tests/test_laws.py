@@ -22,7 +22,7 @@ from itertools import product
 
 import pytest
 
-from fuzzaut import automorphisms, groups, homs, induced, maps, subsets
+from fuzzaut import automorphisms, groups, induced, maps, subsets
 from fuzzaut.automorphisms import (
     ClosureViolation,
     NotInner,
@@ -31,6 +31,7 @@ from fuzzaut.automorphisms import (
     inverse_aut,
     make_automorphism,
 )
+from fuzzaut.errors import clear_derived
 from fuzzaut.groups import NotAssociative, builtin_group, crisp_automorphisms, make_group
 from fuzzaut.harness import DEFAULT_GROUPS, Campaign, _Group, _Instance, ablation, run_campaign
 from fuzzaut.induced import (
@@ -47,44 +48,34 @@ from fuzzaut.subsets import MuNotNormal, MuNotPointed, class_strategy, require_v
 S3 = builtin_group("S3")
 
 
-def seed_defect(monkeypatch, module, name, fake):
-    """Replace ``module.name`` by ``fake`` wherever fuzzaut binds it.
-
-    Results certified before the defect was seeded would hide it, so the
-    cached constructions are dropped too, among them the strategy mus,
-    which keep their ``require_valid_mu`` verdict.
-    """
+def rebind(monkeypatch, module, name, fake):
+    """Replace ``module.name`` by ``fake`` wherever fuzzaut binds it."""
     original = getattr(module, name)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "fuzzaut" or mod_name.startswith("fuzzaut."):
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, fake)
-    drop_certified_results()
+
+
+def seed_defect(monkeypatch, module, name, fake):
+    """``rebind``, then drop the results that the test certified before the
+    defect, which would hide it, among them the strategy mus, which keep
+    their ``require_valid_mu`` verdict."""
+    rebind(monkeypatch, module, name, fake)
+    clear_derived()
 
 
 def rejects(*args):
     return False, "seeded defect"
 
 
-def drop_certified_results():
-    for cached in (
-        induced.make_induced,
-        induced.identity_induced,
-        induced.build_inn_group,
-        subsets.chain_strategy,
-        subsets.class_strategy,
-        homs._row_tables,
-    ):
-        cached.cache_clear()
-
-
 @pytest.fixture(autouse=True)
 def cold_caches():
     """Certified results cached before the test would hide a seeded defect."""
-    drop_certified_results()
+    clear_derived()
     yield
-    drop_certified_results()
+    clear_derived()
 
 
 def row_of(statement):
@@ -194,15 +185,17 @@ def test_class_preservation_serves_lemma_4_2_and_make_induced(monkeypatch):
     ],
 )
 def test_validity_predicates_serve_require_valid_mu(monkeypatch, name, fake, error):
-    require_valid_mu(class_strategy(S3))  # this mu now keeps a passing verdict
-    seed_defect(monkeypatch, subsets, name, fake)
+    """The strategy mu of a campaign keeps its passing verdict no longer than
+    the campaign, so the next one sees the defect with nothing cleared by hand."""
+    assert row_of("Lemma 4.3").verdict
+    rebind(monkeypatch, subsets, name, fake)
+    for statement in ("Lemma 4.1", "Lemma 4.3", "Theorem 4.3"):
+        row = row_of(statement)
+        assert not row.verdict and row.witness.startswith(error.__name__)
     with pytest.raises(error):
         require_valid_mu(class_strategy(S3))
     with pytest.raises(error):
         make_induced(1, class_strategy(S3))
-    for statement in ("Lemma 4.1", "Theorem 4.3"):
-        row = row_of(statement)
-        assert not row.verdict and row.witness.startswith(error.__name__)
 
 
 def test_associativity_kernel_serves_make_group_theorems_3_1_and_4_1(monkeypatch):
