@@ -9,13 +9,14 @@ compose through honest map composition.
 Each law of section 3 has one checker here returning ``(verdict, witness)``.
 The checkers take maps that are already built and never revalidate their
 inputs; the raising constructors below and the law harness both call them.
-Lemmas 3.1 and 3.2 and Theorem 3.1 read the pairwise composites of one
-sample list from the ``composite_table`` their caller passes in, which
-composes each ordered pair once and keeps each distinct composite once.
-Lemmas 3.7 and 4.4 (``induced.check_triple_products``) read the pairwise
-composites of the checked labels' maps from one ``pair_composites`` table,
-which the harness builds once per instance and both checkers build for
-themselves when none is passed in.
+Every law that reads pairwise composites reads them from one
+``composite_table``, which composes each ordered pair of a map list once,
+keeps each distinct composite once and names the input each one is exactly,
+if any.  Lemmas 3.1 and 3.2 and Theorem 3.1 read the table of the lifted
+automorphisms that their caller passes in.  Lemmas 3.7 and 4.4
+(``induced.check_triple_products``) read the table of the checked labels'
+maps, which the harness builds once per instance and both checkers build
+for themselves when none is passed in.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ Family = Union[Sequence[FuzzyMap], Mapping[int, FuzzyMap]]
 # what every law checker returns: the verdict, and what failed when it is False
 Verdict = tuple[bool, Optional[str]]
 Table = tuple[tuple[int, ...], ...]
-# composite_table: the distinct composites, and the k x k table of their indices
-Products = tuple[list[FuzzyMap], Table]
-# pair_composites: maps[i] . maps[j] at (i, j)
-Pairs = Sequence[Sequence[FuzzyMap]]
+# composite_table: the distinct composites, the k x k table of their indices,
+# and per composite the least index of an input it is exactly, or None
+Products = tuple[list[FuzzyMap], Table, list[Optional[int]]]
 
 
 class AutomorphismError(FuzzautError):
@@ -171,7 +171,7 @@ def _first_failing_triple(named: Mapping[str, FuzzyMap], products: Products) -> 
     """Lemma 3.2 over every triple in lexicographic order, two compositions each;
     the pair composites are read from ``products``, the maps' ``composite_table``."""
     tags, maps = list(named), list(named.values())
-    composites, cells = products
+    composites, cells, _ = products
     k = len(maps)
     for i in range(k):
         for j in range(k):
@@ -217,21 +217,22 @@ def is_inner(f: FuzzyMap) -> Optional[int]:
 
 
 def check_inner_products(
-    group: FiniteGroup, family: Family, labels: Iterable[int], pairs: Optional[Pairs] = None
+    group: FiniteGroup, family: Family, labels: Iterable[int], products: Optional[Products] = None
 ) -> Verdict:
     """Lemma 3.7: f_g1 . f_g2 is equivalent to f_(g2 g1) for all labels g1, g2.
 
-    Each composite is read from ``pairs``, the ``pair_composites`` of the
+    Each composite is read from ``products``, the ``composite_table`` of the
     labels' maps, which is built here when not given.
     """
     labels = tuple(labels)
-    if pairs is None:
-        pairs = pair_composites([family[g] for g in labels])
+    if products is None:
+        products = composite_table([family[g] for g in labels])
+    composites, cells, _ = products
     t = group.table
-    for g1, row in zip(labels, pairs):
-        for g2, composite in zip(labels, row):
+    for g1, row in zip(labels, cells):
+        for g2, c in zip(labels, row):
             label = t[g2][g1]
-            if composite.images != family[label].images:
+            if composites[c].images != family[label].images:
                 return False, f"labels ({g1}, {g2}): composite not equivalent to label {label}"
     return True, None
 
@@ -268,22 +269,27 @@ def conjugate_aut(f: FuzzyAutomorphism, f_g: FuzzyAutomorphism) -> FuzzyAutomorp
 def composite_table(maps: Sequence[FuzzyMap]) -> Products:
     """Every ordered pair of ``maps`` composed once, through ``compose_maps``: the
     distinct composites, keyed on ``(images, encoding)`` in row-major order of
-    first appearance, and the k x k table whose cell (i, j) indexes
-    maps[i] . maps[j].  A key numbers the composite's value list and rank
-    rows, so the ``Fraction``s of a list are hashed once per list object and
-    each sample's rows once: the rows of f . g are f's rows picked through
-    g's skeleton, whose numbers are f's numbers picked the same way.  A
-    composite that holds other rows has them numbered one by one, so the key
-    stays exact whatever ``compose_maps`` returns."""
+    first appearance; the k x k table whose cell (i, j) indexes
+    maps[i] . maps[j]; and for each distinct composite the least i such that
+    it is maps[i] exactly (the same key), or None.  A key numbers the map's
+    value list and rank rows, so the ``Fraction``s of a list are hashed once
+    per list object and each input's rows once: the rows of f . g are f's
+    rows picked through g's skeleton, whose numbers are f's numbers picked
+    the same way.  A composite that holds other rows has them numbered one
+    by one, so the key stays exact whatever ``compose_maps`` returns."""
     row_ids: dict[tuple, int] = {}
     sample_ids = [tuple(row_ids.setdefault(r, len(row_ids)) for r in f.encoding[1]) for f in maps]
     pickers = [picker(g.images) for g in maps]
     seen: dict[tuple, tuple[int, FuzzyMap]] = {}  # key -> (index, first composite)
+    inputs: dict[tuple, int] = {}  # key -> least index of an input
     value_ids: dict[tuple, int] = {}
     last = v = None
     cells = []
-    for f, f_ids in zip(maps, sample_ids):
-        f_rows = f.encoding[1]
+    for a, (f, f_ids) in enumerate(zip(maps, sample_ids)):
+        f_values, f_rows = f.encoding
+        if f_values is not last:
+            last, v = f_values, value_ids.setdefault(f_values, len(value_ids))
+        inputs.setdefault((v, f.images, f_ids), a)
         row = []
         for g, pick in zip(maps, pickers):
             h = compose_maps(f, g)
@@ -297,13 +303,7 @@ def composite_table(maps: Sequence[FuzzyMap]) -> Products:
             c, _ = seen.setdefault((v, h.images, ids), (len(seen), h))
             row.append(c)
         cells.append(tuple(row))
-    return [h for _, h in seen.values()], tuple(cells)
-
-
-def pair_composites(maps: Sequence[FuzzyMap]) -> list[list[FuzzyMap]]:
-    """Every ordered pair of ``maps`` composed once, through ``compose_maps``:
-    maps[i] . maps[j] at (i, j), kept as built, for Lemmas 3.7 and 4.4."""
-    return [[compose_maps(f, g) for g in maps] for f in maps]
+    return [h for _, h in seen.values()], tuple(cells), [inputs.get(key) for key in seen]
 
 
 def skeleton_class_table(maps: Sequence[FuzzyMap], products: Products) -> Table:
@@ -315,7 +315,7 @@ def skeleton_class_table(maps: Sequence[FuzzyMap], products: Products) -> Table:
     Raises ``AutomorphismError`` if a composite's skeleton is not among the
     classes, or if two pairs of the same classes give different skeletons.
     """
-    composites, cells = products
+    composites, cells, _ = products
     skeletons = sorted({f.images for f in maps})
     index = {sk: i for i, sk in enumerate(skeletons)}
     table: list[list[Optional[int]]] = [[None] * len(skeletons) for _ in skeletons]

@@ -24,6 +24,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .automorphisms import (
+    Products,
     Verdict,
     check_associativity,
     check_automorphism,
@@ -34,7 +35,6 @@ from .automorphisms import (
     check_inner_products,
     check_inverse_law,
     composite_table,
-    pair_composites,
 )
 from .errors import FuzzautError, Record, clear_derived
 from .groups import (
@@ -204,8 +204,9 @@ class _Instance:
     The section 3 samples are the crisp automorphisms lifted through mu.  The
     labeled family adds none: for a normal mu, f_g is the lift of x -> g^-1 x g.
     Section 4 and Lemmas 3.7 to 3.9 read the family itself (``induced_raw``);
-    Lemmas 3.7 and 4.4 read its representatives' pair composites, each
-    composed once (``inner_pairs``).
+    Lemmas 3.7 and 4.4 read the ``composite_table`` of its representatives
+    (``inner_products``), and Lemmas 3.1 and 3.2 and Theorem 3.1 that of the
+    samples (``aut_products``).
     """
 
     def __init__(self, shared: _Group, mu_token: str):
@@ -235,9 +236,9 @@ class _Instance:
         return sorted(seen.values())
 
     @cached_property
-    def inner_pairs(self) -> list[list[FuzzyMap]]:
-        """``pair_composites`` of the representatives' maps, for Lemmas 3.7 and 4.4."""
-        return pair_composites([self.induced_raw[g] for g in self.induced_reps])
+    def inner_products(self) -> Products:
+        """``composite_table`` of the representatives' maps, for Lemmas 3.7 and 4.4."""
+        return composite_table([self.induced_raw[g] for g in self.induced_reps])
 
     @cached_property
     def aut_samples(self) -> list[tuple[str, FuzzyMap]]:
@@ -252,7 +253,7 @@ class _Instance:
         return self.aut_samples + self.shared.quotient_lifts
 
     @cached_property
-    def aut_products(self) -> tuple[list[FuzzyMap], tuple[tuple[int, ...], ...]]:
+    def aut_products(self) -> Products:
         """``composite_table`` of ``aut_samples``, for Lemmas 3.1 and 3.2 and Theorem 3.1."""
         return composite_table([f for _, f in self.aut_samples])
 
@@ -291,7 +292,7 @@ def _suite_thm_2_2(ctx: _Instance):
 
 
 def _suite_lemma_3_1(ctx: _Instance):
-    composites, cells = ctx.aut_products
+    composites, cells, _ = ctx.aut_products
     verdicts = [check_automorphism(h) for h in composites]  # a function of the map alone
     tags = [tag for tag, _ in ctx.aut_samples]
     pairs = ((i, j, c) for i, row in enumerate(cells) for j, c in enumerate(row))
@@ -333,7 +334,7 @@ _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
         (tag, check_automorphism(inverse_map(f))) for tag, f in ctx.aut_samples
     ),
     "Lemma 3.7": lambda ctx: check_inner_products(
-        ctx.group, ctx.induced_raw, ctx.induced_reps, ctx.inner_pairs
+        ctx.group, ctx.induced_raw, ctx.induced_reps, ctx.inner_products
     ),
     "Lemma 3.8": lambda ctx: check_inner_inverses(ctx.group, ctx.induced_raw, ctx.induced_reps),
     "Lemma 3.9": lambda ctx: _first_failure(
@@ -352,7 +353,7 @@ _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
         ctx.group, ctx.induced_raw, product(ctx.group.elements, repeat=2)
     ),
     "Lemma 4.4": lambda ctx: check_triple_products(
-        ctx.group, ctx.induced_raw, ctx.induced_reps, ctx.inner_pairs
+        ctx.group, ctx.induced_raw, ctx.induced_reps, ctx.inner_products
     ),
     "Lemma 4.5": lambda ctx: check_identity_label(ctx.mu, ctx.induced_raw, ctx.group.elements),
     "Lemma 4.6": lambda ctx: check_inverse_labels(ctx.group, ctx.induced_raw, ctx.induced_reps),

@@ -21,11 +21,11 @@ from typing import Iterable, Optional
 
 from .automorphisms import (
     Family,
-    Pairs,
+    Products,
     Verdict,
     check_inner_inverses,
+    composite_table,
     is_class_preserving,
-    pair_composites,
 )
 from .errors import FuzzautError, Record, derived_cache
 from .groups import (
@@ -104,9 +104,10 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     are f_e's moved by the inverse of the column pick y -> g y g^-1: row x of
     f_g has its unit at g^-1 u_x g, where u_x is f_e's unit position for x
     (``mu.translate_images``).  Both the pick and its inverse are rows of
-    ``groups.conjugations``, cached per group.  If f_e's scan failed,
-    ``maps.ranked_map`` scans each label's rows, raising what
-    ``induced_map`` raises for the first failing label.  No grade is read;
+    ``groups.conjugations``, cached per group.  If f_e's scan failed, so
+    does every label's: permuting a row's columns keeps its number of
+    grade-1 cells.  Then ``maps.ranked_map`` scans label 0's rows, raising
+    what ``induced_map`` raises for the first label.  No grade is read;
     each map derives its grades when they are asked for.
 
     For a valid mu, f_g is the lift of conjugation x -> g^-1 x g through mu,
@@ -115,14 +116,15 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     """
     conj, inv = conjugations(group), group.inverses
     values, rank_rows, units = mu.encoding[0], mu.translate_rows, mu.translate_images
-    family = []
-    for g in group.elements:
-        rows = tuple(map(picker(conj[inv[g]]), rank_rows))  # y -> g y g^-1 is row g^-1
-        if units is None:
-            family.append(ranked_map(group, group, values, rows))
-        else:
-            family.append(FuzzyMap(group, group, None, picker(units)(conj[g]), (values, rows)))
-    return family
+
+    def rows(g: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(picker(conj[inv[g]]), rank_rows))  # y -> g y g^-1 is row g^-1
+
+    if units is None:
+        ranked_map(group, group, values, rows(0))
+        raise RuntimeError("f_e has no skeleton, yet f_0, a column permutation of it, has one")
+    return [FuzzyMap(group, group, None, picker(units)(conj[g]), (values, rows(g)))
+            for g in group.elements]
 
 
 def check_induced_homomorphism(
@@ -215,64 +217,37 @@ def compose_induced(a: InducedInner, b: InducedInner) -> InducedInner:
 
 
 def check_triple_products(
-    group: FiniteGroup, family: Family, labels: Iterable[int], pairs: Optional[Pairs] = None
+    group: FiniteGroup, family: Family, labels: Iterable[int], products: Optional[Products] = None
 ) -> Verdict:
     """Lemma 4.4: both bracketings of f_g1 . f_g2 . f_g3 are equivalent to f_(g3 g2 g1).
 
-    ``pairs`` is the ``pair_composites`` of the labels' maps, built here when
-    not given.  Each pair composite is first identified with the first of
-    those maps that has its skeleton, and only if it is that map exactly:
-    the same domain, codomain, skeleton and encoding (``_members``).
+    ``products`` is the ``composite_table`` of the labels' maps, built here
+    when not given; it names, for each pair composite, the first of those
+    maps it is exactly (the same skeleton and encoding), if any.
     ``compose_maps`` is a function of its operands' contents, so a composite
-    identified with f_c composes with every map as f_c does.  With f_g1 . f_g2
-    identified with f_c and f_g2 . f_g3 with f_c', the bracketings
-    (f_g1 . f_g2) . f_g3 and f_g1 . (f_g2 . f_g3) are the table's f_c . f_g3
-    and f_g1 . f_c', two lookups per triple, and the check makes r^2
+    that is exactly f_a composes with every map as f_a does.  With
+    f_g1 . f_g2 exactly f_a and f_g2 . f_g3 exactly f_b, the bracketings
+    (f_g1 . f_g2) . f_g3 and f_g1 . (f_g2 . f_g3) are the table's f_a . f_g3
+    and f_g1 . f_b, two lookups per triple, and the check makes r^2
     compositions for r labels instead of r^2 + 3r^3.  This rests on that
-    purity alone, not on ``compose_maps`` being right.  If some pair
-    composite is none of the maps exactly (a mu that is not normal, or a
-    defect), each triple composes both bracketings, their inner pairs read
-    from the table.  Either way the triples are visited in lexicographic
-    order, so the witness is the first failing triple.
+    purity alone, not on ``compose_maps`` being right.  A pair composite
+    that is none of the maps (a mu that is not normal, or a defect) is
+    composed with the third map of each triple.  The triples are visited in
+    lexicographic order, so the witness is the first failing triple.
     """
     labels = tuple(labels)
     maps = [family[g] for g in labels]
-    if pairs is None:
-        pairs = pair_composites(maps)
-    members = _members(maps, pairs)
+    composites, cells, index = composite_table(maps) if products is None else products
     t = group.table
     for (i, g1), (j, g2), (l, g3) in product(enumerate(labels), repeat=3):
-        if members is None:
-            left = compose_maps(pairs[i][j], maps[l]).images
-            right = compose_maps(maps[i], pairs[j][l]).images
-        else:
-            left, right = pairs[members[i][j]][l].images, pairs[i][members[j][l]].images
+        ij, jl = cells[i][j], cells[j][l]
+        a, b = index[ij], index[jl]
+        left = compose_maps(composites[ij], maps[l]) if a is None else composites[cells[a][l]]
+        right = compose_maps(maps[i], composites[jl]) if b is None else composites[cells[i][b]]
         label = t[t[g3][g2]][g1]
-        if not (left == right == family[label].images):
+        if not (left.images == right.images == family[label].images):
             return False, f"triple ({g1}, {g2}, {g3}) misses label {label}"
     return True, None
-
-
-def _members(maps: list[FuzzyMap], pairs: Pairs) -> Optional[list[list[int]]]:
-    """At (i, j), the index c of the map that ``pairs[i][j]`` is exactly: the first
-    of ``maps`` with its skeleton, holding the same encoding, domain and codomain.
-    None if some pair composite is no such map."""
-    first: dict[tuple[int, ...], int] = {}
-    for c, f in enumerate(maps):
-        first.setdefault(f.images, c)
-    table = []
-    for row in pairs:
-        cells = []
-        for h in row:
-            c = first.get(h.images)
-            if c is None:
-                return None
-            f = maps[c]
-            if not (h.encoding == f.encoding and h.domain == f.domain and h.codomain == f.codomain):
-                return None
-            cells.append(c)
-        table.append(cells)
-    return table
 
 
 def check_identity_label(mu: FuzzySubset, family: Family, labels: Iterable[int]) -> Verdict:

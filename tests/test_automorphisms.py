@@ -494,13 +494,17 @@ class TestCompositeTable:
     def test_every_cell_is_the_composite(self, token, mu):
         ctx = instance(token, mu)
         maps = [f for _, f in ctx.aut_samples]
-        composites, cells = ctx.aut_products
+        composites, cells, index = ctx.aut_products
         for f, row in zip(maps, cells):
             for g, c in zip(maps, row):
                 h = compose_maps(f, g)
                 assert (composites[c].images, composites[c].encoding) == (h.images, h.encoding)
         keys = {(h.images, h.encoding) for h in composites}
         assert len(keys) == len(composites) == len({c for row in cells for c in row})
+        inputs = [(f.images, f.encoding) for f in maps]
+        for h, a in zip(composites, index):
+            key = (h.images, h.encoding)
+            assert a == (inputs.index(key) if key in inputs else None)
 
     def test_lemma_3_1_matches_the_literal_scan(self, token, mu):
         ctx = instance(token, mu)
@@ -540,12 +544,19 @@ class TestCompositeTableDefects:
         rows[0][1], rows[0][2] = rows[0][2], rows[0][1]  # two grades below 1 trade places
         g = make_fuzzy_map(Z4, Z4, rows)
         assert (g.images, g.encoding[0]) == (f.images, f.encoding[0]) and g.encoding != f.encoding
-        composites, cells = composite_table([f, g])
+        composites, cells, index = composite_table([f, g])
         assert len(composites) == 2
         for a, row in zip([f, g], cells):
             for b, c in zip([f, g], row):
                 h = compose_maps(a, b)
                 assert (composites[c].images, composites[c].encoding) == (h.images, h.encoding)
+        for h, a in zip(composites, index):  # g is named as g only, never as f
+            assert a == {f.encoding: 0, g.encoding: 1}.get(h.encoding)
+        assert 1 in index
+        values, rank_rows = f.encoding
+        halved = tuple(v if v == 1 else v / 2 for v in values)
+        e = FuzzyMap(Z4, Z4, None, f.images, (halved, rank_rows))  # f's ranks, other grades
+        assert composite_table([f, e])[2] == [0, 1]
 
     def test_composites_that_are_not_picked_rows_stay_apart(self, monkeypatch):
         """A composition that leaves f's rows in place: pairs with one honest
@@ -557,7 +568,7 @@ class TestCompositeTableDefects:
             return FuzzyMap(g.domain, f.codomain, None, h.images, f.encoding)
 
         monkeypatch.setattr(automorphisms, "compose_maps", rows_in_place)
-        composites, cells = composite_table(maps)
+        composites, cells, _ = composite_table(maps)
         for f, row in zip(maps, cells):
             for g, c in zip(maps, row):
                 h = rows_in_place(f, g)

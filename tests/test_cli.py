@@ -167,6 +167,14 @@ RECORDED_S4_ABLATIONS = {
     "normal-mu": "1c2e2aa1cf1f9e88",
 }
 
+# exit code and sha256 prefix of `verify --ablate TOKEN --format json` over the
+# default groups: on Z1 the flat mu is pointed, so that pointed probe fails;
+# the normal-mu ablation builds the induced family over a non-normal mu
+RECORDED_DEFAULT_ABLATIONS = {
+    "pointed": (EXIT_SUITE_FAILED, "1d27e39929c83d65"),
+    "normal-mu": (EXIT_OK, "7c2dfcdf49ad6e03"),
+}
+
 
 class TestRecordedReports:
     """The full reports on the three largest targets stay byte for byte the same."""
@@ -192,6 +200,12 @@ class TestRecordedReports:
         )
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == RECORDED_S4_ABLATIONS[token]
+
+    @pytest.mark.parametrize("token", sorted(RECORDED_DEFAULT_ABLATIONS))
+    def test_default_matrix_ablation_report_digest(self, capsys, token):
+        code, out, _ = run_cli(capsys, "verify", "--ablate", token, "--format", "json")
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert (code, digest) == RECORDED_DEFAULT_ABLATIONS[token]
 
 
 def alternating_group_a5():

@@ -33,7 +33,15 @@ from fuzzaut.automorphisms import (
 )
 from fuzzaut.errors import clear_derived
 from fuzzaut.groups import NotAssociative, builtin_group, crisp_automorphisms, make_group
-from fuzzaut.harness import DEFAULT_GROUPS, Campaign, _Group, _Instance, ablation, run_campaign
+from fuzzaut.harness import (
+    _SUITES,
+    DEFAULT_GROUPS,
+    Campaign,
+    _Group,
+    _Instance,
+    ablation,
+    run_campaign,
+)
 from fuzzaut.induced import (
     LawViolation,
     compose_induced,
@@ -42,7 +50,7 @@ from fuzzaut.induced import (
     inverse_induced,
     make_induced,
 )
-from fuzzaut.maps import FuzzyMap
+from fuzzaut.maps import FuzzyMap, crisp_map
 from fuzzaut.subsets import MuNotNormal, MuNotPointed, class_strategy, require_valid_mu
 
 S3 = builtin_group("S3")
@@ -430,6 +438,24 @@ def test_a_pair_composed_to_another_representative_fails_as_the_scans(monkeypatc
     assert rows["Lemma 4.4"] == composed_triples_scan(group, family, reps)
 
 
+def test_lemma_3_1_checks_every_pair_that_compose_maps_returns(monkeypatch):
+    """The pair (lift:aut3, lift:aut1) composes honestly to the composite of
+    the first-row pair (lift:aut0, lift:aut2).  A defect of the operands'
+    contents sends it to the constant crisp map, and Lemma 3.1 must see that
+    pair: a table that composed once per key predicted from the operands
+    would never build it."""
+    ctx = _Instance(_Group("Q8"), "class")
+    tags, samples = zip(*ctx.aut_samples)
+    assert tags[:4] == ("lift:aut0", "lift:aut1", "lift:aut2", "lift:aut3")
+    first, faulty = maps.compose_maps(samples[0], samples[2]), maps.compose_maps(samples[3], samples[1])
+    assert (faulty.images, faulty.encoding) == (first.images, first.encoding)
+    constant = crisp_map(ctx.group, ctx.group, (ctx.group.identity,) * ctx.group.order)
+    seed_defect(monkeypatch, maps, "compose_maps", one_pair_gives(samples[3], samples[1], constant))
+    assert _SUITES["Lemma 3.1"](_Instance(_Group("Q8"), "class")) == (
+        False, "(lift:aut3) . (lift:aut1): fuzzy images (0, 0, 0, 0, 0, 0, 0, 0) repeat a value"
+    )
+
+
 def least_non_normal_chain(group):
     """The chain mu over the least non-normal subgroup, as the normality ablation builds it."""
     normal = set(groups.normal_subgroups(group))
@@ -453,7 +479,7 @@ def test_product_checkers_over_a_non_normal_mu_agree_with_a_literal_scan(
     monkeypatch, checker, scan, token, wrong
 ):
     """A non-normal mu leaves some pair composite off every family member, so
-    Lemma 4.4 composes each triple visited."""
+    Lemma 4.4 composes the triples whose inner pair is such a composite."""
     group = builtin_group(token)
     family = induced_family_raw(group, least_non_normal_chain(group))
     reps = representatives(family)
@@ -486,6 +512,12 @@ def test_product_checkers_over_every_label_and_a_dict_family(checker, scan, mu):
     assert checker(group, dict(enumerate(family)), group.elements) == expected
     reps = ctx.induced_reps
     assert checker(group, dict(enumerate(family)), reps) == scan(group, family, reps)
+    keys = [(f.images, f.encoding) for f in family]
+    assert len(set(keys)) < len(keys)
+    composites, _, index = automorphisms.composite_table(family)
+    for h, a in zip(composites, index):  # the first label with the composite's map
+        key = (h.images, h.encoding)
+        assert a == (keys.index(key) if key in keys else None)
 
 
 def skeleton_in_wrong_order(f, g):
