@@ -33,7 +33,7 @@ show(mu, "canonical chain mu")
 print("  fuzzy subgroup:", is_fuzzy_subgroup(mu)[0])
 print("  pointed:", is_pointed(mu))
 for t in ("1", "1/2", "1/4"):
-    print(f"  level set at {t}: {level_set(mu, t).indices}")
+    print(f"  level set at {t}: {tuple(sorted(level_set(mu, t)))}")
 
 print()
 print("== a grade vector that fails, with its witness ==")

@@ -42,7 +42,7 @@ print(f"  inverse of map(i) = map({names[inv.label]})")
 print()
 print("== the family collapses to |G| / |Z(G)| classes ==")
 inn = build_inn_group(q8, mu)
-print(f"  center: {[names[z] for z in center(q8).indices]}")
+print(f"  center: {[names[z] for z in sorted(center(q8))]}")
 for idx, cls in enumerate(inn.classes):
     print(f"  class {idx}: labels {[names[g] for g in cls]}")
 print("  class table (a Klein four-group):")

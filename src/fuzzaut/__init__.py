@@ -9,7 +9,6 @@ membership function, and mechanically verifies the laws these objects obey
 from .errors import FuzzautError
 from .grades import Grade, GRADE_ONE, GRADE_ZERO, format_grade, grade, parse_grade
 from .groups import (
-    ElementSubset,
     FiniteGroup,
     builtin_group,
     center,

@@ -21,16 +21,16 @@ class GradeError(FuzzautError):
     """A value is outside [0, 1] or cannot be parsed as a rational."""
 
 
-def grade(value, denominator=None) -> Fraction:
+def grade(value) -> Fraction:
     """Coerce ``value`` (int, string "p/q", or Fraction) to a valid grade.
 
     A ``Fraction`` in range is returned as it is, not copied.
     """
-    if denominator is None and type(value) is Fraction:
+    if type(value) is Fraction:
         g = value
     else:
         try:
-            g = Fraction(value) if denominator is None else Fraction(value, denominator)
+            g = Fraction(value)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise GradeError(f"cannot interpret {value!r} as a rational grade") from exc
     if not GRADE_ZERO <= g <= GRADE_ONE:

@@ -88,38 +88,6 @@ class FiniteGroup(Record):
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-class ElementSubset(Record):
-    """Subset of a group's elements, stored as a bitmask."""
-
-    group: FiniteGroup
-    mask: int
-
-    @classmethod
-    def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "ElementSubset":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < group.order:
-                raise GroupError(f"element index {i} outside 0..{group.order - 1}")
-            mask |= 1 << i
-        return cls(group, mask)
-
-    def __contains__(self, x: int) -> bool:
-        return (self.mask >> x) & 1 == 1
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in self.group.elements if (self.mask >> i) & 1)
-
-    def __repr__(self) -> str:
-        return f"ElementSubset({self.group.name}, {{{', '.join(map(str, self.indices))}}})"
-
-
 # -- associativity ------------------------------------------------------------
 
 
@@ -374,11 +342,10 @@ def builtin_group(token: str) -> FiniteGroup:
 
 
 @derived_cache
-def center(group: FiniteGroup) -> ElementSubset:
+def center(group: FiniteGroup) -> frozenset[int]:
     """Elements commuting with everything."""
     t = group.table
-    members = [z for z in group.elements if all(t[z][x] == t[x][z] for x in group.elements)]
-    return ElementSubset.from_indices(group, members)
+    return frozenset(z for z in group.elements if all(t[z][x] == t[x][z] for x in group.elements))
 
 
 @derived_cache
@@ -416,28 +383,33 @@ def class_index(group: FiniteGroup) -> tuple[int, ...]:
 
 
 def is_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
+    """True iff the indices form a subgroup; an index outside 0..n-1 raises
+    ``GroupError``, naming the least one."""
     s = frozenset(members)
+    outside = [i for i in s if not 0 <= i < group.order]
+    if outside:
+        raise GroupError(f"element index {min(outside)} outside 0..{group.order - 1}")
     if not s or group.identity not in s:
         return False
     t = group.table
     return all(t[a][b] in s for a in s for b in s)
 
 
-def is_normal_subgroup(group: FiniteGroup, subset: ElementSubset) -> bool:
-    """True iff the subset is a subgroup closed under conjugation."""
-    members = frozenset(subset.indices)
-    if not is_subgroup(group, members):
+def is_normal_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
+    """True iff the indices form a subgroup closed under conjugation."""
+    s = frozenset(members)
+    if not is_subgroup(group, s):
         return False
-    return all(row[a] in members for row in conjugations(group) for a in members)
+    return all(row[a] in s for row in conjugations(group) for a in s)
 
 
 def quotient_group(
-    group: FiniteGroup, normal: ElementSubset
+    group: FiniteGroup, normal: Iterable[int]
 ) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Cayley table on cosets plus the element -> coset index surjection."""
-    if not is_normal_subgroup(group, normal):
-        raise NotNormal(f"{normal!r} is not a normal subgroup of {group.name}")
-    members = normal.indices
+    members = tuple(sorted(frozenset(normal)))
+    if not is_normal_subgroup(group, members):
+        raise NotNormal(f"{members} is not a normal subgroup of {group.name}")
     t = group.table
     coset_key = {}
     cosets = []

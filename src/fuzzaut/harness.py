@@ -38,7 +38,6 @@ from .automorphisms import (
 )
 from .errors import FuzzautError, Record, clear_derived
 from .groups import (
-    ElementSubset,
     FiniteGroup,
     all_subgroups,
     builtin_group,
@@ -188,8 +187,7 @@ class _Group:
         for n_set in normal_subgroups(self.group):
             if len(n_set) == 1:
                 continue
-            subset = ElementSubset.from_indices(self.group, sorted(n_set))
-            quotient, coset_map = quotient_group(self.group, subset)
+            quotient, coset_map = quotient_group(self.group, n_set)
             mu_q = class_strategy(quotient)
             out.append((f"lift:quot|N|={len(n_set)}", lift_hom(coset_map, mu_q, self.group)))
         return out
@@ -285,7 +283,7 @@ def _suite_thm_2_2(ctx: _Instance):
         report = check_theorem_2_2(fmap)
         if not report.verdict:
             return False, (
-                f"{tag}: kernel={report.kernel.indices} normal={report.kernel_is_normal} "
+                f"{tag}: kernel={tuple(sorted(report.kernel))} normal={report.kernel_is_normal} "
                 f"one_one={report.one_one} trivial={report.kernel_trivial}"
             )
     return True, None

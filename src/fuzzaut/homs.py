@@ -52,7 +52,6 @@ from typing import Optional, Sequence
 
 from .errors import FuzzautError, Record, derived_cache
 from .groups import (
-    ElementSubset,
     FiniteGroup,
     first_non_multiplicative,
     generating_sequence,
@@ -278,15 +277,13 @@ def _first_violation(rows, dt, columns, pairs):
     return None
 
 
-def kernel(f: FuzzyMap) -> ElementSubset:
+def kernel(f: FuzzyMap) -> frozenset[int]:
     """Elements whose fuzzy image is the codomain identity."""
     report = is_fuzzy_homomorphism(f)
     if not report:
         raise NotHomomorphism(str(report.witness))
     e2 = f.codomain.identity
-    return ElementSubset.from_indices(
-        f.domain, (x for x in f.domain.elements if f.images[x] == e2)
-    )
+    return frozenset(x for x in f.domain.elements if f.images[x] == e2)
 
 
 def check_theorem_2_1(f: FuzzyMap) -> tuple[bool, bool, bool, bool]:
@@ -323,7 +320,7 @@ def check_theorem_2_1(f: FuzzyMap) -> tuple[bool, bool, bool, bool]:
 
 
 class Theorem22Report(Record):
-    kernel: ElementSubset
+    kernel: frozenset[int]
     kernel_is_normal: bool
     one_one: bool
     kernel_trivial: bool
@@ -336,7 +333,7 @@ class Theorem22Report(Record):
 def check_theorem_2_2(f: FuzzyMap) -> Theorem22Report:
     """Kernel normality plus the injectivity criterion."""
     k = kernel(f)
-    trivial = k.indices == (f.domain.identity,)
+    trivial = k == {f.domain.identity}
     return Theorem22Report(k, is_normal_subgroup(f.domain, k), is_one_one(f), trivial)
 
 

@@ -29,7 +29,6 @@ from .automorphisms import (
 )
 from .errors import FuzzautError, Record, derived_cache
 from .groups import (
-    ElementSubset,
     FiniteGroup,
     center,
     center_quotient,
@@ -48,7 +47,6 @@ from .maps import (
     is_one_one,
     is_onto,
     pointwise_equal,
-    ranked_map,
 )
 from .subsets import FuzzySubset, require_valid_mu
 
@@ -104,11 +102,11 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     are f_e's moved by the inverse of the column pick y -> g y g^-1: row x of
     f_g has its unit at g^-1 u_x g, where u_x is f_e's unit position for x
     (``mu.translate_images``).  Both the pick and its inverse are rows of
-    ``groups.conjugations``, cached per group.  If f_e's scan failed, so
-    does every label's: permuting a row's columns keeps its number of
-    grade-1 cells.  Then ``maps.ranked_map`` scans label 0's rows, raising
-    what ``induced_map`` raises for the first label.  No grade is read;
-    each map derives its grades when they are asked for.
+    ``groups.conjugations``, cached per group.  If f_e's scan fails, so
+    would every label's: permuting a row's columns keeps its number of
+    grade-1 cells.  Then the family raises what ``induced_map(mu, e)``
+    raises, which is label 0's error on every builtin group.  No grade is
+    read; each map derives its grades when they are asked for.
 
     For a valid mu, f_g is the lift of conjugation x -> g^-1 x g through mu,
     so it is a fuzzy homomorphism by the argument of ``homs.lift_hom``;
@@ -120,9 +118,6 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     def rows(g: int) -> tuple[tuple[int, ...], ...]:
         return tuple(map(picker(conj[inv[g]]), rank_rows))  # y -> g y g^-1 is row g^-1
 
-    if units is None:
-        ranked_map(group, group, values, rows(0))
-        raise RuntimeError("f_e has no skeleton, yet f_0, a column permutation of it, has one")
     return [FuzzyMap(group, group, None, picker(units)(conj[g]), (values, rows(g)))
             for g in group.elements]
 
@@ -363,7 +358,7 @@ class ZetaCheck(Record):
     images: tuple[int, ...]
     multiplicative: bool
     surjective: bool
-    kernel: ElementSubset
+    kernel: frozenset[int]
     kernel_is_center: bool
     quotient: FiniteGroup
     coset_map: tuple[int, ...]
@@ -380,7 +375,7 @@ class ZetaCheck(Record):
         failed = [text for holds, text in (
             (self.multiplicative, "not multiplicative"),
             (self.surjective, "not surjective"),
-            (self.kernel_is_center, f"kernel {self.kernel.indices} is not the center"),
+            (self.kernel_is_center, f"kernel {tuple(sorted(self.kernel))} is not the center"),
             (self.isomorphism, "induced map on center cosets is not an isomorphism"),
         ) if not holds]
         return "; ".join(failed) or None
@@ -397,11 +392,8 @@ def zeta(group: FiniteGroup, mu: FuzzySubset) -> ZetaCheck:
     images = tuple(inn.class_of[group.inverses[g]] for g in group.elements)
     multiplicative = first_non_multiplicative(group, inn.table, images) is None
     surjective = set(images) == set(range(inn.table.order))
-    kernel = ElementSubset.from_indices(
-        group,
-        (g for g in group.elements if images[g] == images[group.identity]),
-    )
-    kernel_is_center = kernel.mask == center(group).mask
+    kernel = frozenset(g for g in group.elements if images[g] == images[group.identity])
+    kernel_is_center = kernel == center(group)
     quotient, coset_map = center_quotient(group)
     # coset c -> image; well defined exactly when every coset has one image
     induced = sorted({(coset_map[x], images[x]) for x in group.elements})
@@ -424,7 +416,7 @@ class ThetaCheck(Record):
     label_group: FiniteGroup
     hom_report: HomCheckReport
     images_are_inverses: bool
-    kernel: ElementSubset
+    kernel: frozenset[int]
     kernel_trivial: bool
     one_one: bool
     onto: bool
@@ -439,7 +431,7 @@ class ThetaCheck(Record):
         failed = [text for holds, text in (
             (self.hom_report.verdict, f"sup condition fails: {self.hom_report.witness}"),
             (self.images_are_inverses, "fuzzy image of a is not the label of a^-1"),
-            (self.kernel_trivial, f"kernel {self.kernel.indices} is not trivial"),
+            (self.kernel_trivial, f"kernel {tuple(sorted(self.kernel))} is not trivial"),
             (self.one_one, "not one-one"),
             (self.onto, "not onto"),
         ) if not holds]
@@ -458,16 +450,14 @@ def theta(group: FiniteGroup, mu: FuzzySubset) -> ThetaCheck:
     fmap = indexed_map(group, labels, mu.encoding, rows)
     images_ok = all(fmap.images[a] == inv[a] for a in group.elements)
     report = is_fuzzy_homomorphism(fmap)
-    kernel = ElementSubset.from_indices(
-        group, (a for a in group.elements if fmap.images[a] == labels.identity)
-    )
+    kernel = frozenset(a for a in group.elements if fmap.images[a] == labels.identity)
     return ThetaCheck(
         fmap=fmap,
         label_group=labels,
         hom_report=report,
         images_are_inverses=images_ok,
         kernel=kernel,
-        kernel_trivial=kernel.indices == (group.identity,),
+        kernel_trivial=kernel == {group.identity},
         one_one=is_one_one(fmap),
         onto=is_onto(fmap),
     )

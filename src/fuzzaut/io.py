@@ -1,4 +1,4 @@
-"""JSON file formats for groups, membership functions and fuzzy maps.
+"""JSON file formats for groups and membership functions.
 
 Grades travel as canonical rational strings ("1", "0", "p/q"), indexed by the
 owning group's element order, so files round-trip bit-exactly through the
@@ -15,7 +15,6 @@ from typing import Optional
 from .errors import FuzzautError
 from .grades import format_grade, parse_grade
 from .groups import MAX_ORDER, FiniteGroup, builtin_group, make_group
-from .maps import FuzzyMap, make_fuzzy_map
 from .subsets import FuzzySubset, fuzzy_subset
 
 
@@ -78,45 +77,16 @@ def mu_to_json(mu: FuzzySubset) -> dict:
     }
 
 
-def _file_group(token: str, group: Optional[FiniteGroup]) -> FiniteGroup:
-    """The group a file names by ``token``: ``group`` when given, which must
-    carry that name, else the builtin group of that token."""
-    if group is None:
-        return builtin_group(token)
-    if token != group.name:
-        raise FileFormatError(f"grades are for {token!r}, not {group.name!r}")
-    return group
-
-
 def mu_from_json(obj: dict, group: Optional[FiniteGroup] = None) -> FuzzySubset:
-    """Load a grade vector; the group comes from the caller or a builtin token."""
+    """Load a grade vector; the group comes from the caller, which must carry
+    the name the file gives, or from the builtin group of that token."""
     token = _require(obj, "group", str)
     grades = _require(obj, "grades", list)
-    group = _file_group(token, group)
+    if group is None:
+        group = builtin_group(token)
+    elif token != group.name:
+        raise FileFormatError(f"grades are for {token!r}, not {group.name!r}")
     return fuzzy_subset(group, [parse_grade(s) for s in grades])
-
-
-def map_to_json(f: FuzzyMap) -> dict:
-    return {
-        "domain": f.domain.name,
-        "codomain": f.codomain.name,
-        "grades": [[format_grade(v) for v in row] for row in f.grades],
-    }
-
-
-def map_from_json(
-    obj: dict,
-    domain: Optional[FiniteGroup] = None,
-    codomain: Optional[FiniteGroup] = None,
-) -> FuzzyMap:
-    """Load a grade matrix; each group comes from the caller or a builtin token."""
-    tokens = _require(obj, "domain", str), _require(obj, "codomain", str)
-    rows = _require(obj, "grades", list)
-    for r, row in enumerate(rows):
-        if not _is(row, list):
-            raise FileFormatError(f"grades row {r} is {json.dumps(row)}, not a list")
-    domain, codomain = _file_group(tokens[0], domain), _file_group(tokens[1], codomain)
-    return make_fuzzy_map(domain, codomain, [[parse_grade(v) for v in row] for row in rows])
 
 
 def _read_text(path) -> str:

@@ -14,14 +14,13 @@ from typing import Iterable, Optional, Sequence
 from .errors import FuzzautError, Record, derived_cache
 from .grades import GRADE_ONE, grade, rank_grades
 from .groups import (
-    ElementSubset,
     FiniteGroup,
     conjugacy_classes,
     derived_series,
     is_subgroup,
     normal_subgroups,
 )
-from .maps import MapError, ranked_map
+from .maps import ranked_map
 
 
 class SubsetError(FuzzautError):
@@ -84,14 +83,12 @@ class FuzzySubset(Record):
         return tuple(tuple(map(ranks.__getitem__, t[inv[a]])) for a in self.group.elements)
 
     @cached_property
-    def translate_images(self) -> Optional[tuple[int, ...]]:
+    def translate_images(self) -> tuple[int, ...]:
         """f_e's skeleton: the unit position of each row of ``translate_rows``,
-        found by one ``maps.ranked_map`` scan, or None if some row has no
-        grade-1 entry or several.  It is computed, not assumed from pointedness."""
-        try:
-            return ranked_map(self.group, self.group, self.encoding[0], self.translate_rows).images
-        except MapError:
-            return None
+        found by one ``maps.ranked_map`` scan, which raises what that scan
+        raises if some row has no grade-1 entry or several.  It is computed,
+        not assumed from pointedness."""
+        return ranked_map(self.group, self.group, self.encoding[0], self.translate_rows).images
 
     @cached_property
     def _fault(self) -> Optional[tuple[type, str]]:
@@ -187,12 +184,10 @@ def is_pointed(mu: FuzzySubset) -> bool:
     return values[-1] == GRADE_ONE and ranks[mu.group.identity] == top and ranks.count(top) == 1
 
 
-def level_set(mu: FuzzySubset, threshold) -> ElementSubset:
+def level_set(mu: FuzzySubset, threshold) -> frozenset[int]:
     """Elements with grade at least the threshold."""
     t = grade(threshold)
-    return ElementSubset.from_indices(
-        mu.group, (x for x in mu.group.elements if mu.grades[x] >= t)
-    )
+    return frozenset(x for x in mu.group.elements if mu.grades[x] >= t)
 
 
 def require_valid_mu(mu: FuzzySubset) -> None:
@@ -211,12 +206,6 @@ def require_valid_mu(mu: FuzzySubset) -> None:
 # -- generators --------------------------------------------------------------
 
 
-def _as_member_set(group: FiniteGroup, part) -> frozenset[int]:
-    if isinstance(part, ElementSubset):
-        return frozenset(part.indices)
-    return frozenset(int(x) for x in part)
-
-
 def gen_mu_chain(group: FiniteGroup, chain: Sequence, grades: Sequence) -> FuzzySubset:
     """Membership function from a nested subgroup chain with decreasing grades.
 
@@ -224,7 +213,7 @@ def gen_mu_chain(group: FiniteGroup, chain: Sequence, grades: Sequence) -> Fuzzy
     group; mu(x) takes the grade of the first chain term containing x.  The
     output is certified through the predicates, not assumed.
     """
-    sets = [_as_member_set(group, part) for part in chain]
+    sets = [frozenset(map(int, part)) for part in chain]
     vals = [grade(g) for g in grades]
     if len(sets) != len(vals):
         raise SubsetError(f"{len(sets)} chain terms but {len(vals)} grades")

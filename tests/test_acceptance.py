@@ -95,7 +95,7 @@ def test_criterion_4_quotient_isomorphism():
             check = zeta(group, mu)
             assert len(inn.classes) * len(center(group)) == group.order, token
             assert check.multiplicative and check.surjective, token
-            assert check.kernel.mask == center(group).mask, token
+            assert check.kernel == center(group), token
             assert check.isomorphism, token
             if token == "S3":
                 assert len(inn.classes) == 6
@@ -121,7 +121,7 @@ def test_criterion_5_graded_evaluation_map():
             check = theta(group, mu)
             assert check.images_are_inverses, token
             assert check.hom_report.verdict, token
-            assert check.kernel.indices == (group.identity,), token
+            assert tuple(sorted(check.kernel)) == (group.identity,), token
             assert check.one_one and check.onto, token
             checked += 1
     report_criterion(

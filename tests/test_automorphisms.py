@@ -218,7 +218,7 @@ class TestInner:
         q8 = builtin_group("Q8")
         mu = class_strategy(q8)
         family = induced_family_raw(q8, mu)
-        z = set(center(q8).indices)
+        z = set(center(q8))
         for g in q8.elements:
             w = is_inner(family[g])
             assert q8.table[w][q8.inverses[g]] in z or q8.table[q8.inverses[g]][w] in z

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzaut.groups import (
-    ElementSubset,
     FiniteGroup,
     GroupError,
     GroupTooLarge,
@@ -31,6 +30,7 @@ from fuzzaut.groups import (
     generating_sequence,
     is_group_isomorphism,
     is_normal_subgroup,
+    is_subgroup,
     magma_generators,
     make_group,
     normal_subgroups,
@@ -378,7 +378,7 @@ class TestBuiltins:
     def test_quaternion_center(self):
         q8 = builtin_group("quaternion8")
         assert q8.order == 8
-        assert center(q8).indices == (0, 1)
+        assert tuple(sorted(center(q8))) == (0, 1)
 
     def test_aliases_match_canonical_tokens(self):
         assert builtin_group("Z4") == builtin_group("cyclic(4)")
@@ -403,10 +403,21 @@ class TestBuiltins:
 class TestStructure:
     def test_center_of_cyclic_is_whole_group(self):
         z6 = builtin_group("Z6")
-        assert center(z6).indices == tuple(z6.elements)
+        assert tuple(sorted(center(z6))) == tuple(z6.elements)
 
     def test_center_of_s3_is_trivial(self):
-        assert center(builtin_group("S3")).indices == (0,)
+        assert tuple(sorted(center(builtin_group("S3")))) == (0,)
+
+    @pytest.mark.parametrize("token", ["V4", "S3", "D4", "Q8"])
+    def test_center_is_the_frozenset_quotient_group_takes(self, token):
+        g = builtin_group(token)
+        z = center(g)
+        assert z == frozenset(
+            a for a in g.elements if all(g.mul(a, b) == g.mul(b, a) for b in g.elements)
+        )
+        q, cmap = quotient_group(g, z)
+        assert q.order * len(z) == g.order
+        assert {x for x in g.elements if cmap[x] == q.identity} == z
 
     def test_abelian_classes_are_singletons(self):
         z5 = builtin_group("Z5")
@@ -429,33 +440,62 @@ class TestStructure:
 
     def test_trivial_subgroup_is_normal(self):
         s3 = builtin_group("S3")
-        assert is_normal_subgroup(s3, ElementSubset.from_indices(s3, [0]))
+        assert is_normal_subgroup(s3, [0])
 
     def test_a3_is_normal(self):
         s3 = builtin_group("S3")
-        assert is_normal_subgroup(s3, ElementSubset.from_indices(s3, [0, 3, 4]))
+        assert is_normal_subgroup(s3, [0, 3, 4])
 
     def test_transposition_subgroup_not_normal(self):
         s3 = builtin_group("S3")
-        sub = ElementSubset.from_indices(s3, [0, 1])
-        assert sub.indices in [tuple(sorted(s)) for s in all_subgroups(s3)]
+        sub = (0, 1)
+        assert sub in [tuple(sorted(s)) for s in all_subgroups(s3)]
         assert not is_normal_subgroup(s3, sub)
 
     def test_non_subgroup_is_not_normal(self):
         s3 = builtin_group("S3")
-        assert not is_normal_subgroup(s3, ElementSubset.from_indices(s3, [0, 1, 2]))
+        assert not is_normal_subgroup(s3, [0, 1, 2])
+
+    def test_empty_set_is_not_a_subgroup(self):
+        assert not is_subgroup(builtin_group("Z4"), [])
+
+
+class TestElementRange:
+    """Every caller-supplied element set is range checked by ``is_subgroup``;
+    a negative index must not wrap round to the end of a table row."""
+
+    @pytest.mark.parametrize("token, members, bad", [
+        ("Z2", [0, 1, -1], -1),
+        ("Z4", [0, 2, 7], 7),
+        ("Z4", [9, 0, 7, 2], 7),
+        ("Z4", [5, -3, 0], -3),
+    ])
+    def test_is_subgroup_names_the_least_index_outside(self, token, members, bad):
+        g = builtin_group(token)
+        message = re.escape(f"element index {bad} outside 0..{g.order - 1}")
+        with pytest.raises(GroupError, match=f"^{message}$"):
+            is_subgroup(g, members)
+
+    @pytest.mark.parametrize("check", [is_normal_subgroup, quotient_group])
+    def test_normal_subgroup_and_quotient_reach_the_check(self, check):
+        with pytest.raises(GroupError, match=r"^element index 7 outside 0\.\.3$"):
+            check(builtin_group("Z4"), [0, 2, 7])
+
+    def test_not_normal_names_the_members_sorted(self):
+        with pytest.raises(NotNormal, match=r"^\(0, 1\) is not a normal subgroup of S3$"):
+            quotient_group(builtin_group("S3"), [1, 0])
 
 
 class TestQuotient:
     def test_quotient_by_trivial_is_isomorphic_copy(self):
         s3 = builtin_group("S3")
-        q, cmap = quotient_group(s3, ElementSubset.from_indices(s3, [0]))
+        q, cmap = quotient_group(s3, [0])
         assert q.order == s3.order
         assert is_group_isomorphism(s3, q, cmap)
 
     def test_s3_mod_a3(self):
         s3 = builtin_group("S3")
-        q, cmap = quotient_group(s3, ElementSubset.from_indices(s3, [0, 3, 4]))
+        q, cmap = quotient_group(s3, [0, 3, 4])
         assert q.order == 2
         assert tuple(cmap) == (0, 1, 1, 0, 0, 1)  # the sign of each permutation
 
@@ -468,7 +508,7 @@ class TestQuotient:
     def test_not_normal_rejected(self):
         s3 = builtin_group("S3")
         with pytest.raises(NotNormal):
-            quotient_group(s3, ElementSubset.from_indices(s3, [0, 1]))
+            quotient_group(s3, [0, 1])
 
     @pytest.mark.parametrize("token", ["Z6", "S3", "D4", "Q8"])
     def test_quotient_by_center_order(self, token):
@@ -572,7 +612,7 @@ class TestEnumerations:
         expected = tuple(
             s
             for s in all_subgroups(g)
-            if is_normal_subgroup(g, ElementSubset.from_indices(g, sorted(s)))
+            if is_normal_subgroup(g, s)
         )
         assert normal_subgroups(g) == expected
 

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzaut.groups import (
-    ElementSubset,
     all_subgroups,
     builtin_group,
     crisp_automorphisms,
@@ -19,13 +18,14 @@ from fuzzaut.groups import (
     normal_subgroups,
     quotient_group,
 )
-from fuzzaut import homs
+from fuzzaut import harness, homs
 from fuzzaut.harness import DEFAULT_GROUPS, Campaign, _Group, _Instance, run_campaign
 from fuzzaut.homs import (
     HomCheckReport,
     HomWitness,
     NotHomomorphism,
     OracleRejected,
+    Theorem22Report,
     check_theorem_2_1,
     check_theorem_2_2,
     is_fuzzy_homomorphism,
@@ -497,17 +497,17 @@ class TestKernel:
     def test_injective_map_has_trivial_kernel(self):
         mu = chain_strategy(Z4)
         f = lift_hom(tuple(Z4.elements), mu, Z4)
-        assert kernel(f).indices == (0,)
+        assert tuple(sorted(kernel(f))) == (0,)
 
     def test_sign_lift_kernel_is_a3(self):
         mu2 = class_strategy(Z2)
         f = lift_hom(SIGN, mu2, S3)
-        assert kernel(f).indices == (0, 3, 4)
+        assert tuple(sorted(kernel(f))) == (0, 3, 4)
 
     def test_trivial_lift_kernel_is_everything(self):
         z1 = builtin_group("Z1")
         f = lift_hom((0,) * 6, class_strategy(z1), S3)
-        assert kernel(f).indices == tuple(S3.elements)
+        assert tuple(sorted(kernel(f))) == tuple(S3.elements)
 
     def test_kernel_requires_homomorphism(self):
         bad = crisp_map(S3, Z2, (0, 1, 1, 1, 0, 1))
@@ -702,7 +702,7 @@ class TestTheorem22:
         mu = class_strategy(S3)
         f = induced_family_raw(S3, mu)[1]
         report = check_theorem_2_2(f)
-        assert report.kernel.indices == (0,)
+        assert tuple(sorted(report.kernel)) == (0,)
         assert report.one_one and report.verdict
 
     def test_trivial_lift(self):
@@ -710,6 +710,24 @@ class TestTheorem22:
         f = lift_hom((0,) * 6, class_strategy(z1), S3)
         report = check_theorem_2_2(f)
         assert report.kernel_is_normal and report.verdict
+
+    @pytest.mark.parametrize("name, witness", [
+        ("S3", "lift:quot|N|=3: kernel=(0, 3, 4) normal=False one_one=False trivial=False"),
+        ("D8", "lift:quot|N|=2: kernel=(0, 8) normal=False one_one=False trivial=False"),
+    ])
+    def test_a_seeded_normality_defect_names_the_kernel(self, monkeypatch, name, witness):
+        monkeypatch.setattr(homs, "is_normal_subgroup", lambda g, k: len(k) == 1)
+        campaign = Campaign(groups=(name,), mu_sources=("chain",), suites=("Theorem 2.2",))
+        (row,) = run_campaign(campaign)
+        assert (row.verdict, row.witness) == (False, witness)
+
+    def test_the_witness_prints_the_kernel_sorted(self, monkeypatch):
+        """A kernel is a frozenset, and ``frozenset([8, 0])`` iterates as (8, 0)."""
+        report = Theorem22Report(frozenset([8, 0]), False, False, False)
+        monkeypatch.setattr(harness, "check_theorem_2_2", lambda f: report)
+        campaign = Campaign(groups=("Z4",), mu_sources=("chain",), suites=("Theorem 2.2",))
+        (row,) = run_campaign(campaign)
+        assert row.witness.endswith(": kernel=(0, 8) normal=False one_one=False trivial=False")
 
 
 class TestLift:
@@ -744,8 +762,7 @@ class TestLift:
         cases = [(sigma, strategy(group)) for sigma in crisp_automorphisms(group)]
         for members in normal_subgroups(group):
             if len(members) > 1:
-                subset = ElementSubset.from_indices(group, members)
-                quotient, coset_map = quotient_group(group, subset)
+                quotient, coset_map = quotient_group(group, members)
                 cases.append((coset_map, strategy(quotient)))
         for phi, mu in cases:
             ct, cinv = mu.group.table, mu.group.inverses
@@ -826,4 +843,4 @@ class TestClosureFacts:
     def test_kernel_matches_skeleton_kernel(self):
         f = lift_hom(SIGN, class_strategy(Z2), S3)
         skeleton_kernel = tuple(x for x in S3.elements if f.images[x] == Z2.identity)
-        assert kernel(f).indices == skeleton_kernel
+        assert tuple(sorted(kernel(f))) == skeleton_kernel

@@ -8,7 +8,7 @@ from fuzzaut.errors import FuzzautError
 from fuzzaut.grades import rank_grades
 from fuzzaut.groups import builtin_group, center, is_group_isomorphism
 from fuzzaut.harness import DEFAULT_GROUPS
-from fuzzaut.homs import lift_hom
+from fuzzaut.homs import HomCheckReport, lift_hom
 from fuzzaut.maps import (
     FuzzyMap,
     MultipleUnitEntries,
@@ -28,6 +28,8 @@ from fuzzaut.subsets import (
 )
 from fuzzaut.induced import (
     MuMismatch,
+    ThetaCheck,
+    ZetaCheck,
     build_inn_group,
     check_identity_label,
     check_inverse_labels,
@@ -189,8 +191,13 @@ class TestZeta:
 
     def test_q8_kernel_is_center(self):
         check = zeta(Q8, class_strategy(Q8))
-        assert check.kernel.indices == (0, 1)
+        assert tuple(sorted(check.kernel)) == (0, 1)
         assert check.kernel_is_center
+
+    def test_the_witness_prints_the_kernel_sorted(self):
+        # a kernel is a frozenset, and frozenset([8, 0]) iterates as (8, 0)
+        check = ZetaCheck(None, (), True, True, frozenset([8, 0]), False, None, (), None, True)
+        assert check.witness == "kernel (0, 8) is not the center"
 
     @pytest.mark.parametrize("token", ["Z1", "Z6", "V4", "S3", "D4", "Q8"])
     def test_quotient_isomorphism(self, token):
@@ -216,8 +223,12 @@ class TestTheta:
         for token in ("Z4", "S3", "Q8"):
             group = builtin_group(token)
             check = theta(group, class_strategy(group))
-            assert check.kernel.indices == (group.identity,)
+            assert tuple(sorted(check.kernel)) == (group.identity,)
             assert check.one_one and check.onto
+
+    def test_the_witness_prints_the_kernel_sorted(self):
+        check = ThetaCheck(None, None, HomCheckReport(True), True, frozenset([8, 0]), False, True, True)
+        assert check.witness == "kernel (0, 8) is not trivial"
 
     def test_sup_condition_under_label_composition(self):
         for token in ("Z4", "S3", "Q8"):

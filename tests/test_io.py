@@ -10,13 +10,10 @@ from fuzzaut.io import (
     group_to_json,
     load_group,
     load_mu,
-    map_from_json,
-    map_to_json,
     mu_from_json,
     mu_to_json,
     save,
 )
-from fuzzaut.maps import identity_map
 from fuzzaut.subsets import chain_strategy
 
 
@@ -126,51 +123,20 @@ class TestMuFiles:
         with pytest.raises(FileFormatError):
             mu_from_json({"group": "Z4", "grades": ["1", "1/2"]}, builtin_group("Z2"))
 
+    def test_name_mismatch_names_both_groups(self):
+        with pytest.raises(FileFormatError, match="^grades are for 'Z4', not 'Z2'$"):
+            mu_from_json({"group": "Z4", "grades": ["1", "1/2"]}, builtin_group("Z2"))
+
+    def test_group_name_required_with_given_group(self):
+        with pytest.raises(FileFormatError, match="^missing key 'group'$"):
+            mu_from_json({"grades": ["1", "1/2"]}, builtin_group("Z2"))
+
+    def test_string_grades_rejected(self):
+        # a string would otherwise be parsed one character at a time
+        with pytest.raises(FileFormatError, match="^key 'grades' must be list$"):
+            mu_from_json({"group": "Z2", "grades": "11"}, builtin_group("Z2"))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(Exception):
             mu_from_json({"group": "Z4", "grades": ["1", "1/2"]})
 
-
-class TestMapFiles:
-    def test_round_trip(self):
-        f = identity_map(builtin_group("S3"))
-        obj = map_to_json(f)
-        assert obj["domain"] == obj["codomain"] == "S3"
-        loaded = map_from_json(obj)
-        assert loaded.grades == f.grades and loaded.images == f.images
-
-    def test_grades_as_rational_strings(self):
-        from fuzzaut.induced import induced_family_raw
-
-        s3 = builtin_group("S3")
-        f = induced_family_raw(s3, chain_strategy(s3))[1]
-        obj = map_to_json(f)
-        assert obj["grades"][0][s3.conjugate(0, 1)] == "1"
-        loaded = map_from_json(obj, s3, s3)
-        assert loaded.grades == f.grades
-
-    def test_string_rows_rejected(self):
-        # a string row used to be parsed one character at a time
-        obj = {"domain": "Z2", "codomain": "Z2", "grades": ["10", "01"]}
-        with pytest.raises(FileFormatError, match="grades row 0"):
-            map_from_json(obj)
-
-    def test_number_row_rejected(self):
-        obj = {"domain": "Z2", "codomain": "Z2", "grades": [["1", "0"], 5]}
-        with pytest.raises(FileFormatError, match="grades row 1 is 5"):
-            map_from_json(obj)
-
-    @pytest.mark.parametrize("key", ["domain", "codomain"])
-    def test_group_name_checked_against_given_group(self, key):
-        z2 = builtin_group("Z2")
-        obj = {"domain": "Z2", "codomain": "Z2", "grades": [["1", "0"], ["0", "1"]], key: "S3"}
-        with pytest.raises(FileFormatError, match="'S3', not 'Z2'"):
-            map_from_json(obj, z2, z2)
-
-    @pytest.mark.parametrize("key", ["domain", "codomain"])
-    def test_group_names_required_with_given_groups(self, key):
-        z2 = builtin_group("Z2")
-        obj = {"domain": "Z2", "codomain": "Z2", "grades": [["1", "0"], ["0", "1"]]}
-        del obj[key]
-        with pytest.raises(FileFormatError, match=f"missing key '{key}'"):
-            map_from_json(obj, z2, z2)

@@ -10,7 +10,7 @@ import pytest
 
 from fuzzaut.automorphisms import FuzzyAutomorphism
 from fuzzaut.errors import Record
-from fuzzaut.groups import ElementSubset, FiniteGroup, builtin_group, make_group
+from fuzzaut.groups import FiniteGroup, builtin_group, make_group
 from fuzzaut.harness import DEFAULT_GROUPS, STATEMENT_IDS, Campaign, SuiteResult
 from fuzzaut.homs import HomCheckReport, HomWitness, Theorem22Report
 from fuzzaut.induced import InducedInner, InnGroup, ThetaCheck, ZetaCheck
@@ -22,7 +22,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # class -> (constructor fields in order, the fields equality and hashing cover)
 RECORDS = {
     FiniteGroup: (("name", "order", "table", "identity", "inverses"),) * 2,
-    ElementSubset: (("group", "mask"),) * 2,
     FuzzySubset: (("group", "grades"),) * 2,
     SubgroupViolation: (("kind", "x", "y", "lhs", "rhs"),) * 2,
     FuzzyRelation: (("domain", "codomain", "grades"),) * 2,
@@ -207,7 +206,6 @@ class TestSpecificRecords:
     def test_reprs(self):
         s3 = builtin_group("S3")
         assert repr(s3) == "FiniteGroup('S3', order=6)"
-        assert repr(ElementSubset(s3, 0b101)) == "ElementSubset(S3, {0, 2})"
         assert repr(HomWitness(1, 2, 3, F(1), F(1, 2))) == (
             "HomWitness(x1=1, x2=2, y=3, lhs=Fraction(1, 1), rhs=Fraction(1, 2))"
         )
