@@ -1,11 +1,14 @@
 """Campaign runner: every law in the catalog against every (group, mu) instance.
 
 A campaign names groups and membership-function sources; the runner
-resolves each group once into a ``_Group`` its instances share, builds each
-(group, mu) ``_Instance`` once, runs every selected law suite on one instance
-before the next, and returns one result row per (law, instance), all sorted
-once.  ``_row`` builds the rows of law suites and ablations alike.  Identical
-configurations give identical rows, and reports are byte-stable for diffing.
+resolves each group once into a ``_Group`` its instances share, builds one
+``_Instance`` per distinct (group, mu), runs every selected law suite on one
+instance before the next, and returns one result row per (law, mu source),
+all sorted once: sources whose mu resolve equal (chain and class mu on Z1,
+Z2, Z3, Z5, Z7, S3 and S4) share the instance's rows, each under its own
+descriptor.  ``_row`` builds the rows of law suites and ablations alike.
+Identical configurations give identical rows, and reports are byte-stable
+for diffing.
 
 The law catalog below is the traceability table: every suite the runner can
 emit appears here with a one-line statement of what it checks.  A suite holds
@@ -197,8 +200,10 @@ class _Group:
 
 
 class _Instance:
-    """One (group, mu) cell of the campaign matrix: whatever reads mu, cached.
+    """One (group, mu source) cell of the campaign matrix: whatever reads mu, cached.
 
+    ``run_campaign`` runs the suites on the first instance of each distinct
+    mu only; a later source with an equal mu builds nothing past mu itself.
     The section 3 samples are the crisp automorphisms lifted through mu.  The
     labeled family adds none: for a normal mu, f_g is the lift of x -> g^-1 x g.
     Section 4 and Lemmas 3.7 to 3.9 read the family itself (``induced_raw``);
@@ -374,18 +379,24 @@ def _row(statement: str, instance: str, check: Callable[[], Verdict],
 
 
 def run_campaign(campaign: Campaign) -> list[SuiteResult]:
-    """Run every selected law suite over the campaign's instance matrix.
+    """Run every selected law suite once per distinct (group, mu), one row per source.
 
     Every group is resolved first into one ``_Group``, whose quotient lifts
-    its instances share.  Nothing certified outlives the campaign, as it
-    would hide a seeded defect: every ``derived_cache`` is emptied when it
-    returns or raises (not on entry, so what a caller warmed serves it).
-    All selected statements of one instance run before the next, while its
-    samples and its codomains' row-product memos are warm, and the rows are
-    sorted once.  An instance whose mu fails validation fails the
-    graded-conjugation suites (which need it) and is skipped by the others,
-    whose samples cannot be built; a ``RuntimeError`` while mu is built is a
-    library defect and fails them all.
+    its instances share.  A law's verdict and witness depend on the group
+    and mu's grades alone, not on the token that named mu, so instances
+    are keyed by their resolved mu (``FuzzySubset`` equality: the group,
+    name and table, and the ``Fraction`` grades).  The first source of each
+    key runs every selected statement, all of them before the next instance,
+    while its samples and its codomains' row-product memos are warm; each
+    later source with an equal mu gets those rows under its own descriptor,
+    with ``ms=0``, as no time was spent on them.  An instance whose mu fails
+    validation is never merged: it fails the graded-conjugation suites
+    (which need it) and is skipped by the others, whose samples cannot be
+    built; a ``RuntimeError`` while mu is built is a library defect and
+    fails them all.  The rows are sorted once.  Nothing certified outlives
+    the campaign, as it would hide a seeded defect: every ``derived_cache``
+    is emptied when it returns or raises (not on entry, so what a caller
+    warmed serves it).
     """
     try:
         unknown = [s for s in campaign.suites if s not in _SUITES]
@@ -394,12 +405,18 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
         groups = [_Group(token) for token in campaign.groups]
         contexts = [_Instance(shared, mu) for shared in groups for mu in campaign.mu_sources]
         results = []
+        ran: dict[FuzzySubset, list[SuiteResult]] = {}
         for ctx in contexts:  # all kept alive until the sort: freeing them early measured slower
-            for statement in campaign.suites:
-                if ctx.mu_error is None:
-                    results.append(_row(statement, ctx.descriptor, partial(_SUITES[statement], ctx)))
-                elif statement in ctx.failing:
-                    results.append(_row(statement, ctx.descriptor, lambda: (False, ctx.mu_error)))
+            if ctx.mu_error is not None:
+                results.extend(_row(statement, ctx.descriptor, lambda: (False, ctx.mu_error))
+                               for statement in campaign.suites if statement in ctx.failing)
+            elif ctx.mu in ran:
+                results.extend(SuiteResult(r.statement, ctx.descriptor, r.verdict, r.witness, 0,
+                                           r.expected_failure) for r in ran[ctx.mu])
+            else:
+                ran[ctx.mu] = [_row(statement, ctx.descriptor, partial(_SUITES[statement], ctx))
+                               for statement in campaign.suites]
+                results.extend(ran[ctx.mu])
         results.sort(key=lambda r: (r.statement, r.instance))
         return results
     finally:

@@ -91,6 +91,17 @@ def induced_map(mu: FuzzySubset, g: int) -> FuzzyMap:
     return indexed_map(mu.group, mu.group, mu.encoding, induced_indices(mu.group, g))
 
 
+def induced_skeletons(group: FiniteGroup, mu: FuzzySubset) -> list[tuple[int, ...]]:
+    """The skeleton of each f_g, label by label, with no matrix built.
+
+    Row x of f_g has its unit at g^-1 u_x g, where u_x is f_e's unit position
+    for x (``mu.translate_images``); the map u -> g^-1 u g is row g of
+    ``groups.conjugations``.  Raises what f_e's scan raises.
+    """
+    pick = picker(mu.translate_images)
+    return [pick(row) for row in conjugations(group)]
+
+
 def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     """All labeled maps as validated fuzzy maps, with no law assertions.
 
@@ -99,9 +110,8 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     of the cell arguments alone, so it holds for every mu, valid or not.  So
     each f_g picks its rows' cells from f_e's rank rows, mu's
     ``translate_rows``, which the lifts through mu share.  Its unit entries
-    are f_e's moved by the inverse of the column pick y -> g y g^-1: row x of
-    f_g has its unit at g^-1 u_x g, where u_x is f_e's unit position for x
-    (``mu.translate_images``).  Both the pick and its inverse are rows of
+    are f_e's moved by the inverse of the column pick y -> g y g^-1, which
+    ``induced_skeletons`` reads.  Both the pick and its inverse are rows of
     ``groups.conjugations``, cached per group.  If f_e's scan fails, so
     would every label's: permuting a row's columns keeps its number of
     grade-1 cells.  Then the family raises what ``induced_map(mu, e)``
@@ -113,13 +123,13 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     Lemma 4.1 still checks each one through the oracle.
     """
     conj, inv = conjugations(group), group.inverses
-    values, rank_rows, units = mu.encoding[0], mu.translate_rows, mu.translate_images
+    values, rank_rows = mu.encoding[0], mu.translate_rows
 
     def rows(g: int) -> tuple[tuple[int, ...], ...]:
         return tuple(map(picker(conj[inv[g]]), rank_rows))  # y -> g y g^-1 is row g^-1
 
-    return [FuzzyMap(group, group, None, picker(units)(conj[g]), (values, rows(g)))
-            for g in group.elements]
+    return [FuzzyMap(group, group, None, images, (values, rows(g)))
+            for g, images in enumerate(induced_skeletons(group, mu))]
 
 
 def check_induced_homomorphism(
@@ -327,14 +337,17 @@ class InnGroup(Record):
 
 @derived_cache
 def build_inn_group(group: FiniteGroup, mu: FuzzySubset) -> InnGroup:
-    """Quotient the labeled family by skeleton equality and build its table."""
+    """Quotient the labeled family by skeleton equality and build its table.
+
+    The classes read only the skeletons (``induced_skeletons``), so no
+    family matrix is built.
+    """
     if mu.group != group:
         raise MuMismatch(f"mu is over {mu.group.name}, not {group.name}")
     require_valid_mu(mu)
-    family = induced_family_raw(group, mu)
     by_skeleton: dict[tuple[int, ...], list[int]] = {}
-    for g, fmap in enumerate(family):
-        by_skeleton.setdefault(fmap.images, []).append(g)
+    for g, images in enumerate(induced_skeletons(group, mu)):
+        by_skeleton.setdefault(images, []).append(g)
     classes = tuple(sorted((tuple(sorted(v)) for v in by_skeleton.values()), key=lambda c: c[0]))
     class_of = [0] * group.order
     for i, cls in enumerate(classes):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -140,17 +141,18 @@ class TestWorkCounts:
     def test_default_campaign_builds_each_groups_quotient_lifts_once(self, monkeypatch):
         """The quotient lifts read no mu, so each group builds its 28 lifts
         once for both mu sources; zeta adds one center quotient per group
-        (12) and the lifted automorphisms 132 lifts (80 and 188 when each
-        instance built its own, 52 when zeta built a center quotient per
-        instance)."""
+        (12) and the lifted automorphisms 112 lifts, one set per distinct
+        (group, mu) (80 and 188 when each instance built its own, 52 when
+        zeta built a center quotient per instance, 160 when the six groups
+        whose chain and class mu agree lifted their automorphisms twice)."""
         quotients = self.calls_to(monkeypatch, groups, "quotient_group")
         lifts = self.calls_to(monkeypatch, homs, "lift_hom")
         run_campaign(default_campaign())
-        assert (len(quotients), len(lifts)) == (40, 160)
+        assert (len(quotients), len(lifts)) == (40, 140)
 
     @pytest.mark.parametrize("name, passes, checks, products", [
-        ("s4-hom.json", 28, 251, range(5, 6)),
-        ("default-matrix.json", 196, 1276, range(63, 64)),
+        ("s4-hom.json", 28, 127, range(5, 6)),
+        ("default-matrix.json", 196, 1090, range(63, 64)),
     ])
     def test_each_distinct_map_takes_one_generator_pass(
         self, monkeypatch, name, passes, checks, products
@@ -161,12 +163,14 @@ class TestWorkCounts:
         pass and not on a held check, which makes it the pass counter.  A
         product missing from the memo is translated from the core of its
         centred rows, and only a new core is computed: 5 and 63 products
-        (351 and 791 when every missing product was computed).  The default
-        matrix makes 1,276 checks: Lemma 3.9 checks every (sample, label)
-        conjugate, 324 more than the 952 when it kept one verdict per
-        distinct conjugate, and each of them is a held key.  A check is a
-        call of the oracle's verdict, ``homs._failing_generator_pair``, which
-        ``is_fuzzy_homomorphism`` and ``lift_hom`` both make."""
+        (351 and 791 when every missing product was computed).  The suites
+        run once per distinct (group, mu), so S4, whose chain and class mu
+        agree, makes 127 checks and the default matrix 1,090 (251 and 1,276
+        when each mu source ran them).  Lemma 3.9 checks every
+        (sample, label) conjugate, and each of those checks is a held key.
+        A check is a call of the oracle's verdict,
+        ``homs._failing_generator_pair``, which ``is_fuzzy_homomorphism``
+        and ``lift_hom`` both make."""
         passes_run, generating_sequence = [], homs.generating_sequence
 
         def counted(group):
@@ -181,29 +185,33 @@ class TestWorkCounts:
         assert len(row_products) in products
 
     @pytest.mark.parametrize("suites", [("Lemma 3.7", "Lemma 4.4"), ("Lemma 3.7",)])
-    @pytest.mark.parametrize("tokens, composites", [(DEFAULT_GROUPS, 154), (("S4",), 1152)])
+    @pytest.mark.parametrize("tokens, composites", [(DEFAULT_GROUPS, 113), (("S4",), 576)])
     def test_lemmas_3_7_and_4_4_compose_each_pair_of_representatives_once(
         self, monkeypatch, suites, tokens, composites
     ):
         """Both lemmas read one table of the r^2 pair composites of an
-        instance's representatives: sum r^2 = 154 over the default groups and
-        1,152 on S4, with Lemma 4.4 or without it (2,426 and 85,248 when
-        Lemma 4.4 made r^2 + 3r^3 compositions of its own)."""
+        instance's representatives: sum r^2 = 113 over the distinct
+        (group, mu) of the default groups and 576 on S4, with Lemma 4.4 or
+        without it (154 and 1,152 when each mu source ran its own instance,
+        2,426 and 85,248 when, besides, Lemma 4.4 made r^2 + 3r^3
+        compositions of its own)."""
         composed = self.calls_to(monkeypatch, maps, "compose_maps")
         rows = run_campaign(Campaign(groups=tokens, suites=suites))
         assert rows and all(r.verdict for r in rows)
         assert len(composed) == composites
 
     @pytest.mark.parametrize("name, scans, pairs", [
-        ("s4-hom.json", 7, 78),
-        ("default-matrix.json", 94, 302),
+        ("s4-hom.json", 5, 51),
+        ("default-matrix.json", 76, 264),
     ])
     def test_unit_entries_are_found_once_per_mu(self, monkeypatch, name, scans, pairs):
         """Lifts and the induced family read their unit entries off mu's one
         ``translate_images`` scan, and ``lift_hom`` names a pair of phi only
-        after the oracle rejects: 101 and 432 ``ranked_map`` scans, and 129 and
-        462 ``first_non_multiplicative`` calls, when every lift and every
-        family map scanned its rows and every lift checked phi first."""
+        after the oracle rejects.  Sources with equal mu share one instance:
+        7 and 94 scans, and 78 and 302 calls, when each source ran its own;
+        101 and 432 ``ranked_map`` scans, and 129 and 462
+        ``first_non_multiplicative`` calls, when besides every lift and
+        every family map scanned its rows and every lift checked phi first."""
         scanned = self.calls_to(monkeypatch, maps, "ranked_map")
         multiplied = self.calls_to(monkeypatch, groups, "first_non_multiplicative")
         rows = run_campaign(recorded_campaign(name))
@@ -216,6 +224,71 @@ class TestWorkCounts:
         quotients = self.calls_to(monkeypatch, groups, "quotient_group")
         run_campaign(Campaign(groups=("S4",), suites=SUITE_GROUPS["hom"]))
         assert len(quotients) == 3
+
+
+class TestOneInstancePerMu:
+    """Sources whose mu resolve equal share one instance, which runs the
+    suites once; each source still gets its own rows."""
+
+    @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "D8"))
+    def test_rows_are_those_of_each_source_run_alone(self, token):
+        """Each single-source campaign builds its own instance and clears its
+        caches, so it is the oracle of the merged campaign's rows."""
+        alone = [row for mu in ("chain", "class")
+                 for row in run_campaign(Campaign(groups=(token,), mu_sources=(mu,)))]
+        alone.sort(key=lambda r: (r.statement, r.instance))
+        merged = run_campaign(Campaign(groups=(token,)))
+        fields = attrgetter("statement", "instance", "verdict", "witness", "expected_failure")
+        assert list(map(fields, merged)) == list(map(fields, alone))
+
+    @staticmethod
+    def lifts(monkeypatch, token, *sources):
+        """``lift_hom`` calls of the hom suites on ``token``, one count per
+        tuple of mu sources."""
+        calls, counts = TestWorkCounts.calls_to(monkeypatch, homs, "lift_hom"), []
+        for mu_sources in sources:
+            calls.clear()
+            rows = run_campaign(Campaign(groups=(token,), mu_sources=mu_sources,
+                                         suites=SUITE_GROUPS["hom"]))
+            assert rows and all(r.verdict for r in rows)
+            counts.append(len(calls))
+        return counts
+
+    def test_a_file_mu_with_chains_grades_merges_with_chain(self, monkeypatch, tmp_path):
+        path = tmp_path / "mu.json"
+        save(path, mu_to_json(subsets.chain_strategy(builtin_group("S4"))))
+        source = f"file:{path}"
+        both, alone = self.lifts(monkeypatch, "S4", ("chain", source), ("chain",))
+        assert both == alone
+        rows = run_campaign(Campaign(groups=("S4",), mu_sources=("chain", source)))
+        chain = [r for r in rows if r.instance == "S4|mu=chain"]
+        copied = [r for r in rows if r.instance == f"S4|mu={source}"]
+        assert len(copied) == len(chain) == len(STATEMENT_IDS)
+        assert [(r.statement, r.verdict, r.witness) for r in copied] == [
+            (r.statement, r.verdict, r.witness) for r in chain
+        ]
+        assert {r.ms for r in copied} == {0}
+
+    def test_q8s_distinct_chain_and_class_mu_keep_two_instances(self, monkeypatch):
+        q8 = builtin_group("Q8")
+        assert subsets.chain_strategy(q8) != subsets.class_strategy(q8)
+        both, alone = self.lifts(monkeypatch, "Q8", ("chain", "class"), ("chain",))
+        assert both == alone + len(crisp_automorphisms(q8))
+
+    def test_one_changed_grade_makes_two_instances(self, monkeypatch):
+        """S4's chain and class mu agree; halving chain mu's least grade keeps
+        a valid mu that differs, so class gets its own instance again."""
+        s4 = builtin_group("S4")
+        same, _ = self.lifts(monkeypatch, "S4", ("chain", "class"), ("chain",))
+
+        def regraded_chain(group):
+            mu = subsets.chain_strategy(group)
+            low = min(mu.grades)
+            return fuzzy_subset(group, [v / 2 if v == low else v for v in mu.grades])
+
+        monkeypatch.setitem(subsets._STRATEGIES, "class", regraded_chain)
+        both, alone = self.lifts(monkeypatch, "S4", ("chain", "class"), ("chain",))
+        assert same == alone and both == alone + len(crisp_automorphisms(s4))
 
 
 class TestPreconditionRouting:
@@ -389,9 +462,10 @@ class TestRecordedReports:
         """The traced pass wraps every span target; its report must not change,
         and its hom-check and lift counts stay comparable across changes.  A
         lift takes the oracle's verdict (``homs._failing_generator_pair``)
-        inside its ``lift_hom`` span, so the 51 lifts' checks are not among
-        the 200 ``is_fuzzy_homomorphism`` calls; together they are the 251
-        checks of ``TestWorkCounts``."""
+        inside its ``lift_hom`` span, so the 27 lifts' checks are not among
+        the 100 ``is_fuzzy_homomorphism`` calls; together they are the 127
+        checks of ``TestWorkCounts``.  Chain and class mu agree on S4, so
+        one instance runs (51 lifts and 200 calls when each source ran)."""
         report, out = tmp_path / "report.json", tmp_path / "pass.json"
         done = subprocess.run(
             [sys.executable, "bench/worker.py", "--workload", "s4-hom", "--mode", "run",
@@ -402,8 +476,8 @@ class TestRecordedReports:
         assert done.returncode == 0, done.stderr
         assert report.read_bytes() == (RECORDED / "s4-hom.json").read_bytes()
         layers = json.loads(out.read_text(encoding="utf-8"))["layers"]
-        assert layers["homs.is_fuzzy_homomorphism.calls"] == 200
-        assert layers["homs.lift_hom.calls"] == 51
+        assert layers["homs.is_fuzzy_homomorphism.calls"] == 100
+        assert layers["homs.lift_hom.calls"] == 27
 
 
 def relabeled(group):

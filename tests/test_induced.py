@@ -39,6 +39,7 @@ from fuzzaut.induced import (
     induced_family_raw,
     induced_indices,
     induced_map,
+    induced_skeletons,
     inverse_induced,
     make_induced,
     theta,
@@ -175,6 +176,19 @@ class TestInnGroup:
         assert len(inn.classes) == 4
         assert inn.classes == ((0, 1), (2, 3), (4, 5), (6, 7))
         assert all(inn.table.mul(a, a) == inn.table.identity for a in inn.table.elements)
+
+    @pytest.mark.parametrize("name", DEFAULT_GROUPS + ("S4", "D8"))
+    @pytest.mark.parametrize("strategy", [chain_strategy, class_strategy])
+    def test_classes_are_the_family_grouped_by_skeleton(self, name, strategy):
+        """build_inn_group reads only the skeletons; grouping the built
+        family's labels by their maps' images gives the same classes."""
+        group = builtin_group(name)
+        mu = strategy(group)
+        by_skeleton = {}
+        for g, fmap in enumerate(induced_family_raw(group, mu)):
+            by_skeleton.setdefault(fmap.images, []).append(g)
+        assert build_inn_group(group, mu).classes == tuple(map(tuple, by_skeleton.values()))
+        assert induced_skeletons(group, mu) == [induced_map(mu, g).images for g in group.elements]
 
     def test_class_count_times_center_is_order(self):
         for token in ("Z8", "S3", "D4", "Q8"):
