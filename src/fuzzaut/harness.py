@@ -75,7 +75,7 @@ from .subsets import (
 
 
 class ConfigInvalid(FuzzautError):
-    pass
+    """A campaign names a statement that the catalog lacks."""
 
 
 class UnknownToken(FuzzautError):
@@ -175,13 +175,11 @@ def resolve_mu(token: str, group: FiniteGroup) -> FuzzySubset:
 
 class _Group:
     """One campaign group, resolved once, with the mu-free quotient lifts its instances
-    share; it lives one campaign, as every derived cache does, while the group is kept."""
+    share; it lives one campaign, as every derived cache does, while the group is kept.
+    A ``FuzzautError`` raised while the group is resolved propagates unchanged."""
 
     def __init__(self, token: str):
-        try:
-            self.group = resolve_group(token)
-        except FuzzautError as exc:
-            raise ConfigInvalid(f"cannot resolve group {token!r}: {exc}") from exc
+        self.group = resolve_group(token)
 
     @cached_property
     def quotient_lifts(self) -> list[tuple[str, FuzzyMap]]:
@@ -202,6 +200,9 @@ class _Group:
 class _Instance:
     """One (group, mu source) cell of the campaign matrix: whatever reads mu, cached.
 
+    Mu is resolved and validated once, here.  A ``FuzzautError`` doing so is
+    bad input and propagates unchanged; a ``RuntimeError`` is a library
+    defect, kept in ``mu_error`` to fail every row of the instance.
     ``run_campaign`` runs the suites on the first instance of each distinct
     mu only; a later source with an equal mu builds nothing past mu itself.
     The section 3 samples are the crisp automorphisms lifted through mu.  The
@@ -217,14 +218,12 @@ class _Instance:
         self.descriptor = f"{self.group.name}|mu={mu_token}"
         self.mu: Optional[FuzzySubset] = None
         self.mu_error: Optional[str] = None
-        self.failing: tuple[str, ...] = ()  # rows failed for want of mu: section 4, or all
         try:
             mu = resolve_mu(mu_token, self.group)
             require_valid_mu(mu)
             self.mu = mu
-        except (FuzzautError, RuntimeError) as exc:
+        except RuntimeError as exc:
             self.mu_error = f"{type(exc).__name__}: {exc}"
-            self.failing = SECTION_4_STATEMENTS if isinstance(exc, FuzzautError) else STATEMENT_IDS
 
     @cached_property
     def induced_raw(self) -> list[FuzzyMap]:
@@ -381,19 +380,21 @@ def _row(statement: str, instance: str, check: Callable[[], Verdict],
 def run_campaign(campaign: Campaign) -> list[SuiteResult]:
     """Run every selected law suite once per distinct (group, mu), one row per source.
 
-    Every group is resolved first into one ``_Group``, whose quotient lifts
-    its instances share.  A law's verdict and witness depend on the group
-    and mu's grades alone, not on the token that named mu, so instances
-    are keyed by their resolved mu (``FuzzySubset`` equality: the group,
-    name and table, and the ``Fraction`` grades).  The first source of each
-    key runs every selected statement, all of them before the next instance,
-    while its samples and its codomains' row-product memos are warm; each
-    later source with an equal mu gets those rows under its own descriptor,
-    with ``ms=0``, as no time was spent on them.  An instance whose mu fails
-    validation is never merged: it fails the graded-conjugation suites
-    (which need it) and is skipped by the others, whose samples cannot be
-    built; a ``RuntimeError`` while mu is built is a library defect and
-    fails them all.  The rows are sorted once.  Nothing certified outlives
+    Each group is resolved into one ``_Group``, whose quotient lifts its
+    instances share, and then each of its mu sources, in campaign order,
+    before any suite runs; a ``FuzzautError`` doing so (an unknown group, a
+    bad file, a mu that is no normal fuzzy subgroup pointed at the identity)
+    is bad input and propagates, so the first bad input raises.  A law's
+    verdict and witness depend on the group and mu's grades alone, not on
+    the token that named mu, so instances are keyed by their resolved mu
+    (``FuzzySubset`` equality: the group, name and table, and the
+    ``Fraction`` grades).  The first source of each key runs every selected
+    statement, all of them before the next instance, while its samples and
+    its codomains' row-product memos are warm; each later source with an
+    equal mu gets those rows under its own descriptor, with ``ms=0``, as no
+    time was spent on them.  A ``RuntimeError`` while mu is built is a
+    library defect: it fails every selected row of its instance, which is
+    never merged.  The rows are sorted once.  Nothing certified outlives
     the campaign, as it would hide a seeded defect: every ``derived_cache``
     is emptied when it returns or raises (not on entry, so what a caller
     warmed serves it).
@@ -402,14 +403,14 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
         unknown = [s for s in campaign.suites if s not in _SUITES]
         if unknown:
             raise ConfigInvalid(f"unknown statement ids: {unknown}")
-        groups = [_Group(token) for token in campaign.groups]
-        contexts = [_Instance(shared, mu) for shared in groups for mu in campaign.mu_sources]
+        contexts = [_Instance(shared, mu) for shared in map(_Group, campaign.groups)
+                    for mu in campaign.mu_sources]
         results = []
         ran: dict[FuzzySubset, list[SuiteResult]] = {}
         for ctx in contexts:  # all kept alive until the sort: freeing them early measured slower
             if ctx.mu_error is not None:
-                results.extend(_row(statement, ctx.descriptor, lambda: (False, ctx.mu_error))
-                               for statement in campaign.suites if statement in ctx.failing)
+                results.extend(SuiteResult(statement, ctx.descriptor, False, ctx.mu_error)
+                               for statement in campaign.suites)
             elif ctx.mu in ran:
                 results.extend(SuiteResult(r.statement, ctx.descriptor, r.verdict, r.witness, 0,
                                            r.expected_failure) for r in ran[ctx.mu])

@@ -2,23 +2,19 @@
 
 Grades travel as canonical rational strings ("1", "0", "p/q"), indexed by the
 owning group's element order, so files round-trip bit-exactly through the
-loader.
+loader.  The loaders keep nothing: each call reads, parses and builds anew,
+and a campaign resolves each of its file inputs once.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from pathlib import Path
-from typing import Optional
 
 from .errors import FuzzautError
 from .grades import format_grade, parse_grade
-from .groups import MAX_ORDER, FiniteGroup, builtin_group, make_group
+from .groups import MAX_ORDER, FiniteGroup, make_group
 from .subsets import FuzzySubset, fuzzy_subset
-
-
-_TEXTS_KEPT = 16  # file texts whose loaded group or mu is kept, per loader
 
 
 class FileFormatError(FuzzautError):
@@ -77,14 +73,11 @@ def mu_to_json(mu: FuzzySubset) -> dict:
     }
 
 
-def mu_from_json(obj: dict, group: Optional[FiniteGroup] = None) -> FuzzySubset:
-    """Load a grade vector; the group comes from the caller, which must carry
-    the name the file gives, or from the builtin group of that token."""
+def mu_from_json(obj: dict, group: FiniteGroup) -> FuzzySubset:
+    """Load a grade vector over ``group``, which must carry the name the file gives."""
     token = _require(obj, "group", str)
     grades = _require(obj, "grades", list)
-    if group is None:
-        group = builtin_group(token)
-    elif token != group.name:
+    if token != group.name:
         raise FileFormatError(f"grades are for {token!r}, not {group.name!r}")
     return fuzzy_subset(group, [parse_grade(s) for s in grades])
 
@@ -104,23 +97,13 @@ def _parse_json(path, text: str) -> dict:
 
 
 def load_group(path) -> FiniteGroup:
-    """The group in a JSON file; the group built from one file text is kept."""
-    return _group_from_text(path, _read_text(path))
+    """The group in a JSON file."""
+    return group_from_json(_parse_json(path, _read_text(path)))
 
 
-def load_mu(path, group: Optional[FiniteGroup] = None) -> FuzzySubset:
-    """The mu in a JSON file, kept per file text and group as ``load_group`` keeps groups."""
-    return _mu_from_text(path, _read_text(path), group)
-
-
-@lru_cache(maxsize=_TEXTS_KEPT)
-def _group_from_text(path, text: str) -> FiniteGroup:
-    return group_from_json(_parse_json(path, text))
-
-
-@lru_cache(maxsize=_TEXTS_KEPT)
-def _mu_from_text(path, text: str, group: Optional[FiniteGroup]) -> FuzzySubset:
-    return mu_from_json(_parse_json(path, text), group)
+def load_mu(path, group: FiniteGroup) -> FuzzySubset:
+    """The mu over ``group`` in a JSON file."""
+    return mu_from_json(_parse_json(path, _read_text(path)), group)
 
 
 def save(path, obj: dict) -> None:

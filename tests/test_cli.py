@@ -317,3 +317,71 @@ class TestInn:
         save(path, group_to_json(builtin_group("V4")))
         code, out, _ = run_cli(capsys, "inn", "--group", f"file:{path}", "--mu", "auto:chain")
         assert code == EXIT_OK and "1 classes" in out
+
+
+def write_reject_inputs(path):
+    """The input files of ``REJECTS``, under ``path``."""
+    from fuzzaut.groups import builtin_group
+    from fuzzaut.io import group_to_json, mu_to_json
+
+    s3 = group_to_json(builtin_group("S3"))
+    swapped = json.loads(json.dumps(s3))  # row 1 stays a permutation, the table is no group
+    swapped["table"][1][2], swapped["table"][1][3] = swapped["table"][1][3], swapped["table"][1][2]
+    out_of_range = json.loads(json.dumps(s3))
+    out_of_range["table"][2][3] = 9
+    save(path / "swapped.json", swapped)
+    save(path / "range.json", out_of_range)
+    save(path / "float.json", {"name": "Z2", "order": 2, "table": [[0, 1], [1.9, 0]]})
+    (path / "bad.json").write_text("not json", encoding="utf-8")
+    save(path / "q8-not-normal.json",
+         {"group": "Q8", "grades": ["1", "1/2", "1/4", "1/4", "1/2", "1/4", "1/4", "1/4"]})
+    save(path / "q8.json", mu_to_json(subsets.class_strategy(builtin_group("Q8"))))
+    save(path / "z2-big.json", {"group": "Z2", "grades": ["1", "3/2"]})
+
+
+NOT_ASSOCIATIVE = "NotAssociative: (a*b)*c != a*(b*c) for (a, b, c) = (1, 1, 2)"
+Q8_NOT_NORMAL = "MuNotNormal: mu(x*y) = 1/4 < 1/2 = mu(x)^mu(y) at (x, y) = (1, 4)"
+MISSING = "FileFormatError: cannot read {d}/missing.json: [Errno 2] No such file or directory: '{d}/missing.json'"
+BAD_JSON = "FileFormatError: {d}/bad.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+UNKNOWN_Z99 = "UnknownGroup: cyclic(99) outside supported range 1..16"
+
+# argv and the one stderr line, "{d}" standing for the input directory
+REJECTS = {
+    "not associative": ("verify --group file:{d}/swapped.json --suite hom", NOT_ASSOCIATIVE),
+    "entry out of range": ("verify --group file:{d}/range.json --suite hom",
+                           "NotLatinSquare: entry at row 2, column 3 is 9, outside 0..5"),
+    "float cell": ("verify --group file:{d}/float.json --suite hom",
+                   "FileFormatError: entry at row 1, column 0 is 1.9, not an integer"),
+    "missing group file": ("verify --group file:{d}/missing.json", MISSING),
+    "bad group json": ("verify --group file:{d}/bad.json", BAD_JSON),
+    "missing mu file": ("verify --group builtin:S3 --mu file:{d}/missing.json", MISSING),
+    "bad mu json": ("verify --group builtin:S3 --mu file:{d}/bad.json", BAD_JSON),
+    "group before mu": ("verify --group file:{d}/float.json --mu file:{d}/missing.json",
+                        "FileFormatError: entry at row 1, column 0 is 1.9, not an integer"),
+    "non-normal mu": ("verify --group builtin:Q8 --mu file:{d}/q8-not-normal.json",
+                      Q8_NOT_NORMAL),
+    "grade 3/2": ("verify --group builtin:Z2 --mu file:{d}/z2-big.json",
+                  "GradeError: grade 3/2 outside [0, 1]"),
+    "Q8 mu on the default groups": ("verify --group default --mu file:{d}/q8.json",
+                                    "FileFormatError: grades are for 'Q8', not 'Z1'"),
+    "unknown builtin": ("verify --group builtin:Z99", UNKNOWN_Z99),
+    "unknown strategy": ("verify --group builtin:Z4 --mu auto:foo",
+                         "StrategyInapplicable: unknown strategy token 'foo'"),
+    "unknown statement": ("verify --group builtin:Z4 --suite thm:9.9",
+                          "FuzzautError: no statement matches 'thm:9.9'"),
+    "ablation of a bad table": ("verify --group file:{d}/swapped.json --ablate normal-mu",
+                                NOT_ASSOCIATIVE),
+    "inn non-normal mu": ("inn --group builtin:Q8 --mu file:{d}/q8-not-normal.json",
+                          Q8_NOT_NORMAL),
+    "inn two mu": ("inn --group builtin:Q8 --mu auto:all",
+                   "FuzzautError: this command needs exactly one membership function"),
+    "gen-mu unknown builtin": ("gen-mu --group builtin:Z99 --strategy chain", UNKNOWN_Z99),
+}
+
+
+@pytest.mark.parametrize("argv, message", REJECTS.values(), ids=REJECTS.keys())
+def test_reject_table(capsys, tmp_path, argv, message):
+    """Bad input exits 2 with one exact error line and nothing on stdout."""
+    write_reject_inputs(tmp_path)
+    code, out, err = run_cli(capsys, *argv.format(d=tmp_path).split())
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message.format(d=tmp_path)}\n")

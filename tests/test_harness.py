@@ -13,12 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from fuzzaut import groups, harness, homs, io, maps, subsets
+from fuzzaut import groups, harness, homs, maps, subsets
 from fuzzaut.errors import DERIVED_CACHES, FuzzautError, clear_derived
 from fuzzaut.harness import (
     ABLATION_TOKENS,
     DEFAULT_GROUPS,
-    SECTION_4_STATEMENTS,
     STATEMENT_IDS,
     STATEMENTS,
     SUITE_GROUPS,
@@ -42,10 +41,12 @@ from fuzzaut.groups import (
 )
 from fuzzaut.homs import lift_hom
 from fuzzaut.io import dumps, load_group, mu_to_json, save
-from fuzzaut.subsets import fuzzy_subset, mu_from_strategy
+from fuzzaut.subsets import MuNotNormal, fuzzy_subset, mu_from_strategy
 
 
 SMALL = Campaign(groups=("Z4", "S3"))
+# class-asymmetric grades on Q8: a fuzzy subgroup inequality breaks
+BAD_Q8_MU = {"group": "Q8", "grades": ["1", "1/2", "1/4", "1/4", "1/2", "1/4", "1/4", "1/4"]}
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = ROOT / "bench" / "expected"
 
@@ -92,11 +93,15 @@ class TestRunCampaign:
         (SMALL, None, None),
         (Campaign(groups=("S3", "D4")), "normal-mu", None),
         (Campaign(groups=("Z4",), suites=("Lemma 9.9",)), None, ConfigInvalid),
-        (Campaign(groups=("Z4", "Z99")), None, ConfigInvalid),
-    ], ids=["campaign", "ablation", "unknown statement", "unknown group"])
-    def test_no_derived_cache_outlives_a_campaign(self, campaign, drop, error):
+        (Campaign(groups=("Z4", "Z99")), None, groups.UnknownGroup),
+        (Campaign(groups=("Q8",), mu_sources=("class", "file:bad_mu.json")), None, MuNotNormal),
+    ], ids=["campaign", "ablation", "unknown statement", "unknown group", "bad mu file"])
+    def test_no_derived_cache_outlives_a_campaign(self, campaign, drop, error, tmp_path,
+                                                  monkeypatch):
         """Every derived cache is empty when a campaign or an ablation returns
         or raises, what the caller warmed before it included."""
+        monkeypatch.chdir(tmp_path)
+        save("bad_mu.json", BAD_Q8_MU)
         subsets.chain_strategy(builtin_group("D4"))
         with pytest.raises(error) if error else nullcontext():
             run_campaign(campaign) if drop is None else ablation(campaign, drop)
@@ -105,7 +110,7 @@ class TestRunCampaign:
     def test_every_library_cache_but_the_inputs_is_derived(self):
         found = {value for name, module in list(sys.modules.items()) if name.startswith("fuzzaut.")
                  for value in vars(module).values() if hasattr(value, "cache_clear")}
-        inputs = {groups.builtin_group, io._group_from_text, io._mu_from_text}
+        inputs = {groups.builtin_group}
         assert found - set(DERIVED_CACHES) == inputs
 
 
@@ -294,27 +299,20 @@ class TestOneInstancePerMu:
 class TestPreconditionRouting:
     @pytest.fixture
     def corrupted_mu_file(self, tmp_path):
-        # class-asymmetric grades on Q8: a fuzzy subgroup inequality breaks
         path = tmp_path / "bad_mu.json"
-        save(
-            path,
-            {
-                "group": "Q8",
-                "grades": ["1", "1/2", "1/4", "1/4", "1/2", "1/4", "1/4", "1/4"],
-            },
-        )
+        save(path, BAD_Q8_MU)
         return f"file:{path}"
 
-    def test_corrupted_mu_hits_only_graded_suites(self, corrupted_mu_file):
+    def test_corrupted_mu_raises_before_any_suite(self, corrupted_mu_file, monkeypatch):
+        """A mu that is no normal fuzzy subgroup is bad input, not a failed
+        law: the campaign raises before any row, the good source's included."""
+        def no_row(*args):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(harness, "_row", no_row)
         campaign = Campaign(groups=("Q8",), mu_sources=("class", corrupted_mu_file))
-        results = run_campaign(campaign)
-        bad = [r for r in results if corrupted_mu_file in r.instance]
-        good = [r for r in results if corrupted_mu_file not in r.instance]
-        assert bad and all(not r.verdict for r in bad)
-        assert all("MuNotNormal" in r.witness for r in bad)
-        assert {r.statement for r in bad} == set(SECTION_4_STATEMENTS)
-        assert good and all(r.verdict for r in good)
-        assert statements_covered(good) == tuple(sorted(STATEMENT_IDS))
+        with pytest.raises(MuNotNormal, match=r"^mu\(x\*y\) = 1/4 < 1/2 = mu\(x\)\^mu\(y\)"):
+            run_campaign(campaign)
 
     def test_a_defect_building_mu_fails_every_row_of_its_instance(self, monkeypatch):
         """A ``RuntimeError`` while mu is built is a library defect, not bad
@@ -548,13 +546,18 @@ def test_regraded_mu_gets_the_same_rows(token, strategy, tmp_path):
 
 
 def test_regraded_invalid_mu_gets_the_squared_witnesses(tmp_path):
-    """A mu that is no fuzzy subgroup fails its rows with a witness in grades."""
+    """A mu that is no fuzzy subgroup is refused with a witness in grades."""
+    def refusal(mu, path):
+        save(path, mu_to_json(mu))
+        with pytest.raises(FuzzautError) as err:
+            run_campaign(Campaign(groups=("S3",), mu_sources=(f"file:{path}",)))
+        return f"{type(err.value).__name__}: {err.value}"
+
     mu = fuzzy_subset(builtin_group("S3"), ["1", "1/2", "1/3", "1/2", "1/3", "1/4"])
-    plain = campaign_rows("S3", mu, tmp_path / "mu.json")
-    squared = campaign_rows("S3", regraded(mu), tmp_path / "squared.json")
-    assert not any(v for v, _ in plain.values())
-    assert any(PROPER_FRACTION.search(w) for _, w in plain.values())
-    assert squared == {s: (v, squared_grades(w)) for s, (v, w) in plain.items()}
+    plain = refusal(mu, tmp_path / "mu.json")
+    squared = refusal(regraded(mu), tmp_path / "squared.json")
+    assert PROPER_FRACTION.search(plain)
+    assert squared == squared_grades(plain)
 
 
 @pytest.mark.parametrize("token, twin", [

@@ -1,7 +1,11 @@
 """File formats: round trips and schema validation."""
 
+from collections import Counter
+
 import pytest
 
+from fuzzaut import io
+from fuzzaut.cli import main
 from fuzzaut.groups import GroupError, NotAssociative, builtin_group, make_group
 from fuzzaut.io import (
     FileFormatError,
@@ -76,16 +80,31 @@ class TestGroupFiles:
         assert "row 1" in str(err.value)
 
 
-class TestLoadedObjectsKept:
-    """A file's text is read on every load; the object built from it is kept per text."""
+class TestEveryLoadReadsTheFile:
+    """Every load reads, parses and builds anew; nothing loaded is kept, and a
+    campaign resolves each file input once."""
 
-    def test_same_text_gives_the_same_objects(self, tmp_path):
-        path, mu_path = tmp_path / "s3.json", tmp_path / "mu.json"
-        save(path, group_to_json(builtin_group("S3")))
-        group = load_group(path)
-        save(mu_path, mu_to_json(chain_strategy(group)))
-        assert load_group(path) is group
-        assert load_mu(mu_path, group) is load_mu(mu_path, group)
+    def test_verify_reads_each_file_once(self, tmp_path, monkeypatch, capsys):
+        path, mu_path = tmp_path / "g.json", tmp_path / "mu.json"
+        save(path, group_to_json(builtin_group("S3")) | {"name": "G"})
+        save(mu_path, mu_to_json(chain_strategy(load_group(path))))
+        reads, built = Counter(), []
+        read_text, build = io._read_text, io.make_group
+
+        def counted_read(p):
+            reads[str(p)] += 1
+            return read_text(p)
+
+        def counted_build(table, name=None):
+            built.append(name)
+            return build(table, name)
+
+        monkeypatch.setattr(io, "_read_text", counted_read)
+        monkeypatch.setattr(io, "make_group", counted_build)
+        argv = ["verify", "--group", f"file:{path}", "--mu", f"file:{mu_path}", "--suite", "hom"]
+        assert main(argv) == 0 and "failed 0" in capsys.readouterr().out
+        assert reads == {str(path): 1, str(mu_path): 1}
+        assert built == ["G"]
 
     def test_rewritten_file_is_loaded_anew(self, tmp_path):
         path, mu_path = tmp_path / "g.json", tmp_path / "mu.json"
@@ -115,9 +134,10 @@ class TestMuFiles:
         assert loaded == mu
         assert dumps(mu_to_json(loaded)) == first
 
-    def test_group_token_resolution(self):
-        mu = mu_from_json({"group": "Z4", "grades": ["1", "1/4", "1/2", "1/4"]})
-        assert mu.group == builtin_group("Z4")
+    def test_mu_is_over_the_given_group(self):
+        z4 = builtin_group("Z4")
+        mu = mu_from_json({"group": "Z4", "grades": ["1", "1/4", "1/2", "1/4"]}, z4)
+        assert mu.group is z4
 
     def test_name_mismatch_rejected(self):
         with pytest.raises(FileFormatError):
@@ -138,5 +158,5 @@ class TestMuFiles:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(Exception):
-            mu_from_json({"group": "Z4", "grades": ["1", "1/2"]})
+            mu_from_json({"group": "Z4", "grades": ["1", "1/2"]}, builtin_group("Z4"))
 

@@ -50,6 +50,7 @@ from fuzzaut.induced import (
     inverse_induced,
     make_induced,
 )
+from fuzzaut.io import mu_to_json, save
 from fuzzaut.maps import FuzzyMap, crisp_map
 from fuzzaut.subsets import MuNotNormal, MuNotPointed, class_strategy, require_valid_mu
 
@@ -192,14 +193,21 @@ def test_class_preservation_serves_lemma_4_2_and_make_induced(monkeypatch):
         ("is_normal_fuzzy_subgroup", lambda mu: (False, "seeded defect"), MuNotNormal),
     ],
 )
-def test_validity_predicates_serve_require_valid_mu(monkeypatch, name, fake, error):
-    """The strategy mu of a campaign keeps its passing verdict no longer than
-    the campaign, so the next one sees the defect with nothing cleared by hand."""
+def test_validity_predicates_serve_require_valid_mu(monkeypatch, tmp_path, name, fake, error):
+    """Neither the strategy mu of a campaign nor a mu read from a file keeps
+    its passing verdict beyond the campaign, so the next one sees the defect
+    with nothing cleared by hand, and refuses the mu before any suite runs."""
+    path = tmp_path / "mu.json"
+    save(path, mu_to_json(class_strategy(S3)))
+    by_file = Campaign(groups=("S3",), mu_sources=(f"file:{path}",), suites=("Lemma 4.1",))
     assert row_of("Lemma 4.3").verdict
+    assert [r.verdict for r in run_campaign(by_file)] == [True]
     rebind(monkeypatch, subsets, name, fake)
     for statement in ("Lemma 4.1", "Lemma 4.3", "Theorem 4.3"):
-        row = row_of(statement)
-        assert not row.verdict and row.witness.startswith(error.__name__)
+        with pytest.raises(error):
+            row_of(statement)
+    with pytest.raises(error):
+        run_campaign(by_file)
     with pytest.raises(error):
         require_valid_mu(class_strategy(S3))
     with pytest.raises(error):
