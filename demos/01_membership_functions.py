@@ -13,13 +13,11 @@ from fuzzaut import (
     class_strategy,
     conjugacy_classes,
     fuzzy_subset,
-    gen_mu_class,
     is_fuzzy_subgroup,
     is_normal_fuzzy_subgroup,
     is_pointed,
     level_set,
 )
-from fuzzaut.subsets import NotFuzzySubgroup
 
 
 def show(mu, label):
@@ -51,12 +49,11 @@ show(mu3, "derived-series grades")
 print("  normal fuzzy subgroup:", is_normal_fuzzy_subgroup(mu3)[0])
 
 print()
-print("== the class generator rejects inconsistent grade assignments ==")
-try:
-    # transpositions above the 3-cycles: two transpositions multiply to a 3-cycle
-    gen_mu_class(s3, ["1", "1/2", "1/4"])
-except NotFuzzySubgroup as err:
-    print("  rejected:", err)
+print("== class-constant grades can still fail the subgroup law ==")
+# transpositions (1, 2, 5) above the 3-cycles (3, 4): two transpositions multiply to a 3-cycle
+ok, witness = is_fuzzy_subgroup(fuzzy_subset(s3, ["1", "1/2", "1/2", "1/4", "1/4", "1/2"]))
+print("  fuzzy subgroup:", ok)
+print("  witness:", witness)
 
 print()
 print("== quaternion grades ==")

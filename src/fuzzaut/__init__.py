@@ -26,7 +26,6 @@ from .subsets import (
     class_strategy,
     fuzzy_subset,
     gen_mu_chain,
-    gen_mu_class,
     is_fuzzy_subgroup,
     is_normal_fuzzy_subgroup,
     is_pointed,

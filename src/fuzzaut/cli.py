@@ -28,8 +28,8 @@ from .harness import (
     resolve_group,
     resolve_mu,
 )
-from .induced import build_inn_group, zeta
-from .subsets import FuzzySubset, mu_from_strategy, require_valid_mu
+from .induced import zeta
+from .subsets import FuzzySubset, mu_from_strategy
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -95,9 +95,7 @@ def _resolve_single_mu(source: str, group: FiniteGroup) -> FuzzySubset:
     token = _mu_tokens(source)
     if len(token) != 1:
         raise FuzzautError("this command needs exactly one membership function")
-    mu = resolve_mu(token[0], group)
-    require_valid_mu(mu)
-    return mu
+    return resolve_mu(token[0], group)
 
 
 def cmd_gen_mu(args) -> int:
@@ -113,8 +111,8 @@ def cmd_gen_mu(args) -> int:
 def cmd_inn(args) -> int:
     group = resolve_group(_strip_prefix(args.group, "builtin:"))
     mu = _resolve_single_mu(args.mu, group)
-    inn = build_inn_group(group, mu)
-    check = zeta(group, mu)
+    check = zeta(group, mu)  # build_inn_group validates mu first
+    inn = check.inn
     payload = {
         "classes": [list(cls) for cls in inn.classes],
         "table": [list(row) for row in inn.table.table],

@@ -514,7 +514,6 @@ def normal_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     return _closed_extensions(group, conjugacy_classes(group))
 
 
-@derived_cache
 def derived_series(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     """Iterated commutator subgroups, ending at the last repeated term."""
     t = group.table

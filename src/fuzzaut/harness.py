@@ -69,6 +69,7 @@ from .subsets import (
     flat_mu,
     gen_mu_chain,
     is_normal_fuzzy_subgroup,
+    is_pointed,
     mu_from_strategy,
     require_valid_mu,
 )
@@ -457,10 +458,11 @@ def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
 
     A row's verdict is True when the predicted violation actually occurred;
     rows carry ``expected_failure`` so recorded violations stay separate from
-    defect failures.  Groups on which the hypothesis cannot be ablated at all
-    (no non-normal subgroup exists) are skipped.  Groups resolve through
-    ``_Group``, and no mu is read, since each probe builds its own.  Every
-    derived cache is emptied when it returns or raises, as by ``run_campaign``.
+    defect failures.  A group on which the hypothesis cannot be violated is
+    skipped: one with no non-normal subgroup, or whose flat mu is already
+    pointed (the trivial group).  Groups resolve through ``_Group``, and no mu
+    is read, since each probe builds its own.  Every derived cache is emptied
+    when it returns or raises, as by ``run_campaign``.
     """
     if drop is None:
         return run_campaign(campaign)
@@ -470,8 +472,9 @@ def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
         results = []
         for group in (_Group(token).group for token in campaign.groups):
             if drop == "pointed":
-                results.append(_row("Ablation(pointed)", f"{group.name}|mu=flat",
-                                    partial(_ablate_pointed, group), True))
+                if not is_pointed(flat_mu(group)):  # only the trivial group's is, decided before the row
+                    results.append(_row("Ablation(pointed)", f"{group.name}|mu=flat",
+                                        partial(_ablate_pointed, group), True))
                 continue
             normal = set(normal_subgroups(group))
             non_normal = next((s for s in all_subgroups(group) if s not in normal), None)

@@ -342,10 +342,10 @@ def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> 
 
     The lifted map is f(x, y) = mu'(phi(x)^-1 * y) over the codomain carrying
     mu', that is f = f_e . phi, built as ``maps.compose_maps`` reindexes a
-    map: row x is row phi(x) of mu'.translate_rows, so every lift through mu'
-    shares those row objects, and its fuzzy image is entry phi(x) of
-    mu'.translate_images, the unit positions one scan found in those rows.
-    A valid mu' is pointed, so each of those rows has exactly one.
+    map: row x is row phi(x) of ``mu'.f_e``'s rank rows, so every lift
+    through mu' shares those row objects, and its fuzzy image is
+    ``mu'.f_e.images[phi(x)]``, the unit position one scan found in that
+    row.  A valid mu' is pointed, so each of those rows has exactly one.
 
     phi is decided through the homomorphism oracle's verdict
     (``_failing_generator_pair``, the generator pass of
@@ -370,9 +370,8 @@ def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> 
     except SubsetError:
         _require_multiplicative(domain, codomain, phi)
         raise
-    pick = picker(phi)
-    encoding = mu_prime.encoding[0], pick(mu_prime.translate_rows)
-    f = FuzzyMap(domain, codomain, None, pick(mu_prime.translate_images), encoding)
+    pick, (values, rank_rows) = picker(phi), mu_prime.f_e.encoding
+    f = FuzzyMap(domain, codomain, None, pick(mu_prime.f_e.images), (values, pick(rank_rows)))
     if _failing_generator_pair(f) is not None:
         _require_multiplicative(domain, codomain, phi)
         raise OracleRejected(str(is_fuzzy_homomorphism(f).witness))

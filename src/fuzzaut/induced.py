@@ -95,10 +95,10 @@ def induced_skeletons(group: FiniteGroup, mu: FuzzySubset) -> list[tuple[int, ..
     """The skeleton of each f_g, label by label, with no matrix built.
 
     Row x of f_g has its unit at g^-1 u_x g, where u_x is f_e's unit position
-    for x (``mu.translate_images``); the map u -> g^-1 u g is row g of
+    for x (``mu.f_e.images``); the map u -> g^-1 u g is row g of
     ``groups.conjugations``.  Raises what f_e's scan raises.
     """
-    pick = picker(mu.translate_images)
+    pick = picker(mu.f_e.images)
     return [pick(row) for row in conjugations(group)]
 
 
@@ -108,10 +108,10 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     Every f_g is f_e with its columns permuted by conjugation:
     f_g(x, y) = mu(x^-1 * (g y g^-1)) = f_e(x, g y g^-1).  This is an identity
     of the cell arguments alone, so it holds for every mu, valid or not.  So
-    each f_g picks its rows' cells from f_e's rank rows, mu's
-    ``translate_rows``, which the lifts through mu share.  Its unit entries
-    are f_e's moved by the inverse of the column pick y -> g y g^-1, which
-    ``induced_skeletons`` reads.  Both the pick and its inverse are rows of
+    each f_g picks its rows' cells from the rank rows of ``mu.f_e``, which
+    the lifts through mu share.  Its unit entries are f_e's moved by the
+    inverse of the column pick y -> g y g^-1, which ``induced_skeletons``
+    reads.  Both the pick and its inverse are rows of
     ``groups.conjugations``, cached per group.  If f_e's scan fails, so
     would every label's: permuting a row's columns keeps its number of
     grade-1 cells.  Then the family raises what ``induced_map(mu, e)``
@@ -123,7 +123,7 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     Lemma 4.1 still checks each one through the oracle.
     """
     conj, inv = conjugations(group), group.inverses
-    values, rank_rows = mu.encoding[0], mu.translate_rows
+    values, rank_rows = mu.f_e.encoding
 
     def rows(g: int) -> tuple[tuple[int, ...], ...]:
         return tuple(map(picker(conj[inv[g]]), rank_rows))  # y -> g y g^-1 is row g^-1

@@ -24,9 +24,9 @@ the edges: files, witnesses and the ``compose`` oracle.  The constructors:
   as ``FuzzySubset.encoding``, so the maps built from one membership
   function share its value list and grade objects;
 * ``ranked_map`` takes rank rows that are already built, as
-  ``make_fuzzy_map``, ``indexed_map`` and ``FuzzySubset.translate_images``
-  do, and finds the unit entries on the ranks; ``homs.lift_hom`` and the
-  induced family reindex the rows and unit positions of that one scan;
+  ``make_fuzzy_map``, ``indexed_map`` and ``FuzzySubset.f_e`` do, and finds
+  the unit entries on the ranks; ``homs.lift_hom`` and the induced family
+  reindex the rows and unit positions of f_e's one scan;
 * ``compose_maps`` reindexes f's rank rows through g's skeleton, and
   ``inverse_map`` transposes them.
 

@@ -1,8 +1,10 @@
-"""Membership functions on a group, subgroup predicates, and generators.
+"""Membership functions on a group, subgroup predicates, and the chain generator.
 
 A fuzzy subset assigns each element an exact rational grade.  The predicates
-here are the module's source of truth; the generators never trust their own
-construction and always re-certify through the predicates.
+here are the module's source of truth.  Every mu built here comes from one
+generator, ``gen_mu_chain``, which grades a chain of subgroups from {e} up
+to the group and re-certifies its output through the predicates; both
+canonical strategies are such chains.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .groups import (
     is_subgroup,
     normal_subgroups,
 )
-from .maps import ranked_map
+from .maps import FuzzyMap, ranked_map
 
 
 class SubsetError(FuzzautError):
@@ -37,10 +39,6 @@ class NotSubgroup(SubsetError):
 
 class GradesNotDecreasing(SubsetError):
     pass
-
-
-class NotFuzzySubgroup(SubsetError):
-    """Generator rejection; carries the violating witness."""
 
 
 class MuNotNormal(SubsetError):
@@ -63,8 +61,7 @@ class FuzzySubset(Record):
     attribute, not a field: not an argument, and kept out of equality.  The
     predicates scan the ranks, and every map built from mu
     (``maps.indexed_map``) reuses them; every lift through mu and the
-    induced family pick their rows from ``translate_rows``, built once, and
-    read their unit entries off ``translate_images``, found once.
+    induced family reindex ``f_e``, built and scanned once.
     """
 
     group: FiniteGroup
@@ -77,18 +74,14 @@ class FuzzySubset(Record):
         return self.grades[x]
 
     @cached_property
-    def translate_rows(self) -> tuple[tuple[int, ...], ...]:
-        """f_e's rank rows: row a holds the ranks of y -> mu(a^-1 y)."""
-        t, inv, ranks = self.group.table, self.group.inverses, self.encoding[1]
-        return tuple(tuple(map(ranks.__getitem__, t[inv[a]])) for a in self.group.elements)
-
-    @cached_property
-    def translate_images(self) -> tuple[int, ...]:
-        """f_e's skeleton: the unit position of each row of ``translate_rows``,
-        found by one ``maps.ranked_map`` scan, which raises what that scan
-        raises if some row has no grade-1 entry or several.  It is computed,
-        not assumed from pointedness."""
-        return ranked_map(self.group, self.group, self.encoding[0], self.translate_rows).images
+    def f_e(self) -> FuzzyMap:
+        """f_e(x, y) = mu(x^-1 y): row x holds the ranks of y -> mu(x^-1 y), and
+        one ``maps.ranked_map`` scan finds its unit entries, raising what that
+        scan raises if some row has no grade-1 entry or several.  They are
+        computed, not assumed from pointedness."""
+        t, inv, (values, ranks) = self.group.table, self.group.inverses, self.encoding
+        rows = tuple(tuple(map(ranks.__getitem__, t[inv[x]])) for x in self.group.elements)
+        return ranked_map(self.group, self.group, values, rows)
 
     @cached_property
     def _fault(self) -> Optional[tuple[type, str]]:
@@ -240,36 +233,6 @@ def gen_mu_chain(group: FiniteGroup, chain: Sequence, grades: Sequence) -> Fuzzy
     return mu
 
 
-def gen_mu_class(group: FiniteGroup, class_grades: Sequence) -> FuzzySubset:
-    """Membership function constant on conjugacy classes.
-
-    ``class_grades`` is indexed by :func:`~fuzzaut.groups.conjugacy_classes`
-    order.  Symmetry holds by construction; the subgroup inequalities do not,
-    so the oracle runs and rejects bad assignments with its witness.
-    """
-    classes = conjugacy_classes(group)
-    vals = [grade(g) for g in class_grades]
-    if len(vals) != len(classes):
-        raise SubsetError(f"{len(vals)} grades for {len(classes)} conjugacy classes")
-    for i, cls in enumerate(classes):
-        if group.identity in cls:
-            if vals[i] != GRADE_ONE:
-                raise SubsetError("identity class must have grade 1")
-        elif vals[i] == GRADE_ONE:
-            raise SubsetError(f"non-identity class {i} must have grade < 1")
-    vec = [None] * group.order
-    for i, cls in enumerate(classes):
-        for x in cls:
-            vec[x] = vals[i]
-    mu = FuzzySubset(group, tuple(vec))
-    ok, witness = is_fuzzy_subgroup(mu)
-    if not ok:
-        raise NotFuzzySubgroup(str(witness))
-    if not is_class_constant(mu):  # raised, not asserted, so that python -O keeps it
-        raise RuntimeError(f"class construction produced an invalid {mu}: not class constant")
-    return mu
-
-
 # -- canonical strategies ----------------------------------------------------
 
 
@@ -299,25 +262,23 @@ def chain_strategy(group: FiniteGroup) -> FuzzySubset:
 
 @derived_cache
 def class_strategy(group: FiniteGroup) -> FuzzySubset:
-    """Canonical class-constant mu graded by depth in the derived series.
+    """Canonical class-constant mu: the derived series, read from {e} upward,
+    as a chain graded 1, 1/2, ...
 
-    mu(x) = 2^-(number of derived-series terms missing x); level sets are the
-    derived subgroups, so validity is structural.  Requires the series to
-    reach the trivial subgroup.
+    mu(x) = 2^-(number of derived-series terms missing x).  Derived subgroups
+    are characteristic, so mu is constant on conjugacy classes; that is
+    certified again, by raising.  Requires the series to reach the trivial
+    subgroup.
     """
     series = derived_series(group)
     if len(series[-1]) != 1:
         raise StrategyInapplicable(
             f"derived series of {group.name} does not reach the trivial subgroup"
         )
-    classes = conjugacy_classes(group)
-    depth = len(series) - 1
-
-    def grade_of(x: int) -> Fraction:
-        deepest = max(k for k, term in enumerate(series) if x in term)
-        return Fraction(1, 2 ** (depth - deepest))
-
-    return gen_mu_class(group, [grade_of(cls[0]) for cls in classes])
+    mu = gen_mu_chain(group, series[::-1], _halving(len(series)))
+    if not is_class_constant(mu):  # raised, not asserted, so that python -O keeps it
+        raise RuntimeError(f"class construction produced an invalid {mu}: not class constant")
+    return mu
 
 
 _STRATEGIES = {"chain": chain_strategy, "class": class_strategy}

@@ -7,6 +7,7 @@ where the criterion states one.  Run with ``pytest tests/test_acceptance.py -v``
 import json
 import time
 
+from fuzzaut import harness
 from fuzzaut.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE_FAILED, main
 from fuzzaut.groups import builtin_group, center
 from fuzzaut.harness import Campaign, ablation, run_campaign
@@ -151,7 +152,7 @@ def test_criterion_6_ablation_sanity():
     )
 
 
-def test_criterion_7_determinism_and_exit_codes(capsys, tmp_path):
+def test_criterion_7_determinism_and_exit_codes(capsys, tmp_path, monkeypatch):
     argv = ["verify", "--suite", "all", "--format", "json"]
     assert main(list(argv)) == EXIT_OK
     first = capsys.readouterr().out
@@ -161,7 +162,9 @@ def test_criterion_7_determinism_and_exit_codes(capsys, tmp_path):
 
     ok_code = main(["verify", "--group", "builtin:Z4", "--suite", "hom"])
     capsys.readouterr()
-    fail_code = main(["verify", "--group", "builtin:Z1", "--ablate", "pointed"])
+    with monkeypatch.context() as seeded:  # a checker defect: every Theorem 2.1 sample fails
+        seeded.setattr(harness, "check_theorem_2_1", lambda f: (False,) * 4)
+        fail_code = main(["verify", "--group", "builtin:Z4", "--suite", "hom"])
     capsys.readouterr()
     bad_mu = tmp_path / "bad_mu.json"
     save(

@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from fuzzaut import subsets
+from fuzzaut import harness, subsets
 from fuzzaut.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE_FAILED, main
 from fuzzaut.io import save
 
@@ -26,12 +26,19 @@ class TestExitCodes:
         assert "failed 0" in out
         assert err == ""
 
-    def test_failed_probe_is_one(self, capsys):
+    def test_failed_check_is_one(self, capsys, monkeypatch):
+        """A checker defect seeded in process fails its rows: exit 1."""
+        monkeypatch.setattr(harness, "check_theorem_2_1", lambda f: (False,) * 4)
         code, out, _ = run_cli(
-            capsys, "verify", "--group", "builtin:Z1", "--ablate", "pointed"
+            capsys, "verify", "--group", "builtin:Z4", "--mu", "auto:class", "--suite", "hom"
         )
         assert code == EXIT_SUITE_FAILED
-        assert "FAIL" in out
+        assert out.splitlines() == [
+            "FAIL Theorem 2.1 [Z4|mu=class] :: lift:aut0: failed images multiply, "
+            "identity pair has grade 1, inverses map to inverses, unit entries invert",
+            "PASS Theorem 2.2 [Z4|mu=class]",
+            "passed 1, failed 1",
+        ]
 
     def test_a_defect_building_mu_is_one_with_failing_rows(self, capsys, monkeypatch):
         """A ``RuntimeError`` is left to the campaign: FAIL rows and exit 1, no traceback."""
@@ -168,10 +175,10 @@ RECORDED_S4_ABLATIONS = {
 }
 
 # exit code and sha256 prefix of `verify --ablate TOKEN --format json` over the
-# default groups: on Z1 the flat mu is pointed, so that pointed probe fails;
-# the normal-mu ablation builds the induced family over a non-normal mu
+# default groups: Z1's flat mu is already pointed, so the pointed ablation
+# skips Z1; the normal-mu ablation builds the induced family over a non-normal mu
 RECORDED_DEFAULT_ABLATIONS = {
-    "pointed": (EXIT_SUITE_FAILED, "1d27e39929c83d65"),
+    "pointed": (EXIT_OK, "5b6830720c876b5e"),
     "normal-mu": (EXIT_OK, "7c2dfcdf49ad6e03"),
 }
 

@@ -210,8 +210,8 @@ class TestWorkCounts:
         ("default-matrix.json", 76, 264),
     ])
     def test_unit_entries_are_found_once_per_mu(self, monkeypatch, name, scans, pairs):
-        """Lifts and the induced family read their unit entries off mu's one
-        ``translate_images`` scan, and ``lift_hom`` names a pair of phi only
+        """Lifts and the induced family read their unit entries off the one
+        scan that built ``mu.f_e``, and ``lift_hom`` names a pair of phi only
         after the oracle rejects.  Sources with equal mu share one instance:
         7 and 94 scans, and 78 and 302 calls, when each source ran its own;
         101 and 432 ``ranked_map`` scans, and 129 and 462
@@ -354,9 +354,13 @@ class TestAblation:
         assert row.verdict and row.expected_failure
         assert "MultipleUnitEntries" in row.witness
 
-    def test_pointed_ablation_cannot_fail_on_trivial_group(self):
-        rows = ablation(Campaign(groups=("Z1",)), "pointed")
-        assert len(rows) == 1 and not rows[0].verdict
+    def test_pointed_ablation_skips_the_trivial_group(self):
+        """Z1's flat mu is already pointed, so dropping pointedness can break
+        nothing there: Z1 gets no row, as groups without a non-normal
+        subgroup get no normal-mu row."""
+        assert ablation(Campaign(groups=("Z1",)), "pointed") == []
+        rows = ablation(Campaign(groups=("Z1", "Z2")), "pointed")
+        assert [(r.instance, r.verdict) for r in rows] == [("Z2|mu=flat", True)]
 
     def test_normality_ablation_finds_counterexample(self):
         rows = ablation(Campaign(groups=("S3",)), "normal-mu")

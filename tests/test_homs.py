@@ -33,7 +33,7 @@ from fuzzaut.homs import (
     lift_hom,
 )
 from fuzzaut.maps import (
-    FuzzyMap, compose_maps, crisp_map, indexed_map, inverse_map, make_fuzzy_map,
+    FuzzyMap, compose_maps, crisp_map, indexed_map, inverse_map, make_fuzzy_map, ranked_map,
 )
 from fuzzaut.subsets import (
     FuzzySubset, MuNotNormal, MuNotPointed, chain_strategy, class_strategy, flat_mu, fuzzy_subset,
@@ -809,17 +809,18 @@ class TestLift:
             lift_hom(phi, mu, S3)
 
     @pytest.mark.parametrize("token", ["Z4", "S3", "Q8"])
-    def test_a_translate_row_with_its_top_moved_is_rejected(self, token):
-        """f_e's unit positions are found on ``translate_rows``, not assumed
-        from pointedness: a row whose grade-1 cell moved gives lifts with that
+    def test_an_f_e_row_with_its_top_moved_is_rejected(self, token):
+        """f_e's unit positions are found on its rank rows, not assumed from
+        pointedness: a row whose grade-1 cell moved gives lifts with that
         unit, and the oracle rejects them."""
         group = builtin_group(token)
         mu = FuzzySubset(group, class_strategy(group).grades)
-        rows = [list(row) for row in mu.translate_rows]
+        values, rank_rows = mu.f_e.encoding
+        rows = [list(row) for row in rank_rows]
         a, b = 1, group.order - 1
         rows[a][a], rows[a][b] = rows[a][b], rows[a][a]
-        mu.__dict__["translate_rows"] = tuple(map(tuple, rows))
-        assert mu.translate_images[a] == b
+        mu.__dict__["f_e"] = ranked_map(group, group, values, tuple(map(tuple, rows)))
+        assert mu.f_e.images[a] == b
         identity = tuple(group.elements)
         with pytest.raises(OracleRejected):
             lift_hom(identity, mu, group)

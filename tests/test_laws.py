@@ -196,21 +196,30 @@ def test_class_preservation_serves_lemma_4_2_and_make_induced(monkeypatch):
 def test_validity_predicates_serve_require_valid_mu(monkeypatch, tmp_path, name, fake, error):
     """Neither the strategy mu of a campaign nor a mu read from a file keeps
     its passing verdict beyond the campaign, so the next one sees the defect
-    with nothing cleared by hand, and refuses the mu before any suite runs."""
+    with nothing cleared by hand, and refuses the mu before any suite runs.
+    ``gen_mu_chain``, which builds the strategy mu, certifies pointedness
+    itself: a seeded ``is_pointed`` fails that self-check first, with a
+    ``RuntimeError``, which fails every row instead."""
     path = tmp_path / "mu.json"
     save(path, mu_to_json(class_strategy(S3)))
     by_file = Campaign(groups=("S3",), mu_sources=(f"file:{path}",), suites=("Lemma 4.1",))
     assert row_of("Lemma 4.3").verdict
     assert [r.verdict for r in run_campaign(by_file)] == [True]
     rebind(monkeypatch, subsets, name, fake)
+    strategy_error = RuntimeError if name == "is_pointed" else error
     for statement in ("Lemma 4.1", "Lemma 4.3", "Theorem 4.3"):
-        with pytest.raises(error):
-            row_of(statement)
+        if strategy_error is RuntimeError:
+            row = row_of(statement)
+            assert not row.verdict
+            assert row.witness.startswith("RuntimeError: chain construction produced an invalid")
+        else:
+            with pytest.raises(error):
+                row_of(statement)
     with pytest.raises(error):
         run_campaign(by_file)
-    with pytest.raises(error):
+    with pytest.raises(strategy_error):
         require_valid_mu(class_strategy(S3))
-    with pytest.raises(error):
+    with pytest.raises(strategy_error):
         make_induced(1, class_strategy(S3))
 
 

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzaut.grades import GradeError, format_grade, parse_grade, rank_grades
-from fuzzaut.groups import GroupError, builtin_group, is_subgroup
+from fuzzaut.groups import GroupError, builtin_group, derived_series, is_subgroup
+from fuzzaut.harness import DEFAULT_GROUPS
+from fuzzaut.io import load_group, save
 from fuzzaut.subsets import (
     FuzzySubset,
     GradesNotDecreasing,
     MuNotNormal,
     MuNotPointed,
-    NotFuzzySubgroup,
     NotNested,
     NotSubgroup,
     chain_strategy,
@@ -24,7 +25,6 @@ from fuzzaut.subsets import (
     flat_mu,
     fuzzy_subset,
     gen_mu_chain,
-    gen_mu_class,
     is_class_constant,
     is_fuzzy_subgroup,
     is_normal_fuzzy_subgroup,
@@ -78,7 +78,7 @@ class TestPredicates:
 
     def test_s3_class_constant_is_normal(self):
         s3 = builtin_group("S3")
-        mu = gen_mu_class(s3, ["1", "1/4", "1/2"])
+        mu = fuzzy_subset(s3, ["1", "1/4", "1/4", "1/2", "1/2", "1/4"])
         assert is_normal_fuzzy_subgroup(mu)[0]
 
     def test_s3_unequal_transpositions_not_normal(self):
@@ -195,27 +195,23 @@ class TestChainGenerator:
             gen_mu_chain(z4, [[0], [0, 2], [0, 1, 2, 3]], ["1/2", "1/4", "1/8"])
 
 
-class TestClassGenerator:
+class TestClassConstantGrades:
+    """Grades constant on S3's classes {e}, {1, 2, 5} (transpositions), {3, 4}
+    (3-cycles), and on Q8's {0}, {1}, {2, 3}, {4, 5}, {6, 7}."""
+
     def test_uniform_half_is_valid(self):
-        s3 = builtin_group("S3")
-        mu = gen_mu_class(s3, ["1", "1/2", "1/2"])
+        mu = fuzzy_subset(builtin_group("S3"), ["1", "1/2", "1/2", "1/2", "1/2", "1/2"])
         assert is_normal_fuzzy_subgroup(mu)[0] and is_pointed(mu)
 
     def test_s3_rejection_names_transposition_pair(self):
-        s3 = builtin_group("S3")
-        # classes in least-member order: {e}, transpositions, 3-cycles
-        with pytest.raises(NotFuzzySubgroup) as err:
-            gen_mu_class(s3, ["1", "1/2", "1/4"])
-        assert "(1, 2)" in str(err.value)
+        # transpositions above the 3-cycles: two transpositions multiply to a 3-cycle
+        mu = fuzzy_subset(builtin_group("S3"), ["1", "1/2", "1/2", "1/4", "1/4", "1/2"])
+        ok, witness = is_fuzzy_subgroup(mu)
+        assert not ok and "(1, 2)" in str(witness)
 
     def test_q8_class_grades(self):
-        q8 = builtin_group("Q8")
-        mu = gen_mu_class(q8, ["1", "1/2", "1/4", "1/4", "1/4"])
+        mu = fuzzy_subset(builtin_group("Q8"), ["1", "1/2"] + ["1/4"] * 6)
         assert is_normal_fuzzy_subgroup(mu)[0] and is_pointed(mu)
-
-    def test_identity_class_must_be_one(self):
-        with pytest.raises(Exception):
-            gen_mu_class(builtin_group("S3"), ["1/2", "1/4", "1/4"])
 
 
 @pytest.mark.parametrize(
@@ -269,6 +265,35 @@ class TestStrategies:
     @pytest.mark.parametrize("strategy", [chain_strategy, class_strategy])
     def test_strategies_always_produce_valid_mu(self, token, strategy):
         mu = strategy(builtin_group(token))
+        require_valid_mu(mu)
+
+    @pytest.mark.parametrize(
+        "token", list(DEFAULT_GROUPS) + ["S4", "D8", "D6", "direct_product(Z2,Q8)", "file:S4~"]
+    )
+    def test_class_strategy_grades_by_derived_depth(self, token, tmp_path):
+        """mu(x) = 2^-(depth - index of the deepest derived term containing x),
+        the per-class formula the class strategy once graded by, on builtins
+        and on a file group whose identity is not 0."""
+        if token.startswith("file:"):
+            s4 = builtin_group("S4")
+            shift = [(x + 1) % s4.order for x in s4.elements]
+            table = [[0] * s4.order for _ in s4.elements]
+            for a in s4.elements:
+                for b in s4.elements:
+                    table[shift[a]][shift[b]] = shift[s4.table[a][b]]
+            save(tmp_path / "g.json", {"name": "S4~", "order": s4.order, "table": table})
+            group = load_group(tmp_path / "g.json")
+            assert group.identity != 0
+        else:
+            group = builtin_group(token)
+        series = derived_series(group)
+        depth = len(series) - 1
+        expected = tuple(
+            F(1, 2 ** (depth - max(k for k, term in enumerate(series) if x in term)))
+            for x in group.elements
+        )
+        mu = class_strategy(group)
+        assert mu.grades == expected
         require_valid_mu(mu)
 
 
@@ -367,4 +392,4 @@ class TestKeptVerdict:
                 require_valid_mu(flat)
             with pytest.raises(MuNotNormal):
                 require_valid_mu(not_normal)
-            require_valid_mu(gen_mu_class(s3, ["1", "1/4", "1/2"]))
+            require_valid_mu(fuzzy_subset(s3, ["1", "1/4", "1/4", "1/2", "1/2", "1/4"]))
