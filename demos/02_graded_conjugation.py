@@ -13,12 +13,12 @@ from fuzzaut import (
     build_inn_group,
     center,
     class_strategy,
-    compose_induced,
-    inverse_induced,
+    compose_maps,
     make_induced,
     theta,
     zeta,
 )
+from fuzzaut.induced import check_inverse_labels, check_label_products
 
 q8 = builtin_group("Q8")
 mu = class_strategy(q8)
@@ -27,17 +27,20 @@ names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
 print("== the map induced by g = i ==")
 f_i = make_induced(2, mu)
 print("     " + "  ".join(f"{n:>4}" for n in names))
-for x, row in enumerate(f_i.fmap.grades):
+for x, row in enumerate(f_i.grades):
     print(f"{names[x]:>4} " + "  ".join(f"{str(v):>4}" for v in row))
 print("unit entries sit at y = g^-1 x g, the conjugate of each x")
 
 print()
 print("== composition multiplies labels in reverse order ==")
-f_j = make_induced(4, mu)
-composed = compose_induced(f_i, f_j)
-print(f"  map(i) . map(j) = map({names[composed.label]})   (j * i = {names[q8.mul(4, 2)]})")
-inv = inverse_induced(f_i)
-print(f"  inverse of map(i) = map({names[inv.label]})")
+# labels come from the group law: map(k) and map(-k) are equal matrices
+ji, minus_i = q8.mul(4, 2), q8.inverses[2]
+family = {g: make_induced(g, mu) for g in (2, 4, ji, minus_i, q8.identity)}
+assert compose_maps(f_i, family[4]) == family[ji]  # sup composition, cell by cell
+assert check_label_products(q8, family, [(2, 4)]) == (True, None)
+print(f"  map(i) . map(j) = map({names[ji]})   (j * i = {names[q8.mul(4, 2)]})")
+assert check_inverse_labels(q8, family, [2]) == (True, None)
+print(f"  inverse of map(i) = map({names[minus_i]})")
 
 print()
 print("== the family collapses to |G| / |Z(G)| classes ==")

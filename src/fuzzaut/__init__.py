@@ -37,15 +37,12 @@ from .maps import (
     compose,
     compose_maps,
     crisp_map,
-    equiv,
-    fuzzy_image,
     identity_map,
     inverse_map,
     is_one_one,
     is_onto,
     make_fuzzy_map,
     pointwise_equal,
-    skeleton,
 )
 from .homs import (
     HomCheckReport,
@@ -56,23 +53,14 @@ from .homs import (
     lift_hom,
 )
 from .automorphisms import (
-    FuzzyAutomorphism,
     build_aut_class_group,
-    compose_aut,
-    conjugate_aut,
-    identity_aut,
-    inverse_aut,
     is_class_preserving,
     is_inner,
-    make_automorphism,
 )
 from .induced import (
-    InducedInner,
     InnGroup,
     build_inn_group,
-    compose_induced,
     identity_induced,
-    inverse_induced,
     make_induced,
     theta,
     zeta,

@@ -8,7 +8,7 @@ compose through honest map composition.
 
 Each law of section 3 has one checker here returning ``(verdict, witness)``.
 The checkers take maps that are already built and never revalidate their
-inputs; the raising constructors below and the law harness both call them.
+inputs; the law harness calls them on every sample, and so can any caller.
 Every law that reads pairwise composites reads them from one
 ``composite_table``, which composes each ordered pair of a map list once,
 keeps each distinct composite once and names the input each one is exactly,
@@ -21,10 +21,9 @@ for themselves when none is passed in.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import FuzzautError, Record
+from .errors import FuzzautError
 from .groups import (
     FiniteGroup,
     class_index,
@@ -56,42 +55,14 @@ class NotInjective(AutomorphismError):
     pass
 
 
-class NotInner(AutomorphismError):
-    pass
-
-
-class ClosureViolation(RuntimeError):
-    """A law-guaranteed closure failed; this is a library defect."""
-
-
-class FuzzyAutomorphism(Record):
-    """Validated bijective fuzzy homomorphism with equal domain and codomain."""
-
-    fmap: FuzzyMap
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.fmap.domain
-
-    @property
-    def images(self) -> tuple[int, ...]:
-        return self.fmap.images
-
-    @property
-    def grades(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.fmap.grades
-
-    def __repr__(self) -> str:
-        return f"FuzzyAutomorphism({self.group.name}, skeleton={self.images})"
-
-
 def check_automorphism(f: FuzzyMap) -> tuple[bool, Optional[FuzzautError]]:
     """Lemmas 3.1 and 3.6: f is a bijective fuzzy homomorphism of one group.
 
     One-one implies onto for a map of a finite group to itself.  The checks
     that follow read the skeleton, so it must mark a grade-1 entry in every
     row; that is read off the rank rows (``maps.unit_rank``).  The witness
-    is the error ``make_automorphism`` raises for f.
+    is an ``AutomorphismError`` (``NotInjective`` for a repeated image) or a
+    ``NotHomomorphism`` that names the first failed predicate, ready to raise.
     """
     if f.domain != f.codomain:
         return False, AutomorphismError("domain and codomain must be the same group")
@@ -108,40 +79,6 @@ def check_automorphism(f: FuzzyMap) -> tuple[bool, Optional[FuzzautError]]:
     if not is_one_one(f):
         return False, NotInjective(f"fuzzy images {f.images} repeat a value")
     return True, None
-
-
-def make_automorphism(f: FuzzyMap) -> FuzzyAutomorphism:
-    """Validate and wrap, naming the failing predicate on rejection."""
-    ok, error = check_automorphism(f)
-    if not ok:
-        raise error
-    return FuzzyAutomorphism(f)
-
-
-def _revalidated(f: FuzzyMap, what: str) -> FuzzyAutomorphism:
-    """Wrap a map built from valid automorphisms; a failed check is a library defect."""
-    ok, error = check_automorphism(f)
-    if not ok:
-        raise ClosureViolation(f"{what}: {error}") from error
-    return FuzzyAutomorphism(f)
-
-
-def compose_aut(f: FuzzyAutomorphism, g: FuzzyAutomorphism) -> FuzzyAutomorphism:
-    """f.g (g acts first), revalidated; closure failure aborts loudly."""
-    if f.group != g.group:
-        raise AutomorphismError("automorphisms of different groups cannot compose")
-    composed = compose_maps(f.fmap, g.fmap)
-    return _revalidated(composed, "composition of valid automorphisms failed validation")
-
-
-def identity_aut(group: FiniteGroup) -> FuzzyAutomorphism:
-    """Crisp indicator of the identity permutation."""
-    return make_automorphism(identity_map(group))
-
-
-def inverse_aut(f: FuzzyAutomorphism) -> FuzzyAutomorphism:
-    """Transpose matrix, revalidated as an automorphism."""
-    return _revalidated(inverse_map(f.fmap), "transpose of a valid automorphism failed")
 
 
 def check_associativity(named: Mapping[str, FuzzyMap], products: Products) -> Verdict:
@@ -251,19 +188,6 @@ def check_inner_conjugate(conj: FuzzyMap) -> tuple[bool, object]:
     if is_inner(conj) is None:
         return False, f"skeleton {conj.images} is not inner"
     return check_automorphism(conj)
-
-
-def conjugate_aut(f: FuzzyAutomorphism, f_g: FuzzyAutomorphism) -> FuzzyAutomorphism:
-    """inverse(f) . f_g . f; the result must be inner again."""
-    if f.group != f_g.group:
-        raise AutomorphismError("automorphisms of different groups cannot compose")
-    if is_inner(f_g.fmap) is None:
-        raise NotInner("conjugation requires an inner automorphism")
-    conj = compose_maps(inverse_map(f.fmap), compose_maps(f_g.fmap, f.fmap))
-    ok, witness = check_inner_conjugate(conj)
-    if not ok:
-        raise ClosureViolation(f"conjugate of an inner automorphism failed: {witness}")
-    return FuzzyAutomorphism(conj)
 
 
 def composite_table(maps: Sequence[FuzzyMap]) -> Products:

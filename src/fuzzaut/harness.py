@@ -14,9 +14,9 @@ The law catalog below is the traceability table: every suite the runner can
 emit appears here with a one-line statement of what it checks.  A suite holds
 no law of its own: it calls the one checker of its statement, which lives
 with the object it checks (``homs`` for section 2, ``automorphisms`` for
-section 3, ``induced`` for section 4) and which the raising constructors
-there call too.  The suite only picks the instance's samples and prefixes
-the failing sample's tag to the witness; it keeps no verdicts of its own.
+section 3, ``induced`` for section 4) and which any caller may call too.
+The suite only picks the instance's samples and prefixes the failing
+sample's tag to the witness; it keeps no verdicts of its own.
 """
 
 from __future__ import annotations

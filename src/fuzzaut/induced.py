@@ -10,8 +10,9 @@ the label-indexed family targeted by the graded evaluation map.
 Each law of section 4 has one checker here returning ``(verdict, witness)``.
 A checker takes a labeled family that is already built (the whole family as
 a list, or a dict of the labels involved) plus the labels to check, and
-names the failing labels in its witness.  The certifying constructors below
-and the law harness both call them.
+names the failing labels in its witness.  The law harness calls them on every
+instance; ``make_induced`` and ``identity_induced`` call the ones for a
+single map and raise ``LawViolation`` on a witness.
 """
 
 from __future__ import annotations
@@ -57,21 +58,6 @@ class MuMismatch(FuzzautError):
 
 class LawViolation(RuntimeError):
     """An exact matrix law failed for validated inputs; a library defect."""
-
-
-class InducedInner(Record):
-    """Labeled induced map: the label g, the membership function, the matrix."""
-
-    label: int
-    mu: FuzzySubset
-    fmap: FuzzyMap
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.mu.group
-
-    def __repr__(self) -> str:
-        return f"InducedInner(g={self.label}, group={self.group.name})"
 
 
 def induced_indices(group: FiniteGroup, g: int) -> tuple[tuple[int, ...], ...]:
@@ -161,13 +147,13 @@ def check_induced_bijective(group: FiniteGroup, family: Family, labels: Iterable
 
 
 @derived_cache
-def make_induced(g: int, mu: FuzzySubset) -> InducedInner:
-    """Construct and certify one induced inner automorphism.
+def make_induced(g: int, mu: FuzzySubset) -> FuzzyMap:
+    """f_g, certified: ``induced_map(mu, g)`` after Lemmas 4.1 and 4.2 hold for it.
 
     The membership function must be a normal fuzzy subgroup, pointed at the
-    identity.  The finished map is asserted to be a bijective,
-    class-preserving fuzzy homomorphism whose skeleton is conjugation by g;
-    any failure here is a defect, not an input error.
+    identity.  The map is asserted to be a bijective, class-preserving fuzzy
+    homomorphism whose skeleton is conjugation by g; any failure here is a
+    defect, not an input error, and raises ``LawViolation``.
     """
     require_valid_mu(mu)
     group = mu.group
@@ -178,7 +164,7 @@ def make_induced(g: int, mu: FuzzySubset) -> InducedInner:
         ok, witness = check(group, family, (g,))
         if not ok:
             raise LawViolation(witness)
-    return InducedInner(g, mu, family[g])
+    return family[g]
 
 
 def check_label_products(
@@ -203,22 +189,6 @@ def check_label_products(
                 f"composite={composed[x][y]} label-{label}={expected[x][y]}"
             )
     return True, None
-
-
-def compose_induced(a: InducedInner, b: InducedInner) -> InducedInner:
-    """a.b = the map labeled by b.label * a.label, in exact matrix equality.
-
-    The label shortcut is the law under test, so the result is checked
-    pointwise against honest sup composition every time.
-    """
-    if a.mu != b.mu:
-        raise MuMismatch("operands carry different membership functions")
-    result = make_induced(a.group.table[b.label][a.label], a.mu)
-    family = {a.label: a.fmap, b.label: b.fmap, result.label: result.fmap}
-    ok, witness = check_label_products(a.group, family, [(a.label, b.label)])
-    if not ok:
-        raise LawViolation(witness)
-    return result
 
 
 def check_triple_products(
@@ -274,18 +244,20 @@ def check_identity_label(mu: FuzzySubset, family: Family, labels: Iterable[int])
 
 
 @derived_cache
-def identity_induced(mu: FuzzySubset) -> InducedInner:
-    """The identity-labeled member, mu(x^-1 y); a two-sided identity.
+def identity_induced(mu: FuzzySubset) -> FuzzyMap:
+    """f_e, the identity-labeled member mu(x^-1 y), certified a two-sided identity.
 
-    Both one-sided identity laws are verified pointwise against the whole
-    labeled family.
+    The membership function must be valid (``require_valid_mu``).  Lemma 4.5
+    is checked once, pointwise, against the whole family
+    (``induced_family_raw``); a failure raises ``LawViolation``.
     """
+    require_valid_mu(mu)
     group = mu.group
-    family = [make_induced(g, mu).fmap for g in group.elements]
+    family = induced_family_raw(group, mu)
     ok, witness = check_identity_label(mu, family, group.elements)
     if not ok:
         raise LawViolation(witness)
-    return make_induced(group.identity, mu)
+    return family[group.identity]
 
 
 def check_inverse_labels(group: FiniteGroup, family: Family, labels: Iterable[int]) -> Verdict:
@@ -303,18 +275,6 @@ def check_inverse_labels(group: FiniteGroup, family: Family, labels: Iterable[in
         if not ok:
             return False, witness
     return True, None
-
-
-def inverse_induced(a: InducedInner) -> InducedInner:
-    """The map labeled by the group inverse; both compositions give the identity."""
-    group = a.group
-    result = make_induced(group.inverses[a.label], a.mu)
-    ident = make_induced(group.identity, a.mu)
-    family = {a.label: a.fmap, result.label: result.fmap, ident.label: ident.fmap}
-    ok, witness = check_inverse_labels(group, family, (a.label,))
-    if not ok:
-        raise LawViolation(witness)
-    return result
 
 
 class InnGroup(Record):

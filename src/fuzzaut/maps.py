@@ -3,7 +3,7 @@
 A fuzzy map is a grade matrix over domain x codomain where every domain
 element has exactly one grade-1 entry; the position of that entry is the
 element's fuzzy image and the vector of fuzzy images is the map's skeleton.
-Two maps are equivalent (``equiv``) when their skeletons agree; grades below
+Two maps are equivalent when their skeletons (``images``) agree; grades below
 1 are never compared by the equivalence.
 
 ``compose`` is the general sup composition of relations and the oracle for
@@ -187,14 +187,6 @@ def ranked_map(domain: FiniteGroup, codomain: FiniteGroup, values, rank_rows) ->
     return FuzzyMap(domain, codomain, None, tuple(images), (values, rank_rows))
 
 
-def fuzzy_image(f: FuzzyMap, x: int) -> int:
-    return f.images[x]
-
-
-def skeleton(f: FuzzyMap) -> tuple[int, ...]:
-    return f.images
-
-
 def _check_composable(f: FuzzyRelation, g: FuzzyRelation) -> None:
     if g.codomain != f.domain:
         raise ShapeMismatch(
@@ -244,14 +236,8 @@ def _check_same_shape(f: FuzzyRelation, g: FuzzyRelation) -> None:
         raise ShapeMismatch("maps live over different domain/codomain pairs")
 
 
-def equiv(f: FuzzyMap, g: FuzzyMap) -> bool:
-    """Fuzzy-image equality; grades off the unit entries are not compared."""
-    _check_same_shape(f, g)
-    return f.images == g.images
-
-
 def pointwise_equal(f: FuzzyRelation, g: FuzzyRelation) -> bool:
-    """Exact matrix equality, strictly stronger than ``equiv``; on rank rows
+    """Exact matrix equality, strictly stronger than equivalence; on rank rows
     between maps with equal value lists (see the module docstring)."""
     _check_same_shape(f, g)
     if isinstance(f, FuzzyMap) and isinstance(g, FuzzyMap) and f.encoding[0] == g.encoding[0]:

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fuzzaut.errors import FuzzautError
+from fuzzaut import induced
+from fuzzaut.errors import FuzzautError, clear_derived
 from fuzzaut.grades import rank_grades
 from fuzzaut.groups import builtin_group, center, is_group_isomorphism
 from fuzzaut.harness import DEFAULT_GROUPS
@@ -13,7 +14,6 @@ from fuzzaut.maps import (
     FuzzyMap,
     MultipleUnitEntries,
     compose_maps,
-    equiv,
     indexed_map,
     inverse_map,
     pointwise_equal,
@@ -27,6 +27,7 @@ from fuzzaut.subsets import (
     fuzzy_subset,
 )
 from fuzzaut.induced import (
+    LawViolation,
     MuMismatch,
     ThetaCheck,
     ZetaCheck,
@@ -34,13 +35,11 @@ from fuzzaut.induced import (
     check_identity_label,
     check_inverse_labels,
     check_label_products,
-    compose_induced,
     identity_induced,
     induced_family_raw,
     induced_indices,
     induced_map,
     induced_skeletons,
-    inverse_induced,
     make_induced,
     theta,
     zeta,
@@ -58,14 +57,14 @@ class TestMakeInduced:
         expected = [
             [mu.grades[Z4.table[Z4.inverses[x]][y]] for y in Z4.elements] for x in Z4.elements
         ]
-        assert [list(r) for r in f.fmap.grades] == expected
+        assert [list(r) for r in f.grades] == expected
 
     def test_unit_entries_trace_conjugation(self):
         mu = class_strategy(S3)
         for g in S3.elements:
             f = make_induced(g, mu)
             for x in S3.elements:
-                assert f.fmap.grades[x][S3.conjugate(x, g)] == 1
+                assert f.grades[x][S3.conjugate(x, g)] == 1
 
     def test_q8_matrix_cell_by_cell(self):
         mu = class_strategy(Q8)
@@ -74,7 +73,7 @@ class TestMakeInduced:
         t, inv = Q8.table, Q8.inverses
         for x in Q8.elements:
             for y in Q8.elements:
-                assert f.fmap.grades[x][y] == mu.grades[t[inv[x]][t[t[g][y]][inv[g]]]]
+                assert f.grades[x][y] == mu.grades[t[inv[x]][t[t[g][y]][inv[g]]]]
 
     def test_rejects_non_normal_mu(self):
         bad = fuzzy_subset(S3, ["1", "1/2", "1/4", "1/4", "1/4", "1/4"])
@@ -86,77 +85,87 @@ class TestMakeInduced:
             make_induced(0, flat_mu(builtin_group("Z2")))
 
 
-class TestComposeInduced:
+def certified(mu, labels):
+    """The certified maps of ``labels``, as the dict family the checkers take."""
+    return {g: make_induced(g, mu) for g in labels}
+
+
+class TestLabelProducts:
+    """Lemma 4.3 on certified maps: f_g1 . f_g2 is f_(g2 g1), cell by cell."""
+
     def test_identity_labels(self):
         mu = chain_strategy(S3)
-        a = make_induced(S3.identity, mu)
-        assert compose_induced(a, a).label == S3.identity
+        e = S3.identity
+        assert S3.table[e][e] == e
+        assert check_label_products(S3, certified(mu, (e,)), [(e, e)]) == (True, None)
 
     def test_s3_label_product(self):
         mu = class_strategy(S3)
-        a, b = make_induced(1, mu), make_induced(3, mu)
-        c = compose_induced(a, b)
-        assert c.label == S3.table[3][1]
-        assert pointwise_equal(c.fmap, compose_maps(a.fmap, b.fmap))
+        label = S3.table[3][1]
+        family = certified(mu, (1, 3, label))
+        assert check_label_products(S3, family, [(1, 3)]) == (True, None)
+        assert pointwise_equal(family[label], compose_maps(family[1], family[3]))
 
     def test_inverse_labels_compose_to_identity_matrix(self):
         mu = class_strategy(Q8)
-        a = make_induced(2, mu)
-        b = make_induced(Q8.inverses[2], mu)
-        ident = identity_induced(mu)
-        assert pointwise_equal(compose_induced(a, b).fmap, ident.fmap)
+        minus_i = Q8.inverses[2]
+        family = certified(mu, (2, minus_i, Q8.identity))
+        assert check_label_products(Q8, family, [(2, minus_i)]) == (True, None)
+        assert pointwise_equal(compose_maps(family[2], family[minus_i]), identity_induced(mu))
 
-    def test_mu_mismatch(self):
-        # on Q8 the chain and class strategies genuinely differ
+
+@pytest.mark.parametrize("token, other", [("S3", "Z6"), ("Z6", "S3"), ("S3", "Z4")])
+def test_mu_over_another_group(token, other):
+    group, mu = builtin_group(token), class_strategy(builtin_group(other))
+    for check in (build_inn_group, zeta, theta):
         with pytest.raises(MuMismatch):
-            compose_induced(make_induced(2, chain_strategy(Q8)), make_induced(2, class_strategy(Q8)))
-
-    @pytest.mark.parametrize("token, other", [("S3", "Z6"), ("Z6", "S3"), ("S3", "Z4")])
-    def test_mu_over_another_group(self, token, other):
-        group, mu = builtin_group(token), class_strategy(builtin_group(other))
-        for check in (build_inn_group, zeta, theta):
-            with pytest.raises(MuMismatch):
-                check(group, mu)
+            check(group, mu)
 
 
 class TestIdentityInduced:
     def test_diagonal_units(self):
         mu = class_strategy(S3)
         ident = identity_induced(mu)
-        assert all(ident.fmap.grades[x][x] == 1 for x in S3.elements)
+        assert all(ident.grades[x][x] == 1 for x in S3.elements)
 
     def test_z4_sample_value(self):
         mu = chain_strategy(Z4)
         ident = identity_induced(mu)
-        assert ident.fmap.grades[1][3] == F(1, 2)  # mu(3 - 1) = mu(2)
+        assert ident.grades[1][3] == F(1, 2)  # mu(3 - 1) = mu(2)
 
     def test_two_sided_identity_pointwise(self):
         mu = class_strategy(S3)
         ident = identity_induced(mu)
         for g in S3.elements:
             f = make_induced(g, mu)
-            assert pointwise_equal(compose_maps(f.fmap, ident.fmap), f.fmap)
-            assert pointwise_equal(compose_maps(ident.fmap, f.fmap), f.fmap)
+            assert pointwise_equal(compose_maps(f, ident), f)
+            assert pointwise_equal(compose_maps(ident, f), f)
 
 
-class TestInverseInduced:
+class TestInverseLabels:
+    """Lemma 4.6 on certified maps: f_g and f_(g^-1) compose to f_e both ways."""
+
     def test_identity_is_self_inverse(self):
         mu = chain_strategy(S3)
-        assert inverse_induced(make_induced(S3.identity, mu)).label == S3.identity
+        e = S3.identity
+        assert S3.inverses[e] == e
+        assert check_inverse_labels(S3, certified(mu, (e,)), (e,)) == (True, None)
 
     def test_q8_i_inverts_to_minus_i(self):
         mu = class_strategy(Q8)
-        assert inverse_induced(make_induced(2, mu)).label == 3
+        assert Q8.inverses[2] == 3
+        family = certified(mu, (2, 3, Q8.identity))
+        assert check_inverse_labels(Q8, family, (2,)) == (True, None)
 
     def test_transpose_is_equivalent_to_inverse_label(self):
         mu = class_strategy(Q8)
         for g in Q8.elements:
             a = make_induced(g, mu)
-            b = inverse_induced(a)
-            assert equiv(inverse_map(a.fmap), b.fmap)
+            b = make_induced(Q8.inverses[g], mu)
+            assert inverse_map(a).images == b.images
             # stronger matrix agreement holds on these class-constant inputs,
             # recorded as an observation rather than a law
-            assert pointwise_equal(inverse_map(a.fmap), b.fmap)
+            assert pointwise_equal(inverse_map(a), b)
 
 
 class TestInnGroup:
@@ -265,13 +274,47 @@ class TestRawFamily:
         mu = class_strategy(S3)
         family = induced_family_raw(S3, mu)
         for g in S3.elements:
-            assert family[g].grades == make_induced(g, mu).fmap.grades
+            assert family[g].grades == make_induced(g, mu).grades
 
     def test_raw_builder_needs_no_valid_mu(self):
         # the raw map builder is the ablation entry point: a flat mu gets as
         # far as the unit-entry rule of the matrix
         with pytest.raises(MultipleUnitEntries, match=r"row 0 has grade-1 entries at \[0, 1\]"):
             induced_map(flat_mu(builtin_group("Z2")), 0)
+
+
+CERTIFIED_GROUPS = DEFAULT_GROUPS + ("S4", "D8", "direct_product(Z2,Q8)")
+
+
+@pytest.mark.parametrize("name", CERTIFIED_GROUPS)
+@pytest.mark.parametrize("strategy", [chain_strategy, class_strategy])
+class TestCertifiedMaps:
+    """``make_induced`` and ``identity_induced`` return the family's own maps."""
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        clear_derived()
+        yield
+        clear_derived()
+
+    def test_identity_induced_is_f_e(self, name, strategy):
+        group = builtin_group(name)
+        mu = strategy(group)
+        ident = identity_induced(mu)
+        assert pointwise_equal(ident, mu.f_e)
+        assert pointwise_equal(ident, induced_map(mu, group.identity))
+
+    def test_make_induced_is_the_family_member(self, name, strategy):
+        group = builtin_group(name)
+        mu = strategy(group)
+        family = induced_family_raw(group, mu)
+        for g in group.elements:
+            assert pointwise_equal(make_induced(g, mu), family[g]), g
+
+    def test_identity_induced_raises_the_seeded_witness(self, monkeypatch, name, strategy):
+        monkeypatch.setattr(induced, "check_identity_label", lambda *args: (False, "seeded"))
+        with pytest.raises(LawViolation, match="seeded"):
+            identity_induced(strategy(builtin_group(name)))
 
 
 FAMILY_GROUPS = (

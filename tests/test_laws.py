@@ -1,9 +1,11 @@
-"""One implementation per law: the raising API and the harness share each checker.
+"""One implementation per law: the public API and the harness share each checker.
 
 Each case seeds a defect in one shared checker, at every module that binds
-it, and expects both the public function built on it to raise and the
-harness row of its statement to fail.  A law with a second, private copy in
-either place would let one of the two pass.
+it, and expects the harness row of its statement to fail and, where the
+public API reaches it, the public caller to see it too: a checker built on
+the seeded one returns its witness, and ``make_induced``, ``identity_induced``
+and the ``normal-mu`` ablation, which call the checker, raise or fail.  A law
+with a second, private copy in either place would let one of the two pass.
 
 Two cases seed a defect in the associativity kernel, which ``make_group``
 (and so Theorems 3.1 and 4.1) and Lemma 3.2 share, and two in the
@@ -23,14 +25,6 @@ from itertools import product
 import pytest
 
 from fuzzaut import automorphisms, groups, induced, maps, subsets
-from fuzzaut.automorphisms import (
-    ClosureViolation,
-    NotInner,
-    compose_aut,
-    conjugate_aut,
-    inverse_aut,
-    make_automorphism,
-)
 from fuzzaut.errors import clear_derived
 from fuzzaut.groups import NotAssociative, builtin_group, crisp_automorphisms, make_group
 from fuzzaut.harness import (
@@ -44,14 +38,13 @@ from fuzzaut.harness import (
 )
 from fuzzaut.induced import (
     LawViolation,
-    compose_induced,
+    check_inverse_labels,
     identity_induced,
     induced_family_raw,
-    inverse_induced,
     make_induced,
 )
 from fuzzaut.io import mu_to_json, save
-from fuzzaut.maps import FuzzyMap, crisp_map
+from fuzzaut.maps import FuzzyMap, compose_maps, crisp_map, inverse_map
 from fuzzaut.subsets import MuNotNormal, MuNotPointed, class_strategy, require_valid_mu
 
 S3 = builtin_group("S3")
@@ -94,7 +87,7 @@ def row_of(statement):
 
 
 def inner(g):
-    return make_automorphism(induced_family_raw(S3, class_strategy(S3))[g])
+    return induced_family_raw(S3, class_strategy(S3))[g]
 
 
 def induced_map(g):
@@ -106,20 +99,18 @@ def test_rows_pass_without_a_defect():
         assert row_of(statement).verdict
 
 
-def test_is_inner_serves_lemma_3_9_and_conjugate_aut(monkeypatch):
+def test_is_inner_serves_lemma_3_9_and_its_checker(monkeypatch):
     f, f_g = inner(1), inner(3)
+    conj = compose_maps(inverse_map(f), compose_maps(f_g, f))
     seed_defect(monkeypatch, automorphisms, "is_inner", lambda f: None)
-    with pytest.raises(NotInner):
-        conjugate_aut(f, f_g)
+    ok, witness = automorphisms.check_inner_conjugate(conj)
+    assert not ok and "is not inner" in witness
     row = row_of("Lemma 3.9")
     assert not row.verdict and "is not inner" in row.witness
 
 
-def test_label_product_checker_serves_lemma_4_3_compose_induced_and_ablation(monkeypatch):
-    a, b = induced_map(1), induced_map(3)
+def test_label_product_checker_serves_lemma_4_3_and_ablation(monkeypatch):
     seed_defect(monkeypatch, induced, "check_label_products", rejects)
-    with pytest.raises(LawViolation, match="seeded defect"):
-        compose_induced(a, b)
     row = row_of("Lemma 4.3")
     assert not row.verdict and row.witness == "seeded defect"
     seed_defect(monkeypatch, induced, "check_label_products", lambda *args: (True, None))
@@ -135,34 +126,25 @@ def test_identity_label_checker_serves_lemma_4_5_and_identity_induced(monkeypatc
     assert not row.verdict and row.witness == "seeded defect"
 
 
-def test_inverse_label_checker_serves_lemma_4_6_and_inverse_induced(monkeypatch):
-    a = induced_map(1)
+def test_inverse_label_checker_serves_lemma_4_6(monkeypatch):
     seed_defect(monkeypatch, induced, "check_inverse_labels", rejects)
-    with pytest.raises(LawViolation, match="seeded defect"):
-        inverse_induced(a)
     assert not row_of("Lemma 4.6").verdict
 
 
 def test_transpose_checker_serves_lemmas_3_8_and_4_6(monkeypatch):
-    a = induced_map(1)
+    family = induced_family_raw(S3, class_strategy(S3))
     seed_defect(monkeypatch, automorphisms, "check_inner_inverses", rejects)
-    with pytest.raises(LawViolation, match="seeded defect"):
-        inverse_induced(a)
+    assert check_inverse_labels(S3, family, (1,)) == (False, "seeded defect")
     assert not row_of("Lemma 3.8").verdict
     assert not row_of("Lemma 4.6").verdict
 
 
-def test_automorphism_checker_serves_lemmas_3_1_3_6_and_the_constructors(monkeypatch):
-    f = inner(1)
-    # this checker's witness is the error make_automorphism raises
+def test_automorphism_checker_serves_lemmas_3_1_3_6_and_3_9(monkeypatch):
+    conj = compose_maps(inverse_map(inner(1)), compose_maps(inner(3), inner(1)))
+    # this checker's witness is an error, ready to raise
     defect = (False, automorphisms.AutomorphismError("seeded defect"))
     seed_defect(monkeypatch, automorphisms, "check_automorphism", lambda f: defect)
-    with pytest.raises(ClosureViolation):
-        compose_aut(f, f)
-    with pytest.raises(ClosureViolation):
-        inverse_aut(f)
-    with pytest.raises(automorphisms.AutomorphismError, match="seeded defect"):
-        make_automorphism(f.fmap)
+    assert automorphisms.check_inner_conjugate(conj) == defect
     for statement in ("Lemma 3.1", "Lemma 3.6", "Lemma 3.9"):
         assert not row_of(statement).verdict
 

@@ -20,8 +20,6 @@ from fuzzaut.maps import (
     compose,
     compose_maps,
     crisp_map,
-    equiv,
-    fuzzy_image,
     fuzzy_relation,
     identity_map,
     indexed_map,
@@ -32,7 +30,6 @@ from fuzzaut.maps import (
     pointwise_equal,
     ranked_map,
     relation_images,
-    skeleton,
 )
 from fuzzaut.subsets import chain_strategy, class_strategy, fuzzy_subset
 from fuzzaut.induced import induced_family_raw, induced_indices, theta
@@ -89,17 +86,17 @@ class TestValidation:
 class TestImages:
     def test_fuzzy_image_of_identity(self):
         f = identity_map(S3)
-        assert all(fuzzy_image(f, x) == x for x in S3.elements)
+        assert all(f.images[x] == x for x in S3.elements)
 
     def test_induced_image_is_conjugation(self):
         mu = chain_strategy(S3)
         family = induced_family_raw(S3, mu)
         for g in S3.elements:
             f = family[g]
-            assert all(fuzzy_image(f, x) == S3.conjugate(x, g) for x in S3.elements)
+            assert all(f.images[x] == S3.conjugate(x, g) for x in S3.elements)
 
     def test_skeleton(self):
-        assert skeleton(identity_map(Z4)) == (0, 1, 2, 3)
+        assert identity_map(Z4).images == (0, 1, 2, 3)
 
 
 class TestCompose:
@@ -187,17 +184,17 @@ class TestPredicates:
     def test_equiv_ignores_sub_unit_grades(self):
         mu = chain_strategy(Z4)
         graded = make_fuzzy_map(Z4, Z4, identity_grades_for(mu))
-        assert equiv(graded, identity_map(Z4))
+        assert graded.images == identity_map(Z4).images
         assert not pointwise_equal(graded, identity_map(Z4))
 
     def test_equiv_detects_different_units(self):
         f = crisp_map(Z4, Z4, (0, 1, 2, 3))
         g = crisp_map(Z4, Z4, (0, 1, 3, 2))
-        assert not equiv(f, g)
+        assert f.images != g.images
 
-    def test_equiv_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            equiv(identity_map(Z4), identity_map(S3))
+    def test_pointwise_equal_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="different domain/codomain pairs"):
+            pointwise_equal(identity_map(Z4), identity_map(S3))
 
     def test_induced_maps_equal_across_center_cosets(self):
         q8 = builtin_group("Q8")
@@ -206,7 +203,7 @@ class TestPredicates:
         minus_one = 1  # the nontrivial central element
         for g in q8.elements:
             gz = q8.table[g][minus_one]
-            assert equiv(family[g], family[gz])
+            assert family[g].images == family[gz].images
             assert pointwise_equal(family[g], family[gz])
 
 

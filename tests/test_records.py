@@ -8,12 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from fuzzaut.automorphisms import FuzzyAutomorphism
 from fuzzaut.errors import Record
 from fuzzaut.groups import FiniteGroup, builtin_group, make_group
 from fuzzaut.harness import DEFAULT_GROUPS, STATEMENT_IDS, Campaign, SuiteResult
 from fuzzaut.homs import HomCheckReport, HomWitness, Theorem22Report
-from fuzzaut.induced import InducedInner, InnGroup, ThetaCheck, ZetaCheck
+from fuzzaut.induced import InnGroup, ThetaCheck, ZetaCheck
 from fuzzaut.maps import FuzzyMap, FuzzyRelation
 from fuzzaut.subsets import FuzzySubset, SubgroupViolation
 
@@ -29,8 +28,6 @@ RECORDS = {
     HomWitness: (("x1", "x2", "y", "lhs", "rhs"),) * 2,
     HomCheckReport: (("verdict", "witness"),) * 2,
     Theorem22Report: (("kernel", "kernel_is_normal", "one_one", "kernel_trivial"),) * 2,
-    FuzzyAutomorphism: (("fmap",),) * 2,
-    InducedInner: (("label", "mu", "fmap"),) * 2,
     InnGroup: (("group", "mu", "classes", "class_of", "table"),) * 2,
     ZetaCheck: ((
         "inn", "images", "multiplicative", "surjective", "kernel",
