@@ -6,9 +6,10 @@ equality only, so the group structure lives on skeleton classes: each class
 is the set of automorphisms sharing one skeleton permutation, and classes
 compose through honest map composition.
 
-Each law of section 3 has one checker here returning ``(verdict, witness)``.
-The checkers take maps that are already built and never revalidate their
-inputs; the law harness calls them on every sample, and so can any caller.
+Each law of section 3 has one checker here returning a ``Verdict``, the
+verdict and the text of what failed.  The checkers take maps that are
+already built and never revalidate their inputs; the law harness calls them
+on every sample, and so can any caller.
 Every law that reads pairwise composites reads them from one
 ``composite_table``, which composes each ordered pair of a map list once,
 keeps each distinct composite once and names the input each one is exactly,
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import FuzzautError
+from .errors import FuzzautError, Verdict
 from .groups import (
     FiniteGroup,
     class_index,
@@ -33,14 +34,12 @@ from .groups import (
     make_group,
     picker,
 )
-from .homs import NotHomomorphism, is_fuzzy_homomorphism
+from .homs import is_fuzzy_homomorphism
 from .maps import FuzzyMap, compose_maps, identity_map, inverse_map, is_one_one, unit_rank
 
 
 # label -> matrix: a whole labeled family as a list, or a dict of the labels involved
 Family = Union[Sequence[FuzzyMap], Mapping[int, FuzzyMap]]
-# what every law checker returns: the verdict, and what failed when it is False
-Verdict = tuple[bool, Optional[str]]
 Table = tuple[tuple[int, ...], ...]
 # composite_table: the distinct composites, the k x k table of their indices,
 # and per composite the least index of an input it is exactly, or None
@@ -51,33 +50,30 @@ class AutomorphismError(FuzzautError):
     pass
 
 
-class NotInjective(AutomorphismError):
-    pass
-
-
-def check_automorphism(f: FuzzyMap) -> tuple[bool, Optional[FuzzautError]]:
+def check_automorphism(f: FuzzyMap) -> Verdict:
     """Lemmas 3.1 and 3.6: f is a bijective fuzzy homomorphism of one group.
 
     One-one implies onto for a map of a finite group to itself.  The checks
     that follow read the skeleton, so it must mark a grade-1 entry in every
     row; that is read off the rank rows (``maps.unit_rank``).  The witness
-    is an ``AutomorphismError`` (``NotInjective`` for a repeated image) or a
-    ``NotHomomorphism`` that names the first failed predicate, ready to raise.
+    names the first failed predicate: the groups differ, the skeleton misses
+    a grade-1 cell, the homomorphism witness of ``is_fuzzy_homomorphism``,
+    or a repeated fuzzy image.
     """
     if f.domain != f.codomain:
-        return False, AutomorphismError("domain and codomain must be the same group")
+        return False, "domain and codomain must be the same group"
     values, rows = f.encoding
     top = unit_rank(values)
     for x, y in enumerate(f.images):
         if rows[x][y] != top:
-            return False, AutomorphismError(
+            return False, (
                 f"skeleton sends {x} to {y}, but row {x} grades {y} as {values[rows[x][y]]}"
             )
     report = is_fuzzy_homomorphism(f)
     if not report:
-        return False, NotHomomorphism(str(report.witness))
+        return False, str(report.witness)
     if not is_one_one(f):
-        return False, NotInjective(f"fuzzy images {f.images} repeat a value")
+        return False, f"fuzzy images {f.images} repeat a value"
     return True, None
 
 
@@ -183,7 +179,7 @@ def check_inner_inverses(group: FiniteGroup, family: Family, labels: Iterable[in
     return True, None
 
 
-def check_inner_conjugate(conj: FuzzyMap) -> tuple[bool, object]:
+def check_inner_conjugate(conj: FuzzyMap) -> Verdict:
     """Lemma 3.9: a conjugate f^-1 . f_g . f is again an inner fuzzy automorphism."""
     if is_inner(conj) is None:
         return False, f"skeleton {conj.images} is not inner"

@@ -1,16 +1,22 @@
 """Shared roots: ``FuzzautError``, so callers can catch all library errors at
-once; ``derived_cache``, whose caches ``clear_derived`` empties; and
+once; ``derived_cache``, whose caches ``clear_derived`` empties;
 ``Record``, the base of the immutable values (groups, fuzzy subsets and maps,
 check reports, campaign rows), plain source, unlike a generated dataclass,
-so importing the library compiles nothing.
+so importing the library compiles nothing; and ``Verdict``, what every
+``check_*`` law checker returns.
 """
 
 from functools import lru_cache
 from operator import attrgetter
+from typing import Optional
 
 
 class FuzzautError(ValueError):
     """Base class for every validation or configuration error raised here."""
+
+
+# a law checker's result: the verdict, and the text of what failed when it is False
+Verdict = tuple[bool, Optional[str]]
 
 
 DERIVED_CACHES: list = []  # every derived_cache; no other cache holds a derived fact

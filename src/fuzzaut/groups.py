@@ -212,6 +212,9 @@ _SYMMETRIC_MAX = 4
 # the largest order of a built or loaded group, that of Z16 x Z16; it keeps
 # make_group's O(n^3) rescan of a table off larger groups
 MAX_ORDER = 256
+# the deepest a token's parentheses nest: 8 factors of order >= 2 reach MAX_ORDER,
+# and order-1 factors, which never do, would otherwise nest past the recursion limit
+_NESTING_MAX = 8
 
 _ALIAS_RE = re.compile(r"^([ZzDdSs])(\d+)$")
 _CALL_RE = re.compile(r"^(cyclic|dihedral|symmetric)\((\d+)\)$")
@@ -295,7 +298,8 @@ def builtin_group(token: str) -> FiniteGroup:
       lexicographic order, product (p*q)(x) = p(q(x)).
     * ``quaternion8`` / ``Q8`` -- 1, -1, i, -i, j, -j, k, -k.
     * ``klein4`` / ``V4`` -- pairs (0,0), (0,1), (1,0), (1,1) over Z2 x Z2.
-    * ``direct_product(a,b)`` -- row-major pairs over the two factors, order <= 256.
+    * ``direct_product(a,b)`` -- row-major pairs over the two factors, order <= 256,
+      with parentheses nested at most 8 deep.
     """
     tok = token.strip()
     m = _ALIAS_RE.match(tok)
@@ -327,6 +331,11 @@ def builtin_group(token: str) -> FiniteGroup:
         z2 = builtin_group("cyclic(2)")
         return make_group(_direct_table(z2, z2), name="V4")
     if tok.startswith("direct_product(") and tok.endswith(")"):
+        depth = max(itertools.accumulate((ch == "(") - (ch == ")") for ch in tok))
+        if depth > _NESTING_MAX:
+            raise UnknownGroup(
+                f"token nests parentheses {depth} deep, above the bound {_NESTING_MAX}"
+            )
         left, right = _split_product_args(tok[len("direct_product(") : -1])
         g1, g2 = builtin_group(left), builtin_group(right)
         if g1.order * g2.order > MAX_ORDER:

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Optional
 
 from .automorphisms import (
     Products,
-    Verdict,
     check_associativity,
     check_automorphism,
     check_class_group,
@@ -39,7 +38,7 @@ from .automorphisms import (
     check_inverse_law,
     composite_table,
 )
-from .errors import FuzzautError, Record, clear_derived
+from .errors import FuzzautError, Record, Verdict, clear_derived
 from .groups import (
     FiniteGroup,
     all_subgroups,
@@ -264,33 +263,11 @@ class _Instance:
 # -- law suites ---------------------------------------------------------------
 
 
-def _first_failure(checks: Iterable[tuple[str, Iterable]]) -> tuple[bool, Optional[str]]:
+def _first_failure(checks: Iterable[tuple[str, Iterable]]) -> Verdict:
     """Consume (tag, (verdict, witness)) pairs; the first failure, its witness tagged."""
     for tag, (verdict, witness) in checks:
         if not verdict:
             return False, f"{tag}: {witness}"
-    return True, None
-
-
-def _suite_thm_2_1(ctx: _Instance):
-    names = ("images multiply", "identity pair has grade 1", "inverses map to inverses",
-             "unit entries invert")
-    for tag, fmap in ctx.hom_samples:
-        props = check_theorem_2_1(fmap)
-        if not all(props):
-            failed = ", ".join(n for n, p in zip(names, props) if not p)
-            return False, f"{tag}: failed {failed}"
-    return True, None
-
-
-def _suite_thm_2_2(ctx: _Instance):
-    for tag, fmap in ctx.hom_samples:
-        report = check_theorem_2_2(fmap)
-        if not report.verdict:
-            return False, (
-                f"{tag}: kernel={tuple(sorted(report.kernel))} normal={report.kernel_is_normal} "
-                f"one_one={report.one_one} trivial={report.kernel_trivial}"
-            )
     return True, None
 
 
@@ -319,8 +296,12 @@ def _suite_thm_4_3(ctx: _Instance):
 
 
 _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
-    "Theorem 2.1": _suite_thm_2_1,
-    "Theorem 2.2": _suite_thm_2_2,
+    "Theorem 2.1": lambda ctx: _first_failure(
+        (tag, check_theorem_2_1(f)) for tag, f in ctx.hom_samples
+    ),
+    "Theorem 2.2": lambda ctx: _first_failure(
+        (tag, check_theorem_2_2(f)) for tag, f in ctx.hom_samples
+    ),
     "Lemma 3.1": _suite_lemma_3_1,
     "Lemma 3.2": lambda ctx: check_associativity(dict(ctx.aut_samples), ctx.aut_products),
     "Lemma 3.3": lambda ctx: _first_failure(
@@ -518,7 +499,3 @@ def campaign_report(
             "fail": sum(1 for r in results if not r.verdict),
         },
     }
-
-
-def statements_covered(results: list[SuiteResult]) -> tuple[str, ...]:
-    return tuple(sorted({r.statement for r in results}))

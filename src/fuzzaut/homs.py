@@ -50,7 +50,7 @@ from itertools import compress, product
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .errors import FuzzautError, Record, derived_cache
+from .errors import FuzzautError, Record, Verdict, derived_cache
 from .groups import (
     FiniteGroup,
     first_non_multiplicative,
@@ -286,19 +286,26 @@ def kernel(f: FuzzyMap) -> frozenset[int]:
     return frozenset(x for x in f.domain.elements if f.images[x] == e2)
 
 
-def check_theorem_2_1(f: FuzzyMap) -> tuple[bool, bool, bool, bool]:
+_THEOREM_2_1_FACTS = ("images multiply", "identity pair has grade 1", "inverses map to inverses",
+                      "unit entries invert")
+
+
+def check_theorem_2_1(f: FuzzyMap) -> Verdict:
     """Four structural facts about a fuzzy homomorphism, checked exhaustively.
 
     1. fuzzy images multiply; 2. the identity maps to the identity with grade
     1; 3. the image of an inverse is the inverse of the image; 4. unit
-    entries are closed under simultaneous inversion.  Fact 1 is tested over
-    a generating set of the domain (``groups.first_non_multiplicative``).
-    On a lift through a valid mu, fact 1 is exactly the sup condition (see
-    ``lift_hom``).  Facts 2 and 4 read the rank rows: a cell has grade 1
-    exactly when its rank is ``maps.unit_rank`` of the values.  When every
-    row holds one such cell, as every validated map's does, fact 4 reads it
-    by ``row.index`` and tests its inverse cell, n row calls; otherwise
-    every cell of every row is scanned.  Neither path reads ``f.images``.
+    entries are closed under simultaneous inversion.  The witness names the
+    failed facts in this order, as ``_THEOREM_2_1_FACTS`` does.
+
+    Fact 1 is tested over a generating set of the domain
+    (``groups.first_non_multiplicative``).  On a lift through a valid mu,
+    fact 1 is exactly the sup condition (see ``lift_hom``).  Facts 2 and 4
+    read the rank rows: a cell has grade 1 exactly when its rank is
+    ``maps.unit_rank`` of the values.  When every row holds one such cell,
+    as every validated map's does, fact 4 reads it by ``row.index`` and
+    tests its inverse cell, n row calls; otherwise every cell of every row
+    is scanned.  Neither path reads ``f.images``.
     """
     g, h = f.domain, f.codomain
     images = f.images
@@ -316,25 +323,21 @@ def check_theorem_2_1(f: FuzzyMap) -> tuple[bool, bool, bool, bool]:
             for x, row in enumerate(ranks)
             for y in compress(h.elements, map(top.__eq__, row))
         )
-    return p1, p2, p3, p4
+    failed = [name for name, holds in zip(_THEOREM_2_1_FACTS, (p1, p2, p3, p4)) if not holds]
+    return (False, f"failed {', '.join(failed)}") if failed else (True, None)
 
 
-class Theorem22Report(Record):
-    kernel: frozenset[int]
-    kernel_is_normal: bool
-    one_one: bool
-    kernel_trivial: bool
-
-    @property
-    def verdict(self) -> bool:
-        return self.kernel_is_normal and (self.one_one == self.kernel_trivial)
-
-
-def check_theorem_2_2(f: FuzzyMap) -> Theorem22Report:
-    """Kernel normality plus the injectivity criterion."""
+def check_theorem_2_2(f: FuzzyMap) -> Verdict:
+    """Kernel normality plus the injectivity criterion: the kernel is a normal
+    subgroup, and f is one-one exactly when the kernel is trivial.  The
+    witness prints the sorted kernel and the three facts.  A map that is no
+    fuzzy homomorphism has no kernel: ``kernel`` raises ``NotHomomorphism``."""
     k = kernel(f)
+    normal, one_one = is_normal_subgroup(f.domain, k), is_one_one(f)
     trivial = k == {f.domain.identity}
-    return Theorem22Report(k, is_normal_subgroup(f.domain, k), is_one_one(f), trivial)
+    if normal and one_one == trivial:
+        return True, None
+    return False, f"kernel={tuple(sorted(k))} normal={normal} one_one={one_one} trivial={trivial}"
 
 
 def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> FuzzyMap:

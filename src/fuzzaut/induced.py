@@ -23,12 +23,11 @@ from typing import Iterable, Optional
 from .automorphisms import (
     Family,
     Products,
-    Verdict,
     check_inner_inverses,
     composite_table,
     is_class_preserving,
 )
-from .errors import FuzzautError, Record, derived_cache
+from .errors import FuzzautError, Record, Verdict, derived_cache
 from .groups import (
     FiniteGroup,
     center,

@@ -94,6 +94,8 @@ def _parse_json(path, text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the parser recurses once per nested list or object
+        raise FileFormatError(f"{path} nests too deeply to parse") from exc
 
 
 def load_group(path) -> FiniteGroup:

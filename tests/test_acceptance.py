@@ -163,7 +163,9 @@ def test_criterion_7_determinism_and_exit_codes(capsys, tmp_path, monkeypatch):
     ok_code = main(["verify", "--group", "builtin:Z4", "--suite", "hom"])
     capsys.readouterr()
     with monkeypatch.context() as seeded:  # a checker defect: every Theorem 2.1 sample fails
-        seeded.setattr(harness, "check_theorem_2_1", lambda f: (False,) * 4)
+        all_four = ("failed images multiply, identity pair has grade 1, "
+                    "inverses map to inverses, unit entries invert")
+        seeded.setattr(harness, "check_theorem_2_1", lambda f: (False, all_four))
         fail_code = main(["verify", "--group", "builtin:Z4", "--suite", "hom"])
     capsys.readouterr()
     bad_mu = tmp_path / "bad_mu.json"

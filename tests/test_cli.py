@@ -11,6 +11,11 @@ from fuzzaut.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE_FAILED, main
 from fuzzaut.io import save
 
 
+# Theorem 2.1's witness when all four of its facts fail
+ALL_FACTS_FAIL = ("failed images multiply, identity pair has grade 1, inverses map to inverses, "
+                  "unit entries invert")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -28,14 +33,13 @@ class TestExitCodes:
 
     def test_failed_check_is_one(self, capsys, monkeypatch):
         """A checker defect seeded in process fails its rows: exit 1."""
-        monkeypatch.setattr(harness, "check_theorem_2_1", lambda f: (False,) * 4)
+        monkeypatch.setattr(harness, "check_theorem_2_1", lambda f: (False, ALL_FACTS_FAIL))
         code, out, _ = run_cli(
             capsys, "verify", "--group", "builtin:Z4", "--mu", "auto:class", "--suite", "hom"
         )
         assert code == EXIT_SUITE_FAILED
         assert out.splitlines() == [
-            "FAIL Theorem 2.1 [Z4|mu=class] :: lift:aut0: failed images multiply, "
-            "identity pair has grade 1, inverses map to inverses, unit entries invert",
+            f"FAIL Theorem 2.1 [Z4|mu=class] :: lift:aut0: {ALL_FACTS_FAIL}",
             "PASS Theorem 2.2 [Z4|mu=class]",
             "passed 1, failed 1",
         ]
@@ -344,8 +348,14 @@ def write_reject_inputs(path):
          {"group": "Q8", "grades": ["1", "1/2", "1/4", "1/4", "1/2", "1/4", "1/4", "1/4"]})
     save(path / "q8.json", mu_to_json(subsets.class_strategy(builtin_group("Q8"))))
     save(path / "z2-big.json", {"group": "Z2", "grades": ["1", "3/2"]})
+    deep = "[" * DEEP + "]" * DEEP  # past the JSON parser's recursion limit
+    (path / "deep-group.json").write_text(deep, encoding="utf-8")
+    (path / "deep-mu.json").write_text(f'{{"group": "S3", "grades": {deep}}}', encoding="utf-8")
 
 
+DEEP = 100_000
+# order-1 factors never reach the order bound; 600 levels overflowed the parser's recursion
+DEEP_PRODUCT = "direct_product(Z1," * 600 + "Z2" + ")" * 600
 NOT_ASSOCIATIVE = "NotAssociative: (a*b)*c != a*(b*c) for (a, b, c) = (1, 1, 2)"
 Q8_NOT_NORMAL = "MuNotNormal: mu(x*y) = 1/4 < 1/2 = mu(x)^mu(y) at (x, y) = (1, 4)"
 MISSING = "FileFormatError: cannot read {d}/missing.json: [Errno 2] No such file or directory: '{d}/missing.json'"
@@ -372,6 +382,12 @@ REJECTS = {
     "Q8 mu on the default groups": ("verify --group default --mu file:{d}/q8.json",
                                     "FileFormatError: grades are for 'Q8', not 'Z1'"),
     "unknown builtin": ("verify --group builtin:Z99", UNKNOWN_Z99),
+    "deep group json": ("verify --group file:{d}/deep-group.json",
+                        "FileFormatError: {d}/deep-group.json nests too deeply to parse"),
+    "deep mu json": ("verify --group builtin:S3 --mu file:{d}/deep-mu.json",
+                     "FileFormatError: {d}/deep-mu.json nests too deeply to parse"),
+    "deep builtin product": (f"verify --group builtin:{DEEP_PRODUCT}",
+                             "UnknownGroup: token nests parentheses 600 deep, above the bound 8"),
     "unknown strategy": ("verify --group builtin:Z4 --mu auto:foo",
                          "StrategyInapplicable: unknown strategy token 'foo'"),
     "unknown statement": ("verify --group builtin:Z4 --suite thm:9.9",

@@ -399,6 +399,23 @@ class TestBuiltins:
         with pytest.raises(UnknownGroup):
             builtin_group(token)
 
+    def test_every_product_up_to_the_order_bound_nests_within_the_depth_bound(self):
+        """Eight factors of order 2 reach order 256; chained, they nest 8 deep."""
+        token = "cyclic(2)"
+        for _ in range(7):
+            token = f"direct_product(cyclic(2),{token})"
+        assert builtin_group(token).order == 256
+
+    @pytest.mark.parametrize("levels", [9, 600])
+    def test_deeper_nesting_is_unknown_not_a_recursion_error(self, levels):
+        """Order-1 factors never reach the order bound; the depth bound stops them."""
+        token = "Z2"
+        for _ in range(levels):
+            token = f"direct_product(Z1,{token})"
+        message = f"token nests parentheses {levels} deep, above the bound 8"
+        with pytest.raises(UnknownGroup, match=re.escape(message)):
+            builtin_group(token)
+
 
 class TestStructure:
     def test_center_of_cyclic_is_whole_group(self):

@@ -25,7 +25,6 @@ from fuzzaut.homs import (
     HomWitness,
     NotHomomorphism,
     OracleRejected,
-    Theorem22Report,
     check_theorem_2_1,
     check_theorem_2_2,
     is_fuzzy_homomorphism,
@@ -519,22 +518,25 @@ class TestTheorem21:
     def test_induced_map(self):
         mu = class_strategy(S3)
         for fmap in induced_family_raw(S3, mu):
-            assert check_theorem_2_1(fmap) == (True, True, True, True)
+            assert check_theorem_2_1(fmap) == (True, None)
 
     def test_crisp_automorphism_indicator(self):
         for sigma in crisp_automorphisms(S3):
             f = crisp_map(S3, S3, sigma)
-            assert check_theorem_2_1(f) == (True, True, True, True)
+            assert check_theorem_2_1(f) == (True, None)
 
     def test_graded_identity(self):
         mu = chain_strategy(Z4)
         f = lift_hom(tuple(Z4.elements), mu, Z4)
-        props = check_theorem_2_1(f)
-        assert props == (True, True, True, True)
+        assert check_theorem_2_1(f) == (True, None)
         assert f.grades[Z4.identity][Z4.identity] == 1
 
 
-def theorem_2_1_oracle(f):
+FACTS = ("images multiply", "identity pair has grade 1", "inverses map to inverses",
+         "unit entries invert")
+
+
+def theorem_2_1_facts(f):
     """The four facts of Theorem 2.1, read from the Fraction grades."""
     g, h = f.domain, f.codomain
     images = f.images
@@ -555,6 +557,17 @@ def theorem_2_1_oracle(f):
     )
 
 
+def theorem_2_1_oracle(f):
+    """``check_theorem_2_1``'s verdict from the facts: the failed ones, named in order."""
+    failed = [name for name, holds in zip(FACTS, theorem_2_1_facts(f)) if not holds]
+    return (False, "failed " + ", ".join(failed)) if failed else (True, None)
+
+
+def fails_fact(f, index):
+    """Whether ``check_theorem_2_1``'s witness for f names fact ``index``."""
+    return FACTS[index] in (check_theorem_2_1(f)[1] or "")
+
+
 class TestTheorem21MatchesGrades:
     """Facts 2 and 4 read the rank rows; the grades are the oracle."""
 
@@ -562,7 +575,7 @@ class TestTheorem21MatchesGrades:
     @settings(max_examples=40, deadline=None)
     def test_valid_maps(self, data, pair):
         f = data.draw(st.sampled_from(lifted_homs(*pair)))
-        assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (True, True, True, True)
+        assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (True, None)
 
     @given(data=st.data(), pair=st.sampled_from(ORACLE_PAIRS))
     @settings(max_examples=150, deadline=None)
@@ -585,7 +598,7 @@ class TestTheorem21MatchesGrades:
 
     def test_no_grade_one_anywhere(self):
         f = FuzzyMap(S3, Z2, ((F(1, 2), F(0)),) * 6, SIGN)
-        assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (True, False, True, True)
+        assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (False, f"failed {FACTS[1]}")
 
 
 class TestTheorem21OneUnitPerRow:
@@ -598,7 +611,7 @@ class TestTheorem21OneUnitPerRow:
         ctx = _Instance(_Group(token), mu)
         assert ctx.mu_error is None and ctx.hom_samples
         for tag, f in ctx.hom_samples:
-            assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (True,) * 4, tag
+            assert check_theorem_2_1(f) == theorem_2_1_oracle(f) == (True, None), tag
 
     def test_units_away_from_the_images(self):
         """One grade-1 cell per row, never at the fuzzy image: read from the
@@ -612,7 +625,7 @@ class TestTheorem21OneUnitPerRow:
         on_s3 = FuzzyMap(S3, Z2, s3_rows, SIGN)
         assert check_theorem_2_1(on_z4) == theorem_2_1_oracle(on_z4)
         assert check_theorem_2_1(on_s3) == theorem_2_1_oracle(on_s3)
-        assert (check_theorem_2_1(on_z4)[3], check_theorem_2_1(on_s3)[3]) == (False, True)
+        assert (fails_fact(on_z4, 3), fails_fact(on_s3, 3)) == (True, False)
 
     @pytest.mark.parametrize("twice, inverse_row, holds", [
         (1, (F(1), F(1)), True), (3, (F(1), F(1, 2)), False),
@@ -626,7 +639,7 @@ class TestTheorem21OneUnitPerRow:
         rows[2] = [F(1, 2), F(1, 2)]
         f = FuzzyMap(S3, Z2, tuple(map(tuple, rows)), SIGN)
         assert check_theorem_2_1(f) == theorem_2_1_oracle(f)
-        assert check_theorem_2_1(f)[3] is holds
+        assert fails_fact(f, 3) is not holds
 
 
 def all_mappings(domain, codomain):
@@ -665,7 +678,7 @@ class TestImagesMultiplyOverGenerators:
         for phi in all_mappings(domain, codomain):
             first = first_pair_oracle(domain, codomain, phi)
             f = crisp_map(domain, codomain, phi)
-            assert check_theorem_2_1(f)[0] == (first is None)
+            assert fails_fact(f, 0) == (first is not None)
             assert check_theorem_2_1(f) == theorem_2_1_oracle(f)
             rejected += first is not None
         assert rejected
@@ -692,24 +705,21 @@ class TestImagesMultiplyOverGenerators:
 
 class TestTheorem22:
     def test_sign_lift(self):
+        """Not one-one, and the kernel A3 is not trivial: the criterion holds."""
         f = lift_hom(SIGN, class_strategy(Z2), S3)
-        report = check_theorem_2_2(f)
-        assert report.kernel_is_normal
-        assert not report.one_one and not report.kernel_trivial
-        assert report.verdict
+        assert tuple(sorted(kernel(f))) == (0, 3, 4)
+        assert check_theorem_2_2(f) == (True, None)
 
     def test_induced_map(self):
         mu = class_strategy(S3)
         f = induced_family_raw(S3, mu)[1]
-        report = check_theorem_2_2(f)
-        assert tuple(sorted(report.kernel)) == (0,)
-        assert report.one_one and report.verdict
+        assert tuple(sorted(kernel(f))) == (0,)
+        assert check_theorem_2_2(f) == (True, None)
 
     def test_trivial_lift(self):
         z1 = builtin_group("Z1")
         f = lift_hom((0,) * 6, class_strategy(z1), S3)
-        report = check_theorem_2_2(f)
-        assert report.kernel_is_normal and report.verdict
+        assert check_theorem_2_2(f) == (True, None)
 
     @pytest.mark.parametrize("name, witness", [
         ("S3", "lift:quot|N|=3: kernel=(0, 3, 4) normal=False one_one=False trivial=False"),
@@ -722,12 +732,15 @@ class TestTheorem22:
         assert (row.verdict, row.witness) == (False, witness)
 
     def test_the_witness_prints_the_kernel_sorted(self, monkeypatch):
-        """A kernel is a frozenset, and ``frozenset([8, 0])`` iterates as (8, 0)."""
-        report = Theorem22Report(frozenset([8, 0]), False, False, False)
-        monkeypatch.setattr(harness, "check_theorem_2_2", lambda f: report)
-        campaign = Campaign(groups=("Z4",), mu_sources=("chain",), suites=("Theorem 2.2",))
-        (row,) = run_campaign(campaign)
-        assert row.witness.endswith(": kernel=(0, 8) normal=False one_one=False trivial=False")
+        """A kernel is a frozenset, and ``frozenset([8, 0])`` iterates as (8, 0);
+        r^4, element 8 of D8, is central, so only triviality fails."""
+        d8 = builtin_group("D8")
+        assert tuple(frozenset([8, 0])) == (8, 0)
+        monkeypatch.setattr(homs, "kernel", lambda f: frozenset([8, 0]))
+        f = lift_hom(tuple(d8.elements), class_strategy(d8), d8)
+        assert check_theorem_2_2(f) == (
+            False, "kernel=(0, 8) normal=True one_one=True trivial=False"
+        )
 
 
 class TestLift:

@@ -15,7 +15,9 @@ record which statements of the campaign catch it.  Before them, the
 product checkers of Lemmas 3.7 and 4.4, which read one table of pair
 composites, are compared with scans that compose every product: on the
 table lookups and on the fallback, with wrong family members, and under a
-composition defect that sends one pair to the wrong member.
+composition defect that sends one pair to the wrong member.  The very last
+cases add a hand-built map that the checkers reject to the samples of an
+instance and pin the rows that fail, witnesses included, byte for byte.
 """
 
 import re
@@ -44,6 +46,7 @@ from fuzzaut.induced import (
     make_induced,
 )
 from fuzzaut.io import mu_to_json, save
+from fuzzaut.homs import lift_hom
 from fuzzaut.maps import FuzzyMap, compose_maps, crisp_map, inverse_map
 from fuzzaut.subsets import MuNotNormal, MuNotPointed, class_strategy, require_valid_mu
 
@@ -141,10 +144,8 @@ def test_transpose_checker_serves_lemmas_3_8_and_4_6(monkeypatch):
 
 def test_automorphism_checker_serves_lemmas_3_1_3_6_and_3_9(monkeypatch):
     conj = compose_maps(inverse_map(inner(1)), compose_maps(inner(3), inner(1)))
-    # this checker's witness is an error, ready to raise
-    defect = (False, automorphisms.AutomorphismError("seeded defect"))
-    seed_defect(monkeypatch, automorphisms, "check_automorphism", lambda f: defect)
-    assert automorphisms.check_inner_conjugate(conj) == defect
+    seed_defect(monkeypatch, automorphisms, "check_automorphism", rejects)
+    assert automorphisms.check_inner_conjugate(conj) == (False, "seeded defect")
     for statement in ("Lemma 3.1", "Lemma 3.6", "Lemma 3.9"):
         assert not row_of(statement).verdict
 
@@ -545,3 +546,63 @@ def test_campaign_catches_a_broken_map_composition(monkeypatch, fake, caught_by)
     seed_defect(monkeypatch, maps, "compose_maps", fake)
     rows = run_campaign(Campaign(groups=("S3",), mu_sources=("class",)))
     assert {r.statement for r in rows if not r.verdict} == caught_by
+
+
+def seeded_samples():
+    """Three hand-built maps of S3 that the law checkers must reject, by tag."""
+    mu = class_strategy(S3)
+    identity = lift_hom(tuple(S3.elements), mu, S3)
+    return {
+        # bijective, and no homomorphism: it swaps a transposition and a 3-cycle
+        "seed:swap": crisp_map(S3, S3, (0, 3, 2, 1, 4, 5)),
+        # a fuzzy homomorphism onto the identity, so not injective
+        "seed:collapse": lift_hom((0,) * 6, mu, S3),
+        # the identity lift's cells under a skeleton that repeats 1
+        "seed:stale": FuzzyMap(S3, S3, None, (0, 1, 1, 1, 1, 1), identity.encoding),
+    }
+
+
+SEEDED_STATEMENTS = ("Theorem 2.1", "Theorem 2.2", "Lemma 3.1", "Lemma 3.6", "Lemma 3.9")
+NOT_HOM = "f(x1*x2, y) = {} but sup over factorizations = {} at (x1, x2, y) = {}"
+NOT_BIJECTIVE = "NotBijective: FuzzyMap(S3 -> S3) is not one-one and onto"
+
+# (statement, verdict, witness) of S3|mu=class with one seeded sample
+SEEDED_ROWS = {
+    "seed:swap": [
+        ("Lemma 3.1", False, "(lift:aut0) . (seed:swap): " + NOT_HOM.format(1, "1/2", (1, 1, 0))),
+        ("Lemma 3.6", False, "seed:swap: " + NOT_HOM.format(1, 0, (1, 1, 0))),
+        ("Lemma 3.9", False, "conjugate of label 1 by seed:swap: skeleton (0, 4, 5, 3, 1, 2) "
+                             "is not inner"),
+        ("Theorem 2.1", False, "seed:swap: failed images multiply, inverses map to inverses, "
+                               "unit entries invert"),
+        ("Theorem 2.2", False, "NotHomomorphism: " + NOT_HOM.format(1, 0, (1, 1, 0))),
+    ],
+    "seed:collapse": [
+        ("Lemma 3.1", False, "(lift:aut0) . (seed:collapse): fuzzy images (0, 0, 0, 0, 0, 0) "
+                             "repeat a value"),
+        ("Lemma 3.6", False, NOT_BIJECTIVE),
+        ("Lemma 3.9", False, NOT_BIJECTIVE),
+        ("Theorem 2.1", True, None),
+        ("Theorem 2.2", True, None),
+    ],
+    "seed:stale": [
+        ("Lemma 3.1", False, "(lift:aut0) . (seed:stale): " + NOT_HOM.format("1/4", 1, (1, 2, 0))),
+        ("Lemma 3.6", False, NOT_BIJECTIVE),
+        ("Lemma 3.9", False, NOT_BIJECTIVE),
+        ("Theorem 2.1", False, "seed:stale: failed images multiply"),
+        ("Theorem 2.2", False, "seed:stale: kernel=(0,) normal=True one_one=False trivial=True"),
+    ],
+}
+
+
+@pytest.mark.parametrize("tag", SEEDED_ROWS)
+def test_seeded_samples_fail_with_pinned_witnesses(monkeypatch, tag):
+    """A map the checkers reject, added to the instance's samples below every
+    checker, fails these rows with the witnesses they gave when pinned."""
+    samples = _Instance.aut_samples
+    seed = seeded_samples()[tag]
+    monkeypatch.setattr(
+        _Instance, "aut_samples", property(lambda ctx: samples.func(ctx) + [(tag, seed)])
+    )
+    rows = run_campaign(Campaign(groups=("S3",), mu_sources=("class",), suites=SEEDED_STATEMENTS))
+    assert [(r.statement, r.verdict, r.witness) for r in rows] == SEEDED_ROWS[tag]

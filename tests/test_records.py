@@ -11,7 +11,7 @@ import pytest
 from fuzzaut.errors import Record
 from fuzzaut.groups import FiniteGroup, builtin_group, make_group
 from fuzzaut.harness import DEFAULT_GROUPS, STATEMENT_IDS, Campaign, SuiteResult
-from fuzzaut.homs import HomCheckReport, HomWitness, Theorem22Report
+from fuzzaut.homs import HomCheckReport, HomWitness
 from fuzzaut.induced import InnGroup, ThetaCheck, ZetaCheck
 from fuzzaut.maps import FuzzyMap, FuzzyRelation
 from fuzzaut.subsets import FuzzySubset, SubgroupViolation
@@ -27,7 +27,6 @@ RECORDS = {
     FuzzyMap: (("domain", "codomain", "grades", "images"),) * 2,
     HomWitness: (("x1", "x2", "y", "lhs", "rhs"),) * 2,
     HomCheckReport: (("verdict", "witness"),) * 2,
-    Theorem22Report: (("kernel", "kernel_is_normal", "one_one", "kernel_trivial"),) * 2,
     InnGroup: (("group", "mu", "classes", "class_of", "table"),) * 2,
     ZetaCheck: ((
         "inn", "images", "multiplicative", "surjective", "kernel",
