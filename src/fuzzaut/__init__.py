@@ -60,6 +60,7 @@ from .automorphisms import (
 from .induced import (
     InnGroup,
     build_inn_group,
+    check_theorem_4_1,
     identity_induced,
     make_induced,
     theta,

@@ -28,7 +28,7 @@ from .harness import (
     resolve_group,
     resolve_mu,
 )
-from .induced import zeta
+from .induced import build_inn_group, zeta
 from .subsets import FuzzySubset, mu_from_strategy
 
 EXIT_OK = 0
@@ -111,12 +111,12 @@ def cmd_gen_mu(args) -> int:
 def cmd_inn(args) -> int:
     group = resolve_group(_strip_prefix(args.group, "builtin:"))
     mu = _resolve_single_mu(args.mu, group)
-    check = zeta(group, mu)  # build_inn_group validates mu first
-    inn = check.inn
+    inn = build_inn_group(group, mu)  # validates mu first
+    iso, _ = zeta(group, mu)
     payload = {
         "classes": [list(cls) for cls in inn.classes],
         "table": [list(row) for row in inn.table.table],
-        "iso_with_quotient": check.isomorphism,
+        "iso_with_quotient": iso,
     }
     if args.format == "json":
         sys.stdout.write(fio.dumps(payload))
@@ -127,8 +127,8 @@ def cmd_inn(args) -> int:
         print("table:", file=sys.stdout)
         for row in inn.table.table:
             print("  " + " ".join(str(v) for v in row), file=sys.stdout)
-        print(f"isomorphic to quotient by the center: {check.isomorphism}", file=sys.stdout)
-    return EXIT_OK if check.ok else EXIT_SUITE_FAILED
+        print(f"isomorphic to quotient by the center: {iso}", file=sys.stdout)
+    return EXIT_OK if iso else EXIT_SUITE_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,8 @@ no law of its own: it calls the one checker of its statement, which lives
 with the object it checks (``homs`` for section 2, ``automorphisms`` for
 section 3, ``induced`` for section 4) and which any caller may call too.
 The suite only picks the instance's samples and prefixes the failing
-sample's tag to the witness; it keeps no verdicts of its own.
+sample's tag to the witness, or to the library error the sample raised; it
+keeps no verdicts of its own.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ from .groups import (
 )
 from .homs import check_theorem_2_1, check_theorem_2_2, is_fuzzy_homomorphism, lift_hom
 from .induced import (
-    build_inn_group,
     check_identity_label,
     check_induced_bijective,
     check_induced_homomorphism,
     check_inverse_labels,
     check_label_products,
+    check_theorem_4_1,
     check_triple_products,
     induced_family_raw,
     induced_map,
@@ -263,9 +264,19 @@ class _Instance:
 # -- law suites ---------------------------------------------------------------
 
 
-def _first_failure(checks: Iterable[tuple[str, Iterable]]) -> Verdict:
-    """Consume (tag, (verdict, witness)) pairs; the first failure, its witness tagged."""
-    for tag, (verdict, witness) in checks:
+def _attempt(check: Callable[..., Verdict], *args) -> Verdict:
+    """``check(*args)``; a library error it raises fails, its type and text the witness."""
+    try:
+        return check(*args)
+    except (FuzzautError, RuntimeError) as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+
+
+def _first_failure(samples: Iterable[tuple[str, object]], check: Callable[..., Verdict]) -> Verdict:
+    """``check`` each (tag, sample) in turn; the first failure, or library error
+    raised, with the sample's tag in front of its witness."""
+    for tag, sample in samples:
+        verdict, witness = _attempt(check, sample)
         if not verdict:
             return False, f"{tag}: {witness}"
     return True, None
@@ -275,57 +286,46 @@ def _suite_lemma_3_1(ctx: _Instance):
     composites, cells, _ = ctx.aut_products
     verdicts = [check_automorphism(h) for h in composites]  # a function of the map alone
     tags = [tag for tag, _ in ctx.aut_samples]
-    pairs = ((i, j, c) for i, row in enumerate(cells) for j, c in enumerate(row))
-    return _first_failure((f"({tags[i]}) . ({tags[j]})", verdicts[c]) for i, j, c in pairs)
+    pairs = ((f"({tags[i]}) . ({tags[j]})", c) for i, row in enumerate(cells) for j, c in enumerate(row))
+    return _first_failure(pairs, verdicts.__getitem__)
 
 
-def _suite_thm_4_1(ctx: _Instance):
-    # build_inn_group raises LawViolation unless the classes index the center quotient
-    build_inn_group(ctx.group, ctx.mu)
+def _suite_lemma_3_9(ctx: _Instance):
+    """The conjugate of each representative's map by each sample, tagged with both;
+    a sample with no transpose fails under its own tag."""
+    family = ctx.induced_raw
+    for tag, f in ctx.aut_samples:
+        try:
+            f_inv = inverse_map(f)
+        except (FuzzautError, RuntimeError) as exc:
+            return False, f"{tag}: {type(exc).__name__}: {exc}"
+        verdict, witness = _first_failure(
+            ((f"conjugate of label {g} by {tag}", family[g]) for g in ctx.induced_reps),
+            lambda f_g: check_inner_conjugate(compose_maps(f_inv, compose_maps(f_g, f))),
+        )
+        if not verdict:
+            return False, witness
     return True, None
 
 
-def _suite_thm_4_2(ctx: _Instance):
-    check = zeta(ctx.group, ctx.mu)
-    return check.ok, check.witness
-
-
-def _suite_thm_4_3(ctx: _Instance):
-    check = theta(ctx.group, ctx.mu)
-    return check.ok, check.witness
-
-
 _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
-    "Theorem 2.1": lambda ctx: _first_failure(
-        (tag, check_theorem_2_1(f)) for tag, f in ctx.hom_samples
-    ),
-    "Theorem 2.2": lambda ctx: _first_failure(
-        (tag, check_theorem_2_2(f)) for tag, f in ctx.hom_samples
-    ),
+    "Theorem 2.1": lambda ctx: _first_failure(ctx.hom_samples, check_theorem_2_1),
+    "Theorem 2.2": lambda ctx: _first_failure(ctx.hom_samples, check_theorem_2_2),
     "Lemma 3.1": _suite_lemma_3_1,
     "Lemma 3.2": lambda ctx: check_associativity(dict(ctx.aut_samples), ctx.aut_products),
-    "Lemma 3.3": lambda ctx: _first_failure(
-        (tag, check_identity_law(f)) for tag, f in ctx.aut_samples
-    ),
-    "Lemma 3.4": lambda ctx: _first_failure(
-        (tag, check_inverse_law(f)) for tag, f in ctx.aut_samples
-    ),
+    "Lemma 3.3": lambda ctx: _first_failure(ctx.aut_samples, check_identity_law),
+    "Lemma 3.4": lambda ctx: _first_failure(ctx.aut_samples, check_inverse_law),
     "Lemma 3.5": lambda ctx: _first_failure(
-        (tag, is_fuzzy_homomorphism(compose_maps(inverse_map(f), f)))
-        for tag, f in ctx.aut_samples
+        ctx.aut_samples, lambda f: is_fuzzy_homomorphism(compose_maps(inverse_map(f), f))
     ),
     "Lemma 3.6": lambda ctx: _first_failure(
-        (tag, check_automorphism(inverse_map(f))) for tag, f in ctx.aut_samples
+        ctx.aut_samples, lambda f: check_automorphism(inverse_map(f))
     ),
     "Lemma 3.7": lambda ctx: check_inner_products(
         ctx.group, ctx.induced_raw, ctx.induced_reps, ctx.inner_products
     ),
     "Lemma 3.8": lambda ctx: check_inner_inverses(ctx.group, ctx.induced_raw, ctx.induced_reps),
-    "Lemma 3.9": lambda ctx: _first_failure(
-        (f"conjugate of label {g} by {tag}",
-         check_inner_conjugate(compose_maps(f_inv, compose_maps(ctx.induced_raw[g], f))))
-        for tag, f in ctx.aut_samples for f_inv in (inverse_map(f),) for g in ctx.induced_reps
-    ),
+    "Lemma 3.9": _suite_lemma_3_9,
     "Theorem 3.1": lambda ctx: check_class_group([f for _, f in ctx.aut_samples], ctx.aut_products),
     "Lemma 4.1": lambda ctx: check_induced_homomorphism(
         ctx.group, ctx.induced_raw, ctx.group.elements
@@ -341,9 +341,9 @@ _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
     ),
     "Lemma 4.5": lambda ctx: check_identity_label(ctx.mu, ctx.induced_raw, ctx.group.elements),
     "Lemma 4.6": lambda ctx: check_inverse_labels(ctx.group, ctx.induced_raw, ctx.induced_reps),
-    "Theorem 4.1": _suite_thm_4_1,
-    "Theorem 4.2": _suite_thm_4_2,
-    "Theorem 4.3": _suite_thm_4_3,
+    "Theorem 4.1": lambda ctx: check_theorem_4_1(ctx.group, ctx.mu),
+    "Theorem 4.2": lambda ctx: zeta(ctx.group, ctx.mu),
+    "Theorem 4.3": lambda ctx: theta(ctx.group, ctx.mu),
 }
 
 
@@ -351,10 +351,7 @@ def _row(statement: str, instance: str, check: Callable[[], Verdict],
          expected_failure: bool = False) -> SuiteResult:
     """Time ``check()`` into a row; a library error fails the row as its witness."""
     start = time.perf_counter()
-    try:
-        verdict, witness = check()
-    except (FuzzautError, RuntimeError) as exc:
-        verdict, witness = False, f"{type(exc).__name__}: {exc}"
+    verdict, witness = _attempt(check)
     ms = int((time.perf_counter() - start) * 1000)
     return SuiteResult(statement, instance, verdict, witness, ms, expected_failure)
 

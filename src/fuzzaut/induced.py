@@ -8,9 +8,11 @@ top: the skeleton-class group (isomorphic to the quotient by the center) and
 the label-indexed family targeted by the graded evaluation map.
 
 Each law of section 4 has one checker here returning ``(verdict, witness)``.
-A checker takes a labeled family that is already built (the whole family as
-a list, or a dict of the labels involved) plus the labels to check, and
-names the failing labels in its witness.  The law harness calls them on every
+A lemma's checker takes a labeled family that is already built (the whole
+family as a list, or a dict of the labels involved) plus the labels to check,
+and names the failing labels in its witness.  A theorem's checker
+(``check_theorem_4_1``, ``zeta``, ``theta``) takes the group and mu, and its
+witness joins the facts that fail.  The law harness calls them on every
 instance; ``make_induced`` and ``identity_induced`` call the ones for a
 single map and raise ``LawViolation`` on a witness.
 """
@@ -39,7 +41,7 @@ from .groups import (
     opposite_group,
     picker,
 )
-from .homs import HomCheckReport, is_fuzzy_homomorphism
+from .homs import is_fuzzy_homomorphism
 from .maps import (
     FuzzyMap,
     compose_maps,
@@ -299,7 +301,8 @@ def build_inn_group(group: FiniteGroup, mu: FuzzySubset) -> InnGroup:
     """Quotient the labeled family by skeleton equality and build its table.
 
     The classes read only the skeletons (``induced_skeletons``), so no
-    family matrix is built.
+    family matrix is built.  ``make_group`` validates the table; that the
+    classes count the center's cosets is Theorem 4.1 (``check_theorem_4_1``).
     """
     if mu.group != group:
         raise MuMismatch(f"mu is over {mu.group.name}, not {group.name}")
@@ -312,106 +315,64 @@ def build_inn_group(group: FiniteGroup, mu: FuzzySubset) -> InnGroup:
     for i, cls in enumerate(classes):
         for g in cls:
             class_of[g] = i
-    z = center(group)
-    if len(classes) * len(z) != group.order:
-        raise LawViolation(
-            f"{len(classes)} classes with a center of size {len(z)} in a group of order {group.order}"
-        )
     reps = [cls[0] for cls in classes]
     table = [[class_of[group.table[g2][g1]] for g2 in reps] for g1 in reps]
     inn_table = make_group(table, name=f"InnF({group.name})")
     return InnGroup(group, mu, classes, tuple(class_of), inn_table)
 
 
-class ZetaCheck(Record):
-    """The label-to-class map g -> class(g^-1) with its verification facts."""
-
-    inn: InnGroup
-    images: tuple[int, ...]
-    multiplicative: bool
-    surjective: bool
-    kernel: frozenset[int]
-    kernel_is_center: bool
-    quotient: FiniteGroup
-    coset_map: tuple[int, ...]
-    induced_iso: Optional[tuple[int, ...]]
-    isomorphism: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.witness is None
-
-    @property
-    def witness(self) -> Optional[str]:
-        """The facts that fail, joined; None when all hold."""
-        failed = [text for holds, text in (
-            (self.multiplicative, "not multiplicative"),
-            (self.surjective, "not surjective"),
-            (self.kernel_is_center, f"kernel {tuple(sorted(self.kernel))} is not the center"),
-            (self.isomorphism, "induced map on center cosets is not an isomorphism"),
-        ) if not holds]
-        return "; ".join(failed) or None
+def _failed_facts(facts: Iterable[tuple[bool, str]]) -> Verdict:
+    """The texts of the facts that do not hold, joined by "; "; None when all hold."""
+    failed = [text for holds, text in facts if not holds]
+    return not failed, "; ".join(failed) or None
 
 
-def zeta(group: FiniteGroup, mu: FuzzySubset) -> ZetaCheck:
-    """Map each g to the class of its inverse's label and verify the quotient law.
+def check_theorem_4_1(group: FiniteGroup, mu: FuzzySubset) -> Verdict:
+    """Theorem 4.1: the labeled family forms a group, one skeleton class per
+    coset of the center, under the class table ``build_inn_group`` validates.
+
+    The table is ``class_of`` of label products and the other test a count,
+    so no map is composed.  A table that is no group raises ``GroupError``.
+    """
+    classes, z = build_inn_group(group, mu).classes, center(group)
+    if len(classes) * len(z) != group.order:
+        return False, (
+            f"{len(classes)} classes with a center of size {len(z)} in a group of order {group.order}"
+        )
+    return True, None
+
+
+def zeta(group: FiniteGroup, mu: FuzzySubset) -> Verdict:
+    """Theorem 4.2: g -> class(g^-1) gives G/Z(G) isomorphic to the class group.
 
     The map is multiplicative onto the class table, its kernel is the center,
     and the map it induces on center cosets is a group isomorphism onto the
-    class group.
+    class group.  The witness joins the facts that fail, in that order.
     """
     inn = build_inn_group(group, mu)
     images = tuple(inn.class_of[group.inverses[g]] for g in group.elements)
-    multiplicative = first_non_multiplicative(group, inn.table, images) is None
-    surjective = set(images) == set(range(inn.table.order))
-    kernel = frozenset(g for g in group.elements if images[g] == images[group.identity])
-    kernel_is_center = kernel == center(group)
+    kernel = tuple(g for g in group.elements if images[g] == images[group.identity])
     quotient, coset_map = center_quotient(group)
-    # coset c -> image; well defined exactly when every coset has one image
-    induced = sorted({(coset_map[x], images[x]) for x in group.elements})
-    induced_iso = tuple(image for _, image in induced) if len(induced) == quotient.order else None
-    isomorphism = induced_iso is not None and is_group_isomorphism(quotient, inn.table, induced_iso)
-    return ZetaCheck(
-        inn, images, multiplicative, surjective, kernel,
-        kernel_is_center, quotient, coset_map, induced_iso, isomorphism,
-    )
+    # coset c -> image, by coset; a coset with two images makes the list too long
+    induced = [image for _, image in sorted({(coset_map[x], images[x]) for x in group.elements})]
+    return _failed_facts((
+        (first_non_multiplicative(group, inn.table, images) is None, "not multiplicative"),
+        (set(images) == set(range(inn.table.order)), "not surjective"),
+        (frozenset(kernel) == center(group), f"kernel {kernel} is not the center"),
+        (is_group_isomorphism(quotient, inn.table, induced),
+         "induced map on center cosets is not an isomorphism"),
+    ))
 
 
-class ThetaCheck(Record):
-    """The graded evaluation map onto the label-indexed family.
+def theta(group: FiniteGroup, mu: FuzzySubset) -> Verdict:
+    """Theorem 4.3: the graded evaluation map a -> label a^-1 is a bijective
+    fuzzy homomorphism onto the label-indexed family.
 
     Labels compose by reversed product, so the codomain is the opposite
-    group on the same indices; theta(a, label b) = mu(a^-1 * b^-1).
+    group on the same indices; theta(a, label b) = mu(a^-1 * b^-1).  The
+    witness joins the facts that fail: the sup condition, the images, a
+    trivial kernel, one-one and onto, in that order.
     """
-
-    fmap: FuzzyMap
-    label_group: FiniteGroup
-    hom_report: HomCheckReport
-    images_are_inverses: bool
-    kernel: frozenset[int]
-    kernel_trivial: bool
-    one_one: bool
-    onto: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.witness is None
-
-    @property
-    def witness(self) -> Optional[str]:
-        """The facts that fail, joined; None when all hold."""
-        failed = [text for holds, text in (
-            (self.hom_report.verdict, f"sup condition fails: {self.hom_report.witness}"),
-            (self.images_are_inverses, "fuzzy image of a is not the label of a^-1"),
-            (self.kernel_trivial, f"kernel {tuple(sorted(self.kernel))} is not trivial"),
-            (self.one_one, "not one-one"),
-            (self.onto, "not onto"),
-        ) if not holds]
-        return "; ".join(failed) or None
-
-
-def theta(group: FiniteGroup, mu: FuzzySubset) -> ThetaCheck:
-    """Build and verify the graded evaluation map a -> label a^-1."""
     if mu.group != group:
         raise MuMismatch(f"mu is over {mu.group.name}, not {group.name}")
     require_valid_mu(mu)
@@ -420,16 +381,13 @@ def theta(group: FiniteGroup, mu: FuzzySubset) -> ThetaCheck:
     inv = group.inverses
     rows = (tuple(map(t[inv[a]].__getitem__, inv)) for a in group.elements)
     fmap = indexed_map(group, labels, mu.encoding, rows)
-    images_ok = all(fmap.images[a] == inv[a] for a in group.elements)
     report = is_fuzzy_homomorphism(fmap)
-    kernel = frozenset(a for a in group.elements if fmap.images[a] == labels.identity)
-    return ThetaCheck(
-        fmap=fmap,
-        label_group=labels,
-        hom_report=report,
-        images_are_inverses=images_ok,
-        kernel=kernel,
-        kernel_trivial=kernel == {group.identity},
-        one_one=is_one_one(fmap),
-        onto=is_onto(fmap),
-    )
+    kernel = tuple(a for a in group.elements if fmap.images[a] == labels.identity)
+    return _failed_facts((
+        (report.verdict, f"sup condition fails: {report.witness}"),
+        (all(fmap.images[a] == inv[a] for a in group.elements),
+         "fuzzy image of a is not the label of a^-1"),
+        (kernel == (group.identity,), f"kernel {kernel} is not trivial"),
+        (is_one_one(fmap), "not one-one"),
+        (is_onto(fmap), "not onto"),
+    ))

@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from fuzzaut import harness, subsets
+from fuzzaut import harness, induced, subsets
 from fuzzaut.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE_FAILED, main
 from fuzzaut.io import save
 
@@ -328,6 +328,48 @@ class TestInn:
         save(path, group_to_json(builtin_group("V4")))
         code, out, _ = run_cli(capsys, "inn", "--group", f"file:{path}", "--mu", "auto:chain")
         assert code == EXIT_OK and "1 classes" in out
+
+    def test_a_failed_theorem_4_1_count_is_one_without_a_traceback(self, capsys, monkeypatch):
+        """A center that does not count the classes fails zeta's kernel fact: the
+        classes are still printed, the isomorphism reads false, and the exit is 1."""
+        monkeypatch.setattr(induced, "center", lambda group: frozenset({group.identity}))
+        code, out, err = run_cli(capsys, "inn", "--group", "builtin:Q8", "--format", "json")
+        assert (code, err) == (EXIT_SUITE_FAILED, "")
+        payload = json.loads(out)
+        assert payload["classes"] == [[0, 1], [2, 3], [4, 5], [6, 7]]
+        assert payload["iso_with_quotient"] is False
+        code, out, err = run_cli(capsys, "inn", "--group", "builtin:Q8")
+        assert (code, err) == (EXIT_SUITE_FAILED, "")
+        assert out.endswith("isomorphic to quotient by the center: False\n")
+
+
+# sha256 prefix of `inn --group builtin:<token> --format <text|json>` stdout, the
+# same under auto:chain and auto:class, each exiting 0; pinned as first printed
+INN_SHA256 = {
+    "Z1": ("7840553b03cd2907", "9480441c1d8bf0cc"),
+    "Z2": ("4b3937426a05a0b3", "faa3b4ba1b346f19"),
+    "Z6": ("aae7a19673b2d855", "5fe6f201b4cb962b"),
+    "V4": ("fa4e6b7c272e4517", "e8a9ce2579c5908b"),
+    "S3": ("283f3f811e921743", "da609496857dc74a"),
+    "D4": ("335522eda9710a41", "f54d95db793b8a68"),
+    "Q8": ("82b9f711e67f4040", "e53d5c072e9c3741"),
+    "S4": ("0e261a975dab3699", "409eb5e73285dd8a"),
+    "D8": ("d625a776b10d9ba9", "d26e52086a4e8645"),
+    "D6": ("5a4ec4e0f73e6118", "cdb73bd618568ed3"),
+    "direct_product(Z2,Q8)": ("3b292c13b5cf97d1", "18e2634fe0150d6e"),
+    "direct_product(Z2,S3)": ("475f6d6b4936b0cc", "7bde3760a5d8d737"),
+}
+
+
+@pytest.mark.parametrize("token", INN_SHA256)
+@pytest.mark.parametrize("mu", ["chain", "class"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_inn_output_is_pinned(capsys, token, mu, fmt):
+    code, out, err = run_cli(capsys, "inn", "--group", f"builtin:{token}", "--mu", f"auto:{mu}",
+                             "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert digest == INN_SHA256[token][fmt == "json"]
 
 
 def write_reject_inputs(path):

@@ -7,15 +7,26 @@ import pytest
 from fuzzaut import induced
 from fuzzaut.errors import FuzzautError, clear_derived
 from fuzzaut.grades import rank_grades
-from fuzzaut.groups import builtin_group, center, is_group_isomorphism
+from fuzzaut.groups import (
+    builtin_group,
+    center,
+    center_quotient,
+    first_non_multiplicative,
+    is_group_isomorphism,
+    opposite_group,
+)
 from fuzzaut.harness import DEFAULT_GROUPS
-from fuzzaut.homs import HomCheckReport, lift_hom
+from fuzzaut.homs import is_fuzzy_homomorphism, lift_hom
 from fuzzaut.maps import (
     FuzzyMap,
     MultipleUnitEntries,
     compose_maps,
+    crisp_map,
     indexed_map,
     inverse_map,
+    is_one_one,
+    is_onto,
+    make_fuzzy_map,
     pointwise_equal,
 )
 from fuzzaut.subsets import (
@@ -29,12 +40,11 @@ from fuzzaut.subsets import (
 from fuzzaut.induced import (
     LawViolation,
     MuMismatch,
-    ThetaCheck,
-    ZetaCheck,
     build_inn_group,
     check_identity_label,
     check_inverse_labels,
     check_label_products,
+    check_theorem_4_1,
     identity_induced,
     induced_family_raw,
     induced_indices,
@@ -117,7 +127,7 @@ class TestLabelProducts:
 @pytest.mark.parametrize("token, other", [("S3", "Z6"), ("Z6", "S3"), ("S3", "Z4")])
 def test_mu_over_another_group(token, other):
     group, mu = builtin_group(token), class_strategy(builtin_group(other))
-    for check in (build_inn_group, zeta, theta):
+    for check in (build_inn_group, check_theorem_4_1, zeta, theta):
         with pytest.raises(MuMismatch):
             check(group, mu)
 
@@ -202,68 +212,119 @@ class TestInnGroup:
     def test_class_count_times_center_is_order(self):
         for token in ("Z8", "S3", "D4", "Q8"):
             group = builtin_group(token)
-            inn = build_inn_group(group, chain_strategy(group))
+            mu = chain_strategy(group)
+            inn = build_inn_group(group, mu)
             assert len(inn.classes) * len(center(group)) == group.order
+            assert check_theorem_4_1(group, mu) == (True, None)
+
+    def test_a_failed_count_is_a_witness_not_an_error(self, monkeypatch):
+        """Theorem 4.1's count is its checker's verdict; ``build_inn_group`` only builds."""
+        mu = class_strategy(Q8)
+        monkeypatch.setattr(induced, "center", lambda group: frozenset({group.identity}))
+        assert len(build_inn_group(Q8, mu).classes) == 4
+        assert check_theorem_4_1(Q8, mu) == (
+            False, "4 classes with a center of size 1 in a group of order 8"
+        )
+
+
+def zeta_images(group, inn):
+    """g -> class(g^-1), read off the class partition: the test's own zeta."""
+    return [inn.class_of[group.inverses[g]] for g in group.elements]
 
 
 class TestZeta:
+    """zeta's verdict against its facts, computed here from ``inn.class_of`` and ``center``."""
+
     def test_identity_maps_to_identity_class(self):
         mu = class_strategy(S3)
-        check = zeta(S3, mu)
-        assert check.images[S3.identity] == check.inn.class_of[S3.identity]
+        inn = build_inn_group(S3, mu)
+        assert zeta_images(S3, inn)[S3.identity] == inn.class_of[S3.identity]
+        assert zeta(S3, mu) == (True, None)
 
     def test_q8_kernel_is_center(self):
-        check = zeta(Q8, class_strategy(Q8))
-        assert tuple(sorted(check.kernel)) == (0, 1)
-        assert check.kernel_is_center
+        mu = class_strategy(Q8)
+        images = zeta_images(Q8, build_inn_group(Q8, mu))
+        kernel = {g for g in Q8.elements if images[g] == images[Q8.identity]}
+        assert sorted(kernel) == [0, 1] and kernel == center(Q8)
+        assert zeta(Q8, mu) == (True, None)
 
-    def test_the_witness_prints_the_kernel_sorted(self):
-        # a kernel is a frozenset, and frozenset([8, 0]) iterates as (8, 0)
-        check = ZetaCheck(None, (), True, True, frozenset([8, 0]), False, None, (), None, True)
-        assert check.witness == "kernel (0, 8) is not the center"
+    def test_the_witness_prints_the_kernel_sorted(self, monkeypatch):
+        d8 = builtin_group("D8")
+        monkeypatch.setattr(induced, "center", lambda group: frozenset({group.identity}))
+        assert zeta(d8, class_strategy(d8)) == (False, "kernel (0, 8) is not the center")
 
     @pytest.mark.parametrize("token", ["Z1", "Z6", "V4", "S3", "D4", "Q8"])
     def test_quotient_isomorphism(self, token):
         group = builtin_group(token)
-        check = zeta(group, chain_strategy(group))
-        assert check.multiplicative and check.surjective
-        assert check.isomorphism
-        assert is_group_isomorphism(check.quotient, check.inn.table, check.induced_iso)
+        mu = chain_strategy(group)
+        inn = build_inn_group(group, mu)
+        images = zeta_images(group, inn)
+        assert first_non_multiplicative(group, inn.table, images) is None
+        assert set(images) == set(inn.table.elements)
+        quotient, coset_map = center_quotient(group)
+        iso = [None] * quotient.order
+        for x in group.elements:
+            assert iso[coset_map[x]] in (None, images[x])
+            iso[coset_map[x]] = images[x]
+        assert is_group_isomorphism(quotient, inn.table, iso)
+        assert zeta(group, mu) == (True, None)
+
+
+def evaluation_map(group, mu):
+    """theta's map, built here from its cells mu(a^-1 * b^-1) over the opposite group."""
+    t, inv = group.table, group.inverses
+    rows = [[mu.grades[t[inv[a]][inv[b]]] for b in group.elements] for a in group.elements]
+    return make_fuzzy_map(group, opposite_group(group), rows)
 
 
 class TestTheta:
+    """theta's verdict against its facts, read off the map built here."""
+
     def test_images_are_inverse_labels(self):
         mu = class_strategy(S3)
-        check = theta(S3, mu)
-        assert all(check.fmap.images[a] == S3.inverses[a] for a in S3.elements)
+        fmap = evaluation_map(S3, mu)
+        assert all(fmap.images[a] == S3.inverses[a] for a in S3.elements)
+        assert theta(S3, mu) == (True, None)
 
     def test_z4_sample_value(self):
         mu = chain_strategy(Z4)
-        check = theta(Z4, mu)
-        assert check.fmap.grades[1][1] == F(1, 2)  # mu((-1) + (-1)) = mu(2)
+        assert evaluation_map(Z4, mu).grades[1][1] == F(1, 2)  # mu((-1) + (-1)) = mu(2)
+        assert theta(Z4, mu) == (True, None)
 
     def test_kernel_is_trivial_and_map_is_bijective(self):
         for token in ("Z4", "S3", "Q8"):
             group = builtin_group(token)
-            check = theta(group, class_strategy(group))
-            assert tuple(sorted(check.kernel)) == (group.identity,)
-            assert check.one_one and check.onto
+            mu = class_strategy(group)
+            fmap = evaluation_map(group, mu)
+            labels = opposite_group(group)
+            kernel = [a for a in group.elements if fmap.images[a] == labels.identity]
+            assert kernel == [group.identity]
+            assert is_one_one(fmap) and is_onto(fmap)
+            assert theta(group, mu) == (True, None)
 
-    def test_the_witness_prints_the_kernel_sorted(self):
-        check = ThetaCheck(None, None, HomCheckReport(True), True, frozenset([8, 0]), False, True, True)
-        assert check.witness == "kernel (0, 8) is not trivial"
+    def test_the_witness_prints_the_kernel_sorted(self, monkeypatch):
+        """A map that sends every element to the identity label fails every fact
+        but the sup condition, and names its whole kernel in order."""
+        d8 = builtin_group("D8")
+        monkeypatch.setattr(induced, "indexed_map", lambda domain, codomain, encoding, rows:
+                            crisp_map(domain, codomain, (codomain.identity,) * domain.order))
+        kernel = tuple(range(16))
+        assert theta(d8, class_strategy(d8)) == (False, (
+            f"fuzzy image of a is not the label of a^-1; kernel {kernel} is not trivial; "
+            "not one-one; not onto"
+        ))
 
     def test_sup_condition_under_label_composition(self):
         for token in ("Z4", "S3", "Q8"):
             group = builtin_group(token)
-            check = theta(group, chain_strategy(group))
-            assert check.hom_report.verdict
-            assert check.ok
+            mu = chain_strategy(group)
+            assert is_fuzzy_homomorphism(evaluation_map(group, mu)).verdict
+            assert theta(group, mu) == (True, None)
 
     def test_label_group_reverses_products(self):
-        check = theta(S3, class_strategy(S3))
+        labels = evaluation_map(S3, class_strategy(S3)).codomain
         assert all(
-            check.label_group.table[a][b] == S3.table[b][a]
+            labels.table[a][b] == S3.table[b][a]
             for a in S3.elements
             for b in S3.elements
         )

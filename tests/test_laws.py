@@ -575,20 +575,20 @@ SEEDED_ROWS = {
                              "is not inner"),
         ("Theorem 2.1", False, "seed:swap: failed images multiply, inverses map to inverses, "
                                "unit entries invert"),
-        ("Theorem 2.2", False, "NotHomomorphism: " + NOT_HOM.format(1, 0, (1, 1, 0))),
+        ("Theorem 2.2", False, "seed:swap: NotHomomorphism: " + NOT_HOM.format(1, 0, (1, 1, 0))),
     ],
     "seed:collapse": [
         ("Lemma 3.1", False, "(lift:aut0) . (seed:collapse): fuzzy images (0, 0, 0, 0, 0, 0) "
                              "repeat a value"),
-        ("Lemma 3.6", False, NOT_BIJECTIVE),
-        ("Lemma 3.9", False, NOT_BIJECTIVE),
+        ("Lemma 3.6", False, "seed:collapse: " + NOT_BIJECTIVE),
+        ("Lemma 3.9", False, "seed:collapse: " + NOT_BIJECTIVE),
         ("Theorem 2.1", True, None),
         ("Theorem 2.2", True, None),
     ],
     "seed:stale": [
         ("Lemma 3.1", False, "(lift:aut0) . (seed:stale): " + NOT_HOM.format("1/4", 1, (1, 2, 0))),
-        ("Lemma 3.6", False, NOT_BIJECTIVE),
-        ("Lemma 3.9", False, NOT_BIJECTIVE),
+        ("Lemma 3.6", False, "seed:stale: " + NOT_BIJECTIVE),
+        ("Lemma 3.9", False, "seed:stale: " + NOT_BIJECTIVE),
         ("Theorem 2.1", False, "seed:stale: failed images multiply"),
         ("Theorem 2.2", False, "seed:stale: kernel=(0,) normal=True one_one=False trivial=True"),
     ],
@@ -606,3 +606,43 @@ def test_seeded_samples_fail_with_pinned_witnesses(monkeypatch, tag):
     )
     rows = run_campaign(Campaign(groups=("S3",), mu_sources=("class",), suites=SEEDED_STATEMENTS))
     assert [(r.statement, r.verdict, r.witness) for r in rows] == SEEDED_ROWS[tag]
+
+
+SECTION_4_THEOREMS = ("Theorem 4.1", "Theorem 4.2", "Theorem 4.3")
+
+# (name in induced, fake, {(statement, instance): witness} of the rows that fail)
+SECTION_4_SEEDS = {
+    "first_non_multiplicative": (lambda *args: (0, 0), {
+        ("Theorem 4.2", "Q8|mu=class"): "not multiplicative",
+        ("Theorem 4.2", "S3|mu=class"): "not multiplicative",
+    }),
+    "is_one_one": (lambda f: False, {
+        ("Theorem 4.3", "Q8|mu=class"): "not one-one",
+        ("Theorem 4.3", "S3|mu=class"): "not one-one",
+    }),
+    "opposite_group": (lambda group: group, {
+        ("Theorem 4.3", "Q8|mu=class"): "sup condition fails: " + NOT_HOM.format("1/2", 1, (2, 4, 6)),
+        ("Theorem 4.3", "S3|mu=class"): "sup condition fails: " + NOT_HOM.format(1, "1/2", (1, 2, 3)),
+    }),
+    "center": (lambda group: frozenset({group.identity}), {
+        ("Theorem 4.1", "Q8|mu=class"): "4 classes with a center of size 1 in a group of order 8",
+        ("Theorem 4.2", "Q8|mu=class"): "kernel (0, 1) is not the center",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", SECTION_4_SEEDS)
+def test_section_4_theorems_fail_with_pinned_witnesses(monkeypatch, name):
+    """A defect seeded in one name the section 4 theorems read in ``induced``
+    fails the rows of the facts it breaks, each with its own witness."""
+    fake, failing = SECTION_4_SEEDS[name]
+    monkeypatch.setattr(induced, name, fake)
+    clear_derived()
+    rows = run_campaign(Campaign(groups=("S3", "Q8"), mu_sources=("class",),
+                                 suites=SECTION_4_THEOREMS))
+    assert [(r.statement, r.instance) for r in rows] == [
+        (statement, instance)
+        for statement in SECTION_4_THEOREMS for instance in ("Q8|mu=class", "S3|mu=class")
+    ]
+    assert {(r.statement, r.instance): r.witness for r in rows if not r.verdict} == failing
+    assert all(r.witness is None for r in rows if r.verdict)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzaut import maps
 from fuzzaut.grades import grade, rank_grades
-from fuzzaut.groups import builtin_group, crisp_automorphisms
+from fuzzaut.groups import builtin_group, crisp_automorphisms, opposite_group
 from fuzzaut.homs import lift_hom
 from fuzzaut.maps import (
     FuzzyMap,
@@ -32,7 +32,7 @@ from fuzzaut.maps import (
     relation_images,
 )
 from fuzzaut.subsets import chain_strategy, class_strategy, fuzzy_subset
-from fuzzaut.induced import induced_family_raw, induced_indices, theta
+from fuzzaut.induced import induced_family_raw, induced_indices
 
 Z4 = builtin_group("Z4")
 S3 = builtin_group("S3")
@@ -324,7 +324,11 @@ class TestEncoding:
         sigma = data.draw(st.sampled_from(crisp_automorphisms(group)))
         lift = lift_hom(sigma, mu, group)
         family = induced_family_raw(group, mu)
-        for f in [lift, theta(group, mu).fmap, inverse_map(lift)] + family:
+        # the graded evaluation map of Theorem 4.3: cells mu(a^-1 * b^-1) over the opposite group
+        t, inv = group.table, group.inverses
+        evaluation = indexed_map(group, opposite_group(group), mu.encoding,
+                                 [[t[inv[a]][inv[b]] for b in group.elements] for a in group.elements])
+        for f in [lift, evaluation, inverse_map(lift)] + family:
             assert_encoding_decodes(f)
         g = data.draw(st.sampled_from(family))
         assert_encoding_decodes(compose_maps(lift, g))

@@ -12,7 +12,7 @@ from fuzzaut.errors import Record
 from fuzzaut.groups import FiniteGroup, builtin_group, make_group
 from fuzzaut.harness import DEFAULT_GROUPS, STATEMENT_IDS, Campaign, SuiteResult
 from fuzzaut.homs import HomCheckReport, HomWitness
-from fuzzaut.induced import InnGroup, ThetaCheck, ZetaCheck
+from fuzzaut.induced import InnGroup
 from fuzzaut.maps import FuzzyMap, FuzzyRelation
 from fuzzaut.subsets import FuzzySubset, SubgroupViolation
 
@@ -28,14 +28,6 @@ RECORDS = {
     HomWitness: (("x1", "x2", "y", "lhs", "rhs"),) * 2,
     HomCheckReport: (("verdict", "witness"),) * 2,
     InnGroup: (("group", "mu", "classes", "class_of", "table"),) * 2,
-    ZetaCheck: ((
-        "inn", "images", "multiplicative", "surjective", "kernel",
-        "kernel_is_center", "quotient", "coset_map", "induced_iso", "isomorphism",
-    ),) * 2,
-    ThetaCheck: ((
-        "fmap", "label_group", "hom_report", "images_are_inverses",
-        "kernel", "kernel_trivial", "one_one", "onto",
-    ),) * 2,
     Campaign: (("groups", "mu_sources", "suites", "seed"),) * 2,
     SuiteResult: (
         ("statement", "instance", "verdict", "witness", "ms", "expected_failure"),
