@@ -51,7 +51,9 @@ def rank_grades(vec) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
 
 
 def parse_grade(text: str) -> Fraction:
-    """Parse "p/q", "1" or "0" into an exact grade."""
+    """Parse a string into an exact grade: any string ``fractions.Fraction``
+    parses once surrounding whitespace is stripped ("1", "2/4", "0.5",
+    "5e-1"), with a value in [0, 1]; a non-string raises ``GradeError``."""
     if not isinstance(text, str):
         raise GradeError(f"expected a rational string, got {type(text).__name__}")
     return grade(text.strip())

@@ -10,16 +10,20 @@ codomain * is associative, because min distributes over max.  So if
 R_{g*x} = R_g * R_x holds for every g in a generating set S of the domain and
 every x, it holds for every pair, by induction on the length of a positive
 word in S; in a finite group positive words reach every element.  The check
-tests |S|*n pairs instead of n*n and stays exact: nothing is sampled.
+tests |S|*n pairs instead of n*n and stays exact: nothing is sampled.  Any
+generating set will do, so a pass takes the one whose rows it is most likely
+to have multiplied already (``_pass_generators``).
 
 The check reads the rows as the integer rank rows that every ``FuzzyMap``
 stores as its cells (``maps`` derives them once per map, never per check).  The rank map
 is strictly monotone, so min, sup and equality give the same verdicts on
 ranks as on grades, and the product of two rank rows depends only on the two
 integer tuples and the codomain's table.  Samples built from one membership
-function share a few rows, so each codomain keeps a memo of row products
-keyed by a pair of ids from its table of rank rows, and the (domain, row ids)
-of each map that passed, which holds again at once.
+function share a few rows, so each codomain numbers the rank rows it has
+seen and keeps a memo from a pair of row ids to the row id of their
+product; a generator is then decided by comparing two tuples of row ids.
+It also keeps the (domain, row ids) of each map that passed, which holds
+again at once, and the generator rows of its last pass over each domain.
 
 Products are equivariant under translation.  Write (tau_c A)(y) = A(c^-1 y)
 and (rho_d B)(y) = B(y d^-1); substituting y1 -> c^-1 y1 in the sup gives
@@ -32,9 +36,9 @@ images being right.  Every lift through a normal mu has translates of mu as
 its rows, and every one of them centres to mu itself, so each mu costs one
 core.  The centred rows get row ids like any other, kept per (row id,
 shift), so the core is memoized as a product of rows.  The memo, row ids,
-centred-row ids and passing keys are cleared before a check that could take
-them past ``ROW_PRODUCT_MEMO_BOUND`` entries, and ``_row_tables`` keeps the
-last ``_CODOMAINS_KEPT`` codomains.
+centred rows, passing keys and generator rows are cleared before a check
+that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries, and
+``_row_tables`` keeps the last ``_CODOMAINS_KEPT`` codomains.
 
 A core missing from the memo is computed by ``_row_product`` as the literal
 sup, one cell at a time by ``_sup``, reading the cofactors y1^-1 y of each y
@@ -46,13 +50,14 @@ same ``_sup``, so ``homs`` has one implementation of the sup.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress, product, repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import FuzzautError, Record, Verdict, derived_cache
 from .groups import (
     FiniteGroup,
+    closure,
     first_non_multiplicative,
     generating_sequence,
     is_normal_subgroup,
@@ -139,51 +144,85 @@ def is_fuzzy_homomorphism(f: FuzzyMap) -> HomCheckReport:
 
 
 def _failing_generator_pair(f: FuzzyMap) -> Optional[tuple[int, int]]:
-    """The first pair (g, x) with R_{g*x} != R_g * R_x, or None if f is a
-    fuzzy homomorphism: the verdict alone, with no witness scan.
+    """The first pair (g, x) with R_{g*x} != R_g * R_x, g over the generators
+    of ``_pass_generators``, or None if f is a fuzzy homomorphism: the
+    verdict alone, with no witness scan.
 
-    The pairs are (g, x) with g in ``generating_sequence(f.domain)``, which
-    suffice (see the module docstring): R_{g*x} is compared with the product
-    R_g * R_x of f's rank rows, looked up in the codomain's ``memo`` under
-    their ``row_ids`` (see ``_RowTables``).  A product missing from it is
+    Any generating set suffices (see the module docstring).  The codomain's
+    ``memo`` (see ``_RowTables``) maps the ``row_ids`` of R_g and R_x to the
+    row id of R_g * R_x, so generator g is decided by one comparison of two
+    tuples gathered at C level: the ids of the rows R_{g*x} and the memo's
+    products of ids[g] with each ids[x].  Only a generator that fails, or
+    whose products are not all in the memo, is walked one x at a time, which
+    returns its first failing x.  A product missing from the memo is
     translated: with c = f.images[g] and d = f.images[x], the centred rows
     A(y) = R_g(c y) and B(y) = R_x(y d), kept in ``lefts`` and ``rights``,
     get row ids, their core A * B is looked up under those ids and computed
     by ``_row_product`` only when it is new, and
-    (R_g * R_x)(y) = (A * B)(c^-1 y d^-1) is stored under R_g's and R_x's
-    ids.  This is exact for any c and d, so a map whose ``images`` are wrong
-    still gets the verdict of its cells; images that are not codomain
+    (R_g * R_x)(y) = (A * B)(c^-1 y d^-1) gets a row id, kept under R_g's
+    and R_x's.  This is exact for any c and d, so a map whose ``images`` are
+    wrong still gets the verdict of its cells; images that are not codomain
     elements, which only a hand-built map can have, are replaced by the
     identity.  A passing map's (domain, row ids) is kept in ``passed``, so
-    the same check again holds without a pass.  A pass over |S| generators
-    and n rows adds at most 2|S|n products and cores, 2n + |S| row ids,
-    n + |S| centred rows and one passing key, fewer than (2|S| + 3)(n + 1)
-    entries; the stores are cleared before a pass that could take their
-    ``size`` to ``ROW_PRODUCT_MEMO_BOUND``.
+    the same check again holds without a pass.
+
+    A pass over |S| generators and n rows adds at most 2|S|n products and
+    cores to ``memo``; n row ids for its rows, n + |S| for centred rows, |S|n
+    for cores and one for a product that is no row of the map, at which the
+    pass stops; n + |S| centred rows; one passing key and one entry of
+    ``generators``: fewer than 3(|S| + 1)(n + 1) entries.  The stores are
+    cleared before a pass that could take their ``size`` to
+    ``ROW_PRODUCT_MEMO_BOUND``.
     """
     rows = f.encoding[1]
     tables = _row_tables(f.codomain)
-    memo, row_ids = tables.memo, tables.row_ids
-    if (f.domain, tuple(map(row_ids.get, rows))) in tables.passed:
+    memo, row_ids, domain = tables.memo, tables.row_ids, f.domain
+    ids = tuple(map(row_ids.get, rows))
+    if (domain, ids) in tables.passed:
         return None
-    dt = f.domain.table
-    gens = generating_sequence(f.domain)
-    if tables.size() + (2 * len(gens) + 3) * (len(rows) + 1) >= ROW_PRODUCT_MEMO_BOUND:
+    gens = generating_sequence(domain)
+    reset = tables.size() + 3 * (len(gens) + 1) * (len(rows) + 1) >= ROW_PRODUCT_MEMO_BOUND
+    if reset:
         tables.clear()
-    ids = tuple([row_ids.setdefault(r, len(row_ids)) for r in rows])
+    if reset or None in ids:
+        ids = tuple([row_ids.setdefault(r, len(row_ids)) for r in rows])
     images, elements = f.images, f.codomain.elements
     if len(images) != len(rows) or not all(map(elements.__contains__, images)):
         images = (f.codomain.identity,) * len(rows)  # a hand-built map's; any shift is exact
-    for g in gens:
-        rg, ig, dg, c = rows[g], ids[g], dt[g], images[g]
-        for x, (rx, ix) in enumerate(zip(rows, ids)):
+    dt = domain.table
+    for g in _pass_generators(domain, ids, gens, tables):
+        ig, dg = ids[g], dt[g]
+        if picker(dg)(ids) == tuple(map(memo.get, zip(repeat(ig), ids))):
+            continue
+        rg, c = rows[g], images[g]
+        for x, ix in enumerate(ids):
             prod = memo.get((ig, ix))
             if prod is None:
-                prod = memo[ig, ix] = _translated_product(rg, ig, c, rx, ix, images[x], tables)
-            if prod != rows[dg[x]]:
+                moved = _translated_product(rg, ig, c, rows[x], ix, images[x], tables)
+                prod = memo[ig, ix] = _product_id(moved, tables)
+            if prod != ids[dg[x]]:
                 return g, x
-    tables.passed.add((f.domain, ids))
+    tables.passed.add((domain, ids))
     return None
+
+
+def _pass_generators(domain: FiniteGroup, ids: tuple, gens: tuple, tables: _RowTables) -> tuple:
+    """The generators of a pass over the row ids ``ids``: the first elements
+    holding the generator rows of the last pass over ``domain``, when the map
+    has all those rows and the elements generate the domain, else ``gens``.
+
+    For lifts through one mu, the rows of phi^-1(S) are the first lift's
+    generator rows, so every later lift reads the products that lift put in
+    the memo.  ``tables.generators`` keeps the row ids of the set returned,
+    so it changes only when ``gens`` is returned.
+    """
+    kept = tables.generators.get(domain)
+    if kept is not None and all(map(ids.__contains__, kept)):
+        held = tuple(map(ids.index, kept))
+        if len(closure(domain, held)) == domain.order:
+            return held
+    tables.generators[domain] = picker(gens)(ids)
+    return gens
 
 
 class _RowTables:
@@ -195,13 +234,18 @@ class _RowTables:
     y -> R(y d) through column d, and ``inverse[c]`` is c^-1; a translation
     by (c, d) is two of these moves, so nothing is kept per pair.
 
-    The stores: ``memo`` maps a pair of row ids to their product, a core when
-    both rows are centred; ``row_ids`` maps a rank row to its id, which names
-    its content in this codomain; ``lefts`` keeps the left-centred row
-    y -> R(c y) under (row id of R, c) and ``rights`` the right-centred row
-    y -> R(y d) under (row id of R, d), each as (its row id, its content);
-    ``passed`` holds the (domain, row ids) of each map that passed.  The five
-    count together toward ``ROW_PRODUCT_MEMO_BOUND`` (``size``) and are
+    The stores: ``row_ids`` maps a rank row to its id, which names its
+    content in this codomain; ``memo`` maps a pair of row ids to the row id
+    of their product, which is a core when both rows are centred, so a core
+    serves as the product of its two centred rows as well, and ``rows`` maps
+    the id of each product in ``memo`` back to its row; ``lefts`` keeps the
+    left-centred row y -> R(c y) under (row id of R, c) and ``rights`` the
+    right-centred row y -> R(y d) under (row id of R, d), each as (its row
+    id, its content);
+    ``passed`` holds the (domain, row ids) of each map that passed, and
+    ``generators`` the row ids of the generators of the last pass over each
+    domain.  All but ``rows``, which holds no more entries than ``memo``,
+    count together toward ``ROW_PRODUCT_MEMO_BOUND`` (``size``); all are
     cleared together (``clear``).
     """
 
@@ -211,17 +255,28 @@ class _RowTables:
         # itemgetter of one index returns the item; over one element every move is the identity
         move = (lambda index: itemgetter(*index)) if codomain.order > 1 else (lambda index: tuple)
         self.left, self.right, self.inverse = tuple(map(move, ct)), tuple(map(move, zip(*ct))), cinv
-        self.memo, self.row_ids, self.lefts, self.rights, self.passed = {}, {}, {}, {}, set()
+        self.memo, self.row_ids, self.rows, self.lefts, self.rights = {}, {}, {}, {}, {}
+        self.passed, self.generators = set(), {}
 
     def size(self) -> int:
-        return sum(map(len, (self.memo, self.row_ids, self.lefts, self.rights, self.passed)))
+        counted = (self.memo, self.row_ids, self.lefts, self.rights, self.passed, self.generators)
+        return sum(map(len, counted))
 
     def clear(self) -> None:
-        for store in (self.memo, self.row_ids, self.lefts, self.rights, self.passed):
+        for store in (self.memo, self.row_ids, self.rows, self.lefts, self.rights, self.passed,
+                      self.generators):
             store.clear()
 
 
 _row_tables = derived_cache(_RowTables, _CODOMAINS_KEPT)  # the last codomains' tables
+
+
+def _product_id(row: tuple[int, ...], tables: _RowTables) -> int:
+    """The row id of a product or core about to be stored in the memo, handed
+    out if it is new, with ``tables.rows`` mapping it back to the row."""
+    i = tables.row_ids.setdefault(row, len(tables.row_ids))
+    tables.rows[i] = row
+    return i
 
 
 def _translated_product(rg, ig, c, rx, ix, d, tables: _RowTables) -> tuple[int, ...]:
@@ -232,8 +287,8 @@ def _translated_product(rg, ig, c, rx, ix, d, tables: _RowTables) -> tuple[int, 
     ib, b = _centred(tables.rights, (ix, d), right[d], rx, tables.row_ids)
     core = memo.get((ia, ib))
     if core is None:
-        core = memo[ia, ib] = _row_product(a, b, tables.columns)
-    return left[inverse[c]](right[inverse[d]](core))  # y -> core(c^-1 y d^-1)
+        core = memo[ia, ib] = _product_id(_row_product(a, b, tables.columns), tables)
+    return left[inverse[c]](right[inverse[d]](tables.rows[core]))  # y -> core(c^-1 y d^-1)
 
 
 def _centred(store: dict, key: tuple, move, row, row_ids: dict) -> tuple[int, tuple[int, ...]]:

@@ -1,9 +1,11 @@
 """JSON file formats for groups and membership functions.
 
-Grades travel as canonical rational strings ("1", "0", "p/q"), indexed by the
-owning group's element order, so files round-trip bit-exactly through the
-loader.  The loaders keep nothing: each call reads, parses and builds anew,
-and a campaign resolves each of its file inputs once.
+Grades travel as strings indexed by the owning group's element order.  The
+writers give the canonical form ("1", "0", "p/q" in lowest terms), so files
+round-trip bit-exactly; the loader accepts any string that ``parse_grade``
+does, such as "2/4", "0.5" or "5e-1".  The loaders keep nothing: each call
+reads, parses and builds anew, and a campaign resolves each of its file
+inputs once.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from fuzzaut.groups import (
     crisp_automorphisms,
     derived_series,
     first_non_associative,
+    first_non_multiplicative,
     generating_sequence,
     is_group_isomorphism,
     is_normal_subgroup,
@@ -37,6 +38,7 @@ from fuzzaut.groups import (
     opposite_group,
     quotient_group,
 )
+from fuzzaut.harness import DEFAULT_GROUPS
 
 BUILTIN_TOKENS = [
     "Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8",
@@ -666,3 +668,74 @@ class TestEnumerations:
             tuple(s3.table[b][a] for b in s3.elements) for a in s3.elements
         )
         assert opposite_group(op).table == s3.table
+
+
+KERNEL_TOKENS = DEFAULT_GROUPS + ("S4", "D6", "D8", "direct_product(Z2,Q8)")
+
+
+def normal_by_definition(group, members):
+    """A subgroup whose every conjugate g^-1 a g, over all g and members a, is a member."""
+    s, t, inv = frozenset(members), group.table, group.inverses
+    return is_subgroup(group, s) and all(
+        t[t[inv[g]][a]][g] in s for g in group.elements for a in s
+    )
+
+
+def first_pair_by_definition(g, h, mapping):
+    """The first (a, b) of the n^2 lexicographic scan with mapping[a*b] != mapping[a]*mapping[b]."""
+    return next(
+        (
+            (a, b)
+            for a in g.elements
+            for b in g.elements
+            if mapping[g.table[a][b]] != h.table[mapping[a]][mapping[b]]
+        ),
+        None,
+    )
+
+
+class TestCrispKernelsMatchTheDefinitions:
+    """``is_normal_subgroup`` conjugates by the generators only and
+    ``first_non_multiplicative`` multiplies by them only; the literal
+    definitions over every element are the oracles."""
+
+    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    def test_normality_of_every_subgroup(self, token):
+        g = builtin_group(token)
+        verdicts = [is_normal_subgroup(g, s) for s in all_subgroups(g)]
+        assert verdicts == [normal_by_definition(g, s) for s in all_subgroups(g)]
+        # every subgroup of an abelian group, Q8 or Z2xQ8 is normal; not so in the others
+        assert all(verdicts) == (token not in ("S3", "D4", "S4", "D6", "D8"))
+
+    @pytest.mark.parametrize("token", KERNEL_TOKENS)
+    def test_every_crisp_automorphism_is_multiplicative(self, token):
+        g = builtin_group(token)
+        for sigma in crisp_automorphisms(g):
+            assert first_pair_by_definition(g, g, sigma) is None
+            assert first_non_multiplicative(g, g, sigma) is None
+
+    @given(data=st.data(), token=st.sampled_from(KERNEL_TOKENS))
+    @settings(max_examples=200, deadline=None)
+    def test_mappings_name_the_first_pair(self, data, token):
+        """Any permutation; an automorphism with up to two pairs of images
+        swapped, which fails away from the identity; or a mapping that
+        multiplies by the first generator s and may fail by the others:
+        sigma(x r^-1) * t_r, for an automorphism sigma, r the least element
+        of the coset <s> x and t_r drawn, the identity on <s> itself."""
+        g = builtin_group(token)
+        kind = data.draw(st.sampled_from(["permutation", "swapped", "first generator"]))
+        element = st.sampled_from(g.elements)
+        if kind == "permutation":
+            mapping = data.draw(st.permutations(g.elements))
+        elif kind == "swapped":
+            mapping = list(data.draw(st.sampled_from(crisp_automorphisms(g))))
+            for a, b in data.draw(st.lists(st.tuples(element, element), max_size=2)):
+                mapping[a], mapping[b] = mapping[b], mapping[a]
+        else:
+            sigma = data.draw(st.sampled_from(crisp_automorphisms(g)))
+            t, inv = g.table, g.inverses
+            sub = closure(g, generating_sequence(g)[:1])
+            rep = [min(t[h][x] for h in sub) for x in g.elements]
+            shift = {r: g.identity if r in sub else data.draw(element) for r in sorted(set(rep))}
+            mapping = [t[sigma[t[x][inv[r]]]][shift[r]] for x, r in zip(g.elements, rep)]
+        assert first_non_multiplicative(g, g, mapping) == first_pair_by_definition(g, g, mapping)

@@ -188,6 +188,27 @@ class TestWorkCounts:
         assert (len(passes_run), len(hom_checks)) == (passes, checks)
         assert len(row_products) in products
 
+    @pytest.mark.parametrize("name, translated, checks, cores", [
+        ("s4-hom.json", 111, 127, 5),
+        (None, 475, 1090, 63),
+    ], ids=["s4-hom", "default"])
+    def test_later_lifts_read_the_products_of_the_first(
+        self, monkeypatch, name, translated, checks, cores
+    ):
+        """A pass takes its generators from the rows that the last pass over
+        its domain took them from, when they generate it, so every lift
+        through a mu after the first reads the products that the first left
+        in the memo: at most 111 products translated on s4-hom and 475 on the
+        default campaign (351 and 790 when every pass took
+        ``generating_sequence``).  The oracle's verdicts and the cores
+        computed stay as they were."""
+        products = self.calls_to(monkeypatch, homs, "_translated_product")
+        hom_checks = self.calls_to(monkeypatch, homs, "_failing_generator_pair")
+        row_products = self.calls_to(monkeypatch, homs, "_row_product")
+        run_campaign(recorded_campaign(name) if name else default_campaign())
+        assert 0 < len(products) <= translated
+        assert (len(hom_checks), len(row_products)) == (checks, cores)
+
     @pytest.mark.parametrize("suites", [("Lemma 3.7", "Lemma 4.4"), ("Lemma 3.7",)])
     @pytest.mark.parametrize("tokens, composites", [(DEFAULT_GROUPS, 113), (("S4",), 576)])
     def test_lemmas_3_7_and_4_4_compose_each_pair_of_representatives_once(

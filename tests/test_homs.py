@@ -246,9 +246,10 @@ class TestRowProductMemo:
             assert_matches_oracles(f)
 
     def test_memo_stays_bounded(self, monkeypatch):
-        # one check over D4 adds at most 2 generators * 8 rows * 2 = 32 products and
-        # cores, 8 + 2 + 8 row ids, 2 + 8 centred-row ids and 1 passing key; it
-        # reserves (2 * 2 + 3) * (8 + 1) = 63 entries
+        # one check over D4 reserves 3 * (2 + 1) * (8 + 1) = 81 entries, for at most
+        # 2 generators * 8 rows * 2 = 32 products and cores, 8 + 10 + 16 + 1 row ids,
+        # 2 + 8 centred rows, 1 passing key and 1 generator entry, so each check
+        # starts from empty stores, and a lift's check adds no more than 63
         monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 63)
         homs._row_tables.cache_clear()
         for f in lifted_homs(D4, D4):
@@ -270,7 +271,7 @@ class TestRowProductMemo:
             homs._row_tables.cache_clear()
             cold.append(tuple(is_fuzzy_homomorphism(f)))
         assert {verdict for verdict, _ in cold} == {True, False}
-        # a check over D4 reserves 63 entries, so some checks run warm and some reset
+        # a check over D4 reserves 81 entries, so some checks run warm and some reset
         monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 128)
         homs._row_tables.cache_clear()
         warm, sizes = [], []
@@ -467,6 +468,91 @@ class TestTranslatedProduct:
             assert_matches_oracles(liar)
             verdicts.append(is_fuzzy_homomorphism(liar).verdict)
         assert verdicts == [True, False]
+
+
+# the literal scans of Z2xQ8's 589 distinct maps under both mus take seconds; the
+# class mu alone has 210
+GENERATOR_CHOICE_INSTANCES = [
+    *((token, ("chain", "class")) for token in DEFAULT_GROUPS + ("S4", "D8")),
+    ("direct_product(Z2,Q8)", ("class",)),
+]
+
+
+def campaign_maps(token, sources):
+    """Every hom sample, transpose, Lemma 3.5 composite and family map of the
+    group's instances, built in the order a campaign builds them."""
+    shared, maps = _Group(token), []
+    for source in sources:
+        ctx = _Instance(shared, source)
+        maps += [f for _, f in ctx.hom_samples]
+        for _, f in ctx.aut_samples:
+            transpose = inverse_map(f)
+            maps += [transpose, compose_maps(transpose, f)]
+        maps += ctx.induced_raw
+    return maps
+
+
+class TestGeneratorChoice:
+    """Any generating set decides the oracle, so the generators a pass takes
+    from the rows it has multiplied give the verdict of a pass over
+    ``generating_sequence`` and of the literal scan."""
+
+    @pytest.fixture
+    def chosen(self, monkeypatch):
+        """The (domain, generators) of every pass, from cold row tables."""
+        calls, pass_generators = [], homs._pass_generators
+
+        def spy(domain, ids, gens, tables):
+            calls.append((domain, pass_generators(domain, ids, gens, tables)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(homs, "_pass_generators", spy)
+        homs._row_tables.cache_clear()
+        yield calls
+        homs._row_tables.cache_clear()
+
+    @pytest.mark.parametrize(
+        "token, sources", GENERATOR_CHOICE_INSTANCES,
+        ids=lambda value: value if isinstance(value, str) else "+".join(value),
+    )
+    def test_campaign_maps(self, token, sources, chosen):
+        maps = campaign_maps(token, sources)  # every lift takes its pass as it is built
+        warm = [homs._failing_generator_pair(f) is None for f in maps]
+        group = maps[0].domain
+        gens = generating_sequence(group)
+        if len(crisp_automorphisms(group)) > 1:
+            assert any(held != gens for _, held in chosen)
+        verdicts = {}
+        for f in maps:
+            key = f.domain, f.codomain, f.encoding[1]
+            if key in verdicts:
+                continue
+            homs._row_tables.cache_clear()
+            cold = homs._failing_generator_pair(f) is None
+            assert chosen[-1] == (f.domain, generating_sequence(f.domain))
+            pairs = itertools.product(f.domain.elements, repeat=2)
+            columns = homs._row_tables(f.codomain).columns
+            literal = homs._first_violation(f.encoding[1], f.domain.table, columns, pairs) is None
+            assert cold == literal
+            verdicts[key] = literal
+        assert warm == [verdicts[f.domain, f.codomain, f.encoding[1]] for f in maps]
+
+    def test_rows_that_do_not_generate_fall_back(self, chosen):
+        """The two projections of V4 = Z2 x Z2 onto Z2, lifted through one mu.
+        The second lift holds the first's generator rows first at 0 and 1,
+        which generate only {0, 1}, so its pass takes ``generating_sequence``;
+        so does the pass over the second lift with one grade lowered, which
+        fails."""
+        mu, gens = fuzzy_subset(Z2, ["1", "1/2"]), generating_sequence(V4)
+        first = lift_hom([x // 2 for x in V4.elements], mu, V4)
+        second = lift_hom([x % 2 for x in V4.elements], mu, V4)
+        assert first.encoding[1][1] == second.encoding[1][0] != second.encoding[1][1]
+        rows = [list(row) for row in second.grades]
+        rows[3][0] = F(0)  # R_3 = R_1 * R_2 holds 1/2 there
+        bad = make_fuzzy_map(V4, Z2, rows)
+        assert not is_fuzzy_homomorphism(bad).verdict
+        assert chosen == [(V4, gens)] * 3
+        assert_matches_oracles(second)
 
 
 class TestPassesDisagree:

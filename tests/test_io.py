@@ -1,11 +1,13 @@
 """File formats: round trips and schema validation."""
 
+import json
 from collections import Counter
 
 import pytest
 
 from fuzzaut import io
 from fuzzaut.cli import main
+from fuzzaut.grades import GradeError, format_grade, parse_grade
 from fuzzaut.groups import GroupError, NotAssociative, builtin_group, make_group
 from fuzzaut.io import (
     FileFormatError,
@@ -155,6 +157,24 @@ class TestMuFiles:
         # a string would otherwise be parsed one character at a time
         with pytest.raises(FileFormatError, match="^key 'grades' must be list$"):
             mu_from_json({"group": "Z2", "grades": "11"}, builtin_group("Z2"))
+
+    def test_grades_are_fraction_strings_and_written_canonically(self, tmp_path, capsys):
+        """A grade is any string ``fractions.Fraction`` parses once stripped,
+        not only the canonical form; ``gen-mu`` writes the canonical form.
+        A JSON number is no grade string."""
+        z4, path = builtin_group("Z4"), tmp_path / "mu.json"
+        save(path, {"group": "Z4", "grades": ["1", "1e-1", " 2/4 ", "0.1"]})
+        mu = load_mu(path, z4)
+        assert mu == mu_from_json({"group": "Z4", "grades": ["1", "1/10", "1/2", "1/10"]}, z4)
+        assert mu_to_json(mu)["grades"] == ["1", "1/10", "1/2", "1/10"]
+        argv = ["verify", "--group", "builtin:Z4", "--mu", f"file:{path}", "--suite", "hom"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["gen-mu", "--group", "builtin:Z4", "--strategy", "chain"]) == 0
+        written = json.loads(capsys.readouterr().out)["grades"]
+        assert written == [format_grade(parse_grade(text)) for text in written]
+        with pytest.raises(GradeError, match="^expected a rational string, got float$"):
+            mu_from_json({"group": "Z4", "grades": ["1", 0.1, "1/2", "1/10"]}, z4)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(Exception):
