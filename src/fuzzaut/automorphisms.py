@@ -22,9 +22,10 @@ for themselves when none is passed in.
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import FuzzautError, Verdict
+from .errors import FuzzautError, Verdict, derived_cache
 from .groups import (
     FiniteGroup,
     class_index,
@@ -55,20 +56,20 @@ def check_automorphism(f: FuzzyMap) -> Verdict:
 
     One-one implies onto for a map of a finite group to itself.  The checks
     that follow read the skeleton, so it must mark a grade-1 entry in every
-    row; that is read off the rank rows (``maps.unit_rank``).  The witness
-    names the first failed predicate: the groups differ, the skeleton misses
-    a grade-1 cell, the homomorphism witness of ``is_fuzzy_homomorphism``,
-    or a repeated fuzzy image.
+    row; that is read off the rank rows (``maps.unit_rank``) in one gather, and
+    a failing skeleton is walked to its first row.  The witness names the first
+    failed predicate: the groups differ, the skeleton misses a grade-1 cell, the
+    homomorphism witness of ``is_fuzzy_homomorphism``, or a repeated image.
     """
     if f.domain != f.codomain:
         return False, "domain and codomain must be the same group"
     values, rows = f.encoding
     top = unit_rank(values)
-    for x, y in enumerate(f.images):
-        if rows[x][y] != top:
-            return False, (
-                f"skeleton sends {x} to {y}, but row {x} grades {y} as {values[rows[x][y]]}"
-            )
+    if list(map(getitem, rows, f.images)).count(top) != len(f.images):
+        for x, y in enumerate(f.images):
+            if rows[x][y] != top:
+                return False, (f"skeleton sends {x} to {y}, but row {x} grades {y} "
+                               f"as {values[rows[x][y]]}")
     report = is_fuzzy_homomorphism(f)
     if not report:
         return False, str(report.witness)
@@ -143,10 +144,16 @@ def is_class_preserving(f: FuzzyMap) -> bool:
     return all(idx[f.images[x]] == idx[x] for x in f.domain.elements)
 
 
+@derived_cache
+def _inner_labels(group: FiniteGroup) -> dict[tuple[int, ...], int]:
+    """Each row of ``groups.conjugations`` mapped to the least g whose row it is."""
+    return {row: g for g, row in reversed(tuple(enumerate(conjugations(group))))}
+
+
 def is_inner(f: FuzzyMap) -> Optional[int]:
     """Least g whose conjugation x -> g^-1 x g is the skeleton, if any: the index
-    of the first row of ``groups.conjugations`` equal to it."""
-    return next((g for g, row in enumerate(conjugations(f.domain)) if row == f.images), None)
+    of the first row of ``groups.conjugations`` equal to it (``_inner_labels``)."""
+    return _inner_labels(f.domain).get(f.images)
 
 
 def check_inner_products(
@@ -238,12 +245,11 @@ def skeleton_class_table(maps: Sequence[FuzzyMap], products: Products) -> Table:
     composites, cells, _ = products
     skeletons = sorted({f.images for f in maps})
     index = {sk: i for i, sk in enumerate(skeletons)}
+    classes = [index[f.images] for f in maps]
     table: list[list[Optional[int]]] = [[None] * len(skeletons) for _ in skeletons]
-    for f, cell_row in zip(maps, cells):
-        a = index[f.images]
+    for a, cell_row in zip(classes, cells):
         row = table[a]
-        for g, cell in zip(maps, cell_row):
-            b = index[g.images]
+        for b, cell in zip(classes, cell_row):
             sk = composites[cell].images
             c = index.get(sk)
             if c is None:

@@ -393,15 +393,22 @@ def class_index(group: FiniteGroup) -> tuple[int, ...]:
 
 def is_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
     """True iff the indices form a subgroup; an index outside 0..n-1 raises
-    ``GroupError``, naming the least one."""
+    ``GroupError``, naming the least one.  A set holding e is a subgroup exactly
+    when the closure of a generating set of it, taken greedily, stays inside it."""
     s = frozenset(members)
     outside = [i for i in s if not 0 <= i < group.order]
     if outside:
         raise GroupError(f"element index {min(outside)} outside 0..{group.order - 1}")
-    if not s or group.identity not in s:
+    if group.identity not in s:
         return False
-    t = group.table
-    return all(t[a][b] in s for a in s for b in s)
+    gens, span = (), frozenset({group.identity})
+    for x in s:
+        if x not in span:
+            gens += (x,)
+            span = closure(group, gens)
+            if not span <= s:
+                return False
+    return True
 
 
 def is_normal_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:

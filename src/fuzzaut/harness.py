@@ -22,7 +22,9 @@ keeps no verdicts of its own.
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Iterable, Optional
@@ -256,6 +258,11 @@ class _Instance:
         return self.aut_samples + self.shared.quotient_lifts
 
     @cached_property
+    def aut_transposes(self) -> list:
+        """Each sample's transpose, or, where ``inverse_map`` raises, ``_attempt``'s failure."""
+        return [_attempt(inverse_map, f) for _, f in self.aut_samples]
+
+    @cached_property
     def aut_products(self) -> Products:
         """``composite_table`` of ``aut_samples``, for Lemmas 3.1 and 3.2 and Theorem 3.1."""
         return composite_table([f for _, f in self.aut_samples])
@@ -282,29 +289,43 @@ def _first_failure(samples: Iterable[tuple[str, object]], check: Callable[..., V
     return True, None
 
 
+def _first_failure_transposed(ctx: _Instance, check: Callable[..., Verdict]) -> Verdict:
+    """``_first_failure`` of ``check(f, f_inv)`` over the samples and ``aut_transposes``;
+    a sample with no transpose fails with its error's text."""
+    for (tag, f), f_inv in zip(ctx.aut_samples, ctx.aut_transposes):
+        verdict, witness = f_inv if isinstance(f_inv, tuple) else _attempt(check, f, f_inv)
+        if not verdict:
+            return False, f"{tag}: {witness}"
+    return True, None
+
+
 def _suite_lemma_3_1(ctx: _Instance):
     composites, cells, _ = ctx.aut_products
     verdicts = [check_automorphism(h) for h in composites]  # a function of the map alone
+    # composites are numbered by first appearance, so the least failing one names the pair
+    c = next((c for c, (verdict, _) in enumerate(verdicts) if not verdict), None)
+    if c is None:
+        return True, None
+    i, j = next((i, row.index(c)) for i, row in enumerate(cells) if c in row)
     tags = [tag for tag, _ in ctx.aut_samples]
-    pairs = ((f"({tags[i]}) . ({tags[j]})", c) for i, row in enumerate(cells) for j, c in enumerate(row))
-    return _first_failure(pairs, verdicts.__getitem__)
+    return False, f"({tags[i]}) . ({tags[j]}): {verdicts[c][1]}"
+
+
+def _inner_conjugate(f_inv: FuzzyMap, f_g: FuzzyMap, f: FuzzyMap) -> Verdict:
+    return check_inner_conjugate(compose_maps(f_inv, compose_maps(f_g, f)))
 
 
 def _suite_lemma_3_9(ctx: _Instance):
     """The conjugate of each representative's map by each sample, tagged with both;
     a sample with no transpose fails under its own tag."""
     family = ctx.induced_raw
-    for tag, f in ctx.aut_samples:
-        try:
-            f_inv = inverse_map(f)
-        except (FuzzautError, RuntimeError) as exc:
-            return False, f"{tag}: {type(exc).__name__}: {exc}"
-        verdict, witness = _first_failure(
-            ((f"conjugate of label {g} by {tag}", family[g]) for g in ctx.induced_reps),
-            lambda f_g: check_inner_conjugate(compose_maps(f_inv, compose_maps(f_g, f))),
-        )
-        if not verdict:
-            return False, witness
+    for (tag, f), f_inv in zip(ctx.aut_samples, ctx.aut_transposes):
+        if isinstance(f_inv, tuple):
+            return False, f"{tag}: {f_inv[1]}"
+        for g in ctx.induced_reps:
+            verdict, witness = _attempt(_inner_conjugate, f_inv, family[g], f)
+            if not verdict:
+                return False, f"conjugate of label {g} by {tag}: {witness}"
     return True, None
 
 
@@ -315,11 +336,11 @@ _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
     "Lemma 3.2": lambda ctx: check_associativity(dict(ctx.aut_samples), ctx.aut_products),
     "Lemma 3.3": lambda ctx: _first_failure(ctx.aut_samples, check_identity_law),
     "Lemma 3.4": lambda ctx: _first_failure(ctx.aut_samples, check_inverse_law),
-    "Lemma 3.5": lambda ctx: _first_failure(
-        ctx.aut_samples, lambda f: is_fuzzy_homomorphism(compose_maps(inverse_map(f), f))
+    "Lemma 3.5": lambda ctx: _first_failure_transposed(
+        ctx, lambda f, f_inv: is_fuzzy_homomorphism(compose_maps(f_inv, f))
     ),
-    "Lemma 3.6": lambda ctx: _first_failure(
-        ctx.aut_samples, lambda f: check_automorphism(inverse_map(f))
+    "Lemma 3.6": lambda ctx: _first_failure_transposed(
+        ctx, lambda f, f_inv: check_automorphism(f_inv)
     ),
     "Lemma 3.7": lambda ctx: check_inner_products(
         ctx.group, ctx.induced_raw, ctx.induced_reps, ctx.inner_products
@@ -356,6 +377,20 @@ def _row(statement: str, instance: str, check: Callable[[], Verdict],
     return SuiteResult(statement, instance, verdict, witness, ms, expected_failure)
 
 
+@contextmanager
+def _campaign_scope():
+    """Pause the cyclic collector, which would find no cycles to free; on return
+    or raise, empty every derived cache and put back the caller's ``gc.isenabled()``."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        clear_derived()
+        if enabled:
+            gc.enable()
+
+
 def run_campaign(campaign: Campaign) -> list[SuiteResult]:
     """Run every selected law suite once per distinct (group, mu), one row per source.
 
@@ -376,9 +411,9 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
     never merged.  The rows are sorted once.  Nothing certified outlives
     the campaign, as it would hide a seeded defect: every ``derived_cache``
     is emptied when it returns or raises (not on entry, so what a caller
-    warmed serves it).
+    warmed serves it).  The cyclic collector is paused (``_campaign_scope``).
     """
-    try:
+    with _campaign_scope():
         unknown = [s for s in campaign.suites if s not in _SUITES]
         if unknown:
             raise ConfigInvalid(f"unknown statement ids: {unknown}")
@@ -399,8 +434,6 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
                 results.extend(ran[ctx.mu])
         results.sort(key=lambda r: (r.statement, r.instance))
         return results
-    finally:
-        clear_derived()
 
 
 # -- hypothesis ablation ------------------------------------------------------
@@ -440,13 +473,13 @@ def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
     skipped: one with no non-normal subgroup, or whose flat mu is already
     pointed (the trivial group).  Groups resolve through ``_Group``, and no mu
     is read, since each probe builds its own.  Every derived cache is emptied
-    when it returns or raises, as by ``run_campaign``.
+    when it returns or raises, and the collector paused, as by ``run_campaign``.
     """
     if drop is None:
         return run_campaign(campaign)
     if drop not in ABLATION_TOKENS:
         raise UnknownToken(f"unknown ablation token {drop!r}; expected one of {ABLATION_TOKENS}")
-    try:
+    with _campaign_scope():
         results = []
         for group in (_Group(token).group for token in campaign.groups):
             if drop == "pointed":
@@ -461,8 +494,6 @@ def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
                                     partial(_ablate_normality, group, non_normal), True))
         results.sort(key=lambda r: (r.statement, r.instance))
         return results
-    finally:
-        clear_derived()
 
 
 # -- reports ------------------------------------------------------------------

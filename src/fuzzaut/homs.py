@@ -36,9 +36,9 @@ images being right.  Every lift through a normal mu has translates of mu as
 its rows, and every one of them centres to mu itself, so each mu costs one
 core.  The centred rows get row ids like any other, kept per (row id,
 shift), so the core is memoized as a product of rows.  The memo, row ids,
-centred rows, passing keys and generator rows are cleared before a check
-that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries, and
-``_row_tables`` keeps the last ``_CODOMAINS_KEPT`` codomains.
+centred rows, passing keys, generator rows and closure verdicts are cleared
+before a check that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries,
+and ``_row_tables`` keeps the last ``_CODOMAINS_KEPT`` codomains.
 
 A core missing from the memo is computed by ``_row_product`` as the literal
 sup, one cell at a time by ``_sup``, reading the cofactors y1^-1 y of each y
@@ -63,7 +63,7 @@ from .groups import (
     is_normal_subgroup,
     picker,
 )
-from .maps import FuzzyMap, is_one_one, unit_rank
+from .maps import FuzzyMap, _built_map, is_one_one, unit_rank
 from .subsets import FuzzySubset, SubsetError, require_valid_mu
 
 ROW_PRODUCT_MEMO_BOUND = 4096  # entries kept in a codomain's stores together (see _RowTables.size)
@@ -169,9 +169,9 @@ def _failing_generator_pair(f: FuzzyMap) -> Optional[tuple[int, int]]:
     A pass over |S| generators and n rows adds at most 2|S|n products and
     cores to ``memo``; n row ids for its rows, n + |S| for centred rows, |S|n
     for cores and one for a product that is no row of the map, at which the
-    pass stops; n + |S| centred rows; one passing key and one entry of
-    ``generators``: fewer than 3(|S| + 1)(n + 1) entries.  The stores are
-    cleared before a pass that could take their ``size`` to
+    pass stops; n + |S| centred rows; one entry each of ``passed``,
+    ``generators`` and ``generated``: at most 3(|S| + 1)(n + 1) entries.  The
+    stores are cleared before a pass that could take their ``size`` to
     ``ROW_PRODUCT_MEMO_BOUND``.
     """
     rows = f.encoding[1]
@@ -219,7 +219,10 @@ def _pass_generators(domain: FiniteGroup, ids: tuple, gens: tuple, tables: _RowT
     kept = tables.generators.get(domain)
     if kept is not None and all(map(ids.__contains__, kept)):
         held = tuple(map(ids.index, kept))
-        if len(closure(domain, held)) == domain.order:
+        generates = tables.generated.get((domain, held))
+        if generates is None:
+            generates = tables.generated[domain, held] = len(closure(domain, held)) == domain.order
+        if generates:
             return held
     tables.generators[domain] = picker(gens)(ids)
     return gens
@@ -242,11 +245,11 @@ class _RowTables:
     left-centred row y -> R(c y) under (row id of R, c) and ``rights`` the
     right-centred row y -> R(y d) under (row id of R, d), each as (its row
     id, its content);
-    ``passed`` holds the (domain, row ids) of each map that passed, and
+    ``passed`` holds the (domain, row ids) of each map that passed,
     ``generators`` the row ids of the generators of the last pass over each
-    domain.  All but ``rows``, which holds no more entries than ``memo``,
-    count together toward ``ROW_PRODUCT_MEMO_BOUND`` (``size``); all are
-    cleared together (``clear``).
+    domain, and ``generated`` whether the elements of a (domain, elements)
+    generate the domain.  All but ``rows``, no larger than ``memo``, count
+    toward ``ROW_PRODUCT_MEMO_BOUND`` (``size``); all are cleared (``clear``).
     """
 
     def __init__(self, codomain: FiniteGroup) -> None:
@@ -256,15 +259,15 @@ class _RowTables:
         move = (lambda index: itemgetter(*index)) if codomain.order > 1 else (lambda index: tuple)
         self.left, self.right, self.inverse = tuple(map(move, ct)), tuple(map(move, zip(*ct))), cinv
         self.memo, self.row_ids, self.rows, self.lefts, self.rights = {}, {}, {}, {}, {}
-        self.passed, self.generators = set(), {}
+        self.passed, self.generators, self.generated = set(), {}, {}
 
     def size(self) -> int:
-        counted = (self.memo, self.row_ids, self.lefts, self.rights, self.passed, self.generators)
-        return sum(map(len, counted))
+        return sum(map(len, (self.memo, self.row_ids, self.lefts, self.rights, self.passed,
+                             self.generators, self.generated)))
 
     def clear(self) -> None:
         for store in (self.memo, self.row_ids, self.rows, self.lefts, self.rights, self.passed,
-                      self.generators):
+                      self.generators, self.generated):
             store.clear()
 
 
@@ -369,7 +372,7 @@ def check_theorem_2_1(f: FuzzyMap) -> Verdict:
     ginv, hinv = g.inverses, h.inverses
     p1 = first_non_multiplicative(g, h, images) is None
     p2 = ranks[g.identity][h.identity] == top
-    p3 = all(hinv[images[x]] == images[ginv[x]] for x in g.elements)
+    p3 = picker(images)(hinv) == picker(ginv)(images)
     if all(row.count(top) == 1 for row in ranks):
         p4 = all(ranks[ginv[x]][hinv[row.index(top)]] == top for x, row in enumerate(ranks))
     else:
@@ -429,7 +432,7 @@ def lift_hom(phi: Sequence[int], mu_prime: FuzzySubset, domain: FiniteGroup) -> 
         _require_multiplicative(domain, codomain, phi)
         raise
     pick, (values, rank_rows) = picker(phi), mu_prime.f_e.encoding
-    f = FuzzyMap(domain, codomain, None, pick(mu_prime.f_e.images), (values, pick(rank_rows)))
+    f = _built_map(domain, codomain, pick(mu_prime.f_e.images), (values, pick(rank_rows)))
     if _failing_generator_pair(f) is not None:
         _require_multiplicative(domain, codomain, phi)
         raise OracleRejected(str(is_fuzzy_homomorphism(f).witness))

@@ -44,6 +44,7 @@ from .groups import (
 from .homs import is_fuzzy_homomorphism
 from .maps import (
     FuzzyMap,
+    _built_map,
     compose_maps,
     indexed_map,
     is_one_one,
@@ -115,7 +116,7 @@ def induced_family_raw(group: FiniteGroup, mu: FuzzySubset) -> list[FuzzyMap]:
     def rows(g: int) -> tuple[tuple[int, ...], ...]:
         return tuple(map(picker(conj[inv[g]]), rank_rows))  # y -> g y g^-1 is row g^-1
 
-    return [FuzzyMap(group, group, None, images, (values, rows(g)))
+    return [_built_map(group, group, images, (values, rows(g)))
             for g, images in enumerate(induced_skeletons(group, mu))]
 
 

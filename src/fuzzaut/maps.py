@@ -113,6 +113,14 @@ class FuzzyMap(FuzzyRelation):
         return tuple(tuple(map(values.__getitem__, row)) for row in rank_rows)
 
 
+def _built_map(domain, codomain, images, encoding: Encoding) -> FuzzyMap:
+    """``FuzzyMap(domain, codomain, None, images, encoding)`` without ``__init__``'s dispatch:
+    the builder of every constructor here, ``homs.lift_hom`` and the induced family."""
+    f = object.__new__(FuzzyMap)
+    f.__dict__.update(domain=domain, codomain=codomain, images=images, encoding=encoding)
+    return f
+
+
 def _check_shape(domain, codomain, rows) -> None:
     if len(rows) != domain.order or any(len(row) != codomain.order for row in rows):
         raise ShapeMismatch(
@@ -184,7 +192,7 @@ def ranked_map(domain: FiniteGroup, codomain: FiniteGroup, values, rank_rows) ->
             at = [y for y, r in enumerate(row) if r == top]
             raise MultipleUnitEntries(f"row {x} has grade-1 entries at {at}")
         images.append(row.index(top))
-    return FuzzyMap(domain, codomain, None, tuple(images), (values, rank_rows))
+    return _built_map(domain, codomain, tuple(images), (values, rank_rows))
 
 
 def _check_composable(f: FuzzyRelation, g: FuzzyRelation) -> None:
@@ -217,10 +225,11 @@ def compose(f: FuzzyRelation, g: FuzzyRelation) -> FuzzyRelation:
 
 def compose_maps(f: FuzzyMap, g: FuzzyMap) -> FuzzyMap:
     """``compose`` for two maps: reindex f's rank rows through g's skeleton."""
-    _check_composable(f, g)
+    if g.codomain is not f.domain:
+        _check_composable(f, g)
     values, rank_rows = f.encoding
     pick = picker(g.images)
-    return FuzzyMap(g.domain, f.codomain, None, pick(f.images), (values, pick(rank_rows)))
+    return _built_map(g.domain, f.codomain, pick(f.images), (values, pick(rank_rows)))
 
 
 def is_one_one(f: FuzzyMap) -> bool:
@@ -258,7 +267,7 @@ def inverse_map(f: FuzzyMap) -> FuzzyMap:
     for x, y in enumerate(f.images):
         images[y] = x
     values, rank_rows = f.encoding
-    return FuzzyMap(f.codomain, f.domain, None, tuple(images), (values, tuple(zip(*rank_rows))))
+    return _built_map(f.codomain, f.domain, tuple(images), (values, tuple(zip(*rank_rows))))
 
 
 def crisp_map(domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]) -> FuzzyMap:
@@ -275,9 +284,8 @@ def crisp_map(domain: FiniteGroup, codomain: FiniteGroup, mapping: Sequence[int]
     values = (GRADE_ZERO, GRADE_ONE) if m > 1 else (GRADE_ONE,)
     top = len(values) - 1
     rank_row = {y: (0,) * y + (top,) + (0,) * (m - 1 - y) for y in set(mapping)}
-    return FuzzyMap(
-        domain, codomain, None, tuple(mapping), (values, tuple(rank_row[y] for y in mapping))
-    )
+    rank_rows = tuple(rank_row[y] for y in mapping)
+    return _built_map(domain, codomain, tuple(mapping), (values, rank_rows))
 
 
 def identity_map(group: FiniteGroup) -> FuzzyMap:

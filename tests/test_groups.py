@@ -2,7 +2,7 @@
 
 import hashlib
 import re
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -673,10 +673,16 @@ class TestEnumerations:
 KERNEL_TOKENS = DEFAULT_GROUPS + ("S4", "D6", "D8", "direct_product(Z2,Q8)")
 
 
+def subgroup_by_definition(group, members):
+    """Holds the identity and every product of two members: the |s|^2 scan."""
+    s, t = frozenset(members), group.table
+    return group.identity in s and all(t[a][b] in s for a in s for b in s)
+
+
 def normal_by_definition(group, members):
     """A subgroup whose every conjugate g^-1 a g, over all g and members a, is a member."""
     s, t, inv = frozenset(members), group.table, group.inverses
-    return is_subgroup(group, s) and all(
+    return subgroup_by_definition(group, s) and all(
         t[t[inv[g]][a]][g] in s for g in group.elements for a in s
     )
 
@@ -695,9 +701,32 @@ def first_pair_by_definition(g, h, mapping):
 
 
 class TestCrispKernelsMatchTheDefinitions:
-    """``is_normal_subgroup`` conjugates by the generators only and
+    """``is_subgroup`` closes a greedy generating set of the members,
+    ``is_normal_subgroup`` conjugates by the generators only and
     ``first_non_multiplicative`` multiplies by them only; the literal
     definitions over every element are the oracles."""
+
+    @pytest.mark.parametrize("token", ["Z4", "V4", "S3"])
+    def test_subgroup_test_on_every_subset(self, token):
+        g = builtin_group(token)
+        subsets = [set(c) for k in range(g.order + 1) for c in combinations(g.elements, k)]
+        verdicts = [is_subgroup(g, s) for s in subsets]
+        assert verdicts == [subgroup_by_definition(g, s) for s in subsets]
+        assert sum(verdicts) == len(all_subgroups(g))
+
+    @given(data=st.data(), token=st.sampled_from(["D4", "Q8", "S4"]))
+    @settings(max_examples=200, deadline=None)
+    def test_subgroup_test_on_drawn_subsets(self, data, token):
+        """Any subset, or a subgroup with up to two elements added and two taken away."""
+        g = builtin_group(token)
+        element = st.sampled_from(g.elements)
+        if data.draw(st.booleans()):
+            members = data.draw(st.sets(element))
+        else:
+            members = set(data.draw(st.sampled_from(all_subgroups(g))))
+            members |= data.draw(st.sets(element, max_size=2))
+            members -= data.draw(st.sets(element, max_size=2))
+        assert is_subgroup(g, members) == subgroup_by_definition(g, members)
 
     @pytest.mark.parametrize("token", KERNEL_TOKENS)
     def test_normality_of_every_subgroup(self, token):

@@ -1,5 +1,6 @@
 """Campaign runner: determinism, coverage, precondition routing, ablations."""
 
+import gc
 import json
 import os
 import random
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzaut import groups, harness, homs, maps, subsets
+from fuzzaut import automorphisms, groups, harness, homs, maps, subsets
 from fuzzaut.errors import DERIVED_CACHES, FuzzautError, clear_derived
 from fuzzaut.harness import (
     ABLATION_TOKENS,
@@ -111,6 +112,67 @@ class TestRunCampaign:
                  for value in vars(module).values() if hasattr(value, "cache_clear")}
         inputs = {groups.builtin_group}
         assert found - set(DERIVED_CACHES) == inputs
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector off for one test, and back as it was after it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestCollectorPause:
+    """A campaign or an ablation runs with the cyclic collector paused, and puts
+    back the caller's ``gc.isenabled()``; pausing frees nothing late, because a
+    campaign makes no reference cycles."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("campaign, drop, error", [
+        (SMALL, None, None),
+        (SMALL, "pointed", None),
+        (Campaign(groups=("S3", "D4")), "normal-mu", None),
+        (Campaign(groups=("Z4",), suites=("Lemma 9.9",)), None, ConfigInvalid),
+        (Campaign(groups=("Z4", "Z99")), None, groups.UnknownGroup),
+        (Campaign(groups=("Z4", "Z99")), "normal-mu", groups.UnknownGroup),
+    ], ids=["campaign", "pointed", "normal-mu", "unknown statement", "unknown group",
+            "ablation of an unknown group"])
+    def test_callers_collector_state_is_put_back(self, monkeypatch, campaign, drop, error,
+                                                 enabled):
+        row, during = harness._row, []
+
+        def watched(*args):
+            during.append(gc.isenabled())
+            return row(*args)
+
+        monkeypatch.setattr(harness, "_row", watched)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            with pytest.raises(error) if error else nullcontext():
+                run_campaign(campaign) if drop is None else ablation(campaign, drop)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert not any(during) and (bool(during) is (error is None))
+
+    @pytest.mark.parametrize("campaign, drop", [
+        (default_campaign(), None),
+        (Campaign(groups=("S4", "D8", "direct_product(Z2,Q8)")), None),
+        (default_campaign(), "pointed"),
+        (default_campaign(), "normal-mu"),
+        (Campaign(groups=("Z4", "Z99")), None),
+    ], ids=["default", "S4, D8 and Z2xQ8", "pointed", "normal-mu", "unknown group"])
+    def test_a_campaign_leaves_no_cycles(self, collector_off, campaign, drop):
+        """With the collector off throughout, ``gc.collect()`` finds nothing
+        unreachable after the run: everything it made was freed by reference
+        counting."""
+        gc.collect()
+        with pytest.raises(groups.UnknownGroup) if "Z99" in campaign.groups else nullcontext():
+            run_campaign(campaign) if drop is None else ablation(campaign, drop)
+        assert gc.collect() == 0
 
 
 class TestWorkCounts:
@@ -249,6 +311,37 @@ class TestWorkCounts:
         quotients = self.calls_to(monkeypatch, groups, "quotient_group")
         run_campaign(Campaign(groups=("S4",), suites=SUITE_GROUPS["hom"]))
         assert len(quotients) == 3
+
+    @pytest.mark.parametrize("name, transposes", [("s4-hom.json", 24), (None, 294)],
+                             ids=["s4-hom", "default"])
+    def test_each_sample_is_transposed_once_for_lemmas_3_5_3_6_and_3_9(
+        self, monkeypatch, name, transposes
+    ):
+        """Lemmas 3.5, 3.6 and 3.9 read an instance's one transpose per sample
+        (``aut_transposes``); Lemmas 3.4 and 3.8 transpose in their checkers:
+        24 and 294 transposes (48 and 518 when each lemma transposed each
+        sample)."""
+        transposed = self.calls_to(monkeypatch, maps, "inverse_map")
+        run_campaign(recorded_campaign(name) if name else default_campaign())
+        assert len(transposed) == transposes
+
+    def test_default_campaign_work_stays_as_it_was(self, monkeypatch):
+        """The campaign's compositions, oracle verdicts, automorphism checks,
+        translated products and cores, pinned; ``homs._pass_generators`` keeps
+        each closure verdict on its codomain, so ``homs.closure`` runs once per
+        distinct (domain, elements): 60 calls (119 when every pass ran it)."""
+        counted = [
+            self.calls_to(monkeypatch, module, name) for module, name in (
+                (maps, "compose_maps"), (homs, "_failing_generator_pair"),
+                (automorphisms, "check_automorphism"), (homs, "_translated_product"),
+                (homs, "_row_product"),
+            )
+        ]
+        closure, closures = homs.closure, []
+        monkeypatch.setattr(homs, "closure", lambda *args: closures.append(None) or closure(*args))
+        run_campaign(default_campaign())
+        assert list(map(len, counted)) == [3749, 1090, 558, 475, 63]
+        assert len(closures) == 60
 
 
 class TestOneInstancePerMu:

@@ -595,17 +595,33 @@ SEEDED_ROWS = {
 }
 
 
-@pytest.mark.parametrize("tag", SEEDED_ROWS)
-def test_seeded_samples_fail_with_pinned_witnesses(monkeypatch, tag):
-    """A map the checkers reject, added to the instance's samples below every
-    checker, fails these rows with the witnesses they gave when pinned."""
+def seeded_rows(monkeypatch, tag, suites):
+    """(statement, verdict, witness) of S3|mu=class with the seed ``tag`` added
+    to the instance's samples below every checker."""
     samples = _Instance.aut_samples
     seed = seeded_samples()[tag]
     monkeypatch.setattr(
         _Instance, "aut_samples", property(lambda ctx: samples.func(ctx) + [(tag, seed)])
     )
-    rows = run_campaign(Campaign(groups=("S3",), mu_sources=("class",), suites=SEEDED_STATEMENTS))
-    assert [(r.statement, r.verdict, r.witness) for r in rows] == SEEDED_ROWS[tag]
+    rows = run_campaign(Campaign(groups=("S3",), mu_sources=("class",), suites=suites))
+    return [(r.statement, r.verdict, r.witness) for r in rows]
+
+
+@pytest.mark.parametrize("tag", SEEDED_ROWS)
+def test_seeded_samples_fail_with_pinned_witnesses(monkeypatch, tag):
+    """A map the checkers reject, added to the instance's samples below every
+    checker, fails these rows with the witnesses they gave when pinned."""
+    assert seeded_rows(monkeypatch, tag, SEEDED_STATEMENTS) == SEEDED_ROWS[tag]
+
+
+@pytest.mark.parametrize("tag", ["seed:collapse", "seed:stale"])
+def test_a_sample_with_no_transpose_fails_each_lemma_that_reads_it(monkeypatch, tag):
+    """The instance transposes each sample once for Lemmas 3.5, 3.6 and 3.9; a
+    sample that has no transpose fails all three under its own tag, with the
+    text ``inverse_map`` raised, as it did when each lemma transposed it."""
+    suites = ("Lemma 3.5", "Lemma 3.6", "Lemma 3.9")
+    assert seeded_rows(monkeypatch, tag, suites) == [(s, False, f"{tag}: {NOT_BIJECTIVE}")
+                                                      for s in suites]
 
 
 SECTION_4_THEOREMS = ("Theorem 4.1", "Theorem 4.2", "Theorem 4.3")

@@ -484,7 +484,7 @@ class TestMakeFuzzyMapOracle:
 
 CONSTRUCTORS = (
     "make_fuzzy_map", "indexed_map", "ranked_map", "compose_maps",
-    "inverse_map", "crisp_map", "induced_family_raw",
+    "inverse_map", "crisp_map", "lift_hom", "induced_family_raw",
 )
 
 
@@ -504,6 +504,7 @@ def one_map_per_constructor():
         "compose_maps": compose_maps(f, g),
         "inverse_map": inverse_map(g),
         "crisp_map": crisp_map(S3, Z4, (0, 2, 2, 1, 3, 0)),
+        "lift_hom": lift_hom(crisp_automorphisms(S3)[2], mu, S3),
         "induced_family_raw": induced_family_raw(S3, mu)[2],
     }
 
@@ -521,6 +522,15 @@ class TestStoredCells:
         assert "grades" not in vars(f)
         assert_encoding_decodes(f)
         assert vars(f)["grades"] is f.grades
+
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_instance_dict_is_that_of_init(self, name):
+        """Each constructor skips ``FuzzyMap.__init__`` and fills the instance
+        dictionary itself, with the keys ``__init__`` gives, in its order."""
+        f = one_map_per_constructor()[name]
+        built = FuzzyMap(f.domain, f.codomain, None, f.images, f.encoding)
+        assert type(f) is FuzzyMap
+        assert list(vars(f).items()) == list(vars(built).items())
 
     def test_grades_or_encoding_not_both_nor_neither(self):
         f = identity_map(Z4)
