@@ -31,8 +31,8 @@ from .groups import (
     class_index,
     conjugations,
     crisp_automorphisms,
+    derived_group,
     first_non_associative,
-    make_group,
     picker,
 )
 from .homs import is_fuzzy_homomorphism
@@ -271,13 +271,13 @@ def build_aut_class_group(
     are taken as certified; Lemma 3.1 checks their composites.  Raises if the
     sample set is not closed under composition or two pairs of the same
     classes compose to different classes; the table is validated as a group
-    (``make_group``) before returning.
+    and its canonical group returned (``derived_group``).
     """
     if not maps:
         raise AutomorphismError("cannot build a group from zero samples")
     table = skeleton_class_table(maps, composite_table(maps) if products is None else products)
     skeletons = tuple(sorted({f.images for f in maps}))
-    return skeletons, make_group(table, name=f"AutF({maps[0].domain.name})")
+    return skeletons, derived_group(table, name=f"AutF({maps[0].domain.name})")
 
 
 def check_class_group(maps: Sequence[FuzzyMap], products: Products) -> Verdict:

@@ -32,7 +32,12 @@ def grade(value) -> Fraction:
         try:
             g = Fraction(value)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise GradeError(f"cannot interpret {value!r} as a rational grade") from exc
+            shown = repr(value)
+            if len(shown) > 40:  # cut, as a value may have thousands of digits
+                shown = f"{shown[:40]}... ({len(shown)} characters)"
+            # past Python's limit on the digits of an int, the error's text names that limit
+            cause = f": {exc}" if "int_max_str_digits" in str(exc) else ""
+            raise GradeError(f"cannot interpret {shown} as a rational grade{cause}") from exc
     if not GRADE_ZERO <= g <= GRADE_ONE:
         raise GradeError(f"grade {g} outside [0, 1]")
     return g

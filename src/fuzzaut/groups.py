@@ -204,6 +204,28 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Fi
     return FiniteGroup(name or f"G{n}", n, rows, identity, tuple(row.index(identity) for row in rows))
 
 
+@derived_cache
+def _group_store() -> tuple[dict, set]:
+    """Each table's canonical group, and the tables derived so far, for one campaign."""
+    return {}, set()
+
+
+def register_group(group: FiniteGroup) -> None:
+    """Make ``group`` the canonical object of its table, unless one already is."""
+    _group_store()[0].setdefault(group.table, group)
+
+
+def derived_group(table: Sequence[Sequence[int]], name: str) -> FiniteGroup:
+    """``make_group(table, name)`` the first time the table is derived, a registered group's too;
+    then its canonical object, registered first, else derived first: only its name may differ."""
+    canonical, derived = _group_store()
+    rows = tuple(map(tuple, table))
+    if rows not in derived:
+        canonical.setdefault(rows, make_group(rows, name))
+        derived.add(rows)
+    return canonical[rows]
+
+
 # -- builtin families -------------------------------------------------------
 
 _CYCLIC_MAX = 16
@@ -430,7 +452,7 @@ def is_normal_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
 def quotient_group(
     group: FiniteGroup, normal: Iterable[int]
 ) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Cayley table on cosets plus the element -> coset index surjection."""
+    """The cosets' Cayley table as a ``derived_group`` and the element -> coset surjection."""
     members = tuple(sorted(frozenset(normal)))
     if not is_normal_subgroup(group, members):
         raise NotNormal(f"{members} is not a normal subgroup of {group.name}")
@@ -450,13 +472,13 @@ def quotient_group(
             coset_map[x] = index_of[c]
     reps = [min(c) for c in cosets]
     table = [[coset_map[t[a][b]] for b in reps] for a in reps]
-    q = make_group(table, name=f"{group.name}/N{len(members)}")
+    q = derived_group(table, name=f"{group.name}/N{len(members)}")
     return q, tuple(coset_map)
 
 
 @derived_cache
 def center_quotient(group: FiniteGroup) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """``quotient_group`` by the center: G/Z(G) and the element -> coset map."""
+    """``quotient_group`` by the center: G/Z(G), a ``derived_group``, and its coset map."""
     return quotient_group(group, center(group))
 
 
@@ -557,10 +579,10 @@ def derived_series(group: FiniteGroup) -> tuple[frozenset[int], ...]:
 
 @derived_cache
 def opposite_group(group: FiniteGroup) -> FiniteGroup:
-    """Same carrier with reversed multiplication a*b := b.a."""
+    """Same carrier with reversed multiplication a*b := b.a, as a ``derived_group``."""
     n = group.order
     table = [[group.table[b][a] for b in range(n)] for a in range(n)]
-    return make_group(table, name=f"{group.name}^op")
+    return derived_group(table, name=f"{group.name}^op")
 
 
 # -- automorphisms ----------------------------------------------------------

@@ -49,6 +49,7 @@ from .groups import (
     crisp_automorphisms,
     normal_subgroups,
     quotient_group,
+    register_group,
 )
 from .homs import check_theorem_2_1, check_theorem_2_2, is_fuzzy_homomorphism, lift_hom
 from .induced import (
@@ -179,10 +180,12 @@ def resolve_mu(token: str, group: FiniteGroup) -> FuzzySubset:
 class _Group:
     """One campaign group, resolved once, with the mu-free quotient lifts its instances
     share; it lives one campaign, as every derived cache does, while the group is kept.
+    It is registered as its table's canonical object (``groups.register_group``).
     A ``FuzzautError`` raised while the group is resolved propagates unchanged."""
 
     def __init__(self, token: str):
         self.group = resolve_group(token)
+        register_group(self.group)
 
     @cached_property
     def quotient_lifts(self) -> list[tuple[str, FuzzyMap]]:

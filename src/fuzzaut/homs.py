@@ -67,7 +67,7 @@ from .maps import FuzzyMap, _built_map, is_one_one, unit_rank
 from .subsets import FuzzySubset, SubsetError, require_valid_mu
 
 ROW_PRODUCT_MEMO_BOUND = 4096  # entries kept in a codomain's stores together (see _RowTables.size)
-# one instance's checks touch at most 5 codomains on the default matrix and S4, 7 on Z2xQ8
+# codomains checked: <= 5 per instance on the default matrix and S4, 7 on Z2xQ8; 15 in a default campaign
 _CODOMAINS_KEPT = 16
 
 

@@ -35,9 +35,9 @@ from .groups import (
     center,
     center_quotient,
     conjugations,
+    derived_group,
     first_non_multiplicative,
     is_group_isomorphism,
-    make_group,
     opposite_group,
     picker,
 )
@@ -302,7 +302,7 @@ def build_inn_group(group: FiniteGroup, mu: FuzzySubset) -> InnGroup:
     """Quotient the labeled family by skeleton equality and build its table.
 
     The classes read only the skeletons (``induced_skeletons``), so no
-    family matrix is built.  ``make_group`` validates the table; that the
+    family matrix is built.  ``derived_group`` validates the table; that the
     classes count the center's cosets is Theorem 4.1 (``check_theorem_4_1``).
     """
     if mu.group != group:
@@ -318,7 +318,7 @@ def build_inn_group(group: FiniteGroup, mu: FuzzySubset) -> InnGroup:
             class_of[g] = i
     reps = [cls[0] for cls in classes]
     table = [[class_of[group.table[g2][g1]] for g2 in reps] for g1 in reps]
-    inn_table = make_group(table, name=f"InnF({group.name})")
+    inn_table = derived_group(table, name=f"InnF({group.name})")
     return InnGroup(group, mu, classes, tuple(class_of), inn_table)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from fuzzaut.errors import clear_derived
 from fuzzaut.groups import (
     FiniteGroup,
     GroupError,
@@ -25,6 +26,7 @@ from fuzzaut.groups import (
     conjugacy_classes,
     conjugations,
     crisp_automorphisms,
+    derived_group,
     derived_series,
     first_non_associative,
     first_non_multiplicative,
@@ -37,6 +39,7 @@ from fuzzaut.groups import (
     normal_subgroups,
     opposite_group,
     quotient_group,
+    register_group,
 )
 from fuzzaut.harness import DEFAULT_GROUPS
 
@@ -534,6 +537,39 @@ class TestQuotient:
         g = builtin_group(token)
         q, _ = quotient_group(g, center(g))
         assert q.order * len(center(g)) == g.order
+
+
+class TestDerivedGroups:
+    """``derived_group``: one validated group object per table until
+    ``clear_derived``, a registered group's where there is one."""
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self):
+        clear_derived()
+        yield
+        clear_derived()
+
+    def test_a_table_keeps_its_first_object_until_the_caches_are_emptied(self):
+        q8, z2 = builtin_group("Q8"), builtin_group("Z2")
+        first, _ = quotient_group(q8, (0, 1, 2, 3))
+        assert first.name == "Q8/N4" and first.table == z2.table
+        assert quotient_group(q8, (0, 1, 4, 5))[0] is first
+        register_group(z2)  # the table has its object already
+        assert quotient_group(q8, (0, 1, 6, 7))[0] is first
+        clear_derived()
+        assert quotient_group(q8, (0, 1, 2, 3))[0] is not first
+
+    def test_an_abelian_registered_group_is_its_own_opposite(self):
+        z4, s3 = builtin_group("Z4"), builtin_group("S3")
+        register_group(z4)
+        register_group(s3)
+        assert opposite_group(z4) is z4
+        assert opposite_group(s3).table != s3.table and opposite_group(s3).name == "S3^op"
+
+    def test_a_table_that_is_no_group_raises_each_time(self):
+        for _ in range(2):
+            with pytest.raises(NoIdentity):
+                derived_group([[0, 0], [0, 0]], "bad")
 
 
 class TestCrispAutomorphisms:

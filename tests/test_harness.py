@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from fuzzaut import automorphisms, groups, harness, homs, maps, subsets
+from fuzzaut.cli import main as cli_main
 from fuzzaut.errors import DERIVED_CACHES, FuzzautError, clear_derived
+from fuzzaut.grades import rank_grades
 from fuzzaut.harness import (
     ABLATION_TOKENS,
     DEFAULT_GROUPS,
@@ -175,16 +177,27 @@ class TestCollectorPause:
         assert gc.collect() == 0
 
 
+def rebind_everywhere(monkeypatch, module, name, replacement):
+    """Bind ``replacement`` in place of ``module.name`` at every fuzzaut site that binds it."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "fuzzaut" or mod_name.startswith("fuzzaut."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, replacement)
+
+
 class TestWorkCounts:
     def test_default_campaign_reuses_each_codomains_row_products(self, monkeypatch):
         """Rows run one instance at a time, so an instance's codomains keep
         their row-product memos from statement to statement (1,593 products
         when each statement ran over every instance in turn, 791 when each
         product missing from the memo was computed rather than translated
-        from a core)."""
+        from a core, 63 when each derived group with a campaign group's
+        table kept a memo of its own)."""
         calls = self.calls_to(monkeypatch, homs, "_row_product")
         run_campaign(default_campaign())
-        assert 0 < len(calls) <= 63
+        assert 0 < len(calls) <= 28
 
     @staticmethod
     def calls_to(monkeypatch, module, name):
@@ -196,11 +209,7 @@ class TestWorkCounts:
             calls.append(None)
             return original(*args)
 
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name == "fuzzaut" or mod_name.startswith("fuzzaut."):
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, key, counted)
+        rebind_everywhere(monkeypatch, module, name, counted)
         clear_derived()
         return calls
 
@@ -218,7 +227,7 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("name, passes, checks, products", [
         ("s4-hom.json", 28, 127, range(5, 6)),
-        ("default-matrix.json", 196, 1090, range(63, 64)),
+        ("default-matrix.json", 183, 1090, range(28, 29)),
     ])
     def test_each_distinct_map_takes_one_generator_pass(
         self, monkeypatch, name, passes, checks, products
@@ -226,10 +235,14 @@ class TestWorkCounts:
         """A passing map's key is kept on its codomain, so only a map not seen
         before takes a generator pass (each of the 251 and 952 checks took one
         when nothing was kept).  ``homs.generating_sequence`` is read once per
-        pass and not on a held check, which makes it the pass counter.  A
-        product missing from the memo is translated from the core of its
-        centred rows, and only a new core is computed: 5 and 63 products
-        (351 and 791 when every missing product was computed).  The suites
+        pass and not on a held check, which makes it the pass counter: 28 and
+        183 passes (196 on the default matrix when each derived group with a
+        campaign group's table was an object of its own, whose codomain kept
+        nothing of the campaign group's).  A product missing from the memo is
+        translated from the core of its centred rows, and only a new core is
+        computed: 5 and 28 products (63 on the default matrix when each such
+        derived group computed its own cores; 351 and 791 when every missing
+        product was computed).  The suites
         run once per distinct (group, mu), so S4, whose chain and class mu
         agree, makes 127 checks and the default matrix 1,090 (251 and 1,276
         when each mu source ran them).  Lemma 3.9 checks every
@@ -252,7 +265,7 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("name, translated, checks, cores", [
         ("s4-hom.json", 111, 127, 5),
-        (None, 475, 1090, 63),
+        (None, 351, 1090, 28),
     ], ids=["s4-hom", "default"])
     def test_later_lifts_read_the_products_of_the_first(
         self, monkeypatch, name, translated, checks, cores
@@ -260,10 +273,11 @@ class TestWorkCounts:
         """A pass takes its generators from the rows that the last pass over
         its domain took them from, when they generate it, so every lift
         through a mu after the first reads the products that the first left
-        in the memo: at most 111 products translated on s4-hom and 475 on the
-        default campaign (351 and 790 when every pass took
-        ``generating_sequence``).  The oracle's verdicts and the cores
-        computed stay as they were."""
+        in the memo: at most 111 products translated on s4-hom and 351 on the
+        default campaign (475 and 63 cores on the default campaign when each
+        derived group with a campaign group's table kept a memo of its own;
+        351 and 790 when every pass took ``generating_sequence``).  The
+        oracle's verdicts stay as they were."""
         products = self.calls_to(monkeypatch, homs, "_translated_product")
         hom_checks = self.calls_to(monkeypatch, homs, "_failing_generator_pair")
         row_products = self.calls_to(monkeypatch, homs, "_row_product")
@@ -289,12 +303,15 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("name, scans, pairs", [
         ("s4-hom.json", 5, 51),
-        ("default-matrix.json", 76, 264),
+        ("default-matrix.json", 57, 264),
     ])
     def test_unit_entries_are_found_once_per_mu(self, monkeypatch, name, scans, pairs):
         """Lifts and the induced family read their unit entries off the one
         scan that built ``mu.f_e``, and ``lift_hom`` names a pair of phi only
-        after the oracle rejects.  Sources with equal mu share one instance:
+        after the oracle rejects.  A quotient with a campaign group's table is
+        that group, so its canonical mu is scanned once: 76 scans on the
+        default matrix when each quotient was an object of its own.  Sources
+        with equal mu share one instance:
         7 and 94 scans, and 78 and 302 calls, when each source ran its own;
         101 and 432 ``ranked_map`` scans, and 129 and 462
         ``first_non_multiplicative`` calls, when besides every lift and
@@ -327,21 +344,118 @@ class TestWorkCounts:
 
     def test_default_campaign_work_stays_as_it_was(self, monkeypatch):
         """The campaign's compositions, oracle verdicts, automorphism checks,
-        translated products and cores, pinned; ``homs._pass_generators`` keeps
-        each closure verdict on its codomain, so ``homs.closure`` runs once per
-        distinct (domain, elements): 60 calls (119 when every pass ran it)."""
+        translated products, cores and ``make_group`` calls, and the
+        codomain tables it builds, pinned.  Each distinct table derived in
+        the campaign is validated once and has one group object, a campaign
+        group's where there is one (``groups.derived_group``): 17
+        ``make_group`` calls for the 88 quotient, opposite and class tables,
+        15 codomain tables, 351 translated products and 28 cores (88, 46,
+        475 and 63 when every derived table made a group of its own).
+        ``homs._pass_generators`` keeps each closure verdict on its codomain,
+        so ``homs.closure`` runs once per distinct (domain, elements): 60
+        calls (119 when every pass ran it)."""
+        for token in DEFAULT_GROUPS:  # builtin_group's own cache holds them past the campaign
+            builtin_group(token)
         counted = [
             self.calls_to(monkeypatch, module, name) for module, name in (
                 (maps, "compose_maps"), (homs, "_failing_generator_pair"),
                 (automorphisms, "check_automorphism"), (homs, "_translated_product"),
-                (homs, "_row_product"),
+                (homs, "_row_product"), (groups, "make_group"),
             )
         ]
         closure, closures = homs.closure, []
         monkeypatch.setattr(homs, "closure", lambda *args: closures.append(None) or closure(*args))
+        tables, init = [], homs._RowTables.__init__
+        monkeypatch.setattr(homs._RowTables, "__init__",
+                            lambda self, codomain: tables.append(None) or init(self, codomain))
         run_campaign(default_campaign())
-        assert list(map(len, counted)) == [3749, 1090, 558, 475, 63]
-        assert len(closures) == 60
+        assert list(map(len, counted)) == [3749, 1090, 558, 351, 28, 17]
+        assert (len(tables), len(closures)) == (15, 60)
+
+
+class TestOneGroupPerTable:
+    """Each table derived in a campaign (quotients, opposite groups, the Aut_F
+    and Inn_F class tables) is validated once and has one group object, a
+    campaign group's where there is one (``groups.derived_group``)."""
+
+    @pytest.mark.parametrize("tokens, drop", [
+        (DEFAULT_GROUPS, None), (("S4",), None), (("D8",), None),
+        (("direct_product(Z2,Q8)",), None), (DEFAULT_GROUPS, "pointed"), (DEFAULT_GROUPS, "normal-mu"),
+    ], ids=["default", "S4", "D8", "Z2xQ8", "ablate-pointed", "ablate-normal-mu"])
+    def test_reports_are_those_of_a_new_group_per_derived_table(self, monkeypatch, tokens, drop):
+        """The oracle is the literal twin that validates and builds a new group
+        on every construction, as ``make_group`` did before the store."""
+        def report():
+            campaign = Campaign(groups=tokens)
+            return dumps(campaign_report(campaign, ablation(campaign, drop), drop))
+
+        shared = report()
+        rebind_everywhere(monkeypatch, groups, "derived_group",
+                          lambda table, name: groups.make_group(table, name))
+        assert report() == shared
+
+    def test_campaign_groups_keep_their_objects_and_descriptors(self, monkeypatch, tmp_path):
+        """Z1 and S1 share the table [[0]], and C2, a file group, has Z2's table:
+        each campaign group stays its own object, under its own name, and its
+        rows are those of a campaign over it alone.  The quotients of Q8 of
+        order 2 are Z2, the group registered first with that table."""
+        path = tmp_path / "c2.json"
+        save(path, {"name": "C2", "order": 2, "table": [[0, 1], [1, 0]]})
+        tokens = ("Z1", "S1", "Z2", f"file:{path}", "Q8")
+        resolved = []
+        register = harness.register_group
+        monkeypatch.setattr(harness, "register_group",
+                            lambda group: resolved.append(group) or register(group))
+        rows = run_campaign(Campaign(groups=tokens))
+        alone = sorted((row for token in tokens for row in run_campaign(Campaign(groups=(token,)))),
+                       key=lambda r: (r.statement, r.instance))
+        assert rows == alone and all(row.verdict for row in rows)
+        assert {row.instance.split("|")[0] for row in rows} == {"Z1", "S1", "Z2", "C2", "Q8"}
+        assert [g.name for g in resolved[:5]] == ["Z1", "S1", "Z2", "C2", "Q8"]
+        assert resolved[0] is builtin_group("Z1") and resolved[1] is builtin_group("S1")
+        z2, c2 = builtin_group("Z2"), load_group(path)
+        try:
+            register(z2)
+            register(c2)
+            assert groups.quotient_group(builtin_group("Q8"), (0, 1, 2, 3))[0] is z2
+            assert groups.derived_group(c2.table, "C2") is z2
+        finally:
+            clear_derived()
+
+    @pytest.mark.parametrize("bad_token", [None, "file:missing.json", "Z99"])
+    def test_the_store_is_empty_after_a_campaign(self, monkeypatch, tmp_path, bad_token):
+        """Whether the campaign returns or raises while resolving its groups,
+        after Z2 was registered, nothing validated outlives it."""
+        monkeypatch.chdir(tmp_path)
+        registered = []
+        register = harness.register_group
+        monkeypatch.setattr(harness, "register_group",
+                            lambda group: registered.append(group) or register(group))
+        campaign = Campaign(groups=("Z2", "Q8") + ((bad_token,) if bad_token else ()))
+        with pytest.raises(FuzzautError) if bad_token else nullcontext():
+            run_campaign(campaign)
+        assert registered[0] is builtin_group("Z2")
+        assert groups._group_store.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("tokens", [DEFAULT_GROUPS, ("S4", "D8", "direct_product(Z2,Q8)")],
+                             ids=["default", "S4-D8-Z2xQ8"])
+    def test_each_derived_table_is_validated_once(self, monkeypatch, tokens):
+        """Every table derived in the campaign goes through ``make_group``, a
+        campaign group's table too (Q8/N4 has Z2's, S4/Z(S4) S4's), and none
+        of them twice."""
+        for token in tokens:  # builtin_group's own cache holds them past the campaign
+            builtin_group(token)
+        derived, validated = [], []
+        derive, make = groups.derived_group, groups.make_group
+        rebind_everywhere(monkeypatch, groups, "derived_group",
+                          lambda table, name: derived.append(table) or derive(table, name))
+        rebind_everywhere(monkeypatch, groups, "make_group",
+                          lambda table, name=None: validated.append(table) or make(table, name))
+        run_campaign(Campaign(groups=tokens))
+        tables = {tuple(map(tuple, table)) for table in derived}
+        assert len(validated) == len(tables) < len(derived)
+        assert set(validated) == tables
+        assert tables & {builtin_group(token).table for token in tokens}
 
 
 class TestOneInstancePerMu:
@@ -675,6 +789,48 @@ def test_regraded_invalid_mu_gets_the_squared_witnesses(tmp_path):
     squared = refusal(regraded(mu), tmp_path / "squared.json")
     assert PROPER_FRACTION.search(plain)
     assert squared == squared_grades(plain)
+
+
+# strictly increasing maps of [0, 1] into itself that fix 1
+REGRADINGS = {
+    "v^2": lambda v: v * v,
+    "v/(2-v)": lambda v: v / (2 - v),
+    "(1+v)/2": lambda v: (1 + v) / 2,
+}
+
+
+@pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "D8"))
+def test_every_regrading_keeps_every_verdict(token, tmp_path):
+    """Each statement reads grades through min, sup, equality and the grade 1
+    alone, so mapping every grade of mu through a strictly increasing tau
+    with tau(1) = 1 keeps its ranks, and every verdict with them.  Each
+    regraded chain and class mu is loaded as a file mu, in one campaign with
+    the unregraded sources."""
+    group, sources = builtin_group(token), {}
+    for strategy in ("chain", "class"):
+        mu = mu_from_strategy(group, strategy)
+        for i, tau in enumerate(REGRADINGS.values()):
+            grades = [tau(v) for v in mu.grades]
+            assert rank_grades(grades)[1] == rank_grades(mu.grades)[1]
+            path = tmp_path / f"{strategy}-{i}.json"
+            save(path, mu_to_json(fuzzy_subset(group, grades)))
+            sources[f"file:{path}"] = strategy
+    rows = run_campaign(Campaign(groups=(token,), mu_sources=("chain", "class", *sources)))
+    verdicts: dict = {}
+    for r in rows:
+        verdicts.setdefault(r.instance.split("|mu=")[1], {})[r.statement] = r.verdict
+    assert all(len(v) == len(STATEMENT_IDS) for v in verdicts.values())
+    for source, strategy in sources.items():
+        assert verdicts[source] == verdicts[strategy], source
+
+
+def test_a_regrading_that_lowers_the_grade_1_is_bad_input(tmp_path, capsys):
+    """tau(v) = v/2 leaves mu(e) = 1/2, so mu is no longer pointed: exit 2."""
+    mu = mu_from_strategy(builtin_group("S3"), "chain")
+    path = tmp_path / "halved.json"
+    save(path, mu_to_json(fuzzy_subset(mu.group, [v / 2 for v in mu.grades])))
+    assert cli_main(["verify", "--group", "builtin:S3", "--mu", f"file:{path}"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("token, twin", [

@@ -1,6 +1,7 @@
 """File formats: round trips and schema validation."""
 
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -175,6 +176,25 @@ class TestMuFiles:
         assert written == [format_grade(parse_grade(text)) for text in written]
         with pytest.raises(GradeError, match="^expected a rational string, got float$"):
             mu_from_json({"group": "Z4", "grades": ["1", 0.1, "1/2", "1/10"]}, z4)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="this Python converts digit strings of any length")
+    def test_a_grade_past_the_int_digit_limit_names_the_limit(self, tmp_path, capsys):
+        """A rational with a run of digits longer than Python converts to an
+        int is bad input: the error names that limit and repeats only the
+        start of the value, and the run exits 2."""
+        limit = sys.get_int_max_str_digits()
+        text = "1/1" + "0" * (limit + 100)
+        with pytest.raises(GradeError, match=rf"\({limit} digits\).*int_max_str_digits") as err:
+            parse_grade(text)
+        assert str(err.value).startswith(
+            f"cannot interpret {repr(text)[:40]}... ({len(text) + 2} characters) as a rational grade: "
+        )
+        path = tmp_path / "mu.json"
+        save(path, {"group": "Z2", "grades": ["1", text]})
+        assert main(["verify", "--group", "builtin:Z2", "--mu", f"file:{path}"]) == 2
+        message = capsys.readouterr().err
+        assert f"({limit} digits)" in message and len(message) < 400
 
     def test_wrong_length_rejected(self):
         with pytest.raises(Exception):
