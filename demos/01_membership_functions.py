@@ -7,6 +7,8 @@ predicates accept, including the counterexample witnesses they return.
 Run:  python demos/01_membership_functions.py
 """
 
+from fractions import Fraction
+
 from fuzzaut import (
     builtin_group,
     chain_strategy,
@@ -16,7 +18,6 @@ from fuzzaut import (
     is_fuzzy_subgroup,
     is_normal_fuzzy_subgroup,
     is_pointed,
-    level_set,
 )
 
 
@@ -31,7 +32,8 @@ show(mu, "canonical chain mu")
 print("  fuzzy subgroup:", is_fuzzy_subgroup(mu)[0])
 print("  pointed:", is_pointed(mu))
 for t in ("1", "1/2", "1/4"):
-    print(f"  level set at {t}: {tuple(sorted(level_set(mu, t)))}")
+    level = tuple(x for x in z4.elements if mu.grades[x] >= Fraction(t))
+    print(f"  level set at {t}: {level}")
 
 print()
 print("== a grade vector that fails, with its witness ==")

@@ -36,11 +36,11 @@ print("unit entries sit at y = g^-1 x g, the conjugate of each x")
 print()
 print("== composition multiplies labels in reverse order ==")
 # labels come from the group law: map(k) and map(-k) are equal matrices
-ji, minus_i = q8.mul(4, 2), q8.inverses[2]
+ji, minus_i = q8.table[4][2], q8.inverses[2]
 family = {g: make_induced(g, mu) for g in (2, 4, ji, minus_i, q8.identity)}
 assert compose_maps(f_i, family[4]) == family[ji]  # sup composition, cell by cell
 assert check_label_products(q8, family, [(2, 4)]) == (True, None)
-print(f"  map(i) . map(j) = map({names[ji]})   (j * i = {names[q8.mul(4, 2)]})")
+print(f"  map(i) . map(j) = map({names[ji]})   (j * i = {names[q8.table[4][2]]})")
 assert check_inverse_labels(q8, family, [2]) == (True, None)
 print(f"  inverse of map(i) = map({names[minus_i]})")
 

@@ -7,7 +7,7 @@ membership function, and mechanically verifies the laws these objects obey
 """
 
 from .errors import FuzzautError
-from .grades import Grade, GRADE_ONE, GRADE_ZERO, format_grade, grade, parse_grade
+from .grades import GRADE_ONE, GRADE_ZERO, format_grade, grade, parse_grade
 from .groups import (
     FiniteGroup,
     builtin_group,
@@ -29,7 +29,6 @@ from .subsets import (
     is_fuzzy_subgroup,
     is_normal_fuzzy_subgroup,
     is_pointed,
-    level_set,
 )
 from .maps import (
     FuzzyMap,

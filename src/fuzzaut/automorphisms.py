@@ -14,10 +14,9 @@ Every law that reads pairwise composites reads them from one
 ``composite_table``, which composes each ordered pair of a map list once,
 keeps each distinct composite once and names the input each one is exactly,
 if any.  Lemmas 3.1 and 3.2 and Theorem 3.1 read the table of the lifted
-automorphisms that their caller passes in.  Lemmas 3.7 and 4.4
-(``induced.check_triple_products``) read the table of the checked labels'
-maps, which the harness builds once per instance and both checkers build
-for themselves when none is passed in.
+automorphisms, and Lemmas 3.7 and 4.4 (``induced.check_triple_products``)
+that of the checked labels' maps; the caller builds each table and passes
+it in, as the harness does once per instance.
 """
 
 from __future__ import annotations
@@ -157,16 +156,14 @@ def is_inner(f: FuzzyMap) -> Optional[int]:
 
 
 def check_inner_products(
-    group: FiniteGroup, family: Family, labels: Iterable[int], products: Optional[Products] = None
+    group: FiniteGroup, family: Family, labels: Iterable[int], products: Products
 ) -> Verdict:
     """Lemma 3.7: f_g1 . f_g2 is equivalent to f_(g2 g1) for all labels g1, g2.
 
     Each composite is read from ``products``, the ``composite_table`` of the
-    labels' maps, which is built here when not given.
+    labels' maps.
     """
     labels = tuple(labels)
-    if products is None:
-        products = composite_table([family[g] for g in labels])
     composites, cells, _ = products
     t = group.table
     for g1, row in zip(labels, cells):
@@ -262,20 +259,20 @@ def skeleton_class_table(maps: Sequence[FuzzyMap], products: Products) -> Table:
 
 
 def build_aut_class_group(
-    maps: Sequence[FuzzyMap], products: Optional[Products] = None
+    maps: Sequence[FuzzyMap], products: Products
 ) -> tuple[tuple[tuple[int, ...], ...], FiniteGroup]:
     """The sorted class skeletons, and their Cayley table under honest composition.
 
     The table is ``skeleton_class_table`` of all the maps, read from
-    ``products`` (their ``composite_table``, built when not given).  The maps
-    are taken as certified; Lemma 3.1 checks their composites.  Raises if the
-    sample set is not closed under composition or two pairs of the same
-    classes compose to different classes; the table is validated as a group
-    and its canonical group returned (``derived_group``).
+    ``products``, their ``composite_table``.  The maps are taken as
+    certified; Lemma 3.1 checks their composites.  Raises if the sample set
+    is not closed under composition or two pairs of the same classes compose
+    to different classes; the table is validated as a group and its
+    canonical group returned (``derived_group``).
     """
     if not maps:
         raise AutomorphismError("cannot build a group from zero samples")
-    table = skeleton_class_table(maps, composite_table(maps) if products is None else products)
+    table = skeleton_class_table(maps, products)
     skeletons = tuple(sorted({f.images for f in maps}))
     return skeletons, derived_group(table, name=f"AutF({maps[0].domain.name})")
 

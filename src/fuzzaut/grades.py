@@ -11,8 +11,6 @@ from fractions import Fraction
 
 from .errors import FuzzautError
 
-Grade = Fraction
-
 GRADE_ZERO = Fraction(0)
 GRADE_ONE = Fraction(1)
 
@@ -24,15 +22,21 @@ class GradeError(FuzzautError):
 def grade(value) -> Fraction:
     """Coerce ``value`` (int, string "p/q", or Fraction) to a valid grade.
 
-    A ``Fraction`` in range is returned as it is, not copied.
+    A ``Fraction`` in range is returned as it is, not copied.  Any other
+    value must also print: past Python's limit on the digits of an int,
+    ``str`` of a grade such as "1e-5000" raises.
     """
     if type(value) is Fraction:
         g = value
     else:
         try:
             g = Fraction(value)
+            str(g)
         except (ValueError, ZeroDivisionError, TypeError) as exc:
-            shown = repr(value)
+            try:
+                shown = repr(value)
+            except ValueError:  # an int past the digit limit does not print either
+                shown = f"an int of {value.bit_length()} bits"
             if len(shown) > 40:  # cut, as a value may have thousands of digits
                 shown = f"{shown[:40]}... ({len(shown)} characters)"
             # past Python's limit on the digits of an int, the error's text names that limit

@@ -58,24 +58,9 @@ class FiniteGroup(Record):
     identity: int
     inverses: tuple[int, ...]
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
-    def conjugate(self, x: int, a: int) -> int:
-        """a^-1 * x * a."""
-        t = self.table
-        return t[t[self.inverses[a]][x]][a]
-
     @property
     def elements(self) -> range:
         return range(self.order)
-
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in self.elements for b in self.elements)
 
     def element_order(self, x: int) -> int:
         k, acc = 1, x
@@ -381,8 +366,8 @@ def center(group: FiniteGroup) -> frozenset[int]:
 
 @derived_cache
 def conjugations(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Row g is the permutation x -> g^-1 x g, ``group.conjugate(x, g)`` at x: the one
-    conjugation table that ``is_inner``, Lemma 4.1, the classes and normality read."""
+    """Row g is the permutation x -> g^-1 x g: the one conjugation table that
+    ``is_inner``, Lemma 4.1, the classes and normality read."""
     t = group.table
     return tuple(tuple(t[y][g] for y in t[group.inverses[g]]) for g in group.elements)
 

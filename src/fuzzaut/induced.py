@@ -20,13 +20,12 @@ single map and raise ``LawViolation`` on a witness.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .automorphisms import (
     Family,
     Products,
     check_inner_inverses,
-    composite_table,
     is_class_preserving,
 )
 from .errors import FuzzautError, Record, Verdict, derived_cache
@@ -194,13 +193,13 @@ def check_label_products(
 
 
 def check_triple_products(
-    group: FiniteGroup, family: Family, labels: Iterable[int], products: Optional[Products] = None
+    group: FiniteGroup, family: Family, labels: Iterable[int], products: Products
 ) -> Verdict:
     """Lemma 4.4: both bracketings of f_g1 . f_g2 . f_g3 are equivalent to f_(g3 g2 g1).
 
-    ``products`` is the ``composite_table`` of the labels' maps, built here
-    when not given; it names, for each pair composite, the first of those
-    maps it is exactly (the same skeleton and encoding), if any.
+    ``products`` is the ``composite_table`` of the labels' maps; it names,
+    for each pair composite, the first of those maps it is exactly (the same
+    skeleton and encoding), if any.
     ``compose_maps`` is a function of its operands' contents, so a composite
     that is exactly f_a composes with every map as f_a does.  With
     f_g1 . f_g2 exactly f_a and f_g2 . f_g3 exactly f_b, the bracketings
@@ -214,7 +213,7 @@ def check_triple_products(
     """
     labels = tuple(labels)
     maps = [family[g] for g in labels]
-    composites, cells, index = composite_table(maps) if products is None else products
+    composites, cells, index = products
     t = group.table
     for (i, g1), (j, g2), (l, g3) in product(enumerate(labels), repeat=3):
         ij, jl = cells[i][j], cells[j][l]

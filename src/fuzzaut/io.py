@@ -41,14 +41,6 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def group_to_json(group: FiniteGroup) -> dict:
-    return {
-        "name": group.name,
-        "order": group.order,
-        "table": [list(row) for row in group.table],
-    }
-
-
 def group_from_json(obj: dict) -> FiniteGroup:
     name = _require(obj, "name", str)
     order = _require(obj, "order", int)

@@ -128,16 +128,6 @@ def _check_shape(domain, codomain, rows) -> None:
         )
 
 
-def _normalize_grades(domain, codomain, rows) -> tuple[tuple[Fraction, ...], ...]:
-    out = tuple(tuple(grade(v) for v in row) for row in rows)
-    _check_shape(domain, codomain, out)
-    return out
-
-
-def fuzzy_relation(domain: FiniteGroup, codomain: FiniteGroup, rows) -> FuzzyRelation:
-    return FuzzyRelation(domain, codomain, _normalize_grades(domain, codomain, rows))
-
-
 def relation_images(rel: FuzzyRelation) -> tuple[int, ...]:
     """Unit-entry positions per row; raises if any row breaks the map rule."""
     images = []
@@ -152,8 +142,9 @@ def relation_images(rel: FuzzyRelation) -> tuple[int, ...]:
 
 
 def make_fuzzy_map(domain: FiniteGroup, codomain: FiniteGroup, rows) -> FuzzyMap:
-    """The map with cells ``rows``; raises what ``relation_images`` raises for them."""
-    values, rank_rows = _rank_cells(_normalize_grades(domain, codomain, rows))
+    """The map with cells ``rows``, each ``grade``d; raises what ``relation_images``
+    raises for them, and ``ShapeMismatch`` for a matrix of the wrong shape."""
+    values, rank_rows = _rank_cells(tuple(tuple(grade(v) for v in row) for row in rows))
     return ranked_map(domain, codomain, values, rank_rows)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import FuzzautError, Record, derived_cache
+from .errors import FuzzautError, Record, Verdict, derived_cache
 from .grades import GRADE_ONE, grade, rank_grades
 from .groups import (
     FiniteGroup,
@@ -54,7 +54,7 @@ class StrategyInapplicable(SubsetError):
 
 
 class FuzzySubset(Record):
-    """Grade vector over a group's elements, callable as mu(x).
+    """Grade vector over a group's elements: mu(x) is ``grades[x]``.
 
     ``encoding = (values, ranks)`` holds the grades as integer ranks
     (``grades.rank_grades``), derived once by the constructor.  It is an
@@ -69,9 +69,6 @@ class FuzzySubset(Record):
 
     def __init__(self, group, grades) -> None:
         self.__dict__.update(group=group, grades=grades, encoding=rank_grades(grades))
-
-    def __call__(self, x: int) -> Fraction:
-        return self.grades[x]
 
     @cached_property
     def f_e(self) -> FuzzyMap:
@@ -88,7 +85,7 @@ class FuzzySubset(Record):
         """Why ``require_valid_mu`` rejects mu (error class and message), or None."""
         ok, witness = is_normal_fuzzy_subgroup(self)
         if not ok:
-            return MuNotNormal, str(witness)
+            return MuNotNormal, witness
         if not is_pointed(self):
             return MuNotPointed, "grade 1 must be attained exactly at the identity"
         return None
@@ -102,28 +99,11 @@ def fuzzy_subset(group: FiniteGroup, grades: Iterable) -> FuzzySubset:
     return FuzzySubset(group, vec)
 
 
-class SubgroupViolation(Record):
-    """First counterexample found by a membership predicate."""
-
-    kind: str  # "product" | "inverse" | "symmetry"
-    x: int
-    y: Optional[int]
-    lhs: Fraction
-    rhs: Fraction
-
-    def __str__(self) -> str:
-        if self.kind == "product":
-            return f"mu(x*y) = {self.lhs} < {self.rhs} = mu(x)^mu(y) at (x, y) = ({self.x}, {self.y})"
-        if self.kind == "inverse":
-            return f"mu(x^-1) = {self.lhs} < {self.rhs} = mu(x) at x = {self.x}"
-        return f"mu(x*y) = {self.lhs} != {self.rhs} = mu(y*x) at (x, y) = ({self.x}, {self.y})"
-
-
-def is_fuzzy_subgroup(mu: FuzzySubset) -> tuple[bool, Optional[SubgroupViolation]]:
-    """mu(xy) >= mu(x) ^ mu(y) and mu(x^-1) >= mu(x); first witness on failure.
+def is_fuzzy_subgroup(mu: FuzzySubset) -> Verdict:
+    """mu(xy) >= mu(x) ^ mu(y) and mu(x^-1) >= mu(x); the first failure's text.
 
     The scan compares mu's integer ranks (``mu.encoding``); the witness
-    carries mu's grades.
+    names mu's grades.
     """
     g = mu.group
     t = g.table
@@ -135,14 +115,15 @@ def is_fuzzy_subgroup(mu: FuzzySubset) -> tuple[bool, Optional[SubgroupViolation
         for y in g.elements:
             lower = x if rx < rank[y] else y
             if rank[row[y]] < rank[lower]:
-                return False, SubgroupViolation("product", x, y, vec[row[y]], vec[lower])
+                return False, (f"mu(x*y) = {vec[row[y]]} < {vec[lower]} = mu(x)^mu(y) "
+                               f"at (x, y) = ({x}, {y})")
     for x in g.elements:
         if rank[g.inverses[x]] < rank[x]:
-            return False, SubgroupViolation("inverse", x, None, vec[g.inverses[x]], vec[x])
+            return False, f"mu(x^-1) = {vec[g.inverses[x]]} < {vec[x]} = mu(x) at x = {x}"
     return True, None
 
 
-def is_normal_fuzzy_subgroup(mu: FuzzySubset) -> tuple[bool, Optional[SubgroupViolation]]:
+def is_normal_fuzzy_subgroup(mu: FuzzySubset) -> Verdict:
     """Fuzzy subgroup with mu(xy) = mu(yx) everywhere.
 
     Normality presupposes the subgroup inequalities, so those are checked
@@ -159,7 +140,8 @@ def is_normal_fuzzy_subgroup(mu: FuzzySubset) -> tuple[bool, Optional[SubgroupVi
     for x in g.elements:
         for y in g.elements:
             if rank[t[x][y]] != rank[t[y][x]]:
-                return False, SubgroupViolation("symmetry", x, y, vec[t[x][y]], vec[t[y][x]])
+                return False, (f"mu(x*y) = {vec[t[x][y]]} != {vec[t[y][x]]} = mu(y*x) "
+                               f"at (x, y) = ({x}, {y})")
     return True, None
 
 
@@ -175,12 +157,6 @@ def is_pointed(mu: FuzzySubset) -> bool:
     values, ranks = mu.encoding
     top = len(values) - 1
     return values[-1] == GRADE_ONE and ranks[mu.group.identity] == top and ranks.count(top) == 1
-
-
-def level_set(mu: FuzzySubset, threshold) -> frozenset[int]:
-    """Elements with grade at least the threshold."""
-    t = grade(threshold)
-    return frozenset(x for x in mu.group.elements if mu.grades[x] >= t)
 
 
 def require_valid_mu(mu: FuzzySubset) -> None:

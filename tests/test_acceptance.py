@@ -99,7 +99,7 @@ def test_criterion_4_quotient_isomorphism():
             inn = build_inn_group(group, mu)
             images = [inn.class_of[group.inverses[g]] for g in group.elements]
             assert len(inn.classes) * len(center(group)) == group.order, token
-            assert all(images[group.mul(a, b)] == inn.table.mul(images[a], images[b])
+            assert all(images[group.table[a][b]] == inn.table.table[images[a]][images[b]]
                        for a in group.elements for b in group.elements), token
             assert set(images) == set(inn.table.elements), token
             kernel = {g for g in group.elements if images[g] == images[group.identity]}
@@ -110,9 +110,9 @@ def test_criterion_4_quotient_isomorphism():
             if token == "Q8":
                 assert len(inn.classes) == 4
                 assert all(
-                    inn.table.mul(a, a) == inn.table.identity for a in inn.table.elements
+                    inn.table.table[a][a] == inn.table.identity for a in inn.table.elements
                 )
-            if group.is_abelian():
+            if center(group) == frozenset(group.elements):  # abelian
                 assert len(inn.classes) == 1
             checked += 1
     report_criterion(

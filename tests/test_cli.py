@@ -321,11 +321,9 @@ class TestInn:
         assert "6 classes" in out
 
     def test_group_file_source(self, capsys, tmp_path):
-        from fuzzaut.groups import builtin_group
-        from fuzzaut.io import group_to_json
-
+        v4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
         path = tmp_path / "v4.json"
-        save(path, group_to_json(builtin_group("V4")))
+        save(path, {"name": "V4", "order": 4, "table": v4})
         code, out, _ = run_cli(capsys, "inn", "--group", f"file:{path}", "--mu", "auto:chain")
         assert code == EXIT_OK and "1 classes" in out
 
@@ -375,9 +373,9 @@ def test_inn_output_is_pinned(capsys, token, mu, fmt):
 def write_reject_inputs(path):
     """The input files of ``REJECTS``, under ``path``."""
     from fuzzaut.groups import builtin_group
-    from fuzzaut.io import group_to_json, mu_to_json
+    from fuzzaut.io import mu_to_json
 
-    s3 = group_to_json(builtin_group("S3"))
+    s3 = {"name": "S3", "order": 6, "table": [list(row) for row in builtin_group("S3").table]}
     swapped = json.loads(json.dumps(s3))  # row 1 stays a permutation, the table is no group
     swapped["table"][1][2], swapped["table"][1][3] = swapped["table"][1][3], swapped["table"][1][2]
     out_of_range = json.loads(json.dumps(s3))

@@ -14,6 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # sha256 of a demo's stdout; a rewrite of the demo must print the same bytes
 STDOUT_SHA256 = {
+    "01_membership_functions.py": "018a5ef0bc3c65ee179dc0d9a08a34936324a5284a90f983f7d1093d79824d37",
     "02_graded_conjugation.py": "5122c8aefa029b0c5b7baec0b488616a284ad4cc64416e211204ff67f5cdc9dc",
     "03_law_campaign.py": "b07b27fedb7e6e1e9a0f9af572674dcaae0e77f9326d5456343234917930c386",
 }

@@ -378,7 +378,7 @@ class TestBuiltins:
     def test_symmetric_3(self):
         s3 = builtin_group("symmetric(3)")
         assert s3.order == 6
-        assert not s3.is_abelian()
+        assert center(s3) != frozenset(s3.elements)  # not abelian
 
     def test_quaternion_center(self):
         q8 = builtin_group("quaternion8")
@@ -397,7 +397,7 @@ class TestBuiltins:
 
     def test_direct_product(self):
         g = builtin_group("direct_product(cyclic(2),cyclic(3))")
-        assert g.order == 6 and g.is_abelian()
+        assert g.order == 6 and center(g) == frozenset(g.elements)  # abelian
 
     @pytest.mark.parametrize("token", ["XYZ", "cyclic(17)", "dihedral(9)", "symmetric(5)", "Z0"])
     def test_unknown_tokens(self, token):
@@ -435,7 +435,7 @@ class TestStructure:
         g = builtin_group(token)
         z = center(g)
         assert z == frozenset(
-            a for a in g.elements if all(g.mul(a, b) == g.mul(b, a) for b in g.elements)
+            a for a in g.elements if all(g.table[a][b] == g.table[b][a] for b in g.elements)
         )
         q, cmap = quotient_group(g, z)
         assert q.order * len(z) == g.order

@@ -750,30 +750,8 @@ def squared_grades(witness):
     return PROPER_FRACTION.sub(lambda m: str(Fraction(int(m[1]), int(m[2])) ** 2), witness)
 
 
-def campaign_rows(token, mu, path):
-    """{statement: (verdict, witness)} of the campaign of ``token`` with ``mu``
-    read from a file at ``path``."""
-    save(path, mu_to_json(mu))
-    results = run_campaign(Campaign(groups=(token,), mu_sources=(f"file:{path}",)))
-    return {r.statement: (r.verdict, r.witness) for r in results}
-
-
 def regraded(mu):
     return fuzzy_subset(mu.group, [v * v for v in mu.grades])
-
-
-@pytest.mark.parametrize("token", ["S3", "D4", "Q8", "Z6", "S4"])
-@pytest.mark.parametrize("strategy", ["chain", "class"])
-def test_regraded_mu_gets_the_same_rows(token, strategy, tmp_path):
-    """v -> v^2 is strictly increasing on [0, 1] and fixes 0 and 1, so no law
-    can tell mu from its regrading: every statement keeps its verdict, and a
-    witness keeps its elements and has its grades squared."""
-    mu = mu_from_strategy(builtin_group(token), strategy)
-    assert any(0 < v < 1 for v in mu.grades)
-    plain = campaign_rows(token, mu, tmp_path / "mu.json")
-    squared = campaign_rows(token, regraded(mu), tmp_path / "squared.json")
-    assert len(plain) == len(STATEMENT_IDS) and all(v for v, _ in plain.values())
-    assert squared == {s: (v, squared_grades(w)) for s, (v, w) in plain.items()}
 
 
 def test_regraded_invalid_mu_gets_the_squared_witnesses(tmp_path):
@@ -820,6 +798,7 @@ def test_every_regrading_keeps_every_verdict(token, tmp_path):
     for r in rows:
         verdicts.setdefault(r.instance.split("|mu=")[1], {})[r.statement] = r.verdict
     assert all(len(v) == len(STATEMENT_IDS) for v in verdicts.values())
+    assert all(verdicts["chain"].values()) and all(verdicts["class"].values())
     for source, strategy in sources.items():
         assert verdicts[source] == verdicts[strategy], source
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzaut.groups import (
     all_subgroups,
     builtin_group,
+    conjugations,
     crisp_automorphisms,
     generating_sequence,
     make_group,
@@ -849,8 +850,7 @@ class TestLift:
         mu = class_strategy(S3)
         family = induced_family_raw(S3, mu)
         for g in S3.elements:
-            conj = tuple(S3.conjugate(x, g) for x in S3.elements)
-            assert lift_hom(conj, mu, S3).grades == family[g].grades
+            assert lift_hom(conjugations(S3)[g], mu, S3).grades == family[g].grades
 
     @pytest.mark.parametrize("token", DEFAULT_GROUPS + ("S4", "direct_product(Z2,Q8)"))
     @pytest.mark.parametrize("strategy", [chain_strategy, class_strategy], ids=["chain", "class"])

@@ -14,26 +14,30 @@ from fuzzaut.io import (
     FileFormatError,
     dumps,
     group_from_json,
-    group_to_json,
     load_group,
     load_mu,
     mu_from_json,
     mu_to_json,
     save,
 )
-from fuzzaut.subsets import chain_strategy
+from fuzzaut.subsets import chain_strategy, fuzzy_subset
+
+
+def group_file(group) -> dict:
+    """The JSON object of a group file that holds ``group``."""
+    return {"name": group.name, "order": group.order, "table": [list(row) for row in group.table]}
 
 
 class TestGroupFiles:
     def test_round_trip(self, tmp_path):
         s3 = builtin_group("S3")
         path = tmp_path / "s3.json"
-        save(path, group_to_json(s3))
+        save(path, group_file(s3))
         loaded = load_group(path)
         assert loaded == s3
 
     def test_declared_order_must_match(self):
-        obj = group_to_json(builtin_group("Z4"))
+        obj = group_file(builtin_group("Z4"))
         obj["order"] = 5
         with pytest.raises(FileFormatError):
             group_from_json(obj)
@@ -49,7 +53,7 @@ class TestGroupFiles:
         with pytest.raises(FileFormatError, match="declared order 257 exceeds the bound 256"):
             group_from_json({"name": "X", "order": 257, "table": "not read"})
         z16z16 = builtin_group("direct_product(Z16,Z16)")
-        assert group_from_json(group_to_json(z16z16)) == z16z16
+        assert group_from_json(group_file(z16z16)) == z16z16
 
     def test_missing_key(self):
         with pytest.raises(FileFormatError):
@@ -89,7 +93,7 @@ class TestEveryLoadReadsTheFile:
 
     def test_verify_reads_each_file_once(self, tmp_path, monkeypatch, capsys):
         path, mu_path = tmp_path / "g.json", tmp_path / "mu.json"
-        save(path, group_to_json(builtin_group("S3")) | {"name": "G"})
+        save(path, group_file(builtin_group("S3")) | {"name": "G"})
         save(mu_path, mu_to_json(chain_strategy(load_group(path))))
         reads, built = Counter(), []
         read_text, build = io._read_text, io.make_group
@@ -111,15 +115,15 @@ class TestEveryLoadReadsTheFile:
 
     def test_rewritten_file_is_loaded_anew(self, tmp_path):
         path, mu_path = tmp_path / "g.json", tmp_path / "mu.json"
-        save(path, group_to_json(builtin_group("S3")))
+        save(path, group_file(builtin_group("S3")))
         first = load_group(path)
         save(mu_path, mu_to_json(chain_strategy(first)))
         mu = load_mu(mu_path, first)
-        save(path, group_to_json(builtin_group("Z6")) | {"name": "S3"})
+        save(path, group_file(builtin_group("Z6")) | {"name": "S3"})
         assert load_group(path).table == builtin_group("Z6").table
         save(mu_path, {"group": "S3", "grades": ["1", "1/2", "1/2", "1/4", "1/4", "1/2"]})
         assert load_mu(mu_path, first).grades != mu.grades
-        table = group_to_json(builtin_group("S3"))
+        table = group_file(builtin_group("S3"))
         table["table"][2][2] += 1
         save(path, table)
         with pytest.raises(GroupError):
@@ -195,6 +199,23 @@ class TestMuFiles:
         assert main(["verify", "--group", "builtin:Z2", "--mu", f"file:{path}"]) == 2
         message = capsys.readouterr().err
         assert f"({limit} digits)" in message and len(message) < 400
+
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", int)() <= 5000,
+                        reason="this Python prints 10^5000")
+    def test_a_grade_too_long_to_print_is_bad_input(self, tmp_path, capsys):
+        """10^-5000 parses and lies in [0, 1], but its denominator has more
+        digits than Python converts to a string, so no report could print it:
+        ``grade`` rejects it, and the run exits 2 with one error line."""
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(GradeError, match=rf"^cannot interpret '1e-5000' as a rational grade: "
+                                             rf".*\({limit} digits\)"):
+            fuzzy_subset(builtin_group("Z2"), ["1e-5000", "1"])
+        path = tmp_path / "mu.json"
+        save(path, {"group": "Z2", "grades": ["1e-5000", "1"]})
+        assert main(["verify", "--group", "builtin:Z2", "--mu", f"file:{path}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: GradeError: cannot interpret '1e-5000'")
+        assert err.count("\n") == 1
 
     def test_wrong_length_rejected(self):
         with pytest.raises(Exception):

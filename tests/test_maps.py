@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzaut import maps
 from fuzzaut.grades import grade, rank_grades
-from fuzzaut.groups import builtin_group, crisp_automorphisms, opposite_group
+from fuzzaut.groups import builtin_group, conjugations, crisp_automorphisms, opposite_group
 from fuzzaut.homs import lift_hom
 from fuzzaut.maps import (
     FuzzyMap,
+    FuzzyRelation,
     MapError,
     MultipleUnitEntries,
     NoUnitEntry,
@@ -20,7 +21,6 @@ from fuzzaut.maps import (
     compose,
     compose_maps,
     crisp_map,
-    fuzzy_relation,
     identity_map,
     indexed_map,
     inverse_map,
@@ -36,6 +36,11 @@ from fuzzaut.induced import induced_family_raw, induced_indices
 
 Z4 = builtin_group("Z4")
 S3 = builtin_group("S3")
+
+
+def relation(domain, codomain, rows):
+    """The ``FuzzyRelation`` over ``rows``, each cell ``grade``d."""
+    return FuzzyRelation(domain, codomain, tuple(tuple(map(grade, row)) for row in rows))
 
 
 def identity_grades_for(mu):
@@ -93,7 +98,7 @@ class TestImages:
         family = induced_family_raw(S3, mu)
         for g in S3.elements:
             f = family[g]
-            assert all(f.images[x] == S3.conjugate(x, g) for x in S3.elements)
+            assert f.images == conjugations(S3)[g]
 
     def test_skeleton(self):
         assert identity_map(Z4).images == (0, 1, 2, 3)
@@ -108,7 +113,7 @@ class TestCompose:
         assert compose_maps(identity_map(Z4), f).images == f.images
 
     def test_empty_sup_row_becomes_zero(self):
-        rel = fuzzy_relation(Z4, Z4, [["1/2"] * 4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+        rel = relation(Z4, Z4, [["1/2"] * 4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
         f = identity_map(Z4)
         out = compose(f, rel)
         assert out.grades[0] == (F(0),) * 4
@@ -144,7 +149,7 @@ class TestCompose:
         for a, b in ((f, g), (out_of_s3, into_s3), (into_s3, out_of_s3)):
             fast, oracle = compose_maps(a, b), compose_oracle(a, b)
             assert fast.grades == oracle
-            assert fast.images == relation_images(fuzzy_relation(b.domain, a.codomain, oracle))
+            assert fast.images == relation_images(relation(b.domain, a.codomain, oracle))
 
     def test_row_lookup_identity(self):
         # composing after a map just reindexes rows through its skeleton
@@ -440,7 +445,7 @@ class TestPointwiseEqualOnRanks:
 
     def test_relations_compare_grades(self):
         f = identity_map(Z4)
-        rel = fuzzy_relation(Z4, Z4, f.grades)
+        rel = relation(Z4, Z4, f.grades)
         assert pointwise_equal(f, rel) and pointwise_equal(rel, f)
 
 
@@ -449,7 +454,8 @@ Z1 = builtin_group("Z1")
 
 class TestMakeFuzzyMapOracle:
     """``make_fuzzy_map`` finds the unit entries on ranks; ``relation_images``
-    over the ``Fraction`` cells is the oracle, for its images and its errors."""
+    over the ``Fraction`` cells is the oracle, for its images and its
+    unit-entry errors; a ragged matrix raises ``ShapeMismatch``."""
 
     @given(
         data=st.data(),
@@ -468,8 +474,11 @@ class TestMakeFuzzyMapOracle:
             rows.append(row)
         if data.draw(st.integers(0, 9)) == 0:
             rows[-1] = rows[-1][:-1]
+            with pytest.raises(ShapeMismatch):
+                make_fuzzy_map(domain, codomain, rows)
+            return
         try:
-            expected = relation_images(fuzzy_relation(domain, codomain, rows))
+            expected = relation_images(relation(domain, codomain, rows))
         except MapError as exc:
             with pytest.raises(MapError) as raised:
                 make_fuzzy_map(domain, codomain, rows)

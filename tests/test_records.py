@@ -14,7 +14,7 @@ from fuzzaut.harness import DEFAULT_GROUPS, STATEMENT_IDS, Campaign, SuiteResult
 from fuzzaut.homs import HomCheckReport, HomWitness
 from fuzzaut.induced import InnGroup
 from fuzzaut.maps import FuzzyMap, FuzzyRelation
-from fuzzaut.subsets import FuzzySubset, SubgroupViolation
+from fuzzaut.subsets import FuzzySubset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -22,7 +22,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 RECORDS = {
     FiniteGroup: (("name", "order", "table", "identity", "inverses"),) * 2,
     FuzzySubset: (("group", "grades"),) * 2,
-    SubgroupViolation: (("kind", "x", "y", "lhs", "rhs"),) * 2,
     FuzzyRelation: (("domain", "codomain", "grades"),) * 2,
     FuzzyMap: (("domain", "codomain", "grades", "images"),) * 2,
     HomWitness: (("x1", "x2", "y", "lhs", "rhs"),) * 2,

@@ -1,6 +1,7 @@
 """Membership functions: predicates, level sets, generators, strategies."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,8 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzaut.grades import GradeError, format_grade, parse_grade, rank_grades
-from fuzzaut.groups import GroupError, builtin_group, derived_series, is_subgroup
+from fuzzaut.grades import GradeError, format_grade, grade, parse_grade, rank_grades
+from fuzzaut.groups import (
+    GroupError,
+    all_subgroups,
+    builtin_group,
+    derived_series,
+    is_subgroup,
+    normal_subgroups,
+)
 from fuzzaut.harness import DEFAULT_GROUPS
 from fuzzaut.io import load_group, save
 from fuzzaut.subsets import (
@@ -29,11 +37,16 @@ from fuzzaut.subsets import (
     is_fuzzy_subgroup,
     is_normal_fuzzy_subgroup,
     is_pointed,
-    level_set,
     require_valid_mu,
 )
 
 GRADE_POOL = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+
+
+def level_set(mu, threshold) -> tuple[int, ...]:
+    """The elements graded at least ``threshold``, in order."""
+    t = F(threshold)
+    return tuple(x for x in mu.group.elements if mu.grades[x] >= t)
 
 
 def level_sets_are_subgroups(mu):
@@ -55,6 +68,36 @@ class TestGrades:
         with pytest.raises(GradeError):
             parse_grade(text)
 
+    @pytest.fixture
+    def digit_limit(self):
+        """Python's default limit on the digits of an int that ``str`` converts."""
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("value", [
+        "1e-5000",
+        "-1e-5000",
+        "1e-4400",
+        "0." + "0" * 4999 + "1",
+        "1/1" + "0" * 5000,
+        "1" + "0" * 5000 + "e-5000",
+        10 ** 5000,
+        -(10 ** 5000),
+    ], ids=["exp", "negative-exp", "exp-past-limit", "decimal", "fraction", "one-spelled-long",
+            "int", "negative-int"])
+    def test_rejects_values_it_cannot_print(self, value, digit_limit):
+        """A value whose digits pass the limit is refused as a grade, with an
+        echo cut short enough for one error line."""
+        with pytest.raises(GradeError, match=rf"\({digit_limit} digits\)") as err:
+            grade(value)
+        assert len(str(err.value)) < 300
+
+    def test_accepts_a_grade_inside_the_digit_limit(self, digit_limit):
+        g = grade("1e-4200")
+        assert g == F(1, 10 ** 4200) and len(format_grade(g)) == 4203
+
 
 class TestPredicates:
     def test_constant_one_is_subgroup(self):
@@ -69,8 +112,7 @@ class TestPredicates:
         mu = fuzzy_subset(builtin_group("Z4"), ["1", "1/2", "1/4", "1/2"])
         ok, witness = is_fuzzy_subgroup(mu)
         assert not ok
-        assert (witness.x, witness.y) == (1, 1)
-        assert witness.lhs == F(1, 4) and witness.rhs == F(1, 2)
+        assert witness == "mu(x*y) = 1/4 < 1/2 = mu(x)^mu(y) at (x, y) = (1, 1)"
 
     def test_any_subgroup_mu_on_abelian_is_normal(self):
         mu = chain_strategy(builtin_group("Z8"))
@@ -104,15 +146,79 @@ class TestPredicates:
             require_valid_mu(bad)
 
 
+def literal_subgroup_verdict(mu):
+    """``is_fuzzy_subgroup`` as a scan over grades: the first failing (x, y) in
+    row-major order, then the first failing x^-1, in the checker's words."""
+    g, vec = mu.group, mu.grades
+    for x in g.elements:
+        for y in g.elements:
+            low = min(vec[x], vec[y])
+            if vec[g.table[x][y]] < low:
+                return False, (f"mu(x*y) = {vec[g.table[x][y]]} < {low} = mu(x)^mu(y) "
+                               f"at (x, y) = ({x}, {y})")
+    for x in g.elements:
+        if vec[g.inverses[x]] < vec[x]:
+            return False, f"mu(x^-1) = {vec[g.inverses[x]]} < {vec[x]} = mu(x) at x = {x}"
+    return True, None
+
+
+def literal_symmetry_verdict(mu):
+    """The first (x, y) in row-major order with mu(xy) != mu(yx)."""
+    g, vec = mu.group, mu.grades
+    for x in g.elements:
+        for y in g.elements:
+            xy, yx = g.table[x][y], g.table[y][x]
+            if vec[xy] != vec[yx]:
+                return False, (f"mu(x*y) = {vec[xy]} != {vec[yx]} = mu(y*x) "
+                               f"at (x, y) = ({x}, {y})")
+    return True, None
+
+
+class TestWitnessText:
+    @pytest.mark.parametrize("token", DEFAULT_GROUPS)
+    def test_subgroup_witness_is_the_literal_first_failure(self, token):
+        """Random grade vectors with mu(e) = 1: both checkers give the literal
+        scan's verdict and witness text, byte for byte."""
+        group = builtin_group(token)
+        rng = random.Random(token)
+        failures = 0
+        for _ in range(40):
+            grades = [rng.choice(GRADE_POOL) for _ in group.elements]
+            grades[group.identity] = F(1)
+            mu = fuzzy_subset(group, grades)
+            expected = literal_subgroup_verdict(mu)
+            assert is_fuzzy_subgroup(mu) == expected
+            if expected[0]:
+                expected = literal_symmetry_verdict(mu)
+            assert is_normal_fuzzy_subgroup(mu) == expected
+            failures += not expected[0]
+        assert failures > 0 or group.order <= 2
+
+    @pytest.mark.parametrize("token", ["S3", "D4", "D5", "D6", "S4"])
+    def test_symmetry_witness_is_the_literal_first_failure(self, token):
+        """mu graded 1 on a non-normal subgroup and 1/2 off it is a fuzzy
+        subgroup that is not normal, with the literal scan's witness."""
+        group = builtin_group(token)
+        normal = set(normal_subgroups(group))
+        others = [h for h in all_subgroups(group) if h not in normal]
+        assert others
+        for h in others:
+            mu = fuzzy_subset(group, [F(1) if x in h else F(1, 2) for x in group.elements])
+            assert is_fuzzy_subgroup(mu) == (True, None)
+            expected = literal_symmetry_verdict(mu)
+            assert not expected[0]
+            assert is_normal_fuzzy_subgroup(mu) == expected
+
+
 class TestLevelSets:
     def test_zero_threshold_gives_whole_group(self):
         mu = chain_strategy(builtin_group("Z4"))
-        assert tuple(sorted(level_set(mu, 0))) == (0, 1, 2, 3)
+        assert level_set(mu, 0) == (0, 1, 2, 3)
 
     def test_z4_chain_levels(self):
         mu = chain_strategy(builtin_group("Z4"))
-        assert tuple(sorted(level_set(mu, "1/2"))) == (0, 2)
-        assert tuple(sorted(level_set(mu, 1))) == (0,)
+        assert level_set(mu, "1/2") == (0, 2)
+        assert level_set(mu, 1) == (0,)
 
     @given(
         vec=st.lists(st.sampled_from(GRADE_POOL), min_size=6, max_size=6).map(
@@ -131,8 +237,8 @@ class TestLevelSets:
         ok, _ = is_fuzzy_subgroup(mu)
         if ok:
             g = mu.group
-            assert all(mu(g.inverses[x]) == mu(x) for x in g.elements)
-            assert all(mu(g.identity) >= mu(x) for x in g.elements)
+            assert all(mu.grades[g.inverses[x]] == mu.grades[x] for x in g.elements)
+            assert all(mu.grades[g.identity] >= mu.grades[x] for x in g.elements)
 
     @given(vec=st.lists(st.sampled_from(GRADE_POOL), min_size=6, max_size=6))
     @settings(max_examples=200, deadline=None)
@@ -165,7 +271,7 @@ class TestChainGenerator:
         grades = [F(1), F(1, 2), F(1, 4)]
         mu = gen_mu_chain(z4, chain, grades)
         for part, g in zip(chain, grades):
-            assert tuple(sorted(level_set(mu, g))) == part
+            assert level_set(mu, g) == part
 
     def test_chain_must_start_trivial(self):
         z4 = builtin_group("Z4")
