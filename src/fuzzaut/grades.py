@@ -22,26 +22,24 @@ class GradeError(FuzzautError):
 def grade(value) -> Fraction:
     """Coerce ``value`` (int, string "p/q", or Fraction) to a valid grade.
 
-    A ``Fraction`` in range is returned as it is, not copied.  Any other
-    value must also print: past Python's limit on the digits of an int,
-    ``str`` of a grade such as "1e-5000" raises.
+    A ``Fraction`` in range is returned as it is, not copied.  Every value
+    must also print: past Python's limit on the digits of an int, ``str`` of
+    a grade such as "1e-5000" or ``Fraction(1, 10**5000)`` raises.
     """
-    if type(value) is Fraction:
-        g = value
-    else:
+    try:
+        g = value if type(value) is Fraction else Fraction(value)
+        str(g)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
         try:
-            g = Fraction(value)
-            str(g)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            try:
-                shown = repr(value)
-            except ValueError:  # an int past the digit limit does not print either
-                shown = f"an int of {value.bit_length()} bits"
-            if len(shown) > 40:  # cut, as a value may have thousands of digits
-                shown = f"{shown[:40]}... ({len(shown)} characters)"
-            # past Python's limit on the digits of an int, the error's text names that limit
-            cause = f": {exc}" if "int_max_str_digits" in str(exc) else ""
-            raise GradeError(f"cannot interpret {shown} as a rational grade{cause}") from exc
+            shown = repr(value)
+        except ValueError:  # an int or a Fraction past the digit limit does not print either
+            shown = (f"an int of {value.bit_length()} bits" if isinstance(value, int) else
+                     f"a Fraction of {value.numerator.bit_length()}/{value.denominator.bit_length()} bits")
+        if len(shown) > 40:  # cut, as a value may have thousands of digits
+            shown = f"{shown[:40]}... ({len(shown)} characters)"
+        # past Python's limit on the digits of an int, the error's text names that limit
+        cause = f": {exc}" if "int_max_str_digits" in str(exc) else ""
+        raise GradeError(f"cannot interpret {shown} as a rational grade{cause}") from exc
     if not GRADE_ZERO <= g <= GRADE_ONE:
         raise GradeError(f"grade {g} outside [0, 1]")
     return g

@@ -338,7 +338,7 @@ _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
     "Lemma 3.1": _suite_lemma_3_1,
     "Lemma 3.2": lambda ctx: check_associativity(dict(ctx.aut_samples), ctx.aut_products),
     "Lemma 3.3": lambda ctx: _first_failure(ctx.aut_samples, check_identity_law),
-    "Lemma 3.4": lambda ctx: _first_failure(ctx.aut_samples, check_inverse_law),
+    "Lemma 3.4": lambda ctx: _first_failure_transposed(ctx, check_inverse_law),
     "Lemma 3.5": lambda ctx: _first_failure_transposed(
         ctx, lambda f, f_inv: is_fuzzy_homomorphism(compose_maps(f_inv, f))
     ),

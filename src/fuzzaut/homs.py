@@ -34,13 +34,13 @@ images of g and x: (R_g * R_x)(y) = (A * B)(c^-1 y d^-1), two gathers.  The
 identity holds for every c and d, so the verdict does not rest on the
 images being right.  Every lift through a normal mu has translates of mu as
 its rows, and every one of them centres to mu itself, so each mu costs one
-core.  The centred rows get row ids like any other, kept per (row id,
-shift), so the core is memoized as a product of rows.  The memo, row ids,
-centred rows, passing keys, generator rows and closure verdicts are cleared
-before a check that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries,
-and ``_row_tables`` keeps the last ``_CODOMAINS_KEPT`` codomains.
+core.  Cores are kept under the row ids of their two centred rows, and the
+core's row id goes into the memo as the product of those rows.  The memo,
+row ids, cores, passing keys and generator rows are cleared before a check
+that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries, and
+``_row_tables`` keeps the last ``_CODOMAINS_KEPT`` codomains.
 
-A core missing from the memo is computed by ``_row_product`` as the literal
+A core missing from ``cores`` is computed by ``_row_product`` as the literal
 sup, one cell at a time by ``_sup``, reading the cofactors y1^-1 y of each y
 as a column of the codomain's table.  ``_first_violation``, the literal
 scan that names the witness of a rejected map, reads its cells through the
@@ -156,23 +156,22 @@ def _failing_generator_pair(f: FuzzyMap) -> Optional[tuple[int, int]]:
     whose products are not all in the memo, is walked one x at a time, which
     returns its first failing x.  A product missing from the memo is
     translated: with c = f.images[g] and d = f.images[x], the centred rows
-    A(y) = R_g(c y) and B(y) = R_x(y d), kept in ``lefts`` and ``rights``,
-    get row ids, their core A * B is looked up under those ids and computed
-    by ``_row_product`` only when it is new, and
-    (R_g * R_x)(y) = (A * B)(c^-1 y d^-1) gets a row id, kept under R_g's
-    and R_x's.  This is exact for any c and d, so a map whose ``images`` are
-    wrong still gets the verdict of its cells; images that are not codomain
-    elements, which only a hand-built map can have, are replaced by the
-    identity.  A passing map's (domain, row ids) is kept in ``passed``, so
-    the same check again holds without a pass.
+    A(y) = R_g(c y) and B(y) = R_x(y d) get row ids, their core A * B is
+    looked up in ``cores`` under those ids and computed by ``_row_product``
+    only when it is new, and (R_g * R_x)(y) = (A * B)(c^-1 y d^-1) gets a
+    row id, kept under R_g's and R_x's.  This is exact for any c and d, so a
+    map whose ``images`` are wrong still gets the verdict of its cells;
+    images that are not codomain elements, which only a hand-built map can
+    have, are replaced by the identity.  A passing map's (domain, row ids)
+    is kept in ``passed``, so the same check again holds without a pass.
 
     A pass over |S| generators and n rows adds at most 2|S|n products and
-    cores to ``memo``; n row ids for its rows, n + |S| for centred rows, |S|n
-    for cores and one for a product that is no row of the map, at which the
-    pass stops; n + |S| centred rows; one entry each of ``passed``,
-    ``generators`` and ``generated``: at most 3(|S| + 1)(n + 1) entries.  The
-    stores are cleared before a pass that could take their ``size`` to
-    ``ROW_PRODUCT_MEMO_BOUND``.
+    cores to ``memo``; n row ids for its rows, n + |S| for centred rows (a
+    left one per generator, a right one per row), |S|n for cores and one
+    for a product that is no row of the map, at which the pass stops; one
+    entry each of ``passed`` and ``generators``: at most 3(|S| + 1)(n + 1)
+    entries of ``size``.  The stores are cleared before a pass that could
+    take their ``size`` to ``ROW_PRODUCT_MEMO_BOUND``.
     """
     rows = f.encoding[1]
     tables = _row_tables(f.codomain)
@@ -198,8 +197,8 @@ def _failing_generator_pair(f: FuzzyMap) -> Optional[tuple[int, int]]:
         for x, ix in enumerate(ids):
             prod = memo.get((ig, ix))
             if prod is None:
-                moved = _translated_product(rg, ig, c, rows[x], ix, images[x], tables)
-                prod = memo[ig, ix] = _product_id(moved, tables)
+                moved = _translated_product(rg, c, rows[x], images[x], tables)
+                prod = memo[ig, ix] = row_ids.setdefault(moved, len(row_ids))
             if prod != ids[dg[x]]:
                 return g, x
     tables.passed.add((domain, ids))
@@ -219,10 +218,7 @@ def _pass_generators(domain: FiniteGroup, ids: tuple, gens: tuple, tables: _RowT
     kept = tables.generators.get(domain)
     if kept is not None and all(map(ids.__contains__, kept)):
         held = tuple(map(ids.index, kept))
-        generates = tables.generated.get((domain, held))
-        if generates is None:
-            generates = tables.generated[domain, held] = len(closure(domain, held)) == domain.order
-        if generates:
+        if len(closure(domain, held)) == domain.order:
             return held
     tables.generators[domain] = picker(gens)(ids)
     return gens
@@ -239,17 +235,13 @@ class _RowTables:
 
     The stores: ``row_ids`` maps a rank row to its id, which names its
     content in this codomain; ``memo`` maps a pair of row ids to the row id
-    of their product, which is a core when both rows are centred, so a core
-    serves as the product of its two centred rows as well, and ``rows`` maps
-    the id of each product in ``memo`` back to its row; ``lefts`` keeps the
-    left-centred row y -> R(c y) under (row id of R, c) and ``rights`` the
-    right-centred row y -> R(y d) under (row id of R, d), each as (its row
-    id, its content);
-    ``passed`` holds the (domain, row ids) of each map that passed,
-    ``generators`` the row ids of the generators of the last pass over each
-    domain, and ``generated`` whether the elements of a (domain, elements)
-    generate the domain.  All but ``rows``, no larger than ``memo``, count
-    toward ``ROW_PRODUCT_MEMO_BOUND`` (``size``); all are cleared (``clear``).
+    of their product; ``cores`` maps the row ids of two centred rows to
+    their core, whose row id ``memo`` holds under the same pair, so a core
+    serves as the product of its two centred rows as well; ``passed`` holds
+    the (domain, row ids) of each map that passed, and ``generators`` the
+    row ids of the generators of the last pass over each domain.  All but
+    ``cores``, whose keys are keys of ``memo``, count toward
+    ``ROW_PRODUCT_MEMO_BOUND`` (``size``); all are cleared (``clear``).
     """
 
     def __init__(self, codomain: FiniteGroup) -> None:
@@ -258,49 +250,30 @@ class _RowTables:
         # itemgetter of one index returns the item; over one element every move is the identity
         move = (lambda index: itemgetter(*index)) if codomain.order > 1 else (lambda index: tuple)
         self.left, self.right, self.inverse = tuple(map(move, ct)), tuple(map(move, zip(*ct))), cinv
-        self.memo, self.row_ids, self.rows, self.lefts, self.rights = {}, {}, {}, {}, {}
-        self.passed, self.generators, self.generated = set(), {}, {}
+        self.memo, self.row_ids, self.cores, self.passed, self.generators = {}, {}, {}, set(), {}
 
     def size(self) -> int:
-        return sum(map(len, (self.memo, self.row_ids, self.lefts, self.rights, self.passed,
-                             self.generators, self.generated)))
+        return sum(map(len, (self.memo, self.row_ids, self.passed, self.generators)))
 
     def clear(self) -> None:
-        for store in (self.memo, self.row_ids, self.rows, self.lefts, self.rights, self.passed,
-                      self.generators, self.generated):
+        for store in (self.memo, self.row_ids, self.cores, self.passed, self.generators):
             store.clear()
 
 
 _row_tables = derived_cache(_RowTables, _CODOMAINS_KEPT)  # the last codomains' tables
 
 
-def _product_id(row: tuple[int, ...], tables: _RowTables) -> int:
-    """The row id of a product or core about to be stored in the memo, handed
-    out if it is new, with ``tables.rows`` mapping it back to the row."""
-    i = tables.row_ids.setdefault(row, len(tables.row_ids))
-    tables.rows[i] = row
-    return i
-
-
-def _translated_product(rg, ig, c, rx, ix, d, tables: _RowTables) -> tuple[int, ...]:
+def _translated_product(rg, c, rx, d, tables: _RowTables) -> tuple[int, ...]:
     """R_g * R_x = tau_c rho_d (A * B) for the centred rows A(y) = R_g(c y) and
-    B(y) = R_x(y d), whose core A * B comes from the memo or ``_row_product``."""
-    left, right, inverse, memo = tables.left, tables.right, tables.inverse, tables.memo
-    ia, a = _centred(tables.lefts, (ig, c), left[c], rg, tables.row_ids)
-    ib, b = _centred(tables.rights, (ix, d), right[d], rx, tables.row_ids)
-    core = memo.get((ia, ib))
+    B(y) = R_x(y d), whose core A * B comes from ``cores`` or ``_row_product``."""
+    left, right, inverse, row_ids = tables.left, tables.right, tables.inverse, tables.row_ids
+    a, b = left[c](rg), right[d](rx)
+    key = row_ids.setdefault(a, len(row_ids)), row_ids.setdefault(b, len(row_ids))
+    core = tables.cores.get(key)
     if core is None:
-        core = memo[ia, ib] = _product_id(_row_product(a, b, tables.columns), tables)
-    return left[inverse[c]](right[inverse[d]](tables.rows[core]))  # y -> core(c^-1 y d^-1)
-
-
-def _centred(store: dict, key: tuple, move, row, row_ids: dict) -> tuple[int, tuple[int, ...]]:
-    """The row id and content of ``move(row)``, kept in ``store`` under ``key``."""
-    hit = store.get(key)
-    if hit is None:
-        moved = move(row)
-        hit = store[key] = row_ids.setdefault(moved, len(row_ids)), moved
-    return hit
+        core = tables.cores[key] = _row_product(a, b, tables.columns)
+        tables.memo[key] = row_ids.setdefault(core, len(row_ids))
+    return left[inverse[c]](right[inverse[d]](core))  # y -> core(c^-1 y d^-1)
 
 
 def _sup(a: Sequence[int], b: Sequence[int], column: Sequence[int]) -> int:

@@ -247,16 +247,18 @@ class TestRowProductMemo:
             assert_matches_oracles(f)
 
     def test_memo_stays_bounded(self, monkeypatch):
-        # one check over D4 reserves 3 * (2 + 1) * (8 + 1) = 81 entries, for at most
-        # 2 generators * 8 rows * 2 = 32 products and cores, 8 + 10 + 16 + 1 row ids,
-        # 2 + 8 centred rows, 1 passing key and 1 generator entry, so each check
-        # starts from empty stores, and a lift's check adds no more than 63
+        """A check over D4 reserves more than 63 entries (see
+        ``TestReservation``), so under a bound of 63 each check starts from
+        empty stores and a lift's check leaves at most 63 entries of
+        ``size``, ``cores`` at most as many as ``memo`` (this summed
+        ``memo``, ``row_ids``, ``passed`` and the centred-row stores
+        ``lefts`` and ``rights``, since deleted)."""
         monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 63)
         homs._row_tables.cache_clear()
         for f in lifted_homs(D4, D4):
             assert_matches_oracles(f)
             t = homs._row_tables(D4)
-            assert 0 < sum(map(len, (t.memo, t.row_ids, t.lefts, t.rights, t.passed))) <= 63
+            assert 0 < t.size() <= 63 and len(t.cores) <= len(t.memo)
 
     def test_checks_straddling_a_reset_give_the_cold_answers(self, monkeypatch):
         batch = []
@@ -300,6 +302,35 @@ class TestRowProductMemo:
         verdicts = [is_fuzzy_homomorphism(f).verdict for f in (good, bad, bad)]
         assert verdicts == [True, False, False]
         assert_matches_oracles(bad)
+
+
+class TestReservation:
+    """``_failing_generator_pair`` clears a codomain's stores unless they can
+    take the 3(|S| + 1)(n + 1) entries of ``size`` it reserves for a pass over
+    |S| generators and n rows; no pass grows them by more than that."""
+
+    @pytest.mark.parametrize("campaign", [
+        harness.default_campaign(), Campaign(groups=("S4",)), Campaign(groups=("direct_product(Z2,Q8)",)),
+    ], ids=["default", "S4", "Z2xQ8"])
+    def test_no_pass_outgrows_its_reservation(self, monkeypatch, campaign):
+        passes, cleared, check, clear = [], [], homs._failing_generator_pair, homs._RowTables.clear
+
+        def measured(f):
+            tables = homs._row_tables(f.codomain)
+            before = tables.size()
+            reserved = 3 * (len(generating_sequence(f.domain)) + 1) * (f.domain.order + 1)
+            cleared.clear()
+            failing = check(f)
+            passes.append((tables.size() - (0 if cleared else before), reserved, tables.size()))
+            return failing
+
+        monkeypatch.setattr(homs, "_failing_generator_pair", measured)
+        monkeypatch.setattr(homs._RowTables, "clear", lambda self: cleared.append(None) or clear(self))
+        homs._row_tables.cache_clear()
+        run_campaign(campaign)
+        assert passes and max(grown for grown, _, _ in passes) > 0
+        assert all(grown <= reserved for grown, reserved, _ in passes)
+        assert all(size < homs.ROW_PRODUCT_MEMO_BOUND for _, _, size in passes)
 
 
 def literal_row_product(rg, rx, group):
@@ -389,9 +420,10 @@ class TestTranslatedProduct:
 
     @staticmethod
     def translated(rg, rx, c, d, tables):
-        row_ids = tables.row_ids
-        ig, ix = (row_ids.setdefault(r, len(row_ids)) for r in (rg, rx))
-        return homs._translated_product(rg, ig, c, rx, ix, d, tables)
+        """R_g * R_x through ``_translated_product``, which takes the rows and
+        shifts alone (it took the row ids of rg and rx as well when the
+        centred rows were kept under (row id, shift))."""
+        return homs._translated_product(rg, c, rx, d, tables)
 
     @pytest.mark.parametrize("group", ROW_PRODUCT_GROUPS, ids=lambda g: g.name)
     def test_random_rows_at_any_shifts(self, group):

@@ -623,10 +623,10 @@ def test_seeded_samples_fail_with_pinned_witnesses(monkeypatch, tag):
 
 @pytest.mark.parametrize("tag", ["seed:collapse", "seed:stale"])
 def test_a_sample_with_no_transpose_fails_each_lemma_that_reads_it(monkeypatch, tag):
-    """The instance transposes each sample once for Lemmas 3.5, 3.6 and 3.9; a
-    sample that has no transpose fails all three under its own tag, with the
-    text ``inverse_map`` raised, as it did when each lemma transposed it."""
-    suites = ("Lemma 3.5", "Lemma 3.6", "Lemma 3.9")
+    """The instance transposes each sample once for Lemmas 3.4, 3.5, 3.6 and
+    3.9; a sample that has no transpose fails all four under its own tag, with
+    the text ``inverse_map`` raised, as it did when each lemma transposed it."""
+    suites = ("Lemma 3.4", "Lemma 3.5", "Lemma 3.6", "Lemma 3.9")
     assert seeded_rows(monkeypatch, tag, suites) == [(s, False, f"{tag}: {NOT_BIJECTIVE}")
                                                       for s in suites]
 

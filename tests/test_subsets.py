@@ -21,6 +21,7 @@ from fuzzaut.groups import (
 )
 from fuzzaut.harness import DEFAULT_GROUPS
 from fuzzaut.io import load_group, save
+from fuzzaut.maps import make_fuzzy_map
 from fuzzaut.subsets import (
     FuzzySubset,
     GradesNotDecreasing,
@@ -93,6 +94,18 @@ class TestGrades:
         with pytest.raises(GradeError, match=rf"\({digit_limit} digits\)") as err:
             grade(value)
         assert len(str(err.value)) < 300
+
+    @pytest.mark.parametrize("build", [
+        lambda z2, g: fuzzy_subset(z2, [g, 1]),
+        lambda z2, g: make_fuzzy_map(z2, z2, [[1, g], [0, 1]]),
+    ], ids=["fuzzy_subset", "make_fuzzy_map"])
+    def test_rejects_a_fraction_it_cannot_print(self, build, digit_limit):
+        """A ``Fraction`` passed in is held to the digit limit as a parsed
+        value is, and named by the bit lengths of its terms, as its ``repr``
+        does not print either."""
+        with pytest.raises(GradeError, match=rf"^cannot interpret a Fraction of 1/16610 bits as a "
+                                             rf"rational grade: .*\({digit_limit} digits\)"):
+            build(builtin_group("Z2"), F(1, 10 ** 5000))
 
     def test_accepts_a_grade_inside_the_digit_limit(self, digit_limit):
         g = grade("1e-4200")
