@@ -48,7 +48,8 @@ class Record:
     are of the same class and the fields named in ``_compared`` (all fields,
     unless a class names fewer) are equal; against another class, ``__eq__``
     returns ``NotImplemented``.  The hash covers the same fields; it is
-    computed once and kept in the instance dictionary under ``_hash``.
+    computed once and kept in the instance dictionary under ``_hash``.  A
+    slot that a subclass declares with a field's name is no default.
     """
 
     _fields: tuple[str, ...] = ()
@@ -59,8 +60,9 @@ class Record:
         super().__init_subclass__(**kwargs)
         own = tuple(name for name in cls.__annotations__ if not name.startswith("_"))
         defaults = list(cls._defaults)
+        slots = cls.__dict__.get("__slots__", ())
         for name in own:
-            if name in cls.__dict__:
+            if name in cls.__dict__ and name not in slots:
                 defaults.append(cls.__dict__[name])
             elif defaults:
                 raise TypeError(f"{cls.__name__}: field {name!r} follows a field with a default")

@@ -22,10 +22,14 @@ class GradeError(FuzzautError):
 def grade(value) -> Fraction:
     """Coerce ``value`` (int, string "p/q", or Fraction) to a valid grade.
 
-    A ``Fraction`` in range is returned as it is, not copied.  Every value
-    must also print: past Python's limit on the digits of an int, ``str`` of
-    a grade such as "1e-5000" or ``Fraction(1, 10**5000)`` raises.
+    A ``Fraction`` in range is returned as it is, not copied.  A ``float``
+    or a ``bool`` raises, naming its type: 0.1 is not one tenth, and a flag
+    is no grade.  Every value must also print: past Python's limit on the
+    digits of an int, ``str`` of a grade such as "1e-5000" or
+    ``Fraction(1, 10**5000)`` raises.
     """
+    if type(value) is not Fraction and isinstance(value, (float, bool)):
+        raise GradeError(f"expected an int, a Fraction or a rational string, got {type(value).__name__}")
     try:
         g = value if type(value) is Fraction else Fraction(value)
         str(g)
@@ -50,11 +54,18 @@ def rank_grades(vec) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
 
     ``values[ranks[i]] == vec[i]``.  The rank map is strictly monotone, so
     min, max and every comparison give the same answer on ranks as on the
-    grades, and the inside of a scan can work on small integers.
+    grades, and the inside of a scan can work on small integers.  A top
+    grade equal to 1 is stored as ``GRADE_ONE``, so ``maps.unit_rank``
+    finds it by identity.  The ranks are read before that swap, so each
+    lookup finds the very object of ``vec`` (and the test against the int 1
+    takes ``Fraction.__eq__``'s fast path, with no ABC check).
     """
     values = tuple(sorted(set(vec)))
     index = {v: i for i, v in enumerate(values)}
-    return values, tuple([index[v] for v in vec])
+    ranks = tuple([index[v] for v in vec])
+    if values and values[-1] == 1 and values[-1] is not GRADE_ONE:
+        values = values[:-1] + (GRADE_ONE,)
+    return values, ranks
 
 
 def parse_grade(text: str) -> Fraction:

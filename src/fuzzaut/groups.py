@@ -491,18 +491,25 @@ def generating_sequence(group: FiniteGroup) -> tuple[int, ...]:
     """A short generating set, built greedily.
 
     Each step adds the element whose closure with the elements chosen so far
-    is largest, the smaller index on a tie.  S4 and Q8 get two generators.
-    The trivial group gets ``(identity,)``, so the sequence is never empty.
+    is largest, the smaller index on a tie.  The candidates are scanned in
+    index order, and the scan stops at the first whose closure is the whole
+    group, as a later one could only tie with it; the winner's closure is the
+    next step's span.  S4 and Q8 get two generators.  The trivial group gets
+    ``(identity,)``, so the sequence is never empty.
     """
     gens: tuple[int, ...] = ()
     span = closure(group, gens)
     while len(span) < group.order:
-        best = max(
-            (x for x in group.elements if x not in span),
-            key=lambda x: len(closure(group, gens + (x,))),
-        )
+        best_span = span
+        for x in group.elements:
+            if x not in span:
+                grown = closure(group, gens + (x,))
+                if len(grown) > len(best_span):
+                    best, best_span = x, grown
+                    if len(grown) == group.order:
+                        break
         gens += (best,)
-        span = closure(group, gens)
+        span = best_span
     return gens or (group.identity,)
 
 
@@ -579,10 +586,13 @@ _AUT_ORDER_BOUND = 24
 def crisp_automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All bijections with f(ab) = f(a)f(b), one candidate per generator-image choice.
 
-    An automorphism is fixed by the images of ``generating_sequence(group)``,
-    and each image has its generator's order.  Every choice of such images is
-    extended along a spanning tree of the Cayley graph, f(a.g_i) = f(a).h_i,
-    and kept when the extension is an isomorphism.
+    An automorphism is fixed by the images h_i of the generators g_i of
+    ``generating_sequence(group)``, and it keeps the order of every element:
+    of each g_i, and of each product g_i.g_j.  The choices are built one
+    generator at a time, and a choice with ord(h_i.h_j) != ord(g_i.g_j) for
+    some i < j is dropped before it grows, so only impossible candidates go.
+    Every remaining choice is extended along a spanning tree of the Cayley
+    graph, f(a.g_i) = f(a).h_i, and kept when the extension is an isomorphism.
     """
     if group.order > _AUT_ORDER_BOUND:
         raise GroupTooLarge(f"order {group.order} exceeds the exhaustive bound {_AUT_ORDER_BOUND}")
@@ -597,9 +607,16 @@ def crisp_automorphisms(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
                 reached.append(b)
                 tree.append((a, i, b))
     orders = [group.element_order(x) for x in group.elements]
-    choices = [[h for h in group.elements if orders[h] == orders[g]] for g in gens]
+    candidates: list[tuple[int, ...]] = [()]
+    for j, g in enumerate(gens):
+        wanted = [orders[t[gi][g]] for gi in gens[:j]]  # ord(g_i.g_j) for each i < j
+        candidates = [
+            images + (h,) for images in candidates for h in group.elements
+            if orders[h] == orders[g]
+            and all(orders[t[hi][h]] == o for hi, o in zip(images, wanted))
+        ]
     found = []
-    for images in itertools.product(*choices):
+    for images in candidates:
         mapping = [group.identity] * group.order
         for a, i, b in tree:
             mapping[b] = t[mapping[a]][images[i]]

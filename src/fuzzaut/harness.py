@@ -383,7 +383,14 @@ def _row(statement: str, instance: str, check: Callable[[], Verdict],
 @contextmanager
 def _campaign_scope():
     """Pause the cyclic collector, which would find no cycles to free; on return
-    or raise, empty every derived cache and put back the caller's ``gc.isenabled()``."""
+    or raise, empty every derived cache and put back the caller's ``gc.isenabled()``.
+
+    ``run_campaign`` and ``ablation`` run their bodies in a helper that returns
+    only the rows, so what the body built is freed before the collector
+    resumes: were it alive, the first allocation after ``gc.enable()`` would
+    start a collection that walks every container the campaign made and frees
+    none.
+    """
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -417,26 +424,31 @@ def run_campaign(campaign: Campaign) -> list[SuiteResult]:
     warmed serves it).  The cyclic collector is paused (``_campaign_scope``).
     """
     with _campaign_scope():
-        unknown = [s for s in campaign.suites if s not in _SUITES]
-        if unknown:
-            raise ConfigInvalid(f"unknown statement ids: {unknown}")
-        contexts = [_Instance(shared, mu) for shared in map(_Group, campaign.groups)
-                    for mu in campaign.mu_sources]
-        results = []
-        ran: dict[FuzzySubset, list[SuiteResult]] = {}
-        for ctx in contexts:  # all kept alive until the sort: freeing them early measured slower
-            if ctx.mu_error is not None:
-                results.extend(SuiteResult(statement, ctx.descriptor, False, ctx.mu_error)
-                               for statement in campaign.suites)
-            elif ctx.mu in ran:
-                results.extend(SuiteResult(r.statement, ctx.descriptor, r.verdict, r.witness, 0,
-                                           r.expected_failure) for r in ran[ctx.mu])
-            else:
-                ran[ctx.mu] = [_row(statement, ctx.descriptor, partial(_SUITES[statement], ctx))
-                               for statement in campaign.suites]
-                results.extend(ran[ctx.mu])
-        results.sort(key=lambda r: (r.statement, r.instance))
-        return results
+        return _campaign_rows(campaign)
+
+
+def _campaign_rows(campaign: Campaign) -> list[SuiteResult]:
+    """``run_campaign``'s sorted rows; its instances die when this returns."""
+    unknown = [s for s in campaign.suites if s not in _SUITES]
+    if unknown:
+        raise ConfigInvalid(f"unknown statement ids: {unknown}")
+    contexts = [_Instance(shared, mu) for shared in map(_Group, campaign.groups)
+                for mu in campaign.mu_sources]
+    results = []
+    ran: dict[FuzzySubset, list[SuiteResult]] = {}
+    for ctx in contexts:
+        if ctx.mu_error is not None:
+            results.extend(SuiteResult(statement, ctx.descriptor, False, ctx.mu_error)
+                           for statement in campaign.suites)
+        elif ctx.mu in ran:
+            results.extend(SuiteResult(r.statement, ctx.descriptor, r.verdict, r.witness, 0,
+                                       r.expected_failure) for r in ran[ctx.mu])
+        else:
+            ran[ctx.mu] = [_row(statement, ctx.descriptor, partial(_SUITES[statement], ctx))
+                           for statement in campaign.suites]
+            results.extend(ran[ctx.mu])
+    results.sort(key=lambda r: (r.statement, r.instance))
+    return results
 
 
 # -- hypothesis ablation ------------------------------------------------------
@@ -483,20 +495,25 @@ def ablation(campaign: Campaign, drop: Optional[str]) -> list[SuiteResult]:
     if drop not in ABLATION_TOKENS:
         raise UnknownToken(f"unknown ablation token {drop!r}; expected one of {ABLATION_TOKENS}")
     with _campaign_scope():
-        results = []
-        for group in (_Group(token).group for token in campaign.groups):
-            if drop == "pointed":
-                if not is_pointed(flat_mu(group)):  # only the trivial group's is, decided before the row
-                    results.append(_row("Ablation(pointed)", f"{group.name}|mu=flat",
-                                        partial(_ablate_pointed, group), True))
-                continue
-            normal = set(normal_subgroups(group))
-            non_normal = next((s for s in all_subgroups(group) if s not in normal), None)
-            if non_normal is not None:  # the least non-normal subgroup, decided before the row
-                results.append(_row("Ablation(normal-mu)", f"{group.name}|mu=chain-non-normal",
-                                    partial(_ablate_normality, group, non_normal), True))
-        results.sort(key=lambda r: (r.statement, r.instance))
-        return results
+        return _ablation_rows(campaign, drop)
+
+
+def _ablation_rows(campaign: Campaign, drop: str) -> list[SuiteResult]:
+    """``ablation``'s sorted rows; what it built dies when this returns."""
+    results = []
+    for group in (_Group(token).group for token in campaign.groups):
+        if drop == "pointed":
+            if not is_pointed(flat_mu(group)):  # only the trivial group's is, decided before the row
+                results.append(_row("Ablation(pointed)", f"{group.name}|mu=flat",
+                                    partial(_ablate_pointed, group), True))
+            continue
+        normal = set(normal_subgroups(group))
+        non_normal = next((s for s in all_subgroups(group) if s not in normal), None)
+        if non_normal is not None:  # the least non-normal subgroup, decided before the row
+            results.append(_row("Ablation(normal-mu)", f"{group.name}|mu=chain-non-normal",
+                                partial(_ablate_normality, group, non_normal), True))
+    results.sort(key=lambda r: (r.statement, r.instance))
+    return results
 
 
 # -- reports ------------------------------------------------------------------

@@ -95,29 +95,51 @@ class FuzzyMap(FuzzyRelation):
     raise ``TypeError``.
     ``grades`` is derived on first read; equality and hashing compare it, so
     maps are equal when their grade matrices are, whatever their value lists.
+    The four stored attributes live in slots, so building a map makes no
+    instance dictionary; one appears only for what is derived later: the
+    ``grades``, the hash and ``skeleton_getter``.
     """
+
+    __slots__ = ("domain", "codomain", "images", "encoding")
 
     images: tuple[int, ...]
 
     def __init__(self, domain, codomain, grades, images, encoding: Optional[Encoding] = None) -> None:
         if (grades is None) == (encoding is None):
             raise TypeError("FuzzyMap takes either grades or an encoding")
-        self.__dict__.update(
-            domain=domain, codomain=codomain, images=images,
-            encoding=_rank_cells(grades) if encoding is None else encoding,
-        )
+        stored = (domain, codomain, images, _rank_cells(grades) if encoding is None else encoding)
+        for name, value in zip(self.__slots__, stored):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def grades(self) -> tuple[tuple[Fraction, ...], ...]:
         values, rank_rows = self.encoding
         return tuple(tuple(map(values.__getitem__, row)) for row in rank_rows)
 
+    def __reduce__(self):
+        """Copy and pickle through ``_built_map``, as the slots refuse ``setattr``."""
+        return _built_map, (self.domain, self.codomain, self.images, self.encoding)
+
+    @cached_property
+    def skeleton_getter(self):
+        """``picker(images)``: a sequence indexed by the codomain, read through the skeleton;
+        built once per map, as ``compose_maps`` reads it for each map composed after this one."""
+        return picker(self.images)
+
+
+_set_domain, _set_codomain, _set_images, _set_encoding = (
+    getattr(FuzzyMap, name).__set__ for name in FuzzyMap.__slots__
+)
+
 
 def _built_map(domain, codomain, images, encoding: Encoding) -> FuzzyMap:
     """``FuzzyMap(domain, codomain, None, images, encoding)`` without ``__init__``'s dispatch:
     the builder of every constructor here, ``homs.lift_hom`` and the induced family."""
     f = object.__new__(FuzzyMap)
-    f.__dict__.update(domain=domain, codomain=codomain, images=images, encoding=encoding)
+    _set_domain(f, domain)
+    _set_codomain(f, codomain)
+    _set_images(f, images)
+    _set_encoding(f, encoding)
     return f
 
 
@@ -149,8 +171,10 @@ def make_fuzzy_map(domain: FiniteGroup, codomain: FiniteGroup, rows) -> FuzzyMap
 
 
 def unit_rank(values: Sequence[Fraction]) -> int:
-    """The rank of grade 1 in an encoding's ``values``, or -1 when 1 is not among them."""
-    return len(values) - 1 if values[-1] == GRADE_ONE else -1
+    """The rank of grade 1 in an encoding's ``values``, or -1 when 1 is not among them;
+    ``grades.rank_grades`` stores a top grade 1 as ``GRADE_ONE``, found by identity."""
+    top = values[-1]
+    return len(values) - 1 if top is GRADE_ONE or top == GRADE_ONE else -1
 
 
 def indexed_map(domain: FiniteGroup, codomain: FiniteGroup, encoding, index_rows) -> FuzzyMap:
@@ -219,7 +243,7 @@ def compose_maps(f: FuzzyMap, g: FuzzyMap) -> FuzzyMap:
     if g.codomain is not f.domain:
         _check_composable(f, g)
     values, rank_rows = f.encoding
-    pick = picker(g.images)
+    pick = g.skeleton_getter
     return _built_map(g.domain, f.codomain, pick(f.images), (values, pick(rank_rows)))
 
 

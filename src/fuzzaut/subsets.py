@@ -57,8 +57,9 @@ class FuzzySubset(Record):
     """Grade vector over a group's elements: mu(x) is ``grades[x]``.
 
     ``encoding = (values, ranks)`` holds the grades as integer ranks
-    (``grades.rank_grades``), derived once by the constructor.  It is an
-    attribute, not a field: not an argument, and kept out of equality.  The
+    (``grades.rank_grades``), derived once by the constructor, which stores
+    ``grades`` as the objects of ``values`` (a grade 1 as ``GRADE_ONE``).  It
+    is an attribute, not a field: not an argument, and kept out of equality.  The
     predicates scan the ranks, and every map built from mu
     (``maps.indexed_map``) reuses them; every lift through mu and the
     induced family reindex ``f_e``, built and scanned once.
@@ -68,7 +69,9 @@ class FuzzySubset(Record):
     grades: tuple[Fraction, ...]
 
     def __init__(self, group, grades) -> None:
-        self.__dict__.update(group=group, grades=grades, encoding=rank_grades(grades))
+        values, ranks = rank_grades(grades)
+        self.__dict__.update(group=group, grades=tuple(map(values.__getitem__, ranks)),
+                             encoding=(values, ranks))
 
     @cached_property
     def f_e(self) -> FuzzyMap:

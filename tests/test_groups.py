@@ -8,6 +8,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from fuzzaut import groups
 from fuzzaut.errors import clear_derived
 from fuzzaut.groups import (
     FiniteGroup,
@@ -121,6 +122,21 @@ def brute_force_automorphisms(group):
         ):
             out.append(p)
     return sorted(out)
+
+
+def greedy_generating_sequence(group):
+    """Oracle: the greedy generating set as a full ``max`` over every candidate's
+    closure, the smaller index on a tie, with the span closed again after each step."""
+    gens = ()
+    span = closure(group, gens)
+    while len(span) < group.order:
+        best = max(
+            (x for x in group.elements if x not in span),
+            key=lambda x: len(closure(group, gens + (x,))),
+        )
+        gens += (best,)
+        span = closure(group, gens)
+    return gens or (group.identity,)
 
 
 def lexicographic_triple(table):
@@ -600,6 +616,22 @@ class TestCrispAutomorphisms:
         with pytest.raises(GroupTooLarge):
             crisp_automorphisms(builtin_group("direct_product(cyclic(16),cyclic(2))"))
 
+    def test_product_orders_prune_the_candidates(self, monkeypatch):
+        """S4's generators (9, 1) have orders 4 and 2, and 6 * 9 = 54 image
+        choices keep those orders; keeping the order of their product too
+        leaves the 24 automorphisms, so 24 extensions are tested, not 54."""
+        calls, check = [], groups.is_group_isomorphism
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(groups, "is_group_isomorphism", counted)
+        s4 = builtin_group("S4")
+        clear_derived()
+        assert len(crisp_automorphisms(s4)) == 24
+        assert generating_sequence(s4) == (9, 1) and len(calls) == 24
+
     @pytest.mark.parametrize("token", sorted(RECORDED_AUTOMORPHISMS))
     def test_matches_recorded_tuple(self, token):
         """The sorted tuple does not depend on the generators the search starts from."""
@@ -627,6 +659,31 @@ class TestGeneratingSequence:
         # every non-identity element of Z5 generates it; 2-cycles tie in S3
         assert generating_sequence(builtin_group("Z5")) == (1,)
         assert generating_sequence(builtin_group("S3")) == (3, 1)
+
+    @pytest.mark.parametrize("token", sorted(RECORDED_AUTOMORPHISMS))
+    def test_matches_the_full_greedy_scan(self, token):
+        """Stopping at the first candidate that generates everything picks
+        what the full ``max`` picks (the tokens include S4, D8 and Z2xQ8)."""
+        g = builtin_group(token)
+        assert generating_sequence(g) == greedy_generating_sequence(g)
+
+    def test_matches_the_full_greedy_scan_on_every_derived_group(self, monkeypatch):
+        """Every group that a campaign over S4, D8 and Z2xQ8 derives (their
+        quotients, opposites and class groups) gets the full scan's answer."""
+        from fuzzaut import harness
+
+        made, make = [], groups.make_group
+
+        def recorded(table, name=None):
+            made.append(make(table, name))
+            return made[-1]
+
+        monkeypatch.setattr(groups, "make_group", recorded)
+        harness.run_campaign(harness.Campaign(groups=("S4", "D8", "direct_product(Z2,Q8)")))
+        names = {g.name for g in made}
+        assert any("/N" in name for name in names) and any(name.endswith("^op") for name in names)
+        for g in made:
+            assert generating_sequence(g) == greedy_generating_sequence(g), g.name
 
 
 class TestIsomorphismPredicate:

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from contextlib import nullcontext
 from fractions import Fraction
 from operator import attrgetter
@@ -128,8 +129,8 @@ def collector_off():
 
 class TestCollectorPause:
     """A campaign or an ablation runs with the cyclic collector paused, and puts
-    back the caller's ``gc.isenabled()``; pausing frees nothing late, because a
-    campaign makes no reference cycles."""
+    back the caller's ``gc.isenabled()`` once what it built is freed; pausing
+    frees nothing late, because a campaign makes no reference cycles."""
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
     @pytest.mark.parametrize("campaign, drop, error", [
@@ -159,6 +160,40 @@ class TestCollectorPause:
         finally:
             gc.enable() if was else gc.disable()
         assert not any(during) and (bool(during) is (error is None))
+
+    @pytest.mark.parametrize("builder, drop", [
+        ("lift_hom", None),
+        ("induced_family_raw", "normal-mu"),
+    ], ids=["campaign", "ablation"])
+    def test_the_campaign_state_is_freed_before_the_collector_resumes(self, monkeypatch,
+                                                                      builder, drop):
+        """A sample that the run built is dead when it calls ``gc.enable()``.
+        Were it alive, with every container the campaign made, the first
+        allocation after that call would start a collection over all of them
+        that frees nothing."""
+        samples, alive_at_enable = [], []
+        build, enable = getattr(harness, builder), gc.enable
+
+        def kept(*args):
+            made = build(*args)
+            samples.append(weakref.ref(made[0] if isinstance(made, list) else made))
+            return made
+
+        def watched_enable():
+            alive_at_enable.append([ref() is not None for ref in samples])
+            enable()
+
+        monkeypatch.setattr(harness, builder, kept)
+        monkeypatch.setattr(gc, "enable", watched_enable)
+        was = gc.isenabled()
+        try:
+            enable()
+            rows = (run_campaign(SMALL) if drop is None
+                    else ablation(Campaign(groups=("S3", "D4")), drop))
+        finally:
+            enable() if was else gc.disable()
+        assert rows and all(r.verdict for r in rows)
+        assert samples and alive_at_enable == [[False] * len(samples)]
 
     @pytest.mark.parametrize("campaign, drop", [
         (default_campaign(), None),

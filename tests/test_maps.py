@@ -1,5 +1,7 @@
 """Fuzzy maps: validation, sup composition, equivalence, inverses."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction as F
 
@@ -534,12 +536,33 @@ class TestStoredCells:
 
     @pytest.mark.parametrize("name", CONSTRUCTORS)
     def test_instance_dict_is_that_of_init(self, name):
-        """Each constructor skips ``FuzzyMap.__init__`` and fills the instance
-        dictionary itself, with the keys ``__init__`` gives, in its order."""
+        """Each constructor skips ``FuzzyMap.__init__`` and fills the four slots
+        itself, with the objects ``__init__`` stores; neither puts anything in
+        the instance dictionary."""
         f = one_map_per_constructor()[name]
         built = FuzzyMap(f.domain, f.codomain, None, f.images, f.encoding)
         assert type(f) is FuzzyMap
-        assert list(vars(f).items()) == list(vars(built).items())
+        assert FuzzyMap.__slots__ == ("domain", "codomain", "images", "encoding")
+        for name in FuzzyMap.__slots__:
+            assert getattr(f, name) is getattr(built, name)
+        assert vars(f) == vars(built) == {}
+
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_copies_and_pickles(self, name):
+        f = one_map_per_constructor()[name]
+        for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(twin) is FuzzyMap and twin == f
+            assert (twin.images, twin.encoding) == (f.images, f.encoding)
+
+    def test_compose_maps_reads_one_skeleton_getter_per_map(self):
+        """The right operand's skeleton getter is built on its first composition
+        and reused by every later one."""
+        f, g = identity_map(S3), crisp_map(S3, S3, crisp_automorphisms(S3)[2])
+        assert "skeleton_getter" not in vars(g)
+        first = compose_maps(f, g)
+        getter = vars(g)["skeleton_getter"]
+        assert compose_maps(g, g).images == getter(g.images) and g.skeleton_getter is getter
+        assert first.images == g.images
 
     def test_grades_or_encoding_not_both_nor_neither(self):
         f = identity_map(Z4)

@@ -79,6 +79,7 @@ ALLOWED = {
     "induced.identity_induced": BENCH,
     "induced.make_induced": BENCH,
     "maps.FuzzyMap.__init__": "builds the maps that tests write by hand; the library uses _built_map",
+    "maps.FuzzyMap.__reduce__": "copy and pickle: no command copies or pickles a map",
     "maps.FuzzyRelation.__repr__": REPR,
     "maps._check_composable": "guard: compose_maps calls it only for operands over distinct group "
                               "objects, to raise ShapeMismatch; maps.compose is " + BENCH,

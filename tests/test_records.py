@@ -180,6 +180,13 @@ class TestSpecificRecords:
         fmap = FuzzyMap(rel.domain, rel.codomain, rel.grades, (0, 1))
         assert rel != fmap and fmap != rel
 
+    def test_a_slot_is_no_default(self):
+        """``FuzzyMap`` keeps ``images`` in a slot, whose descriptor is a class
+        attribute with the field's name; it does not make ``images`` optional."""
+        assert "images" in FuzzyMap.__slots__
+        assert FuzzyMap._fields == ("domain", "codomain", "grades", "images")
+        assert FuzzyMap._defaults == ()
+
     def test_report_is_not_its_tuple(self):
         assert HomCheckReport(True, None) != (True, None)
         assert tuple(HomCheckReport(True, None)) == (True, None)

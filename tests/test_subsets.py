@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzaut.grades import GradeError, format_grade, grade, parse_grade, rank_grades
+from fuzzaut.grades import GRADE_ONE, GradeError, format_grade, grade, parse_grade, rank_grades
 from fuzzaut.groups import (
     GroupError,
     all_subgroups,
@@ -21,7 +21,7 @@ from fuzzaut.groups import (
 )
 from fuzzaut.harness import DEFAULT_GROUPS
 from fuzzaut.io import load_group, save
-from fuzzaut.maps import make_fuzzy_map
+from fuzzaut.maps import make_fuzzy_map, unit_rank
 from fuzzaut.subsets import (
     FuzzySubset,
     GradesNotDecreasing,
@@ -106,6 +106,21 @@ class TestGrades:
         with pytest.raises(GradeError, match=rf"^cannot interpret a Fraction of 1/16610 bits as a "
                                              rf"rational grade: .*\({digit_limit} digits\)"):
             build(builtin_group("Z2"), F(1, 10 ** 5000))
+
+    @pytest.mark.parametrize("build, kind", [
+        (lambda z2: fuzzy_subset(z2, [1, 0.1]), "float"),
+        (lambda z2: fuzzy_subset(z2, [1, 0.0]), "float"),
+        (lambda z2: grade(True), "bool"),
+        (lambda z2: make_fuzzy_map(z2, z2, [[1, 0.5], [0, 1]]), "float"),
+        (lambda z2: make_fuzzy_map(z2, z2, [[1, False], [0, 1]]), "bool"),
+    ], ids=["fuzzy_subset", "exact-float", "grade", "make_fuzzy_map", "make_fuzzy_map-bool"])
+    def test_rejects_a_float_or_a_bool(self, build, kind):
+        """From the Python API as from a file, a float is no grade, even one that
+        is exact: 0.1 would silently be the binary fraction nearest to it.  A
+        bool would be taken as 0 or 1.  The error names the type."""
+        with pytest.raises(GradeError, match=rf"^expected an int, a Fraction or a rational "
+                                             rf"string, got {kind}$"):
+            build(builtin_group("Z2"))
 
     def test_accepts_a_grade_inside_the_digit_limit(self, digit_limit):
         g = grade("1e-4200")
@@ -464,6 +479,17 @@ class TestEncoding:
         assert mu.encoding == rank_grades(mu.grades)
         values, ranks = mu.encoding
         assert tuple(values[r] for r in ranks) == mu.grades
+
+    def test_a_top_grade_one_is_the_shared_object(self):
+        """``rank_grades`` stores an equal grade 1 as ``GRADE_ONE``, which
+        ``maps.unit_rank`` finds by identity; it still finds an equal one."""
+        one = F(3, 3)
+        values, ranks = rank_grades([F(1, 2), one, F(1, 2)])
+        assert values == (F(1, 2), F(1)) and values[-1] is GRADE_ONE and ranks == (0, 1, 0)
+        assert unit_rank(values) == 1 and unit_rank((F(0), one)) == 1
+        assert unit_rank((F(0), F(1, 2))) == -1
+        mu = fuzzy_subset(builtin_group("Z2"), [one, F(1, 2)])
+        assert mu.grades[0] is GRADE_ONE is mu.encoding[0][-1]
 
     def test_encoding_takes_no_part_in_equality(self):
         mu = chain_strategy(builtin_group("S3"))
