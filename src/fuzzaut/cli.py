@@ -10,8 +10,8 @@ once, and a ``FuzzautError`` it raises before any suite runs exits 2.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import io as fio
@@ -131,48 +131,122 @@ def cmd_inn(args) -> int:
     return EXIT_OK if iso else EXIT_SUITE_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fuzzaut",
-        description="Exact verification of fuzzy automorphism laws on finite groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED, _FORMATS = object(), ("text", "json")
 
-    verify = sub.add_parser("verify", help="run law suites and report verdicts")
-    verify.add_argument("--group", default="default",
-                        help="builtin:<token>, file:<path>, or 'default' for the whole matrix")
-    verify.add_argument("--mu", default="auto:all",
-                        help="auto:chain, auto:class, auto:all, or file:<path>")
-    verify.add_argument("--suite", default="all",
-                        help="all | hom | aut | inner | induced | thm:<id>")
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--ablate", choices=ABLATION_TOKENS, default=None)
-    verify.set_defaults(func=cmd_verify)
+# command -> (handler, summary, {option: (default, metavar or choices, help)}); an option
+# whose default is _REQUIRED must be given, and one whose default is an int takes an int
+COMMANDS = {
+    "verify": (cmd_verify, "run law suites and report verdicts", {
+        "group": ("default", "SRC", "builtin:<token>, file:<path>, or 'default' for the whole matrix"),
+        "mu": ("auto:all", "SRC", "auto:chain, auto:class, auto:all, or file:<path>"),
+        "suite": ("all", "S", "all | hom | aut | inner | induced | thm:<id>"),
+        "format": ("text", _FORMATS, "report format (default: text)"),
+        "seed": (0, "N", "campaign seed, echoed in the report (default: 0)"),
+        "ablate": (None, ABLATION_TOKENS, "run one ablation instead of the suites"),
+    }),
+    "gen-mu": (cmd_gen_mu, "write a canonical membership-function file", {
+        "group": (_REQUIRED, "SRC", "builtin:<token> or file:<path>"),
+        "strategy": (_REQUIRED, ("chain", "class"), "the canonical strategy"),
+        "out": (None, "PATH", "output path (default: stdout)"),
+    }),
+    "inn": (cmd_inn, "report the class group of the labeled family", {
+        "group": (_REQUIRED, "SRC", "builtin:<token> or file:<path>"),
+        "mu": ("auto:class", "SRC", "auto:chain, auto:class, or file:<path>"),
+        "format": ("text", _FORMATS, "output format (default: text)"),
+    }),
+}
 
-    gen = sub.add_parser("gen-mu", help="write a canonical membership-function file")
-    gen.add_argument("--group", required=True)
-    gen.add_argument("--strategy", choices=("chain", "class"), required=True)
-    gen.add_argument("--out", default=None, help="output path (default: stdout)")
-    gen.set_defaults(func=cmd_gen_mu)
 
-    inn = sub.add_parser("inn", help="report the class group of the labeled family")
-    inn.add_argument("--group", required=True)
-    inn.add_argument("--mu", default="auto:class")
-    inn.add_argument("--format", choices=("text", "json"), default="text")
-    inn.set_defaults(func=cmd_inn)
+class _UsageError(Exception):
+    """A command line that does not parse; the message follows ``fuzzaut: error:``."""
 
-    return parser
+
+def _usage() -> str:
+    """The README synopsis: one line per command, optional options in brackets."""
+    lines = []
+    for command, (_, _, options) in COMMANDS.items():
+        words = [f"fuzzaut {command}"]
+        for name, (default, kind, _) in options.items():
+            word = f"--{name} {kind if isinstance(kind, str) else '|'.join(kind)}"
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        lines.append(" ".join(words))
+    return "usage: " + "\n       ".join(lines)
+
+
+def _help(args) -> int:
+    print(_usage())
+    for command, (_, summary, options) in COMMANDS.items():
+        print(f"\n{command}: {summary}", *(f"  --{o:<9} {spec[2]}" for o, spec in options.items()),
+              sep="\n")
+    return EXIT_OK
+
+
+def _is_option(token: str) -> bool:
+    # as argparse reads it: "-", a negative number and a token with a space before any
+    # "=" are values
+    whole, dot, fraction = token[1:].partition(".")
+    number = (whole.isdecimal() or dot and not whole) and (fraction.isdecimal() or not dot)
+    return token[:1] == "-" and token != "-" and " " not in token.partition("=")[0] and not number
+
+
+def _choices(kind) -> str:
+    return ", ".join(map(repr, kind))
+
+
+def _parse(argv: list[str]):
+    """``(handler, args)`` from ``argv``, read as argparse read it; raises ``_UsageError``.
+    Like argparse, it names unrecognized tokens only once the rest has parsed."""
+    command, options, values, extras = None, {}, {}, []
+    while argv:
+        token = argv.pop(0)
+        if not _is_option(token):
+            if command is None and token not in COMMANDS:
+                choices = _choices(COMMANDS)
+                raise _UsageError(f"argument command: invalid choice: {token!r} (choose from {choices})")
+            if command is None:
+                command, options = token, COMMANDS[token][2]
+                values = {name: spec[0] for name, spec in options.items()}
+            else:
+                extras.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        name = "help" if flag == "-h" else flag[2:] if flag[:2] == "--" else ""
+        matches = [o for o in ("help", *options) if name and o.startswith(name)]
+        matches = [name] if name in matches else matches
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match --" + ", --".join(matches))
+        if matches == ["help"]:
+            return _help, None
+        if not matches:
+            extras.append(token)
+            continue
+        name, (default, kind, _) = matches[0], options[matches[0]]
+        if not eq:
+            if not argv or _is_option(argv[0]):
+                raise _UsageError(f"argument --{name}: expected one argument")
+            value = argv.pop(0)
+        if not isinstance(kind, str) and value not in kind:
+            raise _UsageError(f"argument --{name}: invalid choice: {value!r} (choose from {_choices(kind)})")
+        try:
+            values[name] = int(value) if type(default) is int else value
+        except ValueError:
+            raise _UsageError(f"argument --{name}: invalid int value: {value!r}") from None
+    missing = ["command"] if command is None else [f"--{o}" for o, v in values.items() if v is _REQUIRED]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras))
+    return COMMANDS[command][0], SimpleNamespace(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
+        handler, args = _parse(list(sys.argv[1:] if argv is None else argv))
+    except _UsageError as exc:
+        print(f"{_usage()}\nfuzzaut: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        return args.func(args)
+        return handler(args)
     except FuzzautError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,7 +9,6 @@ builtin families come with fixed element orderings (documented on
 from __future__ import annotations
 
 import itertools
-import re
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -223,8 +222,9 @@ MAX_ORDER = 256
 # and order-1 factors, which never do, would otherwise nest past the recursion limit
 _NESTING_MAX = 8
 
-_ALIAS_RE = re.compile(r"^([ZzDdSs])(\d+)$")
-_CALL_RE = re.compile(r"^(cyclic|dihedral|symmetric)\((\d+)\)$")
+_ALIASES = {"Z": "cyclic", "z": "cyclic", "D": "dihedral", "d": "dihedral", "S": "symmetric",
+            "s": "symmetric"}
+_FAMILIES = frozenset(_ALIASES.values())
 
 
 def _cyclic_table(n: int) -> list[list[int]]:
@@ -243,7 +243,8 @@ def _symmetric_table(n: int) -> list[list[int]]:
     # one-line permutations in lexicographic order; (p*q)(x) = p(q(x))
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    return [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+    through = [picker(q) for q in perms]  # through[j](p) is p∘q for q = perms[j]
+    return [[index[gather(p)] for gather in through] for p in perms]
 
 
 _QUAT_AXIS = (
@@ -293,6 +294,17 @@ def _split_product_args(body: str) -> tuple[str, str]:
     raise UnknownGroup(f"direct_product needs two comma-separated factors, got {body!r}")
 
 
+def _family_degree(tok: str) -> Optional[tuple[str, int]]:
+    """``("cyclic", 4)`` for ``Z4``, ``z04`` or ``cyclic(4)``, and None for a token of
+    no family; the degree is what ``str.isdecimal`` accepts, any script's digits."""
+    if tok[:1] in _ALIASES and tok[1:].isdecimal():
+        return _ALIASES[tok[0]], int(tok[1:])
+    family, paren, rest = tok.partition("(")
+    if paren and family in _FAMILIES and rest.endswith(")") and rest[:-1].isdecimal():
+        return family, int(rest[:-1])
+    return None
+
+
 @lru_cache(maxsize=None)
 def builtin_group(token: str) -> FiniteGroup:
     """Build a named group from its token.
@@ -309,18 +321,14 @@ def builtin_group(token: str) -> FiniteGroup:
       with parentheses nested at most 8 deep.
     """
     tok = token.strip()
-    m = _ALIAS_RE.match(tok)
-    if m:
-        letter, n = m.group(1).upper(), int(m.group(2))
-        tok = {"Z": f"cyclic({n})", "D": f"dihedral({n})", "S": f"symmetric({n})"}[letter]
     if tok in ("Q8", "q8"):
         tok = "quaternion8"
     if tok in ("V4", "v4"):
         tok = "klein4"
 
-    m = _CALL_RE.match(tok)
-    if m:
-        family, n = m.group(1), int(m.group(2))
+    family_degree = _family_degree(tok)
+    if family_degree:
+        family, n = family_degree
         if family == "cyclic":
             if not 1 <= n <= _CYCLIC_MAX:
                 raise UnknownGroup(f"cyclic({n}) outside supported range 1..{_CYCLIC_MAX}")

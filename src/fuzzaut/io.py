@@ -11,6 +11,7 @@ inputs once.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 from .errors import FuzzautError
@@ -49,14 +50,17 @@ def group_from_json(obj: dict) -> FiniteGroup:
     table = _require(obj, "table", list)
     if len(table) != order:
         raise FileFormatError(f"declared order {order} but the table has {len(table)} rows")
-    for r, row in enumerate(table):
-        if not _is(row, list):
-            raise FileFormatError(f"table row {r} must be a list")
-        for c, v in enumerate(row):
-            if not _is(v, int):
-                raise FileFormatError(
-                    f"entry at row {r}, column {c} is {json.dumps(v)}, not an integer"
-                )
+    # one pass decides json.loads output exactly; the walk names the first bad cell
+    if not (all(type(row) is list for row in table)
+            and set(map(type, chain.from_iterable(table))) <= {int}):
+        for r, row in enumerate(table):
+            if not _is(row, list):
+                raise FileFormatError(f"table row {r} must be a list")
+            for c, v in enumerate(row):
+                if not _is(v, int):
+                    raise FileFormatError(
+                        f"entry at row {r}, column {c} is {json.dumps(v)}, not an integer"
+                    )
     return make_group(table, name=name)
 
 

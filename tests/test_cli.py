@@ -22,6 +22,51 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the synopsis in README's "Command line", one line per command
+USAGE = """usage: fuzzaut verify [--group SRC] [--mu SRC] [--suite S] [--format text|json] [--seed N] \
+[--ablate pointed|normal-mu]
+       fuzzaut gen-mu --group SRC --strategy chain|class [--out PATH]
+       fuzzaut inn --group SRC [--mu SRC] [--format text|json]"""
+Z2_SEED_7 = {"groups": ["Z2"], "suites": ["Theorem 2.1", "Theorem 2.2"], "seed": 7}
+REQUIRED = "the following arguments are required: "
+
+# argv -> "help", the campaign keys of the JSON report, or the message after
+# "fuzzaut: error:", worded as argparse worded it
+GRAMMAR = {
+    "--opt VALUE": ("verify --group builtin:Z2 --suite hom --format json --seed 7", Z2_SEED_7),
+    "--opt=VALUE": ("verify --group=builtin:Z2 --suite=hom --format=json --seed=7", Z2_SEED_7),
+    "unique prefixes": ("verify --gr builtin:Z2 --su=hom --fo json --se 7", Z2_SEED_7),
+    "the last value wins": ("verify --group builtin:Z3 --group builtin:Z2 --suite hom --format text "
+                            "--format json --seed 1 --seed 7", Z2_SEED_7),
+    "seed through int": ("verify --group builtin:Z2 --suite hom --format json --seed +07", Z2_SEED_7),
+    "negative seed is a value": ("verify --group builtin:Z2 --format json --suite hom --seed -7",
+                                 {"seed": -7}),
+    "--help": ("--help", "help"),
+    "-h after a command": ("gen-mu -h", "help"),
+    "help prefix": ("verify --group builtin:Z2 --he", "help"),
+    "no command": ("", REQUIRED + "command"),
+    "only an option": ("--format", REQUIRED + "command"),
+    "unknown command": ("check --group Z2",
+                        "argument command: invalid choice: 'check' (choose from 'verify', 'gen-mu', 'inn')"),
+    "unknown option": ("verify --colour red", "unrecognized arguments: --colour red"),
+    "single-dash option": ("inn --group Z2 -g", "unrecognized arguments: -g"),
+    "ambiguous prefix": ("verify --s 1", "ambiguous option: --s could match --suite, --seed"),
+    "missing value at the end": ("inn --group", "argument --group: expected one argument"),
+    "an option for a value": ("verify --mu --suite hom", "argument --mu: expected one argument"),
+    "a negative decimal is a value": ("verify --group builtin:Z2 --seed -.5",
+                                      "argument --seed: invalid int value: '-.5'"),
+    "bad choice": ("gen-mu --group Z4 --strategy=tree",
+                   "argument --strategy: invalid choice: 'tree' (choose from 'chain', 'class')"),
+    "bad ablation": ("verify --ablate all",
+                     "argument --ablate: invalid choice: 'all' (choose from 'pointed', 'normal-mu')"),
+    "non-integer seed": ("verify --seed 1.5", "argument --seed: invalid int value: '1.5'"),
+    "missing required options": ("gen-mu --out x.json", REQUIRED + "--group, --strategy"),
+    "stray positional": ("inn --group Z2 extra", "unrecognized arguments: extra"),
+    "error before help": ("verify --format yaml -h",
+                          "argument --format: invalid choice: 'yaml' (choose from 'text', 'json')"),
+}
+
+
 class TestExitCodes:
     def test_all_pass_is_zero(self, capsys):
         code, out, err = run_cli(
@@ -114,6 +159,20 @@ class TestExitCodes:
 
     def test_bad_flag_is_two(self, capsys):
         assert main(["verify", "--format", "yaml"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv, expected", GRAMMAR.values(), ids=GRAMMAR.keys())
+    def test_command_line_grammar(self, capsys, argv, expected):
+        """Each accepted form parses as argparse did, --help prints the synopsis to
+        stdout, and each usage error exits 2 with the synopsis and argparse's message."""
+        code, out, err = run_cli(capsys, *argv.split())
+        if expected == "help":
+            assert (code, err) == (EXIT_OK, "")
+            assert out.startswith(f"{USAGE}\n") and "  --strategy  the canonical strategy\n" in out
+        elif isinstance(expected, dict):
+            assert (code, err) == (EXIT_OK, "")
+            assert {k: json.loads(out)["campaign"][k] for k in expected} == expected
+        else:
+            assert (code, out, err) == (EXIT_CONFIG, "", f"{USAGE}\nfuzzaut: error: {expected}\n")
 
 
 class TestVerify:

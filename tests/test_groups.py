@@ -387,6 +387,29 @@ class TestMakeGroup:
                     assert t[ab][c] == t[a][t[b][c]]
 
 
+def regex_family_degree(token):
+    """The token parse before ``groups._family_degree``: strip, then two regexes."""
+    tok = token.strip()
+    m = re.match(r"^([ZzDdSs])(\d+)$", tok)
+    if m:
+        letter, n = m.group(1).upper(), int(m.group(2))
+        tok = {"Z": f"cyclic({n})", "D": f"dihedral({n})", "S": f"symmetric({n})"}[letter]
+    m = re.match(r"^(cyclic|dihedral|symmetric)\((\d+)\)$", tok)
+    return (m.group(1), int(m.group(2))) if m else None
+
+
+FAMILY_TOKENS = [
+    *DEFAULT_GROUPS, "S4", "D8", "direct_product(Z2,Q8)", "quaternion8", "klein4",
+    "Z4", "z4", "D4", "d4", "S3", "s3", "CYCLIC(4)", "Cyclic(4)", "cyclic(4)", "dihedral(8)",
+    "symmetric(4)", " Z4 ", "\tcyclic(4)\n", "Z4\n", "\x1cS3\x1f",
+    "Z04", "z0004", "cyclic(004)", "S00", "Z0",
+    "", " ", "Z", "z", "D", "S", "Q", "X", "(", ")", "()", "ZZ4", "Q8", "q8", "V4",
+    "Z 4", "cyclic()", "cyclic(4", "cyclic 4", "cyclic(4))", "cyclic((4))", "cyclic( 4)",
+    "cyclic(+4)", "cyclic(-4)", "Z-4", "Z+4", "Z4.0", "Z_4", "Z4_0", "cyclic(4_0)", "cyclic4",
+    "Z\u0664", "cyclic(\u0664)", "S\uff13", "Z\u00b2", "Z\u00bd", "Z\u56db", "\u017f4", "\uff3a4",
+]
+
+
 class TestBuiltins:
     def test_cyclic_one_is_trivial(self):
         assert builtin_group("cyclic(1)").order == 1
@@ -407,6 +430,21 @@ class TestBuiltins:
         assert builtin_group("D4") == builtin_group("dihedral(4)")
         assert builtin_group("Q8") == builtin_group("quaternion8")
         assert builtin_group("V4") == builtin_group("klein4")
+
+    @pytest.mark.parametrize("token", FAMILY_TOKENS)
+    def test_family_tokens_parse_as_the_regexes_did(self, token):
+        assert groups._family_degree(token.strip()) == regex_family_degree(token)
+
+    def test_non_ascii_digits_name_the_degree(self):
+        assert builtin_group("Z\u0664") == builtin_group("Z4")  # ARABIC-INDIC DIGIT FOUR
+        assert builtin_group("cyclic(\u0664)") == builtin_group("Z4")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_symmetric_table_is_the_composition_table(self, n):
+        perms = list(permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        literal = [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+        assert groups._symmetric_table(n) == literal
 
     def test_dihedral_order(self):
         assert builtin_group("dihedral(5)").order == 10

@@ -1,6 +1,7 @@
 """File formats: round trips and schema validation."""
 
 import json
+import re
 import sys
 from collections import Counter
 
@@ -75,10 +76,32 @@ class TestGroupFiles:
         with pytest.raises(FileFormatError):
             group_from_json({"name": "X", "order": order, "table": table})
 
-    def test_non_integer_cell_named_before_table_checks(self):
-        with pytest.raises(FileFormatError) as err:
-            group_from_json({"name": "X", "order": 2, "table": [[0, 1], [1.9, 0]]})
-        assert "row 1, column 0" in str(err.value)
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[0, 1], [1.9, 0]], "entry at row 1, column 0 is 1.9, not an integer"),
+            ([[0, True], [1, 0]], "entry at row 0, column 1 is true, not an integer"),
+            ([[0, 1], [1, 0.0]], "entry at row 1, column 1 is 0.0, not an integer"),
+            ([[0, 1], [1, [0]]], "entry at row 1, column 1 is [0], not an integer"),
+            ([[0, 1], "10"], "table row 1 must be a list"),
+            ([[0, 1.5], (1, 0)], "entry at row 0, column 1 is 1.5, not an integer"),
+        ],
+    )
+    def test_non_integer_cell_named_before_table_checks(self, table, message):
+        """The first offending cell in row order is named, whatever its JSON type."""
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+            group_from_json({"name": "X", "order": 2, "table": table})
+
+    def test_int_and_list_subclasses_load_as_before(self):
+        """Python callers may pass what json.loads never makes; the cell walk accepts it."""
+        class Cell(int):
+            pass
+
+        class Row(list):
+            pass
+
+        z2 = group_from_json({"name": "Z2", "order": 2, "table": [Row([Cell(0), 1]), [1, 0]]})
+        assert z2.table == builtin_group("Z2").table
 
     def test_invalid_table_reports_indices(self):
         obj = {"name": "X", "order": 2, "table": [[0, 1], [1, 2]]}

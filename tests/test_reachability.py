@@ -55,6 +55,8 @@ INVOCATIONS = (
     (("verify", "--group", "builtin:direct_product(Z5,Z5)", "--suite", "hom"), 1),
     (("inn", "--group", "Q8"), 0),
     (("inn", "--group", "file:{dir}/k.json", "--mu", "auto:chain", "--format", "json"), 0),
+    (("--help",), 0),
+    (("verify", "--format", "yaml"), 2),
 )
 
 WITNESS = "witness-only: runs only after a check has failed, and no invocation fails one"
