@@ -22,9 +22,9 @@ Verdict = tuple[bool, Optional[str]]
 DERIVED_CACHES: list = []  # every derived_cache; no other cache holds a derived fact
 
 
-def derived_cache(fn, maxsize=None):
-    """``lru_cache(maxsize)(fn)`` of a fact derived from a group or a (group, mu) pair."""
-    DERIVED_CACHES.append(lru_cache(maxsize=maxsize)(fn))
+def derived_cache(fn):
+    """``lru_cache(maxsize=None)(fn)`` of a fact derived from a group or a (group, mu) pair."""
+    DERIVED_CACHES.append(lru_cache(maxsize=None)(fn))
     return DERIVED_CACHES[-1]
 
 

@@ -35,10 +35,8 @@ identity holds for every c and d, so the verdict does not rest on the
 images being right.  Every lift through a normal mu has translates of mu as
 its rows, and every one of them centres to mu itself, so each mu costs one
 core.  Cores are kept under the row ids of their two centred rows, and the
-core's row id goes into the memo as the product of those rows.  The memo,
-row ids, cores, passing keys and generator rows are cleared before a check
-that could take them past ``ROW_PRODUCT_MEMO_BOUND`` entries, and
-``_row_tables`` keeps the last ``_CODOMAINS_KEPT`` codomains.
+core's row id goes into the memo as the product of those rows.  Like every
+derived fact, a codomain's stores live until ``errors.clear_derived`` runs.
 
 A core missing from ``cores`` is computed by ``_row_product`` as the literal
 sup, one cell at a time by ``_sup``, reading the cofactors y1^-1 y of each y
@@ -65,10 +63,6 @@ from .groups import (
 )
 from .maps import FuzzyMap, _built_map, is_one_one, unit_rank
 from .subsets import FuzzySubset, SubsetError, require_valid_mu
-
-ROW_PRODUCT_MEMO_BOUND = 4096  # entries kept in a codomain's stores together (see _RowTables.size)
-# codomains checked: <= 5 per instance on the default matrix and S4, 7 on Z2xQ8; 15 in a default campaign
-_CODOMAINS_KEPT = 16
 
 
 class HomError(FuzzautError):
@@ -165,13 +159,8 @@ def _failing_generator_pair(f: FuzzyMap) -> Optional[tuple[int, int]]:
     have, are replaced by the identity.  A passing map's (domain, row ids)
     is kept in ``passed``, so the same check again holds without a pass.
 
-    A pass over |S| generators and n rows adds at most 2|S|n products and
-    cores to ``memo``; n row ids for its rows, n + |S| for centred rows (a
-    left one per generator, a right one per row), |S|n for cores and one
-    for a product that is no row of the map, at which the pass stops; one
-    entry each of ``passed`` and ``generators``: at most 3(|S| + 1)(n + 1)
-    entries of ``size``.  The stores are cleared before a pass that could
-    take their ``size`` to ``ROW_PRODUCT_MEMO_BOUND``.
+    Row ids are handed out from ``len(row_ids)``, and only ``clear_derived``
+    empties the stores, so the ids in a kept key still name its rows.
     """
     rows = f.encoding[1]
     tables = _row_tables(f.codomain)
@@ -179,17 +168,13 @@ def _failing_generator_pair(f: FuzzyMap) -> Optional[tuple[int, int]]:
     ids = tuple(map(row_ids.get, rows))
     if (domain, ids) in tables.passed:
         return None
-    gens = generating_sequence(domain)
-    reset = tables.size() + 3 * (len(gens) + 1) * (len(rows) + 1) >= ROW_PRODUCT_MEMO_BOUND
-    if reset:
-        tables.clear()
-    if reset or None in ids:
+    if None in ids:
         ids = tuple([row_ids.setdefault(r, len(row_ids)) for r in rows])
     images, elements = f.images, f.codomain.elements
     if len(images) != len(rows) or not all(map(elements.__contains__, images)):
         images = (f.codomain.identity,) * len(rows)  # a hand-built map's; any shift is exact
     dt = domain.table
-    for g in _pass_generators(domain, ids, gens, tables):
+    for g in _pass_generators(domain, ids, generating_sequence(domain), tables):
         ig, dg = ids[g], dt[g]
         if picker(dg)(ids) == tuple(map(memo.get, zip(repeat(ig), ids))):
             continue
@@ -239,9 +224,8 @@ class _RowTables:
     their core, whose row id ``memo`` holds under the same pair, so a core
     serves as the product of its two centred rows as well; ``passed`` holds
     the (domain, row ids) of each map that passed, and ``generators`` the
-    row ids of the generators of the last pass over each domain.  All but
-    ``cores``, whose keys are keys of ``memo``, count toward
-    ``ROW_PRODUCT_MEMO_BOUND`` (``size``); all are cleared (``clear``).
+    row ids of the generators of the last pass over each domain.  All five
+    live until ``errors.clear_derived`` drops ``_row_tables``.
     """
 
     def __init__(self, codomain: FiniteGroup) -> None:
@@ -252,15 +236,8 @@ class _RowTables:
         self.left, self.right, self.inverse = tuple(map(move, ct)), tuple(map(move, zip(*ct))), cinv
         self.memo, self.row_ids, self.cores, self.passed, self.generators = {}, {}, {}, set(), {}
 
-    def size(self) -> int:
-        return sum(map(len, (self.memo, self.row_ids, self.passed, self.generators)))
 
-    def clear(self) -> None:
-        for store in (self.memo, self.row_ids, self.cores, self.passed, self.generators):
-            store.clear()
-
-
-_row_tables = derived_cache(_RowTables, _CODOMAINS_KEPT)  # the last codomains' tables
+_row_tables = derived_cache(_RowTables)
 
 
 def _translated_product(rg, c, rx, d, tables: _RowTables) -> tuple[int, ...]:

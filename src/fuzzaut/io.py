@@ -85,6 +85,8 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not UTF-8: byte {exc.start} cannot be decoded") from exc
 
 
 def _parse_json(path, text: str) -> dict:

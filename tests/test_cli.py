@@ -1,10 +1,13 @@
 """Command-line contract: exit codes, report formats, file round trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzaut import harness, induced, subsets
 from fuzzaut.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE_FAILED, main
@@ -443,6 +446,7 @@ def write_reject_inputs(path):
     save(path / "range.json", out_of_range)
     save(path / "float.json", {"name": "Z2", "order": 2, "table": [[0, 1], [1.9, 0]]})
     (path / "bad.json").write_text("not json", encoding="utf-8")
+    (path / "latin1.json").write_bytes(b'{"group": "S3", "grades": ["1", "\xbd"]}')
     save(path / "q8-not-normal.json",
          {"group": "Q8", "grades": ["1", "1/2", "1/4", "1/4", "1/2", "1/4", "1/4", "1/4"]})
     save(path / "q8.json", mu_to_json(subsets.class_strategy(builtin_group("Q8"))))
@@ -459,6 +463,7 @@ NOT_ASSOCIATIVE = "NotAssociative: (a*b)*c != a*(b*c) for (a, b, c) = (1, 1, 2)"
 Q8_NOT_NORMAL = "MuNotNormal: mu(x*y) = 1/4 < 1/2 = mu(x)^mu(y) at (x, y) = (1, 4)"
 MISSING = "FileFormatError: cannot read {d}/missing.json: [Errno 2] No such file or directory: '{d}/missing.json'"
 BAD_JSON = "FileFormatError: {d}/bad.json is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+NOT_UTF8 = "FileFormatError: {d}/latin1.json is not UTF-8: byte 33 cannot be decoded"
 UNKNOWN_Z99 = "UnknownGroup: cyclic(99) outside supported range 1..16"
 
 # argv and the one stderr line, "{d}" standing for the input directory
@@ -471,6 +476,8 @@ REJECTS = {
     "missing group file": ("verify --group file:{d}/missing.json", MISSING),
     "bad group json": ("verify --group file:{d}/bad.json", BAD_JSON),
     "missing mu file": ("verify --group builtin:S3 --mu file:{d}/missing.json", MISSING),
+    "non-UTF-8 group file": ("verify --group file:{d}/latin1.json", NOT_UTF8),
+    "non-UTF-8 mu file": ("verify --group builtin:S3 --mu file:{d}/latin1.json", NOT_UTF8),
     "bad mu json": ("verify --group builtin:S3 --mu file:{d}/bad.json", BAD_JSON),
     "group before mu": ("verify --group file:{d}/float.json --mu file:{d}/missing.json",
                         "FileFormatError: entry at row 1, column 0 is 1.9, not an integer"),
@@ -495,6 +502,8 @@ REJECTS = {
                                 NOT_ASSOCIATIVE),
     "inn non-normal mu": ("inn --group builtin:Q8 --mu file:{d}/q8-not-normal.json",
                           Q8_NOT_NORMAL),
+    "inn non-UTF-8 group file": ("inn --group file:{d}/latin1.json", NOT_UTF8),
+    "inn non-UTF-8 mu file": ("inn --group builtin:S3 --mu file:{d}/latin1.json", NOT_UTF8),
     "inn two mu": ("inn --group builtin:Q8 --mu auto:all",
                    "FuzzautError: this command needs exactly one membership function"),
     "gen-mu unknown builtin": ("gen-mu --group builtin:Z99 --strategy chain", UNKNOWN_Z99),
@@ -507,3 +516,46 @@ def test_reject_table(capsys, tmp_path, argv, message):
     write_reject_inputs(tmp_path)
     code, out, err = run_cli(capsys, *argv.format(d=tmp_path).split())
     assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message.format(d=tmp_path)}\n")
+
+
+# the keys and values of the two file formats, so drawn trees reach their validation
+FILE_KEYS = ("name", "order", "table", "group", "grades")
+FILE_LEAVES = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats()
+               | st.sampled_from(["Z2", "S3", "1", "0", "1/2", "3/2", "-1/2", "x", ""]))
+JSON_TREES = st.recursive(
+    FILE_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(FILE_KEYS), kids, max_size=5),
+    max_leaves=16,
+) | st.fixed_dictionaries({  # a group file, often a valid one
+    "name": st.sampled_from(["Z2", "G"]), "order": st.integers(0, 3),
+    "table": st.sampled_from([[], [[0]], [[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [1, 1]],
+                              [[0, 1, 2], [1, 2, 0], [2, 0, 1]], [[0, 1, 2], [1, 0, 2], [2, 2, 0]]]),
+}) | st.fixed_dictionaries({  # a mu file, often a valid one over Z2
+    "group": st.sampled_from(["Z2", "S3"]),
+    "grades": st.lists(st.sampled_from(["1", "1/2", "0", "3/2"]), min_size=1, max_size=3),
+})
+INPUT_FILES = st.binary(max_size=64) | JSON_TREES.map(lambda tree: json.dumps(tree).encode())
+# argv around the drawn file, "{f}" standing for its path
+FILE_ARGVS = (
+    "verify --group file:{f} --suite hom",
+    "verify --group builtin:Z2 --mu file:{f} --suite hom",
+    "inn --group file:{f}",
+    "inn --group builtin:Z2 --mu file:{f}",
+)
+
+
+@given(data=INPUT_FILES, argv=st.sampled_from(FILE_ARGVS))
+@settings(max_examples=150, deadline=None)
+def test_no_input_file_crashes_the_cli(tmp_path_factory, data, argv):
+    """Any group or mu file, as raw bytes or as a JSON tree, ends in exit 0,
+    1 or 2, and exit 2 prints one ``error:`` line; an exception that escapes
+    ``main`` fails the test, as it would print a traceback from the script."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed-input.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.format(f=path).split())
+    lines = err.getvalue().splitlines()
+    assert code in (EXIT_OK, EXIT_SUITE_FAILED, EXIT_CONFIG) and "Traceback" not in err.getvalue()
+    if code == EXIT_CONFIG:
+        assert len(lines) == 1 and lines[0].startswith("error:")

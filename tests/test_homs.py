@@ -19,7 +19,8 @@ from fuzzaut.groups import (
     normal_subgroups,
     quotient_group,
 )
-from fuzzaut import harness, homs
+from fuzzaut import homs
+from fuzzaut.errors import clear_derived
 from fuzzaut.harness import DEFAULT_GROUPS, Campaign, _Group, _Instance, run_campaign
 from fuzzaut.homs import (
     HomCheckReport,
@@ -246,91 +247,19 @@ class TestRowProductMemo:
         for f in reversed(batch):
             assert_matches_oracles(f)
 
-    def test_memo_stays_bounded(self, monkeypatch):
-        """A check over D4 reserves more than 63 entries (see
-        ``TestReservation``), so under a bound of 63 each check starts from
-        empty stores and a lift's check leaves at most 63 entries of
-        ``size``, ``cores`` at most as many as ``memo`` (this summed
-        ``memo``, ``row_ids``, ``passed`` and the centred-row stores
-        ``lefts`` and ``rights``, since deleted)."""
-        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 63)
-        homs._row_tables.cache_clear()
-        for f in lifted_homs(D4, D4):
-            assert_matches_oracles(f)
-            t = homs._row_tables(D4)
-            assert 0 < t.size() <= 63 and len(t.cores) <= len(t.memo)
-
-    def test_checks_straddling_a_reset_give_the_cold_answers(self, monkeypatch):
-        batch = []
-        for i, f in enumerate(lifted_homs(D4, D4)):
-            batch.append(f)
-            rows = [list(row) for row in f.grades]
-            x = i % D4.order
-            y = next(y for y in D4.elements if y != f.images[x])
-            rows[x][y] = LOW_GRADES[1 + i % 3] if rows[x][y] == 0 else F(0)
-            batch.append(make_fuzzy_map(D4, D4, rows))
-        cold = []
-        for f in batch:
-            homs._row_tables.cache_clear()
-            cold.append(tuple(is_fuzzy_homomorphism(f)))
-        assert {verdict for verdict, _ in cold} == {True, False}
-        # a check over D4 reserves 81 entries, so some checks run warm and some reset
-        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 128)
-        homs._row_tables.cache_clear()
-        warm, sizes = [], []
-        for f in batch:
-            warm.append(tuple(is_fuzzy_homomorphism(f)))
-            sizes.append(len(homs._row_tables(D4).row_ids))
-        steps = list(zip(sizes, sizes[1:]))
-        assert any(b < a for a, b in steps)  # the tables were reset
-        assert any(b > a for a, b in steps)  # and grew between resets
-        assert warm == cold
-
-
-    def test_a_reset_forgets_the_passing_keys(self, monkeypatch):
-        """After a reset, row ids are handed out again from 0, so a key kept
-        from before it could name another map: here a failing one whose rows
-        get the ids the passing map's rows had."""
-        good = lift_hom(D4.elements, chain_strategy(D4), D4)
-        rows = [list(row) for row in good.grades]
-        rows[0][1] = LOW_GRADES[2] if rows[0][1] == 0 else F(0)
-        bad = make_fuzzy_map(D4, D4, rows)
-        homs._row_tables.cache_clear()
-        assert not is_fuzzy_homomorphism(bad).verdict
-        monkeypatch.setattr(homs, "ROW_PRODUCT_MEMO_BOUND", 40)  # the first check of bad resets
-        homs._row_tables.cache_clear()
-        verdicts = [is_fuzzy_homomorphism(f).verdict for f in (good, bad, bad)]
-        assert verdicts == [True, False, False]
-        assert_matches_oracles(bad)
-
-
-class TestReservation:
-    """``_failing_generator_pair`` clears a codomain's stores unless they can
-    take the 3(|S| + 1)(n + 1) entries of ``size`` it reserves for a pass over
-    |S| generators and n rows; no pass grows them by more than that."""
-
-    @pytest.mark.parametrize("campaign", [
-        harness.default_campaign(), Campaign(groups=("S4",)), Campaign(groups=("direct_product(Z2,Q8)",)),
-    ], ids=["default", "S4", "Z2xQ8"])
-    def test_no_pass_outgrows_its_reservation(self, monkeypatch, campaign):
-        passes, cleared, check, clear = [], [], homs._failing_generator_pair, homs._RowTables.clear
-
-        def measured(f):
-            tables = homs._row_tables(f.codomain)
-            before = tables.size()
-            reserved = 3 * (len(generating_sequence(f.domain)) + 1) * (f.domain.order + 1)
-            cleared.clear()
-            failing = check(f)
-            passes.append((tables.size() - (0 if cleared else before), reserved, tables.size()))
-            return failing
-
-        monkeypatch.setattr(homs, "_failing_generator_pair", measured)
-        monkeypatch.setattr(homs._RowTables, "clear", lambda self: cleared.append(None) or clear(self))
-        homs._row_tables.cache_clear()
-        run_campaign(campaign)
-        assert passes and max(grown for grown, _, _ in passes) > 0
-        assert all(grown <= reserved for grown, reserved, _ in passes)
-        assert all(size < homs.ROW_PRODUCT_MEMO_BOUND for _, _, size in passes)
+    def test_every_passing_key_is_held_until_clear_derived(self):
+        """4,500 lifts through one mu leave 4,500 passing keys over V4xV4;
+        every key is still held, so no row id was handed out twice, and only
+        ``clear_derived`` empties the stores."""
+        group = builtin_group("direct_product(V4,V4)")
+        mu = chain_strategy(group)
+        clear_derived()
+        lifts = [lift_hom(phi, mu, group) for phi in crisp_automorphisms(group)[:4500]]
+        tables = homs._row_tables(group)
+        keys = {(group, tuple(map(tables.row_ids.__getitem__, f.encoding[1]))) for f in lifts}
+        assert len(keys) == 4500 and keys <= tables.passed
+        clear_derived()
+        assert not homs._row_tables(group).passed
 
 
 def literal_row_product(rg, rx, group):

@@ -74,7 +74,6 @@ ALLOWED = {
     "groups._first_triple": WITNESS,
     "harness.default_campaign": BENCH,
     "homs.HomWitness.__str__": WITNESS,
-    "homs._RowTables.clear": "memo bound: runs when a codomain's stores outgrow ROW_PRODUCT_MEMO_BOUND",
     "homs._first_violation": WITNESS,
     "homs._require_multiplicative": WITNESS,
     "induced.InnGroup.__repr__": REPR,
