@@ -31,7 +31,6 @@ from .groups import (
     conjugations,
     crisp_automorphisms,
     derived_group,
-    first_non_associative,
     picker,
 )
 from .homs import is_fuzzy_homomorphism
@@ -77,27 +76,40 @@ def check_automorphism(f: FuzzyMap) -> Verdict:
     return True, None
 
 
+def check_composites(named: Mapping[str, FuzzyMap], products: Products) -> Verdict:
+    """Lemma 3.1: f.g is a fuzzy automorphism for every ordered pair of named maps.
+
+    Each distinct composite of ``products``, the maps' ``composite_table``, is
+    checked once; they are numbered by first appearance in row-major order,
+    so the least failing one names the first failing pair."""
+    composites, cells, _ = products
+    for c, h in enumerate(composites):
+        verdict, witness = check_automorphism(h)
+        if not verdict:
+            tags = list(named)
+            i, j = next((i, row.index(c)) for i, row in enumerate(cells) if c in row)
+            return False, f"({tags[i]}) . ({tags[j]}): {witness}"
+    return True, None
+
+
 def check_associativity(named: Mapping[str, FuzzyMap], products: Products) -> Verdict:
     """Lemma 3.2: (f.g).h and f.(g.h) share a skeleton for every triple of named maps.
 
     ``compose_maps`` builds a composite's skeleton as ``f.images[g.images[z]]``,
     so a composite's skeleton class depends only on its operands' classes,
-    and so does each triple's verdict.  The check therefore reads the class
-    table off the k^2 honest pairwise composites in ``products`` (the maps'
-    ``composite_table``) and runs ``first_non_associative`` on it: O(k^2)
-    compositions instead of 2*k^3.  If a composite's skeleton is not a
-    sample's, if two pairs of the same classes compose to different skeletons,
-    or if the table is not associative, the triples are checked one by one
-    (``_first_failing_triple``, reading its pairs from the same table), which
-    gives the verdict and the witness of the exhaustive scan.
+    and so does each triple's verdict.  The law therefore holds when
+    ``build_aut_class_group`` returns: it reads the class table off the k^2
+    pairwise composites in ``products`` (the maps' ``composite_table``) and
+    validates it as a group, O(k^2) compositions instead of 2*k^3.  If it
+    raises, the triples are checked one by one (``_first_failing_triple``,
+    reading its pairs from the same table), which gives the verdict and the
+    witness of the exhaustive scan.
     """
     try:
-        table = skeleton_class_table(list(named.values()), products)
-    except AutomorphismError:
-        table = None
-    if table is not None and first_non_associative(table) is None:
-        return True, None
-    return _first_failing_triple(named, products)
+        build_aut_class_group(list(named.values()), products)
+    except FuzzautError:
+        return _first_failing_triple(named, products)
+    return True, None
 
 
 def _first_failing_triple(named: Mapping[str, FuzzyMap], products: Products) -> Verdict:
@@ -135,6 +147,13 @@ def check_inverse_law(f: FuzzyMap, f_inv: FuzzyMap) -> Verdict:
     if compose_maps(f, f_inv).images != ident:
         return False, "f . g is not the identity skeleton"
     return True, None
+
+
+def check_transpose_product(f: FuzzyMap, f_inv: FuzzyMap) -> Verdict:
+    """Lemma 3.5: f_inv . f is a fuzzy homomorphism, f_inv the transpose of f
+    (``maps.inverse_map``); the witness is ``is_fuzzy_homomorphism``'s."""
+    report = is_fuzzy_homomorphism(compose_maps(f_inv, f))
+    return (True, None) if report else (False, str(report.witness))
 
 
 def is_class_preserving(f: FuzzyMap) -> bool:
@@ -183,11 +202,19 @@ def check_inner_inverses(group: FiniteGroup, family: Family, labels: Iterable[in
     return True, None
 
 
-def check_inner_conjugate(conj: FuzzyMap) -> Verdict:
-    """Lemma 3.9: a conjugate f^-1 . f_g . f is again an inner fuzzy automorphism."""
-    if is_inner(conj) is None:
-        return False, f"skeleton {conj.images} is not inner"
-    return check_automorphism(conj)
+def check_inner_conjugates(f: FuzzyMap, f_inv: FuzzyMap, family: Family,
+                           labels: Iterable[int]) -> Verdict:
+    """Lemma 3.9: each conjugate f_inv . f_g . f of a labeled map is again an inner
+    fuzzy automorphism; f_inv is the transpose of f (``maps.inverse_map``).
+    The witness names the first failing label."""
+    for g in labels:
+        conj = compose_maps(f_inv, compose_maps(family[g], f))
+        if is_inner(conj) is None:
+            return False, f"conjugate of label {g}: skeleton {conj.images} is not inner"
+        verdict, witness = check_automorphism(conj)
+        if not verdict:
+            return False, f"conjugate of label {g}: {witness}"
+    return True, None
 
 
 def composite_table(maps: Sequence[FuzzyMap]) -> Products:
@@ -230,17 +257,23 @@ def composite_table(maps: Sequence[FuzzyMap]) -> Products:
     return [h for _, h in seen.values()], tuple(cells), [inputs.get(key) for key in seen]
 
 
-def skeleton_class_table(maps: Sequence[FuzzyMap], products: Products) -> Table:
-    """The table of the skeleton classes of ``maps`` under ``compose_maps``.
+def build_aut_class_group(maps: Sequence[FuzzyMap], products: Products) -> tuple[Table, FiniteGroup]:
+    """The sorted class skeletons, and their Cayley table under honest composition.
 
     Classes are numbered in sorted order of their skeletons.  Cell (a, b) is
     the class of f.g for maps f in class a and g in class b, read from
-    ``products``, the ``composite_table`` of ``maps``.
-    Raises ``AutomorphismError`` if a composite's skeleton is not among the
-    classes, or if two pairs of the same classes give different skeletons.
+    ``products``, the ``composite_table`` of ``maps``; the maps are taken as
+    certified (Lemma 3.1 checks their composites).  Raises
+    ``AutomorphismError`` for no maps, a composite's skeleton outside the
+    classes, or two pairs of the same classes with different skeletons, and
+    what ``make_group`` raises for a table that is no group; the canonical
+    group of the table (``groups.derived_group``) is validated once per
+    campaign, so Lemma 3.2 and Theorem 3.1 decide it once.
     """
+    if not maps:
+        raise AutomorphismError("cannot build a group from zero samples")
     composites, cells, _ = products
-    skeletons = sorted({f.images for f in maps})
+    skeletons = tuple(sorted({f.images for f in maps}))
     index = {sk: i for i, sk in enumerate(skeletons)}
     classes = [index[f.images] for f in maps]
     table: list[list[Optional[int]]] = [[None] * len(skeletons) for _ in skeletons]
@@ -255,25 +288,6 @@ def skeleton_class_table(maps: Sequence[FuzzyMap], products: Products) -> Table:
                 row[b] = c
             elif row[b] != c:
                 raise AutomorphismError(f"classes ({a}, {b}) compose to classes {row[b]} and {c}")
-    return tuple(map(tuple, table))
-
-
-def build_aut_class_group(
-    maps: Sequence[FuzzyMap], products: Products
-) -> tuple[tuple[tuple[int, ...], ...], FiniteGroup]:
-    """The sorted class skeletons, and their Cayley table under honest composition.
-
-    The table is ``skeleton_class_table`` of all the maps, read from
-    ``products``, their ``composite_table``.  The maps are taken as
-    certified; Lemma 3.1 checks their composites.  Raises if the sample set
-    is not closed under composition or two pairs of the same classes compose
-    to different classes; the table is validated as a group and its
-    canonical group returned (``derived_group``).
-    """
-    if not maps:
-        raise AutomorphismError("cannot build a group from zero samples")
-    table = skeleton_class_table(maps, products)
-    skeletons = tuple(sorted({f.images for f in maps}))
     return skeletons, derived_group(table, name=f"AutF({maps[0].domain.name})")
 
 

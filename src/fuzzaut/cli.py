@@ -4,8 +4,10 @@ Three subcommands: ``verify`` runs law campaigns, ``gen-mu`` writes canonical
 membership-function files, ``inn`` reports the class group of the labeled
 family.  Reports go to stdout, diagnostics to stderr.  Exit codes are a
 stable contract: 0 all verdicts pass, 1 at least one suite failed, 2 input or
-configuration error.  ``verify`` resolves no input itself: the campaign does,
-once, and a ``FuzzautError`` it raises before any suite runs exits 2.
+configuration error, 3 a defect of the library: an exception that is no
+``FuzzautError`` reached ``main``, which prints its traceback to stderr.
+``verify`` resolves no input itself: the campaign does, once, and a
+``FuzzautError`` it raises before any suite runs exits 2.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .subsets import FuzzySubset, mu_from_strategy
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
 EXIT_CONFIG = 2
+EXIT_INTERNAL = 3
 
 
 def _strip_prefix(token: str, prefix: str) -> str:
@@ -242,14 +245,18 @@ def _parse(argv: list[str]):
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         handler, args = _parse(list(sys.argv[1:] if argv is None else argv))
+        return handler(args)
     except _UsageError as exc:
         print(f"{_usage()}\nfuzzaut: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return handler(args)
     except FuzzautError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -22,7 +22,10 @@ class GradeError(FuzzautError):
 def grade(value) -> Fraction:
     """Coerce ``value`` (int, string "p/q", or Fraction) to a valid grade.
 
-    A ``Fraction`` in range is returned as it is, not copied.  A ``float``
+    A ``Fraction`` in range is returned as it is, not copied.  A string is
+    read as ``Fraction`` reads it, except that one holding an underscore or,
+    once stripped, any whitespace raises, as ``Fraction``'s own grammar for
+    those differs between Python 3.10, 3.11 and 3.12.  A ``float``
     or a ``bool`` raises, naming its type: 0.1 is not one tenth, and a flag
     is no grade.  Every value must also print: past Python's limit on the
     digits of an int, ``str`` of a grade such as "1e-5000" or
@@ -31,6 +34,8 @@ def grade(value) -> Fraction:
     if type(value) is not Fraction and isinstance(value, (float, bool)):
         raise GradeError(f"expected an int, a Fraction or a rational string, got {type(value).__name__}")
     try:
+        if isinstance(value, str) and ("_" in value or value.split() != [value.strip()]):
+            raise ValueError("an underscore or inner whitespace")
         g = value if type(value) is Fraction else Fraction(value)
         str(g)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -69,9 +74,9 @@ def rank_grades(vec) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
 
 
 def parse_grade(text: str) -> Fraction:
-    """Parse a string into an exact grade: any string ``fractions.Fraction``
-    parses once surrounding whitespace is stripped ("1", "2/4", "0.5",
-    "5e-1"), with a value in [0, 1]; a non-string raises ``GradeError``."""
+    """Parse a string into an exact grade: a string ``grade`` reads once
+    surrounding whitespace is stripped ("1", "2/4", "0.5", "5e-1"), with a
+    value in [0, 1]; a non-string raises ``GradeError``."""
     if not isinstance(text, str):
         raise GradeError(f"expected a rational string, got {type(text).__name__}")
     return grade(text.strip())

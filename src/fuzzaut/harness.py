@@ -34,11 +34,13 @@ from .automorphisms import (
     check_associativity,
     check_automorphism,
     check_class_group,
+    check_composites,
     check_identity_law,
-    check_inner_conjugate,
+    check_inner_conjugates,
     check_inner_inverses,
     check_inner_products,
     check_inverse_law,
+    check_transpose_product,
     composite_table,
 )
 from .errors import FuzzautError, Record, Verdict, clear_derived
@@ -51,7 +53,7 @@ from .groups import (
     quotient_group,
     register_group,
 )
-from .homs import check_theorem_2_1, check_theorem_2_2, is_fuzzy_homomorphism, lift_hom
+from .homs import check_theorem_2_1, check_theorem_2_2, lift_hom
 from .induced import (
     check_identity_label,
     check_induced_bijective,
@@ -65,7 +67,7 @@ from .induced import (
     theta,
     zeta,
 )
-from .maps import FuzzyMap, MultipleUnitEntries, compose_maps, inverse_map
+from .maps import FuzzyMap, MultipleUnitEntries, inverse_map
 from .subsets import (
     FuzzySubset,
     class_strategy,
@@ -302,46 +304,14 @@ def _first_failure_transposed(ctx: _Instance, check: Callable[..., Verdict]) -> 
     return True, None
 
 
-def _suite_lemma_3_1(ctx: _Instance):
-    composites, cells, _ = ctx.aut_products
-    verdicts = [check_automorphism(h) for h in composites]  # a function of the map alone
-    # composites are numbered by first appearance, so the least failing one names the pair
-    c = next((c for c, (verdict, _) in enumerate(verdicts) if not verdict), None)
-    if c is None:
-        return True, None
-    i, j = next((i, row.index(c)) for i, row in enumerate(cells) if c in row)
-    tags = [tag for tag, _ in ctx.aut_samples]
-    return False, f"({tags[i]}) . ({tags[j]}): {verdicts[c][1]}"
-
-
-def _inner_conjugate(f_inv: FuzzyMap, f_g: FuzzyMap, f: FuzzyMap) -> Verdict:
-    return check_inner_conjugate(compose_maps(f_inv, compose_maps(f_g, f)))
-
-
-def _suite_lemma_3_9(ctx: _Instance):
-    """The conjugate of each representative's map by each sample, tagged with both;
-    a sample with no transpose fails under its own tag."""
-    family = ctx.induced_raw
-    for (tag, f), f_inv in zip(ctx.aut_samples, ctx.aut_transposes):
-        if isinstance(f_inv, tuple):
-            return False, f"{tag}: {f_inv[1]}"
-        for g in ctx.induced_reps:
-            verdict, witness = _attempt(_inner_conjugate, f_inv, family[g], f)
-            if not verdict:
-                return False, f"conjugate of label {g} by {tag}: {witness}"
-    return True, None
-
-
 _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
     "Theorem 2.1": lambda ctx: _first_failure(ctx.hom_samples, check_theorem_2_1),
     "Theorem 2.2": lambda ctx: _first_failure(ctx.hom_samples, check_theorem_2_2),
-    "Lemma 3.1": _suite_lemma_3_1,
+    "Lemma 3.1": lambda ctx: check_composites(dict(ctx.aut_samples), ctx.aut_products),
     "Lemma 3.2": lambda ctx: check_associativity(dict(ctx.aut_samples), ctx.aut_products),
     "Lemma 3.3": lambda ctx: _first_failure(ctx.aut_samples, check_identity_law),
     "Lemma 3.4": lambda ctx: _first_failure_transposed(ctx, check_inverse_law),
-    "Lemma 3.5": lambda ctx: _first_failure_transposed(
-        ctx, lambda f, f_inv: is_fuzzy_homomorphism(compose_maps(f_inv, f))
-    ),
+    "Lemma 3.5": lambda ctx: _first_failure_transposed(ctx, check_transpose_product),
     "Lemma 3.6": lambda ctx: _first_failure_transposed(
         ctx, lambda f, f_inv: check_automorphism(f_inv)
     ),
@@ -349,7 +319,9 @@ _SUITES: dict[str, Callable[[_Instance], Verdict]] = {
         ctx.group, ctx.induced_raw, ctx.induced_reps, ctx.inner_products
     ),
     "Lemma 3.8": lambda ctx: check_inner_inverses(ctx.group, ctx.induced_raw, ctx.induced_reps),
-    "Lemma 3.9": _suite_lemma_3_9,
+    "Lemma 3.9": lambda ctx: _first_failure_transposed(
+        ctx, partial(check_inner_conjugates, family=ctx.induced_raw, labels=ctx.induced_reps)
+    ),
     "Theorem 3.1": lambda ctx: check_class_group([f for _, f in ctx.aut_samples], ctx.aut_products),
     "Lemma 4.1": lambda ctx: check_induced_homomorphism(
         ctx.group, ctx.induced_raw, ctx.group.elements

@@ -102,10 +102,6 @@ class HomCheckReport(Record):
     def __bool__(self) -> bool:
         return self.verdict
 
-    def __iter__(self):
-        """Unpacks as ``(verdict, witness)``, the shape of every law checker."""
-        return iter((self.verdict, self.witness))
-
 
 _HOLDS = HomCheckReport(True)  # records are immutable, so every passing check shares one
 

@@ -1,7 +1,7 @@
 """Fuzzy automorphisms, innerness, conjugation, and the skeleton-class group.
 
 Each law is asked of its checker (``check_automorphism``,
-``check_inner_conjugate``, ...) on maps built with ``maps``."""
+``check_inner_conjugates``, ...) on maps built with ``maps``."""
 
 import random
 from fractions import Fraction
@@ -17,23 +17,22 @@ from fuzzaut.automorphisms import (
     build_aut_class_group,
     check_associativity,
     check_automorphism,
+    check_composites,
     check_identity_law,
-    check_inner_conjugate,
+    check_inner_conjugates,
     composite_table,
     is_class_preserving,
     is_inner,
-    skeleton_class_table,
 )
 from fuzzaut.groups import (
+    NotAssociative,
     builtin_group,
     center,
     conjugations,
     crisp_automorphisms,
-    first_non_associative,
     is_group_isomorphism,
     make_group,
 )
-from fuzzaut import harness
 from fuzzaut.harness import _SUITES, DEFAULT_GROUPS, _Group, _Instance
 from fuzzaut.homs import is_fuzzy_homomorphism, lift_hom
 from fuzzaut.maps import (
@@ -237,9 +236,9 @@ class TestInner:
 
 def conjugate(f, f_g):
     """f^-1 . f_g . f, checked as Lemma 3.9 asks: an inner fuzzy automorphism."""
-    conj = compose_maps(inverse_map(f), compose_maps(f_g, f))
-    assert check_inner_conjugate(conj) == (True, None)
-    return conj
+    f_inv = inverse_map(f)
+    assert check_inner_conjugates(f, f_inv, [f_g], (0,)) == (True, None)
+    return compose_maps(f_inv, compose_maps(f_g, f))
 
 
 class TestConjugation:
@@ -363,8 +362,8 @@ class TestAssociativityCheck:
         named = s3_samples()
         fake = reversed_after(named["lift:aut1"])
         monkeypatch.setattr(automorphisms, "compose_maps", fake)
-        table = skeleton_class_table(list(named.values()), table_of(named))
-        assert first_non_associative(table) is not None  # the kernel sees it
+        with pytest.raises(NotAssociative):  # make_group's kernel sees it
+            build_aut_class_group(list(named.values()), table_of(named))
         expected = associativity_oracle(named, fake)
         assert not expected[0]
         assert check_associativity(named, table_of(named)) == expected
@@ -376,7 +375,7 @@ class TestAssociativityCheck:
         fake = reversed_for_one_object(first, second)
         monkeypatch.setattr(automorphisms, "compose_maps", fake)
         with pytest.raises(AutomorphismError, match="compose to classes"):
-            skeleton_class_table(list(named.values()), table_of(named))
+            build_aut_class_group(list(named.values()), table_of(named))
         expected = associativity_oracle(named, fake)
         assert not expected[0]
         assert check_associativity(named, table_of(named)) == expected
@@ -385,7 +384,7 @@ class TestAssociativityCheck:
         full = s3_samples()
         named = {tag: full[tag] for tag in ("lift:aut1", "lift:aut3")}
         with pytest.raises(AutomorphismError, match="not closed"):
-            skeleton_class_table(list(named.values()), table_of(named))
+            build_aut_class_group(list(named.values()), table_of(named))
         expected = associativity_oracle(named)
         assert check_associativity(named, table_of(named)) == expected == (True, None)
         fake = reversed_after(named["lift:aut1"])
@@ -471,13 +470,25 @@ def lemma_3_1_oracle(ctx):
 
 
 def lemma_3_9_oracle(ctx):
-    """Literal Lemma 3.9: every conjugate of every label rep by every sample, checked."""
+    """Literal Lemma 3.9: every conjugate of every label rep by every sample, checked
+    to be inner, through the ``is_inner`` bound now, and then an automorphism."""
     for tag, f in ctx.aut_samples:
         for g in ctx.induced_reps:
             conj = compose_maps(inverse_map(f), compose_maps(ctx.induced_raw[g], f))
-            ok, witness = check_inner_conjugate(conj)
+            if automorphisms.is_inner(conj) is None:
+                return False, f"{tag}: conjugate of label {g}: skeleton {conj.images} is not inner"
+            ok, witness = check_automorphism(conj)
             if not ok:
-                return False, f"conjugate of label {g} by {tag}: {witness}"
+                return False, f"{tag}: conjugate of label {g}: {witness}"
+    return True, None
+
+
+def lemma_3_9_checked(ctx):
+    """``check_inner_conjugates`` on each sample in turn, the first failure tagged."""
+    for tag, f in ctx.aut_samples:
+        ok, witness = check_inner_conjugates(f, inverse_map(f), ctx.induced_raw, ctx.induced_reps)
+        if not ok:
+            return False, f"{tag}: {witness}"
     return True, None
 
 
@@ -516,11 +527,15 @@ class TestCompositeTable:
 
     def test_lemma_3_1_matches_the_literal_scan(self, token, mu):
         ctx = instance(token, mu)
-        assert _SUITES["Lemma 3.1"](ctx) == lemma_3_1_oracle(ctx) == (True, None)
+        expected = lemma_3_1_oracle(ctx)
+        assert check_composites(dict(ctx.aut_samples), ctx.aut_products) == expected == (True, None)
+        assert _SUITES["Lemma 3.1"](ctx) == expected
 
     def test_lemma_3_9_matches_the_literal_scan(self, token, mu):
         ctx = instance(token, mu)
-        assert _SUITES["Lemma 3.9"](ctx) == lemma_3_9_oracle(ctx) == (True, None)
+        expected = lemma_3_9_oracle(ctx)
+        assert lemma_3_9_checked(ctx) == expected == (True, None)
+        assert _SUITES["Lemma 3.9"](ctx) == expected
 
 
 class TestCompositeTableDefects:
@@ -544,6 +559,7 @@ class TestCompositeTableDefects:
         expected = lemma_3_1_oracle(ctx)
         assert not expected[0]
         assert expected[1].startswith(f"({ctx.aut_samples[0][0]}) . ({ctx.aut_samples[5][0]})")
+        assert check_composites(dict(ctx.aut_samples), ctx.aut_products) == expected
         assert _SUITES["Lemma 3.1"](ctx) == expected
 
     def test_composites_with_one_skeleton_and_value_list_stay_apart(self):
@@ -590,17 +606,19 @@ class TestCompositeTableDefects:
         )
         expected = lemma_3_9_oracle(ctx)
         assert not expected[0]
+        assert lemma_3_9_checked(ctx) == expected
         assert _SUITES["Lemma 3.9"](ctx) == expected
 
 
 class TestWorkCounts:
-    """The law checkers' runs, counted, not timed: Lemma 3.1 checks each distinct
-    composite once, and Lemma 3.9 each (sample, label) pair."""
+    """The law checkers' runs, counted where ``automorphisms`` binds them, not
+    timed: Lemma 3.1 checks each distinct composite once, and Lemma 3.9 the
+    conjugate of each (sample, label) pair."""
 
     @pytest.mark.parametrize("token, distinct", [("Q8", 24), ("direct_product(Z2,Q8)", 192)])
     @pytest.mark.parametrize("mu", ["chain", "class"])
     def test_lemma_3_1_checks_each_distinct_composite(self, monkeypatch, token, distinct, mu):
-        calls = count_calls(monkeypatch, harness, "check_automorphism")
+        calls = count_calls(monkeypatch, automorphisms, "check_automorphism")
         assert _SUITES["Lemma 3.1"](instance(token, mu)) == (True, None)
         assert calls == [distinct]
 
@@ -609,6 +627,6 @@ class TestWorkCounts:
         """24 samples by 4 label representatives on Q8, 192 by 4 on Z2xQ8 (12
         and 48 when the suite kept a verdict per distinct conjugate): the
         homomorphism half of a repeated conjugate is a held key in ``homs``."""
-        calls = count_calls(monkeypatch, harness, "check_inner_conjugate")
+        calls = count_calls(monkeypatch, automorphisms, "check_automorphism")
         assert _SUITES["Lemma 3.9"](instance(token, "chain")) == (True, None)
         assert calls == [pairs]

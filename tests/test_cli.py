@@ -4,13 +4,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzaut import harness, induced, subsets
-from fuzzaut.cli import EXIT_CONFIG, EXIT_OK, EXIT_SUITE_FAILED, main
+from fuzzaut.cli import COMMANDS, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_SUITE_FAILED, main
 from fuzzaut.io import save
 
 
@@ -109,6 +110,19 @@ class TestExitCodes:
             "PASS Theorem 2.2 [Z4|mu=class]",
             "passed 2, failed 2",
         ]
+
+    def test_a_library_defect_is_three_with_its_traceback(self, capsys, monkeypatch):
+        """An exception that is no ``FuzzautError`` and that no suite turns into a
+        FAIL row reaches ``main``: its traceback on stderr, nothing on stdout,
+        exit 3, as 1 would claim a violated law."""
+        def raiser(f):
+            raise KeyError("seeded defect")
+
+        monkeypatch.setattr(harness, "check_automorphism", raiser)
+        code, out, err = run_cli(capsys, "verify", "--group", "builtin:S3", "--suite", "thm:3.6")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("KeyError: 'seeded defect'\n")
 
     def test_invalid_mu_file_is_two(self, capsys, tmp_path):
         path = tmp_path / "bad_mu.json"
@@ -548,8 +562,8 @@ FILE_ARGVS = (
 @settings(max_examples=150, deadline=None)
 def test_no_input_file_crashes_the_cli(tmp_path_factory, data, argv):
     """Any group or mu file, as raw bytes or as a JSON tree, ends in exit 0,
-    1 or 2, and exit 2 prints one ``error:`` line; an exception that escapes
-    ``main`` fails the test, as it would print a traceback from the script."""
+    1 or 2, and exit 2 prints one ``error:`` line; a library defect fails the
+    test, as ``main`` prints its traceback and exits 3."""
     path = tmp_path_factory.getbasetemp() / "fuzzed-input.json"
     path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
@@ -559,3 +573,50 @@ def test_no_input_file_crashes_the_cli(tmp_path_factory, data, argv):
     assert code in (EXIT_OK, EXIT_SUITE_FAILED, EXIT_CONFIG) and "Traceback" not in err.getvalue()
     if code == EXIT_CONFIG:
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# a pool of good and bad option values, over groups of order at most 8
+ARGV_VALUES = ("Z2", "S3", "builtin:Z0", "file:{missing}", "thm:9.9", "yaml", "-7",
+               "chain", "json", "thm:3.1")
+
+
+@st.composite
+def argvs(draw):
+    """A command or a stray word, then options in full, as prefixes and as
+    ``--opt=value``, each with or without a value, and stray values.  The
+    options are mostly the command's own, so that some lines parse."""
+    argv = [draw(st.sampled_from([*COMMANDS, "check"]))]
+    every = sorted({name for _, _, options in COMMANDS.values() for name in options})
+    own = sorted(COMMANDS[argv[0]][2]) if argv[0] in COMMANDS else every
+    for _ in range(draw(st.integers(0, 4))):
+        value = draw(st.sampled_from(ARGV_VALUES))
+        name = draw(st.sampled_from(own) | st.sampled_from(every))
+        flag = "--" + name[:draw(st.integers(1, len(name)))]
+        form = draw(st.sampled_from(("pair", "pair", "equals", "bare", "value")))
+        argv += {"pair": [flag, value], "equals": [f"{flag}={value}"], "bare": [flag],
+                 "value": [value]}[form]
+    return argv
+
+
+@given(argv=argvs())
+@settings(max_examples=150, deadline=None)
+def test_no_command_line_crashes_the_cli(tmp_path_factory, argv):
+    """Any drawn command line ends in exit 0, 1 or 2 with no traceback; on exit
+    2 the last line of stderr, and only that line, starts with
+    ``fuzzaut: error:`` or ``error:``.  It runs in a scratch directory, as
+    ``gen-mu --out`` writes where it is told."""
+    scratch = tmp_path_factory.getbasetemp()
+    argv = [arg.format(missing=scratch / "missing.json") for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(scratch)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_SUITE_FAILED, EXIT_CONFIG) and "Traceback" not in err.getvalue()
+    if code == EXIT_CONFIG:
+        lines = err.getvalue().splitlines()
+        flagged = [line.startswith(("fuzzaut: error:", "error:")) for line in lines]
+        assert flagged[-1] and flagged.count(True) == 1

@@ -241,8 +241,8 @@ class TestRowProductMemo:
                 rows[x][y] = data.draw(st.sampled_from(LOW_GRADES))
             batch.append(make_fuzzy_map(domain, codomain, rows))
         homs._row_tables.cache_clear()
-        cold = [tuple(is_fuzzy_homomorphism(f)) for f in batch]
-        warm = [tuple(is_fuzzy_homomorphism(f)) for f in reversed(batch)]
+        cold = [is_fuzzy_homomorphism(f) for f in batch]
+        warm = [is_fuzzy_homomorphism(f) for f in reversed(batch)]
         assert warm == cold[::-1]
         for f in reversed(batch):
             assert_matches_oracles(f)

@@ -22,6 +22,7 @@ instance and pin the rows that fail, witnesses included, byte for byte.
 
 import re
 import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -47,7 +48,7 @@ from fuzzaut.induced import (
 )
 from fuzzaut.io import mu_to_json, save
 from fuzzaut.homs import lift_hom
-from fuzzaut.maps import FuzzyMap, compose_maps, crisp_map, inverse_map
+from fuzzaut.maps import FuzzyMap, crisp_map, inverse_map, make_fuzzy_map
 from fuzzaut.subsets import MuNotNormal, MuNotPointed, class_strategy, require_valid_mu
 
 S3 = builtin_group("S3")
@@ -104,10 +105,10 @@ def test_rows_pass_without_a_defect():
 
 def test_is_inner_serves_lemma_3_9_and_its_checker(monkeypatch):
     f, f_g = inner(1), inner(3)
-    conj = compose_maps(inverse_map(f), compose_maps(f_g, f))
     seed_defect(monkeypatch, automorphisms, "is_inner", lambda f: None)
-    ok, witness = automorphisms.check_inner_conjugate(conj)
-    assert not ok and "is not inner" in witness
+    ok, witness = automorphisms.check_inner_conjugates(f, inverse_map(f), {3: f_g}, (3,))
+    assert not ok and witness.startswith("conjugate of label 3: skeleton ")
+    assert witness.endswith(" is not inner")
     row = row_of("Lemma 3.9")
     assert not row.verdict and "is not inner" in row.witness
 
@@ -143,9 +144,11 @@ def test_transpose_checker_serves_lemmas_3_8_and_4_6(monkeypatch):
 
 
 def test_automorphism_checker_serves_lemmas_3_1_3_6_and_3_9(monkeypatch):
-    conj = compose_maps(inverse_map(inner(1)), compose_maps(inner(3), inner(1)))
+    f, f_inv, f_g = inner(1), inverse_map(inner(1)), inner(3)
     seed_defect(monkeypatch, automorphisms, "check_automorphism", rejects)
-    assert automorphisms.check_inner_conjugate(conj) == (False, "seeded defect")
+    assert automorphisms.check_inner_conjugates(f, f_inv, {3: f_g}, (3,)) == (
+        False, "conjugate of label 3: seeded defect"
+    )
     for statement in ("Lemma 3.1", "Lemma 3.6", "Lemma 3.9"):
         assert not row_of(statement).verdict
 
@@ -556,9 +559,11 @@ def test_campaign_catches_a_broken_map_composition(monkeypatch, fake, caught_by)
 
 
 def seeded_samples():
-    """Three hand-built maps of S3 that the law checkers must reject, by tag."""
+    """Four hand-built maps of S3 that the law checkers must reject, by tag."""
     mu = class_strategy(S3)
     identity = lift_hom(tuple(S3.elements), mu, S3)
+    blurred = [[1 if x == y else 0 for y in S3.elements] for x in S3.elements]
+    blurred[1][0] = Fraction(1, 2)
     return {
         # bijective, and no homomorphism: it swaps a transposition and a 3-cycle
         "seed:swap": crisp_map(S3, S3, (0, 3, 2, 1, 4, 5)),
@@ -566,10 +571,12 @@ def seeded_samples():
         "seed:collapse": lift_hom((0,) * 6, mu, S3),
         # the identity lift's cells under a skeleton that repeats 1
         "seed:stale": FuzzyMap(S3, S3, None, (0, 1, 1, 1, 1, 1), identity.encoding),
+        # bijective, with a transpose g, and g . f misses the sup condition
+        "seed:blur": make_fuzzy_map(S3, S3, blurred),
     }
 
 
-SEEDED_STATEMENTS = ("Theorem 2.1", "Theorem 2.2", "Lemma 3.1", "Lemma 3.6", "Lemma 3.9")
+SEEDED_STATEMENTS = ("Theorem 2.1", "Theorem 2.2", "Lemma 3.1", "Lemma 3.5", "Lemma 3.6", "Lemma 3.9")
 NOT_HOM = "f(x1*x2, y) = {} but sup over factorizations = {} at (x1, x2, y) = {}"
 NOT_BIJECTIVE = "NotBijective: FuzzyMap(S3 -> S3) is not one-one and onto"
 
@@ -577,8 +584,9 @@ NOT_BIJECTIVE = "NotBijective: FuzzyMap(S3 -> S3) is not one-one and onto"
 SEEDED_ROWS = {
     "seed:swap": [
         ("Lemma 3.1", False, "(lift:aut0) . (seed:swap): " + NOT_HOM.format(1, "1/2", (1, 1, 0))),
+        ("Lemma 3.5", True, None),
         ("Lemma 3.6", False, "seed:swap: " + NOT_HOM.format(1, 0, (1, 1, 0))),
-        ("Lemma 3.9", False, "conjugate of label 1 by seed:swap: skeleton (0, 4, 5, 3, 1, 2) "
+        ("Lemma 3.9", False, "seed:swap: conjugate of label 1: skeleton (0, 4, 5, 3, 1, 2) "
                              "is not inner"),
         ("Theorem 2.1", False, "seed:swap: failed images multiply, inverses map to inverses, "
                                "unit entries invert"),
@@ -587,6 +595,7 @@ SEEDED_ROWS = {
     "seed:collapse": [
         ("Lemma 3.1", False, "(lift:aut0) . (seed:collapse): fuzzy images (0, 0, 0, 0, 0, 0) "
                              "repeat a value"),
+        ("Lemma 3.5", False, "seed:collapse: " + NOT_BIJECTIVE),
         ("Lemma 3.6", False, "seed:collapse: " + NOT_BIJECTIVE),
         ("Lemma 3.9", False, "seed:collapse: " + NOT_BIJECTIVE),
         ("Theorem 2.1", True, None),
@@ -594,10 +603,19 @@ SEEDED_ROWS = {
     ],
     "seed:stale": [
         ("Lemma 3.1", False, "(lift:aut0) . (seed:stale): " + NOT_HOM.format("1/4", 1, (1, 2, 0))),
+        ("Lemma 3.5", False, "seed:stale: " + NOT_BIJECTIVE),
         ("Lemma 3.6", False, "seed:stale: " + NOT_BIJECTIVE),
         ("Lemma 3.9", False, "seed:stale: " + NOT_BIJECTIVE),
         ("Theorem 2.1", False, "seed:stale: failed images multiply"),
         ("Theorem 2.2", False, "seed:stale: kernel=(0,) normal=True one_one=False trivial=True"),
+    ],
+    "seed:blur": [
+        ("Lemma 3.1", False, "(seed:blur) . (lift:aut0): " + NOT_HOM.format(0, "1/2", (1, 1, 1))),
+        ("Lemma 3.5", False, "seed:blur: " + NOT_HOM.format(0, "1/2", (0, 1, 0))),
+        ("Lemma 3.6", False, "seed:blur: " + NOT_HOM.format(0, "1/2", (0, 1, 0))),
+        ("Lemma 3.9", False, "seed:blur: conjugate of label 0: " + NOT_HOM.format(0, "1/2", (0, 1, 0))),
+        ("Theorem 2.1", True, None),
+        ("Theorem 2.2", False, "seed:blur: NotHomomorphism: " + NOT_HOM.format(0, "1/2", (1, 1, 1))),
     ],
 }
 

@@ -189,7 +189,6 @@ class TestSpecificRecords:
 
     def test_report_is_not_its_tuple(self):
         assert HomCheckReport(True, None) != (True, None)
-        assert tuple(HomCheckReport(True, None)) == (True, None)
 
     def test_defaults(self):
         assert Campaign() == Campaign(DEFAULT_GROUPS, ("chain", "class"), STATEMENT_IDS, 0)

@@ -57,6 +57,16 @@ def level_sets_are_subgroups(mu):
     )
 
 
+# (string, accepted as a grade) on Python 3.10 to 3.13 alike
+GRADE_CORPUS = [
+    ("1", True), ("0", True), ("1/2", True), (" 1/2 ", True), ("\t3/4\n", True), ("2/4", True),
+    ("0.5", True), (".5", True), ("5e-1", True), ("+1/2", True), ("-0", True), ("\uff11/\uff12", True),
+    ("1_0/2_0", False), ("0.000_1", False), ("1_000/2_000", False), ("_1", False),
+    ("1 / 2", False), ("1/ 2", False), ("1 /2", False), ("0. 5", False), ("1\t/2", False),
+    ("", False), (" ", False), ("1/2/3", False), ("0x1", False), ("nan", False), ("inf", False),
+]
+
+
 class TestGrades:
     def test_parse_and_format(self):
         assert parse_grade("1/2") == F(1, 2)
@@ -68,6 +78,17 @@ class TestGrades:
     def test_rejects_bad_values(self, text):
         with pytest.raises(GradeError):
             parse_grade(text)
+
+    @pytest.mark.parametrize("text, accepted", GRADE_CORPUS)
+    def test_one_grammar_on_every_interpreter(self, text, accepted):
+        """Each string is accepted or rejected as pinned, on every supported
+        Python: one with an underscore, or with whitespace once stripped, is
+        refused though ``Fraction`` reads some of them from 3.11 or 3.12 on."""
+        if accepted:
+            assert grade(text) == F(text.strip())
+        else:
+            with pytest.raises(GradeError, match=r"^cannot interpret .* as a rational grade$"):
+                grade(text)
 
     @pytest.fixture
     def digit_limit(self):
